@@ -188,15 +188,15 @@ class BitGraph:
             return len(self._edge_set)
         return int(np.count_nonzero(self.adjacency_matrix())) // 2
 
+    def edge_array(self) -> np.ndarray:
+        """Edges as an (E, 2) int64 array of pairs i < j, in row-major order."""
+        if self._edge_set is not None:
+            return np.array(sorted(self._edge_set), dtype=np.int64).reshape(-1, 2)
+        return np.argwhere(np.triu(self.adjacency_matrix(), 1)).astype(np.int64)
+
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as index pairs (i, j) with i < j."""
-        if self._edge_set is not None:
-            yield from sorted(self._edge_set)
-        else:
-            mat = self.adjacency_matrix()
-            for i, j in zip(*np.triu_indices_from(mat, k=1)):
-                if mat[i, j]:
-                    yield int(i), int(j)
+        yield from zip(*self.edge_array().T.tolist())
 
     # -- export ------------------------------------------------------------
 
@@ -290,6 +290,16 @@ def build_complete(n: int) -> BitGraph:
     length = max(1, (n - 1).bit_length())
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return BitGraph(length, range(n), ("explicit", edges), family="K")
+
+
+def graph_from_ref(ref: str) -> BitGraph:
+    """Rebuild a named family member from its reference, e.g. "G11" or "C5"."""
+    builders = {"G": build_G, "H": build_H, "O": build_orthogonality_graph,
+                "C": build_cycle, "K": build_complete}
+    family, num = ref[:1], ref[1:]
+    if family not in builders or not num.isdigit():
+        raise InvalidParameterError(f"cannot build a graph from {ref!r} (want e.g. C5, G11)")
+    return builders[family](int(num))
 
 
 # -- strong products ---------------------------------------------------------

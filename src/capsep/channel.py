@@ -8,14 +8,16 @@ receiver measures with projectors grouped by which clique could have produced
 the channel output. Orthogonality across cliques through every shared output
 makes the decoding exact.
 
-For the maximally entangled state, Tr((A (x) B) rho) = Tr(A B^T)/d; matrices
-are kept at local dimension d and the d^2-dimensional state is only
-materialized for small d to cross-check that identity.
+For the maximally entangled state, Tr((A (x) B) rho) = Tr(A B^T)/d. Every
+measurement operator is a sum of rank-one projectors f f^T onto real unit
+vectors, so every probability the protocol needs is a sum of squared entries
+of the Gram matrix G = F F^T of the stacked vectors F; the d^2-dimensional
+state is never formed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +29,30 @@ ROW_SUM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 ZERO_ERROR_TOL = 1e-9
 DENSE_EXPORT_CAP = 10**6
-EXPLICIT_STATE_MAX_DIM = 8
+
+
+def _gather(indptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
+    """Concatenate the CSR groups ``keys``: (position in keys, value) per entry."""
+    lo = indptr[keys]
+    n = indptr[keys + 1] - lo
+    pos = np.repeat(np.arange(len(keys)), n)
+    return pos, values[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)]
+
+
+def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
+    """Yield the CSR groups of each size k > 0, stacked as an (n_k, k) array."""
+    counts = np.diff(indptr)
+    for k in np.unique(counts[counts > 0]).tolist():
+        starts = indptr[:-1][counts == k]
+        yield values[starts[:, None] + np.arange(k)]
 
 
 class Channel:
     """Discrete memoryless channel with sparse row storage.
 
-    ``rows`` holds, per input, the indices of outputs with positive
-    probability and those probabilities; each row must sum to one.
+    Row x lists the outputs that input x reaches with positive probability,
+    with those probabilities; each row must sum to one. Rows are stored back
+    to back (CSR): row x is entries ``_indptr[x]:_indptr[x + 1]``.
     """
 
     def __init__(self, inputs: list[str], outputs: list[str],
@@ -43,26 +61,35 @@ class Channel:
             raise InvalidParameterError("one probability row per input required")
         self.inputs = list(inputs)
         self.outputs = list(outputs)
-        self._rows = []
-        for x, (idx, probs) in enumerate(rows):
-            idx = np.asarray(idx, dtype=np.int64)
-            probs = np.asarray(probs, dtype=np.float64)
-            if (probs < 0).any():
-                raise InvalidParameterError(f"negative probability in row {x}")
-            if idx.size and (idx.min() < 0 or idx.max() >= len(outputs)):
-                raise InvalidParameterError(f"output index out of range in row {x}")
-            if abs(probs.sum() - 1.0) > ROW_SUM_TOL:
-                raise InvalidParameterError(
-                    f"row {x} sums to {probs.sum()}, not 1")
-            keep = probs > 0
-            self._rows.append((idx[keep], probs[keep]))
-        self._supports = [frozenset(idx.tolist()) for idx, _ in self._rows]
+        sizes = [np.size(i) for i, _ in rows]
+        if sizes != [np.size(p) for _, p in rows]:
+            raise InvalidParameterError("each row needs one probability per output")
+        row_of = np.repeat(np.arange(len(rows)), sizes)
+        idx = np.concatenate([np.zeros(0)] + [np.ravel(i) for i, _ in rows])
+        idx = idx.astype(np.int64)
+        probs = np.concatenate([np.zeros(0)] + [np.ravel(p) for _, p in rows])
+        bad = (probs < 0) | (idx < 0) | (idx >= len(self.outputs))
+        if bad.any():
+            raise InvalidParameterError(f"negative probability or output index "
+                                        f"out of range in row {row_of[np.argmax(bad)]}")
+        keys = np.sort(row_of * len(self.outputs) + idx)
+        if (keys[1:] == keys[:-1]).any():
+            raise InvalidParameterError("an output is listed twice in one row")
+        sums = np.bincount(row_of, weights=probs, minlength=len(rows))
+        off = np.abs(sums - 1.0) > ROW_SUM_TOL
+        if off.any():
+            x = int(np.argmax(off))
+            raise InvalidParameterError(f"row {x} sums to {sums[x]}, not 1")
+        keep = probs > 0
+        self._row_of, self._idx, self._probs = row_of[keep], idx[keep], probs[keep]
+        self._indptr = np.searchsorted(self._row_of, np.arange(len(rows) + 1))
+        self._supports = None
+        self._members = None
 
     @classmethod
     def from_dense(cls, inputs, outputs, matrix) -> "Channel":
         matrix = np.asarray(matrix, dtype=np.float64)
-        rows = [(np.nonzero(matrix[x])[0], matrix[x][matrix[x] > 0])
-                for x in range(matrix.shape[0])]
+        rows = [(np.nonzero(r)[0], r[r != 0]) for r in matrix]
         return cls(inputs, outputs, rows)
 
     @property
@@ -70,34 +97,36 @@ class Channel:
         return len(self.inputs)
 
     def support(self, x: int) -> frozenset:
+        if self._supports is None:
+            self._supports = [frozenset(self.row(y)[0].tolist())
+                              for y in range(self.input_count)]
         return self._supports[x]
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._rows[x]
-
-    def prob(self, x: int, t: int) -> float:
-        idx, probs = self._rows[x]
-        hit = np.nonzero(idx == t)[0]
-        return float(probs[hit[0]]) if hit.size else 0.0
+        lo, hi = self._indptr[x], self._indptr[x + 1]
+        return self._idx[lo:hi], self._probs[lo:hi]
 
     def sample_output(self, x: int, rng: np.random.Generator) -> int:
-        idx, probs = self._rows[x]
+        idx, probs = self.row(x)
         return int(rng.choice(idx, p=probs / probs.sum()))
 
-    def output_members(self) -> dict[int, list[int]]:
-        """Map output index -> inputs that can produce it."""
-        members: dict[int, list[int]] = {}
-        for x, (idx, _) in enumerate(self._rows):
-            for t in idx.tolist():
-                members.setdefault(t, []).append(x)
-        return members
+    def members_by_output(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, inputs) of the inputs that can produce each output, cached.
+
+        The members of output t, in ascending input order, are
+        ``inputs[indptr[t]:indptr[t + 1]]``.
+        """
+        if self._members is None:
+            order = np.argsort(self._idx, kind="stable")
+            indptr = np.searchsorted(self._idx[order], np.arange(len(self.outputs) + 1))
+            self._members = (indptr, self._row_of[order])
+        return self._members
 
     def to_json(self) -> dict:
         if len(self.inputs) * len(self.outputs) > DENSE_EXPORT_CAP:
             raise ResourceLimitError("channel too large for dense JSON export")
         dense = np.zeros((len(self.inputs), len(self.outputs)))
-        for x, (idx, probs) in enumerate(self._rows):
-            dense[x, idx] = probs
+        dense[self._row_of, self._idx] = self._probs
         return {"inputs": self.inputs, "outputs": self.outputs,
                 "rows": dense.tolist()}
 
@@ -110,15 +139,24 @@ def pentagon_channel() -> Channel:
     return Channel(inputs, outputs, rows)
 
 
+def confusable_pairs(c: Channel) -> np.ndarray:
+    """Input pairs a < b that share an output, as a row-major sorted (E, 2) array."""
+    indptr, members = c.members_by_output()
+    found = [np.zeros((0, 2), dtype=np.int64)]
+    for groups in _groups_by_size(indptr, members):
+        a, b = np.triu_indices(groups.shape[1], 1)
+        found.append(np.stack([groups[:, a].ravel(), groups[:, b].ravel()], axis=1))
+    n = c.input_count
+    keys = np.sort(np.concatenate(found) @ np.array([n, 1]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return np.stack([keys // n, keys % n], axis=1)
+
+
 def confusability_graph(c: Channel) -> BitGraph:
     """Graph on channel inputs; an edge where two inputs share an output."""
-    edges = set()
-    for members in c.output_members().values():
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                edges.add((members[a], members[b]))
     return BitGraph(max(1, (c.input_count - 1).bit_length()),
-                    range(c.input_count), ("explicit", sorted(edges)), family="C")
+                    range(c.input_count),
+                    ("explicit", map(tuple, confusable_pairs(c).tolist())), family="C")
 
 
 def canonical_channel(g) -> Channel:
@@ -126,28 +164,22 @@ def canonical_channel(g) -> Channel:
 
     Inputs are the vertices; outputs are the vertices plus the edges; input u
     reaches its own private output and one shared output per incident edge,
-    uniformly. The round trip through ``confusability_graph`` is verified.
+    uniformly. The confusable pairs of the built channel are checked to be
+    exactly the edges of g.
     """
     nv = g.vertex_count
-    outputs = [g.vertex_label(i) for i in range(nv)]
-    edge_output: dict[tuple[int, int], int] = {}
-    incident: list[list[int]] = [[] for _ in range(nv)]
-    for i, j in g.edges():
-        edge_output[(i, j)] = len(outputs)
-        outputs.append(f"{g.vertex_label(i)}|{g.vertex_label(j)}")
-        incident[i].append(edge_output[(i, j)])
-        incident[j].append(edge_output[(i, j)])
-    rows = []
-    for u in range(nv):
-        idx = np.array([u] + incident[u], dtype=np.int64)
-        rows.append((idx, np.full(idx.size, 1.0 / idx.size)))
-    chan = Channel([g.vertex_label(i) for i in range(nv)], outputs, rows)
-    # Round-trip check: shared outputs are exactly the edges.
-    got = confusability_graph(chan)
-    for i, j in got.edges():
-        if not g.is_adjacent(i, j):
-            raise InvalidParameterError("canonical channel round-trip mismatch")
-    if got.edge_count != len(edge_output):
+    edges = g.edge_array()
+    labels = [g.vertex_label(i) for i in range(nv)]
+    outputs = labels + [f"{labels[i]}|{labels[j]}"
+                        for i, j in zip(edges[:, 0].tolist(), edges[:, 1].tolist())]
+    src = np.concatenate([np.arange(nv), edges.T.ravel()])
+    dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
+    order = np.lexsort((dst, src))
+    bounds = np.cumsum(np.bincount(src, minlength=nv))[:-1]
+    rows = [(idx, np.full(idx.size, 1.0 / idx.size))
+            for idx in np.split(dst[order], bounds)]
+    chan = Channel(labels, outputs, rows)
+    if not np.array_equal(confusable_pairs(chan), edges):
         raise InvalidParameterError("canonical channel round-trip mismatch")
     return chan
 
@@ -183,33 +215,6 @@ def check_zero_error_code(c: Channel, words: list[tuple[int, ...]]):
     return True, None
 
 
-# -- quantum helpers -----------------------------------------------------------
-
-
-def maximally_entangled_state(d: int) -> np.ndarray:
-    """Density matrix of (1/sqrt d) sum_k e_k (x) e_k, size d^2."""
-    psi = np.zeros(d * d)
-    for k in range(d):
-        psi[k * d + k] = 1.0
-    psi /= np.sqrt(d)
-    return np.outer(psi, psi)
-
-
-def partial_trace(m: np.ndarray, dx: int, dy: int, over: str = "x") -> np.ndarray:
-    """Trace out one tensor factor of a (dx*dy) x (dx*dy) matrix."""
-    t = m.reshape(dx, dy, dx, dy)
-    if over == "x":
-        return np.einsum("ijik->jk", t)
-    if over == "y":
-        return np.einsum("ijkj->ik", t)
-    raise InvalidParameterError("over must be 'x' or 'y'")
-
-
-def me_pair_trace(a: np.ndarray, b: np.ndarray, d: int) -> float:
-    """Tr((A (x) B) rho) for the maximally entangled state: Tr(A B^T)/d."""
-    return float(np.trace(a @ b.T)) / d
-
-
 # -- protocols -----------------------------------------------------------------
 
 
@@ -230,111 +235,117 @@ class ZeroErrorReport:
 class Protocol:
     """One-shot entanglement-assisted protocol bound to a channel.
 
-    ``vectors[u]`` is (message, reduced unit vector) for each input u that
-    some sender measurement uses; the sender POVM for message i consists of
-    the rank-one projectors of that message's vectors (zero elsewhere), and
-    receiver measurements are built per channel output from the inputs that
-    can produce it. The completion operator I - sum_j B_t^j is folded into
-    outcome 1.
+    Row k of ``vectors`` is the reduced unit vector f_u of channel input
+    u = ``inputs[k]`` (ascending), which carries message ``messages[k]``;
+    other inputs are used by no sender measurement. The sender POVM for
+    message i consists of the rank-one projectors of that message's vectors
+    (zero elsewhere), and the receiver measurement for output t projects onto
+    the vectors of the inputs that can produce t, grouped by message. The
+    completion operator I - sum_j B_t^j is folded into outcome 1. ``gram`` is
+    F F^T over the rows of ``vectors``.
     """
 
     channel: Channel
     dim: int
     M: int
-    vectors: dict[int, tuple[int, np.ndarray]]
+    inputs: np.ndarray
+    messages: np.ndarray
+    vectors: np.ndarray
     shared_state: str = ""
     graph_ref: str = ""
-    _members: dict[int, list[int]] = field(default_factory=dict)
-    _output_members: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.shared_state:
             self.shared_state = f"maximally-entangled({self.dim})"
-        self._members = {}
-        for u, (i, _) in sorted(self.vectors.items()):
-            self._members.setdefault(i, []).append(u)
-        self._output_members = self.channel.output_members()
+        self.gram = self.vectors @ self.vectors.T
+        row_of = np.full(self.channel.input_count, -1, dtype=np.int64)
+        row_of[self.inputs] = np.arange(len(self.inputs))
+        # Receivers: per output, the vector rows of the inputs that reach it.
+        indptr, members = self.channel.members_by_output()
+        rows = row_of[members]
+        self._recv_rows = rows[rows >= 0]
+        self._recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
+        self._senders = {}
+        for i in np.unique(self.messages).tolist():
+            k = np.flatnonzero(self.messages == i)
+            p = np.diagonal(self.gram)[k] / self.dim
+            self._senders[i] = (k, p / p.sum())
+
+    def receivers(self, t: int) -> np.ndarray:
+        """Vector rows of the inputs that can produce output t."""
+        return self._recv_rows[self._recv_indptr[t]:self._recv_indptr[t + 1]]
 
     def sender_measurement(self, i: int) -> dict[int, np.ndarray]:
         """POVM elements A_i^s for the inputs the message actually uses."""
-        return {u: np.outer(self.vectors[u][1], self.vectors[u][1])
-                for u in self._members.get(i, [])}
-
-    def receiver_projectors(self, t: int) -> dict[int, np.ndarray]:
-        """B_t^j per message j, without the completion operator."""
-        out: dict[int, np.ndarray] = {}
-        for u in self._output_members.get(t, []):
-            if u in self.vectors:
-                j, f = self.vectors[u]
-                out[j] = out.get(j, np.zeros((self.dim, self.dim))) + np.outer(f, f)
-        return out
+        return {int(self.inputs[k]): np.outer(self.vectors[k], self.vectors[k])
+                for k in np.flatnonzero(self.messages == i)}
 
     def receiver_measurement(self, t: int) -> list[np.ndarray]:
         """Full measurement for output t: outcomes 1..M, completion on 1."""
-        proj = self.receiver_projectors(t)
-        ops = [proj.get(j, np.zeros((self.dim, self.dim)))
-               for j in range(1, self.M + 1)]
+        ops = [np.zeros((self.dim, self.dim)) for _ in range(self.M)]
+        for k in self.receivers(t).tolist():
+            ops[self.messages[k] - 1] += np.outer(self.vectors[k], self.vectors[k])
         ops[0] = ops[0] + np.eye(self.dim) - sum(ops)
         return ops
 
-    def completeness_report(self, tol: float = COMPLETENESS_TOL,
-                            output_sample: int = 256) -> dict:
+    def completeness_report(self, tol: float = COMPLETENESS_TOL) -> dict:
+        """Exhaustive check of both measurements.
+
+        Each sender POVM must sum to the identity. Receiver completion is
+        exact by construction; the real constraint is that the projectors of
+        each output never overlap: the spectrum of sum_u f_u f_u^T over the
+        members u of t, which is that of G[members, members], is at most 1.
+        Every output is checked, batched by member count.
+        """
         worst_sender = 0.0
-        for i in self._members:
-            total = sum(self.sender_measurement(i).values())
+        for k, _ in self._senders.values():
+            f = self.vectors[k]
             worst_sender = max(worst_sender,
-                               float(np.abs(total - np.eye(self.dim)).max()))
-        # Receiver completion is exact by construction; the real constraint is
-        # that the per-message projectors never overlap (sum has spectrum <= 1).
+                               float(np.abs(f.T @ f - np.eye(self.dim)).max()))
         worst_receiver = 0.0
-        outputs = sorted(self._output_members)
-        if len(outputs) > output_sample:
-            rng = np.random.default_rng(0)
-            outputs = sorted(rng.choice(outputs, size=output_sample, replace=False).tolist())
-        for t in outputs:
-            proj = self.receiver_projectors(t)
-            if not proj:
-                continue
-            top = float(np.linalg.eigvalsh(sum(proj.values()))[-1])
-            worst_receiver = max(worst_receiver, top - 1.0)
+        for groups in _groups_by_size(self._recv_indptr, self._recv_rows):
+            top = np.linalg.eigvalsh(self.gram[groups[:, :, None], groups[:, None, :]])
+            worst_receiver = max(worst_receiver, float(top[:, -1].max()) - 1.0)
         passed = worst_sender <= tol and worst_receiver <= tol
         return {"passed": passed, "sender_deviation": worst_sender,
-                "receiver_excess": max(worst_receiver, 0.0)}
+                "receiver_excess": worst_receiver}
 
     def zero_error_report(self, tol: float = ZERO_ERROR_TOL) -> ZeroErrorReport:
-        """Exhaustive check of Tr((A_i^s (x) B_t^j) rho) = 0 for i != j, P(t|s) > 0."""
-        d = self.dim
-        worst = 0.0
-        worst_witness = None
-        instances = 0
-        for i, members in self._members.items():
-            for s in members:
-                f_s = self.vectors[s][1]
-                idx, _ = self.channel.row(s)
-                for t in idx.tolist():
-                    by_msg: dict[int, float] = {}
-                    total = 0.0
-                    for u in self._output_members.get(t, []):
-                        if u in self.vectors:
-                            j, f_u = self.vectors[u]
-                            val = float(f_s @ f_u) ** 2
-                            by_msg[j] = by_msg.get(j, 0.0) + val
-                            total += val
-                    for j in set(by_msg) | {1}:
-                        if j == i:
-                            continue
-                        instances += 1
-                        value = by_msg.get(j, 0.0)
-                        if j == 1:
-                            value += 1.0 - total  # completion operator
-                        value = abs(value) / d
-                        if value > worst:
-                            worst = value
-                            worst_witness = (i, j, self.channel.inputs[s],
-                                             self.channel.outputs[t])
+        """Exhaustive check of Tr((A_i^s (x) B_t^j) rho) = 0 for i != j, P(t|s) > 0.
+
+        With unit f_s that value is sum G[s,u]^2 / d over the members u of t
+        carrying message j, plus (1 - sum G[s,u]^2 over all members) / d for
+        j = 1 from the completion operator. One instance per (s, t) and per
+        message j != i among t's messages and message 1. Instances run in the
+        order messages first appear among the inputs, then s, then t in row
+        order, then j ascending; the witness is the first worst one.
+        """
+        c, m1 = self.channel, self.M + 1
+        _, first, inverse = np.unique(self.messages, return_index=True,
+                                      return_inverse=True)
+        senders = np.argsort(first[inverse], kind="stable")
+        st_pos, st_t = _gather(c._indptr, c._idx, self.inputs[senders])
+        st_s = senders[st_pos]
+        n = len(st_t)
+        e_st, e_u = _gather(self._recv_indptr, self._recv_rows, st_t)
+        vals = self.gram[st_s[e_st], e_u] ** 2
+        total = np.bincount(e_st, weights=vals, minlength=n)
+        slot = e_st * m1 + self.messages[e_u]
+        by_msg = np.bincount(slot, weights=vals, minlength=n * m1).reshape(n, m1)
+        by_msg[:, 1] += 1.0 - total  # completion operator
+        counted = np.bincount(slot, minlength=n * m1).reshape(n, m1) > 0
+        counted[:, 1] = True
+        counted[np.arange(n), self.messages[st_s]] = False
+        value = np.abs(by_msg[counted]) / self.dim
+        worst = float(value.max()) if value.size else 0.0
         passed = worst <= tol
-        return ZeroErrorReport(passed, worst, instances,
-                               None if passed else worst_witness)
+        witness = None
+        if not passed:
+            st, j = (a[int(np.argmax(value))] for a in np.nonzero(counted))
+            s = st_s[st]
+            witness = (int(self.messages[s]), int(j),
+                       c.inputs[self.inputs[s]], c.outputs[st_t[st]])
+        return ZeroErrorReport(passed, worst, int(value.size), witness)
 
 
 def _vector_from_rank_one(num: np.ndarray) -> np.ndarray:
@@ -373,18 +384,20 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
         vertex_message[u] = i
         ambient[u] = _vector_from_rank_one(num)
 
+    inputs = np.array(sorted(vertex_message), dtype=np.int64)
+    messages = np.array([vertex_message[u] for u in inputs.tolist()], dtype=np.int64)
+    vectors = np.array([ambient[u] for u in inputs.tolist()]).reshape(-1, cert.dim)
     rho = cert.rho_num
     scaled_identity = np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype))
     if scaled_identity:
         d = cert.dim
-        vectors = {u: (i, ambient[u]) for u, i in vertex_message.items()}
     else:
         evals, evecs = np.linalg.eigh(rho.astype(np.float64))
         keep = evals > evals[-1] / 2.0
         d = int(keep.sum())
-        basis = evecs[:, keep]
-        vectors = {u: (i, basis.T @ ambient[u]) for u, i in vertex_message.items()}
-    proto = Protocol(chan, d, cert.M, vectors, graph_ref=cert.graph_ref)
+        vectors = vectors @ evecs[:, keep]
+    proto = Protocol(chan, d, cert.M, inputs, messages, vectors,
+                     graph_ref=cert.graph_ref)
 
     comp = proto.completeness_report()
     if not comp["passed"]:
@@ -419,39 +432,24 @@ def simulate_transmission(proto: Protocol, chan: Channel, message: int,
                           seed: int = 0) -> Transcript:
     """Run the protocol once for one message with an explicit RNG seed.
 
-    Small local dimensions go through the explicit shared state and the
-    partial-trace rule; larger ones use the maximally-entangled trace
-    identity, which agrees to float precision.
+    The sender's outcome s is drawn with probability Tr(A_i^s)/d over the
+    message's inputs, then the channel output t from row s. By the
+    maximally-entangled trace identity, the receiver's outcome j then has
+    probability sum G[s,u]^2 / G[s,s] over the members u of t carrying j,
+    plus the completion term for j = 1: one row of the Gram matrix.
     """
-    if message not in proto._members:
+    if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
     rng = np.random.default_rng(seed)
-    d = proto.dim
-    members = proto._members[message]
-    sender = proto.sender_measurement(message)
-
-    explicit = d <= EXPLICIT_STATE_MAX_DIM
-    if explicit:
-        rho = maximally_entangled_state(d)
-        p = np.array([float(np.trace(np.kron(sender[s], np.eye(d)) @ rho))
-                      for s in members])
-    else:
-        p = np.array([float(np.trace(sender[s])) / d for s in members])
-    p = p / p.sum()
-    s = int(rng.choice(members, p=p))
+    rows, p = proto._senders[message]
+    k = int(rng.choice(rows, p=p))
+    s = int(proto.inputs[k])
     t = chan.sample_output(s, rng)
-
-    measurement = proto.receiver_measurement(t)
-    if explicit:
-        big = np.kron(sender[s], np.eye(d)) @ rho
-        p_s = float(np.trace(big))
-        post = partial_trace(big, d, d, over="x") / p_s
-        dist = np.array([float(np.trace(b @ post)) for b in measurement])
-    else:
-        a = sender[s]
-        p_s = float(np.trace(a)) / d
-        dist = np.array([me_pair_trace(a, b, d) / p_s for b in measurement])
-    dist = np.clip(dist, 0.0, None)
+    r = proto.receivers(t)
+    overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
+    dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)
+    dist[0] += 1.0 - overlap.sum()
+    dist = np.maximum(dist, 0.0)
     decoded = int(np.argmax(dist)) + 1
     return Transcript(message, chan.inputs[s], chan.outputs[t],
-                      tuple(float(x) for x in dist), decoded)
+                      tuple(dist.tolist()), decoded)

@@ -24,21 +24,6 @@ def _emit(payload, args) -> None:
         print(text)
 
 
-def _graph_for(family: str, n: int):
-    builders = {"G": bitgraph.build_G, "H": bitgraph.build_H,
-                "O": bitgraph.build_orthogonality_graph, "C": bitgraph.build_cycle}
-    if family not in builders:
-        raise CapsepError(f"unknown family {family!r}")
-    return builders[family](n)
-
-
-def _parse_graph_spec(spec: str):
-    fam, num = spec[:1].upper(), spec[1:]
-    if not num.isdigit():
-        raise CapsepError(f"cannot parse graph spec {spec!r} (want e.g. C5, G11)")
-    return _graph_for(fam, int(num))
-
-
 def _rep_and_clique(family: str, n: int):
     h = find_hadamard(n + 1)
     if h is None:
@@ -58,7 +43,7 @@ def _build_cert(family: str, n: int, budget: int, seed: int):
 
 
 def _cmd_gen_graph(args) -> int:
-    g = _graph_for(args.family, args.n)
+    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
     if args.format == "dimacs":
         _emit(g.to_dimacs(), args)
     else:
@@ -116,16 +101,15 @@ def _cmd_cert(args) -> int:
 
 
 def _cmd_verify_cert(args) -> int:
-    with open(args.input) as fh:
-        payload = json.load(fh)
-    cert = entcert.cert_from_json(payload)
+    with open(args.input, "rb") as fh:
+        cert = entcert.cert_from_json(fh.read())
     rep = entcert.verify(cert)
     _emit(rep.to_json(), args)
     return 0 if rep.passed else 2
 
 
 def _cmd_haemers(args) -> int:
-    g = _graph_for(args.family, args.n)
+    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
     result = algebra_fp.haemers_matrix(g, args.p)
     rank = algebra_fp.rank_fp(result.matrix)
     if args.dump:
@@ -137,7 +121,7 @@ def _cmd_haemers(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    g = _parse_graph_spec(args.graph)
+    g = bitgraph.graph_from_ref(args.graph[:1].upper() + args.graph[1:])
     time_budget = args.budget_ms / 1000.0 if args.budget_ms else None
     if args.power > 1:
         g = bitgraph.strong_power(g, args.power)
@@ -180,7 +164,7 @@ def _cmd_report(args) -> int:
 def _cmd_pipeline(args) -> int:
     family, n = args.family, args.n
     out: dict = {}
-    g = _graph_for(family, n)
+    g = bitgraph.graph_from_ref(f"{family}{n}")
     out["graph"] = g.descriptor()
     h = find_hadamard(n + 1)
     out["hadamard"] = None if h is None else {"size": h.size,

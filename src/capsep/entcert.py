@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitgraph import strong_product
+from .alpha import verify_independent
+from .bitgraph import graph_from_ref, strong_product
 from .errors import (CertificateError, InvalidParameterError,
                      ResourceLimitError)
 from .geometry import CliquePacking, OrthoRep
@@ -243,11 +244,9 @@ def classical_embedding(g, vertex_indices) -> EntCert:
     idx = sorted(set(int(i) for i in vertex_indices))
     if not idx:
         raise InvalidParameterError("independent set must be nonempty (M >= 1)")
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if g.is_adjacent(idx[a], idx[b]):
-                raise InvalidParameterError(
-                    f"set is not independent: edge ({idx[a]}, {idx[b]})")
+    independent, edge = verify_independent(g, idx)
+    if not independent:
+        raise InvalidParameterError(f"set is not independent: edge {edge}")
     one = np.array([[1]], dtype=np.int64)
     ops = {(u, i): one.copy() for i, u in enumerate(idx, start=1)}
     cert = EntCert(g, len(idx), 1, 1, one.copy(), ops,
@@ -298,33 +297,38 @@ def cert_to_json_str(cert: EntCert) -> str:
     return json.dumps(cert.to_json(), indent=2)
 
 
-def cert_from_json(payload: dict | str, graph=None) -> EntCert:
+def cert_from_json(payload: dict | str | bytes, graph=None) -> EntCert:
     """Rebuild a certificate from its JSON form.
 
     If ``graph`` is not given it is reconstructed from the stored reference,
     which works for the named families (G/H/O/C); product certificates need
-    the graph passed in.
+    the graph passed in. Malformed input (a missing field, a wrong type, an
+    unknown vertex label, a matrix not dim x dim) raises
+    ``InvalidParameterError``.
     """
-    if isinstance(payload, str):
-        payload = json.loads(payload)
-    if graph is None:
-        graph = _graph_from_ref(payload["graph"])
-    label_to_index = {graph.vertex_label(i): i for i in range(graph.vertex_count)}
-    ops = {}
-    for entry in payload["ops"]:
-        u = label_to_index[entry["vertex"]]
-        ops[(u, int(entry["i"]))] = np.array(entry["matrix"], dtype=np.int64)
-    return EntCert(graph, int(payload["M"]), int(payload["dim"]),
-                   int(payload["denominator"]),
-                   np.array(payload["rho"], dtype=np.int64), ops)
-
-
-def _graph_from_ref(ref: str):
-    from . import bitgraph
-    family, num = ref[0], ref[1:]
-    builders = {"G": bitgraph.build_G, "H": bitgraph.build_H,
-                "O": bitgraph.build_orthogonality_graph, "C": bitgraph.build_cycle,
-                "K": bitgraph.build_complete}
-    if family not in builders or not num.isdigit():
-        raise InvalidParameterError(f"cannot rebuild graph from reference {ref!r}")
-    return builders[family](int(num))
+    try:
+        if isinstance(payload, (str, bytes)):
+            payload = json.loads(payload)
+        if graph is None:
+            graph = graph_from_ref(str(payload["graph"]))
+        label_to_index = {graph.vertex_label(i): i for i in range(graph.vertex_count)}
+        dim = int(payload["dim"])
+        ops = {}
+        for entry in payload["ops"]:
+            u = label_to_index.get(entry["vertex"])
+            if u is None:
+                raise InvalidParameterError(
+                    f"unknown vertex {entry['vertex']!r} in {graph.graph_ref()}")
+            ops[(u, int(entry["i"]))] = np.array(entry["matrix"], dtype=np.int64)
+        rho = np.array(payload["rho"], dtype=np.int64)
+        cert = EntCert(graph, int(payload["M"]), dim, int(payload["denominator"]),
+                       rho, ops)
+    except KeyError as exc:
+        raise InvalidParameterError(f"certificate is missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"malformed certificate: {exc}") from None
+    for name, num in [("rho", rho)] + [(f"operator {k}", m) for k, m in ops.items()]:
+        if num.shape != (dim, dim):
+            raise InvalidParameterError(
+                f"{name} has shape {num.shape}, not ({dim}, {dim})")
+    return cert

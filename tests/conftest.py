@@ -92,3 +92,115 @@ def g11_cert(paley12):
     rep = capsep.ortho_rep_G(11)
     packing = capsep.pack_cliques(rep.graph, capsep.clique_from_hadamard_G(paley12))
     return capsep.cert_from_packing(rep, packing)
+
+
+# -- channel oracles -----------------------------------------------------------
+#
+# The explicit d^2-dimensional shared state and the dict-and-loop forms of the
+# channel routines, kept as references for the array and Gram-matrix code.
+
+
+def maximally_entangled_state(d: int) -> np.ndarray:
+    """Density matrix of (1/sqrt d) sum_k e_k (x) e_k, size d^2."""
+    psi = np.zeros(d * d)
+    for k in range(d):
+        psi[k * d + k] = 1.0
+    psi /= np.sqrt(d)
+    return np.outer(psi, psi)
+
+
+def partial_trace(m: np.ndarray, dx: int, dy: int, over: str = "x") -> np.ndarray:
+    """Trace out one tensor factor of a (dx*dy) x (dx*dy) matrix."""
+    t = m.reshape(dx, dy, dx, dy)
+    if over == "x":
+        return np.einsum("ijik->jk", t)
+    if over == "y":
+        return np.einsum("ijkj->ik", t)
+    raise ValueError("over must be 'x' or 'y'")
+
+
+def me_pair_trace(a: np.ndarray, b: np.ndarray, d: int) -> float:
+    """Tr((A (x) B) rho) for the maximally entangled state: Tr(A B^T)/d."""
+    return float(np.trace(a @ b.T)) / d
+
+
+def explicit_state_transmission(proto, chan, message: int, seed: int = 0):
+    """One protocol run through the explicit shared state and partial trace.
+
+    Returns (sender input, channel output, receiver distribution), drawing
+    from ``default_rng(seed)`` exactly as ``simulate_transmission`` does.
+    """
+    rng = np.random.default_rng(seed)
+    d = proto.dim
+    rho = maximally_entangled_state(d)
+    sender = proto.sender_measurement(message)
+    members = sorted(sender)
+    p = np.array([float(np.trace(np.kron(sender[s], np.eye(d)) @ rho))
+                  for s in members])
+    s = int(rng.choice(members, p=p / p.sum()))
+    t = chan.sample_output(s, rng)
+    big = np.kron(sender[s], np.eye(d)) @ rho
+    post = partial_trace(big, d, d, over="x") / float(np.trace(big))
+    dist = np.array([float(np.trace(b @ post))
+                     for b in proto.receiver_measurement(t)])
+    return s, t, np.clip(dist, 0.0, None)
+
+
+def output_members_by_dict(chan) -> dict[int, list[int]]:
+    """Map output index -> inputs that can produce it."""
+    members: dict[int, list[int]] = {}
+    for x in range(chan.input_count):
+        for t in chan.row(x)[0].tolist():
+            members.setdefault(t, []).append(x)
+    return members
+
+
+def confusable_pairs_by_loop(chan) -> list[tuple[int, int]]:
+    """Sorted input pairs a < b sharing an output, pair by pair."""
+    edges = set()
+    for members in output_members_by_dict(chan).values():
+        for a in range(len(members)):
+            for b in range(a + 1, len(members)):
+                edges.add((members[a], members[b]))
+    return sorted(edges)
+
+
+def zero_error_by_loop(proto):
+    """(instances, max_violation, witness) of the zero-error check, per instance.
+
+    Instances run in the order messages first appear among the inputs, then
+    sender, then output in row order, then receiver message ascending; the
+    witness is the first worst instance, or None when every value is zero.
+    """
+    chan, d = proto.channel, proto.dim
+    members = output_members_by_dict(chan)
+    row = {int(u): k for k, u in enumerate(proto.inputs)}
+    by_message: dict[int, list[int]] = {}
+    for k, i in enumerate(proto.messages.tolist()):
+        by_message.setdefault(i, []).append(k)
+    worst, witness, instances = 0.0, None, 0
+    for i, rows in by_message.items():
+        for k in rows:
+            f_s = proto.vectors[k]
+            s = int(proto.inputs[k])
+            for t in chan.row(s)[0].tolist():
+                by_msg: dict[int, float] = {}
+                total = 0.0
+                for u in members.get(t, []):
+                    if u in row:
+                        val = float(f_s @ proto.vectors[row[u]]) ** 2
+                        j = int(proto.messages[row[u]])
+                        by_msg[j] = by_msg.get(j, 0.0) + val
+                        total += val
+                for j in sorted(set(by_msg) | {1}):
+                    if j == i:
+                        continue
+                    instances += 1
+                    value = by_msg.get(j, 0.0)
+                    if j == 1:
+                        value += 1.0 - total  # completion operator
+                    value = abs(value) / d
+                    if value > worst:
+                        worst = value
+                        witness = (i, j, chan.inputs[s], chan.outputs[t])
+    return instances, worst, witness

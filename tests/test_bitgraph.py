@@ -194,6 +194,19 @@ class TestInvariants:
         bits = [v.bits for v in g11.vertices]
         assert bits == sorted(set(bits))
 
+    @pytest.mark.parametrize("g", [
+        capsep.build_cycle(5), capsep.build_cycle(9), build_complete(6),
+        capsep.build_G(7), capsep.build_H(5), capsep.build_orthogonality_graph(4),
+        capsep.BitGraph(3, range(6), ("explicit", [(4, 1), (0, 5), (2, 3)])),
+        capsep.BitGraph(2, range(3), ("explicit", [])),
+    ])
+    def test_edge_array_is_row_major_edge_list(self, g):
+        pairs = [(i, j) for i in range(g.vertex_count)
+                 for j in range(i + 1, g.vertex_count) if g.is_adjacent(i, j)]
+        arr = g.edge_array()
+        assert arr.dtype == np.int64 and arr.shape == (len(pairs), 2)
+        assert [tuple(e) for e in arr.tolist()] == pairs == list(g.edges())
+
 
 class TestExport:
     def test_dimacs_format(self):

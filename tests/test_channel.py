@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
-from capsep.channel import (Channel, canonical_channel, check_zero_error_code,
-                            confusability_graph, maximally_entangled_state,
-                            me_pair_trace, partial_trace, pentagon_channel,
+from capsep.channel import (Channel, Protocol, canonical_channel,
+                            check_zero_error_code, confusability_graph,
+                            confusable_pairs, pentagon_channel,
                             protocol_from_cert, simulate_transmission)
+from conftest import (confusable_pairs_by_loop, explicit_state_transmission,
+                      maximally_entangled_state, me_pair_trace,
+                      output_members_by_dict, partial_trace, zero_error_by_loop)
 from capsep.entcert import EntCert, classical_embedding
 from capsep.errors import InvalidParameterError, ProtocolError
 
@@ -66,6 +71,54 @@ class TestConfusabilityGraph:
         chan = canonical_channel(h11)
         with pytest.raises(ResourceLimitError):
             chan.to_json()
+
+
+@st.composite
+def sparse_channels(draw):
+    """Random channels with a few outputs per input and random weights."""
+    n_in = draw(st.integers(1, 12))
+    n_out = draw(st.integers(1, 15))
+    rows = []
+    for _ in range(n_in):
+        idx = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=4,
+                            unique=True))
+        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(idx),
+                                         max_size=len(idx))), dtype=float)
+        rows.append((np.array(idx), weights / weights.sum()))
+    return Channel([str(i) for i in range(n_in)],
+                   [str(t) for t in range(n_out)], rows)
+
+
+class TestArrayRoutines:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_channels())
+    def test_members_and_pairs_match_loop(self, chan):
+        indptr, members = chan.members_by_output()
+        oracle = output_members_by_dict(chan)
+        for t in range(len(chan.outputs)):
+            assert members[indptr[t]:indptr[t + 1]].tolist() == oracle.get(t, [])
+        pairs = confusable_pairs(chan)
+        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
+        assert [tuple(p) for p in pairs.tolist()] == confusable_pairs_by_loop(chan)
+        assert sorted(confusability_graph(chan).edges()) == \
+            confusable_pairs_by_loop(chan)
+
+    @pytest.mark.parametrize("name", ["C5", "H3", "G11", "H11"])
+    def test_canonical_channel_confusability_is_g(self, name, g11, h11):
+        g = {"C5": capsep.build_cycle(5), "H3": capsep.build_H(3),
+             "G11": g11, "H11": h11}[name]
+        chan = canonical_channel(g)
+        assert len(chan.outputs) == g.vertex_count + g.edge_count
+        got = confusability_graph(chan)
+        assert np.array_equal(got.edge_array(), g.edge_array())
+
+    def test_negative_dense_entry_reported(self):
+        with pytest.raises(InvalidParameterError, match="negative probability"):
+            Channel.from_dense(["0"], ["a", "b"], [[1.5, -0.5]])
+
+    def test_duplicate_output_in_row_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            Channel(["0"], ["a", "b"], [(np.array([1, 1]), np.array([0.5, 0.5]))])
 
 
 class TestCanonicalChannel:
@@ -210,6 +263,72 @@ class TestProtocol:
         assert payload["correct"] is True
         assert len(payload["distribution"]) == proto.M
         assert abs(sum(payload["distribution"]) - 1.0) < 1e-9
+
+
+def classical_g11_protocol(g11):
+    rs = capsep.restricted_independent_set(11)
+    cert = classical_embedding(g11, [g11.index_of(v.bits) for v in rs.vertices])
+    chan = canonical_channel(g11)
+    return protocol_from_cert(cert, chan), chan
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("which", ["H3", "G11 classical", "G11"])
+    def test_gram_row_distribution_matches_explicit_state(self, which, g11,
+                                                          g11_cert):
+        if which == "H3":
+            proto, chan = h3_protocol()
+        elif which == "G11 classical":
+            proto, chan = classical_g11_protocol(g11)
+        else:
+            chan = canonical_channel(g11_cert.graph)
+            proto = protocol_from_cert(g11_cert, chan)
+        for message in sorted({1, 2, proto.M // 2, proto.M} & set(range(1, proto.M + 1))):
+            for seed in range(3):
+                tr = simulate_transmission(proto, chan, message, seed=seed)
+                s, t, dist = explicit_state_transmission(proto, chan, message, seed)
+                assert tr.sender_outcome == chan.inputs[s]
+                assert tr.channel_output == chan.outputs[t]
+                assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
+                assert tr.decoded == int(np.argmax(dist)) + 1
+
+    def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
+        protos = [protocol_from_cert(c, canonical_channel(c.graph))
+                  for c in (h11_cert, g11_cert)]
+        protos.append(classical_g11_protocol(g11)[0])
+        # Adjacent vertices have orthogonal vectors, so only tampered vectors
+        # can break the zero-error condition: perturb all, or copy one.
+        p = protos[0]
+        noisy = p.vectors + 0.01 * np.random.default_rng(3).normal(size=p.vectors.shape)
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        copied = p.vectors.copy()
+        copied[5] = copied[np.flatnonzero(p.messages != p.messages[5])[0]]
+        for vectors in (noisy, copied):
+            protos.append(Protocol(p.channel, p.dim, p.M, p.inputs, p.messages,
+                                   vectors))
+        for proto in protos:
+            report = proto.zero_error_report()
+            instances, worst, witness = zero_error_by_loop(proto)
+            assert report.instances == instances
+            assert abs(report.max_violation - worst) <= 1e-15
+            assert report.witness == (None if report.passed else witness)
+        assert [p.zero_error_report().passed for p in protos] == \
+            [True, True, True, False, False]
+
+    def test_receiver_check_covers_every_output(self):
+        # Two equal vectors with different messages meet at one output only,
+        # among more outputs than any sample of a few hundred would cover.
+        n_out = 2001
+        rows = [(np.arange(1000), np.full(1000, 1e-3)),
+                (np.array([1000, 2000]), np.array([0.5, 0.5])),
+                (np.arange(1001, 2001), np.full(1000, 1e-3))]
+        chan = Channel(["a", "b", "c"], [str(t) for t in range(n_out)], rows)
+        one = np.ones((1, 1))
+        proto = Protocol(chan, 1, 2, np.array([1, 2]), np.array([1, 2]),
+                         np.vstack([one, one]))
+        report = proto.completeness_report()
+        assert not report["passed"]
+        assert abs(report["receiver_excess"] - 1.0) < 1e-12
 
 
 class TestG11Protocol:

@@ -106,6 +106,43 @@ class TestCertCommands:
         assert json.loads(out)["passed"] is False
 
 
+    @staticmethod
+    def _h3_cert(capsys, tmp_path):
+        target = tmp_path / "cert.json"
+        run(capsys, "cert", "--family", "H", "--n", "3", "--output", str(target))
+        return target, json.loads(target.read_text())
+
+    def _assert_rejected(self, capsys, target, phrase):
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and phrase in err
+        assert "Traceback" not in err
+
+    def test_verify_cert_unknown_vertex(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        payload["ops"][0]["vertex"] = "999"
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, "'999'")
+
+    def test_verify_cert_missing_rho(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        del payload["rho"]
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, "'rho'")
+
+    def test_verify_cert_truncated_file(self, capsys, tmp_path):
+        target, _ = self._h3_cert(capsys, tmp_path)
+        target.write_text(target.read_text()[:100])
+        self._assert_rejected(capsys, target, "malformed certificate")
+
+    def test_verify_cert_wrong_matrix_shape(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        payload["ops"][0]["matrix"] = [[1, 0], [0, 1]]
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, "shape")
+
+
 class TestPackCommand:
     def test_pack_h11(self, capsys):
         code, out, _ = run(capsys, "pack", "--family", "H", "--n", "11")
