@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, BitVertex
+from .bitgraph import BitGraph, BitVertex, sign_rows
 from .errors import (InternalCheckError, InvalidParameterError,
                      ResourceLimitError)
 from .hadamard import is_prime
@@ -72,12 +72,6 @@ def sign_vector(x: BitVertex, p: int) -> np.ndarray:
     n = x.len
     return np.array([p - 1 if (x.bits >> (n - 1 - j)) & 1 else 1
                      for j in range(n)], dtype=np.int64)
-
-
-def _sign_matrix(bits: np.ndarray, n: int, p: int) -> np.ndarray:
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    b = ((bits[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int64)
-    return np.where(b == 1, p - 1, 1)
 
 
 def inner_product_identity_check(x: BitVertex, y: BitVertex, p: int) -> int:
@@ -218,7 +212,7 @@ def build_ST(g: BitGraph, p: int) -> tuple[FpMatrix, FpMatrix]:
         raise ResourceLimitError(
             f"S/T of shape {nv}x{len(basis)} exceed the memory cap")
     col_of = {m: c for c, m in enumerate(basis)}
-    signs = _sign_matrix(g.bits_array, n, p)
+    signs = sign_rows(g.bits_array, n).astype(np.int64) % p
 
     s = np.zeros((nv, len(basis)), dtype=np.uint8)
     for ix in range(nv):

@@ -13,7 +13,9 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .bitgraph import strong_power
+import numpy as np
+
+from .bitgraph import row_blocks, strong_power
 from .errors import InvalidParameterError
 
 
@@ -40,12 +42,13 @@ class AlphaResult:
 
 
 def verify_independent(g, vertex_indices) -> tuple[bool, tuple[int, int] | None]:
-    """Exhaustive pair check; returns (ok, witness edge or None)."""
-    idx = sorted(set(int(i) for i in vertex_indices))
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            if g.is_adjacent(idx[a], idx[b]):
-                return False, (idx[a], idx[b])
+    """Exhaustive pair check in row blocks; returns (ok, first witness edge or None)."""
+    idx = np.array(sorted(set(int(i) for i in vertex_indices)), dtype=np.int64)
+    for lo, hi in row_blocks(idx.size, idx.size):
+        hits = np.argwhere(np.triu(g.adjacency_among(idx[lo:hi], idx), lo + 1))
+        if hits.size:
+            a, b = hits[0].tolist()
+            return False, (int(idx[lo + a]), int(idx[b]))
     return True, None
 
 

@@ -56,21 +56,56 @@ def hamming_distance(x: BitVertex, y: BitVertex) -> int:
     return (x.bits ^ y.bits).bit_count()
 
 
-def _pairwise_distance_block(bits: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Hamming distances between bits[lo:hi] and all of bits (uint64 words)."""
-    return np.bitwise_count(bits[lo:hi, None] ^ bits[None, :])
+def sign_rows(bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows (-1)^{x_1}, ..., (-1)^{x_n} for each vertex word, as int8."""
+    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
+    b = ((bits[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
+    return (1 - 2 * b).astype(np.int8)
 
 
-def _pack_bool_rows(mat: np.ndarray) -> list[int]:
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+def row_blocks(rows: int, width: int, entries: int = 1 << 22) -> Iterator[tuple[int, int]]:
+    """(lo, hi) row slices holding about ``entries`` cells of a rows x width array."""
+    step = max(1, entries // max(width, 1))
+    for lo in range(0, rows, step):
+        yield lo, min(rows, lo + step)
 
 
-class BitGraph:
+class _Graph:
+    """What every graph derives from ``adjacency_among`` and ``adjacency_matrix``."""
+
+    def is_adjacent(self, i: int, j: int) -> bool:
+        return bool(self.adjacency_among([i], [j])[0, 0])
+
+    def adjacency_rows(self) -> list[int]:
+        """Adjacency as one bitset int per vertex, aligned to vertex order."""
+        if self._adj_rows is None:
+            packed = np.packbits(self.adjacency_matrix(), axis=1, bitorder="little")
+            self._adj_rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        return self._adj_rows
+
+    def degree(self, i: int) -> int:
+        return self.adjacency_rows()[i].bit_count()
+
+    @property
+    def edge_count(self) -> int:
+        return int(np.count_nonzero(self.adjacency_matrix())) // 2
+
+    def descriptor(self) -> dict:
+        n = self.vertex_count if self.family in ("C", "K") else self.n
+        d = {"family": self.family, "n": n, "vertex_count": self.vertex_count}
+        try:
+            d["edge_count"] = self.edge_count
+        except ResourceLimitError:
+            d["edge_count"] = None
+        return d
+
+
+class BitGraph(_Graph):
     """Simple undirected graph on bitstring vertices.
 
-    Adjacency is either ``("distance", k)`` (u ~ v iff d(u, v) = k) or an
-    explicit edge set over vertex indices. Instances are immutable after
+    Adjacency is either ``("distance", k)`` (u ~ v iff d(u, v) = k, with k in
+    ``distance``) or an explicit edge set over vertex indices (``distance`` is
+    None), stored as sorted keys min * |V| + max. Instances are immutable after
     construction; adjacency caches are built lazily.
     """
 
@@ -89,23 +124,28 @@ class BitGraph:
         self._index = {b: i for i, b in enumerate(bits)}
         kind = rule[0]
         if kind == "distance":
-            self._distance = int(rule[1])
-            self._edge_set = None
+            self.distance = int(rule[1])
+            self._edge_keys = None
         elif kind == "explicit":
-            self._distance = None
-            edges = set()
-            for u, v in rule[1]:
-                if u == v:
-                    raise InvalidParameterError("self-loop in explicit edge set")
-                if not (0 <= u < len(bits) and 0 <= v < len(bits)):
-                    raise InvalidParameterError("edge endpoint out of range")
-                edges.add((min(u, v), max(u, v)))
-            self._edge_set = frozenset(edges)
+            self.distance = None
+            self._edge_keys = self._sorted_edge_keys(rule[1])
         else:
             raise InvalidParameterError(f"unknown adjacency rule {kind!r}")
         self._adj_bool = None
         self._adj_rows = None
         self._vertices = None
+
+    def _sorted_edge_keys(self, edges) -> np.ndarray:
+        """Validate explicit edges; return sorted unique keys min * |V| + max."""
+        e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64).reshape(-1, 2)
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        if (lo == hi).any():
+            raise InvalidParameterError("self-loop in explicit edge set")
+        if e.size and (lo.min() < 0 or hi.max() >= self.vertex_count):
+            raise InvalidParameterError("edge endpoint out of range")
+        keys = np.sort(lo * self.vertex_count + hi)
+        return keys[np.diff(keys, prepend=-1) != 0]
 
     # -- basic accessors ---------------------------------------------------
 
@@ -144,13 +184,19 @@ class BitGraph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def is_adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        if self._distance is not None:
-            x = int(self._bits[i]) ^ int(self._bits[j])
-            return x.bit_count() == self._distance
-        return (min(i, j), max(i, j)) in self._edge_set
+    def adjacency_among(self, rows, cols=None) -> np.ndarray:
+        """Boolean matrix A[a, b] = (rows[a] ~ cols[b]); cols defaults to rows."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = rows if cols is None else np.asarray(cols, dtype=np.int64)
+        r, c = rows[:, None], cols[None, :]
+        if self.distance is not None:
+            adj = np.bitwise_count(self._bits[r] ^ self._bits[c]) == self.distance
+        else:
+            keys = np.minimum(r, c) * self.vertex_count + np.maximum(r, c)
+            known = self._edge_keys
+            pos = np.searchsorted(known, keys).clip(max=max(known.size - 1, 0))
+            adj = known[pos] == keys if known.size else np.zeros(keys.shape, dtype=bool)
+        return adj & (r != c)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency, cached. Guarded by the dense cap."""
@@ -160,38 +206,27 @@ class BitGraph:
                 raise ResourceLimitError(
                     f"dense adjacency for {nv} vertices exceeds cap {DENSE_ADJACENCY_CAP}")
             mat = np.zeros((nv, nv), dtype=bool)
-            if self._distance is not None:
-                step = max(1, (1 << 24) // max(nv, 1))
-                for lo in range(0, nv, step):
-                    hi = min(nv, lo + step)
-                    mat[lo:hi] = _pairwise_distance_block(self._bits, lo, hi) == self._distance
-                np.fill_diagonal(mat, False)
+            if self.distance is not None:
+                every = np.arange(nv)
+                for lo, hi in row_blocks(nv, nv):
+                    mat[lo:hi] = self.adjacency_among(every[lo:hi], every)
             else:
-                for u, v in self._edge_set:
-                    mat[u, v] = mat[v, u] = True
+                u, v = self.edge_array().T
+                mat[u, v] = mat[v, u] = True
             mat.setflags(write=False)
             self._adj_bool = mat
         return self._adj_bool
 
-    def adjacency_rows(self) -> list[int]:
-        """Adjacency as one bitset int per vertex, aligned to vertex order."""
-        if self._adj_rows is None:
-            self._adj_rows = _pack_bool_rows(self.adjacency_matrix())
-        return self._adj_rows
-
-    def degree(self, i: int) -> int:
-        return self.adjacency_rows()[i].bit_count()
-
     @property
     def edge_count(self) -> int:
-        if self._edge_set is not None:
-            return len(self._edge_set)
-        return int(np.count_nonzero(self.adjacency_matrix())) // 2
+        if self._edge_keys is not None:
+            return int(self._edge_keys.size)
+        return super().edge_count
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (E, 2) int64 array of pairs i < j, in row-major order."""
-        if self._edge_set is not None:
-            return np.array(sorted(self._edge_set), dtype=np.int64).reshape(-1, 2)
+        if self._edge_keys is not None:
+            return np.stack(np.divmod(self._edge_keys, self.vertex_count), axis=1)
         return np.argwhere(np.triu(self.adjacency_matrix(), 1)).astype(np.int64)
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -199,15 +234,6 @@ class BitGraph:
         yield from zip(*self.edge_array().T.tolist())
 
     # -- export ------------------------------------------------------------
-
-    def descriptor(self) -> dict:
-        n = self.vertex_count if self.family in ("C", "K") else self.n
-        d = {"family": self.family, "n": n, "vertex_count": self.vertex_count}
-        try:
-            d["edge_count"] = self.edge_count
-        except ResourceLimitError:
-            d["edge_count"] = None
-        return d
 
     def to_dimacs(self) -> str:
         lines = [f"p edge {self.vertex_count} {self.edge_count}"]
@@ -305,7 +331,7 @@ def graph_from_ref(ref: str) -> BitGraph:
 # -- strong products ---------------------------------------------------------
 
 
-class ProductGraph:
+class ProductGraph(_Graph):
     """Strong product of factor graphs, with on-demand adjacency.
 
     Vertices are tuples of factor indices, flattened to a single index in
@@ -350,13 +376,19 @@ class ProductGraph:
             i = i * f.vertex_count + pi
         return i
 
-    def is_adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return False
-        for f, a, b in zip(self.factors, self.parts(i), self.parts(j)):
-            if a != b and not f.is_adjacent(a, b):
-                return False
-        return True
+    def adjacency_among(self, rows, cols=None) -> np.ndarray:
+        """Boolean matrix A[a, b] = (rows[a] ~ cols[b]); cols defaults to rows.
+
+        Factor by factor the coordinates must be equal or adjacent; the
+        vertex itself is cleared.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = rows if cols is None else np.asarray(cols, dtype=np.int64)
+        adj = rows[:, None] != cols[None, :]
+        for f in reversed(self.factors):
+            (rows, r), (cols, c) = divmod(rows, f.vertex_count), divmod(cols, f.vertex_count)
+            adj &= (r[:, None] == c[None, :]) | f.adjacency_among(r, c)
+        return adj
 
     def adjacency_matrix(self) -> np.ndarray:
         if self._adj_bool is None:
@@ -372,29 +404,9 @@ class ProductGraph:
             self._adj_bool = mat
         return self._adj_bool
 
-    def adjacency_rows(self) -> list[int]:
-        if self._adj_rows is None:
-            self._adj_rows = _pack_bool_rows(self.adjacency_matrix())
-        return self._adj_rows
-
-    def degree(self, i: int) -> int:
-        return self.adjacency_rows()[i].bit_count()
-
-    @property
-    def edge_count(self) -> int:
-        return int(np.count_nonzero(self.adjacency_matrix())) // 2
-
     def vertex_label(self, i: int) -> str:
         parts = self.parts(i)
         return "(" + ",".join(f.vertex_label(p) for f, p in zip(self.factors, parts)) + ")"
-
-    def descriptor(self) -> dict:
-        d = {"family": "product", "n": self.n, "vertex_count": self._count}
-        try:
-            d["edge_count"] = self.edge_count
-        except ResourceLimitError:
-            d["edge_count"] = None
-        return d
 
     def graph_ref(self) -> str:
         return "x".join(f.graph_ref() for f in self.factors)

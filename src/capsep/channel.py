@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitgraph import BitGraph
-from .entcert import EntCert
+from .entcert import EntCert, rank_one_row
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
 ROW_SUM_TOL = 1e-12
@@ -156,7 +156,7 @@ def confusability_graph(c: Channel) -> BitGraph:
     """Graph on channel inputs; an edge where two inputs share an output."""
     return BitGraph(max(1, (c.input_count - 1).bit_length()),
                     range(c.input_count),
-                    ("explicit", map(tuple, confusable_pairs(c).tolist())), family="C")
+                    ("explicit", confusable_pairs(c)), family="C")
 
 
 def canonical_channel(g) -> Channel:
@@ -348,16 +348,6 @@ class Protocol:
         return ZeroErrorReport(passed, worst, int(value.size), witness)
 
 
-def _vector_from_rank_one(num: np.ndarray) -> np.ndarray:
-    """Unit vector f with num proportional to f f^T (sign immaterial)."""
-    diag = np.diagonal(num)
-    j0 = int(np.argmax(diag))
-    if diag[j0] <= 0:
-        raise ProtocolError("operator numerator is not a rank-one outer product")
-    col = num[:, j0].astype(np.float64)
-    return col / np.sqrt(float(diag[j0]) * float(np.trace(num)))
-
-
 def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     """Build and fully verify the protocol realizing a packing certificate.
 
@@ -375,18 +365,20 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     if chan.inputs != labels:
         raise InvalidParameterError("channel input labels do not match the graph")
 
-    vertex_message: dict[int, int] = {}
-    ambient: dict[int, np.ndarray] = {}
-    for (u, i), num in cert.ops.items():
-        if u in vertex_message and vertex_message[u] != i:
-            raise ProtocolError(f"vertex {u} carries two messages "
-                                f"({vertex_message[u]} and {i})")
-        vertex_message[u] = i
-        ambient[u] = _vector_from_rank_one(num)
-
-    inputs = np.array(sorted(vertex_message), dtype=np.int64)
-    messages = np.array([vertex_message[u] for u in inputs.tolist()], dtype=np.int64)
-    vectors = np.array([ambient[u] for u in inputs.tolist()]).reshape(-1, cert.dim)
+    keys = sorted(cert.ops)
+    inputs = np.array([u for u, _ in keys], dtype=np.int64)
+    messages = np.array([i for _, i in keys], dtype=np.int64)
+    twice = np.flatnonzero(np.diff(inputs) == 0)
+    if twice.size:
+        (u, i), (_, j) = keys[twice[0]], keys[twice[0] + 1]
+        raise ProtocolError(f"vertex {u} carries two messages ({i} and {j})")
+    # unit vectors f with num proportional to f f^T (sign immaterial)
+    stack = np.array([cert.ops[k] for k in keys]).reshape(-1, cert.dim, cert.dim)
+    vectors = rank_one_row(stack).astype(np.float64)
+    norms = np.linalg.norm(vectors, axis=1)
+    if not norms.all():
+        raise ProtocolError("operator numerator is not a rank-one outer product")
+    vectors /= norms[:, None]
     rho = cert.rho_num
     scaled_identity = np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype))
     if scaled_identity:

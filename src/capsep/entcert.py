@@ -9,38 +9,48 @@ the one-shot entangled independence number is at least M.
 
 All matrices are stored as integer numerators over a single global
 denominator, so every check is exact integer arithmetic with zero tolerance.
+``verify`` checks every instance of every condition; there is no sampling. The
+operators are rank-one PSD, N = c w w^T, so two of them annihilate iff one
+nonzero row of each (an integer multiple of w) is orthogonal to the other:
+the cross-operator conditions are zeros of one K x K integer Gram matrix.
 """
 
 from __future__ import annotations
 
 import json
-import random as _random
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .alpha import verify_independent
-from .bitgraph import graph_from_ref, strong_product
+from .bitgraph import graph_from_ref, row_blocks, strong_product
 from .errors import (CertificateError, InvalidParameterError,
                      ResourceLimitError)
 from .geometry import CliquePacking, OrthoRep
 
-FULL_VERIFY_VERTEX_CAP = 10**4
-SAMPLED_INSTANCES = 10**5
 # total int64 entries across all stored numerators
 TENSOR_ENTRY_CAP = 125_000_000
+# witnesses listed per condition; every violation is still counted
+WITNESS_CAP = 10
+CONDITIONS = ("trace", "psd", "sum_to_rho", "same_vertex", "adjacent")
+# products and sums of entries must stay below this, exact in int64 and float64
+_EXACT_BOUND = 1 << 53
 
 
 @dataclass
 class VerificationReport:
     passed: bool
-    mode: str  # "full" | "sampled"
+    mode: str  # always "full": every condition instance is checked
     conditions: dict
     witnesses: list
+    violations: dict = field(default_factory=dict)  # per condition, all counted
 
     def to_json(self) -> dict:
-        return {"mode": self.mode, "passed": self.passed,
-                "conditions": self.conditions, "witnesses": self.witnesses}
+        """The report; ``violations`` only when it failed (all zero otherwise)."""
+        out = {"mode": self.mode, "passed": self.passed, "conditions": self.conditions}
+        if not self.passed:
+            out["violations"] = self.violations
+        return out | {"witnesses": self.witnesses}
 
 
 @dataclass
@@ -80,127 +90,131 @@ class EntCert:
         }
 
 
-def _is_scaled_projector(num: np.ndarray) -> bool:
-    """Exact PSD check for integer symmetric N with N^2 = c N, c > 0.
+def rank_one_row(num: np.ndarray) -> np.ndarray:
+    """Row of N at its largest diagonal entry, for N or a stack of N.
 
-    Such N equals c times an orthogonal projector, so its eigenvalues are in
-    {0, c} and N is PSD. Avoids any floating-point eigensolve.
+    For a rank-one PSD N = c w w^T (c > 0) this row is c w_j w with w_j != 0:
+    a nonzero integer multiple of w.
     """
-    if (num != num.T).any():
-        return False
-    if not num.any():
-        return True
-    sq = num @ num
-    nz = np.argwhere(num != 0)
-    a, b = nz[0]
-    # cross-multiplied proportionality: N^2 * N[a,b] == N * N^2[a,b]
-    if (sq * int(num[a, b]) != num * int(sq[a, b])).any():
-        return False
-    return int(sq[a, b]) * int(num[a, b]) > 0  # scale factor positive
+    j = np.argmax(np.diagonal(num, axis1=-2, axis2=-1), axis=-1)
+    return np.take_along_axis(num, j[..., None, None], axis=-2)[..., 0, :]
 
 
-def _is_rank_one_psd(num: np.ndarray) -> bool:
-    """Exact check that N is symmetric PSD of rank one: N^2 = tr(N) N, tr > 0."""
-    if (num != num.T).any():
-        return False
-    tr = int(np.trace(num))
-    if tr <= 0:
-        return False
-    return (num @ num == tr * num).all()
+def _pair_witness(cond: int, verts, msgs, a: int, b: int) -> dict:
+    where = ({"vertex": int(verts[a])} if cond == 2
+             else {"edge": [int(verts[a]), int(verts[b])]})
+    return {"condition": cond, **where, "i": int(msgs[a]), "j": int(msgs[b])}
 
 
-def verify(cert: EntCert, g=None, mode: str = "auto") -> VerificationReport:
-    """Re-check all certificate conditions independently of construction.
+def verify(cert: EntCert, g=None) -> VerificationReport:
+    """Re-check every instance of every condition, exactly and without sampling.
 
-    ``mode`` "full" checks every condition instance exactly; "sampled" draws
-    random instances for the cross-vertex conditions (used when the product
-    graph is too large to sweep); "auto" picks based on graph size. The
-    result is a value, never an exception.
+    Each operator must be rank-one PSD, N = c w w^T with c > 0: symmetric,
+    tr N > 0 and N^2 = tr(N) N, checked over the stacked operators in one
+    batched pass. Its row r at the largest diagonal entry is a nonzero
+    multiple of w, so N_a N_b = c_a c_b <w_a, w_b> w_a w_b^T is zero iff
+    r_a . r_b = 0. Conditions 2 and 3 are therefore read off one K x K
+    integer Gram matrix of the rows of the operators that pass ``psd`` (in
+    row blocks), masked by "same vertex" or by "adjacent", each with
+    "different message". rho is PSD because, with M >= 1, condition 1 makes
+    it the sum of message 1's PSD operators.
+
+    Each condition lists at most ``WITNESS_CAP`` witnesses and counts all its
+    violations. Entries so large that a product or sum could reach 2^53 fail
+    ``psd``, and the other conditions are then reported unchecked (False).
+    The result is a value; only matrices that are not dim x dim raise
+    ``InvalidParameterError``.
     """
     g = g if g is not None else cert.graph
-    if mode == "auto":
-        mode = "full" if g.vertex_count <= FULL_VERIFY_VERTEX_CAP else "sampled"
-    conditions: dict = {}
-    witnesses: list = []
+    d, M, rho = cert.dim, cert.M, cert.rho_num
+    keys = sorted(cert.ops)
+    for key in ["rho"] + keys:
+        shape = np.shape(rho if key == "rho" else cert.ops[key])
+        if shape != (d, d):
+            raise InvalidParameterError(f"{key} has shape {shape}, not ({d}, {d})")
+    k_ops = len(keys)
+    verts = np.array([u for u, _ in keys], dtype=np.int64)
+    msgs = np.array([i for _, i in keys], dtype=np.int64)
+    stack = np.array([cert.ops[k] for k in keys], dtype=np.int64).reshape(k_ops, d, d)
+    big = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (stack, rho))
+    if d * big * big >= _EXACT_BOUND or (k_ops + d) * big >= _EXACT_BOUND:
+        return VerificationReport(
+            False, "full", dict.fromkeys(CONDITIONS, False),
+            [{"condition": "psd", "max_abs": big,
+              "error": "entries too large for exact arithmetic"}], {"psd": 1})
 
-    trace_ok = int(np.trace(cert.rho_num)) == cert.denominator
-    conditions["trace"] = trace_ok
-    if not trace_ok:
-        witnesses.append({"condition": "trace",
-                          "got": int(np.trace(cert.rho_num)),
-                          "want": cert.denominator})
+    violations = dict.fromkeys(CONDITIONS, 0)
+    found: dict[str, list] = {name: [] for name in CONDITIONS}
 
-    psd_ok = _is_scaled_projector(cert.rho_num)
-    if not psd_ok:
-        witnesses.append({"condition": "psd", "operator": "rho"})
-    for (u, i), num in cert.ops.items():
-        if not _is_rank_one_psd(num):
-            psd_ok = False
-            witnesses.append({"condition": "psd", "vertex": u, "i": i})
-    conditions["psd"] = psd_ok
+    def note(name: str, count: int, witnesses: list) -> None:
+        violations[name] += count
+        found[name].extend(witnesses[:WITNESS_CAP - len(found[name])])
 
-    # Condition 1: per-message sums equal rho.
-    cond1_ok = True
-    sums = {i: np.zeros_like(cert.rho_num) for i in range(1, cert.M + 1)}
-    for (u, i), num in cert.ops.items():
-        if not 1 <= i <= cert.M:
-            cond1_ok = False
-            witnesses.append({"condition": 1, "error": "message label out of range",
-                              "i": i})
-            continue
-        sums[i] = sums[i] + num
-    for i, s in sums.items():
-        if (s != cert.rho_num).any():
-            cond1_ok = False
-            witnesses.append({"condition": 1, "i": i})
-    conditions["sum_to_rho"] = cond1_ok
+    trace = int(np.trace(rho))
+    if trace != cert.denominator:
+        note("trace", 1, [{"condition": "trace", "got": trace,
+                           "want": cert.denominator}])
 
-    # Condition 2: one vertex, different messages.
-    cond2_ok = True
-    by_vertex: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for (u, i), num in cert.ops.items():
-        by_vertex.setdefault(u, []).append((i, num))
-    for u, entries in by_vertex.items():
-        for a in range(len(entries)):
-            for b in range(a + 1, len(entries)):
-                ia, na = entries[a]
-                ib, nb = entries[b]
-                if ia != ib and (na @ nb).any():
-                    cond2_ok = False
-                    witnesses.append({"condition": 2, "vertex": u, "i": ia, "j": ib})
-    conditions["same_vertex"] = cond2_ok
+    rank_one = np.zeros(k_ops, dtype=bool)
+    for lo, hi in row_blocks(k_ops, d * d):
+        b = stack[lo:hi]
+        tr = np.einsum("kii->k", b)
+        rank_one[lo:hi] = ((b == b.transpose(0, 2, 1)).all(axis=(1, 2)) & (tr > 0)
+                           & (b @ b == tr[:, None, None] * b).all(axis=(1, 2)))
+    bad = np.flatnonzero(~rank_one)
+    note("psd", bad.size, [{"condition": "psd", "vertex": int(verts[k]),
+                            "i": int(msgs[k])} for k in bad[:WITNESS_CAP]])
 
-    # Condition 3: adjacent vertices, different messages.
-    cond3_ok = True
-    keys = sorted(cert.ops.keys())
-    if mode == "full":
-        for a in range(len(keys)):
-            ua, ia = keys[a]
-            for b in range(a + 1, len(keys)):
-                ub, ib = keys[b]
-                if ia == ib or ua == ub:
-                    continue
-                if g.is_adjacent(ua, ub):
-                    if (cert.ops[keys[a]] @ cert.ops[keys[b]]).any():
-                        cond3_ok = False
-                        witnesses.append({"condition": 3, "edge": [ua, ub],
-                                          "i": ia, "j": ib})
-    else:
-        rng = _random.Random(0)
-        checked = 0
-        while checked < SAMPLED_INSTANCES:
-            (ua, ia), (ub, ib) = rng.sample(keys, 2) if len(keys) > 1 else (keys[0], keys[0])
-            checked += 1
-            if ia == ib or ua == ub or not g.is_adjacent(ua, ub):
-                continue
-            if (cert.ops[(ua, ia)] @ cert.ops[(ub, ib)]).any():
-                cond3_ok = False
-                witnesses.append({"condition": 3, "edge": [ua, ub], "i": ia, "j": ib})
-                break
-    conditions["adjacent"] = cond3_ok
+    # Condition 1: the operators of each message 1..M sum to rho.
+    if M < 1:
+        note("sum_to_rho", 1, [{"condition": 1, "error": "M must be at least 1", "M": M}])
+    in_range = (msgs >= 1) & (msgs <= M)
+    bad = np.flatnonzero(~in_range)
+    note("sum_to_rho", bad.size, [{"condition": 1, "i": int(msgs[k]),
+                                   "error": "message label out of range"}
+                                  for k in bad[:WITNESS_CAP]])
+    labels, which = np.unique(msgs[in_range], return_inverse=True)
+    sums = np.zeros((labels.size, d, d), dtype=np.int64)
+    np.add.at(sums, which, stack[in_range])
+    bad = labels[(sums != rho).any(axis=(1, 2))]
+    note("sum_to_rho", bad.size, [{"condition": 1, "i": int(i)}
+                                  for i in bad[:WITNESS_CAP]])
+    missing = max(M, 0) - labels.size
+    if missing:
+        first = np.setdiff1d(np.arange(1, min(M, labels.size + WITNESS_CAP) + 1),
+                             labels)[:WITNESS_CAP]
+        note("sum_to_rho", missing, [{"condition": 1, "count": missing,
+                                      "error": "messages without operators",
+                                      "first": first.tolist()}])
 
-    passed = trace_ok and psd_ok and cond1_ok and cond2_ok and cond3_ok
-    return VerificationReport(passed, mode, conditions, witnesses)
+    # Conditions 2 and 3, among the rank-one operators. The Gram is a BLAS
+    # product, exact because every partial sum is an integer below 2^53.
+    rows = rank_one_row(stack).astype(np.float64)
+    rows[~rank_one] = 0
+    for lo, hi in row_blocks(k_ops, k_ops):
+        nonzero = ((rows[lo:hi] @ rows.T != 0) & (msgs[lo:hi, None] != msgs)
+                   & (np.arange(lo, hi)[:, None] < np.arange(k_ops)))
+        for name, cond, mask in (("same_vertex", 2, verts[lo:hi, None] == verts),
+                                 ("adjacent", 3, g.adjacency_among(verts[lo:hi], verts))):
+            hits = nonzero & mask
+            count = int(np.count_nonzero(hits))
+            if count:
+                note(name, count, [_pair_witness(cond, verts, msgs, lo + a, b)
+                                   for a, b in np.argwhere(hits)[:WITNESS_CAP].tolist()])
+
+    conditions = {name: violations[name] == 0 for name in CONDITIONS}
+    return VerificationReport(all(conditions.values()), "full", conditions,
+                              [w for name in CONDITIONS for w in found[name]],
+                              violations)
+
+
+def _verified(cert: EntCert, source: str) -> EntCert:
+    """Attach a fresh verification report; raise CertificateError if it fails."""
+    cert.verification = verify(cert)
+    if not cert.verification.passed:
+        raise CertificateError(f"{source} certificate failed verification: "
+                               f"{cert.verification.witnesses[:3]}")
+    return cert
 
 
 def cert_from_packing(rep: OrthoRep, packing: CliquePacking) -> EntCert:
@@ -231,12 +245,7 @@ def cert_from_packing(rep: OrthoRep, packing: CliquePacking) -> EntCert:
         rho += ops[(g.index_of(b), 1)]
     cert = EntCert(g, len(packing.cliques), dim, denominator, rho, ops,
                    meta={"clique_size": d, "source": "packing"})
-    report = verify(cert, g, mode="full")
-    cert.verification = report
-    if not report.passed:
-        raise CertificateError(f"packing certificate failed verification: "
-                               f"{report.witnesses[:3]}")
-    return cert
+    return _verified(cert, "packing")
 
 
 def classical_embedding(g, vertex_indices) -> EntCert:
@@ -251,21 +260,15 @@ def classical_embedding(g, vertex_indices) -> EntCert:
     ops = {(u, i): one.copy() for i, u in enumerate(idx, start=1)}
     cert = EntCert(g, len(idx), 1, 1, one.copy(), ops,
                    meta={"source": "classical"})
-    report = verify(cert, g, mode="full" if g.vertex_count <= FULL_VERIFY_VERTEX_CAP
-                    else "sampled")
-    cert.verification = report
-    if not report.passed:
-        raise CertificateError("classical embedding failed verification")
-    return cert
+    return _verified(cert, "classical embedding")
 
 
 def tensor(a: EntCert, b: EntCert) -> EntCert:
     """Kronecker-product certificate on the strong product graph.
 
     Messages multiply (M = M_a * M_b), which is the supermultiplicativity
-    step behind the capacity lower bound. Fully verified when the product
-    graph is small enough to sweep; otherwise sample-verified with the mode
-    recorded on the certificate.
+    step behind the capacity lower bound. Fully verified at every size the
+    entry cap allows.
     """
     g = strong_product(a.graph, b.graph)
     entries = len(a.ops) * len(b.ops) * (a.dim * b.dim) ** 2
@@ -282,12 +285,7 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
                    a.denominator * b.denominator,
                    np.kron(a.rho_num, b.rho_num), ops,
                    meta={"source": "tensor"})
-    report = verify(cert, g, mode="auto")
-    cert.verification = report
-    if not report.passed:
-        raise CertificateError(f"tensor certificate failed verification: "
-                               f"{report.witnesses[:3]}")
-    return cert
+    return _verified(cert, "tensor")
 
 
 # -- persistence ---------------------------------------------------------------

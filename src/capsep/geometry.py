@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, BitVertex, build_G, build_H
+from .bitgraph import BitGraph, BitVertex, build_G, build_H, sign_rows
 from .errors import ConstructionError, InvalidParameterError
 from .hadamard import HadamardMatrix, normalize
-
-
-def _sign_rows(bits: np.ndarray, n: int) -> np.ndarray:
-    """Rows (-1)^{x_1}, ..., (-1)^{x_n} for each vertex word, as int8."""
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-    b = ((bits[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
-    return (1 - 2 * b).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -46,23 +39,34 @@ class OrthoRep:
         return self.matrix[i]
 
     def verify(self) -> None:
-        """Exact norm and edge-orthogonality check over all vertices/edges."""
-        w = self.matrix.astype(np.int64)
-        k = (self.graph.n + 1) // 2
-        bits = self.graph.bits_array
-        nv = self.graph.vertex_count
-        step = max(1, (1 << 22) // max(nv, 1))
-        for lo in range(0, nv, step):
-            hi = min(nv, lo + step)
-            gram = w[lo:hi] @ w.T
-            norms = gram[np.arange(hi - lo), np.arange(lo, hi)]
-            if not (norms == self.normalizer).all():
-                bad = lo + int(np.argmax(norms != self.normalizer))
-                raise ConstructionError(f"vertex {bad} has squared norm != 1")
-            adj = np.bitwise_count(bits[lo:hi, None] ^ bits[None, :]) == k
-            if gram[adj].any():
-                i, j = np.argwhere(adj & (gram != 0))[0]
-                raise ConstructionError(f"edge ({lo + int(i)}, {int(j)}) not orthogonal")
+        """Exact check of unit norms and edge orthogonality, in O(|V| n).
+
+        Row x must be the sign vector w_x = ((-1)^{x_1}, ..., (-1)^{x_n}, 1),
+        so <w_x, w_y> = n + 1 - 2 d(x, y): the normalizer n + 1 at d = 0, and
+        n + 1 - 2 (n+1)/2 = 0 on every edge of the distance-(n+1)/2 graph.
+        Checking the normalizer, the edge rule and each row against the
+        closed form thus proves every norm and every edge orthogonality with
+        no inner product formed. ``ConstructionError`` names the first
+        vertex that fails.
+        """
+        g = self.graph
+        n, k = g.n, (g.n + 1) // 2
+        if n % 2 == 0 or g.distance != k:
+            raise ConstructionError(
+                f"{g.graph_ref()} is not the distance-(n+1)/2 graph of odd n")
+        assert n + 1 - 2 * k == 0  # edges are orthogonal by the identity
+        if self.normalizer != n + 1:
+            raise ConstructionError(f"vertex 0 has squared norm {n + 1}, "
+                                    f"not the normalizer {self.normalizer}")
+        expected = _rep_for(g)
+        if self.dim != n + 1 or self.matrix.shape != expected.shape:
+            raise ConstructionError(f"matrix shape {self.matrix.shape} is not "
+                                    f"{expected.shape} with dim {n + 1}")
+        bad = np.flatnonzero((self.matrix != expected).any(axis=1))
+        if bad.size:
+            u = int(bad[0])
+            raise ConstructionError(
+                f"vertex {u} ({g.vertex_label(u)}) is not its sign vector")
 
     def reduced(self) -> tuple[np.ndarray, np.ndarray]:
         """Float coordinates in an orthonormal basis of the ones-hyperplane.
@@ -96,10 +100,9 @@ class OrthoRep:
 
 
 def _rep_for(graph: BitGraph) -> np.ndarray:
-    n = graph.n
-    signs = _sign_rows(graph.bits_array, n)
-    ones = np.ones((graph.vertex_count, 1), dtype=np.int8)
-    return np.hstack([signs, ones])
+    """Sign vector of each vertex with a 1 appended, as int8 rows."""
+    signs = sign_rows(graph.bits_array, graph.n)
+    return np.hstack([signs, np.ones((len(signs), 1), dtype=np.int8)])
 
 
 def ortho_rep_H(n: int) -> OrthoRep:
@@ -201,7 +204,6 @@ class CliquePacking:
 
     def verify(self) -> None:
         """Independent re-check: clique-ness, membership, and disjointness."""
-        k = (self.graph.n + 1) // 2
         seen: set[int] = set()
         for c, clique in enumerate(self.cliques):
             if len(clique) != self.clique_size:
@@ -212,11 +214,7 @@ class CliquePacking:
                 if b in seen:
                     raise ConstructionError(f"vertex {b:#b} reused across cliques")
                 seen.add(b)
-            for i in range(len(clique)):
-                for j in range(i + 1, len(clique)):
-                    if (clique[i] ^ clique[j]).bit_count() != k:
-                        raise ConstructionError(
-                            f"clique {c} pair ({i},{j}) not adjacent")
+            _check_clique_bits(list(clique), self.graph.n, expect_weight=None)
 
     def to_json(self) -> dict:
         n = self.graph.n

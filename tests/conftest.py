@@ -204,3 +204,118 @@ def zero_error_by_loop(proto):
                         worst = value
                         witness = (i, j, chan.inputs[s], chan.outputs[t])
     return instances, worst, witness
+
+
+# -- verification oracles ------------------------------------------------------
+#
+# The pairwise forms of the two certificate-grade checks: every inner product
+# of the representation and every operator product of the certificate formed
+# explicitly. The library checks them through identities instead.
+
+
+def adjacency_by_rule(g):
+    """Pairwise adjacency predicate read off the graph's definition, in Python."""
+    if hasattr(g, "factors"):  # strong product: each coordinate equal or adjacent
+        rules = [adjacency_by_rule(f) for f in g.factors]
+        return lambda i, j: i != j and all(
+            a == b or rule(a, b) for rule, a, b in zip(rules, g.parts(i), g.parts(j)))
+    if g.distance is not None:
+        bits = g.bits_array.tolist()
+        return lambda i, j: (bits[i] ^ bits[j]).bit_count() == g.distance
+    edges = set(map(tuple, g.edge_array().tolist()))
+    return lambda i, j: (min(i, j), max(i, j)) in edges
+
+
+def ortho_rep_verify_by_pairs(rep) -> None:
+    """Blocked |V| x |V| Gram: every squared norm and every edge inner product."""
+    from capsep.errors import ConstructionError
+
+    w = rep.matrix.astype(np.int64)
+    k = (rep.graph.n + 1) // 2
+    bits = rep.graph.bits_array
+    nv = rep.graph.vertex_count
+    step = max(1, (1 << 22) // max(nv, 1))
+    for lo in range(0, nv, step):
+        hi = min(nv, lo + step)
+        gram = w[lo:hi] @ w.T
+        norms = gram[np.arange(hi - lo), np.arange(lo, hi)]
+        if not (norms == rep.normalizer).all():
+            bad = lo + int(np.argmax(norms != rep.normalizer))
+            raise ConstructionError(f"vertex {bad} has squared norm != 1")
+        adj = np.bitwise_count(bits[lo:hi, None] ^ bits[None, :]) == k
+        if gram[adj].any():
+            i, j = np.argwhere(adj & (gram != 0))[0]
+            raise ConstructionError(f"edge ({lo + int(i)}, {int(j)}) not orthogonal")
+
+
+def _is_scaled_projector(num: np.ndarray) -> bool:
+    """Integer symmetric N with N^2 = c N, c > 0 (so PSD), or N = 0."""
+    if (num != num.T).any():
+        return False
+    if not num.any():
+        return True
+    sq = num @ num
+    a, b = np.argwhere(num != 0)[0]
+    if (sq * int(num[a, b]) != num * int(sq[a, b])).any():
+        return False
+    return int(sq[a, b]) * int(num[a, b]) > 0
+
+
+def _is_rank_one_psd(num: np.ndarray) -> bool:
+    """Symmetric with N^2 = tr(N) N and tr N > 0."""
+    if (num != num.T).any():
+        return False
+    tr = int(np.trace(num))
+    return tr > 0 and (num @ num == tr * num).all()
+
+
+def verify_by_pairs(cert, g=None):
+    """Every certificate condition, with every operator product formed.
+
+    Returns (passed, conditions, witnesses). rho must be a scaled projector,
+    which is stricter than the PSD it needs to be.
+    """
+    g = g if g is not None else cert.graph
+    conditions: dict = {}
+    witnesses: list = []
+    conditions["trace"] = int(np.trace(cert.rho_num)) == cert.denominator
+
+    psd_ok = _is_scaled_projector(cert.rho_num)
+    for (u, i), num in cert.ops.items():
+        if not _is_rank_one_psd(num):
+            psd_ok = False
+            witnesses.append({"condition": "psd", "vertex": u, "i": i})
+    conditions["psd"] = psd_ok
+
+    cond1_ok = True
+    sums = {i: np.zeros_like(cert.rho_num) for i in range(1, cert.M + 1)}
+    for (u, i), num in cert.ops.items():
+        if not 1 <= i <= cert.M:
+            cond1_ok = False
+            continue
+        sums[i] = sums[i] + num
+    for i, s in sums.items():
+        if (s != cert.rho_num).any():
+            cond1_ok = False
+            witnesses.append({"condition": 1, "i": i})
+    conditions["sum_to_rho"] = cond1_ok
+
+    keys = sorted(cert.ops)
+    is_adjacent = adjacency_by_rule(g)
+    same_ok = adjacent_ok = True
+    for a in range(len(keys)):
+        ua, ia = keys[a]
+        for b in range(a + 1, len(keys)):
+            ub, ib = keys[b]
+            if ia == ib or not (ua == ub or is_adjacent(ua, ub)):
+                continue
+            if (cert.ops[keys[a]] @ cert.ops[keys[b]]).any():
+                if ua == ub:
+                    same_ok = False
+                    witnesses.append({"condition": 2, "vertex": ua, "i": ia, "j": ib})
+                else:
+                    adjacent_ok = False
+                    witnesses.append({"condition": 3, "edge": [ua, ub], "i": ia, "j": ib})
+    conditions["same_vertex"] = same_ok
+    conditions["adjacent"] = adjacent_ok
+    return all(conditions.values()), conditions, witnesses

@@ -7,6 +7,7 @@ import pytest
 import capsep
 from capsep.bitgraph import BitVertex, build_complete
 from capsep.errors import InvalidParameterError, ResourceLimitError
+from conftest import adjacency_by_rule
 
 
 def brute_weight_strings(n, w):
@@ -201,11 +202,54 @@ class TestInvariants:
         capsep.BitGraph(2, range(3), ("explicit", [])),
     ])
     def test_edge_array_is_row_major_edge_list(self, g):
+        rule = adjacency_by_rule(g)
         pairs = [(i, j) for i in range(g.vertex_count)
-                 for j in range(i + 1, g.vertex_count) if g.is_adjacent(i, j)]
+                 for j in range(i + 1, g.vertex_count) if rule(i, j)]
+        assert all(g.is_adjacent(i, j) == rule(i, j) for i in range(g.vertex_count)
+                   for j in range(g.vertex_count))
         arr = g.edge_array()
         assert arr.dtype == np.int64 and arr.shape == (len(pairs), 2)
         assert [tuple(e) for e in arr.tolist()] == pairs == list(g.edges())
+
+
+class TestExplicitEdges:
+    def test_duplicates_and_orientation_collapse(self):
+        g = capsep.BitGraph(2, range(4), ("explicit", [(1, 0), (0, 1), (3, 2), (2, 3)]))
+        assert g.edge_count == 2
+        assert g.edge_array().tolist() == [[0, 1], [2, 3]]
+        assert g.is_adjacent(1, 0) and not g.is_adjacent(1, 2)
+
+    @pytest.mark.parametrize("edges, phrase", [([(0, 1), (2, 2)], "self-loop"),
+                                               ([(0, 4)], "out of range"),
+                                               ([(-1, 2)], "out of range")])
+    def test_rejects_bad_edges(self, edges, phrase):
+        with pytest.raises(InvalidParameterError, match=phrase):
+            capsep.BitGraph(2, range(4), ("explicit", edges))
+
+    def test_accepts_array_and_iterator(self):
+        pairs = [(0, 2), (1, 3)]
+        a = capsep.BitGraph(2, range(4), ("explicit", np.array(pairs)))
+        b = capsep.BitGraph(2, range(4), ("explicit", iter(pairs)))
+        assert a.edge_array().tolist() == b.edge_array().tolist() == [[0, 2], [1, 3]]
+
+
+class TestAdjacencyAmong:
+    @pytest.mark.parametrize("g", [
+        capsep.build_cycle(7), build_complete(5), capsep.build_G(7), capsep.build_H(5),
+        capsep.BitGraph(2, range(3), ("explicit", [])),
+        capsep.strong_product(capsep.build_cycle(5), capsep.build_H(3)),
+        capsep.strong_power(capsep.build_cycle(4), 3),
+    ])
+    def test_matches_rule_and_dense_matrix(self, g):
+        rng = random.Random(g.vertex_count)
+        nv = g.vertex_count
+        rows = [rng.randrange(nv) for _ in range(9)]
+        cols = [rng.randrange(nv) for _ in range(11)] + rows[:2]
+        rule = adjacency_by_rule(g)
+        got = g.adjacency_among(rows, cols)
+        assert got.tolist() == [[rule(i, j) for j in cols] for i in rows]
+        assert np.array_equal(g.adjacency_among(rows),
+                              g.adjacency_matrix()[np.ix_(rows, rows)])
 
 
 class TestExport:

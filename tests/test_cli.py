@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 
@@ -141,6 +142,33 @@ class TestCertCommands:
         payload["ops"][0]["matrix"] = [[1, 0], [0, 1]]
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "shape")
+
+
+    def test_verify_cert_untrusted_message_count(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        payload["M"] = 100000
+        target.write_text(json.dumps(payload))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and len(out) < 10_000
+        doc = json.loads(out)
+        assert doc["violations"]["sum_to_rho"] == 99999
+        assert doc["witnesses"][0]["first"] == list(range(2, 12))
+
+    def test_verify_cert_huge_values(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        for field, value, condition in [("M", 10**30, "sum_to_rho"),
+                                        ("entry", 2**62, "psd")]:
+            edited = json.loads(json.dumps(payload))
+            if field == "M":
+                edited["M"] = value
+            else:
+                edited["ops"][0]["matrix"][0][0] = value
+            target.write_text(json.dumps(edited))
+            code, out, err = run(capsys, "verify-cert", "--input", str(target))
+            assert code == 2 and "Traceback" not in err
+            assert json.loads(out)["conditions"][condition] is False
 
 
 class TestPackCommand:

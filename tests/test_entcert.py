@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
 from capsep.bitgraph import build_complete
-from capsep.entcert import (EntCert, cert_from_json, cert_to_json_str,
-                            classical_embedding, tensor, verify)
+from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, cert_to_json_str,
+                            classical_embedding, rank_one_row, tensor, verify)
 from capsep.errors import InvalidParameterError, ResourceLimitError
+from conftest import verify_by_pairs
 
 
 def h3_cert():
@@ -157,15 +160,33 @@ class TestTensor:
         assert squared.graph.vertex_count == 25
         assert squared.verification.passed
 
-    def test_large_product_uses_sampled_mode(self, g11):
+    def test_large_product_fully_verified(self, g11):
         rs = capsep.restricted_independent_set(11)
         idx = [g11.index_of(v.bits) for v in rs.vertices]
         base = classical_embedding(g11, idx)
         squared = tensor(base, base)
         assert squared.graph.vertex_count == 462 * 462
         assert squared.M == 28 * 28
-        assert squared.verification.mode == "sampled"
+        assert squared.verification.mode == "full"
         assert squared.verification.passed
+        # Move one message's operator next to another message's vertex: the
+        # sums still equal rho, so only the exhaustive edge check can see it.
+        (u, i), (z, _) = sorted(squared.ops)[:2]
+        za, zb = squared.graph.parts(z)
+        ya = int(np.argmax(g11.adjacency_matrix()[za]))
+        y = squared.graph.flatten((ya, zb))
+        assert (y, i) not in squared.ops and squared.graph.is_adjacent(y, z)
+        ops = dict(squared.ops)
+        ops[(y, i)] = ops.pop((u, i))
+        moved = EntCert(squared.graph, squared.M, 1, 1, squared.rho_num, ops)
+        report = verify(moved)
+        assert not report.passed
+        assert report.conditions["sum_to_rho"] and not report.conditions["adjacent"]
+        touching = [v for v, j in ops if j != i and squared.graph.is_adjacent(v, y)]
+        assert z in touching
+        assert report.violations["adjacent"] == len(touching)
+        edges = [w["edge"] for w in report.witnesses if w["condition"] == 3]
+        assert edges and all(y in e for e in edges)
 
     def test_entry_cap(self, h11_cert):
         with pytest.raises(ResourceLimitError):
@@ -191,3 +212,182 @@ class TestCertJson:
         entry = payload["ops"][0]
         assert set(entry) == {"vertex", "i", "matrix"}
         assert payload["verification"]["mode"] == "full"
+
+
+# -- exhaustive verification against the pairwise oracle ------------------------
+
+
+def _packing_cert(family, n):
+    rep = capsep.ortho_rep_G(n) if family == "G" else capsep.ortho_rep_H(n)
+    clique = (capsep.clique_from_hadamard_G if family == "G"
+              else capsep.clique_from_hadamard_H)(capsep.find_hadamard(n + 1))
+    return capsep.cert_from_packing(rep, capsep.pack_cliques(rep.graph, clique))
+
+
+def _classical_squared(g, idx):
+    base = classical_embedding(g, idx)
+    return tensor(base, base)
+
+
+@pytest.fixture(scope="module")
+def oracle_certs(g11, g11_cert, h11_cert):
+    h3 = h3_cert()
+    rs = capsep.restricted_independent_set(11)
+    return {
+        "G11": g11_cert,
+        "H11": h11_cert,
+        "G15": _packing_cert("G", 15),
+        "H3xH3": tensor(h3, h3),
+        "C5xC5": _classical_squared(capsep.build_cycle(5), [0, 2]),
+        "G11xG11": _classical_squared(g11, [g11.index_of(v.bits) for v in rs.vertices]),
+    }
+
+
+def _with(cert, ops=None, rho=None, M=None):
+    return EntCert(cert.graph, cert.M if M is None else M, cert.dim,
+                   cert.denominator, cert.rho_num if rho is None else rho,
+                   cert.ops if ops is None else ops)
+
+
+def _tampered(cert):
+    """One-change variants of a valid certificate, by name."""
+    keys = sorted(cert.ops)
+    (u, i), z = keys[0], keys[-1][0]
+    j = i % cert.M + 1 if cert.M > 1 else 2  # another label, out of range if M = 1
+    d = cert.dim
+    entry = cert.ops[(u, i)].copy()
+    entry[0, d - 1] += 1
+    entry[d - 1, 0] = entry[0, d - 1]
+    op_vertices = {v for v, _ in keys}
+    near = np.flatnonzero(cert.graph.adjacency_among(
+        [z], np.arange(cert.graph.vertex_count))[0])
+    y = next((v for v in near.tolist() if v not in op_vertices), None)
+    rho = cert.rho_num.copy()
+    rho[0, 0] += 1
+
+    def edit(drop=(), add=(), **fields):
+        ops = {k: m for k, m in cert.ops.items() if k not in drop}
+        return _with(cert, ops | dict(add), **fields)
+
+    variants = {
+        "entry": edit(add={(u, i): entry}),
+        "dropped": edit(drop=[(u, i)]),
+        "relabelled": edit(drop=[(u, i)], add={(u, j): cert.ops[(u, i)]}),
+        "doubled": edit(add={(u, j): cert.ops[(u, i)]}),
+        "rho": edit(rho=rho),
+        "extra_message": edit(M=cert.M + 1),
+    }
+    if y is not None:  # a free vertex next to another operator's vertex
+        variants["moved"] = edit(drop=[(u, i)], add={(y, i): cert.ops[(u, i)]})
+    return variants
+
+
+def _assert_agrees(cert):
+    passed, conditions, _ = verify_by_pairs(cert)
+    report = verify(cert)
+    assert report.mode == "full"
+    assert report.passed == passed
+    if conditions["psd"]:
+        assert report.conditions == conditions
+    assert report.passed or report.witnesses
+    assert report.passed == (sum(report.violations.values()) == 0)
+    return report
+
+
+class TestAgainstPairwiseOracle:
+    @pytest.mark.parametrize("name", ["G11", "H11", "G15", "H3xH3", "C5xC5",
+                                      "G11xG11"])
+    def test_valid_and_tampered(self, oracle_certs, name):
+        cert = oracle_certs[name]
+        assert _assert_agrees(cert).passed
+        variants = _tampered(cert)
+        if name == "G11xG11":  # the pairwise oracle takes ~1 s per call here
+            variants = {k: variants[k] for k in ("entry", "moved")}
+        assert name == "H3xH3" or "moved" in variants
+        for variant, broken in variants.items():
+            assert not _assert_agrees(broken).passed, variant
+
+    def test_wrong_graph(self, oracle_certs):
+        cert = oracle_certs["C5xC5"]
+        report = verify(cert, capsep.strong_product(build_complete(5), build_complete(5)))
+        assert not report.passed and not report.conditions["adjacent"]
+        passed, conditions, _ = verify_by_pairs(
+            cert, capsep.strong_product(build_complete(5), build_complete(5)))
+        assert (passed, conditions) == (False, report.conditions)
+
+
+class TestOneEntryTamper:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["H3", "G11", "H11"]))
+    def test_symmetric_entry_change_is_rejected(self, g11_cert, h11_cert, data, name):
+        cert = {"H3": h3_cert, "G11": lambda: g11_cert, "H11": lambda: h11_cert}[name]()
+        keys = sorted(cert.ops)
+        target = data.draw(st.integers(-1, len(keys) - 1), label="operator (-1: rho)")
+        a = data.draw(st.integers(0, cert.dim - 1), label="row")
+        b = data.draw(st.integers(0, cert.dim - 1), label="column")
+        num = (cert.rho_num if target < 0 else cert.ops[keys[target]]).copy()
+        value = data.draw(st.integers(-3, 3).filter(lambda v: v != num[a, b]),
+                          label="value")
+        num[a, b] = num[b, a] = value
+        if target < 0:
+            broken = _with(cert, rho=num)
+        else:
+            broken = _with(cert, {**cert.ops, keys[target]: num})
+        report = verify(broken)
+        assert not report.passed
+        assert report.witnesses
+
+
+class TestVerifyLimits:
+    def test_untrusted_message_count(self):
+        report = verify(_with(h3_cert(), M=10**6))
+        assert not report.conditions["sum_to_rho"]
+        assert report.violations["sum_to_rho"] == 10**6 - 1
+        assert report.witnesses == [{"condition": 1, "count": 10**6 - 1,
+                                     "error": "messages without operators",
+                                     "first": list(range(2, 12))}]
+
+    def test_message_count_below_one(self):
+        report = verify(_with(h3_cert(), M=0))
+        assert not report.passed
+        assert {"condition": 1, "error": "M must be at least 1", "M": 0} \
+            in report.witnesses
+
+    def test_witnesses_capped_and_counted(self, h11_cert):
+        # every operator of H11 on the complete graph of its messages' vertices
+        report = verify(h11_cert, build_complete(h11_cert.graph.vertex_count))
+        assert not report.conditions["adjacent"]
+        listed = [w for w in report.witnesses if w["condition"] == 3]
+        assert len(listed) == WITNESS_CAP
+        assert report.violations["adjacent"] > WITNESS_CAP
+
+    def test_huge_entries_refused(self):
+        cert = h3_cert()
+        ops = dict(cert.ops)
+        key = sorted(ops)[0]
+        ops[key] = ops[key] * (1 << 40)
+        report = verify(_with(cert, ops))
+        assert not report.passed and not report.conditions["psd"]
+        assert "too large" in report.witnesses[0]["error"]
+
+    def test_wrong_shape_raises(self):
+        cert = h3_cert()
+        ops = {**cert.ops, sorted(cert.ops)[0]: np.eye(2, dtype=np.int64)}
+        with pytest.raises(InvalidParameterError, match="shape"):
+            verify(_with(cert, ops))
+
+
+class TestRankOneRow:
+    def test_row_at_largest_diagonal(self):
+        w = np.array([1, -2, 3])
+        num = 2 * np.outer(w, w)
+        assert rank_one_row(num).tolist() == (2 * 3 * w).tolist()
+
+    def test_batched_matches_single(self, h11_cert):
+        stack = np.array([h11_cert.ops[k] for k in sorted(h11_cert.ops)])
+        rows = rank_one_row(stack)
+        for num, row in zip(stack, rows):
+            assert np.array_equal(rank_one_row(num), row)
+            # r r^T = N[j, j] N: the row determines the operator
+            j = int(np.argmax(np.diagonal(num)))
+            assert num[j, j] > 0 and np.array_equal(np.outer(row, row), num[j, j] * num)

@@ -6,7 +6,8 @@ import pytest
 
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
-from capsep.geometry import CliquePacking, restricted_independent_set
+from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
+from conftest import ortho_rep_verify_by_pairs
 
 
 class TestOrthoRepH:
@@ -33,6 +34,47 @@ class TestOrthoRepH:
     def test_rejects_even(self):
         with pytest.raises(InvalidParameterError):
             capsep.ortho_rep_H(4)
+
+
+@pytest.fixture(scope="module")
+def reps():
+    return {"G11": capsep.ortho_rep_G(11), "H11": capsep.ortho_rep_H(11),
+            "G15": capsep.ortho_rep_G(15)}
+
+
+class TestOrthoRepVerify:
+    @pytest.mark.parametrize("name", ["G11", "H11", "G15"])
+    def test_valid_agrees_with_pairwise_oracle(self, reps, name):
+        reps[name].verify()
+        ortho_rep_verify_by_pairs(reps[name])
+
+    @pytest.mark.parametrize("name", ["G11", "H11", "G15"])
+    def test_flipped_sign_names_the_vertex(self, reps, name):
+        rep = reps[name]
+        for u, col in [(0, 0), (rep.graph.vertex_count // 3, 5),
+                       (rep.graph.vertex_count - 1, rep.dim - 1)]:
+            mat = rep.matrix.copy()
+            mat[u, col] *= -1
+            tampered = OrthoRep(rep.graph, rep.dim, rep.normalizer, mat)
+            with pytest.raises(ConstructionError, match=f"vertex {u} "):
+                tampered.verify()
+            with pytest.raises(ConstructionError):
+                ortho_rep_verify_by_pairs(tampered)
+
+    def test_wrong_normalizer_names_a_vertex(self, reps):
+        rep = reps["H11"]
+        tampered = OrthoRep(rep.graph, rep.dim, rep.normalizer + 1, rep.matrix)
+        with pytest.raises(ConstructionError, match="vertex 0 "):
+            tampered.verify()
+        with pytest.raises(ConstructionError, match="vertex 0 "):
+            ortho_rep_verify_by_pairs(tampered)
+
+    def test_rejects_other_graphs_and_shapes(self, reps):
+        rep = reps["G11"]
+        with pytest.raises(ConstructionError, match="distance"):
+            OrthoRep(capsep.build_cycle(5), 4, 4, rep.matrix[:5, :4]).verify()
+        with pytest.raises(ConstructionError, match="shape"):
+            OrthoRep(rep.graph, rep.dim, rep.normalizer, rep.matrix[:, :-1]).verify()
 
 
 class TestOrthoRepG:
