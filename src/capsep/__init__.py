@@ -8,9 +8,8 @@ from .geometry import (CliquePacking, OrthoRep, clique_from_hadamard_G,
                        clique_from_hadamard_H, ortho_rep_G, ortho_rep_H,
                        pack_cliques, restricted_independent_set)
 from .entcert import EntCert, cert_from_packing, classical_embedding, tensor, verify
-from .algebra_fp import (FpMatrix, MultilinearPoly, build_ST, frankl_wilson_Q,
-                         haemers_matrix, inner_product_identity_check,
-                         monomial_basis, multilinearize, rank_fp)
+from .algebra_fp import (FpMatrix, haemers_matrix, inner_product_identity_check,
+                         monomial_basis, rank_fp)
 from .alpha import (AlphaResult, alpha_lower_via_power, max_independent_set,
                     verify_independent)
 from .channel import (Channel, Protocol, canonical_channel,

@@ -5,21 +5,35 @@ u[x] = ((-1)^{x_1}, ..., (-1)^{x_n}) over F_p satisfies
 
     <u[x], u[y]> = n - 2 d(x,y) = -2 d(x,y) - 1   (mod p).
 
-The degree-(p-1) product polynomial Q_u(v) = prod_{i=1}^{p-1} (<u,v> + 1 - i)
-vanishes whenever <u,v> != -1 and equals (-1)^p at v = u. Reducing squares on
-the +-1 cube turns Q_u into a multilinear polynomial of degree <= p-1, whose
-coefficient/evaluation vectors factor the fitting matrix A(x,y) = P_x(u[y])
-through the monomial basis, bounding the capacity by the number of monomials.
+Fitting matrix. Row x of the |V| x m matrix T holds the values at u[x] of the
+m = sum_{k<p} C(n,k) multilinear monomials of degree < p, and the fitting
+matrix is A = -T T^T mod p. The degree-k monomials of u[x] and u[y] pair to
+the Krawtchouk polynomial K_k(d) at d = d(x,y) (Delsarte 1973), so
+
+    A(x,y) = f(d(x,y)),   f(d) = -sum_{k<p} K_k(d)   (mod p).
+
+f(d) equals prod_{i=1}^{p-1} (n - 2d + 1 - i), the Frankl-Wilson product
+polynomial Q_{u[x]}(v) = prod_{i=1}^{p-1} (<u[x],v> + 1 - i) at v = u[y]
+(Haemers 1979; Frankl-Wilson 1981); this is checked at every d. A fits the
+graph when f(0) != 0 and f vanishes at every non-adjacent distance. When all
+vertex weights have one parity every distance is even, so checking f at the
+even distance classes, O(n p) exact integer work, is a proof. The capacity is
+then at most rank_p(A) <= m.
+
+Rank. If T_I is a row basis of T (r rows), then T = L T_I with L of full
+column rank, so A = -L (T_I T_I^T) L^T and rank_p(A) = rank_p(T_I T_I^T), an
+r x r matrix (``gram_rank``). No |V| x |V| matrix is formed unless asked for.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, BitVertex, sign_rows
+from .bitgraph import BitGraph, BitVertex, row_blocks, weight_w_bits
 from .errors import (InternalCheckError, InvalidParameterError,
                      ResourceLimitError)
 from .hadamard import is_prime
@@ -67,13 +81,6 @@ class FpMatrix:
         return cls(p, body.reshape(rows, cols).copy())
 
 
-def sign_vector(x: BitVertex, p: int) -> np.ndarray:
-    """u[x] over F_p: coordinate i is 1 for a 0-bit, p-1 for a 1-bit."""
-    n = x.len
-    return np.array([p - 1 if (x.bits >> (n - 1 - j)) & 1 else 1
-                     for j in range(n)], dtype=np.int64)
-
-
 def inner_product_identity_check(x: BitVertex, y: BitVertex, p: int) -> int:
     """<u[x],u[y]> mod p, asserted equal to (-2 d(x,y) - 1) mod p.
 
@@ -92,210 +99,142 @@ def inner_product_identity_check(x: BitVertex, y: BitVertex, p: int) -> int:
     return ip
 
 
-class ProductFormPoly:
-    """Q_u in product form: evaluates prod_{i=1}^{p-1} (<u,v> + 1 - i) over F_p."""
-
-    def __init__(self, u: np.ndarray, p: int):
-        if u.shape[0] % p != p - 1:
-            raise InvalidParameterError(
-                f"need n = -1 mod {p}, got n = {u.shape[0]}")
-        self.u = np.mod(u, p).astype(np.int64)
-        self.p = p
-        self.n = int(u.shape[0])
-
-    def evaluate(self, v: np.ndarray) -> int:
-        t = int(self.u @ np.mod(v, self.p)) % self.p
-        out = 1
-        for i in range(1, self.p):
-            out = out * (t + 1 - i) % self.p
-        return out
-
-
-def frankl_wilson_Q(u: np.ndarray | BitVertex, p: int) -> ProductFormPoly:
-    """Product-form polynomial for a sign vector (or the vertex defining it)."""
-    if not is_prime(p) or p % 2 == 0:
-        raise InvalidParameterError(f"p must be an odd prime, got {p}")
-    if isinstance(u, BitVertex):
-        u = sign_vector(u, p)
-    return ProductFormPoly(np.asarray(u, dtype=np.int64), p)
-
-
-@dataclass(frozen=True)
-class MultilinearPoly:
-    """Multilinear polynomial over F_p, keyed by variable-subset bitmask."""
-
-    p: int
-    n: int
-    terms: dict  # bitmask -> nonzero coefficient in [1, p)
-
-    @property
-    def degree(self) -> int:
-        return max((m.bit_count() for m in self.terms), default=0)
-
-    def evaluate(self, v: np.ndarray) -> int:
-        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
-        total = 0
-        for mask, c in self.terms.items():
-            prod = c
-            mm = mask
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                prod = prod * int(v[j]) % self.p
-                mm &= mm - 1
-            total += prod
-        return total % self.p
-
-
-def _times_linear_form(terms: dict, u: np.ndarray, p: int, n: int) -> dict:
-    """Multiply a multilinear poly by sum_j u_j v_j, reducing v_j^2 -> 1."""
-    out: dict[int, int] = {}
-    for mask, c in terms.items():
-        for j in range(n):
-            c2 = c * int(u[j]) % p
-            if c2 == 0:
-                continue
-            m2 = mask ^ (1 << j)
-            out[m2] = (out.get(m2, 0) + c2) % p
-    return {m: c for m, c in out.items() if c}
-
-
-def multilinearize(q: ProductFormPoly) -> MultilinearPoly:
-    """Expand Q_u into the multilinear monomial basis.
-
-    First convolves the p-1 linear factors into coefficients of powers of
-    t = <u,v>, then expands each power into monomials with even exponents
-    collapsed (v_j^2 = 1 on the +-1 cube). Agrees with the product form on
-    every +-1 point and has degree at most p-1.
-    """
-    p, n, u = q.p, q.n, q.u
-    t_coeffs = [1]
-    for i in range(1, p):
-        c = (1 - i) % p
-        nxt = [0] * (len(t_coeffs) + 1)
-        for k, a in enumerate(t_coeffs):
-            nxt[k] = (nxt[k] + a * c) % p
-            nxt[k + 1] = (nxt[k + 1] + a) % p
-        t_coeffs = nxt
-    result: dict[int, int] = {}
-    power: dict[int, int] = {0: 1}  # t^0
-    for k, ck in enumerate(t_coeffs):
-        if k > 0:
-            power = _times_linear_form(power, u, p, n)
-        if ck:
-            for m, a in power.items():
-                result[m] = (result.get(m, 0) + ck * a) % p
-    return MultilinearPoly(p, n, {m: c for m, c in result.items() if c})
-
-
 def monomial_basis(n: int, p: int) -> list[int]:
-    """All multilinear monomials of degree <= p-1 as bitmasks, (degree, value)-sorted."""
-    masks = [m for m in range(1 << n) if m.bit_count() <= p - 1]
-    masks.sort(key=lambda m: (m.bit_count(), m))
-    return masks
+    """All multilinear monomials of degree <= p-1 as bitmasks, (degree, value)-sorted.
 
-
-def build_ST(g: BitGraph, p: int) -> tuple[FpMatrix, FpMatrix]:
-    """Coefficient matrix S and evaluation matrix T with S[x].T[y] = P_x(u[y]).
-
-    Row x of S holds the coefficients of the multilinearized polynomial of
-    vertex x in the monomial basis; row y of T holds the values of those
-    monomials at the sign vector of y.
+    Bit b of a mask is the variable of vertex bit b.
     """
-    if not is_prime(p) or p % 2 == 0:
-        raise InvalidParameterError(f"p must be an odd prime, got {p}")
-    n = g.n
-    if n != 4 * p - 1:
-        raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
-    basis = monomial_basis(n, p)
-    nv = g.vertex_count
-    if 2 * nv * len(basis) > MEMORY_CAP_BYTES:
-        raise ResourceLimitError(
-            f"S/T of shape {nv}x{len(basis)} exceed the memory cap")
-    col_of = {m: c for c, m in enumerate(basis)}
-    signs = sign_rows(g.bits_array, n).astype(np.int64) % p
-
-    s = np.zeros((nv, len(basis)), dtype=np.uint8)
-    for ix in range(nv):
-        poly = multilinearize(ProductFormPoly(signs[ix], p))
-        for m, c in poly.terms.items():
-            s[ix, col_of[m]] = c
-
-    t = np.ones((nv, len(basis)), dtype=np.int64)
-    for col, mask in enumerate(basis):
-        mm = mask
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            t[:, col] = t[:, col] * signs[:, j] % p
-            mm &= mm - 1
-    return FpMatrix(p, s), FpMatrix(p, t.astype(np.uint8))
+    return [m for k in range(p) for m in weight_w_bits(n, k)]
 
 
-@dataclass(frozen=True)
-class HaemersResult:
-    matrix: FpMatrix
-    p: int
-    n: int
-    bound: int  # number of monomials = rank bound
-    fits: bool
-    rank: int | None = None
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "matrix": "A",
-                "rank": self.rank, "bound": self.bound, "fits": self.fits}
+def _fitting_value(n: int, p: int, d: int) -> int:
+    """f(d) = -sum_{k<p} K_k(d) mod p, with K_k(d) = sum_j (-1)^j C(d,j) C(n-d,k-j)."""
+    return -sum((-1) ** j * math.comb(d, j) * math.comb(n - d, k - j)
+                for k in range(p) for j in range(k + 1)) % p
 
 
-def haemers_matrix(g: BitGraph, p: int) -> HaemersResult:
-    """Fitting matrix A(x,y) = S[x].T[y] with an exhaustive fits-check.
+def _fits_check(n: int, p: int, edge: int) -> None:
+    """Fits condition on the distance classes of a one-parity distance graph.
 
-    Fitting means nonzero diagonal and zero on all non-adjacent off-diagonal
-    pairs, which bounds the Shannon capacity by rank(A). The check failing
-    would indicate an implementation bug, since it holds by construction.
+    Every distance is even, so f(0) != 0 and f(d) = 0 at each even d in 2..n
+    other than ``edge`` prove that A(x,y) = f(d(x,y)) fits the graph. f is also
+    checked against the product form at every d in 0..n.
     """
-    s, t = build_ST(g, p)
-    a = (s.data.astype(np.int64) @ t.data.astype(np.int64).T) % p
-    adj = g.adjacency_matrix()
-    diag = np.diagonal(a)
-    if (diag == 0).any():
-        raise InternalCheckError(
-            f"fits-check: zero diagonal at vertex {int(np.argmax(diag == 0))}")
-    off = ~adj
-    np.fill_diagonal(off, False)
-    bad = (a != 0) & off
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        raise InternalCheckError(f"fits-check: nonzero at non-adjacent ({x},{y})")
-    return HaemersResult(FpMatrix(p, a.astype(np.uint8)), p, g.n,
-                         s.cols, fits=True)
+    for d in range(n + 1):
+        f = _fitting_value(n, p, d)
+        product = math.prod(n - 2 * d + 1 - i for i in range(1, p)) % p
+        if f != product:
+            raise InternalCheckError(
+                f"fits-check: f({d}) = {f}, product form gives {product}")
+        if d == 0 and f == 0:
+            raise InternalCheckError("fits-check: f(0) = 0, zero diagonal")
+        if d and d % 2 == 0 and d != edge and f:
+            raise InternalCheckError(
+                f"fits-check: f({d}) = {f} at non-adjacent distance class {d}")
 
 
-def rank_fp(m: FpMatrix | np.ndarray, p: int | None = None) -> int:
-    """Exact rank by Gaussian elimination mod p, first-nonzero pivoting."""
-    if isinstance(m, FpMatrix):
-        a = m.data.astype(np.int64).copy()
-        p = m.p
-    else:
-        if p is None:
-            raise InvalidParameterError("modulus required for a raw array")
-        a = np.mod(np.asarray(m, dtype=np.int64), p).copy()
+def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """Row-echelon form of int64 ``a`` (entries in [0, p)) in place; its pivot columns.
+
+    First-nonzero pivoting; the number of pivots is the rank.
+    """
     rows, cols = a.shape
-    r = 0
+    pivots: list[int] = []
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         piv = r + int(nz[0])
         if piv != r:
             a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        below = np.nonzero(a[r + 1:, c])[0]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
         if below.size:
-            f = a[r + 1 + below, c]
-            a[r + 1 + below] = (a[r + 1 + below] - f[:, None] * a[r][None, :]) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+            a[below] = (a[below] - a[below, c][:, None] * a[r][None, :]) % p
+        pivots.append(c)
+    return pivots
+
+
+def rank_fp(m: FpMatrix | np.ndarray, p: int | None = None) -> int:
+    """Exact rank by Gaussian elimination mod p, first-nonzero pivoting."""
+    if isinstance(m, FpMatrix):
+        a = m.data.astype(np.int64)
+        p = m.p
+    else:
+        if p is None:
+            raise InvalidParameterError("modulus required for a raw array")
+        a = np.mod(np.asarray(m, dtype=np.int64), p)
+    return len(_pivot_columns(a, p))
+
+
+def gram_rank(t: np.ndarray, p: int) -> int:
+    """rank_p(T T^T) from the r x r Gram of a row basis of T.
+
+    Lemma: the pivot columns of an echelon form of T^T index r rows T_I that
+    are a basis of the row space of T, so T = L T_I, where L holds the r x r
+    identity in the rows I and has full column rank. Then
+    T T^T = L (T_I T_I^T) L^T, and as L has a left inverse and L^T a right
+    inverse, rank_p(T T^T) = rank_p(T_I T_I^T).
+    """
+    work = np.array(t.T, dtype=np.int64, order="C")
+    work %= p
+    t_i = t[_pivot_columns(work, p)].astype(np.int64) % p
+    return rank_fp(FpMatrix(p, t_i @ t_i.T % p))
+
+
+@dataclass(frozen=True)
+class HaemersResult:
+    p: int
+    n: int
+    bound: int  # number of monomials = rank bound
+    fits: bool
+    rank: int  # rank_p(A), exact
+    matrix: FpMatrix | None = None  # A itself, formed only when asked for
+
+    def to_json(self) -> dict:
+        return {"p": self.p, "n": self.n, "matrix": "A",
+                "rank": self.rank, "bound": self.bound, "fits": self.fits}
+
+
+def haemers_matrix(g: BitGraph, p: int, form_matrix: bool = False) -> HaemersResult:
+    """Fits check and exact rank of the fitting matrix A = -T T^T mod p.
+
+    T (|V| x m) is the monomial-evaluation matrix; no |V| x |V| matrix is
+    formed unless ``form_matrix`` asks for A. The memory the run needs (the
+    int64 T and its working copy, plus A when formed) is checked against
+    ``MEMORY_CAP_BYTES`` before any of it is built. A failing fits check would
+    indicate an implementation bug, since it holds by construction for the
+    graph families.
+    """
+    if not is_prime(p) or p % 2 == 0:
+        raise InvalidParameterError(f"p must be an odd prime, got {p}")
+    n = g.n
+    if n != 4 * p - 1:
+        raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
+    if g.distance is None:
+        raise InvalidParameterError("the fitting matrix needs a distance graph")
+    if np.unique(np.bitwise_count(g.bits_array) & 1).size > 1:
+        raise InvalidParameterError("vertex weights must all have one parity")
+    nv, m = g.vertex_count, sum(math.comb(n, k) for k in range(p))
+    need = 16 * nv * m + (nv * nv if form_matrix else 0)
+    if need > MEMORY_CAP_BYTES:
+        raise ResourceLimitError(
+            f"fitting matrix of {g.graph_ref()} at p = {p}: T is {nv} x {m}, "
+            f"needing {need / 2**30:.1f} GiB, over the "
+            f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap")
+    _fits_check(n, p, g.distance)
+    masks = np.array(monomial_basis(n, p), dtype=np.uint64)
+    t = np.where(np.bitwise_count(g.bits_array[:, None] & masks) & 1, p - 1, 1)
+    a = None
+    if form_matrix:
+        a = np.empty((nv, nv), dtype=np.uint8)
+        for lo, hi in row_blocks(nv, nv):
+            a[lo:hi] = -(t[lo:hi] @ t.T) % p
+        a = FpMatrix(p, a)
+    return HaemersResult(p, n, m, True, gram_rank(t, p), a)
 
 
 def dump_matrix(m: FpMatrix, path: str) -> None:

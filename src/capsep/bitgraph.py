@@ -260,15 +260,9 @@ def _require_odd_n(n: int):
         raise InvalidParameterError(f"n must be odd with 3 <= n <= {MAX_BITLEN}, got {n}")
 
 
-def _weight_w_bits(n: int, w: int) -> list[int]:
-    out = []
-    for positions in combinations(range(n), w):
-        b = 0
-        for pos in positions:
-            b |= 1 << pos
-        out.append(b)
-    out.sort()
-    return out
+def weight_w_bits(n: int, w: int) -> list[int]:
+    """Every length-n word of weight w, ascending."""
+    return sorted(map(sum, combinations([1 << i for i in range(n)], w)))
 
 
 def build_G(n: int) -> BitGraph:
@@ -277,7 +271,7 @@ def build_G(n: int) -> BitGraph:
     w = (n + 1) // 2
     if math.comb(n, w) > MAX_VERTICES:
         raise ResourceLimitError(f"C({n},{w}) vertices exceed cap {MAX_VERTICES}")
-    return BitGraph(n, _weight_w_bits(n, w), ("distance", w), family="G")
+    return BitGraph(n, weight_w_bits(n, w), ("distance", w), family="G")
 
 
 def build_H(n: int) -> BitGraph:

@@ -11,7 +11,8 @@ import json
 import sys
 
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
-from .errors import CapsepError, CertificateError, ProtocolError
+from .errors import (CapsepError, CertificateError, ProtocolError,
+                     ResourceLimitError)
 from .hadamard import find_hadamard, paley_one, sylvester
 
 
@@ -110,13 +111,10 @@ def _cmd_verify_cert(args) -> int:
 
 def _cmd_haemers(args) -> int:
     g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    result = algebra_fp.haemers_matrix(g, args.p)
-    rank = algebra_fp.rank_fp(result.matrix)
+    result = algebra_fp.haemers_matrix(g, args.p, form_matrix=bool(args.dump))
     if args.dump:
         algebra_fp.dump_matrix(result.matrix, args.dump)
-    payload = result.to_json()
-    payload["rank"] = rank
-    _emit(payload, args)
+    _emit(result.to_json(), args)
     return 0
 
 
@@ -176,15 +174,18 @@ def _cmd_pipeline(args) -> int:
                    "verified": cert.verification.passed,
                    "mode": cert.verification.mode}
     p = (n + 1) // 4
+    upper = None
     if p >= 3 and algebra_fp.is_prime(p) and p % 2 == 1:
-        hm = algebra_fp.haemers_matrix(g, p)
-        rank = algebra_fp.rank_fp(hm.matrix)
-        out["haemers"] = {"p": p, "rank": rank, "bound": hm.bound,
-                          "fits": hm.fits}
-        upper = rank
+        try:
+            hm = algebra_fp.haemers_matrix(g, p)
+        except ResourceLimitError as exc:
+            out["haemers"] = {"skipped": str(exc)}
+        else:
+            out["haemers"] = {"p": p, "rank": hm.rank, "bound": hm.bound,
+                              "fits": hm.fits}
+            upper = hm.rank
     else:
         out["haemers"] = {"skipped": f"(n+1)/4 = {p} is not an odd prime"}
-        upper = None
     restricted = geometry.restricted_independent_set(n)
     out["restricted_set"] = {"k": restricted.k, "size": len(restricted),
                              "verified": restricted.verified}

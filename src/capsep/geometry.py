@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, BitVertex, build_G, build_H, sign_rows
+from .bitgraph import (BitGraph, BitVertex, build_G, build_H, sign_rows,
+                       weight_w_bits)
 from .errors import ConstructionError, InvalidParameterError
 from .hadamard import HadamardMatrix, normalize
 
@@ -331,14 +332,7 @@ def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
     if not 0 <= k < n:
         raise InvalidParameterError(f"k must be in [0, {n}), got {k}")
     w = (n + 1) // 2
-    from itertools import combinations
-    verts: list[int] = []
-    for positions in combinations(range(k, n), w):
-        b = 0
-        for pos in positions:
-            b |= 1 << pos
-        verts.append(b)
-    verts.sort()
+    verts = [b << k for b in weight_w_bits(n - k, w)]
     dist = w
     witness = None
     for i in range(len(verts)):

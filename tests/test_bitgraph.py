@@ -5,13 +5,19 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.bitgraph import BitVertex, build_complete
+from capsep.bitgraph import BitVertex, build_complete, weight_w_bits
 from capsep.errors import InvalidParameterError, ResourceLimitError
 from conftest import adjacency_by_rule
 
 
 def brute_weight_strings(n, w):
     return sorted(b for b in range(2**n) if bin(b).count("1") == w)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 12])
+def test_weight_w_bits_is_every_weight_w_word_ascending(n):
+    for w in range(n + 1):
+        assert weight_w_bits(n, w) == brute_weight_strings(n, w)
 
 
 class TestBuildG:

@@ -3,7 +3,9 @@ import time
 
 import numpy as np
 
+from capsep.algebra_fp import load_matrix
 from capsep.cli import cli_main
+from conftest import fitting_matrix_by_polynomials
 
 
 def run(capsys, *argv):
@@ -211,6 +213,24 @@ class TestHaemersCommand:
         assert payload["fits"] is True
         assert payload["rank"] <= payload["bound"] == 67
 
+    def test_dump_is_the_fitting_matrix(self, capsys, tmp_path, g11):
+        path = tmp_path / "a.fpm"
+        code, out, _ = run(capsys, "haemers", "--family", "G", "--n", "11",
+                           "--p", "3", "--dump", str(path))
+        assert code == 0 and json.loads(out)["rank"] == 55
+        a = load_matrix(str(path))
+        assert a.p == 3
+        assert np.array_equal(a.data, fitting_matrix_by_polynomials(g11, 3))
+
+    def test_g19_over_memory_cap_exits_quickly(self, capsys):
+        # T would be 92378 x 5036 int64 plus a working copy: refused up front
+        start = time.perf_counter()
+        code, out, err = run(capsys, "haemers", "--family", "G", "--n", "19",
+                             "--p", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert "92378 x 5036" in err and "cap" in err
+
 
 class TestChannelSimCommand:
     def test_h3_trials(self, capsys):
@@ -233,6 +253,15 @@ class TestPipelineCommand:
         assert payload["haemers"]["fits"] is True
         assert payload["packing"]["target_met"] is True
         assert payload["report"]["separation"] is False
+
+    def test_g19_skips_rank_section_over_memory_cap(self, capsys):
+        code, out, _ = run(capsys, "pipeline", "--family", "G", "--n", "19")
+        assert code == 0
+        payload = json.loads(out)
+        assert "cap" in payload["haemers"]["skipped"]
+        assert payload["alpha"] == {"lower": 1001, "upper": None}
+        assert payload["cert"]["M"] == 256 and payload["cert"]["verified"] is True
+        assert payload["restricted_set"]["verified"] is True
 
     def test_g7_skips_rank_section(self, capsys):
         # (7+1)/4 = 2 is not an odd prime, so the mod-p machinery is skipped
