@@ -63,6 +63,13 @@ def sign_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return (1 - 2 * b).astype(np.int8)
 
 
+def words_from_signs(signs: np.ndarray) -> list[int]:
+    """Word of each +-1 row, at any length: the inverse of ``sign_rows``."""
+    pad = -signs.shape[1] % 8  # packbits fills the last byte with low zeros
+    return [int.from_bytes(row.tobytes(), "big") >> pad
+            for row in np.packbits(signs < 0, axis=1)]
+
+
 def row_blocks(rows: int, width: int, entries: int = 1 << 22) -> Iterator[tuple[int, int]]:
     """(lo, hi) row slices holding about ``entries`` cells of a rows x width array."""
     step = max(1, entries // max(width, 1))
@@ -110,18 +117,19 @@ class BitGraph(_Graph):
     """
 
     def __init__(self, n: int, bits: Sequence[int], rule, family: str | None = None):
-        bits = list(bits)
-        if len(set(bits)) != len(bits):
-            raise InvalidParameterError("duplicate vertices")
         if len(bits) > MAX_VERTICES:
             raise ResourceLimitError(
                 f"{len(bits)} vertices exceeds the materialization cap {MAX_VERTICES}")
-        if sorted(bits) != bits:
-            bits = sorted(bits)
+        try:  # np.sort: np.unique on uint64 would import numpy.ma (about 1 MB)
+            self._bits = np.sort(np.asarray(bits, dtype=np.uint64))
+        except OverflowError:
+            raise InvalidParameterError("vertex word negative or wider than 64 bits") from None
+        if (self._bits[1:] == self._bits[:-1]).any():
+            raise InvalidParameterError("duplicate vertices")
+        if self._bits.size and int(self._bits[-1]) >> n:
+            raise InvalidParameterError(f"vertex {int(self._bits[-1]):#b} does not fit {n} bits")
         self.n = n
         self.family = family
-        self._bits = np.asarray(bits, dtype=np.uint64)
-        self._index = {b: i for i, b in enumerate(bits)}
         kind = rule[0]
         if kind == "distance":
             self.distance = int(rule[1])
@@ -166,16 +174,27 @@ class BitGraph(_Graph):
             self._vertices = [BitVertex(int(b), self.n) for b in self._bits]
         return self._vertices
 
-    def index_of(self, v) -> int:
-        b = v.bits if isinstance(v, BitVertex) else int(v)
+    def indices_of(self, words) -> np.ndarray:
+        """Index of each word among the sorted vertex words, by binary search."""
         try:
-            return self._index[b]
-        except KeyError:
-            raise InvalidParameterError(f"vertex {b:#b} not in graph") from None
+            w = np.asarray(words, dtype=np.uint64)
+        except OverflowError:  # negative or wider than 64 bits: never a vertex
+            raise InvalidParameterError("vertex word out of range") from None
+        pos = np.searchsorted(self._bits, w)
+        found = pos < self.vertex_count
+        found[found] = self._bits[pos[found]] == w[found]
+        if not found.all():
+            raise InvalidParameterError(f"vertex {int(w[~found][0]):#b} not in graph")
+        return pos
+
+    def index_of(self, v) -> int:
+        return int(self.indices_of([v.bits if isinstance(v, BitVertex) else int(v)])[0])
 
     def __contains__(self, v) -> bool:
-        b = v.bits if isinstance(v, BitVertex) else int(v)
-        return b in self._index
+        try:
+            return self.index_of(v) >= 0
+        except InvalidParameterError:
+            return False
 
     def vertex_label(self, i: int) -> str:
         if self.family == "C":
@@ -282,7 +301,7 @@ def build_H(n: int) -> BitGraph:
     # An even-weight string is its first n-1 coordinates plus a parity bit.
     ys = np.arange(2 ** (n - 1), dtype=np.uint64)
     bits = (ys << np.uint64(1)) | (np.bitwise_count(ys) & np.uint64(1))
-    return BitGraph(n, bits.tolist(), ("distance", (n + 1) // 2), family="H")
+    return BitGraph(n, bits, ("distance", (n + 1) // 2), family="H")
 
 
 def build_orthogonality_graph(n: int) -> BitGraph:
@@ -298,18 +317,21 @@ def build_cycle(n: int) -> BitGraph:
     """Cycle on n index vertices (the BitVertex carries the index)."""
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
-    length = max(1, (n - 1).bit_length())
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    return BitGraph(length, range(n), ("explicit", edges), family="C")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(f"{n} vertices exceed cap {MAX_VERTICES}")
+    ring = np.arange(n)
+    return BitGraph(max(1, (n - 1).bit_length()), ring,
+                    ("explicit", np.stack([ring, (ring + 1) % n], axis=1)), family="C")
 
 
 def build_complete(n: int) -> BitGraph:
     """Complete graph on n index vertices (K_1 allowed)."""
     if n < 1:
         raise InvalidParameterError(f"complete graph needs n >= 1, got {n}")
-    length = max(1, (n - 1).bit_length())
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return BitGraph(length, range(n), ("explicit", edges), family="K")
+    if n * (n - 1) // 2 > MAX_VERTICES:
+        raise ResourceLimitError(f"K{n} edges exceed cap {MAX_VERTICES}")
+    return BitGraph(max(1, (n - 1).bit_length()), np.arange(n),
+                    ("explicit", np.stack(np.triu_indices(n, 1), axis=1)), family="K")
 
 
 def graph_from_ref(ref: str) -> BitGraph:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph
+from .bitgraph import BitGraph, row_blocks
 from .entcert import EntCert, rank_one_row
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
@@ -83,7 +83,6 @@ class Channel:
         keep = probs > 0
         self._row_of, self._idx, self._probs = row_of[keep], idx[keep], probs[keep]
         self._indptr = np.searchsorted(self._row_of, np.arange(len(rows) + 1))
-        self._supports = None
         self._members = None
 
     @classmethod
@@ -97,10 +96,7 @@ class Channel:
         return len(self.inputs)
 
     def support(self, x: int) -> frozenset:
-        if self._supports is None:
-            self._supports = [frozenset(self.row(y)[0].tolist())
-                              for y in range(self.input_count)]
-        return self._supports[x]
+        return frozenset(self.row(x)[0].tolist())
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._indptr[x], self._indptr[x + 1]
@@ -153,10 +149,9 @@ def confusable_pairs(c: Channel) -> np.ndarray:
 
 
 def confusability_graph(c: Channel) -> BitGraph:
-    """Graph on channel inputs; an edge where two inputs share an output."""
+    """Unnamed graph on channel inputs; an edge where two inputs share an output."""
     return BitGraph(max(1, (c.input_count - 1).bit_length()),
-                    range(c.input_count),
-                    ("explicit", confusable_pairs(c)), family="C")
+                    np.arange(c.input_count), ("explicit", confusable_pairs(c)))
 
 
 def canonical_channel(g) -> Channel:
@@ -187,31 +182,28 @@ def canonical_channel(g) -> Channel:
 def check_zero_error_code(c: Channel, words: list[tuple[int, ...]]):
     """True iff every pair of words has a coordinate with disjoint supports.
 
-    Returns (ok, witness); the witness names the first confusable pair along
-    with one shared output per coordinate proving confusability.
+    Two words are confusable when each coordinate is equal or adjacent in
+    ``confusability_graph(c)``: one ``adjacency_among`` per coordinate.
+    Returns (ok, witness); the witness is the first confusable pair in list
+    order, with the least shared output of each coordinate.
     """
-    if not words:
-        return True, None
-    k = len(words[0])
-    for w in words:
-        if len(w) != k:
-            raise InvalidParameterError("words must share one length")
-        for s in w:
-            if not 0 <= s < c.input_count:
-                raise InvalidParameterError(f"input index {s} out of range")
-    for a in range(len(words)):
-        for b in range(a + 1, len(words)):
-            shared = []
-            for pos in range(k):
-                common = c.support(words[a][pos]) & c.support(words[b][pos])
-                if not common:
-                    shared = None
-                    break
-                shared.append(min(common))
-            if shared is not None:
-                witness = {"words": [list(words[a]), list(words[b])],
-                           "shared_outputs": [c.outputs[t] for t in shared]}
-                return False, witness
+    k = len(words[0]) if words else 0
+    if any(len(w) != k for w in words):
+        raise InvalidParameterError("words must share one length")
+    arr = np.array(words, dtype=np.int64).reshape(len(words), k)
+    bad = (arr < 0) | (arr >= c.input_count)
+    if bad.any():
+        raise InvalidParameterError(f"input index {arr[bad][0]} out of range")
+    g, count = confusability_graph(c), len(words)
+    for lo, hi in row_blocks(count, count):
+        confusable = np.arange(lo, hi)[:, None] < np.arange(count)
+        for a, b in zip(arr[lo:hi].T, arr.T):
+            confusable &= g.adjacency_among(a, b) | (a[:, None] == b)
+        if confusable.any():
+            a, b = np.argwhere(confusable)[0].tolist()
+            pair = [list(words[lo + a]), list(words[b])]
+            shared = [np.intersect1d(c.row(x)[0], c.row(y)[0]).min() for x, y in zip(*pair)]
+            return False, {"words": pair, "shared_outputs": [c.outputs[t] for t in shared]}
     return True, None
 
 

@@ -230,21 +230,17 @@ def cert_from_packing(rep: OrthoRep, packing: CliquePacking) -> EntCert:
     g = packing.graph
     if rep.graph is not g and rep.graph.graph_ref() != g.graph_ref():
         raise InvalidParameterError("representation and packing disagree on the graph")
+    if not packing.cliques:
+        raise InvalidParameterError("packing has no cliques (M must be at least 1)")
     packing.verify()
     d = packing.clique_size
-    dim = rep.dim
-    denominator = d * rep.normalizer
-    ops: dict[tuple[int, int], np.ndarray] = {}
-    for i, clique in enumerate(packing.cliques, start=1):
-        for b in clique:
-            u = g.index_of(b)
-            w = rep.matrix[u].astype(np.int64)
-            ops[(u, i)] = np.outer(w, w)
-    rho = np.zeros((dim, dim), dtype=np.int64)
-    for b in packing.cliques[0]:
-        rho += ops[(g.index_of(b), 1)]
-    cert = EntCert(g, len(packing.cliques), dim, denominator, rho, ops,
-                   meta={"clique_size": d, "source": "packing"})
+    idx = g.indices_of(packing.cliques)
+    w = rep.matrix[idx].astype(np.int64)
+    outer = w[..., :, None] * w[..., None, :]  # clique, member, dim, dim
+    ops = {(u, i): num for i, (row, nums) in enumerate(zip(idx.tolist(), outer), start=1)
+           for u, num in zip(row, nums)}
+    cert = EntCert(g, len(packing.cliques), rep.dim, d * rep.normalizer,
+                   outer[0].sum(axis=0), ops, meta={"clique_size": d, "source": "packing"})
     return _verified(cert, "packing")
 
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alpha import verify_independent
 from .bitgraph import (BitGraph, BitVertex, build_G, build_H, sign_rows,
-                       weight_w_bits)
+                       weight_w_bits, words_from_signs)
 from .errors import ConstructionError, InvalidParameterError
 from .hadamard import HadamardMatrix, normalize
 
@@ -135,55 +136,43 @@ def ortho_rep_G(n: int) -> OrthoRep:
 # -- Hadamard-seeded cliques --------------------------------------------------
 
 
-def _clique_rows_from_hadamard(h: HadamardMatrix) -> tuple[int, list[int]]:
+def _hadamard_signs(h: HadamardMatrix) -> np.ndarray:
+    """S, the normalized matrix without its first column: m rows of length m - 1.
+
+    The normalized matrix is H = [1 | S] with H.H^T = m I (checked by its
+    constructor) and a first column of ones (checked here), so
+    S.S^T = m I - J. Sign rows of length-n strings x and y have dot product
+    n - 2 d(x, y), with n = m - 1; so any two rows of S are strings at
+    distance (n+1)/2. Row 0 is all ones, the all-zeros string, so every
+    other row also has weight (n+1)/2. No pair needs to be compared.
+    """
     m = h.size
     if m < 4 or m % 2 != 0:
         raise InvalidParameterError(
             f"need an even Hadamard size >= 4 to seed a clique, got {m}")
-    n = m - 1
-    core = normalize(h).entries[1:, 1:]
-    verts = []
-    for row in core:
-        bits = 0
-        for j in range(n):
-            if row[j] == -1:
-                bits |= 1 << (n - 1 - j)
-        verts.append(bits)
-    return n, verts
-
-
-def _check_clique_bits(verts: list[int], n: int, expect_weight: int | None):
-    k = (n + 1) // 2
-    for i, b in enumerate(verts):
-        if expect_weight is not None and b.bit_count() != expect_weight:
-            raise ConstructionError(f"row {i} has weight {b.bit_count()}, want {expect_weight}")
-        for j in range(i + 1, len(verts)):
-            if (b ^ verts[j]).bit_count() != k:
-                raise ConstructionError(
-                    f"rows {i},{j} at distance {(b ^ verts[j]).bit_count()}, want {k}")
+    hn = normalize(h)
+    if not hn.is_normalized():
+        raise ConstructionError("normalized Hadamard matrix has a -1 in its border")
+    return hn.entries[:, 1:]
 
 
 def clique_from_hadamard_G(h: HadamardMatrix) -> list[BitVertex]:
     """n mutually adjacent weight-(n+1)/2 vertices from a size-(n+1) Hadamard.
 
     Normalizes, strips the all-ones border, and maps -1 entries to 1-bits.
-    The pairwise-distance property is verified without materializing the
-    graph, so this works at sizes like 164 where the graph itself does not.
+    Distances follow from the Hadamard identity with no graph built, so
+    this works at sizes like 164 where the graph itself does not.
     """
-    n, verts = _clique_rows_from_hadamard(h)
-    _check_clique_bits(verts, n, expect_weight=(n + 1) // 2)
-    return [BitVertex(b, n) for b in verts]
+    signs = _hadamard_signs(h)
+    return [BitVertex(b, signs.shape[1]) for b in words_from_signs(signs[1:])]
 
 
 def clique_from_hadamard_H(h: HadamardMatrix) -> list[BitVertex]:
     """The G-clique plus the all-zeros string: n+1 mutually adjacent even-weight vertices."""
-    n, verts = _clique_rows_from_hadamard(h)
-    verts = [0] + verts
-    _check_clique_bits(verts, n, expect_weight=None)
-    for b in verts:
-        if b.bit_count() % 2 != 0:
-            raise ConstructionError("clique vertex with odd weight")
-    return [BitVertex(b, n) for b in verts]
+    signs = _hadamard_signs(h)
+    if ((signs < 0).sum(axis=1) % 2).any():
+        raise ConstructionError("clique vertex with odd weight")
+    return [BitVertex(b, signs.shape[1]) for b in words_from_signs(signs)]
 
 
 # -- packings ----------------------------------------------------------------
@@ -204,18 +193,8 @@ class CliquePacking:
         return len(self.cliques)
 
     def verify(self) -> None:
-        """Independent re-check: clique-ness, membership, and disjointness."""
-        seen: set[int] = set()
-        for c, clique in enumerate(self.cliques):
-            if len(clique) != self.clique_size:
-                raise ConstructionError(f"clique {c} has size {len(clique)}")
-            for b in clique:
-                if b not in self.graph:
-                    raise ConstructionError(f"clique {c} vertex {b:#b} not in graph")
-                if b in seen:
-                    raise ConstructionError(f"vertex {b:#b} reused across cliques")
-                seen.add(b)
-            _check_clique_bits(list(clique), self.graph.n, expect_weight=None)
+        """Independent re-check: clique sizes, membership, disjointness, adjacency."""
+        _check_cliques(self.graph, self.cliques, self.clique_size)
 
     def to_json(self) -> dict:
         n = self.graph.n
@@ -229,13 +208,33 @@ class CliquePacking:
         }
 
 
-def _permute_bits(bits: int, perm: list[int], n: int) -> int:
-    # destination coordinate d takes source coordinate perm[d]
-    out = 0
-    for dst in range(n):
-        if (bits >> (n - 1 - perm[dst])) & 1:
-            out |= 1 << (n - 1 - dst)
-    return out
+def _check_cliques(g: BitGraph, cliques, size: int) -> None:
+    """Each clique is ``size`` vertices of g, none reused, pairwise adjacent.
+
+    One lookup for every word, one ``np.unique`` for reuse and one
+    ``adjacency_among`` per clique; ``ConstructionError`` names the clique.
+    """
+    for c, clique in enumerate(cliques):
+        if len(clique) != size:
+            raise ConstructionError(f"clique {c} has size {len(clique)}, want {size}")
+    try:
+        idx = g.indices_of(cliques).reshape(len(cliques), size)
+    except InvalidParameterError as exc:
+        c = next(c for c, clique in enumerate(cliques) if not all(b in g for b in clique))
+        raise ConstructionError(f"clique {c}: {exc}") from None
+    _, first = np.unique(idx, return_index=True)
+    reused = np.ones(idx.size, dtype=bool)
+    reused[first] = False
+    if reused.any():
+        c, j = divmod(int(np.argmax(reused)), size)
+        raise ConstructionError(f"clique {c} reuses vertex {cliques[c][j]:#b}")
+    off_diagonal = ~np.eye(size, dtype=bool)
+    for c, row in enumerate(idx):
+        missing = off_diagonal & ~g.adjacency_among(row)
+        if missing.any():
+            a, b = np.argwhere(missing)[0].tolist()
+            raise ConstructionError(f"clique {c}: vertices {cliques[c][a]:#b} and "
+                                    f"{cliques[c][b]:#b} are not adjacent")
 
 
 def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
@@ -252,17 +251,13 @@ def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
     """
     if g.family not in ("G", "H"):
         raise InvalidParameterError(f"packing is defined for families G/H, got {g.family}")
-    n = g.n
-    k = (n + 1) // 2
-    seed_bits = []
-    for v in seed:
-        if v.len != n:
-            raise InvalidParameterError("seed vertex length does not match graph")
-        if v.bits not in g:
-            raise InvalidParameterError(f"seed vertex {v} not in graph")
-        seed_bits.append(v.bits)
-    _check_clique_bits(seed_bits, n, expect_weight=None)
-    d = len(seed_bits)
+    if budget < 1:
+        raise InvalidParameterError(f"budget must be at least 1, got {budget}")
+    n, d = g.n, len(seed)
+    if not seed or any(v.len != n for v in seed):
+        raise InvalidParameterError("seed must be nonempty with vertices of length n")
+    seed_bits = [v.bits for v in seed]
+    _check_cliques(g, [seed_bits], d)
     target = math.ceil(g.vertex_count / (d * d))
 
     used: set[int] = set()
@@ -279,10 +274,12 @@ def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
             if len(cliques) >= target:
                 break
     else:
+        seed_signs = sign_rows(np.asarray(seed_bits, dtype=np.uint64), n)
         rng = random.Random(rng_seed)
         perm = list(range(n))
         for _ in range(budget):
-            try_add([_permute_bits(b, perm, n) for b in seed_bits])
+            # destination coordinate j takes source coordinate perm[j]
+            try_add(words_from_signs(seed_signs[:, perm]))
             if len(cliques) >= target:
                 break
             rng.shuffle(perm)
@@ -322,8 +319,8 @@ def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
     Defaults to k = ceil((n+1)/4): with k trailing zeros two members meet in
     at least k+1 coordinates, while an edge needs the intersection to be
     exactly (n+1)/4, so k+1 > (n+1)/4 rules edges out. Independence is
-    verified by exhaustive pair check regardless, and a witness edge is
-    returned instead of a verdict when the set fails.
+    verified regardless by ``alpha.verify_independent``, whose first edge is
+    returned as a witness instead of a verdict when the set fails.
     """
     if n % 2 == 0 or n < 3:
         raise InvalidParameterError(f"n must be odd and >= 3, got {n}")
@@ -332,15 +329,7 @@ def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
     if not 0 <= k < n:
         raise InvalidParameterError(f"k must be in [0, {n}), got {k}")
     w = (n + 1) // 2
-    verts = [b << k for b in weight_w_bits(n - k, w)]
-    dist = w
-    witness = None
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if (verts[i] ^ verts[j]).bit_count() == dist:
-                witness = (BitVertex(verts[i], n), BitVertex(verts[j], n))
-                break
-        if witness:
-            break
-    return RestrictedSet(n, k, tuple(BitVertex(b, n) for b in verts),
-                         witness is None, witness)
+    g = BitGraph(n, [b << k for b in weight_w_bits(n - k, w)], ("distance", w))
+    independent, edge = verify_independent(g, range(g.vertex_count))
+    return RestrictedSet(n, k, tuple(g.vertices), independent,
+                         None if independent else tuple(map(g.vertex, edge)))

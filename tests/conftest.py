@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -207,6 +208,71 @@ def zero_error_by_loop(proto):
                         worst = value
                         witness = (i, j, chan.inputs[s], chan.outputs[t])
     return instances, worst, witness
+
+
+def zero_error_code_by_loop(c, words):
+    """(ok, witness) of the zero-error code check, pair by pair over supports."""
+    supports = [frozenset(c.row(x)[0].tolist()) for x in range(c.input_count)]
+    for a in range(len(words)):
+        for b in range(a + 1, len(words)):
+            shared = []
+            for x, y in zip(words[a], words[b]):
+                common = supports[x] & supports[y]
+                if not common:
+                    shared = None
+                    break
+                shared.append(min(common))
+            if shared is not None:
+                return False, {"words": [list(words[a]), list(words[b])],
+                               "shared_outputs": [c.outputs[t] for t in shared]}
+    return True, None
+
+
+# -- vertex-set oracles ----------------------------------------------------------
+#
+# Bit by bit and pair by pair over Python ints: the forms the library replaced
+# with the Hadamard identity, ``indices_of`` and ``adjacency_among``.
+
+
+def _check_clique_bits(verts: list[int], n: int, expect_weight: int | None):
+    """Every pair at distance (n+1)/2, and every weight as expected."""
+    from capsep.errors import ConstructionError
+    k = (n + 1) // 2
+    for i, b in enumerate(verts):
+        if expect_weight is not None and b.bit_count() != expect_weight:
+            raise ConstructionError(f"row {i} has weight {b.bit_count()}, want {expect_weight}")
+        for j in range(i + 1, len(verts)):
+            if (b ^ verts[j]).bit_count() != k:
+                raise ConstructionError(
+                    f"rows {i},{j} at distance {(b ^ verts[j]).bit_count()}, want {k}")
+
+
+def _permute_bits(bits: int, perm: list[int], n: int) -> int:
+    """Destination coordinate d takes source coordinate perm[d]."""
+    out = 0
+    for dst in range(n):
+        if (bits >> (n - 1 - perm[dst])) & 1:
+            out |= 1 << (n - 1 - dst)
+    return out
+
+
+def word_of_signs(row) -> int:
+    """Word of one +-1 row, bit by bit: -1 is a 1-bit, the first entry highest."""
+    out = 0
+    for s in row:
+        out = (out << 1) | int(s == -1)
+    return out
+
+
+def restricted_set_by_pairs(n: int, k: int):
+    """(words, first edge as a word pair or None) of the restricted set."""
+    w = (n + 1) // 2
+    verts = sorted(sum(c) << k for c in combinations([1 << i for i in range(n - k)], w))
+    for i in range(len(verts)):
+        for j in range(i + 1, len(verts)):
+            if (verts[i] ^ verts[j]).bit_count() == w:
+                return verts, (verts[i], verts[j])
+    return verts, None
 
 
 # -- verification oracles ------------------------------------------------------

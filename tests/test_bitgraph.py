@@ -1,13 +1,17 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import BitVertex, build_complete, weight_w_bits
+from capsep.bitgraph import (MAX_VERTICES, BitGraph, BitVertex, build_complete,
+                             sign_rows, weight_w_bits, words_from_signs)
 from capsep.errors import InvalidParameterError, ResourceLimitError
-from conftest import adjacency_by_rule
+from conftest import adjacency_by_rule, word_of_signs
 
 
 def brute_weight_strings(n, w):
@@ -278,3 +282,77 @@ class TestExport:
             BitVertex(0b100, 2)  # bit above length
         with pytest.raises(InvalidParameterError):
             BitVertex(1, 0)
+
+
+@st.composite
+def graphs_and_queries(draw):
+    """A graph on a random set of n-bit words, and words to look up in it."""
+    n = draw(st.integers(1, 12))
+    words = draw(st.lists(st.integers(0, 2**n - 1), max_size=40, unique=True))
+    queries = draw(st.lists(st.integers(0, 2**n - 1), max_size=20))
+    return n, words, queries
+
+
+class TestVertexLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_and_queries())
+    def test_indices_of_matches_dict_oracle(self, case):
+        n, words, queries = case
+        g = BitGraph(n, words, ("distance", 1))
+        oracle = {b: i for i, b in enumerate(sorted(words))}
+        present = [q for q in queries if q in oracle]
+        got = g.indices_of(present)
+        assert got.dtype == np.int64
+        assert got.tolist() == [oracle[q] for q in present]
+        assert [g.index_of(BitVertex(q, n)) for q in present] == got.tolist()
+        assert [q in g for q in queries] == [q in oracle for q in queries]
+        absent = [q for q in queries if q not in oracle]
+        if absent:
+            with pytest.raises(InvalidParameterError, match=f"{absent[0]:#b}"):
+                g.indices_of(present + absent)
+
+    @pytest.mark.parametrize("word", [-1, 2**7, 2**63, 2**64, 2**163 - 1])
+    def test_words_outside_the_graph_raise(self, word):
+        h7 = capsep.build_H(7)
+        with pytest.raises(InvalidParameterError):
+            h7.indices_of([0, word])
+        with pytest.raises(InvalidParameterError):
+            h7.index_of(word)
+        assert word not in h7
+
+    @pytest.mark.parametrize("bits, phrase", [([1, 1], "duplicate"),
+                                              ([-1, 2], "negative"),
+                                              ([2**70], "wider"),
+                                              ([8], "does not fit")])
+    def test_init_rejects_bad_words(self, bits, phrase):
+        with pytest.raises(InvalidParameterError, match=phrase):
+            BitGraph(3, bits, ("distance", 1))
+
+
+class TestSizeCaps:
+    def test_checked_before_any_work(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            capsep.build_cycle(10**8)
+        with pytest.raises(ResourceLimitError):
+            build_complete(4473)  # 10,001,628 edges
+        with pytest.raises(ResourceLimitError):
+            BitGraph(30, range(MAX_VERTICES + 1), ("distance", 1))
+        assert time.perf_counter() - start < 1.0
+
+
+class TestWordsFromSigns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 63).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=20))))
+    def test_inverse_of_sign_rows(self, case):
+        n, words = case
+        assert words_from_signs(sign_rows(np.array(words, dtype=np.uint64), n)) == words
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**163 - 1), min_size=1, max_size=6))
+    def test_round_trip_at_163_bits(self, words):
+        signs = np.array([[1 - 2 * ((w >> (162 - j)) & 1) for j in range(163)]
+                          for w in words], dtype=np.int64)
+        assert words_from_signs(signs) == words
+        assert [word_of_signs(row) for row in signs.tolist()] == words

@@ -10,7 +10,8 @@ from capsep.channel import (Channel, Protocol, canonical_channel,
                             protocol_from_cert, simulate_transmission)
 from conftest import (confusable_pairs_by_loop, explicit_state_transmission,
                       maximally_entangled_state, me_pair_trace,
-                      output_members_by_dict, partial_trace, zero_error_by_loop)
+                      output_members_by_dict, partial_trace,
+                      zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding
 from capsep.errors import InvalidParameterError, ProtocolError
 
@@ -161,6 +162,52 @@ class TestZeroErrorCode:
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
             check_zero_error_code(pentagon_channel(), [(0, 1), (2,)])
+
+
+@st.composite
+def channels_and_codes(draw):
+    """A random small channel and up to 8 words of length <= 3, duplicates likely."""
+    n_in = draw(st.integers(1, 7))
+    n_out = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(n_in):
+        idx = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=3,
+                            unique=True))
+        rows.append((np.array(idx), np.full(len(idx), 1.0 / len(idx))))
+    chan = Channel([str(i) for i in range(n_in)], [f"o{t}" for t in range(n_out)], rows)
+    k = draw(st.integers(0, 3))
+    word = st.tuples(*[st.integers(0, n_in - 1)] * k)
+    words = draw(st.lists(word, max_size=8))
+    if words and draw(st.booleans()):
+        words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(words)))
+    return chan, words
+
+
+class TestZeroErrorCodeAgainstLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(channels_and_codes())
+    def test_matches_pair_loop_with_witness(self, case):
+        chan, words = case
+        assert check_zero_error_code(chan, words) == zero_error_code_by_loop(chan, words)
+
+    def test_long_words_beyond_the_product_cap(self):
+        # C5 has 5^11 > 10^7 words of length 11, more than a product graph holds
+        words = [tuple(range(5)) * 2 + (0,), tuple(range(5)) * 2 + (2,)]
+        assert check_zero_error_code(pentagon_channel(), words) == (True, None)
+
+    def test_index_out_of_range(self):
+        with pytest.raises(InvalidParameterError, match="input index 5"):
+            check_zero_error_code(pentagon_channel(), [(0, 1), (2, 5)])
+
+
+def test_confusability_graph_is_unnamed():
+    h7 = capsep.build_H(7)
+    got = confusability_graph(canonical_channel(h7))
+    assert got.family is None
+    assert np.array_equal(got.edge_array(), h7.edge_array())
+    assert got.edge_count == 1120
+    with pytest.raises(InvalidParameterError):
+        capsep.bitgraph.graph_from_ref(got.graph_ref())
 
 
 class TestQuantumHelpers:

@@ -2,6 +2,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from capsep.algebra_fp import load_matrix
 from capsep.cli import cli_main
@@ -61,6 +62,14 @@ class TestGraphCommands:
                            "--output", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["vertex_count"] == 3
+
+
+    def test_huge_cycle_refused_before_any_work(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen-graph", "--family", "C", "--n", "100000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cap" in err
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHadamardCommand:
@@ -271,6 +280,16 @@ class TestPipelineCommand:
         assert payload["cert"]["verified"] is True
         assert "skipped" in payload["haemers"]
         assert payload["report"] is None
+
+
+class TestEmptyPacking:
+    @pytest.mark.parametrize("command", ["cert", "pipeline", "channel-sim"])
+    def test_budget_zero_exits_with_message(self, capsys, command):
+        code, out, err = run(capsys, command, "--family", "G", "--n", "11",
+                             "--budget", "0")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "budget" in err
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:

@@ -51,6 +51,18 @@ class TestCertFromPacking:
         assert int(np.trace(g11_cert.rho_num)) == g11_cert.denominator
         assert g11_cert.verification.passed
 
+    def test_empty_packing_rejected(self, g11):
+        rep = capsep.ortho_rep_G(11)
+        empty = capsep.CliquePacking(rep.graph, 11, (), 4, False)
+        with pytest.raises(InvalidParameterError, match="no cliques"):
+            capsep.cert_from_packing(rep, empty)
+
+    def test_ops_are_outer_products_of_the_rows(self, g11_cert):
+        rep = capsep.ortho_rep_G(11)
+        for (u, _), num in g11_cert.ops.items():
+            w = rep.matrix[u].astype(np.int64)
+            assert np.array_equal(num, np.outer(w, w))
+
 
 class TestVerify:
     def test_builder_output_passes(self, h11_cert):

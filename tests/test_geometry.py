@@ -7,7 +7,8 @@ import pytest
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
-from conftest import ortho_rep_verify_by_pairs
+from conftest import (_check_clique_bits, ortho_rep_verify_by_pairs,
+                      restricted_set_by_pairs, word_of_signs)
 
 
 class TestOrthoRepH:
@@ -217,7 +218,7 @@ class TestPackCliques:
             assert rows[i, j] == rows[ti, tj]
 
     def test_permutations_preserve_g11_adjacency(self, g11):
-        from capsep.geometry import _permute_bits
+        from conftest import _permute_bits
         rng = random.Random(6)
         rows = g11.adjacency_matrix()
         for _ in range(5000):
@@ -269,3 +270,52 @@ class TestRestrictedIndependentSet:
     def test_rejects_bad_k(self):
         with pytest.raises(InvalidParameterError):
             restricted_independent_set(11, k=11)
+
+
+class TestVertexSetChecks:
+    @pytest.mark.parametrize("size", [4, 8, 12, 164])
+    def test_hadamard_cliques_pass_pair_oracle(self, size):
+        h = capsep.find_hadamard(size)
+        n = size - 1
+        g_clique = [v.bits for v in capsep.clique_from_hadamard_G(h)]
+        h_clique = [v.bits for v in capsep.clique_from_hadamard_H(h)]
+        rows = capsep.normalize(h).entries[1:, 1:].tolist()
+        assert g_clique == [word_of_signs(row) for row in rows]
+        assert h_clique == [0] + g_clique
+        _check_clique_bits(g_clique, n, expect_weight=(n + 1) // 2)
+        _check_clique_bits(h_clique, n, expect_weight=None)
+        assert all(b.bit_count() % 2 == 0 for b in h_clique)
+
+    @pytest.mark.parametrize("n", [7, 11])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_restricted_set_matches_pair_oracle(self, n, k):
+        rs = restricted_independent_set(n, k)
+        words, edge = restricted_set_by_pairs(n, k)
+        assert [v.bits for v in rs.vertices] == words
+        assert all(v.len == n for v in rs.vertices)
+        assert rs.verified == (edge is None)
+        assert (rs.witness and tuple(v.bits for v in rs.witness)) == edge
+
+    def test_bad_packings_name_their_clique(self, g11, paley12):
+        packing = capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12))
+        c0, c1 = packing.cliques[:2]
+        used = set(c0) | set(c1)
+        stranger = next(b for b in g11.bits_array.tolist() if b not in used
+                        and (b ^ c1[1]).bit_count() != 6)
+        cases = {"wrong size": (c1[:-1], "has size 10"),
+                 "foreign vertex": ((0b1,) + c1[1:], "0b1 not in graph"),
+                 "reused vertex": ((c0[3],) + c1[1:], f"reuses vertex {c0[3]:#b}"),
+                 "non-clique": ((stranger,) + c1[1:], "not adjacent")}
+        for bad, phrase in cases.values():
+            tampered = CliquePacking(g11, 11, (c0, bad), 2, True)
+            with pytest.raises(ConstructionError, match=f"clique 1.*{phrase}"):
+                tampered.verify()
+
+    def test_pack_cliques_checks_seed_and_budget(self, g11, paley12):
+        seed = capsep.clique_from_hadamard_G(paley12)
+        with pytest.raises(InvalidParameterError, match="budget"):
+            capsep.pack_cliques(g11, seed, budget=0)
+        with pytest.raises(ConstructionError, match="clique 0.*reuses"):
+            capsep.pack_cliques(g11, seed[:2] + seed[:1])
+        with pytest.raises(InvalidParameterError):
+            capsep.pack_cliques(g11, [])
