@@ -8,14 +8,11 @@ from .geometry import (CliquePacking, OrthoRep, clique_from_hadamard_G,
                        clique_from_hadamard_H, ortho_rep_G, ortho_rep_H,
                        pack_cliques, restricted_independent_set)
 from .entcert import EntCert, cert_from_packing, classical_embedding, tensor, verify
-from .algebra_fp import (FpMatrix, haemers_matrix, inner_product_identity_check,
-                         monomial_basis, rank_fp)
-from .alpha import (AlphaResult, alpha_lower_via_power, max_independent_set,
-                    verify_independent)
+from .algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
+from .alpha import AlphaResult, max_independent_set, verify_independent
 from .channel import (Channel, Protocol, canonical_channel,
                       check_zero_error_code, confusability_graph,
-                      pentagon_channel, protocol_from_cert,
-                      simulate_transmission)
-from .report import capacity_report, entropy_estimate, vertex_count_estimate_check
+                      protocol_from_cert, simulate_transmission)
+from .report import capacity_report
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, BitVertex, row_blocks, weight_w_bits
+from .bitgraph import BitGraph, row_blocks, weight_w_bits
 from .errors import (InternalCheckError, InvalidParameterError,
                      ResourceLimitError)
 from .hadamard import is_prime
@@ -79,24 +79,6 @@ class FpMatrix:
             raise InvalidParameterError("bad matrix dump magic")
         body = np.frombuffer(blob, dtype=np.uint8, offset=struct.calcsize("<4sIQQ"))
         return cls(p, body.reshape(rows, cols).copy())
-
-
-def inner_product_identity_check(x: BitVertex, y: BitVertex, p: int) -> int:
-    """<u[x],u[y]> mod p, asserted equal to (-2 d(x,y) - 1) mod p.
-
-    Valid whenever n = -1 mod p; for the graph families n = 4p-1.
-    """
-    if x.len != y.len:
-        raise InvalidParameterError("length mismatch")
-    n = x.len
-    if n % p != p - 1:
-        raise InvalidParameterError(f"need n = -1 mod {p}, got n = {n}")
-    d = (x.bits ^ y.bits).bit_count()
-    ip = (n - 2 * d) % p
-    expected = (-2 * d - 1) % p
-    if ip != expected:
-        raise InternalCheckError(f"inner-product identity failed at d={d}")
-    return ip
 
 
 def monomial_basis(n: int, p: int) -> list[int]:
@@ -158,16 +140,9 @@ def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
     return pivots
 
 
-def rank_fp(m: FpMatrix | np.ndarray, p: int | None = None) -> int:
+def rank_fp(m: FpMatrix) -> int:
     """Exact rank by Gaussian elimination mod p, first-nonzero pivoting."""
-    if isinstance(m, FpMatrix):
-        a = m.data.astype(np.int64)
-        p = m.p
-    else:
-        if p is None:
-            raise InvalidParameterError("modulus required for a raw array")
-        a = np.mod(np.asarray(m, dtype=np.int64), p)
-    return len(_pivot_columns(a, p))
+    return len(_pivot_columns(m.data.astype(np.int64), m.p))
 
 
 def gram_rank(t: np.ndarray, p: int) -> int:
@@ -216,7 +191,8 @@ def haemers_matrix(g: BitGraph, p: int, form_matrix: bool = False) -> HaemersRes
         raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
     if g.distance is None:
         raise InvalidParameterError("the fitting matrix needs a distance graph")
-    if np.unique(np.bitwise_count(g.bits_array) & 1).size > 1:
+    odd = np.bitwise_count(g.bits_array) & 1
+    if odd.any() and not odd.all():
         raise InvalidParameterError("vertex weights must all have one parity")
     nv, m = g.vertex_count, sum(math.comb(n, k) for k in range(p))
     need = 16 * nv * m + (nv * nv if form_matrix else 0)
@@ -236,12 +212,3 @@ def haemers_matrix(g: BitGraph, p: int, form_matrix: bool = False) -> HaemersRes
         a = FpMatrix(p, a)
     return HaemersResult(p, n, m, True, gram_rank(t, p), a)
 
-
-def dump_matrix(m: FpMatrix, path: str) -> None:
-    with open(path, "wb") as fh:
-        fh.write(m.to_bytes())
-
-
-def load_matrix(path: str) -> FpMatrix:
-    with open(path, "rb") as fh:
-        return FpMatrix.from_bytes(fh.read())

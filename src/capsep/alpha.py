@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import row_blocks, strong_power
-from .errors import InvalidParameterError
+from .bitgraph import row_blocks
+from .errors import InternalCheckError
 
 
 @dataclass(frozen=True)
@@ -139,33 +139,6 @@ def max_independent_set(g, node_budget: int = 1_000_000,
     upper = best_size if exact else max(root_bound, best_size)
     ok, witness_edge = verify_independent(g, best_set)
     if not ok:
-        raise InvalidParameterError(f"internal witness failed: edge {witness_edge}")
+        raise InternalCheckError(f"internal witness failed: edge {witness_edge}")
     return AlphaResult(best_size, upper, exact, tuple(sorted(best_set)),
                        nodes, time.monotonic() - start)
-
-
-@dataclass(frozen=True)
-class PowerBound:
-    """alpha(G^k)^(1/k) reported as the exact radical (value, power)."""
-
-    value: int
-    power: int
-    exact: bool
-    witness: tuple[int, ...]
-    nodes_explored: int
-
-    @property
-    def root(self) -> float:
-        return self.value ** (1.0 / self.power)
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "power": self.power, "exact": self.exact,
-                "root": self.root}
-
-
-def alpha_lower_via_power(g, k: int, node_budget: int = 1_000_000,
-                          time_budget_s: float | None = None) -> PowerBound:
-    """Capacity lower bound alpha(G^boxtimes-k)^(1/k) from the best set found."""
-    power = strong_power(g, k)  # raises resource-limit above the cap
-    res = max_independent_set(power, node_budget, time_budget_s)
-    return PowerBound(res.lower, k, res.exact, res.witness, res.nodes_explored)

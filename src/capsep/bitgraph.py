@@ -90,9 +90,6 @@ class _Graph:
             self._adj_rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
         return self._adj_rows
 
-    def degree(self, i: int) -> int:
-        return self.adjacency_rows()[i].bit_count()
-
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency_matrix())) // 2
@@ -381,16 +378,6 @@ class ProductGraph(_Graph):
             out.append(i % f.vertex_count)
             i //= f.vertex_count
         return tuple(reversed(out))
-
-    def flatten(self, parts: Sequence[int]) -> int:
-        if len(parts) != len(self.factors):
-            raise InvalidParameterError("part count does not match factor count")
-        i = 0
-        for f, pi in zip(self.factors, parts):
-            if not 0 <= pi < f.vertex_count:
-                raise InvalidParameterError("part index out of range")
-            i = i * f.vertex_count + pi
-        return i
 
     def adjacency_among(self, rows, cols=None) -> np.ndarray:
         """Boolean matrix A[a, b] = (rows[a] ~ cols[b]); cols defaults to rows.

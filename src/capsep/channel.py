@@ -23,12 +23,11 @@ import numpy as np
 
 from .bitgraph import BitGraph, row_blocks
 from .entcert import EntCert, rank_one_row
-from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
+from .errors import InvalidParameterError, ProtocolError
 
 ROW_SUM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 ZERO_ERROR_TOL = 1e-9
-DENSE_EXPORT_CAP = 10**6
 
 
 def _gather(indptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
@@ -42,7 +41,7 @@ def _gather(indptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
 def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
     """Yield the CSR groups of each size k > 0, stacked as an (n_k, k) array."""
     counts = np.diff(indptr)
-    for k in np.unique(counts[counts > 0]).tolist():
+    for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
         starts = indptr[:-1][counts == k]
         yield values[starts[:, None] + np.arange(k)]
 
@@ -85,18 +84,9 @@ class Channel:
         self._indptr = np.searchsorted(self._row_of, np.arange(len(rows) + 1))
         self._members = None
 
-    @classmethod
-    def from_dense(cls, inputs, outputs, matrix) -> "Channel":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        rows = [(np.nonzero(r)[0], r[r != 0]) for r in matrix]
-        return cls(inputs, outputs, rows)
-
     @property
     def input_count(self) -> int:
         return len(self.inputs)
-
-    def support(self, x: int) -> frozenset:
-        return frozenset(self.row(x)[0].tolist())
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._indptr[x], self._indptr[x + 1]
@@ -117,22 +107,6 @@ class Channel:
             indptr = np.searchsorted(self._idx[order], np.arange(len(self.outputs) + 1))
             self._members = (indptr, self._row_of[order])
         return self._members
-
-    def to_json(self) -> dict:
-        if len(self.inputs) * len(self.outputs) > DENSE_EXPORT_CAP:
-            raise ResourceLimitError("channel too large for dense JSON export")
-        dense = np.zeros((len(self.inputs), len(self.outputs)))
-        dense[self._row_of, self._idx] = self._probs
-        return {"inputs": self.inputs, "outputs": self.outputs,
-                "rows": dense.tolist()}
-
-
-def pentagon_channel() -> Channel:
-    """Five inputs, five outputs, input x reaching outputs x and x+1 mod 5."""
-    inputs = [str(i) for i in range(5)]
-    outputs = list("abcde")
-    rows = [(np.array([x, (x + 1) % 5]), np.array([0.5, 0.5])) for x in range(5)]
-    return Channel(inputs, outputs, rows)
 
 
 def confusable_pairs(c: Channel) -> np.ndarray:
@@ -243,12 +217,8 @@ class Protocol:
     inputs: np.ndarray
     messages: np.ndarray
     vectors: np.ndarray
-    shared_state: str = ""
-    graph_ref: str = ""
 
     def __post_init__(self):
-        if not self.shared_state:
-            self.shared_state = f"maximally-entangled({self.dim})"
         self.gram = self.vectors @ self.vectors.T
         row_of = np.full(self.channel.input_count, -1, dtype=np.int64)
         row_of[self.inputs] = np.arange(len(self.inputs))
@@ -258,7 +228,7 @@ class Protocol:
         self._recv_rows = rows[rows >= 0]
         self._recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
         self._senders = {}
-        for i in np.unique(self.messages).tolist():
+        for i in np.flatnonzero(np.bincount(self.messages)).tolist():
             k = np.flatnonzero(self.messages == i)
             p = np.diagonal(self.gram)[k] / self.dim
             self._senders[i] = (k, p / p.sum())
@@ -267,20 +237,7 @@ class Protocol:
         """Vector rows of the inputs that can produce output t."""
         return self._recv_rows[self._recv_indptr[t]:self._recv_indptr[t + 1]]
 
-    def sender_measurement(self, i: int) -> dict[int, np.ndarray]:
-        """POVM elements A_i^s for the inputs the message actually uses."""
-        return {int(self.inputs[k]): np.outer(self.vectors[k], self.vectors[k])
-                for k in np.flatnonzero(self.messages == i)}
-
-    def receiver_measurement(self, t: int) -> list[np.ndarray]:
-        """Full measurement for output t: outcomes 1..M, completion on 1."""
-        ops = [np.zeros((self.dim, self.dim)) for _ in range(self.M)]
-        for k in self.receivers(t).tolist():
-            ops[self.messages[k] - 1] += np.outer(self.vectors[k], self.vectors[k])
-        ops[0] = ops[0] + np.eye(self.dim) - sum(ops)
-        return ops
-
-    def completeness_report(self, tol: float = COMPLETENESS_TOL) -> dict:
+    def completeness_report(self) -> dict:
         """Exhaustive check of both measurements.
 
         Each sender POVM must sum to the identity. Receiver completion is
@@ -298,11 +255,11 @@ class Protocol:
         for groups in _groups_by_size(self._recv_indptr, self._recv_rows):
             top = np.linalg.eigvalsh(self.gram[groups[:, :, None], groups[:, None, :]])
             worst_receiver = max(worst_receiver, float(top[:, -1].max()) - 1.0)
-        passed = worst_sender <= tol and worst_receiver <= tol
+        passed = worst_sender <= COMPLETENESS_TOL and worst_receiver <= COMPLETENESS_TOL
         return {"passed": passed, "sender_deviation": worst_sender,
                 "receiver_excess": worst_receiver}
 
-    def zero_error_report(self, tol: float = ZERO_ERROR_TOL) -> ZeroErrorReport:
+    def zero_error_report(self) -> ZeroErrorReport:
         """Exhaustive check of Tr((A_i^s (x) B_t^j) rho) = 0 for i != j, P(t|s) > 0.
 
         With unit f_s that value is sum G[s,u]^2 / d over the members u of t
@@ -330,7 +287,7 @@ class Protocol:
         counted[np.arange(n), self.messages[st_s]] = False
         value = np.abs(by_msg[counted]) / self.dim
         worst = float(value.max()) if value.size else 0.0
-        passed = worst <= tol
+        passed = worst <= ZERO_ERROR_TOL
         witness = None
         if not passed:
             st, j = (a[int(np.argmax(value))] for a in np.nonzero(counted))
@@ -380,8 +337,7 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
         keep = evals > evals[-1] / 2.0
         d = int(keep.sum())
         vectors = vectors @ evecs[:, keep]
-    proto = Protocol(chan, d, cert.M, inputs, messages, vectors,
-                     graph_ref=cert.graph_ref)
+    proto = Protocol(chan, d, cert.M, inputs, messages, vectors)
 
     comp = proto.completeness_report()
     if not comp["passed"]:

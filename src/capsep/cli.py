@@ -113,7 +113,8 @@ def _cmd_haemers(args) -> int:
     g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
     result = algebra_fp.haemers_matrix(g, args.p, form_matrix=bool(args.dump))
     if args.dump:
-        algebra_fp.dump_matrix(result.matrix, args.dump)
+        with open(args.dump, "wb") as fh:
+            fh.write(result.matrix.to_bytes())
     _emit(result.to_json(), args)
     return 0
 

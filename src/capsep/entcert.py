@@ -106,7 +106,7 @@ def _pair_witness(cond: int, verts, msgs, a: int, b: int) -> dict:
     return {"condition": cond, **where, "i": int(msgs[a]), "j": int(msgs[b])}
 
 
-def verify(cert: EntCert, g=None) -> VerificationReport:
+def verify(cert: EntCert) -> VerificationReport:
     """Re-check every instance of every condition, exactly and without sampling.
 
     Each operator must be rank-one PSD, N = c w w^T with c > 0: symmetric,
@@ -125,7 +125,7 @@ def verify(cert: EntCert, g=None) -> VerificationReport:
     The result is a value; only matrices that are not dim x dim raise
     ``InvalidParameterError``.
     """
-    g = g if g is not None else cert.graph
+    g = cert.graph
     d, M, rho = cert.dim, cert.M, cert.rho_num
     keys = sorted(cert.ops)
     for key in ["rho"] + keys:
@@ -287,32 +287,30 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
 # -- persistence ---------------------------------------------------------------
 
 
-def cert_to_json_str(cert: EntCert) -> str:
-    return json.dumps(cert.to_json(), indent=2)
-
-
-def cert_from_json(payload: dict | str | bytes, graph=None) -> EntCert:
+def cert_from_json(payload: dict | str | bytes) -> EntCert:
     """Rebuild a certificate from its JSON form.
 
-    If ``graph`` is not given it is reconstructed from the stored reference,
-    which works for the named families (G/H/O/C); product certificates need
-    the graph passed in. Malformed input (a missing field, a wrong type, an
-    unknown vertex label, a matrix not dim x dim) raises
-    ``InvalidParameterError``.
+    The graph is rebuilt from the stored reference, which works for the
+    named families (G/H/O/C/K), and each vertex label is looked up by
+    ``index_of``. Malformed input (a missing field, a wrong type, an unknown
+    vertex label, a matrix not dim x dim) raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
             payload = json.loads(payload)
-        if graph is None:
-            graph = graph_from_ref(str(payload["graph"]))
-        label_to_index = {graph.vertex_label(i): i for i in range(graph.vertex_count)}
+        graph = graph_from_ref(str(payload["graph"]))
+        base = 10 if graph.family == "C" else 2  # as in vertex_label
         dim = int(payload["dim"])
         ops = {}
         for entry in payload["ops"]:
-            u = label_to_index.get(entry["vertex"])
-            if u is None:
+            label = entry["vertex"]
+            try:
+                u = graph.index_of(int(label, base))
+            except (TypeError, ValueError, InvalidParameterError):
+                u = None
+            if u is None or graph.vertex_label(u) != label:
                 raise InvalidParameterError(
-                    f"unknown vertex {entry['vertex']!r} in {graph.graph_ref()}")
+                    f"unknown vertex {label!r} in {graph.graph_ref()}")
             ops[(u, int(entry["i"]))] = np.array(entry["matrix"], dtype=np.int64)
         rho = np.array(payload["rho"], dtype=np.int64)
         cert = EntCert(graph, int(payload["M"]), dim, int(payload["denominator"]),

@@ -37,9 +37,6 @@ class OrthoRep:
     matrix: np.ndarray
     hyperplane_certified: bool = False
 
-    def vector(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
     def verify(self) -> None:
         """Exact check of unit norms and edge orthogonality, in O(|V| n).
 
@@ -70,27 +67,6 @@ class OrthoRep:
             raise ConstructionError(
                 f"vertex {u} ({g.vertex_label(u)}) is not its sign vector")
 
-    def reduced(self) -> tuple[np.ndarray, np.ndarray]:
-        """Float coordinates in an orthonormal basis of the ones-hyperplane.
-
-        Returns (basis, coords): basis is (dim x dim-1) with orthonormal
-        columns spanning the hyperplane orthogonal to the all-ones vector;
-        coords rows are the representation vectors in that basis. Inner
-        products are preserved; only available when the hyperplane membership
-        was certified.
-        """
-        if not self.hyperplane_certified:
-            raise InvalidParameterError("representation does not lie in a hyperplane")
-        d = self.dim
-        v = np.ones(d)
-        # Householder reflection sending v/|v| to e_0; remaining columns span v-perp.
-        u = v / np.linalg.norm(v)
-        u[0] -= 1.0
-        q = np.eye(d) - 2.0 * np.outer(u, u) / (u @ u)
-        basis = q[:, 1:]
-        coords = (self.matrix / math.sqrt(self.normalizer)) @ basis
-        return basis, coords
-
     def to_json(self) -> dict:
         return {
             "graph": self.graph.graph_ref(),
@@ -119,8 +95,7 @@ def ortho_rep_G(n: int) -> OrthoRep:
     """Ambient (n+1)-dim representation of the weight-(n+1)/2 graph.
 
     Also certifies that every vector is orthogonal to the appended-ones
-    vector, so the span has dimension at most n; reduced float coordinates
-    are available via ``reduced()``.
+    vector, so the span has dimension at most n.
     """
     graph = build_G(n)
     mat = _rep_for(graph)

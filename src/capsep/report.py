@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParameterError
+from .errors import InternalCheckError, InvalidParameterError
 from .geometry import clique_from_hadamard_G
 from .hadamard import find_hadamard, is_prime
 
@@ -44,23 +44,16 @@ def binary_entropy(t: float) -> float:
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
 
 
-def entropy_estimate(n: int, p: int) -> float:
-    """2^(n H(p/n)), asserted to dominate the binomial sum it estimates."""
-    if not 0 < p < n:
-        raise InvalidParameterError(f"need 0 < p < n, got p={p}, n={n}")
+def _entropy_log2(n: int, p: int) -> float:
+    """n H(p/n), the log2 of the entropy estimate of sum_{i<p} C(n, i).
+
+    For p/n <= 1/2 the estimate dominates the sum (a theorem), so a failed
+    dominance check is an implementation bug.
+    """
     exponent = n * binary_entropy(p / n)
-    total = sum(math.comb(n, i) for i in range(p))
-    if int_log2(total) > exponent + 1e-9:
-        raise InvalidParameterError("entropy estimate fell below the binomial sum")
-    return 2.0 ** exponent if exponent < 1020 else math.inf
-
-
-def vertex_count_estimate_check(n: int) -> bool:
-    """Exact check that C(n, (n+1)/2) >= 2^n / (2 sqrt(n))."""
-    if n % 2 == 0 or n < 1:
-        raise InvalidParameterError(f"n must be odd, got {n}")
-    c = math.comb(n, (n + 1) // 2)
-    return 4 * c * c * n >= 4**n
+    if int_log2(sum(math.comb(n, i) for i in range(p))) > exponent + 1e-9:
+        raise InternalCheckError("entropy estimate fell below the binomial sum")
+    return exponent
 
 
 @dataclass(frozen=True)
@@ -132,9 +125,7 @@ def capacity_report(family: str, p: int) -> CapacityReport:
     vertex_count = math.comb(n, (n + 1) // 2) if family == "G" else 2 ** (n - 1)
     theta_q_lower = Fraction(vertex_count, (n + 1) ** 2)
     theta_upper = sum(math.comb(n, i) for i in range(p))
-    entropy_log2 = n * binary_entropy(p / n)
-    if int_log2(theta_upper) > entropy_log2 + 1e-9:
-        raise InvalidParameterError("entropy estimate fell below the binomial sum")
+    entropy_log2 = _entropy_log2(n, p)
 
     separation = vertex_count > theta_upper * (n + 1) ** 2
     ratio_log2 = fraction_log2(theta_q_lower) - int_log2(theta_upper)

@@ -17,7 +17,8 @@ import pytest
 
 import capsep
 from capsep.algebra_fp import FpMatrix
-from capsep.errors import InvalidParameterError
+from capsep.channel import Channel
+from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.hadamard import is_prime
 
 
@@ -69,6 +70,19 @@ def random_explicit_graph(n: int, edge_prob: float, seed: int) -> capsep.BitGrap
     return capsep.BitGraph(length, range(n), ("explicit", edges), family="R")
 
 
+def degree(g, i: int) -> int:
+    """Neighbours of vertex i, from one row of ``adjacency_among``."""
+    return int(g.adjacency_among([i], np.arange(g.vertex_count)).sum())
+
+
+def flatten(product, parts) -> int:
+    """Row-major index of a strong-product vertex from its factor indices."""
+    i = 0
+    for f, part in zip(product.factors, parts):
+        i = i * f.vertex_count + part
+    return i
+
+
 @pytest.fixture(scope="session")
 def g11():
     return capsep.build_G(11)
@@ -104,6 +118,38 @@ def g11_cert(paley12):
 # channel routines, kept as references for the array and Gram-matrix code.
 
 
+def pentagon_channel() -> Channel:
+    """Five inputs, five outputs, input x reaching outputs x and x+1 mod 5."""
+    rows = [(np.array([x, (x + 1) % 5]), np.array([0.5, 0.5])) for x in range(5)]
+    return Channel([str(i) for i in range(5)], list("abcde"), rows)
+
+
+def channel_from_dense(inputs, outputs, matrix) -> Channel:
+    """Channel from a dense probability matrix, one row per input."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    return Channel(inputs, outputs, [(np.nonzero(r)[0], r[r != 0]) for r in matrix])
+
+
+def support(chan, x: int) -> frozenset:
+    """Outputs input x reaches."""
+    return frozenset(chan.row(x)[0].tolist())
+
+
+def sender_measurement(proto, i: int) -> dict[int, np.ndarray]:
+    """POVM elements A_i^s of message i, keyed by the input s that carries them."""
+    return {int(proto.inputs[k]): np.outer(proto.vectors[k], proto.vectors[k])
+            for k in np.flatnonzero(proto.messages == i)}
+
+
+def receiver_measurement(proto, t: int) -> list[np.ndarray]:
+    """Full measurement for output t: outcomes 1..M, completion on 1."""
+    ops = [np.zeros((proto.dim, proto.dim)) for _ in range(proto.M)]
+    for k in proto.receivers(t).tolist():
+        ops[proto.messages[k] - 1] += np.outer(proto.vectors[k], proto.vectors[k])
+    ops[0] = ops[0] + np.eye(proto.dim) - sum(ops)
+    return ops
+
+
 def maximally_entangled_state(d: int) -> np.ndarray:
     """Density matrix of (1/sqrt d) sum_k e_k (x) e_k, size d^2."""
     psi = np.zeros(d * d)
@@ -137,7 +183,7 @@ def explicit_state_transmission(proto, chan, message: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     d = proto.dim
     rho = maximally_entangled_state(d)
-    sender = proto.sender_measurement(message)
+    sender = sender_measurement(proto, message)
     members = sorted(sender)
     p = np.array([float(np.trace(np.kron(sender[s], np.eye(d)) @ rho))
                   for s in members])
@@ -146,7 +192,7 @@ def explicit_state_transmission(proto, chan, message: int, seed: int = 0):
     big = np.kron(sender[s], np.eye(d)) @ rho
     post = partial_trace(big, d, d, over="x") / float(np.trace(big))
     dist = np.array([float(np.trace(b @ post))
-                     for b in proto.receiver_measurement(t)])
+                     for b in receiver_measurement(proto, t)])
     return s, t, np.clip(dist, 0.0, None)
 
 
@@ -212,7 +258,7 @@ def zero_error_by_loop(proto):
 
 def zero_error_code_by_loop(c, words):
     """(ok, witness) of the zero-error code check, pair by pair over supports."""
-    supports = [frozenset(c.row(x)[0].tolist()) for x in range(c.input_count)]
+    supports = [support(c, x) for x in range(c.input_count)]
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
             shared = []
@@ -396,6 +442,24 @@ def verify_by_pairs(cert, g=None):
 # Frankl-Wilson product polynomial, multilinearized term by term, and the
 # |V| x |V| product S T^T of the coefficient matrix S with the monomial values
 # T. The library forms A = -T T^T and checks it by distance class instead.
+
+
+def inner_product_identity_check(x, y, p: int) -> int:
+    """<u[x],u[y]> mod p, asserted equal to (-2 d(x,y) - 1) mod p.
+
+    Valid whenever n = -1 mod p; for the graph families n = 4p-1.
+    """
+    if x.len != y.len:
+        raise InvalidParameterError("length mismatch")
+    n = x.len
+    if n % p != p - 1:
+        raise InvalidParameterError(f"need n = -1 mod {p}, got n = {n}")
+    d = (x.bits ^ y.bits).bit_count()
+    ip = (n - 2 * d) % p
+    expected = (-2 * d - 1) % p
+    if ip != expected:
+        raise InternalCheckError(f"inner-product identity failed at d={d}")
+    return ip
 
 
 def monomial_basis_by_filter(n: int, p: int) -> list[int]:

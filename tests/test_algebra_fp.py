@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.algebra_fp import (FpMatrix, dump_matrix, gram_rank, haemers_matrix,
-                               inner_product_identity_check, load_matrix,
-                               monomial_basis, rank_fp)
+from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, monomial_basis,
+                               rank_fp)
 from capsep.bitgraph import BitGraph, BitVertex, weight_w_bits
 from capsep.errors import (InternalCheckError, InvalidParameterError,
                            ResourceLimitError)
 from conftest import (build_ST, fitting_matrix_by_polynomials, frankl_wilson_Q,
-                      monomial_basis_by_filter, multilinearize,
-                      rank_by_row_reduction, sign_vector)
+                      inner_product_identity_check, monomial_basis_by_filter,
+                      multilinearize, rank_by_row_reduction, sign_vector)
 
 
 def random_sign_point(n, rng):
@@ -187,7 +186,7 @@ class TestHaemers:
         oracle = fitting_matrix_by_polynomials(g, 3)
         result = haemers_matrix(g, 3, form_matrix=True)
         assert np.array_equal(result.matrix.data, oracle)
-        assert rank_fp(oracle, 3) == result.rank == rank
+        assert rank_fp(FpMatrix(3, oracle)) == result.rank == rank
 
     def test_wrong_edge_distance_fails_by_distance_class(self):
         # weight-6 strings of length 11 are 4p-1 = 11 at p = 3, but edges at
@@ -241,8 +240,8 @@ class TestRank:
                                              rng.integers(2, 13)))
                 b = rng.integers(0, p, size=(rng.integers(2, 13),
                                              rng.integers(2, 13)))
-                assert rank_fp(np.kron(a, b) % p, p) == \
-                    rank_fp(a % p, p) * rank_fp(b % p, p)
+                assert rank_fp(FpMatrix(p, np.kron(a, b) % p)) == \
+                    rank_fp(FpMatrix(p, a % p)) * rank_fp(FpMatrix(p, b % p))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), p=st.sampled_from([3, 5]),
@@ -251,7 +250,7 @@ class TestRank:
         t = np.array(data.draw(st.lists(
             st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols),
             min_size=rows, max_size=rows)), dtype=np.int64).reshape(rows, cols)
-        assert gram_rank(t, p) == rank_fp(t @ t.T % p, p)
+        assert gram_rank(t, p) == rank_fp(FpMatrix(p, t @ t.T % p))
 
     def test_product_rank_bounded_by_factors(self):
         rng = np.random.default_rng(37)
@@ -259,15 +258,16 @@ class TestRank:
             s = rng.integers(0, 3, size=(12, 7))
             t = rng.integers(0, 3, size=(12, 7))
             prod = (s @ t.T) % 3
-            assert rank_fp(prod, 3) <= min(rank_fp(s, 3), rank_fp(t, 3))
+            assert rank_fp(FpMatrix(3, prod)) <= min(rank_fp(FpMatrix(3, s)),
+                                                     rank_fp(FpMatrix(3, t)))
 
 
 class TestFpMatrixIO:
     def test_dump_load_round_trip(self, tmp_path, g11):
         result = haemers_matrix(g11, 3, form_matrix=True)
         path = tmp_path / "a.fpm"
-        dump_matrix(result.matrix, str(path))
-        loaded = load_matrix(str(path))
+        path.write_bytes(result.matrix.to_bytes())
+        loaded = FpMatrix.from_bytes(path.read_bytes())
         assert loaded.p == 3
         assert np.array_equal(loaded.data, result.matrix.data)
 

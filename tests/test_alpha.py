@@ -3,9 +3,9 @@ import random
 import pytest
 
 import capsep
-from capsep.alpha import alpha_lower_via_power, max_independent_set, verify_independent
-from capsep.errors import ResourceLimitError
-from conftest import alpha_by_enumeration, random_explicit_graph
+from capsep.alpha import max_independent_set, verify_independent
+from capsep.errors import InternalCheckError, ResourceLimitError
+from conftest import alpha_by_enumeration, flatten, random_explicit_graph
 
 
 class TestMaxIndependentSet:
@@ -59,24 +59,26 @@ class TestMaxIndependentSet:
 
 
 class TestAlphaViaPower:
-    def test_c5_power_two(self):
-        pb = alpha_lower_via_power(capsep.build_cycle(5), 2)
-        assert (pb.value, pb.power) == (5, 2)
-        assert pb.exact
-        assert abs(pb.root - 5**0.5) < 1e-12
+    """alpha of a strong power, searched as ``capsep alpha --power`` does."""
 
     def test_power_one_is_alpha(self):
-        pb = alpha_lower_via_power(capsep.build_cycle(5), 1)
-        assert (pb.value, pb.power) == (2, 1)
+        res = max_independent_set(capsep.strong_power(capsep.build_cycle(5), 1))
+        assert res.exact and res.lower == 2
 
     def test_complete_graph_powers_stay_one(self):
         # K_3 boxtimes K_3 = K_9
-        pb = alpha_lower_via_power(capsep.build_G(3), 2)
-        assert pb.value == 1 and pb.exact
+        res = max_independent_set(capsep.strong_power(capsep.build_G(3), 2))
+        assert res.lower == 1 and res.exact
 
     def test_respects_product_cap(self, h11):
         with pytest.raises(ResourceLimitError):
-            alpha_lower_via_power(h11, 3)
+            capsep.strong_power(h11, 3)
+
+    def test_failed_witness_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(capsep.alpha, "verify_independent",
+                            lambda g, idx: (False, (0, 1)))
+        with pytest.raises(InternalCheckError, match="internal witness failed"):
+            max_independent_set(capsep.build_cycle(5))
 
 
 class TestVerifyIndependent:
@@ -103,7 +105,7 @@ class TestSupermultiplicativity:
             base = max_independent_set(g)
             assert base.exact
             square = capsep.strong_product(g, g)
-            tile = [square.flatten((u, v)) for u in base.witness
+            tile = [flatten(square, (u, v)) for u in base.witness
                     for v in base.witness]
             ok, _ = verify_independent(square, tile)
             assert ok

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capsep.algebra_fp import load_matrix
+import capsep
+from capsep.algebra_fp import FpMatrix
 from capsep.cli import cli_main
 from conftest import fitting_matrix_by_polynomials
 
@@ -227,7 +232,7 @@ class TestHaemersCommand:
         code, out, _ = run(capsys, "haemers", "--family", "G", "--n", "11",
                            "--p", "3", "--dump", str(path))
         assert code == 0 and json.loads(out)["rank"] == 55
-        a = load_matrix(str(path))
+        a = FpMatrix.from_bytes(path.read_bytes())
         assert a.p == 3
         assert np.array_equal(a.data, fitting_matrix_by_polynomials(g11, 3))
 
@@ -304,3 +309,21 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    "pipeline --family G --n 11",
+    "channel-sim --family H --n 7",
+    "channel-sim --family H --n 11 --trials 10",
+])
+def test_cli_run_does_not_import_numpy_ma(argv):
+    # numpy loads numpy.ma lazily, e.g. on a bare np.unique of an integer array
+    script = ("import contextlib, io, sys\n"
+              "from capsep.cli import cli_main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = cli_main({argv.split()!r})\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(capsep.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.stdout.split() == ["0", "False"], out.stderr

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.bitgraph import build_complete
-from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, cert_to_json_str,
-                            classical_embedding, rank_one_row, tensor, verify)
+from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, classical_embedding,
+                            rank_one_row, tensor, verify)
 from capsep.errors import InvalidParameterError, ResourceLimitError
-from conftest import verify_by_pairs
+from conftest import flatten, verify_by_pairs
 
 
 def h3_cert():
@@ -86,7 +88,7 @@ class TestVerify:
         c5 = capsep.build_cycle(5)
         cert = classical_embedding(c5, [0, 2])
         assert cert.verification.passed
-        report = verify(cert, build_complete(5))
+        report = verify(dataclasses.replace(cert, graph=build_complete(5)))
         assert not report.passed
         assert not report.conditions["adjacent"]
         assert any(w.get("condition") == 3 for w in report.witnesses)
@@ -186,7 +188,7 @@ class TestTensor:
         (u, i), (z, _) = sorted(squared.ops)[:2]
         za, zb = squared.graph.parts(z)
         ya = int(np.argmax(g11.adjacency_matrix()[za]))
-        y = squared.graph.flatten((ya, zb))
+        y = flatten(squared.graph, (ya, zb))
         assert (y, i) not in squared.ops and squared.graph.is_adjacent(y, z)
         ops = dict(squared.ops)
         ops[(y, i)] = ops.pop((u, i))
@@ -207,13 +209,27 @@ class TestTensor:
 
 class TestCertJson:
     def test_round_trip(self, g11_cert):
-        text = cert_to_json_str(g11_cert)
+        text = json.dumps(g11_cert.to_json(), indent=2)
         loaded = cert_from_json(text)
         assert loaded.M == g11_cert.M
         assert loaded.denominator == g11_cert.denominator
         assert np.array_equal(loaded.rho_num, g11_cert.rho_num)
         assert set(loaded.ops) == set(g11_cert.ops)
         assert verify(loaded).passed
+
+    @pytest.mark.parametrize("family,label", [
+        ("H3", "+011"), ("H3", " 011"), ("H3", "0_11"), ("H3", "11"), ("H3", "0011"),
+        ("H3", "001"), ("H3", "-0"), ("H3", 3), ("H3", None), ("H3", ["011"]),
+        ("C5", "02"), ("C5", "5"), ("C5", "1" * 5000)])
+    def test_only_exact_vertex_labels_load(self, family, label):
+        cert = h3_cert() if family == "H3" else \
+            classical_embedding(capsep.build_cycle(5), [0, 2])
+        payload = cert.to_json()
+        payload["ops"][0]["vertex"] = label
+        with pytest.raises(InvalidParameterError, match="unknown vertex"):
+            cert_from_json(payload)
+        payload["ops"][0]["vertex"] = cert.to_json()["ops"][0]["vertex"]
+        assert verify(cert_from_json(payload)).passed
 
     def test_schema_fields(self, h11_cert):
         payload = h11_cert.to_json()
@@ -321,10 +337,10 @@ class TestAgainstPairwiseOracle:
 
     def test_wrong_graph(self, oracle_certs):
         cert = oracle_certs["C5xC5"]
-        report = verify(cert, capsep.strong_product(build_complete(5), build_complete(5)))
+        k5_squared = capsep.strong_product(build_complete(5), build_complete(5))
+        report = verify(dataclasses.replace(cert, graph=k5_squared))
         assert not report.passed and not report.conditions["adjacent"]
-        passed, conditions, _ = verify_by_pairs(
-            cert, capsep.strong_product(build_complete(5), build_complete(5)))
+        passed, conditions, _ = verify_by_pairs(cert, k5_squared)
         assert (passed, conditions) == (False, report.conditions)
 
 
@@ -367,7 +383,8 @@ class TestVerifyLimits:
 
     def test_witnesses_capped_and_counted(self, h11_cert):
         # every operator of H11 on the complete graph of its messages' vertices
-        report = verify(h11_cert, build_complete(h11_cert.graph.vertex_count))
+        complete = build_complete(h11_cert.graph.vertex_count)
+        report = verify(dataclasses.replace(h11_cert, graph=complete))
         assert not report.conditions["adjacent"]
         listed = [w for w in report.witnesses if w["condition"] == 3]
         assert len(listed) == WITNESS_CAP

@@ -15,14 +15,14 @@ class TestOrthoRepH:
     def test_n3_all_zeros_vector(self):
         rep = capsep.ortho_rep_H(3)
         zero_idx = rep.graph.index_of(0)
-        assert rep.vector(zero_idx).tolist() == [1, 1, 1, 1]
+        assert rep.matrix[zero_idx].tolist() == [1, 1, 1, 1]
         # integer squared norm is the normalizer, so the unit norm is exact
-        assert rep.vector(zero_idx) @ rep.vector(zero_idx) == rep.normalizer == 4
+        assert rep.matrix[zero_idx] @ rep.matrix[zero_idx] == rep.normalizer == 4
 
     def test_n3_edge_orthogonality_by_hand(self):
         rep = capsep.ortho_rep_H(3)
-        a = rep.vector(rep.graph.index_of(0b000))
-        b = rep.vector(rep.graph.index_of(0b011))
+        a = rep.matrix[rep.graph.index_of(0b000)]
+        b = rep.matrix[rep.graph.index_of(0b011)]
         # signs of 011 are (+1,-1,-1); appended ones give dot 1-1-1+1 = 0
         assert b.tolist() == [1, -1, -1, 1]
         assert int(a.astype(np.int64) @ b.astype(np.int64)) == 0
@@ -88,25 +88,9 @@ class TestOrthoRepG:
 
     def test_n3_sign_vector(self):
         rep = capsep.ortho_rep_G(3)
-        v = rep.vector(rep.graph.index_of(0b011))
+        v = rep.matrix[rep.graph.index_of(0b011)]
         assert v.tolist() == [1, -1, -1, 1]
         assert int(v[:3].astype(np.int64).sum()) == -1
-
-    def test_reduced_preserves_inner_products(self):
-        rep = capsep.ortho_rep_G(11)
-        basis, coords = rep.reduced()
-        assert coords.shape == (462, 11)
-        assert np.abs(basis.T @ basis - np.eye(11)).max() < 1e-12
-        ambient = rep.matrix.astype(np.float64) / math.sqrt(rep.normalizer)
-        rng = random.Random(3)
-        for _ in range(2000):
-            i, j = rng.randrange(462), rng.randrange(462)
-            assert abs(coords[i] @ coords[j] - ambient[i] @ ambient[j]) < 1e-12
-
-    def test_reduced_requires_certificate(self):
-        rep = capsep.ortho_rep_H(3)
-        with pytest.raises(InvalidParameterError):
-            rep.reduced()
 
     def test_rep_json_export(self):
         rep = capsep.ortho_rep_G(3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
@@ -124,6 +126,19 @@ class TestExportAndChecks:
             capsep.HadamardMatrix(np.ones((3, 3), dtype=np.int64))
         with pytest.raises(ConstructionError):
             capsep.HadamardMatrix(np.array([[1, 2], [1, -1]]))
+
+    # An order-1 matrix stays Hadamard with its sign flipped, so k starts at 1.
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(),
+           h=st.sampled_from([sylvester(k) for k in range(1, 6)]
+                             + [paley_one(q) for q in (3, 7, 11, 19, 23, 43)]))
+    def test_rejects_one_flipped_sign(self, data, h):
+        i = data.draw(st.integers(0, h.size - 1), label="row")
+        j = data.draw(st.integers(0, h.size - 1), label="column")
+        e = h.entries.copy()
+        e[i, j] *= -1
+        with pytest.raises(ConstructionError, match="not orthogonal"):
+            capsep.HadamardMatrix(e)
 
     def test_double_preserves_property(self):
         assert_hadamard(double(paley_one(3)))

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import capsep.report
 from capsep.algebra_fp import monomial_basis
-from capsep.errors import InvalidParameterError
-from capsep.report import (binary_entropy, capacity_report, entropy_estimate,
-                           fraction_log2, int_log2, vertex_count_estimate_check)
+from capsep.errors import InternalCheckError, InvalidParameterError
+from capsep.report import (_entropy_log2, binary_entropy, capacity_report,
+                           fraction_log2, int_log2)
 
 
 class TestCapacityReport:
@@ -81,7 +82,7 @@ class TestEntropyEstimate:
         assert abs(binary_entropy(0.5) - 1.0) < 1e-15
 
     def test_dominates_binomial_sum_n11(self):
-        assert entropy_estimate(11, 3) >= 67
+        assert 2 ** _entropy_log2(11, 3) >= 67
 
     def test_asymptotic_exponent(self):
         # 4(1 - H(1/4)) is about 0.755, consistent with the stated 0.752
@@ -90,22 +91,14 @@ class TestEntropyEstimate:
 
     def test_rejects_domain_violation(self):
         with pytest.raises(InvalidParameterError):
-            entropy_estimate(11, 11)
+            _entropy_log2(11, 11)
         with pytest.raises(InvalidParameterError):
-            entropy_estimate(11, 0)
+            _entropy_log2(11, 0)
 
-
-class TestVertexCountEstimate:
-    @pytest.mark.parametrize("n", [3, 11, 999])
-    def test_examples(self, n):
-        assert vertex_count_estimate_check(n)
-
-    def test_all_odd_n_up_to_999(self):
-        assert all(vertex_count_estimate_check(n) for n in range(1, 1000, 2))
-
-    def test_rejects_even(self):
-        with pytest.raises(InvalidParameterError):
-            vertex_count_estimate_check(10)
+    def test_failed_dominance_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(capsep.report, "binary_entropy", lambda t: 0.1)
+        with pytest.raises(InternalCheckError, match="entropy estimate"):
+            capacity_report("G", 3)
 
 
 class TestBigIntegerHelpers:
