@@ -1,8 +1,8 @@
 """capsep: desk-scale certification of Shannon-vs-entangled capacity separations."""
 
-from .bitgraph import (BitGraph, BitVertex, ProductGraph, build_cycle,
-                       build_G, build_H, build_orthogonality_graph,
-                       hamming_distance, strong_power, strong_product)
+from .bitgraph import (BitGraph, ProductGraph, build_cycle, build_G, build_H,
+                       build_orthogonality_graph, hamming_distance,
+                       strong_power, strong_product)
 from .hadamard import HadamardMatrix, find_hadamard, normalize, paley_one, sylvester
 from .geometry import (CliquePacking, OrthoRep, clique_from_hadamard_G,
                        clique_from_hadamard_H, ortho_rep_G, ortho_rep_H,

@@ -28,14 +28,13 @@ class AlphaResult:
     nodes_explored: int
     elapsed_s: float
 
-    def to_json(self, g=None) -> dict:
+    def to_json(self, g) -> dict:
         return {
-            "graph": g.graph_ref() if g is not None else None,
+            "graph": g.graph_ref(),
             "lower": self.lower,
             "upper": self.upper,
             "exact": self.exact,
-            "witness": [g.vertex_label(i) for i in self.witness] if g is not None
-            else list(self.witness),
+            "witness": [g.vertex_label(i) for i in self.witness],
             "nodes": self.nodes_explored,
             "seconds": round(self.elapsed_s, 3),
         }

@@ -1,17 +1,17 @@
 """Bitstring-vertex graphs: Hamming-distance families, cycles, and strong products.
 
-Vertices are fixed-length binary strings packed into machine words. Coordinate
-i (1-based, reading the string left to right) lives at bit position len-i, so
-``str(BitVertex(0b011, 3)) == "011"`` and "the last k coordinates" are the low
-k bits.
+A vertex is its word: a length-n binary string packed into an integer, with
+coordinate i (1-based, left to right) at bit position n-i, so
+``word_label(0b011, 3) == "011"`` and "the last k coordinates" are the low k
+bits. Labels are made and parsed only here.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,39 +21,16 @@ MAX_BITLEN = 63
 MAX_VERTICES = 10**7
 # Dense adjacency (bitset rows / boolean matrix) only below this vertex count.
 DENSE_ADJACENCY_CAP = 16384
-# Standalone vertices may be longer than graph strings: clique extraction from
-# a size-164 Hadamard matrix produces 163-bit vertices with no graph behind them.
-MAX_VERTEX_BITLEN = 10001
 
 
-@dataclass(frozen=True)
-class BitVertex:
-    """A binary string of length ``len`` packed into the integer ``bits``."""
-
-    bits: int
-    len: int
-
-    def __post_init__(self):
-        if not 1 <= self.len <= MAX_VERTEX_BITLEN:
-            raise InvalidParameterError(
-                f"bit length must be in [1, {MAX_VERTEX_BITLEN}], got {self.len}")
-        if self.bits < 0 or self.bits >> self.len:
-            raise InvalidParameterError(
-                f"bits 0b{self.bits:b} do not fit in {self.len} positions")
-
-    @property
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __str__(self) -> str:
-        return format(self.bits, f"0{self.len}b")
+def hamming_distance(x: int, y: int) -> int:
+    """Number of coordinates where the words x and y differ."""
+    return (x ^ y).bit_count()
 
 
-def hamming_distance(x: BitVertex, y: BitVertex) -> int:
-    """Number of coordinates where x and y differ."""
-    if x.len != y.len:
-        raise InvalidParameterError(f"length mismatch: {x.len} vs {y.len}")
-    return (x.bits ^ y.bits).bit_count()
+def word_label(word: int, n: int) -> str:
+    """The length-n binary string of a word, coordinate 1 first."""
+    return format(word, f"0{n}b")
 
 
 def sign_rows(bits: np.ndarray, n: int) -> np.ndarray:
@@ -93,6 +70,17 @@ class _Graph:
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency_matrix())) // 2
+
+    def index_of_label(self, label) -> int:
+        """Index of the vertex whose ``vertex_label`` is exactly ``label``; a
+        label that merely parses to a vertex, such as "+011" or "(0,2", raises."""
+        try:
+            i = self._parse_label(label) if isinstance(label, str) else None
+        except (ValueError, InvalidParameterError):
+            i = None
+        if i is None or self.vertex_label(i) != label:
+            raise InvalidParameterError(f"unknown vertex {label!r} in {self.graph_ref()}")
+        return i
 
     def descriptor(self) -> dict:
         n = self.vertex_count if self.family in ("C", "K") else self.n
@@ -138,7 +126,6 @@ class BitGraph(_Graph):
             raise InvalidParameterError(f"unknown adjacency rule {kind!r}")
         self._adj_bool = None
         self._adj_rows = None
-        self._vertices = None
 
     def _sorted_edge_keys(self, edges) -> np.ndarray:
         """Validate explicit edges; return sorted unique keys min * |V| + max."""
@@ -162,15 +149,6 @@ class BitGraph(_Graph):
     def bits_array(self) -> np.ndarray:
         return self._bits
 
-    def vertex(self, i: int) -> BitVertex:
-        return BitVertex(int(self._bits[i]), self.n)
-
-    @property
-    def vertices(self) -> list[BitVertex]:
-        if self._vertices is None:
-            self._vertices = [BitVertex(int(b), self.n) for b in self._bits]
-        return self._vertices
-
     def indices_of(self, words) -> np.ndarray:
         """Index of each word among the sorted vertex words, by binary search."""
         try:
@@ -184,8 +162,8 @@ class BitGraph(_Graph):
             raise InvalidParameterError(f"vertex {int(w[~found][0]):#b} not in graph")
         return pos
 
-    def index_of(self, v) -> int:
-        return int(self.indices_of([v.bits if isinstance(v, BitVertex) else int(v)])[0])
+    def index_of(self, word) -> int:
+        return int(self.indices_of([int(word)])[0])
 
     def __contains__(self, v) -> bool:
         try:
@@ -194,9 +172,11 @@ class BitGraph(_Graph):
             return False
 
     def vertex_label(self, i: int) -> str:
-        if self.family == "C":
-            return str(int(self._bits[i]))
-        return format(int(self._bits[i]), f"0{self.n}b")
+        word = int(self._bits[i])
+        return str(word) if self.family == "C" else word_label(word, self.n)
+
+    def _parse_label(self, label: str) -> int:
+        return self.index_of(int(label, 10 if self.family == "C" else 2))
 
     # -- adjacency ---------------------------------------------------------
 
@@ -311,7 +291,7 @@ def build_orthogonality_graph(n: int) -> BitGraph:
 
 
 def build_cycle(n: int) -> BitGraph:
-    """Cycle on n index vertices (the BitVertex carries the index)."""
+    """Cycle on n index vertices (each word is its index)."""
     if n < 3:
         raise InvalidParameterError(f"cycle needs n >= 3, got {n}")
     if n > MAX_VERTICES:
@@ -331,14 +311,22 @@ def build_complete(n: int) -> BitGraph:
                     ("explicit", np.stack(np.triu_indices(n, 1), axis=1)), family="K")
 
 
-def graph_from_ref(ref: str) -> BitGraph:
-    """Rebuild a named family member from its reference, e.g. "G11" or "C5"."""
+def graph_from_ref(ref: str) -> BitGraph | ProductGraph:
+    """Rebuild a graph from its reference, e.g. "G11", "C5" or the product "H3xH3",
+    whose factors are built once each, after the vertex cap admits those before."""
     builders = {"G": build_G, "H": build_H, "O": build_orthogonality_graph,
                 "C": build_cycle, "K": build_complete}
-    family, num = ref[:1], ref[1:]
-    if family not in builders or not num.isdigit():
-        raise InvalidParameterError(f"cannot build a graph from {ref!r} (want e.g. C5, G11)")
-    return builders[family](int(num))
+
+    @functools.cache
+    def factor(part: str) -> BitGraph:
+        family, num = part[:1], part[1:]
+        if family not in builders or not num.isdigit():
+            raise InvalidParameterError(
+                f"cannot build a graph from {ref!r} (want e.g. C5, G11, H3xH3)")
+        return builders[family](int(num))
+
+    parts = ref.split("x")
+    return factor(ref) if len(parts) == 1 else ProductGraph(map(factor, parts))
 
 
 # -- strong products ---------------------------------------------------------
@@ -352,16 +340,16 @@ class ProductGraph(_Graph):
     cap; above it only the pairwise oracle is available.
     """
 
-    def __init__(self, factors: Sequence):
-        if not factors:
-            raise InvalidParameterError("product needs at least one factor")
-        self.factors = list(factors)
-        count = 1
-        for f in self.factors:
+    def __init__(self, factors: Iterable):
+        self.factors, count = [], 1
+        for f in factors:  # the cap is checked before the next factor is drawn
             count *= f.vertex_count
             if count > MAX_VERTICES:
                 raise ResourceLimitError(
                     f"product would exceed the {MAX_VERTICES}-vertex cap")
+            self.factors.append(f)
+        if not self.factors:
+            raise InvalidParameterError("product needs at least one factor")
         self._count = count
         self.family = "product"
         self.n = sum(f.n for f in self.factors)
@@ -410,6 +398,12 @@ class ProductGraph(_Graph):
     def vertex_label(self, i: int) -> str:
         parts = self.parts(i)
         return "(" + ",".join(f.vertex_label(p) for f, p in zip(self.factors, parts)) + ")"
+
+    def _parse_label(self, label: str) -> int:
+        i = 0
+        for f, part in zip(self.factors, label[1:-1].split(","), strict=True):
+            i = i * f.vertex_count + f.index_of_label(part)
+        return i
 
     def graph_ref(self) -> str:
         return "x".join(f.graph_ref() for f in self.factors)

@@ -13,7 +13,7 @@ import sys
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
 from .errors import (CapsepError, CertificateError, ProtocolError,
                      ResourceLimitError)
-from .hadamard import find_hadamard, paley_one, sylvester
+from .hadamard import find_hadamard
 
 
 def _emit(payload, args) -> None:
@@ -53,14 +53,7 @@ def _cmd_gen_graph(args) -> int:
 
 
 def _cmd_hadamard(args) -> int:
-    if args.construction == "sylvester":
-        if args.size & (args.size - 1):
-            raise CapsepError("sylvester size must be a power of two")
-        h = sylvester(args.size.bit_length() - 1)
-    elif args.construction == "paley":
-        h = paley_one(args.size - 1)
-    else:
-        h = find_hadamard(args.size)
+    h = find_hadamard(args.size)
     if h is None:
         _emit({"size": args.size, "found": False}, args)
         return 0
@@ -83,7 +76,7 @@ def _cmd_orthorep(args) -> int:
 def _cmd_clique(args) -> int:
     _, clique = _rep_and_clique(args.family, args.n)
     _emit({"graph": f"{args.family}{args.n}", "size": len(clique),
-           "vertices": [str(v) for v in clique]}, args)
+           "vertices": [bitgraph.word_label(b, args.n) for b in clique]}, args)
     return 0
 
 
@@ -142,8 +135,7 @@ def _cmd_channel_sim(args) -> int:
     failures = 0
     transcripts = []
     for trial in range(args.trials):
-        message = (trial % proto.M) + 1 if args.message is None else args.message
-        tr = channel.simulate_transmission(proto, chan, message,
+        tr = channel.simulate_transmission(proto, chan, trial % proto.M + 1,
                                            seed=args.seed + trial)
         if not tr.correct:
             failures += 1
@@ -229,8 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hadamard", help="construct a Hadamard matrix")
     common(p)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--construction", choices=("auto", "sylvester", "paley"),
-                   default="auto")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_hadamard)
 
@@ -278,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=10**6)
-    p.add_argument("--message", type=int, default=None)
     p.set_defaults(func=_cmd_channel_sim)
 
     p = sub.add_parser("report", help="exact capacity-bound arithmetic")

@@ -69,7 +69,6 @@ class EntCert:
     rho_num: np.ndarray
     ops: dict[tuple[int, int], np.ndarray]
     verification: VerificationReport | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def graph_ref(self) -> str:
@@ -240,7 +239,7 @@ def cert_from_packing(rep: OrthoRep, packing: CliquePacking) -> EntCert:
     ops = {(u, i): num for i, (row, nums) in enumerate(zip(idx.tolist(), outer), start=1)
            for u, num in zip(row, nums)}
     cert = EntCert(g, len(packing.cliques), rep.dim, d * rep.normalizer,
-                   outer[0].sum(axis=0), ops, meta={"clique_size": d, "source": "packing"})
+                   outer[0].sum(axis=0), ops)
     return _verified(cert, "packing")
 
 
@@ -254,8 +253,7 @@ def classical_embedding(g, vertex_indices) -> EntCert:
         raise InvalidParameterError(f"set is not independent: edge {edge}")
     one = np.array([[1]], dtype=np.int64)
     ops = {(u, i): one.copy() for i, u in enumerate(idx, start=1)}
-    cert = EntCert(g, len(idx), 1, 1, one.copy(), ops,
-                   meta={"source": "classical"})
+    cert = EntCert(g, len(idx), 1, 1, one.copy(), ops)
     return _verified(cert, "classical embedding")
 
 
@@ -279,8 +277,7 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
             ops[key] = np.kron(na, nbm)
     cert = EntCert(g, a.M * b.M, a.dim * b.dim,
                    a.denominator * b.denominator,
-                   np.kron(a.rho_num, b.rho_num), ops,
-                   meta={"source": "tensor"})
+                   np.kron(a.rho_num, b.rho_num), ops)
     return _verified(cert, "tensor")
 
 
@@ -291,27 +288,18 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
     """Rebuild a certificate from its JSON form.
 
     The graph is rebuilt from the stored reference, which works for the
-    named families (G/H/O/C/K), and each vertex label is looked up by
-    ``index_of``. Malformed input (a missing field, a wrong type, an unknown
-    vertex label, a matrix not dim x dim) raises ``InvalidParameterError``.
+    named families (G/H/O/C/K) and their strong products, and each vertex
+    label is looked up by ``index_of_label``. Malformed input (a missing
+    field, a wrong type, an unknown vertex label, a matrix not dim x dim)
+    raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
             payload = json.loads(payload)
         graph = graph_from_ref(str(payload["graph"]))
-        base = 10 if graph.family == "C" else 2  # as in vertex_label
         dim = int(payload["dim"])
-        ops = {}
-        for entry in payload["ops"]:
-            label = entry["vertex"]
-            try:
-                u = graph.index_of(int(label, base))
-            except (TypeError, ValueError, InvalidParameterError):
-                u = None
-            if u is None or graph.vertex_label(u) != label:
-                raise InvalidParameterError(
-                    f"unknown vertex {label!r} in {graph.graph_ref()}")
-            ops[(u, int(entry["i"]))] = np.array(entry["matrix"], dtype=np.int64)
+        ops = {(graph.index_of_label(entry["vertex"]), int(entry["i"])):
+               np.array(entry["matrix"], dtype=np.int64) for entry in payload["ops"]}
         rho = np.array(payload["rho"], dtype=np.int64)
         cert = EntCert(graph, int(payload["M"]), dim, int(payload["denominator"]),
                        rho, ops)

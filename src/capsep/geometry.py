@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import verify_independent
-from .bitgraph import (BitGraph, BitVertex, build_G, build_H, sign_rows,
-                       weight_w_bits, words_from_signs)
+from .bitgraph import (BitGraph, build_G, build_H, sign_rows, weight_w_bits,
+                       word_label, words_from_signs)
 from .errors import ConstructionError, InvalidParameterError
 from .hadamard import HadamardMatrix, normalize
 
@@ -26,16 +26,13 @@ class OrthoRep:
     """Orthonormal representation with exact integer coordinates.
 
     ``matrix`` has one row per graph vertex (same order); the unit vector of
-    vertex i is ``matrix[i] / sqrt(normalizer)``. For the weight-(n+1)/2
-    family every row is additionally orthogonal to the appended-ones vector,
-    recorded by ``hyperplane_certified``.
+    vertex i is ``matrix[i] / sqrt(normalizer)``.
     """
 
     graph: BitGraph
     dim: int
     normalizer: int
     matrix: np.ndarray
-    hyperplane_certified: bool = False
 
     def verify(self) -> None:
         """Exact check of unit norms and edge orthogonality, in O(|V| n).
@@ -103,7 +100,7 @@ def ortho_rep_G(n: int) -> OrthoRep:
     if sums.any():
         bad = int(np.argmax(sums != 0))
         raise ConstructionError(f"vertex {bad} not orthogonal to the ones vector")
-    rep = OrthoRep(graph, n + 1, n + 1, mat, hyperplane_certified=True)
+    rep = OrthoRep(graph, n + 1, n + 1, mat)
     rep.verify()
     return rep
 
@@ -131,23 +128,22 @@ def _hadamard_signs(h: HadamardMatrix) -> np.ndarray:
     return hn.entries[:, 1:]
 
 
-def clique_from_hadamard_G(h: HadamardMatrix) -> list[BitVertex]:
-    """n mutually adjacent weight-(n+1)/2 vertices from a size-(n+1) Hadamard.
+def clique_from_hadamard_G(h: HadamardMatrix) -> list[int]:
+    """n mutually adjacent weight-(n+1)/2 words from a size-(n+1) Hadamard.
 
     Normalizes, strips the all-ones border, and maps -1 entries to 1-bits.
     Distances follow from the Hadamard identity with no graph built, so
     this works at sizes like 164 where the graph itself does not.
     """
-    signs = _hadamard_signs(h)
-    return [BitVertex(b, signs.shape[1]) for b in words_from_signs(signs[1:])]
+    return words_from_signs(_hadamard_signs(h)[1:])
 
 
-def clique_from_hadamard_H(h: HadamardMatrix) -> list[BitVertex]:
+def clique_from_hadamard_H(h: HadamardMatrix) -> list[int]:
     """The G-clique plus the all-zeros string: n+1 mutually adjacent even-weight vertices."""
     signs = _hadamard_signs(h)
     if ((signs < 0).sum(axis=1) % 2).any():
         raise ConstructionError("clique vertex with odd weight")
-    return [BitVertex(b, signs.shape[1]) for b in words_from_signs(signs)]
+    return words_from_signs(signs)
 
 
 # -- packings ----------------------------------------------------------------
@@ -179,7 +175,7 @@ class CliquePacking:
             "count": self.count,
             "target": self.target,
             "target_met": self.target_met,
-            "cliques": [[format(b, f"0{n}b") for b in c] for c in self.cliques],
+            "cliques": [[word_label(b, n) for b in c] for c in self.cliques],
         }
 
 
@@ -212,7 +208,7 @@ def _check_cliques(g: BitGraph, cliques, size: int) -> None:
                                     f"{cliques[c][b]:#b} are not adjacent")
 
 
-def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
+def pack_cliques(g: BitGraph, seed: list[int], budget: int = 10**6,
                  rng_seed: int = 0) -> CliquePacking:
     """Greedy disjoint packing by images of a seed clique under automorphisms.
 
@@ -229,10 +225,9 @@ def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
     if budget < 1:
         raise InvalidParameterError(f"budget must be at least 1, got {budget}")
     n, d = g.n, len(seed)
-    if not seed or any(v.len != n for v in seed):
-        raise InvalidParameterError("seed must be nonempty with vertices of length n")
-    seed_bits = [v.bits for v in seed]
-    _check_cliques(g, [seed_bits], d)
+    if not seed or any(b >> n for b in seed):
+        raise InvalidParameterError("seed must be nonempty with words of at most n bits")
+    _check_cliques(g, [seed], d)
     target = math.ceil(g.vertex_count / (d * d))
 
     used: set[int] = set()
@@ -245,11 +240,11 @@ def pack_cliques(g: BitGraph, seed: list[BitVertex], budget: int = 10**6,
 
     if g.family == "H":
         for z in g.bits_array.tolist():
-            try_add([b ^ z for b in seed_bits])
+            try_add([b ^ z for b in seed])
             if len(cliques) >= target:
                 break
     else:
-        seed_signs = sign_rows(np.asarray(seed_bits, dtype=np.uint64), n)
+        seed_signs = sign_rows(np.asarray(seed, dtype=np.uint64), n)
         rng = random.Random(rng_seed)
         perm = list(range(n))
         for _ in range(budget):
@@ -273,19 +268,12 @@ class RestrictedSet:
 
     n: int
     k: int
-    vertices: tuple[BitVertex, ...]
+    vertices: tuple[int, ...]  # words, ascending
     verified: bool
-    witness: tuple[BitVertex, BitVertex] | None
+    witness: tuple[int, int] | None  # words of the first edge found
 
     def __len__(self):
         return len(self.vertices)
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "k": self.k, "size": len(self.vertices),
-                "verified": self.verified,
-                "witness": None if self.witness is None else
-                [str(v) for v in self.witness],
-                "vertices": [str(v) for v in self.vertices]}
 
 
 def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
@@ -306,5 +294,6 @@ def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
     w = (n + 1) // 2
     g = BitGraph(n, [b << k for b in weight_w_bits(n - k, w)], ("distance", w))
     independent, edge = verify_independent(g, range(g.vertex_count))
-    return RestrictedSet(n, k, tuple(g.vertices), independent,
-                         None if independent else tuple(map(g.vertex, edge)))
+    words = g.bits_array.tolist()
+    return RestrictedSet(n, k, tuple(words), independent,
+                         None if independent else (words[edge[0]], words[edge[1]]))

@@ -444,17 +444,14 @@ def verify_by_pairs(cert, g=None):
 # T. The library forms A = -T T^T and checks it by distance class instead.
 
 
-def inner_product_identity_check(x, y, p: int) -> int:
-    """<u[x],u[y]> mod p, asserted equal to (-2 d(x,y) - 1) mod p.
+def inner_product_identity_check(x: int, y: int, n: int, p: int) -> int:
+    """<u[x],u[y]> mod p for length-n words, asserted equal to (-2 d(x,y) - 1) mod p.
 
     Valid whenever n = -1 mod p; for the graph families n = 4p-1.
     """
-    if x.len != y.len:
-        raise InvalidParameterError("length mismatch")
-    n = x.len
     if n % p != p - 1:
         raise InvalidParameterError(f"need n = -1 mod {p}, got n = {n}")
-    d = (x.bits ^ y.bits).bit_count()
+    d = (x ^ y).bit_count()
     ip = (n - 2 * d) % p
     expected = (-2 * d - 1) % p
     if ip != expected:
@@ -469,10 +466,9 @@ def monomial_basis_by_filter(n: int, p: int) -> list[int]:
     return masks
 
 
-def sign_vector(x, p: int) -> np.ndarray:
-    """u[x] over F_p: coordinate i is 1 for a 0-bit, p-1 for a 1-bit."""
-    n = x.len
-    return np.array([p - 1 if (x.bits >> (n - 1 - j)) & 1 else 1
+def sign_vector(word: int, n: int, p: int) -> np.ndarray:
+    """u[x] of a length-n word over F_p: coordinate i is 1 for a 0-bit, p-1 for a 1-bit."""
+    return np.array([p - 1 if (word >> (n - 1 - j)) & 1 else 1
                      for j in range(n)], dtype=np.int64)
 
 
@@ -496,11 +492,9 @@ class ProductFormPoly:
 
 
 def frankl_wilson_Q(u, p: int) -> ProductFormPoly:
-    """Product-form polynomial for a sign vector (or the vertex defining it)."""
+    """Product-form polynomial for a sign vector."""
     if not is_prime(p) or p % 2 == 0:
         raise InvalidParameterError(f"p must be an odd prime, got {p}")
-    if isinstance(u, capsep.BitVertex):
-        u = sign_vector(u, p)
     return ProductFormPoly(np.asarray(u, dtype=np.int64), p)
 
 
@@ -582,7 +576,7 @@ def build_ST(g, p: int):
         raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
     basis = monomial_basis_by_filter(n, p)
     col_of = {m: c for c, m in enumerate(basis)}
-    signs = np.array([sign_vector(g.vertex(i), p) for i in range(g.vertex_count)])
+    signs = np.array([sign_vector(b, n, p) for b in g.bits_array.tolist()])
     s = np.zeros((g.vertex_count, len(basis)), dtype=np.uint8)
     t = np.ones((g.vertex_count, len(basis)), dtype=np.int64)
     for ix in range(g.vertex_count):

@@ -121,7 +121,7 @@ def test_criterion_4_n11_classical_side():
 
         rs = capsep.restricted_independent_set(11)
         assert len(rs) == 28 and rs.verified
-        idx = [g11.index_of(v.bits) for v in rs.vertices]
+        idx = g11.indices_of(rs.vertices)
         ok, _ = capsep.verify_independent(g11, idx)
         assert ok
         # sandwich: 28 <= alpha(G_11) <= rank <= 67
@@ -150,26 +150,27 @@ def test_criterion_6_frankl_wilson_properties():
         g11 = capsep.build_G(11)
         p = 3
         rng = random.Random(6)
-        vertices = [g11.vertex(rng.randrange(462)) for _ in range(10**3)]
+        words = g11.bits_array.tolist()
+        vertices = [words[rng.randrange(462)] for _ in range(10**3)]
         polys = {}
         for x in vertices:
-            poly = multilinearize(frankl_wilson_Q(x, p))
-            polys[x.bits] = poly
+            u = sign_vector(x, 11, p)
+            poly = multilinearize(frankl_wilson_Q(u, p))
+            polys[x] = poly
             assert poly.degree <= 2
-            u = sign_vector(x, p)
             assert poly.evaluate(u) != 0
         keys = list(polys)
         for _ in range(10**3):
             x_bits = rng.choice(keys)
             point = np.array([rng.choice((1, p - 1)) for _ in range(11)],
                              dtype=np.int64)
-            q = frankl_wilson_Q(sign_vector(capsep.BitVertex(x_bits, 11), p), p)
+            q = frankl_wilson_Q(sign_vector(x_bits, 11, p), p)
             assert polys[x_bits].evaluate(point) == q.evaluate(point)
         for _ in range(10**4):
-            x = g11.vertex(rng.randrange(462))
-            y = g11.vertex(rng.randrange(462))
+            x = words[rng.randrange(462)]
+            y = words[rng.randrange(462)]
             d = capsep.hamming_distance(x, y)
-            assert inner_product_identity_check(x, y, p) == (-2 * d - 1) % p
+            assert inner_product_identity_check(x, y, 11, p) == (-2 * d - 1) % p
     check()
 
 

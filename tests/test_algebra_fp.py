@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import capsep
 from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, monomial_basis,
                                rank_fp)
-from capsep.bitgraph import BitGraph, BitVertex, weight_w_bits
+from capsep.bitgraph import BitGraph, weight_w_bits
 from capsep.errors import (InternalCheckError, InvalidParameterError,
                            ResourceLimitError)
 from conftest import (build_ST, fitting_matrix_by_polynomials, frankl_wilson_Q,
@@ -24,37 +24,36 @@ def random_sign_point(n, rng):
 
 class TestInnerProductIdentity:
     def test_self_inner_product_is_minus_one(self):
-        x = BitVertex(0b11111100000, 11)
-        assert inner_product_identity_check(x, x, 3) == 2  # -1 mod 3
+        x = 0b11111100000
+        assert inner_product_identity_check(x, x, 11, 3) == 2  # -1 mod 3
 
     def test_distance_six(self):
-        x = BitVertex(0b11111100000, 11)
-        y = BitVertex(0b00000011111 | (1 << 10), 11)
+        x = 0b11111100000
+        y = 0b00000011111 | (1 << 10)
         assert capsep.hamming_distance(x, y) == 10
-        y6 = BitVertex(0b11100000111, 11)
+        y6 = 0b11100000111
         assert capsep.hamming_distance(x, y6) == 6
-        assert inner_product_identity_check(x, y6, 3) == (-13) % 3 == 2
+        assert inner_product_identity_check(x, y6, 11, 3) == (-13) % 3 == 2
 
     def test_distance_four(self):
-        x = BitVertex(0b11111100000, 11)
-        y = BitVertex(0b11110011000, 11)
+        x = 0b11111100000
+        y = 0b11110011000
         assert capsep.hamming_distance(x, y) == 4
-        assert inner_product_identity_check(x, y, 3) == (-9) % 3 == 0
+        assert inner_product_identity_check(x, y, 11, 3) == (-9) % 3 == 0
 
     def test_rejects_wrong_length(self):
-        x = BitVertex(0b1010, 4)
         with pytest.raises(InvalidParameterError):
-            inner_product_identity_check(x, x, 3)
+            inner_product_identity_check(0b1010, 0b1010, 4, 3)
 
     def test_random_pairs_match_distance_formula(self):
         rng = random.Random(11)
         for p in (3, 5):
             n = 4 * p - 1
             for _ in range(300):
-                x = BitVertex(rng.randrange(2**n), n)
-                y = BitVertex(rng.randrange(2**n), n)
+                x = rng.randrange(2**n)
+                y = rng.randrange(2**n)
                 d = capsep.hamming_distance(x, y)
-                assert inner_product_identity_check(x, y, p) == (-2 * d - 1) % p
+                assert inner_product_identity_check(x, y, n, p) == (-2 * d - 1) % p
 
 
 class TestFranklWilsonQ:
@@ -63,13 +62,13 @@ class TestFranklWilsonQ:
         rng = random.Random(p)
         n = 4 * p - 1
         for _ in range(20):
-            u = sign_vector(BitVertex(rng.randrange(2**n), n), p)
+            u = sign_vector(rng.randrange(2**n), n, p)
             q = frankl_wilson_Q(u, p)
             assert q.evaluate(u) == (-1) % p  # Wilson's theorem
 
     def test_p3_value_by_hand(self):
         # <u,u> = -1, so the product is (-1)(-2) = 2 = -1 mod 3
-        u = sign_vector(BitVertex(0b01101100011, 11), 3)
+        u = sign_vector(0b01101100011, 11, 3)
         assert frankl_wilson_Q(u, 3).evaluate(u) == 2
 
     def test_vanishes_off_minus_one(self):
@@ -77,8 +76,8 @@ class TestFranklWilsonQ:
         p, n = 3, 11
         hits = 0
         while hits < 200:
-            u = sign_vector(BitVertex(rng.randrange(2**n), n), p)
-            v = sign_vector(BitVertex(rng.randrange(2**n), n), p)
+            u = sign_vector(rng.randrange(2**n), n, p)
+            v = sign_vector(rng.randrange(2**n), n, p)
             ip = int(u @ v) % p
             if ip != p - 1:
                 assert frankl_wilson_Q(u, p).evaluate(v) == 0
@@ -94,7 +93,7 @@ class TestMultilinearize:
         rng = random.Random(23)
         p, n = 3, 11
         for _ in range(30):
-            u = sign_vector(BitVertex(rng.randrange(2**n), n), p)
+            u = sign_vector(rng.randrange(2**n), n, p)
             q = frankl_wilson_Q(u, p)
             poly = multilinearize(q)
             assert poly.degree <= p - 1
@@ -113,7 +112,7 @@ class TestMultilinearize:
         n = 4 * p - 1
         rng = random.Random(p + 100)
         for _ in range(10):
-            u = sign_vector(BitVertex(rng.randrange(2**n), n), p)
+            u = sign_vector(rng.randrange(2**n), n, p)
             assert multilinearize(frankl_wilson_Q(u, p)).degree <= p - 1
 
 
@@ -172,8 +171,9 @@ class TestHaemers:
         rng = random.Random(29)
         for _ in range(10**3):
             i, j = rng.randrange(462), rng.randrange(462)
-            poly = multilinearize(frankl_wilson_Q(g11.vertex(i), 3))
-            assert int(a[i, j]) == poly.evaluate(sign_vector(g11.vertex(j), 3))
+            words = g11.bits_array
+            poly = multilinearize(frankl_wilson_Q(sign_vector(int(words[i]), 11, 3), 3))
+            assert int(a[i, j]) == poly.evaluate(sign_vector(int(words[j]), 11, 3))
 
     def test_independent_set_below_rank(self, g11):
         rs = capsep.restricted_independent_set(11)

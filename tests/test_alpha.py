@@ -84,7 +84,7 @@ class TestAlphaViaPower:
 class TestVerifyIndependent:
     def test_restricted_set_verifies(self, g11):
         rs = capsep.restricted_independent_set(11)
-        idx = [g11.index_of(v.bits) for v in rs.vertices]
+        idx = g11.indices_of(rs.vertices)
         ok, witness = verify_independent(g11, idx)
         assert ok and witness is None
 

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import (MAX_VERTICES, BitGraph, BitVertex, build_complete,
-                             sign_rows, weight_w_bits, words_from_signs)
+from capsep import bitgraph
+from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, sign_rows,
+                             weight_w_bits, words_from_signs)
 from capsep.errors import InvalidParameterError, ResourceLimitError
 from conftest import adjacency_by_rule, degree, flatten, word_of_signs
 
@@ -27,8 +28,8 @@ def test_weight_w_bits_is_every_weight_w_word_ascending(n):
 class TestBuildG:
     def test_g3_is_triangle_on_enumerated_vertices(self):
         g = capsep.build_G(3)
-        assert [v.bits for v in g.vertices] == brute_weight_strings(3, 2)
-        assert [str(v) for v in g.vertices] == ["011", "101", "110"]
+        assert g.bits_array.tolist() == brute_weight_strings(3, 2)
+        assert [g.vertex_label(i) for i in range(3)] == ["011", "101", "110"]
         # all pairwise distances are 2 = (n+1)/2, so G_3 is complete
         assert g.edge_count == 3
         for i in range(3):
@@ -49,7 +50,7 @@ class TestBuildG:
 class TestBuildH:
     def test_h3_is_k4(self):
         h = capsep.build_H(3)
-        assert [v.bits for v in h.vertices] == [0b000, 0b011, 0b101, 0b110]
+        assert h.bits_array.tolist() == [0b000, 0b011, 0b101, 0b110]
         assert h.edge_count == 6  # complete on 4 vertices
 
     def test_h11_count_by_direct_count(self):
@@ -58,10 +59,9 @@ class TestBuildH:
         assert h.vertex_count == direct == 2**10
 
     def test_g_is_induced_subgraph_of_h(self, g11, h11):
-        picked = [i for i in range(h11.vertex_count)
-                  if h11.vertex(i).weight == 6]
-        assert [h11.vertex(i).bits for i in picked] == \
-            [v.bits for v in g11.vertices]
+        picked = [i for i, b in enumerate(h11.bits_array.tolist())
+                  if b.bit_count() == 6]
+        assert h11.bits_array[picked].tolist() == g11.bits_array.tolist()
         sub = h11.adjacency_matrix()[np.ix_(picked, picked)]
         assert np.array_equal(sub, g11.adjacency_matrix())
 
@@ -91,7 +91,7 @@ class TestOrthogonalityGraph:
     def test_h11_embeds_in_o12(self, h11):
         # even-weight 12-bit strings with leading coordinate 0 induce H_11
         o12 = capsep.build_orthogonality_graph(12)
-        picked = [o12.index_of(v.bits) for v in h11.vertices]
+        picked = o12.indices_of(h11.bits_array)
         sub = o12.adjacency_matrix()[np.ix_(picked, picked)]
         assert np.array_equal(sub, h11.adjacency_matrix())
 
@@ -168,22 +168,15 @@ class TestStrongProduct:
 
 class TestHamming:
     def test_examples(self):
-        assert capsep.hamming_distance(BitVertex(0b011, 3), BitVertex(0b101, 3)) == 2
-        x = BitVertex(0b1010, 4)
-        assert capsep.hamming_distance(x, x) == 0
-        assert capsep.hamming_distance(
-            BitVertex(0, 11), BitVertex(0b11111111111, 11)) == 11
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidParameterError):
-            capsep.hamming_distance(BitVertex(1, 3), BitVertex(1, 4))
+        assert capsep.hamming_distance(0b011, 0b101) == 2
+        assert capsep.hamming_distance(0b1010, 0b1010) == 0
+        assert capsep.hamming_distance(0, 0b11111111111) == 11
 
     def test_matches_xor_popcount_oracle(self):
         rng = random.Random(2)
         for _ in range(500):
             a, b = rng.randrange(2**13), rng.randrange(2**13)
-            assert capsep.hamming_distance(BitVertex(a, 13), BitVertex(b, 13)) == \
-                bin(a ^ b).count("1")
+            assert capsep.hamming_distance(a, b) == bin(a ^ b).count("1")
 
 
 class TestInvariants:
@@ -202,7 +195,7 @@ class TestInvariants:
         assert capsep.build_H(n).vertex_count == 2 ** (n - 1)
 
     def test_vertices_sorted_and_unique(self, g11):
-        bits = [v.bits for v in g11.vertices]
+        bits = g11.bits_array.tolist()
         assert bits == sorted(set(bits))
 
     @pytest.mark.parametrize("g", [
@@ -277,11 +270,58 @@ class TestExport:
         assert d == {"family": "G", "n": 11, "vertex_count": 462,
                      "edge_count": g11.edge_count}
 
-    def test_bitvertex_validation(self):
-        with pytest.raises(InvalidParameterError):
-            BitVertex(0b100, 2)  # bit above length
-        with pytest.raises(InvalidParameterError):
-            BitVertex(1, 0)
+
+CODEC_GRAPHS = [capsep.build_G(7), capsep.build_H(7), capsep.build_orthogonality_graph(6),
+                capsep.build_cycle(7), build_complete(5),
+                capsep.strong_product(capsep.build_cycle(7), build_complete(5))]
+
+
+class TestLabelCodec:
+    @pytest.mark.parametrize("g", CODEC_GRAPHS, ids=lambda g: g.graph_ref())
+    def test_index_of_label_inverts_vertex_label(self, g):
+        every = range(g.vertex_count)
+        assert [g.index_of_label(g.vertex_label(i)) for i in every] == list(every)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(CODEC_GRAPHS), st.data())
+    def test_one_character_edit_is_exact_or_unknown(self, g, data):
+        label = g.vertex_label(data.draw(st.integers(0, g.vertex_count - 1)))
+        kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        pos = data.draw(st.integers(0, len(label) - (kind != "insert")))
+        char = data.draw(st.sampled_from("0123456789(),x+-_ \t٠１"))
+        edited = (label[:pos] + ("" if kind == "delete" else char)
+                  + label[pos + (kind != "insert"):])
+        try:
+            i = g.index_of_label(edited)
+        except InvalidParameterError as exc:
+            assert "unknown vertex" in str(exc)
+        else:
+            assert g.vertex_label(i) == edited
+
+
+class TestGraphFromRef:
+    @pytest.mark.parametrize("g", CODEC_GRAPHS + [capsep.strong_power(capsep.build_H(3), 3)],
+                             ids=lambda g: g.graph_ref())
+    def test_rebuilds_every_reference(self, g):
+        again = bitgraph.graph_from_ref(g.graph_ref())
+        assert type(again) is type(g) and again.graph_ref() == g.graph_ref()
+        assert np.array_equal(again.adjacency_matrix(), g.adjacency_matrix())
+
+    def test_factors_built_once_and_only_under_the_cap(self, monkeypatch):
+        built = []
+        real = bitgraph.build_H
+        monkeypatch.setattr(bitgraph, "build_H", lambda n: built.append(n) or real(n))
+        assert bitgraph.graph_from_ref("H3xH3xH5").vertex_count == 4 * 4 * 16
+        assert built == [3, 5]
+        built.clear()
+        with pytest.raises(ResourceLimitError):
+            bitgraph.graph_from_ref("H13xH15xH13xH17")  # 4096 * 16384 > 10^7
+        assert built == [13, 15]
+
+    @pytest.mark.parametrize("ref", ["", "x", "C5x", "xC5", "C5xQ3", "C5xxC5", "C5X5", "G"])
+    def test_rejects_malformed_references(self, ref):
+        with pytest.raises(InvalidParameterError, match="cannot build"):
+            bitgraph.graph_from_ref(ref)
 
 
 @st.composite
@@ -304,7 +344,7 @@ class TestVertexLookup:
         got = g.indices_of(present)
         assert got.dtype == np.int64
         assert got.tolist() == [oracle[q] for q in present]
-        assert [g.index_of(BitVertex(q, n)) for q in present] == got.tolist()
+        assert [g.index_of(q) for q in present] == got.tolist()
         assert [q in g for q in queries] == [q in oracle for q in queries]
         absent = [q for q in queries if q not in oracle]
         if absent:

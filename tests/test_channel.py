@@ -283,7 +283,7 @@ class TestProtocol:
 
     def test_classical_protocol_decodes_by_lookup(self, g11):
         rs = capsep.restricted_independent_set(11)
-        idx = [g11.index_of(v.bits) for v in rs.vertices]
+        idx = g11.indices_of(rs.vertices)
         cert = classical_embedding(g11, idx)
         chan = canonical_channel(g11)
         proto = protocol_from_cert(cert, chan)
@@ -304,7 +304,7 @@ class TestProtocol:
 
 def classical_g11_protocol(g11):
     rs = capsep.restricted_independent_set(11)
-    cert = classical_embedding(g11, [g11.index_of(v.bits) for v in rs.vertices])
+    cert = classical_embedding(g11, g11.indices_of(rs.vertices))
     chan = canonical_channel(g11)
     return protocol_from_cert(cert, chan), chan
 

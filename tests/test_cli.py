@@ -142,6 +142,39 @@ class TestCertCommands:
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "'999'")
 
+    @staticmethod
+    def _squared_cert(name):
+        if name == "H3xH3":
+            rep = capsep.ortho_rep_H(3)
+            seed = capsep.clique_from_hadamard_H(capsep.sylvester(2))
+            base = capsep.cert_from_packing(rep, capsep.pack_cliques(rep.graph, seed))
+        else:
+            base = capsep.classical_embedding(capsep.build_cycle(5), [0, 2])
+        payload = capsep.tensor(base, base).to_json()
+        assert payload["graph"] == name
+        return payload
+
+    @pytest.mark.parametrize("name", ["H3xH3", "C5xC5"])
+    def test_verify_cert_product_from_file(self, capsys, tmp_path, name):
+        target = tmp_path / "cert.json"
+        payload = self._squared_cert(name)
+        target.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 0 and json.loads(out)["passed"] is True
+        payload["ops"][0]["matrix"][0][0] *= -1
+        target.write_text(json.dumps(payload))
+        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 2 and json.loads(out)["passed"] is False
+
+    @pytest.mark.parametrize("label", ["(0,2", "(0,2,1)", "(00,2)"])
+    def test_verify_cert_product_unknown_vertex(self, capsys, tmp_path, label):
+        target = tmp_path / "cert.json"
+        payload = self._squared_cert("C5xC5")
+        assert [op["vertex"] for op in payload["ops"]] == ["(0,0)", "(0,2)", "(2,0)", "(2,2)"]
+        payload["ops"][1]["vertex"] = label
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, "unknown vertex")
+
     def test_verify_cert_missing_rho(self, capsys, tmp_path):
         target, payload = self._h3_cert(capsys, tmp_path)
         del payload["rho"]

@@ -120,7 +120,7 @@ class TestClassicalEmbedding:
 
     def test_restricted_set_gives_m28(self, g11):
         rs = capsep.restricted_independent_set(11)
-        idx = [g11.index_of(v.bits) for v in rs.vertices]
+        idx = g11.indices_of(rs.vertices)
         cert = classical_embedding(g11, idx)
         assert cert.M == 28
         assert cert.verification.passed
@@ -176,7 +176,7 @@ class TestTensor:
 
     def test_large_product_fully_verified(self, g11):
         rs = capsep.restricted_independent_set(11)
-        idx = [g11.index_of(v.bits) for v in rs.vertices]
+        idx = g11.indices_of(rs.vertices)
         base = classical_embedding(g11, idx)
         squared = tensor(base, base)
         assert squared.graph.vertex_count == 462 * 462
@@ -267,7 +267,7 @@ def oracle_certs(g11, g11_cert, h11_cert):
         "G15": _packing_cert("G", 15),
         "H3xH3": tensor(h3, h3),
         "C5xC5": _classical_squared(capsep.build_cycle(5), [0, 2]),
-        "G11xG11": _classical_squared(g11, [g11.index_of(v.bits) for v in rs.vertices]),
+        "G11xG11": _classical_squared(g11, g11.indices_of(rs.vertices)),
     }
 
 

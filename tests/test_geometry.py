@@ -84,7 +84,6 @@ class TestOrthoRepG:
         # every u[x] has weight 6, so u[x].1 = -1 and the appended 1 cancels it
         sums = rep.matrix.astype(np.int64).sum(axis=1)
         assert not sums.any()
-        assert rep.hyperplane_certified
 
     def test_n3_sign_vector(self):
         rep = capsep.ortho_rep_G(3)
@@ -103,34 +102,33 @@ class TestOrthoRepG:
 class TestCliqueFromHadamard:
     def test_sylvester4_gives_all_of_g3(self):
         clique = capsep.clique_from_hadamard_G(capsep.sylvester(2))
-        assert sorted(v.bits for v in clique) == [0b011, 0b101, 0b110]
+        assert sorted(clique) == [0b011, 0b101, 0b110]
 
     def test_paley12_gives_11_clique(self):
         clique = capsep.clique_from_hadamard_G(capsep.paley_one(11))
         assert len(clique) == 11
         for i in range(11):
-            assert clique[i].weight == 6
+            assert clique[i].bit_count() == 6
             for j in range(i + 1, 11):
                 assert capsep.hamming_distance(clique[i], clique[j]) == 6
 
     def test_paley164_gives_163_clique_without_graph(self):
         clique = capsep.clique_from_hadamard_G(capsep.paley_one(163))
         assert len(clique) == 163
-        bits = [v.bits for v in clique]
         for i in range(163):
-            assert bin(bits[i]).count("1") == 82
+            assert bin(clique[i]).count("1") == 82
             for j in range(i + 1, 163):
-                assert bin(bits[i] ^ bits[j]).count("1") == 82
+                assert bin(clique[i] ^ clique[j]).count("1") == 82
 
     def test_h_clique_includes_zero(self):
         clique = capsep.clique_from_hadamard_H(capsep.sylvester(2))
-        assert sorted(v.bits for v in clique) == [0b000, 0b011, 0b101, 0b110]
+        assert sorted(clique) == [0b000, 0b011, 0b101, 0b110]
 
     def test_h_clique_zero_vertex_distances(self):
         clique = capsep.clique_from_hadamard_H(capsep.paley_one(11))
         assert len(clique) == 12
         zero = clique[0]
-        assert zero.bits == 0
+        assert zero == 0
         # each Hadamard row has weight (n+1)/2, hence that distance from zero
         for v in clique[1:]:
             assert capsep.hamming_distance(zero, v) == 6
@@ -170,16 +168,17 @@ class TestPackCliques:
         assert a.cliques == b.cliques
 
     def test_rejects_non_clique_seed(self, g11):
-        verts = [g11.vertex(0), g11.vertex(1), g11.vertex(2)]
+        words = g11.bits_array.tolist()
+        verts = [words[0], words[1], words[2]]
         if capsep.hamming_distance(verts[0], verts[1]) == 6:
-            verts = [g11.vertex(0), g11.vertex(3), g11.vertex(5)]
+            verts = [words[0], words[3], words[5]]
         with pytest.raises((ConstructionError, InvalidParameterError)):
             capsep.pack_cliques(g11, verts)
 
     def test_rejects_wrong_family(self):
         c5 = capsep.build_cycle(5)
         with pytest.raises(InvalidParameterError):
-            capsep.pack_cliques(c5, [c5.vertex(0)])
+            capsep.pack_cliques(c5, [0])
 
     def test_reverification_catches_overlap(self, h11, paley12):
         seed = capsep.clique_from_hadamard_H(paley12)
@@ -193,7 +192,7 @@ class TestPackCliques:
     def test_translations_preserve_h11_adjacency(self, h11):
         rng = random.Random(5)
         rows = h11.adjacency_matrix()
-        bits = [v.bits for v in h11.vertices]
+        bits = h11.bits_array.tolist()
         for _ in range(5000):
             i = rng.randrange(1024)
             j = rng.randrange(1024)
@@ -210,8 +209,8 @@ class TestPackCliques:
             j = rng.randrange(462)
             perm = list(range(11))
             rng.shuffle(perm)
-            pi = g11.index_of(_permute_bits(g11.vertex(i).bits, perm, 11))
-            pj = g11.index_of(_permute_bits(g11.vertex(j).bits, perm, 11))
+            pi = g11.index_of(_permute_bits(int(g11.bits_array[i]), perm, 11))
+            pj = g11.index_of(_permute_bits(int(g11.bits_array[j]), perm, 11))
             assert rows[i, j] == rows[pi, pj]
 
     def test_packing_json(self, g11, paley12):
@@ -232,7 +231,7 @@ class TestRestrictedIndependentSet:
         assert len(rs) == math.comb(8, 6) == 28
         assert rs.verified and rs.witness is None
         # independent means no pair at distance 6; re-check exhaustively
-        bits = [v.bits for v in rs.vertices]
+        bits = rs.vertices
         for i in range(len(bits)):
             assert bits[i] % 8 == 0  # zeros on the last three coordinates
             for j in range(i + 1, len(bits)):
@@ -248,7 +247,7 @@ class TestRestrictedIndependentSet:
     def test_n3_default_is_provably_safe(self):
         rs = restricted_independent_set(3)
         assert rs.k == 1
-        assert [v.bits for v in rs.vertices] == [0b110]
+        assert list(rs.vertices) == [0b110]
         assert rs.verified
 
     def test_rejects_bad_k(self):
@@ -261,8 +260,8 @@ class TestVertexSetChecks:
     def test_hadamard_cliques_pass_pair_oracle(self, size):
         h = capsep.find_hadamard(size)
         n = size - 1
-        g_clique = [v.bits for v in capsep.clique_from_hadamard_G(h)]
-        h_clique = [v.bits for v in capsep.clique_from_hadamard_H(h)]
+        g_clique = capsep.clique_from_hadamard_G(h)
+        h_clique = capsep.clique_from_hadamard_H(h)
         rows = capsep.normalize(h).entries[1:, 1:].tolist()
         assert g_clique == [word_of_signs(row) for row in rows]
         assert h_clique == [0] + g_clique
@@ -275,10 +274,10 @@ class TestVertexSetChecks:
     def test_restricted_set_matches_pair_oracle(self, n, k):
         rs = restricted_independent_set(n, k)
         words, edge = restricted_set_by_pairs(n, k)
-        assert [v.bits for v in rs.vertices] == words
-        assert all(v.len == n for v in rs.vertices)
+        assert list(rs.vertices) == words
+        assert all(b >> n == 0 for b in rs.vertices)
         assert rs.verified == (edge is None)
-        assert (rs.witness and tuple(v.bits for v in rs.witness)) == edge
+        assert rs.witness == edge
 
     def test_bad_packings_name_their_clique(self, g11, paley12):
         packing = capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12))
@@ -303,3 +302,5 @@ class TestVertexSetChecks:
             capsep.pack_cliques(g11, seed[:2] + seed[:1])
         with pytest.raises(InvalidParameterError):
             capsep.pack_cliques(g11, [])
+        with pytest.raises(InvalidParameterError, match="at most n bits"):
+            capsep.pack_cliques(g11, seed[:-1] + [seed[-1] | 1 << 11])
