@@ -51,58 +51,65 @@ def verify_independent(g, vertex_indices) -> tuple[bool, tuple[int, int] | None]
     return True, None
 
 
-def _greedy_color_bound(cand: int, order: list[int], comp: list[int]) -> list[tuple[int, int]]:
-    """Color the complement subgraph on cand greedily along the static order.
+def _color_classes(cand: int, adj: list[int]) -> list[tuple[int, int]]:
+    """Color the complement subgraph on cand greedily, one class at a time.
 
-    Returns (vertex, color) pairs with colors nondecreasing; the number of
-    classes bounds the largest complement-clique inside cand.
+    Bit r of cand is the vertex of static-order rank r, so each class takes
+    the lowest uncolored vertex, keeps in the class's pool only its neighbours
+    in g (its non-neighbours in the complement), and repeats: the classes of
+    first-fit coloring along the static order. Returns (rank, color) pairs
+    with colors nondecreasing; the number of classes bounds the largest
+    complement-clique inside cand.
     """
-    classes: list[int] = []
-    colored: list[list[int]] = []
-    for v in order:
-        if not (cand >> v) & 1:
-            continue
-        placed = False
-        for ci in range(len(classes)):
-            if classes[ci] & comp[v] == 0:
-                classes[ci] |= 1 << v
-                colored[ci].append(v)
-                placed = True
-                break
-        if not placed:
-            classes.append(1 << v)
-            colored.append([v])
     out = []
-    for ci, members in enumerate(colored):
-        for v in members:
-            out.append((v, ci + 1))
+    color = 0
+    while cand:
+        color += 1
+        pool = cand
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            out.append((v, color))
+            cand ^= low
+            pool &= adj[v]
     return out
+
+
+def _rank_rows(g, order: np.ndarray) -> list[int]:
+    """Adjacency as one bitset int per rank, bit r the vertex of rank r."""
+    adj = g.adjacency_matrix()
+    rows: list[int] = []
+    for lo, hi in row_blocks(order.size, order.size):
+        packed = np.packbits(adj[order[lo:hi]][:, order], axis=1, bitorder="little")
+        rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return rows
 
 
 def max_independent_set(g, node_budget: int = 1_000_000,
                         time_budget_s: float | None = None) -> AlphaResult:
     """Budgeted exact/anytime alpha with a re-verified witness."""
     n = g.vertex_count
-    rows = g.adjacency_rows()
-    full = (1 << n) - 1
-    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
-    # Static order: complement degree descending, then vertex value.
-    order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
+    # Static order: complement degree descending, then vertex index. The
+    # search runs on ranks in this order; the witness is mapped back.
+    order = np.argsort(g.adjacency_matrix().sum(axis=1), kind="stable")
+    adj = _rank_rows(g, order)
 
     # Greedy incumbent: grow a complement clique along the static order.
-    best: list[int] = []
-    for v in order:
-        if all((comp[v] >> u) & 1 for u in best):
-            best.append(v)
-    best_size = len(best)
+    best_set: list[int] = []
+    clique = 0
+    for v in range(n):
+        if not clique & adj[v]:
+            best_set.append(v)
+            clique |= 1 << v
+    best_size = len(best_set)
 
     start = time.monotonic()
     nodes = 0
     truncated = False
     current: list[int] = []
-    best_set = list(best)
 
-    root_colored = _greedy_color_bound(full, order, comp)
+    full = (1 << n) - 1
+    root_colored = _color_classes(full, adj)
     root_bound = root_colored[-1][1] if root_colored else 0
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 100))
@@ -117,27 +124,28 @@ def max_independent_set(g, node_budget: int = 1_000_000,
         for v, color in reversed(colored):
             if len(current) + color <= best_size:
                 return
+            cand ^= 1 << v
             current.append(v)
-            new_cand = cand & comp[v]
+            new_cand = cand & ~adj[v]
             if new_cand == 0:
                 if len(current) > best_size:
                     best_size = len(current)
                     best_set = list(current)
             else:
-                expand(new_cand, _greedy_color_bound(new_cand, order, comp))
+                expand(new_cand, _color_classes(new_cand, adj))
                 if truncated:
                     current.pop()
                     return
             current.pop()
-            cand &= ~(1 << v)
 
     if n > 0:
         expand(full, root_colored)
 
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)
-    ok, witness_edge = verify_independent(g, best_set)
+    witness = tuple(sorted(order[best_set].tolist()))
+    ok, witness_edge = verify_independent(g, witness)
     if not ok:
         raise InternalCheckError(f"internal witness failed: edge {witness_edge}")
-    return AlphaResult(best_size, upper, exact, tuple(sorted(best_set)),
+    return AlphaResult(best_size, upper, exact, witness,
                        nodes, time.monotonic() - start)

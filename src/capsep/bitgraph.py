@@ -60,13 +60,6 @@ class _Graph:
     def is_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency_among([i], [j])[0, 0])
 
-    def adjacency_rows(self) -> list[int]:
-        """Adjacency as one bitset int per vertex, aligned to vertex order."""
-        if self._adj_rows is None:
-            packed = np.packbits(self.adjacency_matrix(), axis=1, bitorder="little")
-            self._adj_rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
-        return self._adj_rows
-
     @property
     def edge_count(self) -> int:
         return int(np.count_nonzero(self.adjacency_matrix())) // 2
@@ -125,7 +118,6 @@ class BitGraph(_Graph):
         else:
             raise InvalidParameterError(f"unknown adjacency rule {kind!r}")
         self._adj_bool = None
-        self._adj_rows = None
 
     def _sorted_edge_keys(self, edges) -> np.ndarray:
         """Validate explicit edges; return sorted unique keys min * |V| + max."""
@@ -354,7 +346,6 @@ class ProductGraph(_Graph):
         self.family = "product"
         self.n = sum(f.n for f in self.factors)
         self._adj_bool = None
-        self._adj_rows = None
 
     @property
     def vertex_count(self) -> int:

@@ -113,7 +113,7 @@ def _cmd_haemers(args) -> int:
 
 
 def _cmd_alpha(args) -> int:
-    g = bitgraph.graph_from_ref(args.graph[:1].upper() + args.graph[1:])
+    g = bitgraph.graph_from_ref("x".join(f[:1].upper() + f[1:] for f in args.graph.split("x")))
     time_budget = args.budget_ms / 1000.0 if args.budget_ms else None
     if args.power > 1:
         g = bitgraph.strong_power(g, args.power)
@@ -165,7 +165,7 @@ def _cmd_pipeline(args) -> int:
                       "target_met": packing.target_met}
     out["cert"] = {"M": cert.M, "dim": cert.dim,
                    "verified": cert.verification.passed,
-                   "mode": cert.verification.mode}
+                   "mode": cert.verification.to_json()["mode"]}
     p = (n + 1) // 4
     upper = None
     if p >= 3 and algebra_fp.is_prime(p) and p % 2 == 1:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("alpha", help="maximum independent set with bounds")
     common(p)
-    p.add_argument("--graph", required=True, help="e.g. C5, G11, H11, O12")
+    p.add_argument("--graph", required=True, help="e.g. C5, G11, H11, O12, C5xC5")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=10**6)
     p.add_argument("--budget-ms", type=int, default=None)

@@ -40,14 +40,14 @@ _EXACT_BOUND = 1 << 53
 @dataclass
 class VerificationReport:
     passed: bool
-    mode: str  # always "full": every condition instance is checked
     conditions: dict
     witnesses: list
     violations: dict = field(default_factory=dict)  # per condition, all counted
 
     def to_json(self) -> dict:
-        """The report; ``violations`` only when it failed (all zero otherwise)."""
-        out = {"mode": self.mode, "passed": self.passed, "conditions": self.conditions}
+        """The report; ``violations`` only when it failed (all zero otherwise).
+        The mode is always "full": every condition instance is checked."""
+        out = {"mode": "full", "passed": self.passed, "conditions": self.conditions}
         if not self.passed:
             out["violations"] = self.violations
         return out | {"witnesses": self.witnesses}
@@ -138,7 +138,7 @@ def verify(cert: EntCert) -> VerificationReport:
     big = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (stack, rho))
     if d * big * big >= _EXACT_BOUND or (k_ops + d) * big >= _EXACT_BOUND:
         return VerificationReport(
-            False, "full", dict.fromkeys(CONDITIONS, False),
+            False, dict.fromkeys(CONDITIONS, False),
             [{"condition": "psd", "max_abs": big,
               "error": "entries too large for exact arithmetic"}], {"psd": 1})
 
@@ -202,7 +202,7 @@ def verify(cert: EntCert) -> VerificationReport:
                                    for a, b in np.argwhere(hits)[:WITNESS_CAP].tolist()])
 
     conditions = {name: violations[name] == 0 for name in CONDITIONS}
-    return VerificationReport(all(conditions.values()), "full", conditions,
+    return VerificationReport(all(conditions.values()), conditions,
                               [w for name in CONDITIONS for w in found[name]],
                               violations)
 

@@ -1,9 +1,9 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own algorithms: alpha by
-memoized subset enumeration over Python-int bitsets, rank by plain-list
-row reduction. They exist so the fast implementations have something honest
-to be measured against.
+memoized subset enumeration over Python-int bitsets and by branch and bound
+with vertex-by-vertex coloring, rank by plain-list row reduction. They exist
+so the fast implementations have something honest to be measured against.
 """
 
 from __future__ import annotations
@@ -38,6 +38,92 @@ def alpha_by_enumeration(adj_rows: list[int]) -> int:
     result = best(full)
     best.cache_clear()
     return result
+
+
+def adjacency_rows(g) -> list[int]:
+    """Adjacency as one bitset int per vertex, bit j set when j is a neighbour."""
+    packed = np.packbits(g.adjacency_matrix(), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _greedy_color_bound(cand: int, order: list[int], comp: list[int]) -> list[tuple[int, int]]:
+    """Color the complement subgraph on cand greedily along the static order,
+    vertex by vertex, each into the first class it fits.
+
+    Returns (vertex, color) pairs with colors nondecreasing; the number of
+    classes bounds the largest complement-clique inside cand.
+    """
+    classes: list[int] = []
+    colored: list[list[int]] = []
+    for v in order:
+        if not (cand >> v) & 1:
+            continue
+        placed = False
+        for ci in range(len(classes)):
+            if classes[ci] & comp[v] == 0:
+                classes[ci] |= 1 << v
+                colored[ci].append(v)
+                placed = True
+                break
+        if not placed:
+            classes.append(1 << v)
+            colored.append([v])
+    out = []
+    for ci, members in enumerate(colored):
+        for v in members:
+            out.append((v, ci + 1))
+    return out
+
+
+def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
+    """(lower, upper, exact, witness, nodes) of the budgeted branch and bound on
+    vertex indices, its bound from the vertex-by-vertex first-fit coloring."""
+    n = g.vertex_count
+    rows = adjacency_rows(g)
+    full = (1 << n) - 1
+    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
+    order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
+
+    best: list[int] = []
+    for v in order:
+        if all((comp[v] >> u) & 1 for u in best):
+            best.append(v)
+    best_size = len(best)
+    nodes = 0
+    truncated = False
+    current: list[int] = []
+    best_set = list(best)
+    root_colored = _greedy_color_bound(full, order, comp)
+    root_bound = root_colored[-1][1] if root_colored else 0
+
+    def expand(cand: int, colored: list[tuple[int, int]]):
+        nonlocal nodes, best_size, best_set, truncated
+        nodes += 1
+        if nodes > node_budget:
+            truncated = True
+            return
+        for v, color in reversed(colored):
+            if len(current) + color <= best_size:
+                return
+            current.append(v)
+            new_cand = cand & comp[v]
+            if new_cand == 0:
+                if len(current) > best_size:
+                    best_size = len(current)
+                    best_set = list(current)
+            else:
+                expand(new_cand, _greedy_color_bound(new_cand, order, comp))
+                if truncated:
+                    current.pop()
+                    return
+            current.pop()
+            cand &= ~(1 << v)
+
+    if n > 0:
+        expand(full, root_colored)
+    exact = not truncated
+    upper = best_size if exact else max(root_bound, best_size)
+    return best_size, upper, exact, tuple(sorted(best_set)), nodes
 
 
 def rank_by_row_reduction(matrix, p: int) -> int:

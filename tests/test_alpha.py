@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capsep
 from capsep.alpha import max_independent_set, verify_independent
+from capsep.bitgraph import graph_from_ref
 from capsep.errors import InternalCheckError, ResourceLimitError
-from conftest import alpha_by_enumeration, flatten, random_explicit_graph
+from conftest import (adjacency_rows, alpha_by_enumeration, alpha_by_vertex_coloring,
+                      flatten, random_explicit_graph)
 
 
 class TestMaxIndependentSet:
@@ -35,7 +39,7 @@ class TestMaxIndependentSet:
             g = random_explicit_graph(n, rng.uniform(0.2, 0.7), seed=trial)
             res = max_independent_set(g)
             assert res.exact
-            assert res.lower == alpha_by_enumeration(g.adjacency_rows())
+            assert res.lower == alpha_by_enumeration(adjacency_rows(g))
 
     def test_budget_exhaustion_keeps_honest_bounds(self):
         g = random_explicit_graph(40, 0.15, seed=99)
@@ -56,6 +60,36 @@ class TestMaxIndependentSet:
         assert payload["lower"] == payload["upper"] == 2
         assert payload["exact"] is True
         assert len(payload["witness"]) == 2
+
+
+class TestMatchesVertexColoringOracle:
+    """Class-by-class coloring over ranks searches the same tree as
+    vertex-by-vertex coloring over indices, so every reported field agrees."""
+
+    @staticmethod
+    def fields(res):
+        return res.lower, res.upper, res.exact, res.witness, res.nodes_explored
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), density=st.sampled_from([0.05, 0.2, 0.4, 0.6, 0.8, 0.95]),
+           seed=st.integers(0, 2**32 - 1),
+           budget=st.one_of(st.integers(1, 60), st.just(1_000_000)))
+    def test_random_explicit_graphs(self, n, density, seed, budget):
+        g = random_explicit_graph(n, density, seed)
+        res = max_independent_set(g, node_budget=budget)
+        assert self.fields(res) == alpha_by_vertex_coloring(g, budget)
+        assert verify_independent(g, res.witness) == (True, None)
+
+    @pytest.mark.parametrize("ref, budget, expect", [
+        ("G11", 2000, (37, 73, False, 2001)),
+        ("H11", 2000, (67, 256, False, 2001)),
+        ("C5xC5", 1_000_000, (5, 5, True, 20)),
+    ])
+    def test_fixed_cases(self, ref, budget, expect):
+        g = graph_from_ref(ref)
+        res = max_independent_set(g, node_budget=budget)
+        assert (res.lower, res.upper, res.exact, res.nodes_explored) == expect
+        assert self.fields(res) == alpha_by_vertex_coloring(g, budget)
 
 
 class TestAlphaViaPower:

@@ -29,6 +29,13 @@ class TestAlphaCommand:
         assert payload["upper"] == 5
         assert payload["exact"] is True
 
+    def test_product_reference_is_case_blind(self, capsys):
+        code, out, _ = run(capsys, "alpha", "--graph", "c5xc5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["graph"] == "C5xC5"
+        assert payload["lower"] == 5
+
 
 class TestReportCommand:
     def test_p41_separates(self, capsys):
