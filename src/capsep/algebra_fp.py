@@ -22,24 +22,22 @@ then at most rank_p(A) <= m.
 
 Rank. If T_I is a row basis of T (r rows), then T = L T_I with L of full
 column rank, so A = -L (T_I T_I^T) L^T and rank_p(A) = rank_p(T_I T_I^T), an
-r x r matrix (``gram_rank``). No |V| x |V| matrix is formed unless asked for.
+r x r matrix (``gram_rank``). No |V| x |V| matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, row_blocks, weight_w_bits
+from .bitgraph import BitGraph, weight_w_bits
 from .errors import (InternalCheckError, InvalidParameterError,
                      ResourceLimitError)
 from .hadamard import is_prime
 
 MEMORY_CAP_BYTES = 2 << 30
-_MAGIC = b"FPMX"
 
 
 @dataclass(frozen=True)
@@ -60,26 +58,6 @@ class FpMatrix:
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def to_bytes(self) -> bytes:
-        header = struct.pack("<4sIQQ", _MAGIC, self.p, self.rows, self.cols)
-        return header + self.data.tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "FpMatrix":
-        magic, p, rows, cols = struct.unpack_from("<4sIQQ", blob)
-        if magic != _MAGIC:
-            raise InvalidParameterError("bad matrix dump magic")
-        body = np.frombuffer(blob, dtype=np.uint8, offset=struct.calcsize("<4sIQQ"))
-        return cls(p, body.reshape(rows, cols).copy())
-
 
 def monomial_basis(n: int, p: int) -> list[int]:
     """All multilinear monomials of degree <= p-1 as bitmasks, (degree, value)-sorted.
@@ -87,6 +65,12 @@ def monomial_basis(n: int, p: int) -> list[int]:
     Bit b of a mask is the variable of vertex bit b.
     """
     return [m for k in range(p) for m in weight_w_bits(n, k)]
+
+
+def monomial_values(g: BitGraph, p: int) -> np.ndarray:
+    """T, |V| x m int64: each ``monomial_basis`` monomial at each u[x], -1 as p-1."""
+    masks = np.array(monomial_basis(g.n, p), dtype=np.uint64)
+    return np.where(np.bitwise_count(g.bits_array[:, None] & masks) & 1, p - 1, 1)
 
 
 def _fitting_value(n: int, p: int, d: int) -> int:
@@ -165,24 +149,21 @@ class HaemersResult:
     p: int
     n: int
     bound: int  # number of monomials = rank bound
-    fits: bool
     rank: int  # rank_p(A), exact
-    matrix: FpMatrix | None = None  # A itself, formed only when asked for
 
     def to_json(self) -> dict:
         return {"p": self.p, "n": self.n, "matrix": "A",
-                "rank": self.rank, "bound": self.bound, "fits": self.fits}
+                "rank": self.rank, "bound": self.bound, "fits": True}
 
 
-def haemers_matrix(g: BitGraph, p: int, form_matrix: bool = False) -> HaemersResult:
+def haemers_matrix(g: BitGraph, p: int) -> HaemersResult:
     """Fits check and exact rank of the fitting matrix A = -T T^T mod p.
 
-    T (|V| x m) is the monomial-evaluation matrix; no |V| x |V| matrix is
-    formed unless ``form_matrix`` asks for A. The memory the run needs (the
-    int64 T and its working copy, plus A when formed) is checked against
-    ``MEMORY_CAP_BYTES`` before any of it is built. A failing fits check would
-    indicate an implementation bug, since it holds by construction for the
-    graph families.
+    T (|V| x m) is ``monomial_values``; no |V| x |V| matrix is formed. The
+    memory the run needs (the int64 T and its working copy) is checked against
+    ``MEMORY_CAP_BYTES`` before any of it is built. A failing fits check raises:
+    it would indicate an implementation bug, since it holds by construction
+    for the graph families.
     """
     if not is_prime(p) or p % 2 == 0:
         raise InvalidParameterError(f"p must be an odd prime, got {p}")
@@ -195,20 +176,12 @@ def haemers_matrix(g: BitGraph, p: int, form_matrix: bool = False) -> HaemersRes
     if odd.any() and not odd.all():
         raise InvalidParameterError("vertex weights must all have one parity")
     nv, m = g.vertex_count, sum(math.comb(n, k) for k in range(p))
-    need = 16 * nv * m + (nv * nv if form_matrix else 0)
+    need = 16 * nv * m
     if need > MEMORY_CAP_BYTES:
         raise ResourceLimitError(
             f"fitting matrix of {g.graph_ref()} at p = {p}: T is {nv} x {m}, "
             f"needing {need / 2**30:.1f} GiB, over the "
             f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap")
     _fits_check(n, p, g.distance)
-    masks = np.array(monomial_basis(n, p), dtype=np.uint64)
-    t = np.where(np.bitwise_count(g.bits_array[:, None] & masks) & 1, p - 1, 1)
-    a = None
-    if form_matrix:
-        a = np.empty((nv, nv), dtype=np.uint8)
-        for lo, hi in row_blocks(nv, nv):
-            a[lo:hi] = -(t[lo:hi] @ t.T) % p
-        a = FpMatrix(p, a)
-    return HaemersResult(p, n, m, True, gram_rank(t, p), a)
+    return HaemersResult(p, n, m, gram_rank(monomial_values(g, p), p))
 

@@ -21,6 +21,7 @@ MAX_BITLEN = 63
 MAX_VERTICES = 10**7
 # Dense adjacency (bitset rows / boolean matrix) only below this vertex count.
 DENSE_ADJACENCY_CAP = 16384
+BLOCK_ENTRIES = 1 << 22  # cells per ``row_blocks`` slice
 
 
 def hamming_distance(x: int, y: int) -> int:
@@ -47,9 +48,9 @@ def words_from_signs(signs: np.ndarray) -> list[int]:
             for row in np.packbits(signs < 0, axis=1)]
 
 
-def row_blocks(rows: int, width: int, entries: int = 1 << 22) -> Iterator[tuple[int, int]]:
-    """(lo, hi) row slices holding about ``entries`` cells of a rows x width array."""
-    step = max(1, entries // max(width, 1))
+def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
+    """(lo, hi) row slices holding about ``BLOCK_ENTRIES`` cells of a rows x width array."""
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
     for lo in range(0, rows, step):
         yield lo, min(rows, lo + step)
 

@@ -368,9 +368,8 @@ class Transcript:
                 "correct": self.correct}
 
 
-def simulate_transmission(proto: Protocol, chan: Channel, message: int,
-                          seed: int = 0) -> Transcript:
-    """Run the protocol once for one message with an explicit RNG seed.
+def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Transcript:
+    """Run the protocol once over ``proto.channel`` for one message, with an RNG seed.
 
     The sender's outcome s is drawn with probability Tr(A_i^s)/d over the
     message's inputs, then the channel output t from row s. By the
@@ -380,7 +379,7 @@ def simulate_transmission(proto: Protocol, chan: Channel, message: int,
     """
     if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
-    rng = np.random.default_rng(seed)
+    chan, rng = proto.channel, np.random.default_rng(seed)
     rows, p = proto._senders[message]
     k = int(rng.choice(rows, p=p))
     s = int(proto.inputs[k])

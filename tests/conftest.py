@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.algebra_fp import FpMatrix
+from capsep.algebra_fp import FpMatrix, monomial_values
 from capsep.channel import Channel
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.hadamard import is_prime
@@ -527,7 +527,8 @@ def verify_by_pairs(cert, g=None):
 # The per-vertex construction of the fitting matrix: each vertex's
 # Frankl-Wilson product polynomial, multilinearized term by term, and the
 # |V| x |V| product S T^T of the coefficient matrix S with the monomial values
-# T. The library forms A = -T T^T and checks it by distance class instead.
+# T, and A = -T T^T formed from the library's own T. The library forms neither:
+# it checks A by distance class and takes its rank from a row basis of T.
 
 
 def inner_product_identity_check(x: int, y: int, n: int, p: int) -> int:
@@ -679,3 +680,16 @@ def fitting_matrix_by_polynomials(g, p: int) -> np.ndarray:
     """A = S T^T mod p, |V| x |V|, from the per-vertex polynomials."""
     s, t = build_ST(g, p)
     return (s.data.astype(np.int64) @ t.data.astype(np.int64).T) % p
+
+
+def fitting_matrix(g, p: int) -> FpMatrix:
+    """A = -T T^T mod p, |V| x |V|, from the library's monomial values T."""
+    t = monomial_values(g, p)
+    return FpMatrix(p, -(t @ t.T) % p)
+
+
+def assert_fits(g, a: FpMatrix) -> None:
+    """A fits g: a nonzero diagonal and a zero at every non-adjacent pair."""
+    off = ~g.adjacency_matrix() & ~np.eye(g.vertex_count, dtype=bool)
+    assert (np.diagonal(a.data) != 0).all()
+    assert not a.data[off].any()

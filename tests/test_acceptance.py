@@ -16,7 +16,8 @@ import capsep
 from capsep.algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
 from capsep.channel import (canonical_channel, check_zero_error_code,
                             protocol_from_cert, simulate_transmission)
-from conftest import (adjacency_rows, alpha_by_enumeration, frankl_wilson_Q,
+from conftest import (adjacency_rows, alpha_by_enumeration, assert_fits,
+                      fitting_matrix, frankl_wilson_Q,
                       inner_product_identity_check, multilinearize,
                       pentagon_channel, random_explicit_graph,
                       rank_by_row_reduction, sign_vector)
@@ -110,13 +111,13 @@ def test_criterion_4_n11_classical_side():
 
         g11 = capsep.build_G(11)
         fit_g = haemers_matrix(g11, 3)  # fits-check is exhaustive inside
-        assert fit_g.fits
+        assert_fits(g11, fitting_matrix(g11, 3))
         rank_g = fit_g.rank
         assert rank_g <= 67
 
         h11 = capsep.build_H(11)
         fit_h = haemers_matrix(h11, 3)
-        assert fit_h.fits
+        assert_fits(h11, fitting_matrix(h11, 3))
         assert fit_h.rank <= 67
 
         rs = capsep.restricted_independent_set(11)
@@ -189,7 +190,7 @@ def test_criterion_7_protocol_simulation():
         failures = 0
         for trial in range(10**3):
             message = trial % proto.M + 1
-            tr = simulate_transmission(proto, chan, message, seed=trial)
+            tr = simulate_transmission(proto, message, seed=trial)
             if tr.decoded != message:
                 failures += 1
             assert tr.distribution[message - 1] >= 1.0 - 1e-9

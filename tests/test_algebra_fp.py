@@ -12,9 +12,10 @@ from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, monomial_bas
 from capsep.bitgraph import BitGraph, weight_w_bits
 from capsep.errors import (InternalCheckError, InvalidParameterError,
                            ResourceLimitError)
-from conftest import (build_ST, fitting_matrix_by_polynomials, frankl_wilson_Q,
-                      inner_product_identity_check, monomial_basis_by_filter,
-                      multilinearize, rank_by_row_reduction, sign_vector)
+from conftest import (assert_fits, build_ST, fitting_matrix, fitting_matrix_by_polynomials,
+                      frankl_wilson_Q, inner_product_identity_check,
+                      monomial_basis_by_filter, multilinearize, rank_by_row_reduction,
+                      sign_vector)
 
 
 def random_sign_point(n, rng):
@@ -130,8 +131,7 @@ class TestBuildST:
     def test_constant_monomial_column_is_ones(self, g11):
         s, t = build_ST(g11, 3)
         assert (t.data[:, 0] == 1).all()
-        assert s.rows == t.rows == 462
-        assert s.cols == t.cols == 67
+        assert s.data.shape == t.data.shape == (462, 67)
 
     def test_diagonal_nonzero_everywhere(self, g11):
         s, t = build_ST(g11, 3)
@@ -145,29 +145,27 @@ class TestBuildST:
 
 class TestHaemers:
     def test_g11_fits_and_rank(self, g11):
-        result = haemers_matrix(g11, 3, form_matrix=True)
-        assert result.fits
+        result = haemers_matrix(g11, 3)
+        a = fitting_matrix(g11, 3)
+        assert_fits(g11, a)
+        assert result.to_json()["fits"] is True
         assert result.bound == 67
-        rank = rank_fp(result.matrix)
+        rank = rank_fp(a)
         assert rank <= 67
         assert result.rank == rank == 55
 
     def test_h11_fits(self, h11):
-        result = haemers_matrix(h11, 3, form_matrix=True)
-        assert result.fits
-        assert result.rank == rank_fp(result.matrix) == 67
-
-    def test_matrix_formed_only_when_asked(self, g11):
-        assert haemers_matrix(g11, 3).matrix is None
+        result = haemers_matrix(h11, 3)
+        a = fitting_matrix(h11, 3)
+        assert_fits(h11, a)
+        assert result.rank == rank_fp(a) == 67
 
     def test_diagonal_value(self, g11):
-        result = haemers_matrix(g11, 3, form_matrix=True)
         # Q_u(u) = (-1)^p = -1 survives multilinearization onto the diagonal
-        assert set(np.diagonal(result.matrix.data).tolist()) == {(-1) % 3}
+        assert set(np.diagonal(fitting_matrix(g11, 3).data).tolist()) == {(-1) % 3}
 
     def test_entries_match_direct_polynomial_evaluation(self, g11):
-        result = haemers_matrix(g11, 3, form_matrix=True)
-        a = result.matrix.data
+        a = fitting_matrix(g11, 3).data
         rng = random.Random(29)
         for _ in range(10**3):
             i, j = rng.randrange(462), rng.randrange(462)
@@ -184,9 +182,8 @@ class TestHaemers:
     def test_matches_polynomial_oracle(self, request, name, rank):
         g = request.getfixturevalue(name)
         oracle = fitting_matrix_by_polynomials(g, 3)
-        result = haemers_matrix(g, 3, form_matrix=True)
-        assert np.array_equal(result.matrix.data, oracle)
-        assert rank_fp(FpMatrix(3, oracle)) == result.rank == rank
+        assert np.array_equal(fitting_matrix(g, 3).data, oracle)
+        assert rank_fp(FpMatrix(3, oracle)) == haemers_matrix(g, 3).rank == rank
 
     def test_wrong_edge_distance_fails_by_distance_class(self):
         # weight-6 strings of length 11 are 4p-1 = 11 at p = 3, but edges at
@@ -209,12 +206,13 @@ class TestHaemers:
         with pytest.raises(InvalidParameterError, match="distance graph"):
             haemers_matrix(g, 3)
 
-    def test_cap_counts_the_dumped_matrix(self, monkeypatch, g11):
+    def test_cap_counts_T_and_its_copy(self, monkeypatch, g11):
         # T and its working copy: 16 bytes per cell of 462 x 67
         monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67)
         assert haemers_matrix(g11, 3).rank == 55
+        monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67 - 1)
         with pytest.raises(ResourceLimitError, match="462 x 67"):
-            haemers_matrix(g11, 3, form_matrix=True)
+            haemers_matrix(g11, 3)
 
 
 class TestRank:
@@ -263,18 +261,6 @@ class TestRank:
 
 
 class TestFpMatrixIO:
-    def test_dump_load_round_trip(self, tmp_path, g11):
-        result = haemers_matrix(g11, 3, form_matrix=True)
-        path = tmp_path / "a.fpm"
-        path.write_bytes(result.matrix.to_bytes())
-        loaded = FpMatrix.from_bytes(path.read_bytes())
-        assert loaded.p == 3
-        assert np.array_equal(loaded.data, result.matrix.data)
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            FpMatrix.from_bytes(b"XXXX" + b"\x00" * 20)
-
     def test_rejects_unreduced_entries(self):
         with pytest.raises(InvalidParameterError):
             FpMatrix(3, np.full((2, 2), 3, dtype=np.uint8))

@@ -93,7 +93,7 @@ class TestMatchesVertexColoringOracle:
 
 
 class TestAlphaViaPower:
-    """alpha of a strong power, searched as ``capsep alpha --power`` does."""
+    """alpha of a strong power, searched as ``capsep alpha --graph C5xC5`` does."""
 
     def test_power_one_is_alpha(self):
         res = max_independent_set(capsep.strong_power(capsep.build_cycle(5), 1))

@@ -232,11 +232,11 @@ class TestQuantumHelpers:
 
 class TestProtocol:
     def test_h3_trivial_message(self):
-        proto, chan = h3_protocol()
+        proto, _ = h3_protocol()
         assert proto.M == 1
         report = proto.zero_error_report()
         assert report.passed and report.instances == 0  # condition is vacuous
-        tr = simulate_transmission(proto, chan, 1, seed=0)
+        tr = simulate_transmission(proto, 1, seed=0)
         assert tr.decoded == 1
 
     def test_h3_sender_distribution_sums_to_one(self):
@@ -289,12 +289,12 @@ class TestProtocol:
         proto = protocol_from_cert(cert, chan)
         assert proto.dim == 1
         for message in (1, 14, 28):
-            tr = simulate_transmission(proto, chan, message, seed=message)
+            tr = simulate_transmission(proto, message, seed=message)
             assert tr.decoded == message
 
     def test_transcript_json(self):
-        proto, chan = h3_protocol()
-        tr = simulate_transmission(proto, chan, 1, seed=5)
+        proto, _ = h3_protocol()
+        tr = simulate_transmission(proto, 1, seed=5)
         payload = tr.to_json()
         assert payload["decoded"] == 1
         assert payload["correct"] is True
@@ -322,7 +322,7 @@ class TestAgainstOracles:
             proto = protocol_from_cert(g11_cert, chan)
         for message in sorted({1, 2, proto.M // 2, proto.M} & set(range(1, proto.M + 1))):
             for seed in range(3):
-                tr = simulate_transmission(proto, chan, message, seed=seed)
+                tr = simulate_transmission(proto, message, seed=seed)
                 s, t, dist = explicit_state_transmission(proto, chan, message, seed)
                 assert tr.sender_outcome == chan.inputs[s]
                 assert tr.channel_output == chan.outputs[t]
@@ -376,6 +376,6 @@ class TestG11Protocol:
         report = proto.zero_error_report()
         assert report.passed
         for message in range(1, proto.M + 1):
-            tr = simulate_transmission(proto, chan, message, seed=message)
+            tr = simulate_transmission(proto, message, seed=message)
             assert tr.decoded == message
             assert tr.distribution[message - 1] >= 1.0 - 1e-9

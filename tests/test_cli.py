@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import capsep
-from capsep.algebra_fp import FpMatrix
 from capsep.cli import cli_main
-from conftest import fitting_matrix_by_polynomials
 
 
 def run(capsys, *argv):
@@ -22,7 +22,7 @@ def run(capsys, *argv):
 
 class TestAlphaCommand:
     def test_pentagon_power_two(self, capsys):
-        code, out, _ = run(capsys, "alpha", "--graph", "C5", "--power", "2")
+        code, out, _ = run(capsys, "alpha", "--graph", "C5xC5")
         assert code == 0
         payload = json.loads(out)
         assert payload["lower"] == 5
@@ -200,6 +200,37 @@ class TestCertCommands:
         self._assert_rejected(capsys, target, "shape")
 
 
+    def test_verify_cert_repeated_entry(self, capsys, tmp_path):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        first = payload["ops"][0]
+        payload["ops"].insert(0, {**first, "matrix": [[7] * 4] * 4})  # not PSD
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target,
+                              f"vertex '{first['vertex']}', i = {first['i']}")
+
+    @staticmethod
+    def _integer_paths(payload):
+        """Where the certificate format holds an integer, as key paths."""
+        square = [(r, c) for r in range(payload["dim"]) for c in range(payload["dim"])]
+        return ([("M",), ("dim",), ("denominator",)]
+                + [("rho", r, c) for r, c in square]
+                + [("ops", k, "i") for k in range(len(payload["ops"]))]
+                + [("ops", k, "matrix", r, c)
+                   for k in range(len(payload["ops"])) for r, c in square])
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=st.one_of(st.booleans(), st.floats()))
+    def test_verify_cert_non_integer_value(self, capsys, tmp_path, data, value):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        *path, last = data.draw(st.sampled_from(self._integer_paths(payload)))
+        node = payload
+        for key in path:
+            node = node[key]
+        node[last] = value
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, "malformed certificate")
+
     def test_verify_cert_untrusted_message_count(self, capsys, tmp_path):
         target, payload = self._h3_cert(capsys, tmp_path)
         payload["M"] = 100000
@@ -265,16 +296,8 @@ class TestHaemersCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["fits"] is True
+        assert payload["rank"] == 55
         assert payload["rank"] <= payload["bound"] == 67
-
-    def test_dump_is_the_fitting_matrix(self, capsys, tmp_path, g11):
-        path = tmp_path / "a.fpm"
-        code, out, _ = run(capsys, "haemers", "--family", "G", "--n", "11",
-                           "--p", "3", "--dump", str(path))
-        assert code == 0 and json.loads(out)["rank"] == 55
-        a = FpMatrix.from_bytes(path.read_bytes())
-        assert a.p == 3
-        assert np.array_equal(a.data, fitting_matrix_by_polynomials(g11, 3))
 
     def test_g19_over_memory_cap_exits_quickly(self, capsys):
         # T would be 92378 x 5036 int64 plus a working copy: refused up front

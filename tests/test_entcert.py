@@ -231,6 +231,15 @@ class TestCertJson:
         payload["ops"][0]["vertex"] = cert.to_json()["ops"][0]["vertex"]
         assert verify(cert_from_json(payload)).passed
 
+    def test_repeated_entry_rejected(self):
+        payload = h3_cert().to_json()
+        first = payload["ops"][0]
+        payload["ops"].insert(0, {**first, "matrix": [[7] * 4] * 4})
+        with pytest.raises(InvalidParameterError,
+                           match=f"repeated operator at vertex '{first['vertex']}', "
+                                 f"i = {first['i']}"):
+            cert_from_json(payload)
+
     def test_schema_fields(self, h11_cert):
         payload = h11_cert.to_json()
         assert payload["graph"] == "H11"
