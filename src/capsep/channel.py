@@ -17,6 +17,8 @@ state is never formed.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +30,7 @@ from .errors import InvalidParameterError, ProtocolError
 ROW_SUM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 ZERO_ERROR_TOL = 1e-9
+CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
 
 
 def _gather(indptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
@@ -51,37 +54,35 @@ class Channel:
 
     Row x lists the outputs that input x reaches with positive probability,
     with those probabilities; each row must sum to one. Rows are stored back
-    to back (CSR): row x is entries ``_indptr[x]:_indptr[x + 1]``.
+    to back (CSR): row x is entries ``indptr[x]:indptr[x + 1]`` of ``idx``
+    and ``probs``. ``outputs``, any sequence of labels, is kept, not copied.
     """
 
-    def __init__(self, inputs: list[str], outputs: list[str],
-                 rows: list[tuple[np.ndarray, np.ndarray]]):
-        if len(rows) != len(inputs):
+    def __init__(self, inputs: list[str], outputs: Sequence[str], indptr: np.ndarray,
+                 idx: np.ndarray, probs: np.ndarray):
+        self.inputs, self.outputs = list(inputs), outputs
+        indptr, idx, probs = np.asarray(indptr), np.asarray(idx, np.int64), np.asarray(probs)
+        if len(indptr) != len(self.inputs) + 1:
             raise InvalidParameterError("one probability row per input required")
-        self.inputs = list(inputs)
-        self.outputs = list(outputs)
-        sizes = [np.size(i) for i, _ in rows]
-        if sizes != [np.size(p) for _, p in rows]:
+        sizes = np.diff(indptr)
+        if indptr[0] != 0 or (sizes < 0).any() or not indptr[-1] == len(idx) == len(probs):
             raise InvalidParameterError("each row needs one probability per output")
-        row_of = np.repeat(np.arange(len(rows)), sizes)
-        idx = np.concatenate([np.zeros(0)] + [np.ravel(i) for i, _ in rows])
-        idx = idx.astype(np.int64)
-        probs = np.concatenate([np.zeros(0)] + [np.ravel(p) for _, p in rows])
-        bad = (probs < 0) | (idx < 0) | (idx >= len(self.outputs))
+        row_of = np.repeat(np.arange(len(sizes)), sizes)
+        bad = (probs < 0) | (idx < 0) | (idx >= len(outputs))
         if bad.any():
             raise InvalidParameterError(f"negative probability or output index "
                                         f"out of range in row {row_of[np.argmax(bad)]}")
-        keys = np.sort(row_of * len(self.outputs) + idx)
-        if (keys[1:] == keys[:-1]).any():
+        keys = row_of * len(outputs) + idx  # strictly ascending: no repeats
+        if (np.diff(keys) <= 0).any() and (np.diff(np.sort(keys)) == 0).any():
             raise InvalidParameterError("an output is listed twice in one row")
-        sums = np.bincount(row_of, weights=probs, minlength=len(rows))
+        sums = np.bincount(row_of, weights=probs, minlength=len(sizes))
         off = np.abs(sums - 1.0) > ROW_SUM_TOL
         if off.any():
             x = int(np.argmax(off))
             raise InvalidParameterError(f"row {x} sums to {sums[x]}, not 1")
         keep = probs > 0
         self._row_of, self._idx, self._probs = row_of[keep], idx[keep], probs[keep]
-        self._indptr = np.searchsorted(self._row_of, np.arange(len(rows) + 1))
+        self._indptr = np.searchsorted(self._row_of, np.arange(len(sizes) + 1))
         self._members = None
 
     @property
@@ -91,10 +92,6 @@ class Channel:
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self._indptr[x], self._indptr[x + 1]
         return self._idx[lo:hi], self._probs[lo:hi]
-
-    def sample_output(self, x: int, rng: np.random.Generator) -> int:
-        idx, probs = self.row(x)
-        return int(rng.choice(idx, p=probs / probs.sum()))
 
     def members_by_output(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR (indptr, inputs) of the inputs that can produce each output, cached.
@@ -128,6 +125,23 @@ def confusability_graph(c: Channel) -> BitGraph:
                     np.arange(c.input_count), ("explicit", confusable_pairs(c)))
 
 
+class _OutputLabels(Sequence):
+    """Canonical-channel output labels, formed when read: vertices, then "a|b" per edge."""
+
+    def __init__(self, labels: list[str], edges: np.ndarray):
+        self._labels, self._edges = labels, edges
+
+    def __len__(self) -> int:
+        return len(self._labels) + len(self._edges)
+
+    def __getitem__(self, t) -> str:
+        t = range(len(self))[operator.index(t)]
+        if t < len(self._labels):
+            return self._labels[t]
+        i, j = self._edges[t - len(self._labels)].tolist()
+        return f"{self._labels[i]}|{self._labels[j]}"
+
+
 def canonical_channel(g) -> Channel:
     """Channel whose confusability graph is exactly g.
 
@@ -139,15 +153,15 @@ def canonical_channel(g) -> Channel:
     nv = g.vertex_count
     edges = g.edge_array()
     labels = [g.vertex_label(i) for i in range(nv)]
-    outputs = labels + [f"{labels[i]}|{labels[j]}"
-                        for i, j in zip(edges[:, 0].tolist(), edges[:, 1].tolist())]
-    src = np.concatenate([np.arange(nv), edges.T.ravel()])
+    # Edges are row-major, so edges (i, u) precede edges (u, j): a stable
+    # sort by input lists each row's outputs in ascending order.
+    src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
     dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
-    order = np.lexsort((dst, src))
-    bounds = np.cumsum(np.bincount(src, minlength=nv))[:-1]
-    rows = [(idx, np.full(idx.size, 1.0 / idx.size))
-            for idx in np.split(dst[order], bounds)]
-    chan = Channel(labels, outputs, rows)
+    order = np.argsort(src, kind="stable")
+    sizes = np.bincount(src, minlength=nv)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    chan = Channel(labels, _OutputLabels(labels, edges), indptr, dst[order],
+                   np.repeat(1.0 / sizes, sizes))
     if not np.array_equal(confusable_pairs(chan), edges):
         raise InvalidParameterError("canonical channel round-trip mismatch")
     return chan
@@ -227,11 +241,16 @@ class Protocol:
         rows = row_of[members]
         self._recv_rows = rows[rows >= 0]
         self._recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
+        # Senders: per message, its vector rows and the CDF of Tr(A_i^s)/d.
         self._senders = {}
         for i in np.flatnonzero(np.bincount(self.messages)).tolist():
             k = np.flatnonzero(self.messages == i)
             p = np.diagonal(self.gram)[k] / self.dim
-            self._senders[i] = (k, p / p.sum())
+            p = p / p.sum()
+            if not (np.isfinite(p) & (p >= 0)).all() or abs(p.sum() - 1.0) > CHOICE_SUM_TOL:
+                raise ProtocolError(f"message {i}: sender probabilities are no distribution")
+            cdf = p.cumsum()
+            self._senders[i] = (k, cdf / cdf[-1])
 
     def receivers(self, t: int) -> np.ndarray:
         """Vector rows of the inputs that can produce output t."""
@@ -307,12 +326,8 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     preserves all inner products.
     """
     g = cert.graph
-    if chan.input_count != g.vertex_count:
-        raise InvalidParameterError(
-            "channel inputs do not match the certificate's graph")
-    labels = [g.vertex_label(i) for i in range(g.vertex_count)]
-    if chan.inputs != labels:
-        raise InvalidParameterError("channel input labels do not match the graph")
+    if chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
+        raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
     keys = sorted(cert.ops)
     inputs = np.array([u for u, _ in keys], dtype=np.int64)
@@ -372,18 +387,22 @@ def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Trans
     """Run the protocol once over ``proto.channel`` for one message, with an RNG seed.
 
     The sender's outcome s is drawn with probability Tr(A_i^s)/d over the
-    message's inputs, then the channel output t from row s. By the
-    maximally-entangled trace identity, the receiver's outcome j then has
-    probability sum G[s,u]^2 / G[s,s] over the members u of t carrying j,
-    plus the completion term for j = 1: one row of the Gram matrix.
+    message's inputs, then the channel output t from row s, from the two
+    uniforms of ``default_rng(seed).random(2)``: the draws two calls of
+    ``Generator.choice(a, p=p)`` make. By the maximally-entangled trace
+    identity, the receiver's outcome j then has probability
+    sum G[s,u]^2 / G[s,s] over the members u of t carrying j, plus the
+    completion term for j = 1: one row of the Gram matrix.
     """
     if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
-    chan, rng = proto.channel, np.random.default_rng(seed)
-    rows, p = proto._senders[message]
-    k = int(rng.choice(rows, p=p))
+    chan, u = proto.channel, np.random.default_rng(seed).random(2)
+    rows, cdf = proto._senders[message]
+    k = int(rows[cdf.searchsorted(u[0], side="right")])
     s = int(proto.inputs[k])
-    t = chan.sample_output(s, rng)
+    idx, probs = chan.row(s)
+    cdf = (probs / probs.sum()).cumsum()
+    t = int(idx[(cdf / cdf[-1]).searchsorted(u[1], side="right")])
     r = proto.receivers(t)
     overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
     dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)

@@ -45,10 +45,7 @@ def _build_cert(family: str, n: int, budget: int, seed: int):
 
 def _cmd_gen_graph(args) -> int:
     g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    if args.format == "dimacs":
-        _emit(g.to_dimacs(), args)
-    else:
-        _emit(g.descriptor(), args)
+    _emit(g.to_dimacs() if args.format == "dimacs" else g.descriptor(), args)
     return 0
 
 
@@ -118,6 +115,8 @@ def _cmd_alpha(args) -> int:
 
 
 def _cmd_channel_sim(args) -> int:
+    if min(args.seed, args.trials) < 0:
+        raise CapsepError("--seed and --trials must be non-negative")
     cert, _ = _build_cert(args.family, args.n, args.budget, args.seed)
     chan = channel.canonical_channel(cert.graph)
     try:
@@ -285,10 +284,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (CertificateError, ProtocolError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
-    except CapsepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CapsepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

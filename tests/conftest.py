@@ -17,7 +17,7 @@ import pytest
 
 import capsep
 from capsep.algebra_fp import FpMatrix, monomial_values
-from capsep.channel import Channel
+from capsep.channel import Channel, Transcript
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.hadamard import is_prime
 
@@ -204,16 +204,58 @@ def g11_cert(paley12):
 # channel routines, kept as references for the array and Gram-matrix code.
 
 
+def channel_from_rows(inputs, outputs, rows) -> Channel:
+    """Channel from one (output indices, probabilities) pair per input."""
+    if len(rows) != len(inputs):
+        raise InvalidParameterError("one probability row per input required")
+    sizes = [np.size(i) for i, _ in rows]
+    if sizes != [np.size(p) for _, p in rows]:
+        raise InvalidParameterError("each row needs one probability per output")
+    return Channel(inputs, outputs, np.concatenate(([0], np.cumsum(sizes))),
+                   np.concatenate([np.zeros(0)] + [np.ravel(i) for i, _ in rows]),
+                   np.concatenate([np.zeros(0)] + [np.ravel(p) for _, p in rows]))
+
+
 def pentagon_channel() -> Channel:
     """Five inputs, five outputs, input x reaching outputs x and x+1 mod 5."""
     rows = [(np.array([x, (x + 1) % 5]), np.array([0.5, 0.5])) for x in range(5)]
-    return Channel([str(i) for i in range(5)], list("abcde"), rows)
+    return channel_from_rows([str(i) for i in range(5)], list("abcde"), rows)
 
 
 def channel_from_dense(inputs, outputs, matrix) -> Channel:
     """Channel from a dense probability matrix, one row per input."""
     matrix = np.asarray(matrix, dtype=np.float64)
-    return Channel(inputs, outputs, [(np.nonzero(r)[0], r[r != 0]) for r in matrix])
+    return channel_from_rows(inputs, outputs,
+                             [(np.nonzero(r)[0], r[r != 0]) for r in matrix])
+
+
+def canonical_output_labels(g) -> list[str]:
+    """Every output label of ``canonical_channel(g)``, built up front."""
+    labels = [g.vertex_label(i) for i in range(g.vertex_count)]
+    return labels + [f"{labels[i]}|{labels[j]}" for i, j in g.edge_array().tolist()]
+
+
+def sample_output(chan, x: int, rng: np.random.Generator) -> int:
+    """Output of input x drawn with ``Generator.choice`` over row x."""
+    idx, probs = chan.row(x)
+    return int(rng.choice(idx, p=probs / probs.sum()))
+
+
+def simulate_transmission_by_choice(proto, message: int, seed: int = 0) -> Transcript:
+    """``simulate_transmission`` drawing both outcomes with ``Generator.choice``."""
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(proto.messages == message)
+    p = np.diagonal(proto.gram)[rows] / proto.dim
+    k = int(rng.choice(rows, p=p / p.sum()))
+    s = int(proto.inputs[k])
+    t = sample_output(proto.channel, s, rng)
+    r = proto.receivers(t)
+    overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
+    dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)
+    dist[0] += 1.0 - overlap.sum()
+    dist = np.maximum(dist, 0.0)
+    return Transcript(message, proto.channel.inputs[s], proto.channel.outputs[t],
+                      tuple(dist.tolist()), int(np.argmax(dist)) + 1)
 
 
 def support(chan, x: int) -> frozenset:
@@ -274,7 +316,7 @@ def explicit_state_transmission(proto, chan, message: int, seed: int = 0):
     p = np.array([float(np.trace(np.kron(sender[s], np.eye(d)) @ rho))
                   for s in members])
     s = int(rng.choice(members, p=p / p.sum()))
-    t = chan.sample_output(s, rng)
+    t = sample_output(chan, s, rng)
     big = np.kron(sender[s], np.eye(d)) @ rho
     post = partial_trace(big, d, d, over="x") / float(np.trace(big))
     dist = np.array([float(np.trace(b @ post))

@@ -8,12 +8,13 @@ from capsep.channel import (Channel, Protocol, canonical_channel,
                             check_zero_error_code, confusability_graph,
                             confusable_pairs, protocol_from_cert,
                             simulate_transmission)
-from conftest import (channel_from_dense, confusable_pairs_by_loop,
+from conftest import (canonical_output_labels, channel_from_dense,
+                      channel_from_rows, confusable_pairs_by_loop,
                       explicit_state_transmission, maximally_entangled_state,
                       me_pair_trace, output_members_by_dict, partial_trace,
                       pentagon_channel, receiver_measurement,
-                      sender_measurement, support, zero_error_by_loop,
-                      zero_error_code_by_loop)
+                      sender_measurement, simulate_transmission_by_choice,
+                      support, zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding
 from capsep.errors import InvalidParameterError, ProtocolError
 
@@ -76,8 +77,8 @@ def sparse_channels(draw):
         weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(idx),
                                          max_size=len(idx))), dtype=float)
         rows.append((np.array(idx), weights / weights.sum()))
-    return Channel([str(i) for i in range(n_in)],
-                   [str(t) for t in range(n_out)], rows)
+    return channel_from_rows([str(i) for i in range(n_in)],
+                             [str(t) for t in range(n_out)], rows)
 
 
 class TestArrayRoutines:
@@ -100,6 +101,10 @@ class TestArrayRoutines:
              "G11": g11, "H11": h11}[name]
         chan = canonical_channel(g)
         assert len(chan.outputs) == g.vertex_count + g.edge_count
+        for x in range(g.vertex_count):
+            idx, probs = chan.row(x)
+            assert idx[0] == x and (np.diff(idx) > 0).all()
+            assert (probs == 1.0 / idx.size).all()
         got = confusability_graph(chan)
         assert np.array_equal(got.edge_array(), g.edge_array())
 
@@ -109,7 +114,40 @@ class TestArrayRoutines:
 
     def test_duplicate_output_in_row_rejected(self):
         with pytest.raises(InvalidParameterError):
-            Channel(["0"], ["a", "b"], [(np.array([1, 1]), np.array([0.5, 0.5]))])
+            channel_from_rows(["0"], ["a", "b"],
+                              [(np.array([1, 1]), np.array([0.5, 0.5]))])
+
+
+class TestCsrRows:
+    def test_row_bounds_checked(self):
+        with pytest.raises(InvalidParameterError, match="one probability row"):
+            Channel(["0", "1"], ["a"], [0, 1], [0], [1.0])
+        with pytest.raises(InvalidParameterError, match="one probability per output"):
+            Channel(["0"], ["a", "b"], [0, 2], [0, 1], [1.0])
+        with pytest.raises(InvalidParameterError, match="one probability per output"):
+            Channel(["0", "1"], ["a"], [0, 2, 1], [0, 0], [1.0, 1.0])
+
+    def test_rows_read_back(self):
+        c = Channel(["0", "1"], ["a", "b", "c"], [0, 1, 3], [2, 0, 1], [1.0, 0.25, 0.75])
+        assert [c.row(x)[0].tolist() for x in (0, 1)] == [[2], [0, 1]]
+        assert c.row(1)[1].tolist() == [0.25, 0.75]
+
+
+class TestOutputLabels:
+    @pytest.mark.parametrize("name", ["C5", "H7", "G11"])
+    def test_matches_eager_labels(self, name, g11):
+        g = {"C5": capsep.build_cycle(5), "H7": capsep.build_H(7), "G11": g11}[name]
+        outputs = canonical_channel(g).outputs
+        eager = canonical_output_labels(g)
+        assert len(outputs) == len(eager) == g.vertex_count + g.edge_count
+        assert list(outputs) == eager
+        for t in (0, g.vertex_count - 1, g.vertex_count, len(eager) - 1):
+            assert outputs[np.int64(t)] == eager[t]
+        for t in (-1, -g.edge_count, -len(eager)):
+            assert outputs[t] == eager[t]
+        for t in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                outputs[t]
 
 
 class TestCanonicalChannel:
@@ -164,7 +202,8 @@ def channels_and_codes(draw):
         idx = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=3,
                             unique=True))
         rows.append((np.array(idx), np.full(len(idx), 1.0 / len(idx))))
-    chan = Channel([str(i) for i in range(n_in)], [f"o{t}" for t in range(n_out)], rows)
+    chan = channel_from_rows([str(i) for i in range(n_in)],
+                             [f"o{t}" for t in range(n_out)], rows)
     k = draw(st.integers(0, 3))
     word = st.tuples(*[st.integers(0, n_in - 1)] * k)
     words = draw(st.lists(word, max_size=8))
@@ -329,6 +368,25 @@ class TestAgainstOracles:
                 assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
                 assert tr.decoded == int(np.argmax(dist)) + 1
 
+    @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "H3"])
+    def test_same_stream_as_generator_choice(self, which, g11, h11_cert, g11_cert):
+        if which == "H3":
+            proto, _ = h3_protocol()
+        elif which == "G11 classical":
+            proto, _ = classical_g11_protocol(g11)
+        else:
+            cert = h11_cert if which == "H11" else g11_cert
+            proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        for message in range(1, proto.M + 1):
+            for seed in range(50):
+                assert simulate_transmission(proto, message, seed) == \
+                    simulate_transmission_by_choice(proto, message, seed)
+
+    def test_sender_probabilities_must_be_a_distribution(self):
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError):
+            Protocol(pentagon_channel(), 1, 1, np.array([0]), np.array([1]),
+                     np.zeros((1, 1)))
+
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
         protos = [protocol_from_cert(c, canonical_channel(c.graph))
                   for c in (h11_cert, g11_cert)]
@@ -359,7 +417,7 @@ class TestAgainstOracles:
         rows = [(np.arange(1000), np.full(1000, 1e-3)),
                 (np.array([1000, 2000]), np.array([0.5, 0.5])),
                 (np.arange(1001, 2001), np.full(1000, 1e-3))]
-        chan = Channel(["a", "b", "c"], [str(t) for t in range(n_out)], rows)
+        chan = channel_from_rows(["a", "b", "c"], [str(t) for t in range(n_out)], rows)
         one = np.ones((1, 1))
         proto = Protocol(chan, 1, 2, np.array([1, 2]), np.array([1, 2]),
                          np.vstack([one, one]))

@@ -318,6 +318,17 @@ class TestChannelSimCommand:
         assert payload["failures"] == 0
         assert payload["zero_error"]["passed"] is True
 
+    @pytest.mark.parametrize("flag", ["--seed", "--trials"])
+    def test_negative_value_rejected_before_any_work(self, capsys, monkeypatch, flag):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+        monkeypatch.setattr(capsep.cli.geometry, "ortho_rep_H", refuse)
+        code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "3",
+                             flag, "-5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be non-negative" in err
+        assert "Traceback" not in err
+
 
 class TestPipelineCommand:
     def test_h11_consolidated(self, capsys):
