@@ -156,20 +156,24 @@ class HaemersResult:
                 "rank": self.rank, "bound": self.bound, "fits": True}
 
 
-def haemers_matrix(g: BitGraph, p: int) -> HaemersResult:
+def instance_prime(n: int) -> int | None:
+    """p when n = 4p-1 for an odd prime p, the paper's instances; otherwise None."""
+    p = (n + 1) // 4
+    return p if n == 4 * p - 1 and p % 2 and is_prime(p) else None
+
+
+def haemers_matrix(g: BitGraph) -> HaemersResult:
     """Fits check and exact rank of the fitting matrix A = -T T^T mod p.
 
-    T (|V| x m) is ``monomial_values``; no |V| x |V| matrix is formed. The
-    memory the run needs (the int64 T and its working copy) is checked against
-    ``MEMORY_CAP_BYTES`` before any of it is built. A failing fits check raises:
-    it would indicate an implementation bug, since it holds by construction
-    for the graph families.
+    p is ``instance_prime(g.n)``. T (|V| x m) is ``monomial_values``; no
+    |V| x |V| matrix is formed. The memory the run needs (the int64 T and its
+    working copy) is checked against ``MEMORY_CAP_BYTES`` before any of it is
+    built. A failing fits check raises: it would indicate an implementation
+    bug, since it holds by construction for the graph families.
     """
-    if not is_prime(p) or p % 2 == 0:
-        raise InvalidParameterError(f"p must be an odd prime, got {p}")
-    n = g.n
-    if n != 4 * p - 1:
-        raise InvalidParameterError(f"need n = 4p-1 = {4 * p - 1}, got n = {n}")
+    n, p = g.n, instance_prime(g.n)
+    if p is None:
+        raise InvalidParameterError(f"(n+1)/4 = {(n + 1) / 4:g} is not an odd prime")
     if g.distance is None:
         raise InvalidParameterError("the fitting matrix needs a distance graph")
     odd = np.bitwise_count(g.bits_array) & 1

@@ -85,8 +85,7 @@ def _rank_rows(g, order: np.ndarray) -> list[int]:
     return rows
 
 
-def max_independent_set(g, node_budget: int = 1_000_000,
-                        time_budget_s: float | None = None) -> AlphaResult:
+def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     """Budgeted exact/anytime alpha with a re-verified witness."""
     n = g.vertex_count
     # Static order: complement degree descending, then vertex index. The
@@ -117,8 +116,7 @@ def max_independent_set(g, node_budget: int = 1_000_000,
     def expand(cand: int, colored: list[tuple[int, int]]):
         nonlocal nodes, best_size, best_set, truncated
         nodes += 1
-        if nodes > node_budget or (time_budget_s is not None and
-                                   time.monotonic() - start > time_budget_s):
+        if nodes > node_budget:
             truncated = True
             return
         for v, color in reversed(colored):

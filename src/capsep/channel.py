@@ -222,17 +222,17 @@ class Protocol:
     (zero elsewhere), and the receiver measurement for output t projects onto
     the vectors of the inputs that can produce t, grouped by message. The
     completion operator I - sum_j B_t^j is folded into outcome 1. ``gram`` is
-    F F^T over the rows of ``vectors``.
+    F F^T over the rows of ``vectors``, and ``dim`` is their length d.
     """
 
     channel: Channel
-    dim: int
     M: int
     inputs: np.ndarray
     messages: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
+        self.dim = self.vectors.shape[1]
         self.gram = self.vectors @ self.vectors.T
         row_of = np.full(self.channel.input_count, -1, dtype=np.int64)
         row_of[self.inputs] = np.arange(len(self.inputs))
@@ -344,15 +344,10 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
         raise ProtocolError("operator numerator is not a rank-one outer product")
     vectors /= norms[:, None]
     rho = cert.rho_num
-    scaled_identity = np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype))
-    if scaled_identity:
-        d = cert.dim
-    else:
+    if not np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype)):
         evals, evecs = np.linalg.eigh(rho.astype(np.float64))
-        keep = evals > evals[-1] / 2.0
-        d = int(keep.sum())
-        vectors = vectors @ evecs[:, keep]
-    proto = Protocol(chan, d, cert.M, inputs, messages, vectors)
+        vectors = vectors @ evecs[:, evals > evals[-1] / 2.0]
+    proto = Protocol(chan, cert.M, inputs, messages, vectors)
 
     comp = proto.completeness_report()
     if not comp["passed"]:

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
-from .errors import (CapsepError, CertificateError, ProtocolError,
-                     ResourceLimitError)
+from .errors import (CapsepError, CertificateError, InvalidParameterError,
+                     ProtocolError, ResourceLimitError)
 from .hadamard import find_hadamard
 
 
@@ -22,7 +23,10 @@ def _emit(payload, args) -> None:
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:  # the reader left: drop the rest, keep the verdict
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _rep_and_clique(family: str, n: int):
@@ -34,9 +38,9 @@ def _rep_and_clique(family: str, n: int):
     return geometry.ortho_rep_H(n), geometry.clique_from_hadamard_H(h)
 
 
-def _build_cert(family: str, n: int, budget: int, seed: int):
+def _build_cert(family: str, n: int, seed: int):
     rep, clique = _rep_and_clique(family, n)
-    packing = geometry.pack_cliques(rep.graph, clique, budget=budget, rng_seed=seed)
+    packing = geometry.pack_cliques(rep.graph, clique, rng_seed=seed)
     return entcert.cert_from_packing(rep, packing), packing
 
 
@@ -51,15 +55,8 @@ def _cmd_gen_graph(args) -> int:
 
 def _cmd_hadamard(args) -> int:
     h = find_hadamard(args.size)
-    if h is None:
-        _emit({"size": args.size, "found": False}, args)
-        return 0
-    if args.format == "text":
-        _emit(h.to_text(), args)
-    else:
-        payload = h.to_json()
-        payload["construction"] = h.construction
-        _emit(payload, args)
+    _emit({"size": args.size, "found": False} if h is None
+          else {**h.to_json(), "construction": h.construction}, args)
     return 0
 
 
@@ -79,14 +76,13 @@ def _cmd_clique(args) -> int:
 
 def _cmd_pack(args) -> int:
     rep, clique = _rep_and_clique(args.family, args.n)
-    packing = geometry.pack_cliques(rep.graph, clique, budget=args.budget,
-                                    rng_seed=args.seed)
+    packing = geometry.pack_cliques(rep.graph, clique, rng_seed=args.seed)
     _emit(packing.to_json(), args)
     return 0
 
 
 def _cmd_cert(args) -> int:
-    cert, _ = _build_cert(args.family, args.n, args.budget, args.seed)
+    cert, _ = _build_cert(args.family, args.n, args.seed)
     _emit(cert.to_json(), args)
     return 0 if cert.verification.passed else 2
 
@@ -101,15 +97,13 @@ def _cmd_verify_cert(args) -> int:
 
 def _cmd_haemers(args) -> int:
     g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    _emit(algebra_fp.haemers_matrix(g, args.p).to_json(), args)
+    _emit(algebra_fp.haemers_matrix(g).to_json(), args)
     return 0
 
 
 def _cmd_alpha(args) -> int:
     g = bitgraph.graph_from_ref("x".join(f[:1].upper() + f[1:] for f in args.graph.split("x")))
-    time_budget = args.budget_ms / 1000.0 if args.budget_ms else None
-    res = alpha.max_independent_set(g, node_budget=args.node_budget,
-                                    time_budget_s=time_budget)
+    res = alpha.max_independent_set(g, node_budget=args.node_budget)
     _emit(res.to_json(g), args)
     return 0
 
@@ -117,7 +111,7 @@ def _cmd_alpha(args) -> int:
 def _cmd_channel_sim(args) -> int:
     if min(args.seed, args.trials) < 0:
         raise CapsepError("--seed and --trials must be non-negative")
-    cert, _ = _build_cert(args.family, args.n, args.budget, args.seed)
+    cert, _ = _build_cert(args.family, args.n, args.seed)
     chan = channel.canonical_channel(cert.graph)
     try:
         proto = channel.protocol_from_cert(cert, chan)
@@ -152,32 +146,30 @@ def _cmd_pipeline(args) -> int:
     h = find_hadamard(n + 1)
     out["hadamard"] = None if h is None else {"size": h.size,
                                               "construction": h.construction}
-    cert, packing = _build_cert(family, n, args.budget, args.seed)
+    cert, packing = _build_cert(family, n, args.seed)
     out["packing"] = {"count": packing.count, "target": packing.target,
                       "target_met": packing.target_met}
     out["cert"] = {"M": cert.M, "dim": cert.dim,
                    "verified": cert.verification.passed,
                    "mode": cert.verification.to_json()["mode"]}
-    p = (n + 1) // 4
     upper = None
-    if p >= 3 and algebra_fp.is_prime(p) and p % 2 == 1:
-        try:
-            hm = algebra_fp.haemers_matrix(g, p)
-        except ResourceLimitError as exc:
-            out["haemers"] = {"skipped": str(exc)}
-        else:
-            out["haemers"] = {"p": p, "rank": hm.rank, "bound": hm.bound, "fits": True}
-            upper = hm.rank
+    try:
+        hm = algebra_fp.haemers_matrix(g)
+    except (InvalidParameterError, ResourceLimitError) as exc:
+        out["haemers"] = {"skipped": str(exc)}
     else:
-        out["haemers"] = {"skipped": f"(n+1)/4 = {p} is not an odd prime"}
+        out["haemers"] = {"p": hm.p, "rank": hm.rank, "bound": hm.bound, "fits": True}
+        upper = hm.rank
     restricted = geometry.restricted_independent_set(n)
     out["restricted_set"] = {"k": restricted.k, "size": len(restricted),
                              "verified": restricted.verified}
     lower = len(restricted) if restricted.verified else 0
     out["alpha"] = {"lower": lower, "upper": upper}
-    out["report"] = report.capacity_report(family, p).to_json() \
-        if algebra_fp.is_prime(p) and p % 2 == 1 else None
-    out["separation_certified_here"] = False  # desk-scale n: bounds only
+    p = algebra_fp.instance_prime(n)
+    out["report"] = None if p is None else report.capacity_report(family, p).to_json()
+    # alpha* >= M > rank >= Theta, with both ends computed in this run
+    out["separation_certified_here"] = (cert.verification.passed and upper is not None
+                                        and cert.M > upper)
     _emit(out, args)
     return 0 if cert.verification.passed else 2
 
@@ -212,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hadamard", help="construct a Hadamard matrix")
     common(p)
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_hadamard)
 
     p = sub.add_parser("orthorep", help="orthonormal representation")
@@ -225,13 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pack", help="disjoint clique packing")
     common(p, family=("G", "H"), n=True)
-    p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pack)
 
     p = sub.add_parser("cert", help="build + verify a packing certificate")
     common(p, family=("G", "H"), n=True)
-    p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_cert)
 
@@ -242,21 +231,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("haemers", help="fitting matrix and exact rank mod p")
     common(p, family=("G", "H"), n=True)
-    p.add_argument("--p", type=int, required=True)
     p.set_defaults(func=_cmd_haemers)
 
     p = sub.add_parser("alpha", help="maximum independent set with bounds")
     common(p)
     p.add_argument("--graph", required=True, help="e.g. C5, G11, H11, O12, C5xC5")
     p.add_argument("--node-budget", type=int, default=10**6)
-    p.add_argument("--budget-ms", type=int, default=None)
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("channel-sim", help="simulate the one-shot protocol")
     common(p, family=("G", "H"), n=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=10**6)
     p.set_defaults(func=_cmd_channel_sim)
 
     p = sub.add_parser("report", help="exact capacity-bound arithmetic")
@@ -266,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="full chain for one family member")
     common(p, family=("G", "H"), n=True)
-    p.add_argument("--budget", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_pipeline)
 

@@ -20,6 +20,8 @@ from .bitgraph import (BitGraph, build_G, build_H, sign_rows, weight_w_bits,
 from .errors import ConstructionError, InvalidParameterError
 from .hadamard import HadamardMatrix, normalize
 
+PACK_BUDGET = 10**6  # coordinate permutations a family-G packing tries at most
+
 
 @dataclass(frozen=True)
 class OrthoRep:
@@ -208,8 +210,7 @@ def _check_cliques(g: BitGraph, cliques, size: int) -> None:
                                     f"{cliques[c][b]:#b} are not adjacent")
 
 
-def pack_cliques(g: BitGraph, seed: list[int], budget: int = 10**6,
-                 rng_seed: int = 0) -> CliquePacking:
+def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacking:
     """Greedy disjoint packing by images of a seed clique under automorphisms.
 
     The weight-(n+1)/2 graph is vertex transitive under coordinate
@@ -217,13 +218,11 @@ def pack_cliques(g: BitGraph, seed: list[int], budget: int = 10**6,
     the latter the 2^(n-1) translations are enumerated in increasing order,
     which makes the packing maximal within the family and hence guaranteed to
     reach ceil(|V|/d^2); for the former, permutations come from a seeded
-    pseudorandom stream capped by ``budget``, and falling short is reported
+    pseudorandom stream capped by ``PACK_BUDGET``, and falling short is reported
     via ``target_met`` rather than papered over.
     """
     if g.family not in ("G", "H"):
         raise InvalidParameterError(f"packing is defined for families G/H, got {g.family}")
-    if budget < 1:
-        raise InvalidParameterError(f"budget must be at least 1, got {budget}")
     n, d = g.n, len(seed)
     if not seed or any(b >> n for b in seed):
         raise InvalidParameterError("seed must be nonempty with words of at most n bits")
@@ -247,7 +246,7 @@ def pack_cliques(g: BitGraph, seed: list[int], budget: int = 10**6,
         seed_signs = sign_rows(np.asarray(seed, dtype=np.uint64), n)
         rng = random.Random(rng_seed)
         perm = list(range(n))
-        for _ in range(budget):
+        for _ in range(PACK_BUDGET):
             # destination coordinate j takes source coordinate perm[j]
             try_add(words_from_signs(seed_signs[:, perm]))
             if len(cliques) >= target:

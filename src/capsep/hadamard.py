@@ -57,10 +57,6 @@ class HadamardMatrix:
     def is_normalized(self) -> bool:
         return bool((self.entries[0] == 1).all() and (self.entries[:, 0] == 1).all())
 
-    def to_text(self) -> str:
-        return "\n".join(
-            "".join("+" if e == 1 else "-" for e in row) for row in self.entries) + "\n"
-
     def to_json(self) -> dict:
         return {"size": self.size,
                 "rows": ["".join("+" if e == 1 else "-" for e in row)

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra_fp import instance_prime
 from .errors import InternalCheckError, InvalidParameterError
 from .geometry import clique_from_hadamard_G
-from .hadamard import find_hadamard, is_prime
+from .hadamard import find_hadamard
 
 
 def int_log2(x: int) -> float:
@@ -104,9 +105,9 @@ def capacity_report(family: str, p: int) -> CapacityReport:
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"family must be G or H, got {family!r}")
-    if p % 2 == 0 or not is_prime(p):
-        raise InvalidParameterError(f"p must be an odd prime, got {p}")
     n = 4 * p - 1
+    if instance_prime(n) is None:
+        raise InvalidParameterError(f"p must be an odd prime, got {p}")
 
     hadamard = find_hadamard(4 * p)
     evidence: dict = {}

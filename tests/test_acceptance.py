@@ -110,13 +110,13 @@ def test_criterion_4_n11_classical_side():
         assert bound == 67 == len(monomial_basis(11, 3))
 
         g11 = capsep.build_G(11)
-        fit_g = haemers_matrix(g11, 3)  # fits-check is exhaustive inside
+        fit_g = haemers_matrix(g11)  # fits-check is exhaustive inside
         assert_fits(g11, fitting_matrix(g11, 3))
         rank_g = fit_g.rank
         assert rank_g <= 67
 
         h11 = capsep.build_H(11)
-        fit_h = haemers_matrix(h11, 3)
+        fit_h = haemers_matrix(h11)
         assert_fits(h11, fitting_matrix(h11, 3))
         assert fit_h.rank <= 67
 

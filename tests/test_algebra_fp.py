@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, monomial_basis,
-                               rank_fp)
+from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, instance_prime,
+                               monomial_basis, rank_fp)
 from capsep.bitgraph import BitGraph, weight_w_bits
 from capsep.errors import (InternalCheckError, InvalidParameterError,
                            ResourceLimitError)
@@ -145,7 +145,7 @@ class TestBuildST:
 
 class TestHaemers:
     def test_g11_fits_and_rank(self, g11):
-        result = haemers_matrix(g11, 3)
+        result = haemers_matrix(g11)
         a = fitting_matrix(g11, 3)
         assert_fits(g11, a)
         assert result.to_json()["fits"] is True
@@ -155,7 +155,7 @@ class TestHaemers:
         assert result.rank == rank == 55
 
     def test_h11_fits(self, h11):
-        result = haemers_matrix(h11, 3)
+        result = haemers_matrix(h11)
         a = fitting_matrix(h11, 3)
         assert_fits(h11, a)
         assert result.rank == rank_fp(a) == 67
@@ -176,43 +176,55 @@ class TestHaemers:
     def test_independent_set_below_rank(self, g11):
         rs = capsep.restricted_independent_set(11)
         assert rs.verified
-        assert len(rs) <= haemers_matrix(g11, 3).rank
+        assert len(rs) <= haemers_matrix(g11).rank
 
     @pytest.mark.parametrize("name,rank", [("g11", 55), ("h11", 67)])
     def test_matches_polynomial_oracle(self, request, name, rank):
         g = request.getfixturevalue(name)
         oracle = fitting_matrix_by_polynomials(g, 3)
         assert np.array_equal(fitting_matrix(g, 3).data, oracle)
-        assert rank_fp(FpMatrix(3, oracle)) == haemers_matrix(g, 3).rank == rank
+        assert rank_fp(FpMatrix(3, oracle)) == haemers_matrix(g).rank == rank
 
     def test_wrong_edge_distance_fails_by_distance_class(self):
         # weight-6 strings of length 11 are 4p-1 = 11 at p = 3, but edges at
         # distance 4 leave distance class 6, where f(6) = 2, non-adjacent
         g = BitGraph(11, weight_w_bits(11, 6), ("distance", 4))
         with pytest.raises(InternalCheckError, match="distance class 6"):
-            haemers_matrix(g, 3)
+            haemers_matrix(g)
 
     def test_rejects_wrong_n(self):
         with pytest.raises(InvalidParameterError):
-            haemers_matrix(capsep.build_G(9), 3)
+            haemers_matrix(capsep.build_G(9))
+
+    @pytest.mark.parametrize("graph, quarter", [("G7", "2"), ("H13", "3.5"), ("G15", "4")])
+    def test_prime_is_derived_from_n(self, graph, quarter):
+        g = capsep.bitgraph.graph_from_ref(graph)
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^\(n\+1\)/4 = {quarter} is not an odd prime$"):
+            haemers_matrix(g)
+
+    def test_instance_prime_by_search(self):
+        odd_primes = [p for p in range(3, 60) if all(p % q for q in range(2, p))]
+        for n in range(-8, 240):
+            assert instance_prime(n) == next((p for p in odd_primes if 4 * p - 1 == n), None)
 
     def test_rejects_mixed_parity(self):
         g = BitGraph(11, range(8), ("distance", 6))
         with pytest.raises(InvalidParameterError, match="parity"):
-            haemers_matrix(g, 3)
+            haemers_matrix(g)
 
     def test_rejects_explicit_graph(self):
         g = BitGraph(11, [0, 3], ("explicit", [(0, 1)]))
         with pytest.raises(InvalidParameterError, match="distance graph"):
-            haemers_matrix(g, 3)
+            haemers_matrix(g)
 
     def test_cap_counts_T_and_its_copy(self, monkeypatch, g11):
         # T and its working copy: 16 bytes per cell of 462 x 67
         monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67)
-        assert haemers_matrix(g11, 3).rank == 55
+        assert haemers_matrix(g11).rank == 55
         monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67 - 1)
         with pytest.raises(ResourceLimitError, match="462 x 67"):
-            haemers_matrix(g11, 3)
+            haemers_matrix(g11)
 
 
 class TestRank:

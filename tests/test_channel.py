@@ -384,7 +384,7 @@ class TestAgainstOracles:
 
     def test_sender_probabilities_must_be_a_distribution(self):
         with np.errstate(invalid="ignore"), pytest.raises(ProtocolError):
-            Protocol(pentagon_channel(), 1, 1, np.array([0]), np.array([1]),
+            Protocol(pentagon_channel(), 1, np.array([0]), np.array([1]),
                      np.zeros((1, 1)))
 
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
@@ -399,7 +399,7 @@ class TestAgainstOracles:
         copied = p.vectors.copy()
         copied[5] = copied[np.flatnonzero(p.messages != p.messages[5])[0]]
         for vectors in (noisy, copied):
-            protos.append(Protocol(p.channel, p.dim, p.M, p.inputs, p.messages,
+            protos.append(Protocol(p.channel, p.M, p.inputs, p.messages,
                                    vectors))
         for proto in protos:
             report = proto.zero_error_report()
@@ -419,7 +419,7 @@ class TestAgainstOracles:
                 (np.arange(1001, 2001), np.full(1000, 1e-3))]
         chan = channel_from_rows(["a", "b", "c"], [str(t) for t in range(n_out)], rows)
         one = np.ones((1, 1))
-        proto = Protocol(chan, 1, 2, np.array([1, 2]), np.array([1, 2]),
+        proto = Protocol(chan, 2, np.array([1, 2]), np.array([1, 2]),
                          np.vstack([one, one]))
         report = proto.completeness_report()
         assert not report["passed"]

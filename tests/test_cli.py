@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.cli import cli_main
+from capsep.algebra_fp import HaemersResult
+from capsep.cli import build_parser, cli_main
 
 
 def run(capsys, *argv):
@@ -97,11 +99,6 @@ class TestHadamardCommand:
         code, out, _ = run(capsys, "hadamard", "--size", "28")
         assert code == 0
         assert json.loads(out) == {"size": 28, "found": False}
-
-    def test_text_format(self, capsys):
-        code, out, _ = run(capsys, "hadamard", "--size", "2", "--format", "text")
-        assert code == 0
-        assert out.strip().split("\n") == ["++", "+-"]
 
 
 class TestCertCommands:
@@ -291,19 +288,17 @@ class TestGeometryCommands:
 
 class TestHaemersCommand:
     def test_g11(self, capsys):
-        code, out, _ = run(capsys, "haemers", "--family", "G", "--n", "11",
-                           "--p", "3")
+        code, out, _ = run(capsys, "haemers", "--family", "G", "--n", "11")
         assert code == 0
         payload = json.loads(out)
-        assert payload["fits"] is True
+        assert payload["p"] == 3 and payload["fits"] is True
         assert payload["rank"] == 55
         assert payload["rank"] <= payload["bound"] == 67
 
     def test_g19_over_memory_cap_exits_quickly(self, capsys):
         # T would be 92378 x 5036 int64 plus a working copy: refused up front
         start = time.perf_counter()
-        code, out, err = run(capsys, "haemers", "--family", "G", "--n", "19",
-                             "--p", "5")
+        code, out, err = run(capsys, "haemers", "--family", "G", "--n", "19")
         assert time.perf_counter() - start < 2.0
         assert code == 1 and out == ""
         assert "92378 x 5036" in err and "cap" in err
@@ -341,6 +336,7 @@ class TestPipelineCommand:
         assert payload["haemers"]["fits"] is True
         assert payload["packing"]["target_met"] is True
         assert payload["report"]["separation"] is False
+        assert payload["separation_certified_here"] is False  # M = 8 <= rank 67
 
     def test_g19_skips_rank_section_over_memory_cap(self, capsys):
         code, out, _ = run(capsys, "pipeline", "--family", "G", "--n", "19")
@@ -350,6 +346,18 @@ class TestPipelineCommand:
         assert payload["alpha"] == {"lower": 1001, "upper": None}
         assert payload["cert"]["M"] == 256 and payload["cert"]["verified"] is True
         assert payload["restricted_set"]["verified"] is True
+        assert payload["separation_certified_here"] is False  # no rank, no claim
+
+    @pytest.mark.parametrize("rank, separated", [(7, True), (8, False)])
+    def test_separation_needs_m_above_the_rank(self, capsys, monkeypatch, rank,
+                                               separated):
+        monkeypatch.setattr(capsep.cli.algebra_fp, "haemers_matrix",
+                            lambda g: HaemersResult(3, g.n, 67, rank))
+        code, out, _ = run(capsys, "pipeline", "--family", "H", "--n", "11")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["cert"]["M"] == 8 and payload["alpha"]["upper"] == rank
+        assert payload["separation_certified_here"] is separated
 
     def test_g7_skips_rank_section(self, capsys):
         # (7+1)/4 = 2 is not an odd prime, so the mod-p machinery is skipped
@@ -361,14 +369,24 @@ class TestPipelineCommand:
         assert payload["report"] is None
 
 
-class TestEmptyPacking:
-    @pytest.mark.parametrize("command", ["cert", "pipeline", "channel-sim"])
-    def test_budget_zero_exits_with_message(self, capsys, command):
-        code, out, err = run(capsys, command, "--family", "G", "--n", "11",
-                             "--budget", "0")
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and "budget" in err
-        assert "Traceback" not in err
+class TestPackingShortfall:
+    """G packings try at most ``geometry.PACK_BUDGET`` permutations; here one."""
+
+    @pytest.fixture(autouse=True)
+    def one_permutation(self, monkeypatch):
+        monkeypatch.setattr(capsep.geometry, "PACK_BUDGET", 1)
+
+    def test_pack_reports_target_missed(self, capsys):
+        code, out, _ = run(capsys, "pack", "--family", "G", "--n", "11")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["count"], payload["target"], payload["target_met"]) == (1, 4, False)
+
+    def test_cert_verifies_short_packing(self, capsys):
+        code, out, _ = run(capsys, "cert", "--family", "G", "--n", "11")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["M"] == 1 and payload["verification"]["passed"] is True
 
 
 class TestUsageErrors:
@@ -383,6 +401,20 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        "pack --family G --n 3 --budget 5",
+        "cert --family H --n 3 --budget 5",
+        "channel-sim --family H --n 3 --budget 5",
+        "pipeline --family H --n 3 --budget 5",
+        "alpha --graph C5 --budget-ms 5",
+        "haemers --family G --n 11 --p 3",
+        "hadamard --size 2 --format text",
+    ])
+    def test_removed_option(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 1 and out == ""
+        assert f"error: unrecognized arguments: {' '.join(argv.split()[-2:])}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -401,3 +433,92 @@ def test_cli_run_does_not_import_numpy_ma(argv):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.stdout.split() == ["0", "False"], out.stderr
+
+
+def test_closed_pipe_keeps_the_verdict():
+    # orthorep H11 prints ~140 kB, more than a pipe holds, so the write
+    # after the reader closes the pipe fails with EPIPE
+    src = str(Path(capsep.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-m", "capsep.cli", "orthorep", "--family", "H",
+                           "--n", "11"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert (first, code, err) == (b"{\n", 0, b"")
+
+
+# -- argv fuzz -----------------------------------------------------------------
+
+_JUNK = ["", "junk", "1.5", "-", "--", "1e3", "--nope", "--budget", "0x1f", "G11"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    assert cli_main(["cert", "--family", "H", "--n", "3", "--output", str(tmp / "cert.json")]) == 0
+    (tmp / "junk.json").write_text("{")
+    # the first of each list works; the others are a malformed file, a
+    # missing file or directory, and a directory
+    return {"cwd": tmp,
+            "--input": [str(tmp / name) for name in ("cert.json", "junk.json", "none.json")]
+            + [str(tmp)],
+            "--output": [str(tmp / "out.json"), str(tmp / "none" / "out.json"), str(tmp)]}
+
+
+def _option_values(paths):
+    """Values for every option of every subcommand, valid ones often, all small
+    enough that any mix of them runs in well under a second."""
+    return {"--family": st.sampled_from("GH") | st.sampled_from("GHOCKZ"),
+            "--n": st.sampled_from([3, 7, 11]) | st.integers(-3, 11),
+            "--format": st.sampled_from(["json", "dimacs", "text"]),
+            "--size": st.integers(-4, 64),
+            "--seed": st.integers(-3, 10**6),
+            "--input": st.just(paths["--input"][0]) | st.sampled_from(paths["--input"]),
+            "--output": st.just(paths["--output"][0]) | st.sampled_from(paths["--output"]),
+            "--graph": st.sampled_from(["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk"]),
+            "--node-budget": st.integers(-3, 500),
+            "--trials": st.integers(-3, 20),
+            "--p": st.sampled_from([3, 5, 41]) | st.integers(-3, 43)}
+
+
+def _subcommand_options() -> dict[str, dict[str, bool]]:
+    """{subcommand: {flag: required}}, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {a.option_strings[-1]: a.required for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()}
+
+
+@st.composite
+def _argvs(draw, values):
+    commands = _subcommand_options()
+    command = draw(st.sampled_from(sorted(commands)))
+    argv = [command]
+    for flag, required in draw(st.permutations(sorted(commands[command].items()))):
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            kind = draw(st.integers(0, 9))  # 0: value missing, 1: junk value
+            argv += [flag] if kind == 0 else \
+                [flag, draw(st.sampled_from(_JUNK) if kind == 1 else values[flag].map(str))]
+    if draw(st.integers(0, 4)) == 0:  # a stray token: junk, or a flag of any subcommand
+        token = draw(st.sampled_from(_JUNK + sorted(values)))
+        argv.insert(draw(st.integers(1, len(argv))), token)
+    return argv
+
+
+def test_fuzz_covers_every_option(fuzz_paths):
+    flags = {f for options in _subcommand_options().values() for f in options}
+    assert flags == set(_option_values(fuzz_paths))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_argv_fuzz(capsys, monkeypatch, fuzz_paths, data):
+    monkeypatch.chdir(fuzz_paths["cwd"])  # a junk --output value names a file here
+    argv = data.draw(_argvs(_option_values(fuzz_paths)), label="argv")
+    code = cli_main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

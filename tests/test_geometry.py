@@ -294,10 +294,12 @@ class TestVertexSetChecks:
             with pytest.raises(ConstructionError, match=f"clique 1.*{phrase}"):
                 tampered.verify()
 
-    def test_pack_cliques_checks_seed_and_budget(self, g11, paley12):
+    def test_pack_cliques_checks_seed_and_budget(self, g11, paley12, monkeypatch):
         seed = capsep.clique_from_hadamard_G(paley12)
-        with pytest.raises(InvalidParameterError, match="budget"):
-            capsep.pack_cliques(g11, seed, budget=0)
+        monkeypatch.setattr(capsep.geometry, "PACK_BUDGET", 1)
+        short = capsep.pack_cliques(g11, seed)
+        assert (short.count, short.target, short.target_met) == (1, 4, False)
+        assert short.cliques == (tuple(sorted(seed)),)  # the identity permutation
         with pytest.raises(ConstructionError, match="clique 0.*reuses"):
             capsep.pack_cliques(g11, seed[:2] + seed[:1])
         with pytest.raises(InvalidParameterError):
