@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitgraph import BitGraph, row_blocks
-from .entcert import EntCert, rank_one_row
+from .entcert import EntCert, rank_one_row, stacked_ops
 from .errors import InvalidParameterError, ProtocolError
 
 ROW_SUM_TOL = 1e-12
@@ -329,15 +329,13 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     if chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
         raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
-    keys = sorted(cert.ops)
-    inputs = np.array([u for u, _ in keys], dtype=np.int64)
-    messages = np.array([i for _, i in keys], dtype=np.int64)
+    inputs, messages, stack = stacked_ops(cert)
     twice = np.flatnonzero(np.diff(inputs) == 0)
     if twice.size:
-        (u, i), (_, j) = keys[twice[0]], keys[twice[0] + 1]
-        raise ProtocolError(f"vertex {u} carries two messages ({i} and {j})")
+        k = int(twice[0])
+        raise ProtocolError(f"vertex {inputs[k]} carries two messages "
+                            f"({messages[k]} and {messages[k + 1]})")
     # unit vectors f with num proportional to f f^T (sign immaterial)
-    stack = np.array([cert.ops[k] for k in keys]).reshape(-1, cert.dim, cert.dim)
     vectors = rank_one_row(stack).astype(np.float64)
     norms = np.linalg.norm(vectors, axis=1)
     if not norms.all():

@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
 from .errors import (CapsepError, CertificateError, InvalidParameterError,
                      ProtocolError, ResourceLimitError)
@@ -29,19 +31,13 @@ def _emit(payload, args) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _rep_and_clique(family: str, n: int):
+def _clique(family: str, n: int):
+    """The size-(n+1) Hadamard matrix and the clique it seeds (no graph needed)."""
     h = find_hadamard(n + 1)
     if h is None:
         raise CapsepError(f"no covered Hadamard construction of size {n + 1}")
-    if family == "G":
-        return geometry.ortho_rep_G(n), geometry.clique_from_hadamard_G(h)
-    return geometry.ortho_rep_H(n), geometry.clique_from_hadamard_H(h)
-
-
-def _build_cert(family: str, n: int, seed: int):
-    rep, clique = _rep_and_clique(family, n)
-    packing = geometry.pack_cliques(rep.graph, clique, rng_seed=seed)
-    return entcert.cert_from_packing(rep, packing), packing
+    seed = geometry.clique_from_hadamard_G if family == "G" else geometry.clique_from_hadamard_H
+    return h, seed(h)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -68,21 +64,23 @@ def _cmd_orthorep(args) -> int:
 
 
 def _cmd_clique(args) -> int:
-    _, clique = _rep_and_clique(args.family, args.n)
+    _, clique = _clique(args.family, args.n)
     _emit({"graph": f"{args.family}{args.n}", "size": len(clique),
            "vertices": [bitgraph.word_label(b, args.n) for b in clique]}, args)
     return 0
 
 
 def _cmd_pack(args) -> int:
-    rep, clique = _rep_and_clique(args.family, args.n)
-    packing = geometry.pack_cliques(rep.graph, clique, rng_seed=args.seed)
-    _emit(packing.to_json(), args)
+    _, clique = _clique(args.family, args.n)
+    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
+    _emit(geometry.pack_cliques(g, clique, rng_seed=args.seed).to_json(), args)
     return 0
 
 
 def _cmd_cert(args) -> int:
-    cert, _ = _build_cert(args.family, args.n, args.seed)
+    _, clique = _clique(args.family, args.n)
+    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
+    cert = entcert.cert_from_packing(geometry.pack_cliques(g, clique, rng_seed=args.seed))
     _emit(cert.to_json(), args)
     return 0 if cert.verification.passed else 2
 
@@ -111,8 +109,15 @@ def _cmd_alpha(args) -> int:
 def _cmd_channel_sim(args) -> int:
     if min(args.seed, args.trials) < 0:
         raise CapsepError("--seed and --trials must be non-negative")
-    cert, _ = _build_cert(args.family, args.n, args.seed)
-    chan = channel.canonical_channel(cert.graph)
+    _, clique = _clique(args.family, args.n)
+    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
+    degree = int(g.adjacency_among([0], np.arange(g.vertex_count)).sum())
+    outputs = g.vertex_count * (2 + degree) // 2  # |V| + |E|: G_n, H_n are vertex-transitive
+    if outputs > bitgraph.MAX_VERTICES:
+        raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
+                                 f"{outputs} outputs, over the cap {bitgraph.MAX_VERTICES}")
+    cert = entcert.cert_from_packing(geometry.pack_cliques(g, clique, rng_seed=args.seed))
+    chan = channel.canonical_channel(g)
     try:
         proto = channel.protocol_from_cert(cert, chan)
     except ProtocolError as exc:
@@ -127,7 +132,7 @@ def _cmd_channel_sim(args) -> int:
             failures += 1
         if trial < 20:
             transcripts.append(tr.to_json())
-    _emit({"graph": cert.graph_ref, "M": proto.M, "dim": proto.dim,
+    _emit({"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
            "zero_error": zr.to_json(), "trials": args.trials,
            "failures": failures, "transcripts": transcripts}, args)
     return 0 if zr.passed and failures == 0 else 2
@@ -143,10 +148,10 @@ def _cmd_pipeline(args) -> int:
     out: dict = {}
     g = bitgraph.graph_from_ref(f"{family}{n}")
     out["graph"] = g.descriptor()
-    h = find_hadamard(n + 1)
-    out["hadamard"] = None if h is None else {"size": h.size,
-                                              "construction": h.construction}
-    cert, packing = _build_cert(family, n, args.seed)
+    h, clique = _clique(family, n)
+    out["hadamard"] = {"size": h.size, "construction": h.construction}
+    packing = geometry.pack_cliques(g, clique, rng_seed=args.seed)
+    cert = entcert.cert_from_packing(packing)
     out["packing"] = {"count": packing.count, "target": packing.target,
                       "target_met": packing.target_met}
     out["cert"] = {"M": cert.M, "dim": cert.dim,
@@ -166,7 +171,7 @@ def _cmd_pipeline(args) -> int:
     lower = len(restricted) if restricted.verified else 0
     out["alpha"] = {"lower": lower, "upper": upper}
     p = algebra_fp.instance_prime(n)
-    out["report"] = None if p is None else report.capacity_report(family, p).to_json()
+    out["report"] = None if p is None else report.capacity_report(family, p, h).to_json()
     # alpha* >= M > rank >= Theta, with both ends computed in this run
     out["separation_certified_here"] = (cert.verification.passed and upper is not None
                                         and cert.M > upper)

@@ -71,13 +71,9 @@ class EntCert:
     ops: dict[tuple[int, int], np.ndarray]
     verification: VerificationReport | None = None
 
-    @property
-    def graph_ref(self) -> str:
-        return self.graph.graph_ref()
-
     def to_json(self) -> dict:
         return {
-            "graph": self.graph_ref,
+            "graph": self.graph.graph_ref(),
             "M": self.M,
             "dim": self.dim,
             "denominator": self.denominator,
@@ -106,6 +102,20 @@ def _pair_witness(cond: int, verts, msgs, a: int, b: int) -> dict:
     return {"condition": cond, **where, "i": int(msgs[a]), "j": int(msgs[b])}
 
 
+def stacked_ops(cert: EntCert) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vertices, messages, stack) of the operators in key order; rho or an
+    operator that is not dim x dim raises ``InvalidParameterError``."""
+    d = cert.dim
+    keys = sorted(cert.ops)
+    for name, num in [("rho", cert.rho_num)] + [(f"operator {k}", cert.ops[k]) for k in keys]:
+        if np.shape(num) != (d, d):
+            raise InvalidParameterError(f"{name} has shape {np.shape(num)}, not ({d}, {d})")
+    verts = np.array([u for u, _ in keys], dtype=np.int64)
+    msgs = np.array([i for _, i in keys], dtype=np.int64)
+    stack = np.array([cert.ops[k] for k in keys], dtype=np.int64).reshape(len(keys), d, d)
+    return verts, msgs, stack
+
+
 def verify(cert: EntCert) -> VerificationReport:
     """Re-check every instance of every condition, exactly and without sampling.
 
@@ -127,15 +137,8 @@ def verify(cert: EntCert) -> VerificationReport:
     """
     g = cert.graph
     d, M, rho = cert.dim, cert.M, cert.rho_num
-    keys = sorted(cert.ops)
-    for key in ["rho"] + keys:
-        shape = np.shape(rho if key == "rho" else cert.ops[key])
-        if shape != (d, d):
-            raise InvalidParameterError(f"{key} has shape {shape}, not ({d}, {d})")
-    k_ops = len(keys)
-    verts = np.array([u for u, _ in keys], dtype=np.int64)
-    msgs = np.array([i for _, i in keys], dtype=np.int64)
-    stack = np.array([cert.ops[k] for k in keys], dtype=np.int64).reshape(k_ops, d, d)
+    verts, msgs, stack = stacked_ops(cert)
+    k_ops = len(stack)
     big = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (stack, rho))
     if d * big * big >= _EXACT_BOUND or (k_ops + d) * big >= _EXACT_BOUND:
         return VerificationReport(
@@ -217,29 +220,28 @@ def _verified(cert: EntCert, source: str) -> EntCert:
     return cert
 
 
-def cert_from_packing(rep: OrthoRep, packing: CliquePacking) -> EntCert:
+def cert_from_packing(packing: CliquePacking) -> EntCert:
     """Certificate with one message per packed clique.
 
-    Each clique's unit vectors form an orthonormal basis of the common span
-    (the whole space for the even-weight family, the ones-hyperplane for the
-    weight-(n+1)/2 family), so the per-message sums all equal the same scaled
-    projector rho with trace exactly one. The numerator of the operator at
-    vertex u is the integer outer product w w^T; the global denominator is
-    d * (n+1).
+    Each clique's unit vectors (rows of the graph's verified ``OrthoRep``,
+    formed for the packed vertices only) are an orthonormal basis of the
+    common span: the whole space for the even-weight family, the
+    ones-hyperplane for the weight-(n+1)/2 family. So every message sums to
+    the same scaled projector rho, of trace exactly one. The operator at u
+    is w w^T; the global denominator is d * (n+1).
     """
     g = packing.graph
-    if rep.graph is not g and rep.graph.graph_ref() != g.graph_ref():
-        raise InvalidParameterError("representation and packing disagree on the graph")
     if not packing.cliques:
         raise InvalidParameterError("packing has no cliques (M must be at least 1)")
+    rep = OrthoRep(g)
+    rep.verify()
     packing.verify()
-    d = packing.clique_size
     idx = g.indices_of(packing.cliques)
-    w = rep.matrix[idx].astype(np.int64)
+    w = rep.rows(idx.ravel()).astype(np.int64).reshape(*idx.shape, rep.dim)
     outer = w[..., :, None] * w[..., None, :]  # clique, member, dim, dim
     ops = {(u, i): num for i, (row, nums) in enumerate(zip(idx.tolist(), outer), start=1)
            for u, num in zip(row, nums)}
-    cert = EntCert(g, len(packing.cliques), rep.dim, d * rep.normalizer,
+    cert = EntCert(g, packing.count, rep.dim, packing.clique_size * rep.normalizer,
                    outer[0].sum(axis=0), ops)
     return _verified(cert, "packing")
 

@@ -1,9 +1,9 @@
 """Orthonormal representations, Hadamard-seeded cliques, and clique packings.
 
-All certificate-grade checks here are exact: representation vectors are stored
-as integer sign vectors with a common normalizer n+1 (the true unit vector is
-row / sqrt(n+1)), so orthogonality on edges is an integer dot product equal to
-zero, with no tolerance.
+All certificate-grade checks here are exact: representation vectors are formed
+from the vertex words as integer sign vectors with a common normalizer n+1 (the
+true unit vector is row / sqrt(n+1)), so orthogonality on edges is an integer
+dot product equal to zero, with no tolerance.
 """
 
 from __future__ import annotations
@@ -25,27 +25,36 @@ PACK_BUDGET = 10**6  # coordinate permutations a family-G packing tries at most
 
 @dataclass(frozen=True)
 class OrthoRep:
-    """Orthonormal representation with exact integer coordinates.
+    """Orthonormal representation w_x = ((-1)^{x_1}, ..., (-1)^{x_n}, 1) / sqrt(n+1).
 
-    ``matrix`` has one row per graph vertex (same order); the unit vector of
-    vertex i is ``matrix[i] / sqrt(normalizer)``.
+    A view of its graph: the integer rows are formed from the vertex words
+    on demand (``rows``), and the unit vector of vertex i is
+    ``rows([i])[0] / sqrt(normalizer)``. No matrix is stored.
     """
 
     graph: BitGraph
-    dim: int
-    normalizer: int
-    matrix: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        """n + 1, also the normalizer: the squared norm of every integer row."""
+        return self.graph.n + 1
+
+    normalizer = dim
+
+    def rows(self, idx=slice(None)) -> np.ndarray:
+        """The int8 sign rows of the vertices ``idx`` (all by default), a 1 appended."""
+        signs = sign_rows(self.graph.bits_array[idx], self.graph.n)
+        return np.hstack([signs, np.ones((len(signs), 1), dtype=np.int8)])
 
     def verify(self) -> None:
-        """Exact check of unit norms and edge orthogonality, in O(|V| n).
+        """Exact proof of unit norms and edge orthogonality, in O(|V|).
 
-        Row x must be the sign vector w_x = ((-1)^{x_1}, ..., (-1)^{x_n}, 1),
-        so <w_x, w_y> = n + 1 - 2 d(x, y): the normalizer n + 1 at d = 0, and
-        n + 1 - 2 (n+1)/2 = 0 on every edge of the distance-(n+1)/2 graph.
-        Checking the normalizer, the edge rule and each row against the
-        closed form thus proves every norm and every edge orthogonality with
-        no inner product formed. ``ConstructionError`` names the first
-        vertex that fails.
+        Every row is the sign vector of its word, so <w_x, w_y> = n + 1 -
+        2 d(x, y): the normalizer n + 1 at d = 0, and n + 1 - 2 (n+1)/2 = 0 on
+        every edge of the distance-(n+1)/2 graph. A weight-(n+1)/2 word's row
+        sums to n - 2 (n+1)/2 + 1 = 0, so for family G the weight check puts
+        the span in the ones-orthogonal hyperplane. ``ConstructionError``
+        names the first vertex that fails.
         """
         g = self.graph
         n, k = g.n, (g.n + 1) // 2
@@ -53,56 +62,32 @@ class OrthoRep:
             raise ConstructionError(
                 f"{g.graph_ref()} is not the distance-(n+1)/2 graph of odd n")
         assert n + 1 - 2 * k == 0  # edges are orthogonal by the identity
-        if self.normalizer != n + 1:
-            raise ConstructionError(f"vertex 0 has squared norm {n + 1}, "
-                                    f"not the normalizer {self.normalizer}")
-        expected = _rep_for(g)
-        if self.dim != n + 1 or self.matrix.shape != expected.shape:
-            raise ConstructionError(f"matrix shape {self.matrix.shape} is not "
-                                    f"{expected.shape} with dim {n + 1}")
-        bad = np.flatnonzero((self.matrix != expected).any(axis=1))
-        if bad.size:
+        bad = np.flatnonzero(np.bitwise_count(g.bits_array) != k) if g.family == "G" else ()
+        if len(bad):
             u = int(bad[0])
-            raise ConstructionError(
-                f"vertex {u} ({g.vertex_label(u)}) is not its sign vector")
+            raise ConstructionError(f"vertex {u} ({g.vertex_label(u)}) has weight != {k}: "
+                                    f"not orthogonal to the ones vector")
 
     def to_json(self) -> dict:
         return {
             "graph": self.graph.graph_ref(),
             "dim": self.dim,
             "normalizer": self.normalizer,
-            "vectors": {self.graph.vertex_label(i): self.matrix[i].tolist()
-                        for i in range(self.graph.vertex_count)},
+            "vectors": {self.graph.vertex_label(i): row
+                        for i, row in enumerate(self.rows().tolist())},
         }
-
-
-def _rep_for(graph: BitGraph) -> np.ndarray:
-    """Sign vector of each vertex with a 1 appended, as int8 rows."""
-    signs = sign_rows(graph.bits_array, graph.n)
-    return np.hstack([signs, np.ones((len(signs), 1), dtype=np.int8)])
 
 
 def ortho_rep_H(n: int) -> OrthoRep:
     """(n+1)-dimensional representation of the even-weight graph."""
-    graph = build_H(n)
-    rep = OrthoRep(graph, n + 1, n + 1, _rep_for(graph))
+    rep = OrthoRep(build_H(n))
     rep.verify()
     return rep
 
 
 def ortho_rep_G(n: int) -> OrthoRep:
-    """Ambient (n+1)-dim representation of the weight-(n+1)/2 graph.
-
-    Also certifies that every vector is orthogonal to the appended-ones
-    vector, so the span has dimension at most n.
-    """
-    graph = build_G(n)
-    mat = _rep_for(graph)
-    sums = mat.astype(np.int64).sum(axis=1)
-    if sums.any():
-        bad = int(np.argmax(sums != 0))
-        raise ConstructionError(f"vertex {bad} not orthogonal to the ones vector")
-    rep = OrthoRep(graph, n + 1, n + 1, mat)
+    """Ambient (n+1)-dim representation of the weight-(n+1)/2 graph, spanning n dims."""
+    rep = OrthoRep(build_G(n))
     rep.verify()
     return rep
 
@@ -158,12 +143,19 @@ class CliquePacking:
     graph: BitGraph
     clique_size: int
     cliques: tuple[tuple[int, ...], ...]  # vertex words, each clique sorted
-    target: int
-    target_met: bool
 
     @property
     def count(self) -> int:
         return len(self.cliques)
+
+    @property
+    def target(self) -> int:
+        """ceil(|V| / d^2), the count the clique-packing bound guarantees."""
+        return math.ceil(self.graph.vertex_count / self.clique_size ** 2)
+
+    @property
+    def target_met(self) -> bool:
+        return self.count >= self.target
 
     def verify(self) -> None:
         """Independent re-check: clique sizes, membership, disjointness, adjacency."""
@@ -227,7 +219,7 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
     if not seed or any(b >> n for b in seed):
         raise InvalidParameterError("seed must be nonempty with words of at most n bits")
     _check_cliques(g, [seed], d)
-    target = math.ceil(g.vertex_count / (d * d))
+    target = CliquePacking(g, d, ()).target
 
     used: set[int] = set()
     cliques: list[tuple[int, ...]] = []
@@ -253,7 +245,7 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
                 break
             rng.shuffle(perm)
 
-    packing = CliquePacking(g, d, tuple(cliques), target, len(cliques) >= target)
+    packing = CliquePacking(g, d, tuple(cliques))
     packing.verify()
     return packing
 

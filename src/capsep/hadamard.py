@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bitgraph import row_blocks
 from .errors import ConstructionError, InvalidParameterError
 
 MAX_SYLVESTER_K = 12
@@ -96,26 +97,21 @@ def paley_one(q: int) -> HadamardMatrix:
     c = np.zeros((q + 1, q + 1), dtype=np.int64)
     c[0, 1:] = 1
     c[1:, 0] = -1
-    step = max(1, (1 << 23) // q)  # bound the (j - i) % q scratch matrix
-    for lo in range(0, q, step):
-        hi = min(q, lo + step)
+    for lo, hi in row_blocks(q, q):  # bound the (j - i) % q scratch matrix
         c[1 + lo:1 + hi, 1:] = chi[(idx[None, :] - idx[lo:hi, None]) % q]
     h = np.eye(q + 1, dtype=np.int64) + c
     return HadamardMatrix(h, construction=f"paley({q})")  # ctor verifies
 
 
 def normalize(h: HadamardMatrix) -> HadamardMatrix:
-    """Negate rows/columns until the first row and column are all +1."""
-    e = h.entries.copy()
-    if e[0, 0] == -1:
-        e[0] = -e[0]
-    for j in range(e.shape[1]):
-        if e[0, j] == -1:
-            e[:, j] = -e[:, j]
-    for i in range(e.shape[0]):
-        if e[i, 0] == -1:
-            e[i] = -e[i]
-    return HadamardMatrix(e, construction=h.construction)
+    """Negate rows/columns until the first row and column are all +1.
+
+    Column j is negated when e[0, j] e[0, 0] = -1 and row i when
+    e[i, 0] e[0, 0] = -1, so entry (i, j) becomes e[i, j] e[0, j] e[i, 0] e[0, 0]:
+    a square, 1, in row 0 and in column 0.
+    """
+    e = h.entries
+    return HadamardMatrix(e * e[0, :] * e[:, :1] * e[0, 0], construction=h.construction)
 
 
 def double(h: HadamardMatrix) -> HadamardMatrix:
@@ -135,16 +131,15 @@ def find_hadamard(m: int) -> HadamardMatrix | None:
         raise InvalidParameterError(f"size must be >= 1, got {m}")
     if m & (m - 1) == 0 and m.bit_length() - 1 <= MAX_SYLVESTER_K:
         return sylvester(m.bit_length() - 1)
-    if m - 1 <= MAX_PALEY_Q and is_prime(m - 1) and (m - 1) % 4 == 3:
-        return paley_one(m - 1)
-    # Paley core doubled up: m = 2^j * (q+1).
+    # Paley core doubled up: m = 2^j * (q+1), fewest doublings first.
     rest, doublings = m, 0
-    while rest % 2 == 0:
-        rest //= 2
-        doublings += 1
-        if rest - 1 <= MAX_PALEY_Q and is_prime(rest - 1) and (rest - 1) % 4 == 3:
+    while True:
+        if rest - 1 <= MAX_PALEY_Q and (rest - 1) % 4 == 3 and is_prime(rest - 1):
             h = paley_one(rest - 1)
             for _ in range(doublings):
                 h = double(h)
             return h
-    return None
+        if rest % 2:
+            return None
+        rest //= 2
+        doublings += 1

@@ -21,22 +21,15 @@ from fractions import Fraction
 from .algebra_fp import instance_prime
 from .errors import InternalCheckError, InvalidParameterError
 from .geometry import clique_from_hadamard_G
-from .hadamard import find_hadamard
+from .hadamard import MAX_PALEY_Q, HadamardMatrix, find_hadamard
 
-
-def int_log2(x: int) -> float:
-    """log2 of a positive big integer without float overflow."""
-    if x <= 0:
-        raise InvalidParameterError("log2 needs a positive integer")
-    bl = x.bit_length()
-    if bl <= 900:
-        return math.log2(x)
-    shift = bl - 64
-    return shift + math.log2(x >> shift)
+# Largest p with a covered order-4p Hadamard matrix: for odd p only Paley
+# q = 4p - 1 <= MAX_PALEY_Q applies (2p - 1 = 1 mod 4 rules out doubling).
+MAX_P = (MAX_PALEY_Q + 1) // 4
 
 
 def fraction_log2(f: Fraction) -> float:
-    return int_log2(f.numerator) - int_log2(f.denominator)
+    return math.log2(f.numerator) - math.log2(f.denominator)
 
 
 def binary_entropy(t: float) -> float:
@@ -45,14 +38,14 @@ def binary_entropy(t: float) -> float:
     return -t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t)
 
 
-def _entropy_log2(n: int, p: int) -> float:
-    """n H(p/n), the log2 of the entropy estimate of sum_{i<p} C(n, i).
+def _entropy_log2(n: int, p: int, binomial_sum: int) -> float:
+    """n H(p/n), the log2 of the entropy estimate of binomial_sum = sum_{i<p} C(n, i).
 
     For p/n <= 1/2 the estimate dominates the sum (a theorem), so a failed
     dominance check is an implementation bug.
     """
     exponent = n * binary_entropy(p / n)
-    if int_log2(sum(math.comb(n, i) for i in range(p))) > exponent + 1e-9:
+    if math.log2(binomial_sum) > exponent + 1e-9:
         raise InternalCheckError("entropy estimate fell below the binomial sum")
     return exponent
 
@@ -86,7 +79,7 @@ class CapacityReport:
                 "log2": round(fraction_log2(self.theta_q_lower), 3),
             },
             "theta_upper": {"value": self.theta_upper,
-                            "log2": round(int_log2(self.theta_upper), 3)},
+                            "log2": round(math.log2(self.theta_upper), 3)},
             "entropy_upper_log2": round(self.entropy_upper_log2, 3),
             "ratio_log2": round(self.ratio_log2, 3),
             "separation": self.separation,
@@ -94,22 +87,30 @@ class CapacityReport:
         }
 
 
-def capacity_report(family: str, p: int) -> CapacityReport:
+def capacity_report(family: str, p: int,
+                    hadamard: HadamardMatrix | None = None) -> CapacityReport:
     """Both capacity bounds at n = 4p-1, compared exactly.
 
     The lower bound's hypotheses are re-established constructively where
-    possible: the size-4p Hadamard matrix is built and verified, and the
-    n-clique extracted from it is distance-checked, even at sizes where the
-    graph itself is far beyond materialization. Bounds carry an evidence tag
-    of "certified" (explicit verified object) or "formula" (theorem-level).
+    possible: the size-4p Hadamard matrix is built and verified (or taken
+    from a caller that built it: every ``HadamardMatrix`` is verified), and
+    the n-clique extracted from it is distance-checked, even at sizes where
+    the graph itself is far beyond materialization. Bounds carry an evidence
+    tag of "certified" (explicit verified object) or "formula" (theorem-level).
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"family must be G or H, got {family!r}")
+    if p > MAX_P:
+        raise InvalidParameterError(f"p = {p} exceeds the cap {MAX_P}: no covered "
+                                    f"Hadamard construction of size 4p")
     n = 4 * p - 1
     if instance_prime(n) is None:
         raise InvalidParameterError(f"p must be an odd prime, got {p}")
 
-    hadamard = find_hadamard(4 * p)
+    if hadamard is None:
+        hadamard = find_hadamard(4 * p)
+    elif hadamard.size != 4 * p:
+        raise InvalidParameterError(f"need a Hadamard matrix of size {4 * p}, got {hadamard.size}")
     evidence: dict = {}
     if hadamard is None:
         construction = None
@@ -126,10 +127,10 @@ def capacity_report(family: str, p: int) -> CapacityReport:
     vertex_count = math.comb(n, (n + 1) // 2) if family == "G" else 2 ** (n - 1)
     theta_q_lower = Fraction(vertex_count, (n + 1) ** 2)
     theta_upper = sum(math.comb(n, i) for i in range(p))
-    entropy_log2 = _entropy_log2(n, p)
+    entropy_log2 = _entropy_log2(n, p, theta_upper)
 
     separation = vertex_count > theta_upper * (n + 1) ** 2
-    ratio_log2 = fraction_log2(theta_q_lower) - int_log2(theta_upper)
+    ratio_log2 = fraction_log2(theta_q_lower) - math.log2(theta_upper)
 
     evidence["lower_bound"] = {
         "formula": "|V| / (n+1)^2",

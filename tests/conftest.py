@@ -186,16 +186,28 @@ def paley12():
 
 @pytest.fixture(scope="session")
 def h11_cert(h11, paley12):
-    rep = capsep.ortho_rep_H(11)
-    packing = capsep.pack_cliques(rep.graph, capsep.clique_from_hadamard_H(paley12))
-    return capsep.cert_from_packing(rep, packing)
+    return capsep.cert_from_packing(
+        capsep.pack_cliques(h11, capsep.clique_from_hadamard_H(paley12)))
 
 
 @pytest.fixture(scope="session")
-def g11_cert(paley12):
-    rep = capsep.ortho_rep_G(11)
-    packing = capsep.pack_cliques(rep.graph, capsep.clique_from_hadamard_G(paley12))
-    return capsep.cert_from_packing(rep, packing)
+def g11_cert(g11, paley12):
+    return capsep.cert_from_packing(
+        capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12)))
+
+
+def normalize_by_loop(h) -> np.ndarray:
+    """Negate row 0, then each column, then each row, until the border is all +1."""
+    e = h.entries.copy()
+    if e[0, 0] == -1:
+        e[0] = -e[0]
+    for j in range(e.shape[1]):
+        if e[0, j] == -1:
+            e[:, j] = -e[:, j]
+    for i in range(e.shape[0]):
+        if e[i, 0] == -1:
+            e[i] = -e[i]
+    return e
 
 
 # -- channel oracles -----------------------------------------------------------
@@ -473,7 +485,7 @@ def ortho_rep_verify_by_pairs(rep) -> None:
     """Blocked |V| x |V| Gram: every squared norm and every edge inner product."""
     from capsep.errors import ConstructionError
 
-    w = rep.matrix.astype(np.int64)
+    w = rep.rows().astype(np.int64)
     k = (rep.graph.n + 1) // 2
     bits = rep.graph.bits_array
     nv = rep.graph.vertex_count

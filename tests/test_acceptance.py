@@ -87,7 +87,7 @@ def test_criterion_3_n11_entangled_side():
         pack_g = capsep.pack_cliques(rep_g.graph, clique_g)
         assert pack_g.target == math.ceil(462 / 121) == 4
         assert pack_g.count >= 4 and pack_g.target_met
-        cert_g = capsep.cert_from_packing(rep_g, pack_g)
+        cert_g = capsep.cert_from_packing(pack_g)
         assert cert_g.M >= 4
         assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "full"
 
@@ -97,7 +97,7 @@ def test_criterion_3_n11_entangled_side():
         pack_h = capsep.pack_cliques(rep_h.graph, clique_h)
         assert pack_h.target == math.ceil(1024 / 144) == 8
         assert pack_h.count >= 8 and pack_h.target_met
-        cert_h = capsep.cert_from_packing(rep_h, pack_h)
+        cert_h = capsep.cert_from_packing(pack_h)
         assert cert_h.M >= 8
         assert cert_h.verification.passed and cert_h.verification.to_json()["mode"] == "full"
     check()
@@ -181,7 +181,7 @@ def test_criterion_7_protocol_simulation():
         rep = capsep.ortho_rep_H(11)
         h12 = capsep.find_hadamard(12)
         packing = capsep.pack_cliques(rep.graph, capsep.clique_from_hadamard_H(h12))
-        cert = capsep.cert_from_packing(rep, packing)
+        cert = capsep.cert_from_packing(packing)
         assert cert.M == 8
         chan = canonical_channel(cert.graph)
         proto = protocol_from_cert(cert, chan)
@@ -220,7 +220,7 @@ def test_criterion_8_oracle_equivalence():
         rep3 = capsep.ortho_rep_H(3)
         pack3 = capsep.pack_cliques(
             rep3.graph, capsep.clique_from_hadamard_H(capsep.sylvester(2)))
-        cert3 = capsep.cert_from_packing(rep3, pack3)
+        cert3 = capsep.cert_from_packing(pack3)
         squared = capsep.tensor(cert3, cert3)  # 16 vertices
         assert squared.verification.to_json()["mode"] == "full"
         assert squared.verification.passed
@@ -228,7 +228,7 @@ def test_criterion_8_oracle_equivalence():
         rep11 = capsep.ortho_rep_H(11)
         pack11 = capsep.pack_cliques(
             rep11.graph, capsep.clique_from_hadamard_H(capsep.find_hadamard(12)))
-        cert11 = capsep.cert_from_packing(rep11, pack11)
+        cert11 = capsep.cert_from_packing(pack11)
         mixed = capsep.tensor(cert3, cert11)  # 4096 vertices
         assert mixed.graph.vertex_count == 4096 <= 10**4
         assert mixed.M == 8

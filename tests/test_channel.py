@@ -19,11 +19,13 @@ from capsep.entcert import EntCert, classical_embedding
 from capsep.errors import InvalidParameterError, ProtocolError
 
 
+def h3_cert():
+    return capsep.cert_from_packing(capsep.pack_cliques(
+        capsep.build_H(3), capsep.clique_from_hadamard_H(capsep.sylvester(2))))
+
+
 def h3_protocol():
-    rep = capsep.ortho_rep_H(3)
-    packing = capsep.pack_cliques(
-        rep.graph, capsep.clique_from_hadamard_H(capsep.sylvester(2)))
-    cert = capsep.cert_from_packing(rep, packing)
+    cert = h3_cert()
     chan = canonical_channel(cert.graph)
     return protocol_from_cert(cert, chan), chan
 
@@ -314,6 +316,21 @@ class TestProtocol:
         chan = canonical_channel(c5)
         with pytest.raises(ProtocolError):
             protocol_from_cert(bad, chan)
+
+    def test_operator_not_dim_by_dim_rejected(self):
+        cert = h3_cert()
+        key = min(cert.ops)
+        cert.ops[key] = cert.ops[key][:, :-1]
+        with pytest.raises(InvalidParameterError, match=r"has shape \(4, 3\), not \(4, 4\)"):
+            protocol_from_cert(cert, canonical_channel(cert.graph))
+
+    def test_vertex_with_two_messages_rejected(self):
+        cert = h3_cert()
+        u, i = min(cert.ops)
+        cert.ops[u, i + 1] = cert.ops[u, i]
+        with pytest.raises(ProtocolError, match=f"vertex {u} carries two messages "
+                                                f"\\({i} and {i + 1}\\)"):
+            protocol_from_cert(cert, canonical_channel(cert.graph))
 
     def test_wrong_channel_rejected(self, h11_cert):
         chan = pentagon_channel()

@@ -56,6 +56,15 @@ class TestReportCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("p", ["2503", "1000000000000000003"])
+    def test_p_over_the_cap_exits_at_once(self, capsys, p):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", "--family", "G", "--p", p)
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "exceeds the cap 2500" in err
+        assert "Traceback" not in err
+
 
 class TestGraphCommands:
     def test_gen_graph_json(self, capsys):
@@ -151,7 +160,7 @@ class TestCertCommands:
         if name == "H3xH3":
             rep = capsep.ortho_rep_H(3)
             seed = capsep.clique_from_hadamard_H(capsep.sylvester(2))
-            base = capsep.cert_from_packing(rep, capsep.pack_cliques(rep.graph, seed))
+            base = capsep.cert_from_packing(capsep.pack_cliques(rep.graph, seed))
         else:
             base = capsep.classical_embedding(capsep.build_cycle(5), [0, 2])
         payload = capsep.tensor(base, base).to_json()
@@ -317,12 +326,47 @@ class TestChannelSimCommand:
     def test_negative_value_rejected_before_any_work(self, capsys, monkeypatch, flag):
         def refuse(*args, **kwargs):
             raise AssertionError("a graph was built")
-        monkeypatch.setattr(capsep.cli.geometry, "ortho_rep_H", refuse)
+        monkeypatch.setattr(capsep.bitgraph, "build_H", refuse)
         code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "3",
                              flag, "-5")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "must be non-negative" in err
         assert "Traceback" not in err
+
+    def test_channel_over_the_cap_refused_before_the_packing(self, capsys, monkeypatch):
+        # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
+        def refuse(*args, **kwargs):
+            raise AssertionError("a packing was started")
+        monkeypatch.setattr(capsep.cli.geometry, "pack_cliques", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "15")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "52731904 outputs" in err
+        assert "Traceback" not in err
+
+
+class TestGraphBuiltOnce:
+    @pytest.mark.parametrize("argv", [
+        ["pack", "--family", "G", "--n", "11"],
+        ["cert", "--family", "H", "--n", "7"],
+        ["channel-sim", "--family", "G", "--n", "7", "--trials", "2"],
+        ["channel-sim", "--family", "H", "--n", "7", "--trials", "2"],
+        ["pipeline", "--family", "G", "--n", "11"],
+        ["pipeline", "--family", "H", "--n", "11"],
+    ])
+    def test_one_build(self, capsys, monkeypatch, argv):
+        built = []
+
+        def counting(build):
+            return lambda n: built.append(n) or build(n)
+        for name in ("build_G", "build_H"):
+            counted = counting(getattr(capsep.bitgraph, name))
+            for module in (capsep.bitgraph, capsep.geometry):  # every binding site
+                monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert built == [int(argv[4])]
 
 
 class TestPipelineCommand:
@@ -358,6 +402,18 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["cert"]["M"] == 8 and payload["alpha"]["upper"] == rank
         assert payload["separation_certified_here"] is separated
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    def test_one_hadamard_matrix(self, capsys, monkeypatch, family):
+        built = []
+        original = capsep.hadamard.find_hadamard
+        for module in (capsep.cli, capsep.report):  # every binding site
+            monkeypatch.setattr(module, "find_hadamard",
+                                lambda m: built.append(m) or original(m))
+        code, out, _ = run(capsys, "pipeline", "--family", family, "--n", "11")
+        assert code == 0 and built == [12]
+        assert json.loads(out)["report"]["hadamard"] == {"size": 12,
+                                                         "construction": "paley(11)"}
 
     def test_g7_skips_rank_section(self, capsys):
         # (7+1)/4 = 2 is not an odd prime, so the mod-p machinery is skipped

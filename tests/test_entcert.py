@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import build_complete
+from capsep.bitgraph import build_complete, build_cycle
 from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, classical_embedding,
                             rank_one_row, tensor, verify)
-from capsep.errors import InvalidParameterError, ResourceLimitError
+from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
 from conftest import flatten, verify_by_pairs
 
 
@@ -19,7 +19,7 @@ def h3_cert():
     rep = capsep.ortho_rep_H(3)
     seed = capsep.clique_from_hadamard_H(capsep.sylvester(2))
     packing = capsep.pack_cliques(rep.graph, seed)
-    return capsep.cert_from_packing(rep, packing)
+    return capsep.cert_from_packing(packing)
 
 
 class TestCertFromPacking:
@@ -54,16 +54,32 @@ class TestCertFromPacking:
         assert g11_cert.verification.passed
 
     def test_empty_packing_rejected(self, g11):
-        rep = capsep.ortho_rep_G(11)
-        empty = capsep.CliquePacking(rep.graph, 11, (), 4, False)
+        empty = capsep.CliquePacking(g11, 11, ())
         with pytest.raises(InvalidParameterError, match="no cliques"):
-            capsep.cert_from_packing(rep, empty)
+            capsep.cert_from_packing(empty)
 
     def test_ops_are_outer_products_of_the_rows(self, g11_cert):
-        rep = capsep.ortho_rep_G(11)
+        rep = capsep.OrthoRep(g11_cert.graph)
         for (u, _), num in g11_cert.ops.items():
-            w = rep.matrix[u].astype(np.int64)
+            w = rep.rows([u])[0].astype(np.int64)
             assert np.array_equal(num, np.outer(w, w))
+
+    @pytest.mark.parametrize("g, cliques", [(build_cycle(5), ((0, 1), (2, 3))),
+                                            (build_complete(4), ((0, 1, 2, 3),))])
+    def test_packing_off_the_distance_graphs_rejected(self, g, cliques):
+        packing = capsep.CliquePacking(g, len(cliques[0]), cliques)
+        packing.verify()  # a valid packing, but no sign-vector representation
+        with pytest.raises(ConstructionError, match="not the distance-\\(n\\+1\\)/2 graph"):
+            capsep.cert_from_packing(packing)
+
+    def test_forms_rows_of_the_packed_vertices_only(self, h11, paley12, monkeypatch):
+        packing = capsep.pack_cliques(h11, capsep.clique_from_hadamard_H(paley12))
+        formed = []
+        rows = capsep.OrthoRep.rows
+        monkeypatch.setattr(capsep.OrthoRep, "rows",
+                            lambda self, idx: formed.append(len(idx)) or rows(self, idx))
+        capsep.cert_from_packing(packing)
+        assert formed == [packing.count * packing.clique_size] == [96]
 
 
 class TestVerify:
@@ -258,7 +274,7 @@ def _packing_cert(family, n):
     rep = capsep.ortho_rep_G(n) if family == "G" else capsep.ortho_rep_H(n)
     clique = (capsep.clique_from_hadamard_G if family == "G"
               else capsep.clique_from_hadamard_H)(capsep.find_hadamard(n + 1))
-    return capsep.cert_from_packing(rep, capsep.pack_cliques(rep.graph, clique))
+    return capsep.cert_from_packing(capsep.pack_cliques(rep.graph, clique))
 
 
 def _classical_squared(g, idx):

@@ -6,6 +6,7 @@ import pytest
 
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
+from capsep.bitgraph import BitGraph, build_complete
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
 from conftest import (_check_clique_bits, ortho_rep_verify_by_pairs,
                       restricted_set_by_pairs, word_of_signs)
@@ -14,15 +15,14 @@ from conftest import (_check_clique_bits, ortho_rep_verify_by_pairs,
 class TestOrthoRepH:
     def test_n3_all_zeros_vector(self):
         rep = capsep.ortho_rep_H(3)
-        zero_idx = rep.graph.index_of(0)
-        assert rep.matrix[zero_idx].tolist() == [1, 1, 1, 1]
+        row = rep.rows([rep.graph.index_of(0)])[0]
+        assert row.tolist() == [1, 1, 1, 1]
         # integer squared norm is the normalizer, so the unit norm is exact
-        assert rep.matrix[zero_idx] @ rep.matrix[zero_idx] == rep.normalizer == 4
+        assert row @ row == rep.normalizer == 4
 
     def test_n3_edge_orthogonality_by_hand(self):
         rep = capsep.ortho_rep_H(3)
-        a = rep.matrix[rep.graph.index_of(0b000)]
-        b = rep.matrix[rep.graph.index_of(0b011)]
+        a, b = rep.rows(rep.graph.indices_of([0b000, 0b011]))
         # signs of 011 are (+1,-1,-1); appended ones give dot 1-1-1+1 = 0
         assert b.tolist() == [1, -1, -1, 1]
         assert int(a.astype(np.int64) @ b.astype(np.int64)) == 0
@@ -49,45 +49,53 @@ class TestOrthoRepVerify:
         reps[name].verify()
         ortho_rep_verify_by_pairs(reps[name])
 
-    @pytest.mark.parametrize("name", ["G11", "H11", "G15"])
+    @pytest.mark.parametrize("name", ["G11", "G15"])
     def test_flipped_sign_names_the_vertex(self, reps, name):
-        rep = reps[name]
-        for u, col in [(0, 0), (rep.graph.vertex_count // 3, 5),
-                       (rep.graph.vertex_count - 1, rep.dim - 1)]:
-            mat = rep.matrix.copy()
-            mat[u, col] *= -1
-            tampered = OrthoRep(rep.graph, rep.dim, rep.normalizer, mat)
-            with pytest.raises(ConstructionError, match=f"vertex {u} "):
+        """A row is formed from its word, so a flipped sign is a flipped bit:
+        the word leaves weight (n+1)/2 and its row the ones-hyperplane."""
+        g = reps[name].graph
+        for u, col in [(0, 0), (g.vertex_count // 3, 5), (g.vertex_count - 1, g.n - 1)]:
+            words = g.bits_array.copy()
+            words[u] ^= np.uint64(1 << col)
+            tampered = OrthoRep(BitGraph(g.n, words, ("distance", g.distance), family="G"))
+            v = tampered.graph.index_of(int(words[u]))
+            with pytest.raises(ConstructionError, match=f"vertex {v} .*weight"):
                 tampered.verify()
-            with pytest.raises(ConstructionError):
-                ortho_rep_verify_by_pairs(tampered)
+            assert tampered.rows([v]).astype(np.int64).sum() != 0
 
-    def test_wrong_normalizer_names_a_vertex(self, reps):
-        rep = reps["H11"]
-        tampered = OrthoRep(rep.graph, rep.dim, rep.normalizer + 1, rep.matrix)
-        with pytest.raises(ConstructionError, match="vertex 0 "):
-            tampered.verify()
-        with pytest.raises(ConstructionError, match="vertex 0 "):
-            ortho_rep_verify_by_pairs(tampered)
+    def test_rejects_a_wrong_weight_word_in_family_g(self):
+        words = capsep.build_G(7).bits_array.tolist() + [0b0000111]
+        g = BitGraph(7, words, ("distance", 4), family="G")
+        with pytest.raises(ConstructionError, match="vertex 0 \\(0000111\\) has weight"):
+            OrthoRep(g).verify()
+        OrthoRep(BitGraph(7, words, ("distance", 4))).verify()  # no weight claimed
 
-    def test_rejects_other_graphs_and_shapes(self, reps):
-        rep = reps["G11"]
-        with pytest.raises(ConstructionError, match="distance"):
-            OrthoRep(capsep.build_cycle(5), 4, 4, rep.matrix[:5, :4]).verify()
-        with pytest.raises(ConstructionError, match="shape"):
-            OrthoRep(rep.graph, rep.dim, rep.normalizer, rep.matrix[:, :-1]).verify()
+    def test_rejects_other_graphs(self):
+        for g in (capsep.build_cycle(5), build_complete(4),
+                  capsep.build_orthogonality_graph(4)):
+            with pytest.raises(ConstructionError, match="distance"):
+                OrthoRep(g).verify()
+
+    @pytest.mark.parametrize("name", ["G11", "H11"])
+    def test_rows_are_the_sign_vectors(self, reps, name):
+        rep = reps[name]
+        n, words = rep.graph.n, rep.graph.bits_array.tolist()
+        idx = [0, 7, rep.graph.vertex_count - 1]
+        for i, row in zip(idx, rep.rows(idx).tolist()):
+            assert row == [(-1) ** (words[i] >> (n - 1 - j) & 1) for j in range(n)] + [1]
+        assert rep.rows().shape == (rep.graph.vertex_count, rep.dim)
 
 
 class TestOrthoRepG:
     def test_hyperplane_membership(self):
         rep = capsep.ortho_rep_G(11)
         # every u[x] has weight 6, so u[x].1 = -1 and the appended 1 cancels it
-        sums = rep.matrix.astype(np.int64).sum(axis=1)
+        sums = rep.rows().astype(np.int64).sum(axis=1)
         assert not sums.any()
 
     def test_n3_sign_vector(self):
         rep = capsep.ortho_rep_G(3)
-        v = rep.matrix[rep.graph.index_of(0b011)]
+        v = rep.rows([rep.graph.index_of(0b011)])[0]
         assert v.tolist() == [1, -1, -1, 1]
         assert int(v[:3].astype(np.int64).sum()) == -1
 
@@ -184,8 +192,7 @@ class TestPackCliques:
         seed = capsep.clique_from_hadamard_H(paley12)
         packing = capsep.pack_cliques(h11, seed)
         tampered = CliquePacking(h11, packing.clique_size,
-                                 (packing.cliques[0], packing.cliques[0]),
-                                 packing.target, False)
+                                 (packing.cliques[0], packing.cliques[0]))
         with pytest.raises(ConstructionError):
             tampered.verify()
 
@@ -290,7 +297,7 @@ class TestVertexSetChecks:
                  "reused vertex": ((c0[3],) + c1[1:], f"reuses vertex {c0[3]:#b}"),
                  "non-clique": ((stranger,) + c1[1:], "not adjacent")}
         for bad, phrase in cases.values():
-            tampered = CliquePacking(g11, 11, (c0, bad), 2, True)
+            tampered = CliquePacking(g11, 11, (c0, bad))
             with pytest.raises(ConstructionError, match=f"clique 1.*{phrase}"):
                 tampered.verify()
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.hadamard import double, find_hadamard, normalize, paley_one, sylvester
+from conftest import normalize_by_loop
 
 
 def assert_hadamard(h):
@@ -82,6 +83,19 @@ class TestNormalize:
             for i in range(1, m):
                 diff = (e[i:] != e[i - 1]).sum(axis=1)[1:]
                 assert (diff == m // 2).all()
+
+
+    def test_matches_the_loop_on_sign_flips(self):
+        rng = np.random.default_rng(0)
+        orders = [m for m in range(1, 400) if find_hadamard(m) is not None][:60]
+        assert len(orders) == 60
+        for m in orders:
+            e = find_hadamard(m).entries
+            for _ in range(3):
+                flipped = capsep.HadamardMatrix(e * rng.choice([-1, 1], size=(m, 1))
+                                                * rng.choice([-1, 1], size=(1, m)))
+                assert np.array_equal(normalize(flipped).entries,
+                                      normalize_by_loop(flipped))
 
 
 class TestFindHadamard:

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+import capsep
 import capsep.report
 from capsep.algebra_fp import monomial_basis
 from capsep.errors import InternalCheckError, InvalidParameterError
-from capsep.report import (_entropy_log2, binary_entropy, capacity_report,
-                           fraction_log2, int_log2)
+from capsep.report import (MAX_P, _entropy_log2, binary_entropy, capacity_report,
+                           fraction_log2)
 
 
 class TestCapacityReport:
@@ -51,6 +52,24 @@ class TestCapacityReport:
         with pytest.raises(InvalidParameterError):
             capacity_report("G", bad)
 
+    @pytest.mark.parametrize("p", [MAX_P + 1, 2503, 10**18 + 3])
+    def test_rejects_p_over_the_cap_before_any_work(self, p, monkeypatch):
+        def refuse(m):
+            raise AssertionError("primality was tested")
+        monkeypatch.setattr(capsep.algebra_fp, "is_prime", refuse)
+        with pytest.raises(InvalidParameterError, match=f"exceeds the cap {MAX_P}"):
+            capacity_report("G", p)
+
+    def test_no_hadamard_of_order_4p_past_the_cap(self):
+        assert MAX_P == 2500
+        assert all(capsep.find_hadamard(4 * p) is None for p in range(MAX_P + 1, 3001, 2))
+
+    def test_takes_the_callers_matrix_of_order_4p_only(self):
+        h12 = capsep.find_hadamard(12)
+        assert capacity_report("H", 3, h12) == capacity_report("H", 3)
+        with pytest.raises(InvalidParameterError, match="size 20, got 12"):
+            capacity_report("H", 5, h12)
+
     def test_rejects_bad_family(self):
         with pytest.raises(InvalidParameterError):
             capacity_report("X", 3)
@@ -65,7 +84,7 @@ class TestCapacityReport:
     def test_upper_bound_below_entropy_envelope(self):
         for p in (3, 5, 11, 41):
             rep = capacity_report("G", p)
-            assert int_log2(rep.theta_upper) <= rep.entropy_upper_log2 + 1e-9
+            assert math.log2(rep.theta_upper) <= rep.entropy_upper_log2 + 1e-9
 
     def test_json_schema(self):
         payload = capacity_report("G", 41).to_json()
@@ -82,7 +101,7 @@ class TestEntropyEstimate:
         assert abs(binary_entropy(0.5) - 1.0) < 1e-15
 
     def test_dominates_binomial_sum_n11(self):
-        assert 2 ** _entropy_log2(11, 3) >= 67
+        assert 2 ** _entropy_log2(11, 3, 67) >= 67
 
     def test_asymptotic_exponent(self):
         # 4(1 - H(1/4)) is about 0.755, consistent with the stated 0.752
@@ -91,9 +110,9 @@ class TestEntropyEstimate:
 
     def test_rejects_domain_violation(self):
         with pytest.raises(InvalidParameterError):
-            _entropy_log2(11, 11)
+            _entropy_log2(11, 11, 2**11 - 1)
         with pytest.raises(InvalidParameterError):
-            _entropy_log2(11, 0)
+            _entropy_log2(11, 0, 0)
 
     def test_failed_dominance_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(capsep.report, "binary_entropy", lambda t: 0.1)
@@ -109,9 +128,9 @@ class TestBigIntegerHelpers:
             for k in (0, 1, n // 2, n - 1, n):
                 assert row[k] == math.comb(n, k)
 
-    def test_int_log2_handles_huge_values(self):
+    def test_fraction_log2_handles_huge_values(self):
         x = 2**5000 + 12345
-        assert abs(int_log2(x) - 5000.0) < 1e-9
+        assert abs(fraction_log2(Fraction(x, 3 * 2**4000)) - 1000.0 + math.log2(3)) < 1e-9
 
     def test_fraction_log2(self):
         assert abs(fraction_log2(Fraction(8, 2)) - 2.0) < 1e-12
