@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import BitGraph, row_blocks
+from .bitgraph import MAX_VERTICES, BitGraph, row_blocks
 from .entcert import EntCert, rank_one_row, stacked_ops
-from .errors import InvalidParameterError, ProtocolError
+from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
 ROW_SUM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
@@ -148,9 +148,16 @@ def canonical_channel(g) -> Channel:
     Inputs are the vertices; outputs are the vertices plus the edges; input u
     reaches its own private output and one shared output per incident edge,
     uniformly. The confusable pairs of the built channel are checked to be
-    exactly the edges of g.
+    exactly the edges of g. More than ``MAX_VERTICES`` outputs are refused
+    before any of them is built.
     """
     nv = g.vertex_count
+    # G_n and H_n are vertex-transitive: |E| = |V| deg(0) / 2 without listing edges
+    outputs = nv + (nv * int(g.adjacency_among([0], np.arange(nv)).sum()) // 2
+                    if g.family in ("G", "H") else g.edge_count)
+    if outputs > MAX_VERTICES:
+        raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
+                                 f"{outputs} outputs, over the cap {MAX_VERTICES}")
     edges = g.edge_array()
     labels = [g.vertex_label(i) for i in range(nv)]
     # Edges are row-major, so edges (i, u) precede edges (u, j): a stable

@@ -11,8 +11,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
 from .errors import (CapsepError, CertificateError, InvalidParameterError,
                      ProtocolError, ResourceLimitError)
@@ -31,13 +29,24 @@ def _emit(payload, args) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
-def _clique(family: str, n: int):
-    """The size-(n+1) Hadamard matrix and the clique it seeds (no graph needed)."""
+def _hadamard(n: int):
     h = find_hadamard(n + 1)
     if h is None:
         raise CapsepError(f"no covered Hadamard construction of size {n + 1}")
+    return h
+
+
+def _clique(family: str, h):
     seed = geometry.clique_from_hadamard_G if family == "G" else geometry.clique_from_hadamard_H
-    return h, seed(h)
+    return seed(h)
+
+
+def _packing(family: str, n: int, seed: int):
+    """The Hadamard matrix, the graph (built once, and before the clique so
+    that a bad n is named by the graph) and its seeded clique packing."""
+    h = _hadamard(n)
+    g = bitgraph.graph_from_ref(f"{family}{n}")
+    return h, g, geometry.pack_cliques(g, _clique(family, h), rng_seed=seed)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -64,23 +73,21 @@ def _cmd_orthorep(args) -> int:
 
 
 def _cmd_clique(args) -> int:
-    _, clique = _clique(args.family, args.n)
+    clique = _clique(args.family, _hadamard(args.n))
     _emit({"graph": f"{args.family}{args.n}", "size": len(clique),
            "vertices": [bitgraph.word_label(b, args.n) for b in clique]}, args)
     return 0
 
 
 def _cmd_pack(args) -> int:
-    _, clique = _clique(args.family, args.n)
-    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    _emit(geometry.pack_cliques(g, clique, rng_seed=args.seed).to_json(), args)
+    _, _, packing = _packing(args.family, args.n, args.seed)
+    _emit(packing.to_json(), args)
     return 0
 
 
 def _cmd_cert(args) -> int:
-    _, clique = _clique(args.family, args.n)
-    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    cert = entcert.cert_from_packing(geometry.pack_cliques(g, clique, rng_seed=args.seed))
+    _, _, packing = _packing(args.family, args.n, args.seed)
+    cert = entcert.cert_from_packing(packing)
     _emit(cert.to_json(), args)
     return 0 if cert.verification.passed else 2
 
@@ -109,15 +116,9 @@ def _cmd_alpha(args) -> int:
 def _cmd_channel_sim(args) -> int:
     if min(args.seed, args.trials) < 0:
         raise CapsepError("--seed and --trials must be non-negative")
-    _, clique = _clique(args.family, args.n)
-    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    degree = int(g.adjacency_among([0], np.arange(g.vertex_count)).sum())
-    outputs = g.vertex_count * (2 + degree) // 2  # |V| + |E|: G_n, H_n are vertex-transitive
-    if outputs > bitgraph.MAX_VERTICES:
-        raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
-                                 f"{outputs} outputs, over the cap {bitgraph.MAX_VERTICES}")
-    cert = entcert.cert_from_packing(geometry.pack_cliques(g, clique, rng_seed=args.seed))
-    chan = channel.canonical_channel(g)
+    _, g, packing = _packing(args.family, args.n, args.seed)
+    chan = channel.canonical_channel(g)  # its size cap fires before the certificate
+    cert = entcert.cert_from_packing(packing)
     try:
         proto = channel.protocol_from_cert(cert, chan)
     except ProtocolError as exc:
@@ -146,11 +147,9 @@ def _cmd_report(args) -> int:
 def _cmd_pipeline(args) -> int:
     family, n = args.family, args.n
     out: dict = {}
-    g = bitgraph.graph_from_ref(f"{family}{n}")
+    h, g, packing = _packing(family, n, args.seed)
     out["graph"] = g.descriptor()
-    h, clique = _clique(family, n)
     out["hadamard"] = {"size": h.size, "construction": h.construction}
-    packing = geometry.pack_cliques(g, clique, rng_seed=args.seed)
     cert = entcert.cert_from_packing(packing)
     out["packing"] = {"count": packing.count, "target": packing.target,
                       "target_met": packing.target_met}
@@ -171,7 +170,7 @@ def _cmd_pipeline(args) -> int:
     lower = len(restricted) if restricted.verified else 0
     out["alpha"] = {"lower": lower, "upper": upper}
     p = algebra_fp.instance_prime(n)
-    out["report"] = None if p is None else report.capacity_report(family, p, h).to_json()
+    out["report"] = None if p is None else report.capacity_report(family, p).to_json()
     # alpha* >= M > rank >= Theta, with both ends computed in this run
     out["separation_certified_here"] = (cert.verification.passed and upper is not None
                                         and cert.M > upper)

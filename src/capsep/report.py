@@ -21,11 +21,13 @@ from fractions import Fraction
 from .algebra_fp import instance_prime
 from .errors import InternalCheckError, InvalidParameterError
 from .geometry import clique_from_hadamard_G
-from .hadamard import MAX_PALEY_Q, HadamardMatrix, find_hadamard
+from .hadamard import find_hadamard
 
-# Largest p with a covered order-4p Hadamard matrix: for odd p only Paley
-# q = 4p - 1 <= MAX_PALEY_Q applies (2p - 1 = 1 mod 4 rules out doubling).
-MAX_P = (MAX_PALEY_Q + 1) // 4
+# The largest integer a report prints, |V(H)| = 2^(4p-2), stays within
+# Python's default 4300-digit limit on int-to-str conversion up to p = 3571.
+# The cap also keeps trial division off huge p. Past MAX_PALEY_Q / 4 no
+# Hadamard matrix of size 4p is covered, so reports there are formula-only.
+MAX_P = 3500
 
 
 def fraction_log2(f: Fraction) -> float:
@@ -87,30 +89,24 @@ class CapacityReport:
         }
 
 
-def capacity_report(family: str, p: int,
-                    hadamard: HadamardMatrix | None = None) -> CapacityReport:
+def capacity_report(family: str, p: int) -> CapacityReport:
     """Both capacity bounds at n = 4p-1, compared exactly.
 
     The lower bound's hypotheses are re-established constructively where
-    possible: the size-4p Hadamard matrix is built and verified (or taken
-    from a caller that built it: every ``HadamardMatrix`` is verified), and
-    the n-clique extracted from it is distance-checked, even at sizes where
-    the graph itself is far beyond materialization. Bounds carry an evidence
-    tag of "certified" (explicit verified object) or "formula" (theorem-level).
+    possible: the size-4p Hadamard matrix is built and verified, and the
+    n-clique extracted from it is distance-checked, even at sizes where the
+    graph itself is far beyond materialization. Bounds carry an evidence tag
+    of "certified" (explicit verified object) or "formula" (theorem-level).
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"family must be G or H, got {family!r}")
     if p > MAX_P:
-        raise InvalidParameterError(f"p = {p} exceeds the cap {MAX_P}: no covered "
-                                    f"Hadamard construction of size 4p")
+        raise InvalidParameterError(f"p = {p} exceeds the cap {MAX_P}")
     n = 4 * p - 1
     if instance_prime(n) is None:
         raise InvalidParameterError(f"p must be an odd prime, got {p}")
 
-    if hadamard is None:
-        hadamard = find_hadamard(4 * p)
-    elif hadamard.size != 4 * p:
-        raise InvalidParameterError(f"need a Hadamard matrix of size {4 * p}, got {hadamard.size}")
+    hadamard = find_hadamard(4 * p)
     evidence: dict = {}
     if hadamard is None:
         construction = None

@@ -16,7 +16,7 @@ from conftest import (canonical_output_labels, channel_from_dense,
                       sender_measurement, simulate_transmission_by_choice,
                       support, zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding
-from capsep.errors import InvalidParameterError, ProtocolError
+from capsep.errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
 
 def h3_cert():
@@ -153,6 +153,21 @@ class TestOutputLabels:
 
 
 class TestCanonicalChannel:
+    @pytest.mark.parametrize("name", ["C5", "K4", "O4", "H3", "G7", "H7", "G11"])
+    def test_cap_counts_exactly_the_outputs(self, name, g11, monkeypatch):
+        g = g11 if name == "G11" else capsep.bitgraph.graph_from_ref(name)
+        outputs = len(canonical_channel(g).outputs)
+        monkeypatch.setattr(capsep.channel, "MAX_VERTICES", outputs - 1)
+        with pytest.raises(ResourceLimitError, match=f"{outputs} outputs, over the cap"):
+            canonical_channel(g)
+
+    def test_over_the_cap_refused_before_any_edge_is_listed(self, monkeypatch):
+        # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
+        h15 = capsep.build_H(15)
+        monkeypatch.setattr(h15, "edge_array", lambda: pytest.fail("edges were listed"))
+        with pytest.raises(ResourceLimitError, match="52731904 outputs"):
+            canonical_channel(h15)
+
     def test_c5_round_trip(self):
         c5 = capsep.build_cycle(5)
         chan = canonical_channel(c5)

@@ -51,18 +51,23 @@ class TestReportCommand:
         assert code == 0
         assert json.loads(out)["separation"] is False
 
+    def test_formula_only_past_the_covered_hadamard_sizes(self, capsys):
+        code, out, _ = run(capsys, "report", "--family", "H", "--p", "2503")
+        assert code == 0
+        assert json.loads(out)["evidence"]["lower_bound"]["level"] == "formula-only"
+
     def test_bad_p_is_usage_error(self, capsys):
         code, _, err = run(capsys, "report", "--family", "G", "--p", "9")
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("p", ["2503", "1000000000000000003"])
+    @pytest.mark.parametrize("p", ["3511", "1000000000000000003"])
     def test_p_over_the_cap_exits_at_once(self, capsys, p):
         start = time.perf_counter()
         code, out, err = run(capsys, "report", "--family", "G", "--p", p)
         assert time.perf_counter() - start < 0.5
         assert code == 1 and out == ""
-        assert err.startswith("error: ") and "exceeds the cap 2500" in err
+        assert err.startswith("error: ") and "exceeds the cap 3500" in err
         assert "Traceback" not in err
 
 
@@ -333,11 +338,11 @@ class TestChannelSimCommand:
         assert err.startswith("error: ") and "must be non-negative" in err
         assert "Traceback" not in err
 
-    def test_channel_over_the_cap_refused_before_the_packing(self, capsys, monkeypatch):
+    def test_channel_over_the_cap_refused_before_the_certificate(self, capsys, monkeypatch):
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
         def refuse(*args, **kwargs):
-            raise AssertionError("a packing was started")
-        monkeypatch.setattr(capsep.cli.geometry, "pack_cliques", refuse)
+            raise AssertionError("a certificate was started")
+        monkeypatch.setattr(capsep.cli.entcert, "cert_from_packing", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "15")
         assert time.perf_counter() - start < 2.0
@@ -367,6 +372,14 @@ class TestGraphBuiltOnce:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert built == [int(argv[4])]
+
+    @pytest.mark.parametrize("command", ["pack", "cert", "channel-sim", "pipeline"])
+    def test_bad_n_named_by_the_graph(self, capsys, command):
+        # a Hadamard matrix of size n + 1 = 2 exists; the graph, built before
+        # the clique, names the rule n breaks
+        code, out, err = run(capsys, command, "--family", "G", "--n", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: n must be odd")
 
 
 class TestPipelineCommand:
@@ -402,18 +415,6 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["cert"]["M"] == 8 and payload["alpha"]["upper"] == rank
         assert payload["separation_certified_here"] is separated
-
-    @pytest.mark.parametrize("family", ["G", "H"])
-    def test_one_hadamard_matrix(self, capsys, monkeypatch, family):
-        built = []
-        original = capsep.hadamard.find_hadamard
-        for module in (capsep.cli, capsep.report):  # every binding site
-            monkeypatch.setattr(module, "find_hadamard",
-                                lambda m: built.append(m) or original(m))
-        code, out, _ = run(capsys, "pipeline", "--family", family, "--n", "11")
-        assert code == 0 and built == [12]
-        assert json.loads(out)["report"]["hadamard"] == {"size": 12,
-                                                         "construction": "paley(11)"}
 
     def test_g7_skips_rank_section(self, capsys):
         # (7+1)/4 = 2 is not an odd prime, so the mod-p machinery is skipped

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -52,7 +53,7 @@ class TestCapacityReport:
         with pytest.raises(InvalidParameterError):
             capacity_report("G", bad)
 
-    @pytest.mark.parametrize("p", [MAX_P + 1, 2503, 10**18 + 3])
+    @pytest.mark.parametrize("p", [MAX_P + 1, 10**18 + 3])
     def test_rejects_p_over_the_cap_before_any_work(self, p, monkeypatch):
         def refuse(m):
             raise AssertionError("primality was tested")
@@ -60,15 +61,16 @@ class TestCapacityReport:
         with pytest.raises(InvalidParameterError, match=f"exceeds the cap {MAX_P}"):
             capacity_report("G", p)
 
-    def test_no_hadamard_of_order_4p_past_the_cap(self):
-        assert MAX_P == 2500
-        assert all(capsep.find_hadamard(4 * p) is None for p in range(MAX_P + 1, 3001, 2))
+    def test_formula_only_where_no_hadamard_of_size_4p_is_covered(self):
+        # 4p - 1 = 10011 is past MAX_PALEY_Q, and 2p - 1 = 1 mod 4 rules out doubling
+        rep = capacity_report("G", 2503)
+        assert rep.hadamard_construction is None and rep.separation is True
+        assert rep.evidence["hadamard"] == rep.evidence["clique"] == "unavailable"
+        assert rep.evidence["lower_bound"]["level"] == "formula-only"
 
-    def test_takes_the_callers_matrix_of_order_4p_only(self):
-        h12 = capsep.find_hadamard(12)
-        assert capacity_report("H", 3, h12) == capacity_report("H", 3)
-        with pytest.raises(InvalidParameterError, match="size 20, got 12"):
-            capacity_report("H", 5, h12)
+    def test_prints_up_to_the_cap(self):
+        # |V(H)| = 2^(4p-2) is the largest integer a report prints
+        assert json.loads(json.dumps(capacity_report("H", 3499).to_json()))["p"] == 3499
 
     def test_rejects_bad_family(self):
         with pytest.raises(InvalidParameterError):
