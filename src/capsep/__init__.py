@@ -10,8 +10,7 @@ from .geometry import (CliquePacking, OrthoRep, clique_from_hadamard_G,
 from .entcert import EntCert, cert_from_packing, classical_embedding, tensor, verify
 from .algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
 from .alpha import AlphaResult, max_independent_set, verify_independent
-from .channel import (Channel, Protocol, canonical_channel,
-                      check_zero_error_code, confusability_graph,
+from .channel import (Channel, Protocol, canonical_channel, check_zero_error_code,
                       protocol_from_cert, simulate_transmission)
 from .report import capacity_report
 

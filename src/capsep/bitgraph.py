@@ -208,8 +208,12 @@ class BitGraph(_Graph):
 
     @property
     def edge_count(self) -> int:
+        """|E|; for G, H and O, vertex-transitive, |V| deg(0) / 2 from one row."""
         if self._edge_keys is not None:
             return int(self._edge_keys.size)
+        if self.family in ("G", "H", "O"):
+            nv = self.vertex_count
+            return nv * int(self.adjacency_among([0], np.arange(nv)).sum()) // 2
         return super().edge_count
 
     def edge_array(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Noisy channels, confusability graphs, and entanglement-assisted protocols.
+"""The canonical channel of a graph, and entanglement-assisted protocols over it.
 
 The protocol construction follows the one-shot scheme: sender and receiver
 share a maximally entangled state of local dimension d; to send message i the
@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitgraph import MAX_VERTICES, BitGraph, row_blocks
+from .bitgraph import MAX_VERTICES, row_blocks
 from .entcert import EntCert, rank_one_row, stacked_ops
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
-ROW_SUM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-10
 ZERO_ERROR_TOL = 1e-9
 CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
@@ -49,82 +48,6 @@ def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
         yield values[starts[:, None] + np.arange(k)]
 
 
-class Channel:
-    """Discrete memoryless channel with sparse row storage.
-
-    Row x lists the outputs that input x reaches with positive probability,
-    with those probabilities; each row must sum to one. Rows are stored back
-    to back (CSR): row x is entries ``indptr[x]:indptr[x + 1]`` of ``idx``
-    and ``probs``. ``outputs``, any sequence of labels, is kept, not copied.
-    """
-
-    def __init__(self, inputs: list[str], outputs: Sequence[str], indptr: np.ndarray,
-                 idx: np.ndarray, probs: np.ndarray):
-        self.inputs, self.outputs = list(inputs), outputs
-        indptr, idx, probs = np.asarray(indptr), np.asarray(idx, np.int64), np.asarray(probs)
-        if len(indptr) != len(self.inputs) + 1:
-            raise InvalidParameterError("one probability row per input required")
-        sizes = np.diff(indptr)
-        if indptr[0] != 0 or (sizes < 0).any() or not indptr[-1] == len(idx) == len(probs):
-            raise InvalidParameterError("each row needs one probability per output")
-        row_of = np.repeat(np.arange(len(sizes)), sizes)
-        bad = (probs < 0) | (idx < 0) | (idx >= len(outputs))
-        if bad.any():
-            raise InvalidParameterError(f"negative probability or output index "
-                                        f"out of range in row {row_of[np.argmax(bad)]}")
-        keys = row_of * len(outputs) + idx  # strictly ascending: no repeats
-        if (np.diff(keys) <= 0).any() and (np.diff(np.sort(keys)) == 0).any():
-            raise InvalidParameterError("an output is listed twice in one row")
-        sums = np.bincount(row_of, weights=probs, minlength=len(sizes))
-        off = np.abs(sums - 1.0) > ROW_SUM_TOL
-        if off.any():
-            x = int(np.argmax(off))
-            raise InvalidParameterError(f"row {x} sums to {sums[x]}, not 1")
-        keep = probs > 0
-        self._row_of, self._idx, self._probs = row_of[keep], idx[keep], probs[keep]
-        self._indptr = np.searchsorted(self._row_of, np.arange(len(sizes) + 1))
-        self._members = None
-
-    @property
-    def input_count(self) -> int:
-        return len(self.inputs)
-
-    def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        lo, hi = self._indptr[x], self._indptr[x + 1]
-        return self._idx[lo:hi], self._probs[lo:hi]
-
-    def members_by_output(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, inputs) of the inputs that can produce each output, cached.
-
-        The members of output t, in ascending input order, are
-        ``inputs[indptr[t]:indptr[t + 1]]``.
-        """
-        if self._members is None:
-            order = np.argsort(self._idx, kind="stable")
-            indptr = np.searchsorted(self._idx[order], np.arange(len(self.outputs) + 1))
-            self._members = (indptr, self._row_of[order])
-        return self._members
-
-
-def confusable_pairs(c: Channel) -> np.ndarray:
-    """Input pairs a < b that share an output, as a row-major sorted (E, 2) array."""
-    indptr, members = c.members_by_output()
-    found = [np.zeros((0, 2), dtype=np.int64)]
-    for groups in _groups_by_size(indptr, members):
-        a, b = np.triu_indices(groups.shape[1], 1)
-        found.append(np.stack([groups[:, a].ravel(), groups[:, b].ravel()], axis=1))
-    n = c.input_count
-    keys = np.sort(np.concatenate(found) @ np.array([n, 1]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    return np.stack([keys // n, keys % n], axis=1)
-
-
-def confusability_graph(c: Channel) -> BitGraph:
-    """Unnamed graph on channel inputs; an edge where two inputs share an output."""
-    return BitGraph(max(1, (c.input_count - 1).bit_length()),
-                    np.arange(c.input_count), ("explicit", confusable_pairs(c)))
-
-
 class _OutputLabels(Sequence):
     """Canonical-channel output labels, formed when read: vertices, then "a|b" per edge."""
 
@@ -142,43 +65,71 @@ class _OutputLabels(Sequence):
         return f"{self._labels[i]}|{self._labels[j]}"
 
 
-def canonical_channel(g) -> Channel:
-    """Channel whose confusability graph is exactly g.
+class Channel:
+    """The canonical channel of a graph g, whose confusability graph is g.
 
-    Inputs are the vertices; outputs are the vertices plus the edges; input u
-    reaches its own private output and one shared output per incident edge,
-    uniformly. The confusable pairs of the built channel are checked to be
-    exactly the edges of g. More than ``MAX_VERTICES`` outputs are refused
-    before any of them is built.
+    Inputs are the vertices; outputs are the vertices, then the edges of
+    ``g.edge_array()``. Input u reaches its private output u and the shared
+    output |V| + e of each edge e at u, each with probability 1/(deg u + 1),
+    so two inputs share an output exactly when they are adjacent. Rows are
+    stored back to back (CSR), each in ascending output order. Build it with
+    ``canonical_channel``, which checks the output cap first.
     """
-    nv = g.vertex_count
-    # G_n and H_n are vertex-transitive: |E| = |V| deg(0) / 2 without listing edges
-    outputs = nv + (nv * int(g.adjacency_among([0], np.arange(nv)).sum()) // 2
-                    if g.family in ("G", "H") else g.edge_count)
+
+    def __init__(self, graph):
+        nv, edges = graph.vertex_count, graph.edge_array()
+        self.graph, self.edges = graph, edges
+        self.inputs = [graph.vertex_label(i) for i in range(nv)]
+        self.outputs = _OutputLabels(self.inputs, edges)
+        # Edges are row-major, so edges (i, u) precede edges (u, j): a stable
+        # sort by input lists each row's outputs in ascending order.
+        src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
+        dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
+        self._targets = dst[np.argsort(src, kind="stable")]
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
+
+    @property
+    def input_count(self) -> int:
+        return len(self.inputs)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, targets) of the rows: row x is ``targets[indptr[x]:indptr[x + 1]]``."""
+        return self._indptr, self._targets
+
+    def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs input x reaches, ascending, and their probabilities."""
+        idx = self._targets[self._indptr[x]:self._indptr[x + 1]]
+        return idx, np.full(idx.size, 1.0 / idx.size)
+
+    def members_by_output(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR (indptr, inputs) of the inputs that can produce each output.
+
+        The members of output t, in ascending input order, are
+        ``inputs[indptr[t]:indptr[t + 1]]``: t itself for a vertex output,
+        the two ends of edge t - |V| for an edge output.
+        """
+        nv, ne = self.input_count, len(self.edges)
+        indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
+        return indptr, np.concatenate([np.arange(nv), self.edges.ravel()])
+
+
+def canonical_channel(g) -> Channel:
+    """Channel whose confusability graph is exactly g (see ``Channel``).
+
+    More than ``MAX_VERTICES`` outputs are refused before any of them is built.
+    """
+    outputs = g.vertex_count + g.edge_count
     if outputs > MAX_VERTICES:
         raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
                                  f"{outputs} outputs, over the cap {MAX_VERTICES}")
-    edges = g.edge_array()
-    labels = [g.vertex_label(i) for i in range(nv)]
-    # Edges are row-major, so edges (i, u) precede edges (u, j): a stable
-    # sort by input lists each row's outputs in ascending order.
-    src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
-    dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
-    order = np.argsort(src, kind="stable")
-    sizes = np.bincount(src, minlength=nv)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    chan = Channel(labels, _OutputLabels(labels, edges), indptr, dst[order],
-                   np.repeat(1.0 / sizes, sizes))
-    if not np.array_equal(confusable_pairs(chan), edges):
-        raise InvalidParameterError("canonical channel round-trip mismatch")
-    return chan
+    return Channel(g)
 
 
 def check_zero_error_code(c: Channel, words: list[tuple[int, ...]]):
     """True iff every pair of words has a coordinate with disjoint supports.
 
     Two words are confusable when each coordinate is equal or adjacent in
-    ``confusability_graph(c)``: one ``adjacency_among`` per coordinate.
+    ``c.graph``: one ``adjacency_among`` per coordinate.
     Returns (ok, witness); the witness is the first confusable pair in list
     order, with the least shared output of each coordinate.
     """
@@ -189,7 +140,7 @@ def check_zero_error_code(c: Channel, words: list[tuple[int, ...]]):
     bad = (arr < 0) | (arr >= c.input_count)
     if bad.any():
         raise InvalidParameterError(f"input index {arr[bad][0]} out of range")
-    g, count = confusability_graph(c), len(words)
+    g, count = c.graph, len(words)
     for lo, hi in row_blocks(count, count):
         confusable = np.arange(lo, hi)[:, None] < np.arange(count)
         for a, b in zip(arr[lo:hi].T, arr.T):
@@ -299,7 +250,7 @@ class Protocol:
         _, first, inverse = np.unique(self.messages, return_index=True,
                                       return_inverse=True)
         senders = np.argsort(first[inverse], kind="stable")
-        st_pos, st_t = _gather(c._indptr, c._idx, self.inputs[senders])
+        st_pos, st_t = _gather(*c.rows(), self.inputs[senders])
         st_s = senders[st_pos]
         n = len(st_t)
         e_st, e_u = _gather(self._recv_indptr, self._recv_rows, st_t)

@@ -294,6 +294,13 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_label(value) -> int:
+    """A message label: a JSON integer within int64, where labels are stacked."""
+    if not -(1 << 63) <= _json_int(value) < 1 << 63:
+        raise ValueError(f"message label {value} is outside int64")
+    return value
+
+
 def _json_int_matrix(rows) -> np.ndarray:
     """An int64 array from rows of JSON integers; any other entry is malformed."""
     odd = set(map(type, chain.from_iterable(rows))) - {int}
@@ -309,8 +316,8 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
     named families (G/H/O/C/K) and their strong products, and each vertex
     label is looked up by ``index_of_label``. Malformed input (a missing
     field, a wrong type, a number that is not a JSON integer, an unknown
-    vertex label, a repeated (vertex, i) entry, a matrix not dim x dim)
-    raises ``InvalidParameterError``.
+    vertex label, a label i outside int64, a repeated (vertex, i) entry, a
+    matrix not dim x dim) raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
@@ -319,7 +326,7 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
         M, dim, denominator = (_json_int(payload[k]) for k in ("M", "dim", "denominator"))
         ops: dict[tuple[int, int], np.ndarray] = {}
         for entry in payload["ops"]:
-            key = (graph.index_of_label(entry["vertex"]), _json_int(entry["i"]))
+            key = (graph.index_of_label(entry["vertex"]), _json_label(entry["i"]))
             if key in ops:
                 raise InvalidParameterError(
                     f"repeated operator at vertex {entry['vertex']!r}, i = {key[1]}")

@@ -17,7 +17,7 @@ import pytest
 
 import capsep
 from capsep.algebra_fp import FpMatrix, monomial_values
-from capsep.channel import Channel, Transcript
+from capsep.channel import Transcript
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.hadamard import is_prime
 
@@ -214,31 +214,6 @@ def normalize_by_loop(h) -> np.ndarray:
 #
 # The explicit d^2-dimensional shared state and the dict-and-loop forms of the
 # channel routines, kept as references for the array and Gram-matrix code.
-
-
-def channel_from_rows(inputs, outputs, rows) -> Channel:
-    """Channel from one (output indices, probabilities) pair per input."""
-    if len(rows) != len(inputs):
-        raise InvalidParameterError("one probability row per input required")
-    sizes = [np.size(i) for i, _ in rows]
-    if sizes != [np.size(p) for _, p in rows]:
-        raise InvalidParameterError("each row needs one probability per output")
-    return Channel(inputs, outputs, np.concatenate(([0], np.cumsum(sizes))),
-                   np.concatenate([np.zeros(0)] + [np.ravel(i) for i, _ in rows]),
-                   np.concatenate([np.zeros(0)] + [np.ravel(p) for _, p in rows]))
-
-
-def pentagon_channel() -> Channel:
-    """Five inputs, five outputs, input x reaching outputs x and x+1 mod 5."""
-    rows = [(np.array([x, (x + 1) % 5]), np.array([0.5, 0.5])) for x in range(5)]
-    return channel_from_rows([str(i) for i in range(5)], list("abcde"), rows)
-
-
-def channel_from_dense(inputs, outputs, matrix) -> Channel:
-    """Channel from a dense probability matrix, one row per input."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    return channel_from_rows(inputs, outputs,
-                             [(np.nonzero(r)[0], r[r != 0]) for r in matrix])
 
 
 def canonical_output_labels(g) -> list[str]:

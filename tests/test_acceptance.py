@@ -19,8 +19,7 @@ from capsep.channel import (canonical_channel, check_zero_error_code,
 from conftest import (adjacency_rows, alpha_by_enumeration, assert_fits,
                       fitting_matrix, frankl_wilson_Q,
                       inner_product_identity_check, multilinearize,
-                      pentagon_channel, random_explicit_graph,
-                      rank_by_row_reduction, sign_vector)
+                      random_explicit_graph, rank_by_row_reduction, sign_vector)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -70,7 +69,7 @@ def test_criterion_2_pentagon_reproduction():
         power = capsep.max_independent_set(capsep.strong_power(c5, 2))
         assert power.exact and power.lower == 5
         ok, _ = check_zero_error_code(
-            pentagon_channel(), [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
+            canonical_channel(c5), [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
         assert ok
     check()
 

@@ -270,6 +270,23 @@ class TestExport:
         assert d == {"family": "G", "n": 11, "vertex_count": 462,
                      "edge_count": g11.edge_count}
 
+    @pytest.mark.parametrize("ref", [f"{f}{n}" for f in "GH" for n in (3, 5, 7, 9, 11)]
+                             + [f"O{n}" for n in (4, 6, 8, 10)])
+    def test_edge_count_matches_the_dense_count(self, ref, monkeypatch):
+        g = capsep.bitgraph.graph_from_ref(ref)
+        dense = int(np.count_nonzero(g.adjacency_matrix())) // 2
+        g._adj_bool = None
+        monkeypatch.setattr(g, "adjacency_matrix", lambda: pytest.fail("dense count"))
+        assert g.edge_count == dense
+
+    def test_edge_count_at_n19_without_a_dense_matrix(self):
+        # |V| deg / 2: G19 meets C(10,5) C(9,5) words at distance 10, H19 all of weight 10
+        g19, h19 = capsep.build_G(19), capsep.build_H(19)
+        assert g19.edge_count == math.comb(19, 10) * math.comb(10, 5) * math.comb(9, 5) // 2
+        assert h19.edge_count == 2**18 * math.comb(19, 10) // 2
+        assert (g19.edge_count, h19.edge_count) == (1_466_593_128, 12_108_169_216)
+        assert g19.descriptor()["edge_count"] == 1_466_593_128
+
 
 CODEC_GRAPHS = [capsep.build_G(7), capsep.build_H(7), capsep.build_orthogonality_graph(6),
                 capsep.build_cycle(7), build_complete(5),

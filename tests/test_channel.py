@@ -4,15 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.channel import (Channel, Protocol, canonical_channel,
-                            check_zero_error_code, confusability_graph,
-                            confusable_pairs, protocol_from_cert,
-                            simulate_transmission)
-from conftest import (canonical_output_labels, channel_from_dense,
-                      channel_from_rows, confusable_pairs_by_loop,
+from capsep.channel import (Protocol, canonical_channel, check_zero_error_code,
+                            protocol_from_cert, simulate_transmission)
+from conftest import (canonical_output_labels, confusable_pairs_by_loop,
                       explicit_state_transmission, maximally_entangled_state,
                       me_pair_trace, output_members_by_dict, partial_trace,
-                      pentagon_channel, receiver_measurement,
+                      random_explicit_graph, receiver_measurement,
                       sender_measurement, simulate_transmission_by_choice,
                       support, zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding
@@ -30,109 +27,94 @@ def h3_protocol():
     return protocol_from_cert(cert, chan), chan
 
 
+def c5_channel():
+    """Outputs 0..4 private; 5..9 the edges (0,1), (0,4), (1,2), (2,3), (3,4)."""
+    return canonical_channel(capsep.build_cycle(5))
+
+
+def assert_realizes(chan, g):
+    """The oracle for the channel: rows are distributions and share outputs on edges."""
+    for x in range(g.vertex_count):
+        idx, probs = chan.row(x)
+        assert idx[0] == x and (np.diff(idx) > 0).all()
+        assert (probs == 1.0 / idx.size).all() and abs(probs.sum() - 1.0) <= 1e-12
+    assert confusable_pairs_by_loop(chan) == [tuple(e) for e in g.edge_array().tolist()]
+
+
 class TestPentagonChannel:
     def test_confusability_is_c5(self):
-        got = confusability_graph(pentagon_channel())
-        assert set(got.edges()) == set(capsep.build_cycle(5).edges())
+        assert confusable_pairs_by_loop(c5_channel()) == \
+            sorted(capsep.build_cycle(5).edges())
 
     def test_neighbors_share_an_output(self):
-        c = pentagon_channel()
-        assert support(c, 0) & support(c, 1) == {1}
+        c = c5_channel()
+        assert support(c, 0) & support(c, 1) == {5}
+        assert c.outputs[5] == "0|1"
 
     def test_non_neighbors_disjoint(self):
-        c = pentagon_channel()
+        c = c5_channel()
         assert not support(c, 0) & support(c, 2)
 
-    def test_rows_are_half_half(self):
-        c = pentagon_channel()
-        idx, probs = c.row(3)
-        assert idx.tolist() == [3, 4]
-        assert probs.tolist() == [0.5, 0.5]
+    def test_rows_are_uniform(self):
+        idx, probs = c5_channel().row(3)
+        assert idx.tolist() == [3, 8, 9]
+        assert probs.tolist() == [1 / 3] * 3
 
 
 class TestConfusabilityGraph:
     def test_noiseless_channel_is_edgeless(self):
-        c = channel_from_dense([str(i) for i in range(4)],
-                               [str(i) for i in range(4)], np.eye(4))
-        assert confusability_graph(c).edge_count == 0
+        chan = canonical_channel(random_explicit_graph(4, 0.0, 0))
+        assert [chan.row(x)[1].tolist() for x in range(4)] == [[1.0]] * 4
+        assert confusable_pairs_by_loop(chan) == []
 
-    def test_constant_channel_is_complete(self):
-        mat = np.zeros((4, 2))
-        mat[:, 0] = 1.0
-        c = channel_from_dense([str(i) for i in range(4)], ["a", "b"], mat)
-        assert confusability_graph(c).edge_count == 6
-
-    def test_row_sum_validation(self):
-        with pytest.raises(InvalidParameterError):
-            channel_from_dense(["0"], ["a", "b"], [[0.5, 0.6]])
+    def test_complete_graph_channel_is_complete(self):
+        chan = canonical_channel(capsep.bitgraph.build_complete(4))
+        assert len(confusable_pairs_by_loop(chan)) == 6
 
 
 @st.composite
-def sparse_channels(draw):
-    """Random channels with a few outputs per input and random weights."""
-    n_in = draw(st.integers(1, 12))
-    n_out = draw(st.integers(1, 15))
-    rows = []
-    for _ in range(n_in):
-        idx = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=4,
-                            unique=True))
-        weights = np.array(draw(st.lists(st.integers(1, 9), min_size=len(idx),
-                                         max_size=len(idx))), dtype=float)
-        rows.append((np.array(idx), weights / weights.sum()))
-    return channel_from_rows([str(i) for i in range(n_in)],
-                             [str(t) for t in range(n_out)], rows)
+def explicit_graphs(draw, max_vertices=12):
+    """Random explicit graphs, from edgeless to complete."""
+    return random_explicit_graph(draw(st.integers(1, max_vertices)),
+                                 draw(st.sampled_from([0.0, 0.2, 0.5, 0.8, 1.0])),
+                                 draw(st.integers(0, 2**16)))
 
 
 class TestArrayRoutines:
     @settings(max_examples=200, deadline=None)
-    @given(sparse_channels())
-    def test_members_and_pairs_match_loop(self, chan):
+    @given(explicit_graphs())
+    def test_members_and_pairs_match_loop(self, g):
+        chan = canonical_channel(g)
         indptr, members = chan.members_by_output()
         oracle = output_members_by_dict(chan)
+        assert len(indptr) == len(chan.outputs) + 1
         for t in range(len(chan.outputs)):
             assert members[indptr[t]:indptr[t + 1]].tolist() == oracle.get(t, [])
-        pairs = confusable_pairs(chan)
-        assert pairs.dtype == np.int64 and pairs.shape[1:] == (2,)
-        assert [tuple(p) for p in pairs.tolist()] == confusable_pairs_by_loop(chan)
-        assert sorted(confusability_graph(chan).edges()) == \
-            confusable_pairs_by_loop(chan)
+        assert_realizes(chan, g)
 
-    @pytest.mark.parametrize("name", ["C5", "H3", "G11", "H11"])
+    @pytest.mark.parametrize("name", ["C5", "K4", "H3", "G7", "H7", "G11", "H11"])
     def test_canonical_channel_confusability_is_g(self, name, g11, h11):
-        g = {"C5": capsep.build_cycle(5), "H3": capsep.build_H(3),
-             "G11": g11, "H11": h11}[name]
+        g = {"G11": g11, "H11": h11}.get(name) or capsep.bitgraph.graph_from_ref(name)
         chan = canonical_channel(g)
         assert len(chan.outputs) == g.vertex_count + g.edge_count
-        for x in range(g.vertex_count):
-            idx, probs = chan.row(x)
-            assert idx[0] == x and (np.diff(idx) > 0).all()
-            assert (probs == 1.0 / idx.size).all()
-        got = confusability_graph(chan)
-        assert np.array_equal(got.edge_array(), g.edge_array())
-
-    def test_negative_dense_entry_reported(self):
-        with pytest.raises(InvalidParameterError, match="negative probability"):
-            channel_from_dense(["0"], ["a", "b"], [[1.5, -0.5]])
-
-    def test_duplicate_output_in_row_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            channel_from_rows(["0"], ["a", "b"],
-                              [(np.array([1, 1]), np.array([0.5, 0.5]))])
+        assert_realizes(chan, g)
 
 
 class TestCsrRows:
-    def test_row_bounds_checked(self):
-        with pytest.raises(InvalidParameterError, match="one probability row"):
-            Channel(["0", "1"], ["a"], [0, 1], [0], [1.0])
-        with pytest.raises(InvalidParameterError, match="one probability per output"):
-            Channel(["0"], ["a", "b"], [0, 2], [0, 1], [1.0])
-        with pytest.raises(InvalidParameterError, match="one probability per output"):
-            Channel(["0", "1"], ["a"], [0, 2, 1], [0, 0], [1.0, 1.0])
+    @pytest.mark.parametrize("name", ["C5", "H3", "G7"])
+    def test_row_bounds_checked(self, name):
+        g = capsep.bitgraph.graph_from_ref(name)
+        indptr, targets = canonical_channel(g).rows()
+        assert len(indptr) == g.vertex_count + 1 and indptr[0] == 0
+        assert indptr[-1] == len(targets) == g.vertex_count + 2 * g.edge_count
+        assert (np.diff(indptr) >= 1).all()
 
     def test_rows_read_back(self):
-        c = Channel(["0", "1"], ["a", "b", "c"], [0, 1, 3], [2, 0, 1], [1.0, 0.25, 0.75])
-        assert [c.row(x)[0].tolist() for x in (0, 1)] == [[2], [0, 1]]
-        assert c.row(1)[1].tolist() == [0.25, 0.75]
+        c = c5_channel()
+        indptr, targets = c.rows()
+        assert [c.row(x)[0].tolist() for x in (0, 4)] == [[0, 5, 6], [4, 6, 9]]
+        assert [targets[indptr[x]:indptr[x + 1]].tolist() for x in range(5)] == \
+            [c.row(x)[0].tolist() for x in range(5)]
 
 
 class TestOutputLabels:
@@ -172,61 +154,48 @@ class TestCanonicalChannel:
         c5 = capsep.build_cycle(5)
         chan = canonical_channel(c5)
         assert len(chan.outputs) == 5 + 5
-        got = confusability_graph(chan)
-        assert set(got.edges()) == set(c5.edges())
+        assert set(confusable_pairs_by_loop(chan)) == set(c5.edges())
 
     def test_h3_round_trip_complete(self):
-        h3 = capsep.build_H(3)
-        chan = canonical_channel(h3)
-        got = confusability_graph(chan)
-        assert got.edge_count == 6
+        chan = canonical_channel(capsep.build_H(3))
+        assert len(confusable_pairs_by_loop(chan)) == 6
 
     def test_g11_round_trip(self, g11):
-        chan = canonical_channel(g11)
-        got = confusability_graph(chan)
-        assert got.edge_count == g11.edge_count
-        assert all(g11.is_adjacent(i, j) for i, j in got.edges())
+        got = confusable_pairs_by_loop(canonical_channel(g11))
+        assert len(got) == g11.edge_count
+        assert all(g11.is_adjacent(i, j) for i, j in got)
 
 
 class TestZeroErrorCode:
     def test_caption_code_passes(self):
-        c = pentagon_channel()
         words = [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)]
-        ok, witness = check_zero_error_code(c, words)
+        ok, witness = check_zero_error_code(c5_channel(), words)
         assert ok and witness is None
 
     def test_confusable_pair_fails_with_witness(self):
-        c = pentagon_channel()
-        ok, witness = check_zero_error_code(c, [(0,), (1,)])
+        ok, witness = check_zero_error_code(c5_channel(), [(0,), (1,)])
         assert not ok
-        assert witness["shared_outputs"] == ["b"]
+        assert witness["shared_outputs"] == ["0|1"]
 
     def test_single_word(self):
-        assert check_zero_error_code(pentagon_channel(), [(0, 0)]) == (True, None)
+        assert check_zero_error_code(c5_channel(), [(0, 0)]) == (True, None)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            check_zero_error_code(pentagon_channel(), [(0, 1), (2,)])
+            check_zero_error_code(c5_channel(), [(0, 1), (2,)])
 
 
 @st.composite
 def channels_and_codes(draw):
-    """A random small channel and up to 8 words of length <= 3, duplicates likely."""
-    n_in = draw(st.integers(1, 7))
-    n_out = draw(st.integers(1, 6))
-    rows = []
-    for _ in range(n_in):
-        idx = draw(st.lists(st.integers(0, n_out - 1), min_size=1, max_size=3,
-                            unique=True))
-        rows.append((np.array(idx), np.full(len(idx), 1.0 / len(idx))))
-    chan = channel_from_rows([str(i) for i in range(n_in)],
-                             [f"o{t}" for t in range(n_out)], rows)
+    """The channel of a random graph and up to 8 words of length <= 3, duplicates likely."""
+    g = draw(explicit_graphs(max_vertices=7))
+    n_in = g.vertex_count
     k = draw(st.integers(0, 3))
     word = st.tuples(*[st.integers(0, n_in - 1)] * k)
     words = draw(st.lists(word, max_size=8))
     if words and draw(st.booleans()):
         words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(words)))
-    return chan, words
+    return canonical_channel(g), words
 
 
 class TestZeroErrorCodeAgainstLoop:
@@ -239,21 +208,11 @@ class TestZeroErrorCodeAgainstLoop:
     def test_long_words_beyond_the_product_cap(self):
         # C5 has 5^11 > 10^7 words of length 11, more than a product graph holds
         words = [tuple(range(5)) * 2 + (0,), tuple(range(5)) * 2 + (2,)]
-        assert check_zero_error_code(pentagon_channel(), words) == (True, None)
+        assert check_zero_error_code(c5_channel(), words) == (True, None)
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidParameterError, match="input index 5"):
-            check_zero_error_code(pentagon_channel(), [(0, 1), (2, 5)])
-
-
-def test_confusability_graph_is_unnamed():
-    h7 = capsep.build_H(7)
-    got = confusability_graph(canonical_channel(h7))
-    assert got.family is None
-    assert np.array_equal(got.edge_array(), h7.edge_array())
-    assert got.edge_count == 1120
-    with pytest.raises(InvalidParameterError):
-        capsep.bitgraph.graph_from_ref(got.graph_ref())
+            check_zero_error_code(c5_channel(), [(0, 1), (2, 5)])
 
 
 class TestQuantumHelpers:
@@ -348,7 +307,7 @@ class TestProtocol:
             protocol_from_cert(cert, canonical_channel(cert.graph))
 
     def test_wrong_channel_rejected(self, h11_cert):
-        chan = pentagon_channel()
+        chan = c5_channel()
         with pytest.raises(InvalidParameterError):
             protocol_from_cert(h11_cert, chan)
 
@@ -416,7 +375,7 @@ class TestAgainstOracles:
 
     def test_sender_probabilities_must_be_a_distribution(self):
         with np.errstate(invalid="ignore"), pytest.raises(ProtocolError):
-            Protocol(pentagon_channel(), 1, np.array([0]), np.array([1]),
+            Protocol(c5_channel(), 1, np.array([0]), np.array([1]),
                      np.zeros((1, 1)))
 
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
@@ -444,14 +403,13 @@ class TestAgainstOracles:
 
     def test_receiver_check_covers_every_output(self):
         # Two equal vectors with different messages meet at one output only,
-        # among more outputs than any sample of a few hundred would cover.
-        n_out = 2001
-        rows = [(np.arange(1000), np.full(1000, 1e-3)),
-                (np.array([1000, 2000]), np.array([0.5, 0.5])),
-                (np.arange(1001, 2001), np.full(1000, 1e-3))]
-        chan = channel_from_rows(["a", "b", "c"], [str(t) for t in range(n_out)], rows)
+        # the edge between them on a path, among more outputs than any sample
+        # of a few hundred would cover.
+        path = capsep.BitGraph(11, range(2000), ("explicit", [(u, u + 1) for u in range(1999)]))
+        chan = canonical_channel(path)
+        assert len(chan.outputs) == 3999
         one = np.ones((1, 1))
-        proto = Protocol(chan, 2, np.array([1, 2]), np.array([1, 2]),
+        proto = Protocol(chan, 2, np.array([1000, 1001]), np.array([1, 2]),
                          np.vstack([one, one]))
         report = proto.completeness_report()
         assert not report["passed"]

@@ -211,6 +211,22 @@ class TestCertCommands:
         self._assert_rejected(capsys, target, "shape")
 
 
+    @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
+    def test_verify_cert_label_outside_int64(self, capsys, tmp_path, label):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        payload["ops"][0]["i"] = label
+        target.write_text(json.dumps(payload))
+        self._assert_rejected(capsys, target, f"message label {label} is outside int64")
+
+    @pytest.mark.parametrize("label", [2**63 - 1, -(2**63), 0, 2])
+    def test_verify_cert_label_outside_messages(self, capsys, tmp_path, label):
+        target, payload = self._h3_cert(capsys, tmp_path)
+        payload["ops"][0]["i"] = label
+        target.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 2 and "Traceback" not in err
+        assert json.loads(out)["conditions"]["sum_to_rho"] is False
+
     def test_verify_cert_repeated_entry(self, capsys, tmp_path):
         target, payload = self._h3_cert(capsys, tmp_path)
         first = payload["ops"][0]

@@ -256,6 +256,22 @@ class TestCertJson:
                                  f"i = {first['i']}"):
             cert_from_json(payload)
 
+    @pytest.mark.parametrize("name", ["H3", "G7", "H11", "C5", "C5xC5", "H3xH3"])
+    def test_load_is_the_inverse_of_to_json(self, name, h11_cert):
+        c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
+        cert = {"H3": h3_cert, "G7": lambda: _packing_cert("G", 7),
+                "H11": lambda: h11_cert, "C5": lambda: c5,
+                "C5xC5": lambda: tensor(c5, c5),
+                "H3xH3": lambda: tensor(h3_cert(), h3_cert())}[name]()
+        doc = cert.to_json()
+        loaded = cert_from_json(json.dumps(doc))
+        assert loaded.verification is None
+        again = loaded.to_json()
+        assert again.pop("verification") is None
+        assert json.dumps(again) == json.dumps({k: v for k, v in doc.items()
+                                                if k != "verification"})
+        assert verify(loaded).to_json() == cert.verification.to_json()
+
     def test_schema_fields(self, h11_cert):
         payload = h11_cert.to_json()
         assert payload["graph"] == "H11"
