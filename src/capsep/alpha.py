@@ -77,10 +77,9 @@ def _color_classes(cand: int, adj: list[int]) -> list[tuple[int, int]]:
 
 def _rank_rows(g, order: np.ndarray) -> list[int]:
     """Adjacency as one bitset int per rank, bit r the vertex of rank r."""
-    adj = g.adjacency_matrix()
     rows: list[int] = []
     for lo, hi in row_blocks(order.size, order.size):
-        packed = np.packbits(adj[order[lo:hi]][:, order], axis=1, bitorder="little")
+        packed = np.packbits(g.adjacency_among(order[lo:hi], order), axis=1, bitorder="little")
         rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
     return rows
 
@@ -90,7 +89,9 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     n = g.vertex_count
     # Static order: complement degree descending, then vertex index. The
     # search runs on ranks in this order; the witness is mapped back.
-    order = np.argsort(g.adjacency_matrix().sum(axis=1), kind="stable")
+    degrees = [np.zeros(0, dtype=np.int64)]  # a graph with no vertices has no block
+    degrees += [block.sum(axis=1) for _, block in g.adjacency_blocks()]
+    order = np.argsort(np.concatenate(degrees), kind="stable")
     adj = _rank_rows(g, order)
 
     # Greedy incumbent: grow a complement clique along the static order.

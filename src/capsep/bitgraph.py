@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -19,7 +20,7 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 MAX_BITLEN = 63
 MAX_VERTICES = 10**7
-# Dense adjacency (bitset rows / boolean matrix) only below this vertex count.
+# All-pairs adjacency work (alpha search, blocked edge count or listing) up to this |V|.
 DENSE_ADJACENCY_CAP = 16384
 BLOCK_ENTRIES = 1 << 22  # cells per ``row_blocks`` slice
 
@@ -56,14 +57,21 @@ def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
 
 
 class _Graph:
-    """What every graph derives from ``adjacency_among`` and ``adjacency_matrix``."""
+    """What every graph derives from its one pair rule, ``adjacency_among``."""
 
     def is_adjacent(self, i: int, j: int) -> bool:
         return bool(self.adjacency_among([i], [j])[0, 0])
 
-    @property
-    def edge_count(self) -> int:
-        return int(np.count_nonzero(self.adjacency_matrix())) // 2
+    def adjacency_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, adjacency of rows lo, lo+1, ... against every vertex) over ``row_blocks``;
+        more than ``DENSE_ADJACENCY_CAP`` vertices are refused before the first block."""
+        nv = self.vertex_count
+        if nv > DENSE_ADJACENCY_CAP:
+            raise ResourceLimitError(
+                f"all-pairs adjacency for {nv} vertices exceeds cap {DENSE_ADJACENCY_CAP}")
+        every = np.arange(nv)
+        for lo, hi in row_blocks(nv, nv):
+            yield lo, self.adjacency_among(every[lo:hi], every)
 
     def index_of_label(self, label) -> int:
         """Index of the vertex whose ``vertex_label`` is exactly ``label``; a
@@ -92,7 +100,7 @@ class BitGraph(_Graph):
     Adjacency is either ``("distance", k)`` (u ~ v iff d(u, v) = k, with k in
     ``distance``) or an explicit edge set over vertex indices (``distance`` is
     None), stored as sorted keys min * |V| + max. Instances are immutable after
-    construction; adjacency caches are built lazily.
+    construction.
     """
 
     def __init__(self, n: int, bits: Sequence[int], rule, family: str | None = None):
@@ -118,7 +126,6 @@ class BitGraph(_Graph):
             self._edge_keys = self._sorted_edge_keys(rule[1])
         else:
             raise InvalidParameterError(f"unknown adjacency rule {kind!r}")
-        self._adj_bool = None
 
     def _sorted_edge_keys(self, edges) -> np.ndarray:
         """Validate explicit edges; return sorted unique keys min * |V| + max."""
@@ -187,53 +194,41 @@ class BitGraph(_Graph):
             adj = known[pos] == keys if known.size else np.zeros(keys.shape, dtype=bool)
         return adj & (r != c)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency, cached. Guarded by the dense cap."""
-        if self._adj_bool is None:
-            nv = self.vertex_count
-            if nv > DENSE_ADJACENCY_CAP:
-                raise ResourceLimitError(
-                    f"dense adjacency for {nv} vertices exceeds cap {DENSE_ADJACENCY_CAP}")
-            mat = np.zeros((nv, nv), dtype=bool)
-            if self.distance is not None:
-                every = np.arange(nv)
-                for lo, hi in row_blocks(nv, nv):
-                    mat[lo:hi] = self.adjacency_among(every[lo:hi], every)
-            else:
-                u, v = self.edge_array().T
-                mat[u, v] = mat[v, u] = True
-            mat.setflags(write=False)
-            self._adj_bool = mat
-        return self._adj_bool
-
     @property
     def edge_count(self) -> int:
-        """|E|; for G, H and O, vertex-transitive, |V| deg(0) / 2 from one row."""
+        """|E|: the explicit keys; for G, H and O, vertex-transitive, |V| deg(0) / 2
+        from one row; for any other distance graph a blocked count."""
         if self._edge_keys is not None:
             return int(self._edge_keys.size)
+        nv = self.vertex_count
         if self.family in ("G", "H", "O"):
-            nv = self.vertex_count
             return nv * int(self.adjacency_among([0], np.arange(nv)).sum()) // 2
-        return super().edge_count
+        return sum(int(block.sum()) for _, block in self.adjacency_blocks()) // 2
 
     def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int64 array of pairs i < j, in row-major order."""
+        """Edges as an (E, 2) int64 array of pairs i < j, in row-major order.
+        More than ``MAX_VERTICES`` edges are refused before any is listed."""
+        count = self.edge_count
+        if count > MAX_VERTICES:
+            raise ResourceLimitError(f"{count} edges exceed the listing cap {MAX_VERTICES}")
         if self._edge_keys is not None:
             return np.stack(np.divmod(self._edge_keys, self.vertex_count), axis=1)
-        return np.argwhere(np.triu(self.adjacency_matrix(), 1)).astype(np.int64)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as index pairs (i, j) with i < j."""
-        yield from zip(*self.edge_array().T.tolist())
+        out, k = np.empty((count, 2), dtype=np.int64), 0
+        for lo, block in self.adjacency_blocks():
+            hits = np.argwhere(np.triu(block, lo + 1))
+            hits[:, 0] += lo
+            out[k:k + len(hits)] = hits
+            k += len(hits)
+        return out
 
     # -- export ------------------------------------------------------------
 
     def to_dimacs(self) -> str:
-        lines = [f"p edge {self.vertex_count} {self.edge_count}"]
+        edges = self.edge_array().tolist()
+        lines = [f"p edge {self.vertex_count} {len(edges)}"]
         for i in range(self.vertex_count):
             lines.append(f"c v {i + 1} {self.vertex_label(i)}")
-        for i, j in self.edges():
-            lines.append(f"e {i + 1} {j + 1}")
+        lines += [f"e {i + 1} {j + 1}" for i, j in edges]
         return "\n".join(lines) + "\n"
 
     def graph_ref(self) -> str:
@@ -316,8 +311,8 @@ def graph_from_ref(ref: str) -> BitGraph | ProductGraph:
 
     @functools.cache
     def factor(part: str) -> BitGraph:
-        family, num = part[:1], part[1:]
-        if family not in builders or not num.isdigit():
+        family, num = part[:1], part[1:]  # ASCII digits; a size cap refuses any n this long
+        if family not in builders or not re.fullmatch(r"[0-9]{1,20}", num):
             raise InvalidParameterError(
                 f"cannot build a graph from {ref!r} (want e.g. C5, G11, H3xH3)")
         return builders[family](int(num))
@@ -330,12 +325,8 @@ def graph_from_ref(ref: str) -> BitGraph | ProductGraph:
 
 
 class ProductGraph(_Graph):
-    """Strong product of factor graphs, with on-demand adjacency.
-
-    Vertices are tuples of factor indices, flattened to a single index in
-    row-major order. Explicit adjacency is materialized only below the dense
-    cap; above it only the pairwise oracle is available.
-    """
+    """Strong product of factor graphs; a vertex is its tuple of factor indices,
+    flattened to a single index in row-major order."""
 
     def __init__(self, factors: Iterable):
         self.factors, count = [], 1
@@ -350,7 +341,6 @@ class ProductGraph(_Graph):
         self._count = count
         self.family = "product"
         self.n = sum(f.n for f in self.factors)
-        self._adj_bool = None
 
     @property
     def vertex_count(self) -> int:
@@ -377,19 +367,12 @@ class ProductGraph(_Graph):
             adj &= (r[:, None] == c[None, :]) | f.adjacency_among(r, c)
         return adj
 
-    def adjacency_matrix(self) -> np.ndarray:
-        if self._adj_bool is None:
-            if self._count > DENSE_ADJACENCY_CAP:
-                raise ResourceLimitError(
-                    f"dense adjacency for {self._count} vertices exceeds cap")
-            mat = None
-            for f in self.factors:
-                closed = f.adjacency_matrix() | np.eye(f.vertex_count, dtype=bool)
-                mat = closed if mat is None else np.kron(mat, closed)
-            np.fill_diagonal(mat, False)
-            mat.setflags(write=False)
-            self._adj_bool = mat
-        return self._adj_bool
+    @property
+    def edge_count(self) -> int:
+        """|E| from 2|E| = prod(|V_i| + 2|E_i|) - prod |V_i|: closed
+        neighbourhoods multiply, and each vertex is in its own."""
+        closed = math.prod(f.vertex_count + 2 * f.edge_count for f in self.factors)
+        return (closed - self._count) // 2
 
     def vertex_label(self, i: int) -> str:
         parts = self.parts(i)

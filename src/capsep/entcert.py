@@ -317,7 +317,7 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
     label is looked up by ``index_of_label``. Malformed input (a missing
     field, a wrong type, a number that is not a JSON integer, an unknown
     vertex label, a label i outside int64, a repeated (vertex, i) entry, a
-    matrix not dim x dim) raises ``InvalidParameterError``.
+    matrix not dim x dim, too deep a nesting) raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
@@ -335,7 +335,7 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
         cert = EntCert(graph, M, dim, denominator, rho, ops)
     except KeyError as exc:
         raise InvalidParameterError(f"certificate is missing field {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidParameterError(f"malformed certificate: {exc}") from None
     for name, num in [("rho", rho)] + [(f"operator {k}", m) for k, m in ops.items()]:
         if num.shape != (dim, dim):

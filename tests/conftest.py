@@ -40,9 +40,29 @@ def alpha_by_enumeration(adj_rows: list[int]) -> int:
     return result
 
 
+def dense_adjacency(g) -> np.ndarray:
+    """|V| x |V| boolean adjacency formed whole: for a strong product the
+    Kronecker product of the factors' closed neighbourhoods, for a distance
+    graph every pair's distance, for an explicit graph its edge list; the
+    diagonal cleared."""
+    if hasattr(g, "factors"):
+        mat = np.ones((1, 1), dtype=bool)
+        for f in g.factors:
+            mat = np.kron(mat, dense_adjacency(f) | np.eye(f.vertex_count, dtype=bool))
+    elif g.distance is not None:
+        bits = g.bits_array
+        mat = np.bitwise_count(bits[:, None] ^ bits[None, :]) == g.distance
+    else:
+        mat = np.zeros((g.vertex_count, g.vertex_count), dtype=bool)
+        u, v = g.edge_array().T
+        mat[u, v] = mat[v, u] = True
+    np.fill_diagonal(mat, False)
+    return mat
+
+
 def adjacency_rows(g) -> list[int]:
     """Adjacency as one bitset int per vertex, bit j set when j is a neighbour."""
-    packed = np.packbits(g.adjacency_matrix(), axis=1, bitorder="little")
+    packed = np.packbits(dense_adjacency(g), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -719,6 +739,6 @@ def fitting_matrix(g, p: int) -> FpMatrix:
 
 def assert_fits(g, a: FpMatrix) -> None:
     """A fits g: a nonzero diagonal and a zero at every non-adjacent pair."""
-    off = ~g.adjacency_matrix() & ~np.eye(g.vertex_count, dtype=bool)
+    off = ~dense_adjacency(g) & ~np.eye(g.vertex_count, dtype=bool)
     assert (np.diagonal(a.data) != 0).all()
     assert not a.data[off].any()

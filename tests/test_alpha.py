@@ -92,6 +92,13 @@ class TestMatchesVertexColoringOracle:
         assert self.fields(res) == alpha_by_vertex_coloring(g, budget)
 
 
+    @pytest.mark.parametrize("ref", ["C5xH3", "C4xC4xC4", "C7xK5", "H3xH3", "G3xC5xC4"])
+    def test_products(self, ref):
+        g = graph_from_ref(ref)
+        res = max_independent_set(g, node_budget=3000)
+        assert self.fields(res) == alpha_by_vertex_coloring(g, 3000)
+
+
 class TestAlphaViaPower:
     """alpha of a strong power, searched as ``capsep alpha --graph C5xC5`` does."""
 

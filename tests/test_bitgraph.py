@@ -12,7 +12,7 @@ from capsep import bitgraph
 from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, sign_rows,
                              weight_w_bits, words_from_signs)
 from capsep.errors import InvalidParameterError, ResourceLimitError
-from conftest import adjacency_by_rule, degree, flatten, word_of_signs
+from conftest import adjacency_by_rule, degree, dense_adjacency, flatten, word_of_signs
 
 
 def brute_weight_strings(n, w):
@@ -62,8 +62,8 @@ class TestBuildH:
         picked = [i for i, b in enumerate(h11.bits_array.tolist())
                   if b.bit_count() == 6]
         assert h11.bits_array[picked].tolist() == g11.bits_array.tolist()
-        sub = h11.adjacency_matrix()[np.ix_(picked, picked)]
-        assert np.array_equal(sub, g11.adjacency_matrix())
+        sub = dense_adjacency(h11)[np.ix_(picked, picked)]
+        assert np.array_equal(sub, dense_adjacency(g11))
 
     def test_rejects_even_n(self):
         with pytest.raises(InvalidParameterError):
@@ -76,7 +76,7 @@ class TestOrthogonalityGraph:
         assert g.vertex_count == 4
         expected = {(i, j) for i in range(4) for j in range(i + 1, 4)
                     if bin(i ^ j).count("1") == 1}
-        assert set(g.edges()) == expected
+        assert set(map(tuple, g.edge_array().tolist())) == expected
         assert all(degree(g, i) == 2 for i in range(4))  # a 4-cycle
 
     def test_n4_degrees(self):
@@ -92,15 +92,15 @@ class TestOrthogonalityGraph:
         # even-weight 12-bit strings with leading coordinate 0 induce H_11
         o12 = capsep.build_orthogonality_graph(12)
         picked = o12.indices_of(h11.bits_array)
-        sub = o12.adjacency_matrix()[np.ix_(picked, picked)]
-        assert np.array_equal(sub, h11.adjacency_matrix())
+        sub = dense_adjacency(o12)[np.ix_(picked, picked)]
+        assert np.array_equal(sub, dense_adjacency(h11))
 
 
 class TestCycle:
     def test_c5(self):
         c5 = capsep.build_cycle(5)
         assert c5.vertex_count == 5
-        assert set(c5.edges()) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert set(map(tuple, c5.edge_array().tolist())) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
     def test_c3_is_triangle(self):
         assert capsep.build_cycle(3).edge_count == 3
@@ -108,7 +108,7 @@ class TestCycle:
     def test_c4_bipartite(self):
         c4 = capsep.build_cycle(4)
         evens, odds = {0, 2}, {1, 3}
-        for i, j in c4.edges():
+        for i, j in c4.edge_array().tolist():
             assert (i in evens) != (j in evens)
 
     def test_rejects_small(self):
@@ -185,7 +185,7 @@ class TestInvariants:
         capsep.build_orthogonality_graph(6), capsep.build_G(7),
     ])
     def test_symmetric_zero_diagonal(self, g):
-        mat = g.adjacency_matrix()
+        mat = dense_adjacency(g)
         assert np.array_equal(mat, mat.T)
         assert not np.diagonal(mat).any()
 
@@ -212,7 +212,7 @@ class TestInvariants:
                    for j in range(g.vertex_count))
         arr = g.edge_array()
         assert arr.dtype == np.int64 and arr.shape == (len(pairs), 2)
-        assert [tuple(e) for e in arr.tolist()] == pairs == list(g.edges())
+        assert [tuple(e) for e in arr.tolist()] == pairs
 
 
 class TestExplicitEdges:
@@ -252,7 +252,7 @@ class TestAdjacencyAmong:
         got = g.adjacency_among(rows, cols)
         assert got.tolist() == [[rule(i, j) for j in cols] for i in rows]
         assert np.array_equal(g.adjacency_among(rows),
-                              g.adjacency_matrix()[np.ix_(rows, rows)])
+                              dense_adjacency(g)[np.ix_(rows, rows)])
 
 
 class TestExport:
@@ -274,10 +274,12 @@ class TestExport:
                              + [f"O{n}" for n in (4, 6, 8, 10)])
     def test_edge_count_matches_the_dense_count(self, ref, monkeypatch):
         g = capsep.bitgraph.graph_from_ref(ref)
-        dense = int(np.count_nonzero(g.adjacency_matrix())) // 2
-        g._adj_bool = None
-        monkeypatch.setattr(g, "adjacency_matrix", lambda: pytest.fail("dense count"))
+        dense = int(np.count_nonzero(dense_adjacency(g))) // 2
+        rows, among = [], g.adjacency_among
+        monkeypatch.setattr(g, "adjacency_among",
+                            lambda r, c=None: rows.append(len(r)) or among(r, c))
         assert g.edge_count == dense
+        assert rows == [1]  # one row of the pair rule, no all-pairs count
 
     def test_edge_count_at_n19_without_a_dense_matrix(self):
         # |V| deg / 2: G19 meets C(10,5) C(9,5) words at distance 10, H19 all of weight 10
@@ -286,6 +288,51 @@ class TestExport:
         assert h19.edge_count == 2**18 * math.comb(19, 10) // 2
         assert (g19.edge_count, h19.edge_count) == (1_466_593_128, 12_108_169_216)
         assert g19.descriptor()["edge_count"] == 1_466_593_128
+
+    @pytest.mark.parametrize("ref", ["C5xH3", "C4xC4xC4", "C7xK5", "H3xH3"])
+    def test_product_edge_count_matches_the_dense_count(self, ref, monkeypatch):
+        g = bitgraph.graph_from_ref(ref)
+        dense = int(np.count_nonzero(dense_adjacency(g))) // 2
+        monkeypatch.setattr(g, "adjacency_among", lambda *a: pytest.fail("pairwise count"))
+        assert g.edge_count == dense
+
+    def test_product_edge_count_past_the_all_pairs_cap(self):
+        # 2|E| = 15^7 - 5^7: each C5 vertex has a closed neighbourhood of 3
+        g = bitgraph.graph_from_ref("C5xC5xC5xC5xC5xC5xC5")
+        assert g.vertex_count == 78_125 > bitgraph.DENSE_ADJACENCY_CAP
+        assert g.edge_count == (15**7 - 5**7) // 2 == 85_390_625
+        assert g.descriptor() == {"family": "product", "n": 21, "vertex_count": 78_125,
+                                  "edge_count": 85_390_625}
+
+
+class TestEdgeArray:
+    @pytest.mark.parametrize("g", [
+        capsep.build_G(11), capsep.build_H(11), capsep.build_orthogonality_graph(10),
+        BitGraph(12, range(4096), ("distance", 1)),  # unnamed: four row blocks
+        BitGraph(10, random.Random(3).sample(range(1024), 300), ("distance", 4)),
+    ], ids=lambda g: f"{g.graph_ref()}-{g.vertex_count}")
+    def test_matches_the_dense_oracle_in_order(self, g):
+        want = np.argwhere(np.triu(dense_adjacency(g), 1))
+        got = g.edge_array()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert g.edge_count == len(want)
+
+    def test_listing_cap_is_checked_before_any_pair(self, monkeypatch):
+        h15 = capsep.build_H(15)  # 16384 vertices: at the all-pairs cap, not over it
+        assert h15.vertex_count == bitgraph.DENSE_ADJACENCY_CAP
+        monkeypatch.setattr(h15, "adjacency_blocks", lambda: pytest.fail("edges were listed"))
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="52715520 edges exceed the listing cap"):
+            h15.edge_array()
+        assert time.perf_counter() - start < 1.0
+
+    def test_unnamed_graph_over_the_all_pairs_cap_is_refused(self):
+        g = BitGraph(15, range(2**15), ("distance", 1))
+        with pytest.raises(ResourceLimitError, match="all-pairs adjacency for 32768"):
+            g.edge_count
+        with pytest.raises(ResourceLimitError, match="all-pairs adjacency for 32768"):
+            g.edge_array()
+        assert g.descriptor()["edge_count"] is None
 
 
 CODEC_GRAPHS = [capsep.build_G(7), capsep.build_H(7), capsep.build_orthogonality_graph(6),
@@ -322,7 +369,7 @@ class TestGraphFromRef:
     def test_rebuilds_every_reference(self, g):
         again = bitgraph.graph_from_ref(g.graph_ref())
         assert type(again) is type(g) and again.graph_ref() == g.graph_ref()
-        assert np.array_equal(again.adjacency_matrix(), g.adjacency_matrix())
+        assert np.array_equal(dense_adjacency(again), dense_adjacency(g))
 
     def test_factors_built_once_and_only_under_the_cap(self, monkeypatch):
         built = []

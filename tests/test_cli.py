@@ -99,6 +99,23 @@ class TestGraphCommands:
         assert err.startswith("error: ") and "cap" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_edge_listing_cap_exits_at_once(self, capsys):
+        # H15 has 16384 vertices, within the all-pairs cap, but 52.7M edges
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gen-graph", "--family", "H", "--n", "15",
+                             "--format", "dimacs")
+        assert code == 1 and out == ""
+        assert err.startswith("error: 52715520 edges exceed the listing cap")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("ref", ["G\u00b2", "G\u0663", "G" + "1" * 5000, "C" + "0" * 21 + "5"],
+                             ids=["superscript", "arabic-indic", "5000-digits", "22-digits"])
+    def test_graph_reference_needs_few_ascii_digits(self, capsys, ref):
+        code, out, err = run(capsys, "alpha", "--graph", ref)
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot build a graph from")
+        assert "Traceback" not in err
+
 
 class TestHadamardCommand:
     def test_auto_paley(self, capsys):
@@ -202,6 +219,11 @@ class TestCertCommands:
     def test_verify_cert_truncated_file(self, capsys, tmp_path):
         target, _ = self._h3_cert(capsys, tmp_path)
         target.write_text(target.read_text()[:100])
+        self._assert_rejected(capsys, target, "malformed certificate")
+
+    def test_verify_cert_deep_nesting(self, capsys, tmp_path):
+        target = tmp_path / "cert.json"
+        target.write_text("[" * 100_000 + "]" * 100_000)
         self._assert_rejected(capsys, target, "malformed certificate")
 
     def test_verify_cert_wrong_matrix_shape(self, capsys, tmp_path):
@@ -550,7 +572,8 @@ def _option_values(paths):
             "--seed": st.integers(-3, 10**6),
             "--input": st.just(paths["--input"][0]) | st.sampled_from(paths["--input"]),
             "--output": st.just(paths["--output"][0]) | st.sampled_from(paths["--output"]),
-            "--graph": st.sampled_from(["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk"]),
+            "--graph": st.sampled_from(["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk",
+                                        "G\u00b2", "G" + "1" * 5000]),
             "--node-budget": st.integers(-3, 500),
             "--trials": st.integers(-3, 20),
             "--p": st.sampled_from([3, 5, 41]) | st.integers(-3, 43)}

@@ -12,7 +12,7 @@ from capsep.bitgraph import build_complete, build_cycle
 from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, classical_embedding,
                             rank_one_row, tensor, verify)
 from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
-from conftest import flatten, verify_by_pairs
+from conftest import dense_adjacency, flatten, verify_by_pairs
 
 
 def h3_cert():
@@ -203,7 +203,7 @@ class TestTensor:
         # sums still equal rho, so only the exhaustive edge check can see it.
         (u, i), (z, _) = sorted(squared.ops)[:2]
         za, zb = squared.graph.parts(z)
-        ya = int(np.argmax(g11.adjacency_matrix()[za]))
+        ya = int(np.argmax(dense_adjacency(g11)[za]))
         y = flatten(squared.graph, (ya, zb))
         assert (y, i) not in squared.ops and squared.graph.is_adjacent(y, z)
         ops = dict(squared.ops)

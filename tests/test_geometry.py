@@ -8,7 +8,7 @@ import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.bitgraph import BitGraph, build_complete
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
-from conftest import (_check_clique_bits, ortho_rep_verify_by_pairs,
+from conftest import (_check_clique_bits, dense_adjacency, ortho_rep_verify_by_pairs,
                       restricted_set_by_pairs, word_of_signs)
 
 
@@ -198,7 +198,7 @@ class TestPackCliques:
 
     def test_translations_preserve_h11_adjacency(self, h11):
         rng = random.Random(5)
-        rows = h11.adjacency_matrix()
+        rows = dense_adjacency(h11)
         bits = h11.bits_array.tolist()
         for _ in range(5000):
             i = rng.randrange(1024)
@@ -210,7 +210,7 @@ class TestPackCliques:
     def test_permutations_preserve_g11_adjacency(self, g11):
         from conftest import _permute_bits
         rng = random.Random(6)
-        rows = g11.adjacency_matrix()
+        rows = dense_adjacency(g11)
         for _ in range(5000):
             i = rng.randrange(462)
             j = rng.randrange(462)
