@@ -36,17 +36,12 @@ def _hadamard(n: int):
     return h
 
 
-def _clique(family: str, h):
-    seed = geometry.clique_from_hadamard_G if family == "G" else geometry.clique_from_hadamard_H
-    return seed(h)
-
-
 def _packing(family: str, n: int, seed: int):
     """The Hadamard matrix, the graph (built once, and before the clique so
     that a bad n is named by the graph) and its seeded clique packing."""
     h = _hadamard(n)
     g = bitgraph.graph_from_ref(f"{family}{n}")
-    return h, g, geometry.pack_cliques(g, _clique(family, h), rng_seed=seed)
+    return h, g, geometry.pack_cliques(g, geometry.hadamard_clique(h, family), rng_seed=seed)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -66,14 +61,14 @@ def _cmd_hadamard(args) -> int:
 
 
 def _cmd_orthorep(args) -> int:
-    rep = geometry.ortho_rep_G(args.n) if args.family == "G" \
-        else geometry.ortho_rep_H(args.n)
+    rep = geometry.OrthoRep(bitgraph.graph_from_ref(f"{args.family}{args.n}"))
+    rep.verify()
     _emit(rep.to_json(), args)
     return 0
 
 
 def _cmd_clique(args) -> int:
-    clique = _clique(args.family, _hadamard(args.n))
+    clique = geometry.hadamard_clique(_hadamard(args.n), args.family)
     _emit({"graph": f"{args.family}{args.n}", "size": len(clique),
            "vertices": [bitgraph.word_label(b, args.n) for b in clique]}, args)
     return 0

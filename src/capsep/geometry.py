@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alpha import verify_independent
-from .bitgraph import (BitGraph, build_G, build_H, sign_rows, weight_w_bits,
-                       word_label, words_from_signs)
+from .bitgraph import BitGraph, sign_rows, weight_w_bits, word_label, words_from_signs
 from .errors import ConstructionError, InvalidParameterError
-from .hadamard import HadamardMatrix, normalize
+from .hadamard import HadamardMatrix
 
 PACK_BUDGET = 10**6  # coordinate permutations a family-G packing tries at most
 
@@ -78,59 +77,41 @@ class OrthoRep:
         }
 
 
-def ortho_rep_H(n: int) -> OrthoRep:
-    """(n+1)-dimensional representation of the even-weight graph."""
-    rep = OrthoRep(build_H(n))
-    rep.verify()
-    return rep
-
-
-def ortho_rep_G(n: int) -> OrthoRep:
-    """Ambient (n+1)-dim representation of the weight-(n+1)/2 graph, spanning n dims."""
-    rep = OrthoRep(build_G(n))
-    rep.verify()
-    return rep
-
-
 # -- Hadamard-seeded cliques --------------------------------------------------
 
 
 def _hadamard_signs(h: HadamardMatrix) -> np.ndarray:
     """S, the normalized matrix without its first column: m rows of length m - 1.
 
-    The normalized matrix is H = [1 | S] with H.H^T = m I (checked by its
-    constructor) and a first column of ones (checked here), so
-    S.S^T = m I - J. Sign rows of length-n strings x and y have dot product
-    n - 2 d(x, y), with n = m - 1; so any two rows of S are strings at
-    distance (n+1)/2. Row 0 is all ones, the all-zeros string, so every
-    other row also has weight (n+1)/2. No pair needs to be compared.
+    Entry (i, j) times e[0, j] e[i, 0] e[0, 0] is a square, 1, in row 0 and
+    in column 0. Sign flips keep H.H^T = m I (checked once, by h's
+    constructor), so the normalized matrix is [1 | S] with S.S^T = m I - J.
+    Sign rows of length-n strings x and y have dot product n - 2 d(x, y),
+    with n = m - 1; so any two rows of S are strings at distance (n+1)/2.
+    Row 0 is all ones, the all-zeros string, so every other row has weight
+    m/2, even as 4 divides every Hadamard order >= 4. No pair is compared.
     """
-    m = h.size
-    if m < 4 or m % 2 != 0:
-        raise InvalidParameterError(
-            f"need an even Hadamard size >= 4 to seed a clique, got {m}")
-    hn = normalize(h)
-    if not hn.is_normalized():
-        raise ConstructionError("normalized Hadamard matrix has a -1 in its border")
-    return hn.entries[:, 1:]
+    e = h.entries
+    signs = e * e[:, :1]  # the one m x m copy; the row flips go in place
+    signs *= e[0, :] * e[0, 0]
+    return signs[:, 1:]
 
 
-def clique_from_hadamard_G(h: HadamardMatrix) -> list[int]:
-    """n mutually adjacent weight-(n+1)/2 words from a size-(n+1) Hadamard.
+def hadamard_clique(h: HadamardMatrix, family: str) -> list[int]:
+    """Mutually adjacent words from a size-(n+1) Hadamard matrix: n of weight
+    (n+1)/2 for family G, and for H those n with the all-zeros word, row 0.
 
     Normalizes, strips the all-ones border, and maps -1 entries to 1-bits.
     Distances follow from the Hadamard identity with no graph built, so
     this works at sizes like 164 where the graph itself does not.
     """
-    return words_from_signs(_hadamard_signs(h)[1:])
-
-
-def clique_from_hadamard_H(h: HadamardMatrix) -> list[int]:
-    """The G-clique plus the all-zeros string: n+1 mutually adjacent even-weight vertices."""
+    if family not in ("G", "H"):
+        raise InvalidParameterError(f"Hadamard cliques are defined for G/H, got {family}")
+    if h.size < 4:
+        raise InvalidParameterError(
+            f"need an even Hadamard size >= 4 to seed a clique, got {h.size}")
     signs = _hadamard_signs(h)
-    if ((signs < 0).sum(axis=1) % 2).any():
-        raise ConstructionError("clique vertex with odd weight")
-    return words_from_signs(signs)
+    return words_from_signs(signs[1:] if family == "G" else signs)
 
 
 # -- packings ----------------------------------------------------------------

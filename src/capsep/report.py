@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra_fp import instance_prime
 from .errors import InternalCheckError, InvalidParameterError
-from .geometry import clique_from_hadamard_G
+from .geometry import hadamard_clique
 from .hadamard import find_hadamard
 
 # The largest integer a report prints, |V(H)| = 2^(4p-2), stays within
@@ -116,7 +116,7 @@ def capacity_report(family: str, p: int) -> CapacityReport:
         construction = hadamard.construction
         evidence["hadamard"] = {"size": hadamard.size, "verified": True,
                                 "level": "certified"}
-        clique = clique_from_hadamard_G(hadamard)
+        clique = hadamard_clique(hadamard, "G")
         evidence["clique"] = {"size": len(clique), "verified": True,
                               "level": "certified"}
 

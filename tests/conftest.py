@@ -19,6 +19,7 @@ import capsep
 from capsep.algebra_fp import FpMatrix, monomial_values
 from capsep.channel import Transcript
 from capsep.errors import InternalCheckError, InvalidParameterError
+from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
 
@@ -207,13 +208,13 @@ def paley12():
 @pytest.fixture(scope="session")
 def h11_cert(h11, paley12):
     return capsep.cert_from_packing(
-        capsep.pack_cliques(h11, capsep.clique_from_hadamard_H(paley12)))
+        capsep.pack_cliques(h11, capsep.hadamard_clique(paley12, "H")))
 
 
 @pytest.fixture(scope="session")
 def g11_cert(g11, paley12):
     return capsep.cert_from_packing(
-        capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12)))
+        capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G")))
 
 
 def normalize_by_loop(h) -> np.ndarray:
@@ -228,6 +229,47 @@ def normalize_by_loop(h) -> np.ndarray:
         if e[i, 0] == -1:
             e[i] = -e[i]
     return e
+
+
+def normalized(h) -> np.ndarray:
+    """The normalized matrix [1 | S]: ``_hadamard_signs(h)`` with its ones column back."""
+    return np.hstack([np.ones((h.size, 1), dtype=np.int64), _hadamard_signs(h)])
+
+
+def paley_by_loop(q: int) -> np.ndarray:
+    """I + the bordered Jacobsthal matrix of q, entry by entry, with chi by
+    Euler's criterion: row 0 all +1, column 0 below it -1, chi(j - i) inside."""
+    chi = [0] + [1 if pow(a, (q - 1) // 2, q) == 1 else -1 for a in range(1, q)]
+    rows = [[1] * (q + 1)] + [[-1] + [int(i == j) + chi[(j - i) % q] for j in range(q)]
+                              for i in range(q)]
+    return np.array(rows, dtype=np.int64)
+
+
+def hadamard_by_doubling(m: int):
+    """(entries, construction) of order m by explicit doubling steps, or None.
+
+    [[1]] doubled k times when m = 2^k <= 2^12; else the Paley matrix of the
+    prime q = 3 mod 4, q <= 10^4, with q + 1 = m / 2^j for the fewest j,
+    doubled j times, each step [[e, e], [e, -e]] wrapping the label in double().
+    """
+    def double(e):
+        return np.block([[e, e], [e, -e]])
+
+    k = m.bit_length() - 1
+    if m == 1 << k and k <= 12:
+        e = np.ones((1, 1), dtype=np.int64)
+        for _ in range(k):
+            e = double(e)
+        return e, f"sylvester({k})"
+    j = 0
+    while (q := (m >> j) - 1) > 10**4 or q % 4 != 3 or not is_prime(q):
+        if (m >> j) % 2:
+            return None
+        j += 1
+    e, label = paley_by_loop(q), f"paley({q})"
+    for _ in range(j):
+        e, label = double(e), f"double({label})"
+    return e, label
 
 
 # -- channel oracles -----------------------------------------------------------

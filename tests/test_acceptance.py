@@ -19,7 +19,8 @@ from capsep.channel import (canonical_channel, check_zero_error_code,
 from conftest import (adjacency_rows, alpha_by_enumeration, assert_fits,
                       fitting_matrix, frankl_wilson_Q,
                       inner_product_identity_check, multilinearize,
-                      random_explicit_graph, rank_by_row_reduction, sign_vector)
+                      normalize_by_loop, normalized, random_explicit_graph,
+                      rank_by_row_reduction, sign_vector)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -48,9 +49,9 @@ def test_criterion_1_hadamard_suite():
         for h in matrices:
             m = h.size
             assert (h.entries @ h.entries.T == m * np.eye(m, dtype=np.int64)).all()
-            norm = capsep.normalize(h)
-            again = capsep.normalize(norm)
-            assert np.array_equal(norm.entries, again.entries)
+            norm = capsep.HadamardMatrix(normalized(h))
+            assert np.array_equal(norm.entries, normalize_by_loop(h))
+            assert np.array_equal(norm.entries, normalized(norm))
             if m >= 4:
                 e = norm.entries
                 assert ((e[1:] == -1).sum(axis=1) == m // 2).all()
@@ -80,9 +81,10 @@ def test_criterion_3_n11_entangled_side():
         h12 = capsep.find_hadamard(12)
         assert h12 is not None and "paley" in h12.construction
 
-        clique_g = capsep.clique_from_hadamard_G(h12)
+        clique_g = capsep.hadamard_clique(h12, "G")
         assert len(clique_g) == 11
-        rep_g = capsep.ortho_rep_G(11)
+        rep_g = capsep.OrthoRep(capsep.build_G(11))
+        rep_g.verify()
         pack_g = capsep.pack_cliques(rep_g.graph, clique_g)
         assert pack_g.target == math.ceil(462 / 121) == 4
         assert pack_g.count >= 4 and pack_g.target_met
@@ -90,9 +92,10 @@ def test_criterion_3_n11_entangled_side():
         assert cert_g.M >= 4
         assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "full"
 
-        clique_h = capsep.clique_from_hadamard_H(h12)
+        clique_h = capsep.hadamard_clique(h12, "H")
         assert len(clique_h) == 12
-        rep_h = capsep.ortho_rep_H(11)
+        rep_h = capsep.OrthoRep(capsep.build_H(11))
+        rep_h.verify()
         pack_h = capsep.pack_cliques(rep_h.graph, clique_h)
         assert pack_h.target == math.ceil(1024 / 144) == 8
         assert pack_h.count >= 8 and pack_h.target_met
@@ -177,9 +180,10 @@ def test_criterion_6_frankl_wilson_properties():
 def test_criterion_7_protocol_simulation():
     @criterion(7, "H_11 M=8 protocol: zero-error within 1e-9, 1000 perfect decodes", 60.0)
     def check():
-        rep = capsep.ortho_rep_H(11)
+        rep = capsep.OrthoRep(capsep.build_H(11))
+        rep.verify()
         h12 = capsep.find_hadamard(12)
-        packing = capsep.pack_cliques(rep.graph, capsep.clique_from_hadamard_H(h12))
+        packing = capsep.pack_cliques(rep.graph, capsep.hadamard_clique(h12, "H"))
         cert = capsep.cert_from_packing(packing)
         assert cert.M == 8
         chan = canonical_channel(cert.graph)
@@ -216,17 +220,19 @@ def test_criterion_8_oracle_equivalence():
                 assert rank_fp(FpMatrix(p, m)) == rank_by_row_reduction(m, p)
 
         # tensor certificates on products small enough to sweep exactly
-        rep3 = capsep.ortho_rep_H(3)
+        rep3 = capsep.OrthoRep(capsep.build_H(3))
+        rep3.verify()
         pack3 = capsep.pack_cliques(
-            rep3.graph, capsep.clique_from_hadamard_H(capsep.sylvester(2)))
+            rep3.graph, capsep.hadamard_clique(capsep.sylvester(2), "H"))
         cert3 = capsep.cert_from_packing(pack3)
         squared = capsep.tensor(cert3, cert3)  # 16 vertices
         assert squared.verification.to_json()["mode"] == "full"
         assert squared.verification.passed
 
-        rep11 = capsep.ortho_rep_H(11)
+        rep11 = capsep.OrthoRep(capsep.build_H(11))
+        rep11.verify()
         pack11 = capsep.pack_cliques(
-            rep11.graph, capsep.clique_from_hadamard_H(capsep.find_hadamard(12)))
+            rep11.graph, capsep.hadamard_clique(capsep.find_hadamard(12), "H"))
         cert11 = capsep.cert_from_packing(pack11)
         mixed = capsep.tensor(cert3, cert11)  # 4096 vertices
         assert mixed.graph.vertex_count == 4096 <= 10**4

@@ -18,7 +18,7 @@ from capsep.errors import InvalidParameterError, ProtocolError, ResourceLimitErr
 
 def h3_cert():
     return capsep.cert_from_packing(capsep.pack_cliques(
-        capsep.build_H(3), capsep.clique_from_hadamard_H(capsep.sylvester(2))))
+        capsep.build_H(3), capsep.hadamard_clique(capsep.sylvester(2), "H")))
 
 
 def h3_protocol():

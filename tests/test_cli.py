@@ -180,8 +180,9 @@ class TestCertCommands:
     @staticmethod
     def _squared_cert(name):
         if name == "H3xH3":
-            rep = capsep.ortho_rep_H(3)
-            seed = capsep.clique_from_hadamard_H(capsep.sylvester(2))
+            rep = capsep.OrthoRep(capsep.build_H(3))
+            rep.verify()
+            seed = capsep.hadamard_clique(capsep.sylvester(2), "H")
             base = capsep.cert_from_packing(capsep.pack_cliques(rep.graph, seed))
         else:
             base = capsep.classical_embedding(capsep.build_cycle(5), [0, 2])
@@ -404,9 +405,8 @@ class TestGraphBuiltOnce:
         def counting(build):
             return lambda n: built.append(n) or build(n)
         for name in ("build_G", "build_H"):
-            counted = counting(getattr(capsep.bitgraph, name))
-            for module in (capsep.bitgraph, capsep.geometry):  # every binding site
-                monkeypatch.setattr(module, name, counted)
+            # bitgraph is the one binding site: every command builds through graph_from_ref
+            monkeypatch.setattr(capsep.bitgraph, name, counting(getattr(capsep.bitgraph, name)))
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert built == [int(argv[4])]

@@ -16,8 +16,9 @@ from conftest import dense_adjacency, flatten, verify_by_pairs
 
 
 def h3_cert():
-    rep = capsep.ortho_rep_H(3)
-    seed = capsep.clique_from_hadamard_H(capsep.sylvester(2))
+    rep = capsep.OrthoRep(capsep.build_H(3))
+    rep.verify()
+    seed = capsep.hadamard_clique(capsep.sylvester(2), "H")
     packing = capsep.pack_cliques(rep.graph, seed)
     return capsep.cert_from_packing(packing)
 
@@ -73,7 +74,7 @@ class TestCertFromPacking:
             capsep.cert_from_packing(packing)
 
     def test_forms_rows_of_the_packed_vertices_only(self, h11, paley12, monkeypatch):
-        packing = capsep.pack_cliques(h11, capsep.clique_from_hadamard_H(paley12))
+        packing = capsep.pack_cliques(h11, capsep.hadamard_clique(paley12, "H"))
         formed = []
         rows = capsep.OrthoRep.rows
         monkeypatch.setattr(capsep.OrthoRep, "rows",
@@ -287,9 +288,9 @@ class TestCertJson:
 
 
 def _packing_cert(family, n):
-    rep = capsep.ortho_rep_G(n) if family == "G" else capsep.ortho_rep_H(n)
-    clique = (capsep.clique_from_hadamard_G if family == "G"
-              else capsep.clique_from_hadamard_H)(capsep.find_hadamard(n + 1))
+    rep = capsep.OrthoRep(capsep.build_G(n) if family == "G" else capsep.build_H(n))
+    rep.verify()
+    clique = capsep.hadamard_clique(capsep.find_hadamard(n + 1), family)
     return capsep.cert_from_packing(capsep.pack_cliques(rep.graph, clique))
 
 

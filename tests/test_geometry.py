@@ -8,39 +8,45 @@ import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.bitgraph import BitGraph, build_complete
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
-from conftest import (_check_clique_bits, dense_adjacency, ortho_rep_verify_by_pairs,
-                      restricted_set_by_pairs, word_of_signs)
+from conftest import (_check_clique_bits, dense_adjacency, normalize_by_loop,
+                      ortho_rep_verify_by_pairs, restricted_set_by_pairs, word_of_signs)
 
 
 class TestOrthoRepH:
     def test_n3_all_zeros_vector(self):
-        rep = capsep.ortho_rep_H(3)
+        rep = capsep.OrthoRep(capsep.build_H(3))
+        rep.verify()
         row = rep.rows([rep.graph.index_of(0)])[0]
         assert row.tolist() == [1, 1, 1, 1]
         # integer squared norm is the normalizer, so the unit norm is exact
         assert row @ row == rep.normalizer == 4
 
     def test_n3_edge_orthogonality_by_hand(self):
-        rep = capsep.ortho_rep_H(3)
+        rep = capsep.OrthoRep(capsep.build_H(3))
+        rep.verify()
         a, b = rep.rows(rep.graph.indices_of([0b000, 0b011]))
         # signs of 011 are (+1,-1,-1); appended ones give dot 1-1-1+1 = 0
         assert b.tolist() == [1, -1, -1, 1]
         assert int(a.astype(np.int64) @ b.astype(np.int64)) == 0
 
     def test_n11_exhaustive(self):
-        rep = capsep.ortho_rep_H(11)
+        rep = capsep.OrthoRep(capsep.build_H(11))
+        rep.verify()
         rep.verify()  # raises on any norm or edge failure
         assert rep.dim == 12
 
     def test_rejects_even(self):
         with pytest.raises(InvalidParameterError):
-            capsep.ortho_rep_H(4)
+            OrthoRep(capsep.build_H(4)).verify()
 
 
 @pytest.fixture(scope="module")
 def reps():
-    return {"G11": capsep.ortho_rep_G(11), "H11": capsep.ortho_rep_H(11),
-            "G15": capsep.ortho_rep_G(15)}
+    reps = {"G11": OrthoRep(capsep.build_G(11)), "H11": OrthoRep(capsep.build_H(11)),
+            "G15": OrthoRep(capsep.build_G(15))}
+    for rep in reps.values():
+        rep.verify()
+    return reps
 
 
 class TestOrthoRepVerify:
@@ -88,19 +94,22 @@ class TestOrthoRepVerify:
 
 class TestOrthoRepG:
     def test_hyperplane_membership(self):
-        rep = capsep.ortho_rep_G(11)
+        rep = capsep.OrthoRep(capsep.build_G(11))
+        rep.verify()
         # every u[x] has weight 6, so u[x].1 = -1 and the appended 1 cancels it
         sums = rep.rows().astype(np.int64).sum(axis=1)
         assert not sums.any()
 
     def test_n3_sign_vector(self):
-        rep = capsep.ortho_rep_G(3)
+        rep = capsep.OrthoRep(capsep.build_G(3))
+        rep.verify()
         v = rep.rows([rep.graph.index_of(0b011)])[0]
         assert v.tolist() == [1, -1, -1, 1]
         assert int(v[:3].astype(np.int64).sum()) == -1
 
     def test_rep_json_export(self):
-        rep = capsep.ortho_rep_G(3)
+        rep = capsep.OrthoRep(capsep.build_G(3))
+        rep.verify()
         payload = rep.to_json()
         assert payload["graph"] == "G3"
         assert payload["normalizer"] == 4
@@ -109,11 +118,11 @@ class TestOrthoRepG:
 
 class TestCliqueFromHadamard:
     def test_sylvester4_gives_all_of_g3(self):
-        clique = capsep.clique_from_hadamard_G(capsep.sylvester(2))
+        clique = capsep.hadamard_clique(capsep.sylvester(2), "G")
         assert sorted(clique) == [0b011, 0b101, 0b110]
 
     def test_paley12_gives_11_clique(self):
-        clique = capsep.clique_from_hadamard_G(capsep.paley_one(11))
+        clique = capsep.hadamard_clique(capsep.paley_one(11), "G")
         assert len(clique) == 11
         for i in range(11):
             assert clique[i].bit_count() == 6
@@ -121,7 +130,7 @@ class TestCliqueFromHadamard:
                 assert capsep.hamming_distance(clique[i], clique[j]) == 6
 
     def test_paley164_gives_163_clique_without_graph(self):
-        clique = capsep.clique_from_hadamard_G(capsep.paley_one(163))
+        clique = capsep.hadamard_clique(capsep.paley_one(163), "G")
         assert len(clique) == 163
         for i in range(163):
             assert bin(clique[i]).count("1") == 82
@@ -129,11 +138,11 @@ class TestCliqueFromHadamard:
                 assert bin(clique[i] ^ clique[j]).count("1") == 82
 
     def test_h_clique_includes_zero(self):
-        clique = capsep.clique_from_hadamard_H(capsep.sylvester(2))
+        clique = capsep.hadamard_clique(capsep.sylvester(2), "H")
         assert sorted(clique) == [0b000, 0b011, 0b101, 0b110]
 
     def test_h_clique_zero_vertex_distances(self):
-        clique = capsep.clique_from_hadamard_H(capsep.paley_one(11))
+        clique = capsep.hadamard_clique(capsep.paley_one(11), "H")
         assert len(clique) == 12
         zero = clique[0]
         assert zero == 0
@@ -143,12 +152,12 @@ class TestCliqueFromHadamard:
 
     def test_rejects_tiny_matrix(self):
         with pytest.raises(InvalidParameterError):
-            capsep.clique_from_hadamard_G(capsep.sylvester(1))
+            capsep.hadamard_clique(capsep.sylvester(1), "G")
 
 
 class TestPackCliques:
     def test_h11_reaches_lemma_target(self, h11, paley12):
-        seed = capsep.clique_from_hadamard_H(paley12)
+        seed = capsep.hadamard_clique(paley12, "H")
         packing = capsep.pack_cliques(h11, seed)
         assert packing.target == math.ceil(1024 / 144) == 8
         assert packing.count >= 8
@@ -156,7 +165,7 @@ class TestPackCliques:
         packing.verify()
 
     def test_g11_reaches_lemma_target(self, g11, paley12):
-        seed = capsep.clique_from_hadamard_G(paley12)
+        seed = capsep.hadamard_clique(paley12, "G")
         packing = capsep.pack_cliques(g11, seed)
         assert packing.target == math.ceil(462 / 121) == 4
         assert packing.count >= 4
@@ -164,13 +173,13 @@ class TestPackCliques:
 
     def test_g3_single_clique(self):
         g3 = capsep.build_G(3)
-        seed = capsep.clique_from_hadamard_G(capsep.sylvester(2))
+        seed = capsep.hadamard_clique(capsep.sylvester(2), "G")
         packing = capsep.pack_cliques(g3, seed)
         assert packing.count == 1 >= math.ceil(3 / 9)
         assert packing.target_met
 
     def test_deterministic(self, g11, paley12):
-        seed = capsep.clique_from_hadamard_G(paley12)
+        seed = capsep.hadamard_clique(paley12, "G")
         a = capsep.pack_cliques(g11, seed, rng_seed=7)
         b = capsep.pack_cliques(g11, seed, rng_seed=7)
         assert a.cliques == b.cliques
@@ -189,7 +198,7 @@ class TestPackCliques:
             capsep.pack_cliques(c5, [0])
 
     def test_reverification_catches_overlap(self, h11, paley12):
-        seed = capsep.clique_from_hadamard_H(paley12)
+        seed = capsep.hadamard_clique(paley12, "H")
         packing = capsep.pack_cliques(h11, seed)
         tampered = CliquePacking(h11, packing.clique_size,
                                  (packing.cliques[0], packing.cliques[0]))
@@ -221,7 +230,7 @@ class TestPackCliques:
             assert rows[i, j] == rows[pi, pj]
 
     def test_packing_json(self, g11, paley12):
-        packing = capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12))
+        packing = capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G"))
         payload = packing.to_json()
         assert payload["graph"] == "G11"
         assert payload["clique_size"] == 11
@@ -267,9 +276,9 @@ class TestVertexSetChecks:
     def test_hadamard_cliques_pass_pair_oracle(self, size):
         h = capsep.find_hadamard(size)
         n = size - 1
-        g_clique = capsep.clique_from_hadamard_G(h)
-        h_clique = capsep.clique_from_hadamard_H(h)
-        rows = capsep.normalize(h).entries[1:, 1:].tolist()
+        g_clique = capsep.hadamard_clique(h, "G")
+        h_clique = capsep.hadamard_clique(h, "H")
+        rows = normalize_by_loop(h)[1:, 1:].tolist()
         assert g_clique == [word_of_signs(row) for row in rows]
         assert h_clique == [0] + g_clique
         _check_clique_bits(g_clique, n, expect_weight=(n + 1) // 2)
@@ -287,7 +296,7 @@ class TestVertexSetChecks:
         assert rs.witness == edge
 
     def test_bad_packings_name_their_clique(self, g11, paley12):
-        packing = capsep.pack_cliques(g11, capsep.clique_from_hadamard_G(paley12))
+        packing = capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G"))
         c0, c1 = packing.cliques[:2]
         used = set(c0) | set(c1)
         stranger = next(b for b in g11.bits_array.tolist() if b not in used
@@ -302,7 +311,7 @@ class TestVertexSetChecks:
                 tampered.verify()
 
     def test_pack_cliques_checks_seed_and_budget(self, g11, paley12, monkeypatch):
-        seed = capsep.clique_from_hadamard_G(paley12)
+        seed = capsep.hadamard_clique(paley12, "G")
         monkeypatch.setattr(capsep.geometry, "PACK_BUDGET", 1)
         short = capsep.pack_cliques(g11, seed)
         assert (short.count, short.target, short.target_met) == (1, 4, False)

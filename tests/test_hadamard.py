@@ -4,14 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.errors import ConstructionError, InvalidParameterError
-from capsep.hadamard import double, find_hadamard, normalize, paley_one, sylvester
-from conftest import normalize_by_loop
+from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
+from capsep.geometry import _hadamard_signs, hadamard_clique
+from capsep.hadamard import HadamardMatrix, find_hadamard, paley_one, sylvester
+from conftest import hadamard_by_doubling, normalize_by_loop, normalized, paley_by_loop
 
 
 def assert_hadamard(h):
     m = h.size
     assert (h.entries @ h.entries.T == m * np.eye(m, dtype=np.int64)).all()
+
+
+def is_normalized(e) -> bool:
+    return bool((e[0] == 1).all() and (e[:, 0] == 1).all())
 
 
 class TestSylvester:
@@ -41,6 +46,7 @@ class TestPaley:
         h = paley_one(q)
         assert h.size == q + 1
         assert_hadamard(h)
+        assert np.array_equal(h.entries, paley_by_loop(q))
 
     @pytest.mark.parametrize("q", [5, 13, 9, 15, 2, 1])
     def test_rejects_bad_q(self, q):
@@ -50,23 +56,23 @@ class TestPaley:
 
 class TestNormalize:
     def test_idempotent(self):
-        h = normalize(paley_one(11))
-        again = normalize(h)
-        assert np.array_equal(h.entries, again.entries)
-        assert h.is_normalized()
+        h = HadamardMatrix(normalized(paley_one(11)))
+        again = normalized(h)
+        assert np.array_equal(h.entries, again)
+        assert is_normalized(h.entries)
 
     def test_sylvester_already_normalized(self):
         for k in range(5):
             h = sylvester(k)
-            assert h.is_normalized()
-            assert np.array_equal(normalize(h).entries, h.entries)
+            assert is_normalized(h.entries)
+            assert np.array_equal(normalized(h), h.entries)
 
     def test_negated_first_row_restored(self):
         e = sylvester(2).entries.copy()
         e[0] = -e[0]
         flipped = capsep.HadamardMatrix(e)
-        fixed = normalize(flipped)
-        assert fixed.is_normalized()
+        fixed = HadamardMatrix(normalized(flipped))
+        assert is_normalized(fixed.entries)
         assert_hadamard(fixed)
 
     def test_row_sign_counts_up_to_256(self):
@@ -77,7 +83,7 @@ class TestNormalize:
             sizes.append(paley_one(q))
         for h in sizes:
             m = h.size
-            e = normalize(h).entries
+            e = normalized(h)
             neg = (e[1:] == -1).sum(axis=1)
             assert (neg == m // 2).all()
             for i in range(1, m):
@@ -94,8 +100,8 @@ class TestNormalize:
             for _ in range(3):
                 flipped = capsep.HadamardMatrix(e * rng.choice([-1, 1], size=(m, 1))
                                                 * rng.choice([-1, 1], size=(1, m)))
-                assert np.array_equal(normalize(flipped).entries,
-                                      normalize_by_loop(flipped))
+                assert np.array_equal(normalized(flipped), normalize_by_loop(flipped))
+                assert np.array_equal(_hadamard_signs(flipped), normalize_by_loop(flipped)[:, 1:])
 
 
 class TestFindHadamard:
@@ -128,6 +134,46 @@ class TestFindHadamard:
         with pytest.raises(InvalidParameterError):
             find_hadamard(0)
 
+    def test_matches_stepwise_doubling_below_400(self):
+        covered = 0
+        for m in range(1, 400):
+            h, oracle = find_hadamard(m), hadamard_by_doubling(m)
+            assert (h is None) == (oracle is None), m
+            if h is not None:
+                covered += 1
+                assert np.array_equal(h.entries, oracle[0]), m
+                assert h.construction == oracle[1]
+        assert covered == 62
+        assert find_hadamard(176).construction == "double(double(paley(43)))"
+
+    def test_doubling_past_one_construction_is_refused_unbuilt(self, monkeypatch):
+        def refuse(q):
+            raise AssertionError(f"built a Paley matrix for q = {q}")
+
+        monkeypatch.setattr(capsep.hadamard, "paley_one", refuse)
+        monkeypatch.setattr(capsep.hadamard, "_paley_entries", refuse)
+        for m in (12288, 16384, 1048576):  # paley(6143) doubled once, paley(8191) 1 and 7 times
+            with pytest.raises(ResourceLimitError, match="exceeds the cap 10001"):
+                find_hadamard(m)
+        assert find_hadamard(20002) is None  # 10001 = 73 * 137: no construction
+
+    def test_each_matrix_is_proved_once(self, monkeypatch):
+        proved = []
+        post_init = HadamardMatrix.__post_init__
+
+        def counted(self):
+            proved.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(HadamardMatrix, "__post_init__", counted)
+        for m in (4, 12, 40, 176):
+            proved.clear()
+            h = find_hadamard(m)
+            assert len(proved) == 1 and proved[0] is h
+            for family in "GH":
+                hadamard_clique(h, family)
+            assert len(proved) == 1
+
 
 class TestExportAndChecks:
     def test_text_and_json(self):
@@ -153,5 +199,17 @@ class TestExportAndChecks:
         with pytest.raises(ConstructionError, match="not orthogonal"):
             capsep.HadamardMatrix(e)
 
+    def test_checked_in_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(capsep.bitgraph, "BLOCK_ENTRIES", 5 * 44)  # 5-row blocks
+        e = paley_one(43).entries
+        HadamardMatrix(e)  # each block subtracts m on its own diagonal cells
+        for i, j in [(0, 0), (7, 30), (43, 43), (22, 5)]:
+            flipped = e.copy()
+            flipped[i, j] *= -1
+            with pytest.raises(ConstructionError, match="not orthogonal"):
+                HadamardMatrix(flipped)
+
     def test_double_preserves_property(self):
-        assert_hadamard(double(paley_one(3)))
+        h = find_hadamard(176)
+        assert h.construction == "double(double(paley(43)))"
+        assert_hadamard(h)
