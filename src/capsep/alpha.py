@@ -51,15 +51,16 @@ def verify_independent(g, vertex_indices) -> tuple[bool, tuple[int, int] | None]
     return True, None
 
 
-def _color_classes(cand: int, adj: list[int]) -> list[tuple[int, int]]:
+def _color_classes(cand: int, adj: list[int], k_min: int = 0) -> list[tuple[int, int]]:
     """Color the complement subgraph on cand greedily, one class at a time.
 
     Bit r of cand is the vertex of static-order rank r, so each class takes
     the lowest uncolored vertex, keeps in the class's pool only its neighbours
     in g (its non-neighbours in the complement), and repeats: the classes of
-    first-fit coloring along the static order. Returns (rank, color) pairs
-    with colors nondecreasing; the number of classes bounds the largest
-    complement-clique inside cand.
+    first-fit coloring along the static order. The number of classes bounds
+    the largest complement-clique inside cand. Returns (rank, color) pairs,
+    colors nondecreasing, for color > k_min only: below Tomita's k_min a
+    branch cannot beat the incumbent.
     """
     out = []
     color = 0
@@ -69,7 +70,8 @@ def _color_classes(cand: int, adj: list[int]) -> list[tuple[int, int]]:
         while pool:
             low = pool & -pool
             v = low.bit_length() - 1
-            out.append((v, color))
+            if color > k_min:
+                out.append((v, color))
             cand ^= low
             pool &= adj[v]
     return out
@@ -131,11 +133,10 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
                     best_size = len(current)
                     best_set = list(current)
             else:
-                expand(new_cand, _color_classes(new_cand, adj))
-                if truncated:
-                    current.pop()
-                    return
+                expand(new_cand, _color_classes(new_cand, adj, best_size - len(current)))
             current.pop()
+            if truncated:
+                return
 
     if n > 0:
         expand(full, root_colored)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitgraph import MAX_VERTICES, row_blocks
-from .entcert import EntCert, rank_one_row, stacked_ops
+from .entcert import EntCert, rank_one_row
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
 COMPLETENESS_TOL = 1e-10
@@ -287,7 +287,7 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     if chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
         raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
-    inputs, messages, stack = stacked_ops(cert)
+    inputs, messages, stack = cert.verts, cert.msgs, cert.ops
     twice = np.flatnonzero(np.diff(inputs) == 0)
     if twice.size:
         k = int(twice[0])

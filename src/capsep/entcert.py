@@ -56,11 +56,12 @@ class VerificationReport:
 
 @dataclass
 class EntCert:
-    """Operator system (rho, ops) over a graph, exact-rational.
-
-    ``ops`` maps (vertex_index, message) to an integer numerator matrix;
-    missing keys are the zero operator. Message labels are 1-based. The true
-    operators are numerator / denominator.
+    """Operator system (rho, ops) over a graph, exact-rational: the operator at
+    vertex ``verts[k]`` for message ``msgs[k]`` (1-based) is ``ops[k]`` /
+    denominator, in one (K, dim, dim) int64 stack sorted by (vertex, message);
+    a missing pair is the zero operator. The constructor is the one place that
+    checks shapes, vertex indices and repeated pairs (``InvalidParameterError``),
+    and leaves the arrays read-only.
     """
 
     graph: object
@@ -68,8 +69,35 @@ class EntCert:
     dim: int
     denominator: int
     rho_num: np.ndarray
-    ops: dict[tuple[int, int], np.ndarray]
+    verts: np.ndarray
+    msgs: np.ndarray
+    ops: np.ndarray
     verification: VerificationReport | None = None
+
+    def __post_init__(self):
+        d, g = self.dim, self.graph
+        try:
+            rho, verts, msgs = (np.asarray(a, dtype=np.int64)
+                                for a in (self.rho_num, self.verts, self.msgs))
+            stack = _operator_stack(self.ops, d, verts, msgs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed certificate: {exc}") from None
+        if rho.shape != (d, d):
+            raise InvalidParameterError(f"rho has shape {rho.shape}, not ({d}, {d})")
+        if not verts.shape == msgs.shape == stack.shape[:1]:
+            raise InvalidParameterError("verts, msgs and ops differ in length")
+        if verts.size and not 0 <= verts.min() <= verts.max() < g.vertex_count:
+            raise InvalidParameterError(f"a vertex index is outside {g.graph_ref()}")
+        order = np.lexsort((msgs, verts))
+        if (order != np.arange(order.size)).any():
+            verts, msgs, stack = verts[order], msgs[order], stack[order]
+        twice = np.flatnonzero((verts[1:] == verts[:-1]) & (msgs[1:] == msgs[:-1]))
+        if twice.size:
+            u, i = g.vertex_label(verts[twice[0]]), msgs[twice[0]]
+            raise InvalidParameterError(f"repeated operator at vertex {u!r}, i = {i}")
+        for a in (rho, verts, msgs, stack):
+            a.flags.writeable = False
+        self.rho_num, self.verts, self.msgs, self.ops = rho, verts, msgs, stack
 
     def to_json(self) -> dict:
         return {
@@ -78,9 +106,9 @@ class EntCert:
             "dim": self.dim,
             "denominator": self.denominator,
             "rho": self.rho_num.tolist(),
-            "ops": [{"vertex": self.graph.vertex_label(u), "i": i,
-                     "matrix": num.tolist()}
-                    for (u, i), num in sorted(self.ops.items())],
+            "ops": [{"vertex": self.graph.vertex_label(u), "i": i, "matrix": num}
+                    for u, i, num in zip(self.verts.tolist(), self.msgs.tolist(),
+                                         self.ops.tolist())],
             "verification": None if self.verification is None
             else self.verification.to_json(),
         }
@@ -102,18 +130,19 @@ def _pair_witness(cond: int, verts, msgs, a: int, b: int) -> dict:
     return {"condition": cond, **where, "i": int(msgs[a]), "j": int(msgs[b])}
 
 
-def stacked_ops(cert: EntCert) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(vertices, messages, stack) of the operators in key order; rho or an
-    operator that is not dim x dim raises ``InvalidParameterError``."""
-    d = cert.dim
-    keys = sorted(cert.ops)
-    for name, num in [("rho", cert.rho_num)] + [(f"operator {k}", cert.ops[k]) for k in keys]:
-        if np.shape(num) != (d, d):
-            raise InvalidParameterError(f"{name} has shape {np.shape(num)}, not ({d}, {d})")
-    verts = np.array([u for u, _ in keys], dtype=np.int64)
-    msgs = np.array([i for _, i in keys], dtype=np.int64)
-    stack = np.array([cert.ops[k] for k in keys], dtype=np.int64).reshape(len(keys), d, d)
-    return verts, msgs, stack
+def _operator_stack(ops, d: int, verts: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+    """ops as one (K, d, d) int64 array; the first operator of another shape is
+    named by its (vertex, message), and a ragged one raises numpy's ValueError."""
+    try:
+        stack = np.asarray(ops, dtype=np.int64)
+        if stack.shape[1:] == (d, d) or not len(ops):
+            return stack.reshape(-1, d, d)
+    except ValueError:  # operators of unequal shapes
+        pass
+    for u, i, shape in zip(verts.tolist(), msgs.tolist(), map(np.shape, ops)):
+        if shape != (d, d):
+            raise InvalidParameterError(f"operator {(u, i)} has shape {shape}, not ({d}, {d})")
+    return np.asarray(ops, dtype=np.int64)  # every shape is right: raise its own error
 
 
 def verify(cert: EntCert) -> VerificationReport:
@@ -132,12 +161,11 @@ def verify(cert: EntCert) -> VerificationReport:
     Each condition lists at most ``WITNESS_CAP`` witnesses and counts all its
     violations. Entries so large that a product or sum could reach 2^53 fail
     ``psd``, and the other conditions are then reported unchecked (False).
-    The result is a value; only matrices that are not dim x dim raise
-    ``InvalidParameterError``.
+    The result is a value; nothing is raised.
     """
     g = cert.graph
     d, M, rho = cert.dim, cert.M, cert.rho_num
-    verts, msgs, stack = stacked_ops(cert)
+    verts, msgs, stack = cert.verts, cert.msgs, cert.ops
     k_ops = len(stack)
     big = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (stack, rho))
     if d * big * big >= _EXACT_BOUND or (k_ops + d) * big >= _EXACT_BOUND:
@@ -235,14 +263,13 @@ def cert_from_packing(packing: CliquePacking) -> EntCert:
         raise InvalidParameterError("packing has no cliques (M must be at least 1)")
     rep = OrthoRep(g)
     rep.verify()
-    packing.verify()
-    idx = g.indices_of(packing.cliques)
-    w = rep.rows(idx.ravel()).astype(np.int64).reshape(*idx.shape, rep.dim)
-    outer = w[..., :, None] * w[..., None, :]  # clique, member, dim, dim
-    ops = {(u, i): num for i, (row, nums) in enumerate(zip(idx.tolist(), outer), start=1)
-           for u, num in zip(row, nums)}
-    cert = EntCert(g, packing.count, rep.dim, packing.clique_size * rep.normalizer,
-                   outer[0].sum(axis=0), ops)
+    size = packing.clique_size
+    verts = g.indices_of(packing.cliques).ravel()
+    w = rep.rows(verts).astype(np.int64)
+    ops = w[:, :, None] * w[:, None, :]  # clique by clique, its members in turn
+    msgs = np.repeat(np.arange(1, packing.count + 1), size)
+    cert = EntCert(g, packing.count, rep.dim, size * rep.normalizer,
+                   ops[:size].sum(axis=0), verts, msgs, ops)
     return _verified(cert, "packing")
 
 
@@ -254,9 +281,8 @@ def classical_embedding(g, vertex_indices) -> EntCert:
     independent, edge = verify_independent(g, idx)
     if not independent:
         raise InvalidParameterError(f"set is not independent: edge {edge}")
-    one = np.array([[1]], dtype=np.int64)
-    ops = {(u, i): one.copy() for i, u in enumerate(idx, start=1)}
-    cert = EntCert(g, len(idx), 1, 1, one.copy(), ops)
+    cert = EntCert(g, len(idx), 1, 1, [[1]], idx, np.arange(1, len(idx) + 1),
+                   np.ones((len(idx), 1, 1), dtype=np.int64))
     return _verified(cert, "classical embedding")
 
 
@@ -272,15 +298,13 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
     if entries > TENSOR_ENTRY_CAP:
         raise ResourceLimitError(
             f"tensor certificate would store {entries} matrix entries")
-    nb = b.graph.vertex_count
-    ops: dict[tuple[int, int], np.ndarray] = {}
-    for (ua, ia), na in a.ops.items():
-        for (ub, ib), nbm in b.ops.items():
-            key = (ua * nb + ub, (ia - 1) * b.M + ib)
-            ops[key] = np.kron(na, nbm)
-    cert = EntCert(g, a.M * b.M, a.dim * b.dim,
-                   a.denominator * b.denominator,
-                   np.kron(a.rho_num, b.rho_num), ops)
+    d = a.dim * b.dim
+    verts = a.verts[:, None] * b.graph.vertex_count + b.verts
+    msgs = (a.msgs[:, None] - 1) * b.M + b.msgs
+    # kron(A, B)[i db + k, j db + l] = A[i, j] B[k, l], for every pair at once
+    ops = np.einsum("aij,bkl->abikjl", a.ops, b.ops).reshape(-1, d, d)
+    cert = EntCert(g, a.M * b.M, d, a.denominator * b.denominator,
+                   np.kron(a.rho_num, b.rho_num), verts.ravel(), msgs.ravel(), ops)
     return _verified(cert, "tensor")
 
 
@@ -301,44 +325,32 @@ def _json_label(value) -> int:
     return value
 
 
-def _json_int_matrix(rows) -> np.ndarray:
-    """An int64 array from rows of JSON integers; any other entry is malformed."""
-    odd = set(map(type, chain.from_iterable(rows))) - {int}
-    if odd:
-        raise ValueError(f"a matrix entry of type {odd.pop().__name__} is not an integer")
-    return np.array(rows, dtype=np.int64)
-
-
 def cert_from_json(payload: dict | str | bytes) -> EntCert:
     """Rebuild a certificate from its JSON form.
 
     The graph is rebuilt from the stored reference, which works for the
-    named families (G/H/O/C/K) and their strong products, and each vertex
-    label is looked up by ``index_of_label``. Malformed input (a missing
-    field, a wrong type, a number that is not a JSON integer, an unknown
-    vertex label, a label i outside int64, a repeated (vertex, i) entry, a
-    matrix not dim x dim, too deep a nesting) raises ``InvalidParameterError``.
+    named families (G/H/O/C/K) and their strong products, and the vertex
+    labels are looked up in one ``indices_of_labels`` batch. Malformed input
+    (a missing field, a wrong type, a number that is not a JSON integer, an
+    unknown vertex label, a label i outside int64, too deep a nesting, and
+    what the ``EntCert`` constructor rejects: a repeated (vertex, i) entry or
+    a matrix not dim x dim) raises ``InvalidParameterError``.
     """
     try:
         if isinstance(payload, (str, bytes)):
             payload = json.loads(payload)
         graph = graph_from_ref(str(payload["graph"]))
         M, dim, denominator = (_json_int(payload[k]) for k in ("M", "dim", "denominator"))
-        ops: dict[tuple[int, int], np.ndarray] = {}
-        for entry in payload["ops"]:
-            key = (graph.index_of_label(entry["vertex"]), _json_label(entry["i"]))
-            if key in ops:
-                raise InvalidParameterError(
-                    f"repeated operator at vertex {entry['vertex']!r}, i = {key[1]}")
-            ops[key] = _json_int_matrix(entry["matrix"])
-        rho = _json_int_matrix(payload["rho"])
-        cert = EntCert(graph, M, dim, denominator, rho, ops)
+        entries = [(e["vertex"], _json_label(e["i"]), e["matrix"]) for e in payload["ops"]]
+        labels, msgs, matrices = zip(*entries) if entries else ((), (), ())
+        verts = graph.indices_of_labels(labels)
+        rho = payload["rho"]
+        # one check that every entry of rho and of every matrix is a JSON integer
+        odd = set(map(type, chain.from_iterable(chain.from_iterable([rho, *matrices])))) - {int}
+        if odd:
+            raise ValueError(f"a matrix entry of type {odd.pop().__name__} is not an integer")
+        return EntCert(graph, M, dim, denominator, rho, verts, msgs, matrices)
     except KeyError as exc:
         raise InvalidParameterError(f"certificate is missing field {exc}") from None
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidParameterError(f"malformed certificate: {exc}") from None
-    for name, num in [("rho", rho)] + [(f"operator {k}", m) for k, m in ops.items()]:
-        if num.shape != (dim, dim):
-            raise InvalidParameterError(
-                f"{name} has shape {num.shape}, not ({dim}, {dim})")
-    return cert

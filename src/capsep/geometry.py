@@ -119,11 +119,15 @@ def hadamard_clique(h: HadamardMatrix, family: str) -> list[int]:
 
 @dataclass(frozen=True)
 class CliquePacking:
-    """Pairwise-disjoint cliques of one fixed size in a packed graph."""
+    """Pairwise-disjoint cliques of one fixed size in a packed graph, each
+    proved a clique of g by the constructor (``_check_cliques``)."""
 
     graph: BitGraph
     clique_size: int
     cliques: tuple[tuple[int, ...], ...]  # vertex words, each clique sorted
+
+    def __post_init__(self):
+        _check_cliques(self.graph, self.cliques, self.clique_size)
 
     @property
     def count(self) -> int:
@@ -137,10 +141,6 @@ class CliquePacking:
     @property
     def target_met(self) -> bool:
         return self.count >= self.target
-
-    def verify(self) -> None:
-        """Independent re-check: clique sizes, membership, disjointness, adjacency."""
-        _check_cliques(self.graph, self.cliques, self.clique_size)
 
     def to_json(self) -> dict:
         n = self.graph.n
@@ -199,8 +199,7 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
     n, d = g.n, len(seed)
     if not seed or any(b >> n for b in seed):
         raise InvalidParameterError("seed must be nonempty with words of at most n bits")
-    _check_cliques(g, [seed], d)
-    target = CliquePacking(g, d, ()).target
+    target = CliquePacking(g, d, (tuple(seed),)).target  # checks the seed
 
     used: set[int] = set()
     cliques: list[tuple[int, ...]] = []
@@ -226,9 +225,7 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
                 break
             rng.shuffle(perm)
 
-    packing = CliquePacking(g, d, tuple(cliques))
-    packing.verify()
-    return packing
+    return CliquePacking(g, d, tuple(cliques))
 
 
 # -- explicit independent sets ------------------------------------------------

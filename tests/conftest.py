@@ -8,6 +8,7 @@ so the fast implementations have something honest to be measured against.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -18,6 +19,7 @@ import pytest
 import capsep
 from capsep.algebra_fp import FpMatrix, monomial_values
 from capsep.channel import Transcript
+from capsep.entcert import EntCert
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
@@ -561,6 +563,30 @@ def _is_rank_one_psd(num: np.ndarray) -> bool:
     return tr > 0 and (num @ num == tr * num).all()
 
 
+def ops_by_pair(cert) -> dict[tuple[int, int], np.ndarray]:
+    """The operators keyed by (vertex, message): the form the tests edit."""
+    return dict(zip(zip(cert.verts.tolist(), cert.msgs.tolist()), cert.ops))
+
+
+def cert_with(cert, ops: dict | None = None, **fields):
+    """A new certificate (not verified) with the operators ``ops``, keyed by
+    (vertex, message) in any order, and the other ``fields`` replaced."""
+    ops = ops_by_pair(cert) if ops is None else ops
+    return dataclasses.replace(cert, verts=[u for u, _ in ops], msgs=[i for _, i in ops],
+                               ops=list(ops.values()), verification=None, **fields)
+
+
+def tensor_by_loop(a, b) -> EntCert:
+    """The Kronecker-product certificate, one ``np.kron`` per operator pair (not verified)."""
+    nb = b.graph.vertex_count
+    ops = {(ua * nb + ub, (ia - 1) * b.M + ib): np.kron(na, nbm)
+           for (ua, ia), na in ops_by_pair(a).items()
+           for (ub, ib), nbm in ops_by_pair(b).items()}
+    return cert_with(a, ops, graph=capsep.strong_product(a.graph, b.graph), M=a.M * b.M,
+                     dim=a.dim * b.dim, denominator=a.denominator * b.denominator,
+                     rho_num=np.kron(a.rho_num, b.rho_num))
+
+
 def verify_by_pairs(cert, g=None):
     """Every certificate condition, with every operator product formed.
 
@@ -572,8 +598,9 @@ def verify_by_pairs(cert, g=None):
     witnesses: list = []
     conditions["trace"] = int(np.trace(cert.rho_num)) == cert.denominator
 
+    ops = ops_by_pair(cert)
     psd_ok = _is_scaled_projector(cert.rho_num)
-    for (u, i), num in cert.ops.items():
+    for (u, i), num in ops.items():
         if not _is_rank_one_psd(num):
             psd_ok = False
             witnesses.append({"condition": "psd", "vertex": u, "i": i})
@@ -581,7 +608,7 @@ def verify_by_pairs(cert, g=None):
 
     cond1_ok = True
     sums = {i: np.zeros_like(cert.rho_num) for i in range(1, cert.M + 1)}
-    for (u, i), num in cert.ops.items():
+    for (u, i), num in ops.items():
         if not 1 <= i <= cert.M:
             cond1_ok = False
             continue
@@ -592,7 +619,7 @@ def verify_by_pairs(cert, g=None):
             witnesses.append({"condition": 1, "i": i})
     conditions["sum_to_rho"] = cond1_ok
 
-    keys = sorted(cert.ops)
+    keys = sorted(ops)
     is_adjacent = adjacency_by_rule(g)
     same_ok = adjacent_ok = True
     for a in range(len(keys)):
@@ -601,7 +628,7 @@ def verify_by_pairs(cert, g=None):
             ub, ib = keys[b]
             if ia == ib or not (ua == ub or is_adjacent(ua, ub)):
                 continue
-            if (cert.ops[keys[a]] @ cert.ops[keys[b]]).any():
+            if (ops[keys[a]] @ ops[keys[b]]).any():
                 if ua == ub:
                     same_ok = False
                     witnesses.append({"condition": 2, "vertex": ua, "i": ia, "j": ib})

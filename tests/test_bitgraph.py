@@ -344,7 +344,8 @@ class TestLabelCodec:
     @pytest.mark.parametrize("g", CODEC_GRAPHS, ids=lambda g: g.graph_ref())
     def test_index_of_label_inverts_vertex_label(self, g):
         every = range(g.vertex_count)
-        assert [g.index_of_label(g.vertex_label(i)) for i in every] == list(every)
+        labels = [g.vertex_label(i) for i in every]
+        assert g.indices_of_labels(labels).tolist() == list(every)
 
     @settings(max_examples=500, deadline=None)
     @given(st.sampled_from(CODEC_GRAPHS), st.data())
@@ -356,7 +357,7 @@ class TestLabelCodec:
         edited = (label[:pos] + ("" if kind == "delete" else char)
                   + label[pos + (kind != "insert"):])
         try:
-            i = g.index_of_label(edited)
+            i = g.indices_of_labels([edited])[0]
         except InvalidParameterError as exc:
             assert "unknown vertex" in str(exc)
         else:

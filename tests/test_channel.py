@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 import capsep
 from capsep.channel import (Protocol, canonical_channel, check_zero_error_code,
                             protocol_from_cert, simulate_transmission)
-from conftest import (canonical_output_labels, confusable_pairs_by_loop,
+from conftest import (canonical_output_labels, cert_with, confusable_pairs_by_loop,
                       explicit_state_transmission, maximally_entangled_state,
-                      me_pair_trace, output_members_by_dict, partial_trace,
+                      me_pair_trace, ops_by_pair, output_members_by_dict, partial_trace,
                       random_explicit_graph, receiver_measurement,
                       sender_measurement, simulate_transmission_by_choice,
                       support, zero_error_by_loop, zero_error_code_by_loop)
@@ -275,9 +275,8 @@ class TestProtocol:
 
     def test_merged_cliques_rejected(self, h11_cert):
         ops = {(u, 1 if i == 2 else i): num
-               for (u, i), num in h11_cert.ops.items()}
-        merged = EntCert(h11_cert.graph, h11_cert.M, h11_cert.dim,
-                         h11_cert.denominator, h11_cert.rho_num, ops)
+               for (u, i), num in ops_by_pair(h11_cert).items()}
+        merged = cert_with(h11_cert, ops)
         chan = canonical_channel(h11_cert.graph)
         with pytest.raises(ProtocolError):
             protocol_from_cert(merged, chan)
@@ -285,23 +284,26 @@ class TestProtocol:
     def test_dependent_dim1_cert_rejected(self):
         c5 = capsep.build_cycle(5)
         one = np.array([[1]], dtype=np.int64)
-        bad = EntCert(c5, 2, 1, 1, one.copy(),
-                      {(0, 1): one.copy(), (1, 2): one.copy()})
+        bad = EntCert(c5, 2, 1, 1, one, [0, 1], [1, 2], [one, one])
         chan = canonical_channel(c5)
         with pytest.raises(ProtocolError):
             protocol_from_cert(bad, chan)
 
     def test_operator_not_dim_by_dim_rejected(self):
         cert = h3_cert()
-        key = min(cert.ops)
-        cert.ops[key] = cert.ops[key][:, :-1]
+        ops = ops_by_pair(cert)
+        key = min(ops)
+        ops[key] = ops[key][:, :-1]
+        # refused when the certificate is built, so no protocol can meet it
         with pytest.raises(InvalidParameterError, match=r"has shape \(4, 3\), not \(4, 4\)"):
-            protocol_from_cert(cert, canonical_channel(cert.graph))
+            cert_with(cert, ops)
 
     def test_vertex_with_two_messages_rejected(self):
         cert = h3_cert()
-        u, i = min(cert.ops)
-        cert.ops[u, i + 1] = cert.ops[u, i]
+        ops = ops_by_pair(cert)
+        u, i = min(ops)
+        ops[u, i + 1] = ops[u, i]
+        cert = cert_with(cert, ops)
         with pytest.raises(ProtocolError, match=f"vertex {u} carries two messages "
                                                 f"\\({i} and {i + 1}\\)"):
             protocol_from_cert(cert, canonical_channel(cert.graph))

@@ -22,6 +22,49 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _h3_squared(doc):
+    h3 = capsep.entcert.cert_from_json(doc)
+    doc.clear()
+    doc.update(capsep.tensor(h3, h3).to_json())
+
+
+def _flip(row):
+    row[1] = -row[1]
+
+
+# Edits of the H3 certificate file, with the exit code and first stderr line
+# of ``verify-cert`` on the result.
+HOSTILE = {
+    "repeated entry": (lambda doc: doc["ops"].append(doc["ops"][0]),
+                       1, "error: repeated operator at vertex '000', i = 1"),
+    "ragged matrix": (lambda doc: doc["ops"][0]["matrix"][1].pop(), 1,
+                      "error: malformed certificate: setting an array element with a "
+                      "sequence. The requested array has an inhomogeneous shape after 1 "
+                      "dimensions. The detected shape was (4,) + inhomogeneous part."),
+    "wrong-size rho": (lambda doc: doc.update(rho=[r[:-1] for r in doc["rho"][:-1]]),
+                       1, "error: rho has shape (3, 3), not (4, 4)"),
+    "float entry": (lambda doc: doc["ops"][0]["matrix"][0].__setitem__(0, 1.0), 1,
+                    "error: malformed certificate: a matrix entry of type float is not "
+                    "an integer"),
+    "empty ops": (lambda doc: doc.update(ops=[]), 2, ""),
+    "flipped entry": (lambda doc: _flip(doc["ops"][0]["matrix"][0]), 2, ""),
+    "H3xH3 product": (_h3_squared, 0, ""),
+    "label +011": (lambda doc: doc["ops"][0].update(vertex="+011"),
+                   1, "error: unknown vertex '+011' in H3"),
+}
+
+
+def write_hostile(cert_path: Path) -> dict[str, Path]:
+    """Each ``HOSTILE`` edit of the certificate at cert_path, in a file beside it."""
+    paths = {}
+    for name, (edit, _, _) in HOSTILE.items():
+        doc = json.loads(cert_path.read_text())
+        edit(doc)
+        paths[name] = cert_path.with_name(name.replace(" ", "-") + ".json")
+        paths[name].write_text(json.dumps(doc, indent=2) + "\n")
+    return paths
+
+
 class TestAlphaCommand:
     def test_pentagon_power_two(self, capsys):
         code, out, _ = run(capsys, "alpha", "--graph", "C5xC5")
@@ -257,6 +300,14 @@ class TestCertCommands:
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target,
                               f"vertex '{first['vertex']}', i = {first['i']}")
+
+    @pytest.mark.parametrize("name", list(HOSTILE))
+    def test_verify_cert_hostile_file(self, capsys, tmp_path, name):
+        target, _ = self._h3_cert(capsys, tmp_path)
+        code, out, err = run(capsys, "verify-cert", "--input", str(write_hostile(target)[name]))
+        _, want_code, want_line = HOSTILE[name]
+        assert (code, (err.splitlines() or [""])[0]) == (want_code, want_line)
+        assert "Traceback" not in err and (out == "") == (code == 1)
 
     @staticmethod
     def _integer_paths(payload):
@@ -555,10 +606,10 @@ def fuzz_paths(tmp_path_factory):
     assert cli_main(["cert", "--family", "H", "--n", "3", "--output", str(tmp / "cert.json")]) == 0
     (tmp / "junk.json").write_text("{")
     # the first of each list works; the others are a malformed file, a
-    # missing file or directory, and a directory
+    # missing file or directory, a directory and the hostile certificates
     return {"cwd": tmp,
             "--input": [str(tmp / name) for name in ("cert.json", "junk.json", "none.json")]
-            + [str(tmp)],
+            + [str(tmp)] + [str(p) for p in write_hostile(tmp / "cert.json").values()],
             "--output": [str(tmp / "out.json"), str(tmp / "none" / "out.json"), str(tmp)]}
 
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.bitgraph import build_complete, build_cycle
-from capsep.entcert import (WITNESS_CAP, EntCert, cert_from_json, classical_embedding,
-                            rank_one_row, tensor, verify)
+from capsep.entcert import (WITNESS_CAP, EntCert, VerificationReport, cert_from_json,
+                            classical_embedding, rank_one_row, tensor, verify)
 from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
-from conftest import dense_adjacency, flatten, verify_by_pairs
+from conftest import (cert_with, dense_adjacency, flatten, ops_by_pair, tensor_by_loop,
+                      verify_by_pairs)
 
 
 def h3_cert():
@@ -61,15 +62,15 @@ class TestCertFromPacking:
 
     def test_ops_are_outer_products_of_the_rows(self, g11_cert):
         rep = capsep.OrthoRep(g11_cert.graph)
-        for (u, _), num in g11_cert.ops.items():
+        for u, num in zip(g11_cert.verts.tolist(), g11_cert.ops):
             w = rep.rows([u])[0].astype(np.int64)
             assert np.array_equal(num, np.outer(w, w))
 
     @pytest.mark.parametrize("g, cliques", [(build_cycle(5), ((0, 1), (2, 3))),
                                             (build_complete(4), ((0, 1, 2, 3),))])
     def test_packing_off_the_distance_graphs_rejected(self, g, cliques):
+        # a valid packing (its constructor checks it), but no sign-vector representation
         packing = capsep.CliquePacking(g, len(cliques[0]), cliques)
-        packing.verify()  # a valid packing, but no sign-vector representation
         with pytest.raises(ConstructionError, match="not the distance-\\(n\\+1\\)/2 graph"):
             capsep.cert_from_packing(packing)
 
@@ -90,11 +91,10 @@ class TestVerify:
         assert all(report.conditions.values())
 
     def test_missing_op_breaks_condition_one(self, h11_cert):
-        ops = dict(h11_cert.ops)
+        ops = ops_by_pair(h11_cert)
         removed_key = sorted(ops)[0]
         del ops[removed_key]
-        broken = EntCert(h11_cert.graph, h11_cert.M, h11_cert.dim,
-                         h11_cert.denominator, h11_cert.rho_num, ops)
+        broken = cert_with(h11_cert, ops)
         report = verify(broken)
         assert not report.passed
         assert not report.conditions["sum_to_rho"]
@@ -113,16 +113,14 @@ class TestVerify:
     def test_same_vertex_two_messages_breaks_condition_two(self):
         c5 = capsep.build_cycle(5)
         one = np.array([[1]], dtype=np.int64)
-        ops = {(0, 1): one, (0, 2): one, (2, 2): one}
-        broken = EntCert(c5, 2, 1, 1, one, ops)
+        broken = EntCert(c5, 2, 1, 1, one, [0, 0, 2], [1, 2, 2], [one, one, one])
         report = verify(broken)
         assert not report.conditions["same_vertex"]
 
     def test_psd_check_rejects_negative(self):
         c5 = capsep.build_cycle(5)
         neg = np.array([[-1]], dtype=np.int64)
-        broken = EntCert(c5, 1, 1, 1, np.array([[1]], dtype=np.int64),
-                         {(0, 1): neg})
+        broken = EntCert(c5, 1, 1, 1, np.array([[1]], dtype=np.int64), [0], [1], [neg])
         report = verify(broken)
         assert not report.conditions["psd"]
 
@@ -155,11 +153,9 @@ class TestClassicalEmbedding:
         # bypass the builder to exercise the verify direction
         c5 = capsep.build_cycle(5)
         one = np.array([[1]], dtype=np.int64)
-        dependent = EntCert(c5, 2, 1, 1, one.copy(),
-                            {(0, 1): one.copy(), (1, 2): one.copy()})
+        dependent = EntCert(c5, 2, 1, 1, one, [0, 1], [1, 2], [one, one])
         assert not verify(dependent).passed
-        independent = EntCert(c5, 2, 1, 1, one.copy(),
-                              {(0, 1): one.copy(), (2, 2): one.copy()})
+        independent = EntCert(c5, 2, 1, 1, one, [0, 2], [1, 2], [one, one])
         assert verify(independent).passed
 
 
@@ -180,8 +176,9 @@ class TestTensor:
         merged = tensor(cert, trivial)
         assert merged.M == cert.M
         assert merged.dim == cert.dim
-        for (u, i), num in cert.ops.items():
-            assert np.array_equal(merged.ops[(u, i)], num)
+        assert merged.verts.tolist() == cert.verts.tolist()
+        assert merged.msgs.tolist() == cert.msgs.tolist()
+        assert np.array_equal(merged.ops, cert.ops)
 
     def test_messages_multiply_on_product(self):
         c5 = capsep.build_cycle(5)
@@ -202,14 +199,14 @@ class TestTensor:
         assert squared.verification.passed
         # Move one message's operator next to another message's vertex: the
         # sums still equal rho, so only the exhaustive edge check can see it.
-        (u, i), (z, _) = sorted(squared.ops)[:2]
+        ops = ops_by_pair(squared)
+        (u, i), (z, _) = sorted(ops)[:2]
         za, zb = squared.graph.parts(z)
         ya = int(np.argmax(dense_adjacency(g11)[za]))
         y = flatten(squared.graph, (ya, zb))
-        assert (y, i) not in squared.ops and squared.graph.is_adjacent(y, z)
-        ops = dict(squared.ops)
+        assert (y, i) not in ops and squared.graph.is_adjacent(y, z)
         ops[(y, i)] = ops.pop((u, i))
-        moved = EntCert(squared.graph, squared.M, 1, 1, squared.rho_num, ops)
+        moved = cert_with(squared, ops)
         report = verify(moved)
         assert not report.passed
         assert report.conditions["sum_to_rho"] and not report.conditions["adjacent"]
@@ -223,6 +220,65 @@ class TestTensor:
         with pytest.raises(ResourceLimitError):
             tensor(h11_cert, h11_cert)
 
+    @pytest.mark.parametrize("name", ["H3xH3", "H3xG7", "C5xC5", "C5xH3"])
+    def test_matches_the_kron_loop(self, name):
+        c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
+        factors = {"H3": h3_cert, "G7": lambda: _packing_cert("G", 7), "C5": lambda: c5}
+        a, b = (factors[part]() for part in name.split("x"))
+        got, want = tensor(a, b), tensor_by_loop(a, b)
+        assert got.verification.passed and want.graph.graph_ref() == name
+        for field in ("M", "dim", "denominator"):
+            assert getattr(got, field) == getattr(want, field)
+        for field in ("rho_num", "verts", "msgs", "ops"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        assert json.dumps({**got.to_json(), "verification": None}) == json.dumps(want.to_json())
+
+
+class TestConstructor:
+    """The constructor is the one place that checks an operator system's form."""
+
+    def test_sorted_and_read_only(self):
+        cert = h3_cert()
+        shuffled = cert_with(cert, dict(reversed(ops_by_pair(cert).items())))
+        for name in ("rho_num", "verts", "msgs", "ops"):
+            array = getattr(shuffled, name)
+            assert np.array_equal(array, getattr(cert, name))
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[(0,) * array.ndim] = 5
+        assert shuffled.ops.shape == (4, 4, 4) and shuffled.ops.dtype == np.int64
+
+    @pytest.mark.parametrize("case, phrase", [
+        ("ragged operator", "malformed certificate: setting an array element"),
+        ("wrong-size operator", r"operator \(0, 1\) has shape \(3, 3\), not \(4, 4\)"),
+        ("wrong-size rho", r"rho has shape \(4, 3\), not \(4, 4\)"),
+        ("repeated pair", "repeated operator at vertex '000', i = 1"),
+        ("unequal lengths", "differ in length"),
+        ("vertex outside the graph", "a vertex index is outside H3")])
+    def test_rejects(self, case, phrase):
+        cert = h3_cert()
+        ops = [m.tolist() for m in cert.ops]
+        verts, msgs, rho = cert.verts.tolist(), cert.msgs.tolist(), cert.rho_num
+        if case == "ragged operator":
+            ops[0][1].pop()
+        elif case == "wrong-size operator":
+            ops[0] = np.eye(3, dtype=np.int64)
+        elif case == "wrong-size rho":
+            rho = rho[:, :-1]
+        elif case == "repeated pair":
+            verts, msgs, ops = verts + verts[:1], msgs + msgs[:1], ops + ops[:1]
+        elif case == "unequal lengths":
+            msgs = msgs[:-1]
+        else:
+            verts[-1] = cert.graph.vertex_count
+        with pytest.raises(InvalidParameterError, match=phrase):
+            dataclasses.replace(cert, rho_num=rho, verts=verts, msgs=msgs, ops=ops)
+
+    def test_no_operators(self):
+        cert = cert_with(h3_cert(), {})
+        assert cert.ops.shape == (0, 4, 4) and cert.verts.shape == cert.msgs.shape == (0,)
+        assert not verify(cert).conditions["sum_to_rho"]
+
 
 class TestCertJson:
     def test_round_trip(self, g11_cert):
@@ -231,7 +287,8 @@ class TestCertJson:
         assert loaded.M == g11_cert.M
         assert loaded.denominator == g11_cert.denominator
         assert np.array_equal(loaded.rho_num, g11_cert.rho_num)
-        assert set(loaded.ops) == set(g11_cert.ops)
+        for name in ("verts", "msgs", "ops"):
+            assert np.array_equal(getattr(loaded, name), getattr(g11_cert, name))
         assert verify(loaded).passed
 
     @pytest.mark.parametrize("family,label", [
@@ -313,19 +370,14 @@ def oracle_certs(g11, g11_cert, h11_cert):
     }
 
 
-def _with(cert, ops=None, rho=None, M=None):
-    return EntCert(cert.graph, cert.M if M is None else M, cert.dim,
-                   cert.denominator, cert.rho_num if rho is None else rho,
-                   cert.ops if ops is None else ops)
-
-
 def _tampered(cert):
     """One-change variants of a valid certificate, by name."""
-    keys = sorted(cert.ops)
+    ops = ops_by_pair(cert)
+    keys = sorted(ops)
     (u, i), z = keys[0], keys[-1][0]
     j = i % cert.M + 1 if cert.M > 1 else 2  # another label, out of range if M = 1
     d = cert.dim
-    entry = cert.ops[(u, i)].copy()
+    entry = ops[(u, i)].copy()
     entry[0, d - 1] += 1
     entry[d - 1, 0] = entry[0, d - 1]
     op_vertices = {v for v, _ in keys}
@@ -336,19 +388,19 @@ def _tampered(cert):
     rho[0, 0] += 1
 
     def edit(drop=(), add=(), **fields):
-        ops = {k: m for k, m in cert.ops.items() if k not in drop}
-        return _with(cert, ops | dict(add), **fields)
+        kept = {k: m for k, m in ops.items() if k not in drop}
+        return cert_with(cert, kept | dict(add), **fields)
 
     variants = {
         "entry": edit(add={(u, i): entry}),
         "dropped": edit(drop=[(u, i)]),
-        "relabelled": edit(drop=[(u, i)], add={(u, j): cert.ops[(u, i)]}),
-        "doubled": edit(add={(u, j): cert.ops[(u, i)]}),
-        "rho": edit(rho=rho),
+        "relabelled": edit(drop=[(u, i)], add={(u, j): ops[(u, i)]}),
+        "doubled": edit(add={(u, j): ops[(u, i)]}),
+        "rho": edit(rho_num=rho),
         "extra_message": edit(M=cert.M + 1),
     }
     if y is not None:  # a free vertex next to another operator's vertex
-        variants["moved"] = edit(drop=[(u, i)], add={(y, i): cert.ops[(u, i)]})
+        variants["moved"] = edit(drop=[(u, i)], add={(y, i): ops[(u, i)]})
     return variants
 
 
@@ -391,26 +443,47 @@ class TestOneEntryTamper:
     @given(data=st.data(), name=st.sampled_from(["H3", "G11", "H11"]))
     def test_symmetric_entry_change_is_rejected(self, g11_cert, h11_cert, data, name):
         cert = {"H3": h3_cert, "G11": lambda: g11_cert, "H11": lambda: h11_cert}[name]()
-        keys = sorted(cert.ops)
+        ops = ops_by_pair(cert)
+        keys = sorted(ops)
         target = data.draw(st.integers(-1, len(keys) - 1), label="operator (-1: rho)")
         a = data.draw(st.integers(0, cert.dim - 1), label="row")
         b = data.draw(st.integers(0, cert.dim - 1), label="column")
-        num = (cert.rho_num if target < 0 else cert.ops[keys[target]]).copy()
+        num = (cert.rho_num if target < 0 else ops[keys[target]]).copy()
         value = data.draw(st.integers(-3, 3).filter(lambda v: v != num[a, b]),
                           label="value")
         num[a, b] = num[b, a] = value
         if target < 0:
-            broken = _with(cert, rho=num)
+            broken = cert_with(cert, rho_num=num)
         else:
-            broken = _with(cert, {**cert.ops, keys[target]: num})
+            broken = cert_with(cert, {**ops, keys[target]: num})
         report = verify(broken)
         assert not report.passed
         assert report.witnesses
 
 
+class TestVerifyNeverRaises:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), name=st.sampled_from(["H3", "G11", "C5xC5"]))
+    def test_any_entry_change_is_a_failing_report(self, g11_cert, data, name):
+        c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
+        cert = {"H3": h3_cert, "G11": lambda: g11_cert, "C5xC5": lambda: tensor(c5, c5)}[name]()
+        ops = ops_by_pair(cert)
+        keys = sorted(ops)
+        target = data.draw(st.integers(-1, len(keys) - 1), label="operator (-1: rho)")
+        num = (cert.rho_num if target < 0 else ops[keys[target]]).copy()
+        a = data.draw(st.integers(0, cert.dim - 1), label="row")
+        b = data.draw(st.integers(0, cert.dim - 1), label="column")
+        num[a, b] = data.draw(st.integers(-(1 << 63), (1 << 63) - 1)
+                              .filter(lambda v: v != num[a, b]), label="value")
+        report = verify(cert_with(cert, rho_num=num) if target < 0
+                        else cert_with(cert, {**ops, keys[target]: num}))
+        assert isinstance(report, VerificationReport)
+        assert not report.passed and report.witnesses
+
+
 class TestVerifyLimits:
     def test_untrusted_message_count(self):
-        report = verify(_with(h3_cert(), M=10**6))
+        report = verify(cert_with(h3_cert(), M=10**6))
         assert not report.conditions["sum_to_rho"]
         assert report.violations["sum_to_rho"] == 10**6 - 1
         assert report.witnesses == [{"condition": 1, "count": 10**6 - 1,
@@ -418,7 +491,7 @@ class TestVerifyLimits:
                                      "first": list(range(2, 12))}]
 
     def test_message_count_below_one(self):
-        report = verify(_with(h3_cert(), M=0))
+        report = verify(cert_with(h3_cert(), M=0))
         assert not report.passed
         assert {"condition": 1, "error": "M must be at least 1", "M": 0} \
             in report.witnesses
@@ -434,18 +507,19 @@ class TestVerifyLimits:
 
     def test_huge_entries_refused(self):
         cert = h3_cert()
-        ops = dict(cert.ops)
+        ops = ops_by_pair(cert)
         key = sorted(ops)[0]
         ops[key] = ops[key] * (1 << 40)
-        report = verify(_with(cert, ops))
+        report = verify(cert_with(cert, ops))
         assert not report.passed and not report.conditions["psd"]
         assert "too large" in report.witnesses[0]["error"]
 
     def test_wrong_shape_raises(self):
         cert = h3_cert()
-        ops = {**cert.ops, sorted(cert.ops)[0]: np.eye(2, dtype=np.int64)}
+        ops = ops_by_pair(cert)
+        ops[sorted(ops)[0]] = np.eye(2, dtype=np.int64)
         with pytest.raises(InvalidParameterError, match="shape"):
-            verify(_with(cert, ops))
+            cert_with(cert, ops)  # at construction: verify never meets it
 
 
 class TestRankOneRow:
@@ -455,7 +529,7 @@ class TestRankOneRow:
         assert rank_one_row(num).tolist() == (2 * 3 * w).tolist()
 
     def test_batched_matches_single(self, h11_cert):
-        stack = np.array([h11_cert.ops[k] for k in sorted(h11_cert.ops)])
+        stack = h11_cert.ops
         rows = rank_one_row(stack)
         for num, row in zip(stack, rows):
             assert np.array_equal(rank_one_row(num), row)

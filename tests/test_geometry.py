@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.bitgraph import BitGraph, build_complete
+from capsep.cli import cli_main
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
 from conftest import (_check_clique_bits, dense_adjacency, normalize_by_loop,
                       ortho_rep_verify_by_pairs, restricted_set_by_pairs, word_of_signs)
@@ -162,7 +164,6 @@ class TestPackCliques:
         assert packing.target == math.ceil(1024 / 144) == 8
         assert packing.count >= 8
         assert packing.target_met
-        packing.verify()
 
     def test_g11_reaches_lemma_target(self, g11, paley12):
         seed = capsep.hadamard_clique(paley12, "G")
@@ -200,10 +201,19 @@ class TestPackCliques:
     def test_reverification_catches_overlap(self, h11, paley12):
         seed = capsep.hadamard_clique(paley12, "H")
         packing = capsep.pack_cliques(h11, seed)
-        tampered = CliquePacking(h11, packing.clique_size,
-                                 (packing.cliques[0], packing.cliques[0]))
-        with pytest.raises(ConstructionError):
-            tampered.verify()
+        with pytest.raises(ConstructionError, match="clique 1 reuses vertex"):
+            CliquePacking(h11, packing.clique_size, (packing.cliques[0], packing.cliques[0]))
+
+    def test_cert_checks_the_cliques_once_per_packing(self, monkeypatch, tmp_path):
+        """``cert --family G --n 15``: once for the seed, once for the packing."""
+        calls = []
+        check = capsep.geometry._check_cliques
+        monkeypatch.setattr(capsep.geometry, "_check_cliques",
+                            lambda g, cliques, size: calls.append(len(cliques))
+                            or check(g, cliques, size))
+        target = tmp_path / "cert.json"
+        assert cli_main(["cert", "--family", "G", "--n", "15", "--output", str(target)]) == 0
+        assert calls == [1, json.loads(target.read_text())["M"]]
 
     def test_translations_preserve_h11_adjacency(self, h11):
         rng = random.Random(5)
@@ -306,9 +316,8 @@ class TestVertexSetChecks:
                  "reused vertex": ((c0[3],) + c1[1:], f"reuses vertex {c0[3]:#b}"),
                  "non-clique": ((stranger,) + c1[1:], "not adjacent")}
         for bad, phrase in cases.values():
-            tampered = CliquePacking(g11, 11, (c0, bad))
             with pytest.raises(ConstructionError, match=f"clique 1.*{phrase}"):
-                tampered.verify()
+                CliquePacking(g11, 11, (c0, bad))
 
     def test_pack_cliques_checks_seed_and_budget(self, g11, paley12, monkeypatch):
         seed = capsep.hadamard_clique(paley12, "G")
