@@ -114,11 +114,7 @@ def _cmd_channel_sim(args) -> int:
     _, g, packing = _packing(args.family, args.n, args.seed)
     chan = channel.canonical_channel(g)  # its size cap fires before the certificate
     cert = entcert.cert_from_packing(packing)
-    try:
-        proto = channel.protocol_from_cert(cert, chan)
-    except ProtocolError as exc:
-        _emit({"error": str(exc)}, args)
-        return 2
+    proto = channel.protocol_from_cert(cert, chan)
     zr = proto.zero_error_report()
     failures = 0
     transcripts = []

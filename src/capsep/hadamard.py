@@ -44,11 +44,12 @@ class HadamardMatrix:
         if h.min(initial=1) < -1 or h.max(initial=1) > 1 or np.count_nonzero(h) != h.size:
             raise ConstructionError("entries must be +1/-1")
         m = h.shape[0]
-        # Float matmul is exact here: every partial sum of +-1 products is an
-        # integer bounded by m <= 10^4+1, far below 2^53. This keeps the check
-        # exact while letting BLAS carry the m^3 work at large sizes. One float
-        # copy; the Gram is formed a block of rows at a time, less m I.
-        f = h.astype(np.float64)
+        # float32 matmul is exact here: every partial sum of +-1 products is an
+        # integer bounded by m <= MAX_PALEY_Q + 1 < 2^24, so each one is a
+        # float32. This keeps the check exact while letting BLAS carry the m^3
+        # work at large sizes. One float32 copy, half the bytes of the int64
+        # entries; the Gram is formed a block of rows at a time, less m I.
+        f = h.astype(np.float32)
         for lo, hi in row_blocks(m, m):
             gram = f[lo:hi] @ f.T
             gram[np.arange(hi - lo), np.arange(lo, hi)] -= m

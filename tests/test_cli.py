@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import capsep
 from capsep.algebra_fp import HaemersResult
 from capsep.cli import build_parser, cli_main
+from capsep.errors import ProtocolError
 
 
 def run(capsys, *argv):
@@ -440,6 +441,14 @@ class TestChannelSimCommand:
         assert err.startswith("error: ") and "52731904 outputs" in err
         assert "Traceback" not in err
 
+    def test_protocol_failure_is_a_verification_failure(self, capsys, monkeypatch):
+        def fail(cert, chan):
+            raise ProtocolError("zero-error condition violated")
+        monkeypatch.setattr(capsep.cli.channel, "protocol_from_cert", fail)
+        code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "3")
+        assert code == 2 and out == ""
+        assert err.startswith("verification failure: zero-error condition violated")
+
 
 class TestGraphBuiltOnce:
     @pytest.mark.parametrize("argv", [
@@ -504,6 +513,14 @@ class TestPipelineCommand:
         payload = json.loads(out)
         assert payload["cert"]["M"] == 8 and payload["alpha"]["upper"] == rank
         assert payload["separation_certified_here"] is separated
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    def test_embedded_report_is_the_report_command(self, capsys, family):
+        code, out, _ = run(capsys, "pipeline", "--family", family, "--n", "11")
+        assert code == 0
+        code, report_out, _ = run(capsys, "report", "--family", family, "--p", "3")
+        assert code == 0
+        assert json.loads(out)["report"] == json.loads(report_out)
 
     def test_g7_skips_rank_section(self, capsys):
         # (7+1)/4 = 2 is not an odd prime, so the mod-p machinery is skipped

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -5,11 +6,9 @@ from fractions import Fraction
 import pytest
 
 import capsep
-import capsep.report
 from capsep.algebra_fp import monomial_basis
-from capsep.errors import InternalCheckError, InvalidParameterError
-from capsep.report import (MAX_P, _entropy_log2, binary_entropy, capacity_report,
-                           fraction_log2)
+from capsep.errors import InvalidParameterError
+from capsep.report import MAX_P, CapacityReport, capacity_report, fraction_log2
 
 
 class TestCapacityReport:
@@ -19,7 +18,7 @@ class TestCapacityReport:
         assert rep.theta_q_lower == Fraction(462, 144)
         assert rep.theta_upper == 67
         assert rep.separation is False
-        assert rep.hadamard_construction == "paley(11)"
+        assert rep.hadamard.construction == "paley(11)"
 
     def test_h_p3_values(self):
         rep = capacity_report("H", 3)
@@ -37,8 +36,8 @@ class TestCapacityReport:
     def test_separation_at_p41(self, family):
         rep = capacity_report(family, 41)
         assert rep.separation is True
-        assert rep.ratio_log2 > 0
-        assert rep.hadamard_size == 164
+        assert rep.to_json()["ratio_log2"] > 0
+        assert rep.hadamard.size == 164
         assert rep.evidence["hadamard"]["verified"] is True
         assert rep.evidence["clique"] == {"size": 163, "verified": True,
                                           "level": "certified"}
@@ -64,7 +63,7 @@ class TestCapacityReport:
     def test_formula_only_where_no_hadamard_of_size_4p_is_covered(self):
         # 4p - 1 = 10011 is past MAX_PALEY_Q, and 2p - 1 = 1 mod 4 rules out doubling
         rep = capacity_report("G", 2503)
-        assert rep.hadamard_construction is None and rep.separation is True
+        assert rep.hadamard is None and rep.separation is True
         assert rep.evidence["hadamard"] == rep.evidence["clique"] == "unavailable"
         assert rep.evidence["lower_bound"]["level"] == "formula-only"
 
@@ -82,44 +81,30 @@ class TestCapacityReport:
         assert rep.to_json()["theta_q_lower"] == {"num": 462, "den": 144,
                                                   "log2": 1.682}
         assert rep.theta_upper == len(monomial_basis(11, 3))
+        for family in ("G", "H"):
+            for p in (3, 17, 41):
+                n = 4 * p - 1
+                payload = capacity_report(family, p).to_json()
+                assert payload["theta_q_lower"]["num"] == (
+                    math.comb(n, 2 * p) if family == "G" else 2 ** (n - 1))
+                assert payload["theta_q_lower"]["den"] == (n + 1) ** 2 == 16 * p * p
+                assert payload["theta_upper"]["value"] == sum(
+                    math.comb(n, i) for i in range(p))
 
-    def test_upper_bound_below_entropy_envelope(self):
-        for p in (3, 5, 11, 41):
-            rep = capacity_report("G", p)
-            assert math.log2(rep.theta_upper) <= rep.entropy_upper_log2 + 1e-9
+    def test_stores_only_its_inputs(self):
+        assert [f.name for f in dataclasses.fields(CapacityReport)] == [
+            "family", "p", "hadamard"]
 
     def test_json_schema(self):
         payload = capacity_report("G", 41).to_json()
         assert set(payload) == {"family", "n", "p", "hadamard", "theta_q_lower",
-                                "theta_upper", "entropy_upper_log2",
-                                "ratio_log2", "separation", "evidence"}
+                                "theta_upper", "ratio_log2", "separation",
+                                "evidence"}
         assert set(payload["hadamard"]) == {"size", "construction"}
         assert set(payload["theta_q_lower"]) == {"num", "den", "log2"}
+        assert set(payload["evidence"]) == {"hadamard", "clique", "lower_bound",
+                                            "upper_bound"}
         assert payload["separation"] is True
-
-
-class TestEntropyEstimate:
-    def test_entropy_of_half_is_one(self):
-        assert abs(binary_entropy(0.5) - 1.0) < 1e-15
-
-    def test_dominates_binomial_sum_n11(self):
-        assert 2 ** _entropy_log2(11, 3, 67) >= 67
-
-    def test_asymptotic_exponent(self):
-        # 4(1 - H(1/4)) is about 0.755, consistent with the stated 0.752
-        # up to the polynomial factor the asymptotic bound absorbs
-        assert abs(4 * (1 - binary_entropy(0.25)) - 0.7549) < 1e-3
-
-    def test_rejects_domain_violation(self):
-        with pytest.raises(InvalidParameterError):
-            _entropy_log2(11, 11, 2**11 - 1)
-        with pytest.raises(InvalidParameterError):
-            _entropy_log2(11, 0, 0)
-
-    def test_failed_dominance_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(capsep.report, "binary_entropy", lambda t: 0.1)
-        with pytest.raises(InternalCheckError, match="entropy estimate"):
-            capacity_report("G", 3)
 
 
 class TestBigIntegerHelpers:
