@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,37 +33,20 @@ ZERO_ERROR_TOL = 1e-9
 CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
 
 
-def _gather(indptr: np.ndarray, values: np.ndarray, keys: np.ndarray):
-    """Concatenate the CSR groups ``keys``: (position in keys, value) per entry."""
-    lo = indptr[keys]
-    n = indptr[keys + 1] - lo
-    pos = np.repeat(np.arange(len(keys)), n)
-    return pos, values[np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)]
-
-
-def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
-    """Yield the CSR groups of each size k > 0, stacked as an (n_k, k) array."""
-    counts = np.diff(indptr)
-    for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
-        starts = indptr[:-1][counts == k]
-        yield values[starts[:, None] + np.arange(k)]
-
-
 class _OutputLabels(Sequence):
     """Canonical-channel output labels, formed when read: vertices, then "a|b" per edge."""
 
-    def __init__(self, labels: list[str], edges: np.ndarray):
-        self._labels, self._edges = labels, edges
+    def __init__(self, chan: Channel, count: int):
+        self._chan, self._count = chan, count
 
     def __len__(self) -> int:
-        return len(self._labels) + len(self._edges)
+        return self._count
 
     def __getitem__(self, t) -> str:
-        t = range(len(self))[operator.index(t)]
-        if t < len(self._labels):
-            return self._labels[t]
-        i, j = self._edges[t - len(self._labels)].tolist()
-        return f"{self._labels[i]}|{self._labels[j]}"
+        t, c = range(len(self))[operator.index(t)], self._chan
+        if t < c.input_count:
+            return c.inputs[t]
+        return c.edge_label(*c.edges[t - c.input_count].tolist())
 
 
 class Channel:
@@ -71,46 +55,49 @@ class Channel:
     Inputs are the vertices; outputs are the vertices, then the edges of
     ``g.edge_array()``. Input u reaches its private output u and the shared
     output |V| + e of each edge e at u, each with probability 1/(deg u + 1),
-    so two inputs share an output exactly when they are adjacent. Rows are
-    stored back to back (CSR), each in ascending output order. Build it with
-    ``canonical_channel``, which checks the output cap first.
+    so two inputs share an output exactly when they are adjacent; row u lists
+    them ascending: u, then its edges by neighbour ascending.
+
+    Building it counts the outputs, |V| + |E| (refusing more than
+    ``MAX_VERTICES`` before any work), and labels the inputs; nothing more.
+    The global edge numbering ``edges`` is listed on first use, by ``row``
+    and by an edge output's label; a ``Protocol`` never uses it.
     """
 
     def __init__(self, graph):
-        nv, edges = graph.vertex_count, graph.edge_array()
-        self.graph, self.edges = graph, edges
-        self.inputs = [graph.vertex_label(i) for i in range(nv)]
-        self.outputs = _OutputLabels(self.inputs, edges)
-        # Edges are row-major, so edges (i, u) precede edges (u, j): a stable
-        # sort by input lists each row's outputs in ascending order.
-        src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
-        dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
-        self._targets = dst[np.argsort(src, kind="stable")]
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
+        count = graph.vertex_count + graph.edge_count
+        if count > MAX_VERTICES:
+            raise ResourceLimitError(f"canonical channel of {graph.graph_ref()} would have "
+                                     f"{count} outputs, over the cap {MAX_VERTICES}")
+        self.graph = graph
+        self.inputs = [graph.vertex_label(i) for i in range(graph.vertex_count)]
+        self.outputs = _OutputLabels(self, count)
 
     @property
     def input_count(self) -> int:
         return len(self.inputs)
 
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, targets) of the rows: row x is ``targets[indptr[x]:indptr[x + 1]]``."""
-        return self._indptr, self._targets
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The (E, 2) edges i < j, row-major: output |V| + e is edge ``edges[e]``."""
+        return self.graph.edge_array()
+
+    @cached_property
+    def _edge_keys(self) -> np.ndarray:
+        return self.edges[:, 0] * self.input_count + self.edges[:, 1]  # ascending
+
+    def edge_label(self, a: int, b: int) -> str:
+        """Label of the output shared by adjacent inputs a and b: "a|b", lower index first."""
+        a, b = sorted((a, b))
+        return f"{self.inputs[a]}|{self.inputs[b]}"
 
     def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
         """The outputs input x reaches, ascending, and their probabilities."""
-        idx = self._targets[self._indptr[x]:self._indptr[x + 1]]
+        nv = self.input_count
+        y = np.flatnonzero(self.graph.adjacency_among([x], np.arange(nv))[0])
+        edge = np.searchsorted(self._edge_keys, np.minimum(x, y) * nv + np.maximum(x, y))
+        idx = np.concatenate(([x], nv + edge))
         return idx, np.full(idx.size, 1.0 / idx.size)
-
-    def members_by_output(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, inputs) of the inputs that can produce each output.
-
-        The members of output t, in ascending input order, are
-        ``inputs[indptr[t]:indptr[t + 1]]``: t itself for a vertex output,
-        the two ends of edge t - |V| for an edge output.
-        """
-        nv, ne = self.input_count, len(self.edges)
-        indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
-        return indptr, np.concatenate([np.arange(nv), self.edges.ravel()])
 
 
 def canonical_channel(g) -> Channel:
@@ -118,10 +105,6 @@ def canonical_channel(g) -> Channel:
 
     More than ``MAX_VERTICES`` outputs are refused before any of them is built.
     """
-    outputs = g.vertex_count + g.edge_count
-    if outputs > MAX_VERTICES:
-        raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
-                                 f"{outputs} outputs, over the cap {MAX_VERTICES}")
     return Channel(g)
 
 
@@ -181,6 +164,15 @@ class Protocol:
     the vectors of the inputs that can produce t, grouped by message. The
     completion operator I - sum_j B_t^j is folded into outcome 1. ``gram`` is
     F F^T over the rows of ``vectors``, and ``dim`` is their length d.
+
+    The channel rows of the inputs come from one ``adjacency_among(inputs,
+    all vertices)``, never from the channel's edge numbering: row k is its
+    vertex output, then its edge outputs by neighbour ascending, the
+    channel's own order. An output of row k is received by the vector rows
+    {k, l} when it is the edge to the input of row l, and by {k} alone
+    otherwise: those outputs are solo, and all solo outputs of a row act
+    alike. So the receiver classes are the K solo classes (k, -1), then one
+    pair (k, l) per edge output between inputs, in row order.
     """
 
     channel: Channel
@@ -192,13 +184,25 @@ class Protocol:
     def __post_init__(self):
         self.dim = self.vectors.shape[1]
         self.gram = self.vectors @ self.vectors.T
-        row_of = np.full(self.channel.input_count, -1, dtype=np.int64)
-        row_of[self.inputs] = np.arange(len(self.inputs))
-        # Receivers: per output, the vector rows of the inputs that reach it.
-        indptr, members = self.channel.members_by_output()
-        rows = row_of[members]
-        self._recv_rows = rows[rows >= 0]
-        self._recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
+        g, count = self.channel.graph, len(self.inputs)
+        row_k, self._neighbours = np.nonzero(
+            g.adjacency_among(self.inputs, np.arange(g.vertex_count)))
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row_k, minlength=count))))
+        row_of = np.full(g.vertex_count, -1, dtype=np.int64)
+        row_of[self.inputs] = np.arange(count)
+        peer = row_of[self._neighbours]
+        paired = peer >= 0
+        # receiver classes, and the class of each neighbour's edge output
+        self._classes = np.concatenate([
+            np.stack([np.arange(count), np.full(count, -1)], axis=1),
+            np.stack([row_k[paired], peer[paired]], axis=1)])
+        self._edge_class = np.where(paired, count + np.cumsum(paired) - 1, row_k)
+        # The CDF that Generator.choice builds over a channel row of each size
+        self._row_cdf = {}
+        for n in np.flatnonzero(np.bincount(np.diff(self._indptr) + 1)).tolist():
+            p = np.full(n, 1.0 / n)
+            cdf = (p / p.sum()).cumsum()
+            self._row_cdf[n] = cdf / cdf[-1]
         # Senders: per message, its vector rows and the CDF of Tr(A_i^s)/d.
         self._senders = {}
         for i in np.flatnonzero(np.bincount(self.messages)).tolist():
@@ -210,9 +214,26 @@ class Protocol:
             cdf = p.cumsum()
             self._senders[i] = (k, cdf / cdf[-1])
 
-    def receivers(self, t: int) -> np.ndarray:
-        """Vector rows of the inputs that can produce output t."""
-        return self._recv_rows[self._recv_indptr[t]:self._recv_indptr[t + 1]]
+    def _received(self, k: np.ndarray, l: np.ndarray, scale) -> np.ndarray:
+        """Per class (k, l): column j is the sum of G[k,u]^2 / scale over the
+        class members u carrying message j, plus 1 - their total on j = 1."""
+        paired, rows = l >= 0, np.arange(len(k))
+        own = self.gram[k, k] ** 2 / scale
+        other = np.where(paired, self.gram[k, l] ** 2 / scale, 0.0)
+        out = np.zeros((len(k), self.M + 1))
+        out[rows, self.messages[k]] = own
+        out[rows[paired], self.messages[l[paired]]] += other[paired]
+        out[:, 1] += 1.0 - (own + other)  # completion operator
+        return out
+
+    @cached_property
+    def _decoding(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per receiver class of row k, the receiver's distribution over
+        messages 1..M (sum G[k,u]^2 / G[k,k] by message, with completion)
+        and the message decoded from it."""
+        k, l = self._classes.T
+        dist = np.maximum(self._received(k, l, self.gram[k, k])[:, 1:], 0.0)
+        return dist, np.argmax(dist, axis=1) + 1
 
     def completeness_report(self) -> dict:
         """Exhaustive check of both measurements.
@@ -221,7 +242,8 @@ class Protocol:
         exact by construction; the real constraint is that the projectors of
         each output never overlap: the spectrum of sum_u f_u f_u^T over the
         members u of t, which is that of G[members, members], is at most 1.
-        Every output is checked, batched by member count.
+        The member sets among the inputs are the K singletons and the
+        adjacent input pairs, so every output is checked by checking these.
         """
         worst_sender = 0.0
         for k, _ in self._senders.values():
@@ -229,9 +251,11 @@ class Protocol:
             worst_sender = max(worst_sender,
                                float(np.abs(f.T @ f - np.eye(self.dim)).max()))
         worst_receiver = 0.0
-        for groups in _groups_by_size(self._recv_indptr, self._recv_rows):
-            top = np.linalg.eigvalsh(self.gram[groups[:, :, None], groups[:, None, :]])
-            worst_receiver = max(worst_receiver, float(top[:, -1].max()) - 1.0)
+        pairs = self._classes[self._classes[:, 0] < self._classes[:, 1]]
+        for groups in (np.arange(len(self.inputs))[:, None], pairs):
+            if len(groups):
+                top = np.linalg.eigvalsh(self.gram[groups[:, :, None], groups[:, None, :]])
+                worst_receiver = max(worst_receiver, float(top[:, -1].max()) - 1.0)
         passed = worst_sender <= COMPLETENESS_TOL and worst_receiver <= COMPLETENESS_TOL
         return {"passed": passed, "sender_deviation": worst_sender,
                 "receiver_excess": worst_receiver}
@@ -244,34 +268,37 @@ class Protocol:
         j = 1 from the completion operator. One instance per (s, t) and per
         message j != i among t's messages and message 1. Instances run in the
         order messages first appear among the inputs, then s, then t in row
-        order, then j ascending; the witness is the first worst one.
+        order, then j ascending; the witness is the first worst one. Each
+        receiver class is evaluated once and counted as often as row s has
+        such outputs; a row's solo outputs all give the value of its first
+        output, its vertex output, so the first worst instance is unchanged.
         """
-        c, m1 = self.channel, self.M + 1
+        count = len(self.inputs)
         _, first, inverse = np.unique(self.messages, return_index=True,
                                       return_inverse=True)
-        senders = np.argsort(first[inverse], kind="stable")
-        st_pos, st_t = _gather(*c.rows(), self.inputs[senders])
-        st_s = senders[st_pos]
-        n = len(st_t)
-        e_st, e_u = _gather(self._recv_indptr, self._recv_rows, st_t)
-        vals = self.gram[st_s[e_st], e_u] ** 2
-        total = np.bincount(e_st, weights=vals, minlength=n)
-        slot = e_st * m1 + self.messages[e_u]
-        by_msg = np.bincount(slot, weights=vals, minlength=n * m1).reshape(n, m1)
-        by_msg[:, 1] += 1.0 - total  # completion operator
-        counted = np.bincount(slot, minlength=n * m1).reshape(n, m1) > 0
+        rank = np.empty(count, dtype=np.int64)
+        rank[np.argsort(first[inverse], kind="stable")] = np.arange(count)
+        # classes in instance order: per sender, solo first, then by neighbour
+        k, l = self._classes[np.lexsort((self._classes[:, 1], rank[self._classes[:, 0]]))].T
+        paired, rows = l >= 0, np.arange(len(k))
+        solo = np.diff(self._indptr) + 1 - np.bincount(k[paired], minlength=count)
+        by_msg = self._received(k, l, 1.0)
+        counted = np.zeros(by_msg.shape, dtype=bool)
+        counted[rows[paired], self.messages[l[paired]]] = True
         counted[:, 1] = True
-        counted[np.arange(n), self.messages[st_s]] = False
+        counted[rows, self.messages[k]] = False
         value = np.abs(by_msg[counted]) / self.dim
         worst = float(value.max()) if value.size else 0.0
         passed = worst <= ZERO_ERROR_TOL
         witness = None
         if not passed:
             st, j = (a[int(np.argmax(value))] for a in np.nonzero(counted))
-            s = st_s[st]
-            witness = (int(self.messages[s]), int(j),
-                       c.inputs[self.inputs[s]], c.outputs[st_t[st]])
-        return ZeroErrorReport(passed, worst, int(value.size), witness)
+            c, s = self.channel, int(self.inputs[k[st]])
+            witness = (int(self.messages[k[st]]), int(j), c.inputs[s],
+                       c.edge_label(s, int(self.inputs[l[st]])) if paired[st]
+                       else c.inputs[s])
+        times = np.where(paired, 1, solo[k])
+        return ZeroErrorReport(passed, worst, int(counted.sum(axis=1) @ times), witness)
 
 
 def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
@@ -284,7 +311,7 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     preserves all inner products.
     """
     g = cert.graph
-    if chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
+    if chan.graph is not g and chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
         raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
     inputs, messages, stack = cert.verts, cert.msgs, cert.ops
@@ -343,22 +370,20 @@ def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Trans
     ``Generator.choice(a, p=p)`` make. By the maximally-entangled trace
     identity, the receiver's outcome j then has probability
     sum G[s,u]^2 / G[s,s] over the members u of t carrying j, plus the
-    completion term for j = 1: one row of the Gram matrix.
+    completion term for j = 1: one row of the Gram matrix, tabulated per
+    receiver class of row s.
     """
     if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
     chan, u = proto.channel, np.random.default_rng(seed).random(2)
     rows, cdf = proto._senders[message]
     k = int(rows[cdf.searchsorted(u[0], side="right")])
-    s = int(proto.inputs[k])
-    idx, probs = chan.row(s)
-    cdf = (probs / probs.sum()).cumsum()
-    t = int(idx[(cdf / cdf[-1]).searchsorted(u[1], side="right")])
-    r = proto.receivers(t)
-    overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
-    dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)
-    dist[0] += 1.0 - overlap.sum()
-    dist = np.maximum(dist, 0.0)
-    decoded = int(np.argmax(dist)) + 1
-    return Transcript(message, chan.inputs[s], chan.outputs[t],
-                      tuple(dist.tolist()), decoded)
+    s, lo, hi = int(proto.inputs[k]), *proto._indptr[k:k + 2].tolist()
+    pos = int(proto._row_cdf[hi - lo + 1].searchsorted(u[1], side="right"))
+    cls, output = k, chan.inputs[s]
+    if pos:  # the edge output to the pos-th neighbour
+        cls = int(proto._edge_class[lo + pos - 1])
+        output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1]))
+    dist, decoded = proto._decoding
+    return Transcript(message, chan.inputs[s], output, tuple(dist[cls].tolist()),
+                      int(decoded[cls]))

@@ -60,8 +60,12 @@ class CapacityReport:
 
     @cached_property
     def theta_upper(self) -> int:
-        # seconds near MAX_P, so summed once per report
-        return sum(math.comb(self.n, i) for i in range(self.p))
+        # one pass: C(n, i+1) = C(n, i) (n - i) / (i + 1), exact in integers
+        total, term = 0, 1
+        for i in range(self.p):
+            total += term
+            term = term * (self.n - i) // (i + 1)
+        return total
 
     @property
     def separation(self) -> bool:

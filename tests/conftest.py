@@ -286,6 +286,62 @@ def canonical_output_labels(g) -> list[str]:
     return labels + [f"{labels[i]}|{labels[j]}" for i, j in g.edge_array().tolist()]
 
 
+def channel_rows(chan) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, targets) of the rows: row x is ``targets[indptr[x]:indptr[x + 1]]``.
+
+    Built from the whole edge list: edges are row-major, so edges (i, u)
+    precede edges (u, j), and a stable sort by input lists each row's
+    outputs in ascending order.
+    """
+    nv, edges = chan.input_count, chan.edges
+    src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
+    dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
+    return indptr, dst[np.argsort(src, kind="stable")]
+
+
+def members_by_output(chan) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, inputs) of the inputs that can produce each output.
+
+    The members of output t, in ascending input order, are
+    ``inputs[indptr[t]:indptr[t + 1]]``: t itself for a vertex output,
+    the two ends of edge t - |V| for an edge output.
+    """
+    nv, ne = chan.input_count, len(chan.edges)
+    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
+    return indptr, np.concatenate([np.arange(nv), chan.edges.ravel()])
+
+
+def receivers(proto, t: int) -> np.ndarray:
+    """Vector rows of the inputs that can produce output t, ascending."""
+    nv = proto.channel.input_count
+    members = [t] if t < nv else proto.channel.edges[t - nv]
+    return np.flatnonzero(np.isin(proto.inputs, members))
+
+
+def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
+    """Yield the CSR groups of each size k > 0, stacked as an (n_k, k) array."""
+    counts = np.diff(indptr)
+    for k in (np.flatnonzero(np.bincount(counts)[1:]) + 1).tolist():
+        starts = indptr[:-1][counts == k]
+        yield values[starts[:, None] + np.arange(k)]
+
+
+def receiver_excess_by_outputs(proto) -> float:
+    """Worst lambda_max(G[members, members]) - 1 (at least 0) over every
+    output of the channel, batched by member count."""
+    row_of = np.full(proto.channel.input_count, -1, dtype=np.int64)
+    row_of[proto.inputs] = np.arange(len(proto.inputs))
+    indptr, members = members_by_output(proto.channel)
+    rows = row_of[members]
+    recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
+    worst = 0.0
+    for groups in _groups_by_size(recv_indptr, rows[rows >= 0]):
+        top = np.linalg.eigvalsh(proto.gram[groups[:, :, None], groups[:, None, :]])
+        worst = max(worst, float(top[:, -1].max()) - 1.0)
+    return worst
+
+
 def sample_output(chan, x: int, rng: np.random.Generator) -> int:
     """Output of input x drawn with ``Generator.choice`` over row x."""
     idx, probs = chan.row(x)
@@ -300,7 +356,7 @@ def simulate_transmission_by_choice(proto, message: int, seed: int = 0) -> Trans
     k = int(rng.choice(rows, p=p / p.sum()))
     s = int(proto.inputs[k])
     t = sample_output(proto.channel, s, rng)
-    r = proto.receivers(t)
+    r = receivers(proto, t)
     overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
     dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)
     dist[0] += 1.0 - overlap.sum()
@@ -323,7 +379,7 @@ def sender_measurement(proto, i: int) -> dict[int, np.ndarray]:
 def receiver_measurement(proto, t: int) -> list[np.ndarray]:
     """Full measurement for output t: outcomes 1..M, completion on 1."""
     ops = [np.zeros((proto.dim, proto.dim)) for _ in range(proto.M)]
-    for k in proto.receivers(t).tolist():
+    for k in receivers(proto, t).tolist():
         ops[proto.messages[k] - 1] += np.outer(proto.vectors[k], proto.vectors[k])
     ops[0] = ops[0] + np.eye(proto.dim) - sum(ops)
     return ops

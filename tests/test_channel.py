@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 import capsep
 from capsep.channel import (Protocol, canonical_channel, check_zero_error_code,
                             protocol_from_cert, simulate_transmission)
-from conftest import (canonical_output_labels, cert_with, confusable_pairs_by_loop,
-                      explicit_state_transmission, maximally_entangled_state,
-                      me_pair_trace, ops_by_pair, output_members_by_dict, partial_trace,
-                      random_explicit_graph, receiver_measurement,
+from conftest import (canonical_output_labels, cert_with, channel_rows,
+                      confusable_pairs_by_loop, explicit_state_transmission,
+                      maximally_entangled_state, me_pair_trace, members_by_output,
+                      ops_by_pair, output_members_by_dict, partial_trace,
+                      random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
                       sender_measurement, simulate_transmission_by_choice,
                       support, zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding
@@ -85,7 +86,7 @@ class TestArrayRoutines:
     @given(explicit_graphs())
     def test_members_and_pairs_match_loop(self, g):
         chan = canonical_channel(g)
-        indptr, members = chan.members_by_output()
+        indptr, members = members_by_output(chan)
         oracle = output_members_by_dict(chan)
         assert len(indptr) == len(chan.outputs) + 1
         for t in range(len(chan.outputs)):
@@ -104,14 +105,14 @@ class TestCsrRows:
     def test_row_bounds_checked(self):
         for name in ("C5", "H3", "G7"):
             g = capsep.bitgraph.graph_from_ref(name)
-            indptr, targets = canonical_channel(g).rows()
+            indptr, targets = channel_rows(canonical_channel(g))
             assert len(indptr) == g.vertex_count + 1 and indptr[0] == 0, name
             assert indptr[-1] == len(targets) == g.vertex_count + 2 * g.edge_count, name
             assert (np.diff(indptr) >= 1).all(), name
 
     def test_rows_read_back(self):
         c = c5_channel()
-        indptr, targets = c.rows()
+        indptr, targets = channel_rows(c)
         assert [c.row(x)[0].tolist() for x in (0, 4)] == [[0, 5, 6], [4, 6, 9]]
         assert [targets[indptr[x]:indptr[x + 1]].tolist() for x in range(5)] == \
             [c.row(x)[0].tolist() for x in range(5)]
@@ -402,6 +403,18 @@ class TestAgainstOracles:
             assert report.witness == (None if report.passed else witness)
         assert [p.zero_error_report().passed for p in protos] == \
             [True, True, True, False, False]
+
+    @pytest.mark.parametrize("which", ["H11", "G11"])
+    def test_receiver_excess_matches_every_output(self, which, h11_cert, g11_cert):
+        cert = h11_cert if which == "H11" else g11_cert
+        p = protocol_from_cert(cert, canonical_channel(cert.graph))
+        # Adjacent inputs carry orthogonal vectors; tilted, every pair overlaps.
+        noisy = p.vectors + 0.05 * np.random.default_rng(4).normal(size=p.vectors.shape)
+        noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
+        proto = Protocol(p.channel, p.M, p.inputs, p.messages, noisy)
+        report = proto.completeness_report()
+        assert not report["passed"] and report["receiver_excess"] > 1e-3
+        assert report["receiver_excess"] == receiver_excess_by_outputs(proto)
 
     def test_receiver_check_covers_every_output(self):
         # Two equal vectors with different messages meet at one output only,

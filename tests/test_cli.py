@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.algebra_fp import HaemersResult
+from capsep.channel import canonical_channel, protocol_from_cert
 from capsep.cli import build_parser, cli_main
 from capsep.errors import ProtocolError
+from conftest import simulate_transmission_by_choice, zero_error_by_loop
 
 
 def run(capsys, *argv):
@@ -440,6 +442,34 @@ class TestChannelSimCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "52731904 outputs" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    def test_no_edge_is_listed(self, capsys, monkeypatch, family):
+        def refuse(self):
+            raise AssertionError("the edges were listed")
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "edge_array", refuse)
+        code, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11",
+                           "--trials", "100")
+        assert code == 0 and json.loads(out)["failures"] == 0
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_oracles(self, capsys, family, seed):
+        code, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11",
+                           "--trials", "1000", "--seed", str(seed))
+        payload = json.loads(out)
+        assert code == 0 and payload["failures"] == 0
+        _, g, packing = capsep.cli._packing(family, 11, seed)
+        proto = protocol_from_cert(capsep.cert_from_packing(packing), canonical_channel(g))
+        zero_error = payload["zero_error"]
+        instances, worst, _ = zero_error_by_loop(proto)
+        assert zero_error["passed"] and zero_error["witness"] is None
+        assert zero_error["instances"] == instances
+        assert abs(zero_error["max_violation"] - worst) <= 1e-15
+        assert len(payload["transcripts"]) == 20
+        for trial, transcript in enumerate(payload["transcripts"]):
+            assert transcript == simulate_transmission_by_choice(
+                proto, trial % proto.M + 1, seed + trial).to_json()
 
     def test_protocol_failure_is_a_verification_failure(self, capsys, monkeypatch):
         def fail(cert, chan):

@@ -91,6 +91,13 @@ class TestCapacityReport:
                 assert payload["theta_upper"]["value"] == sum(
                     math.comb(n, i) for i in range(p))
 
+    @pytest.mark.parametrize("family", ["G", "H"])
+    @pytest.mark.parametrize("p", [3, 17, 41, 2503])
+    def test_upper_bound_is_the_binomial_sum(self, family, p):
+        n = 4 * p - 1
+        assert CapacityReport(family, p, None).theta_upper == \
+            sum(math.comb(n, i) for i in range(p))
+
     def test_stores_only_its_inputs(self):
         assert [f.name for f in dataclasses.fields(CapacityReport)] == [
             "family", "p", "hadamard"]
