@@ -7,7 +7,7 @@ from .hadamard import HadamardMatrix, find_hadamard, paley_one, sylvester
 from .geometry import (CliquePacking, OrthoRep, hadamard_clique, pack_cliques,
                        restricted_independent_set)
 from .entcert import EntCert, cert_from_packing, classical_embedding, tensor, verify
-from .algebra_fp import FpMatrix, haemers_matrix, monomial_basis, rank_fp
+from .algebra_fp import haemers_matrix
 from .alpha import AlphaResult, max_independent_set, verify_independent
 from .channel import (Channel, Protocol, canonical_channel, check_zero_error_code,
                       protocol_from_cert, simulate_transmission)

@@ -20,9 +20,19 @@ vertex weights have one parity every distance is even, so checking f at the
 even distance classes, O(n p) exact integer work, is a proof. The capacity is
 then at most rank_p(A) <= m.
 
-Rank. If T_I is a row basis of T (r rows), then T = L T_I with L of full
-column rank, so A = -L (T_I T_I^T) L^T and rank_p(A) = rank_p(T_I T_I^T), an
-r x r matrix (``gram_rank``). No |V| x |V| matrix is formed.
+Rank. rank_p(A) = rank_p(T T^T), and each family gives it by an identity,
+so no T is formed:
+
+* H, exact (Haemers 1979). Column (S, S') of T^T T is
+  sum_x (-1)^{|x & (S ^ S')|} over the even-weight words, which is 0 unless
+  S ^ S' is empty or all of [n]; |S ^ S'| <= 2p-2 < n, so T^T T = 2^(n-1) I
+  over the integers, a unit mod p. Then m >= rank_p(A) >= rank_p(T^T A T) = m.
+* G, an upper bound (the slice bound; Wilson 1990). On the weight-w slice,
+  x_S (w - |S|) = sum_{i not in S} x_{S+i}, so every polynomial of degree < p
+  is a combination of the C(n, p-1) monomials of degree p-1 (w = 2p > p-1).
+  Each column of T, (-1)^{|x & S|} = prod_{i in S} (1 - 2 x_i), is one of
+  degree |S| < p, so T has rational rank at most C(n, p-1). The F_p rank of
+  an integer matrix is at most its rational rank: rank_p(A) <= C(n, p-1).
 """
 
 from __future__ import annotations
@@ -30,47 +40,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bitgraph import BitGraph, weight_w_bits
-from .errors import (InternalCheckError, InvalidParameterError,
-                     ResourceLimitError)
+from .bitgraph import BitGraph
+from .errors import InternalCheckError, InvalidParameterError
 from .hadamard import is_prime
 
-MEMORY_CAP_BYTES = 2 << 30
 
-
-@dataclass(frozen=True)
-class FpMatrix:
-    """Dense matrix over F_p, entries reduced into [0, p), stored in 8-bit cells."""
-
-    p: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidParameterError(f"modulus {self.p} is not prime")
-        if self.p >= 256:
-            raise InvalidParameterError("8-bit cells require p < 256")
-        d = np.asarray(self.data, dtype=np.uint8)
-        if (d >= self.p).any():
-            raise InvalidParameterError("entries not reduced mod p")
-        d.setflags(write=False)
-        object.__setattr__(self, "data", d)
-
-
-def monomial_basis(n: int, p: int) -> list[int]:
-    """All multilinear monomials of degree <= p-1 as bitmasks, (degree, value)-sorted.
-
-    Bit b of a mask is the variable of vertex bit b.
-    """
-    return [m for k in range(p) for m in weight_w_bits(n, k)]
-
-
-def monomial_values(g: BitGraph, p: int) -> np.ndarray:
-    """T, |V| x m int64: each ``monomial_basis`` monomial at each u[x], -1 as p-1."""
-    masks = np.array(monomial_basis(g.n, p), dtype=np.uint64)
-    return np.where(np.bitwise_count(g.bits_array[:, None] & masks) & 1, p - 1, 1)
+def monomial_count(n: int, p: int) -> int:
+    """m = sum_{k<p} C(n,k), the multilinear monomials of degree < p, summed in
+    one pass with C(n,k+1) = C(n,k) (n-k)/(k+1), exact in integers."""
+    total, term = 0, 1
+    for k in range(p):
+        total += term
+        term = term * (n - k) // (k + 1)
+    return total
 
 
 def _fitting_value(n: int, p: int, d: int) -> int:
@@ -99,61 +81,20 @@ def _fits_check(n: int, p: int, edge: int) -> None:
                 f"fits-check: f({d}) = {f} at non-adjacent distance class {d}")
 
 
-def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
-    """Row-echelon form of int64 ``a`` (entries in [0, p)) in place; its pivot columns.
-
-    First-nonzero pivoting; the number of pivots is the rank.
-    """
-    rows, cols = a.shape
-    pivots: list[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
-        if below.size:
-            a[below] = (a[below] - a[below, c][:, None] * a[r][None, :]) % p
-        pivots.append(c)
-    return pivots
-
-
-def rank_fp(m: FpMatrix) -> int:
-    """Exact rank by Gaussian elimination mod p, first-nonzero pivoting."""
-    return len(_pivot_columns(m.data.astype(np.int64), m.p))
-
-
-def gram_rank(t: np.ndarray, p: int) -> int:
-    """rank_p(T T^T) from the r x r Gram of a row basis of T.
-
-    Lemma: the pivot columns of an echelon form of T^T index r rows T_I that
-    are a basis of the row space of T, so T = L T_I, where L holds the r x r
-    identity in the rows I and has full column rank. Then
-    T T^T = L (T_I T_I^T) L^T, and as L has a left inverse and L^T a right
-    inverse, rank_p(T T^T) = rank_p(T_I T_I^T).
-    """
-    work = np.array(t.T, dtype=np.int64, order="C")
-    work %= p
-    t_i = t[_pivot_columns(work, p)].astype(np.int64) % p
-    return rank_fp(FpMatrix(p, t_i @ t_i.T % p))
-
-
 @dataclass(frozen=True)
 class HaemersResult:
     p: int
     n: int
-    bound: int  # number of monomials = rank bound
-    rank: int  # rank_p(A), exact
+    rank: int  # certified upper bound on rank_p(A), exact where source is "identity"
+    source: str  # "identity" (H) or "slice" (G)
+
+    @property
+    def bound(self) -> int:
+        return monomial_count(self.n, self.p)
 
     def to_json(self) -> dict:
-        return {"p": self.p, "n": self.n, "matrix": "A",
-                "rank": self.rank, "bound": self.bound, "fits": True}
+        return {"p": self.p, "n": self.n, "matrix": "A", "rank": self.rank,
+                "source": self.source, "bound": self.bound, "fits": True}
 
 
 def instance_prime(n: int) -> int | None:
@@ -163,29 +104,21 @@ def instance_prime(n: int) -> int | None:
 
 
 def haemers_matrix(g: BitGraph) -> HaemersResult:
-    """Fits check and exact rank of the fitting matrix A = -T T^T mod p.
+    """Fits check and rank of the fitting matrix A = -T T^T mod p of G or H.
 
-    p is ``instance_prime(g.n)``. T (|V| x m) is ``monomial_values``; no
-    |V| x |V| matrix is formed. The memory the run needs (the int64 T and its
-    working copy) is checked against ``MEMORY_CAP_BYTES`` before any of it is
-    built. A failing fits check raises: it would indicate an implementation
-    bug, since it holds by construction for the graph families.
+    p is ``instance_prime(g.n)``. The rank comes from the module's identities,
+    by family: m for H (exact), C(n, p-1) for G (an upper bound). Both
+    families have one vertex-weight parity, which the fits check needs. A
+    failing fits check raises: it would indicate an implementation bug, since
+    it holds by construction for the graph families.
     """
+    if g.family not in ("G", "H"):
+        raise InvalidParameterError(
+            f"the fitting-matrix rank is known for G and H only, not {g.graph_ref()}")
     n, p = g.n, instance_prime(g.n)
     if p is None:
         raise InvalidParameterError(f"(n+1)/4 = {(n + 1) / 4:g} is not an odd prime")
-    if g.distance is None:
-        raise InvalidParameterError("the fitting matrix needs a distance graph")
-    odd = np.bitwise_count(g.bits_array) & 1
-    if odd.any() and not odd.all():
-        raise InvalidParameterError("vertex weights must all have one parity")
-    nv, m = g.vertex_count, sum(math.comb(n, k) for k in range(p))
-    need = 16 * nv * m
-    if need > MEMORY_CAP_BYTES:
-        raise ResourceLimitError(
-            f"fitting matrix of {g.graph_ref()} at p = {p}: T is {nv} x {m}, "
-            f"needing {need / 2**30:.1f} GiB, over the "
-            f"{MEMORY_CAP_BYTES / 2**30:.0f} GiB cap")
     _fits_check(n, p, g.distance)
-    return HaemersResult(p, n, m, gram_rank(monomial_values(g, p), p))
-
+    if g.family == "H":
+        return HaemersResult(p, n, monomial_count(n, p), "identity")
+    return HaemersResult(p, n, math.comb(n, p - 1), "slice")

@@ -12,8 +12,7 @@ import os
 import sys
 
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
-from .errors import (CapsepError, CertificateError, InvalidParameterError,
-                     ProtocolError, ResourceLimitError)
+from .errors import CapsepError, CertificateError, InvalidParameterError, ProtocolError
 from .hadamard import find_hadamard
 
 
@@ -150,10 +149,11 @@ def _cmd_pipeline(args) -> int:
     upper = None
     try:
         hm = algebra_fp.haemers_matrix(g)
-    except (InvalidParameterError, ResourceLimitError) as exc:
+    except InvalidParameterError as exc:
         out["haemers"] = {"skipped": str(exc)}
     else:
-        out["haemers"] = {"p": hm.p, "rank": hm.rank, "bound": hm.bound, "fits": True}
+        out["haemers"] = {"p": hm.p, "rank": hm.rank, "source": hm.source,
+                          "bound": hm.bound, "fits": True}
         upper = hm.rank
     restricted = geometry.restricted_independent_set(n)
     out["restricted_set"] = {"k": restricted.k, "size": len(restricted),
@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.set_defaults(func=_cmd_verify_cert)
 
-    p = sub.add_parser("haemers", help="fitting matrix and exact rank mod p")
+    p = sub.add_parser("haemers", help="fitting matrix: fits check and rank bound mod p")
     common(p, family=("G", "H"), n=True)
     p.set_defaults(func=_cmd_haemers)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .algebra_fp import instance_prime
+from .algebra_fp import instance_prime, monomial_count
 from .errors import InvalidParameterError
 from .geometry import hadamard_clique
 from .hadamard import HadamardMatrix, find_hadamard
@@ -60,12 +60,7 @@ class CapacityReport:
 
     @cached_property
     def theta_upper(self) -> int:
-        # one pass: C(n, i+1) = C(n, i) (n - i) / (i + 1), exact in integers
-        total, term = 0, 1
-        for i in range(self.p):
-            total += term
-            term = term * (self.n - i) // (i + 1)
-        return total
+        return monomial_count(self.n, self.p)
 
     @property
     def separation(self) -> bool:

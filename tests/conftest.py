@@ -4,11 +4,14 @@ The oracles here deliberately avoid the library's own algorithms: alpha by
 memoized subset enumeration over Python-int bitsets and by branch and bound
 with vertex-by-vertex coloring, rank by plain-list row reduction. They exist
 so the fast implementations have something honest to be measured against.
+The F_p elimination (``rank_fp``, ``gram_rank``) lives only here: the library
+takes its fitting-matrix ranks from identities, which it checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -17,10 +20,10 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.algebra_fp import FpMatrix, monomial_values
 from capsep.channel import Transcript
 from capsep.entcert import EntCert
 from capsep.errors import InternalCheckError, InvalidParameterError
+from capsep.bitgraph import weight_w_bits
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
@@ -701,8 +704,95 @@ def verify_by_pairs(cert, g=None):
 # The per-vertex construction of the fitting matrix: each vertex's
 # Frankl-Wilson product polynomial, multilinearized term by term, and the
 # |V| x |V| product S T^T of the coefficient matrix S with the monomial values
-# T, and A = -T T^T formed from the library's own T. The library forms neither:
-# it checks A by distance class and takes its rank from a row basis of T.
+# T, and A = -T T^T formed from the monomial values T, with its rank by Gaussian
+# elimination mod p. The library forms none of these: it checks A by distance
+# class and takes its rank from an identity, which these oracles check.
+
+MEMORY_CAP_BYTES = 2 << 30
+
+
+@dataclasses.dataclass(frozen=True)
+class FpMatrix:
+    """Dense matrix over F_p, entries reduced into [0, p), stored in 8-bit cells."""
+
+    p: int
+    data: np.ndarray
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise InvalidParameterError(f"modulus {self.p} is not prime")
+        if self.p >= 256:
+            raise InvalidParameterError("8-bit cells require p < 256")
+        d = np.asarray(self.data, dtype=np.uint8)
+        if (d >= self.p).any():
+            raise InvalidParameterError("entries not reduced mod p")
+        d.setflags(write=False)
+        object.__setattr__(self, "data", d)
+
+
+def monomial_basis(n: int, p: int) -> list[int]:
+    """All multilinear monomials of degree <= p-1 as bitmasks, (degree, value)-sorted.
+
+    Bit b of a mask is the variable of vertex bit b.
+    """
+    return [m for k in range(p) for m in weight_w_bits(n, k)]
+
+
+def monomial_values(g, p: int) -> np.ndarray:
+    """T, |V| x m int64: each ``monomial_basis`` monomial at each u[x], -1 as p-1.
+
+    T and a working copy, 16 bytes per cell, must fit in ``MEMORY_CAP_BYTES``.
+    """
+    m = sum(math.comb(g.n, k) for k in range(p))
+    if 16 * g.vertex_count * m > MEMORY_CAP_BYTES:
+        raise MemoryError(f"T is {g.vertex_count} x {m}, over the oracle's cap")
+    masks = np.array(monomial_basis(g.n, p), dtype=np.uint64)
+    return np.where(np.bitwise_count(g.bits_array[:, None] & masks) & 1, p - 1, 1)
+
+
+def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
+    """Row-echelon form of int64 ``a`` (entries in [0, p)) in place; its pivot columns.
+
+    First-nonzero pivoting; the number of pivots is the rank.
+    """
+    rows, cols = a.shape
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        below = r + 1 + np.nonzero(a[r + 1:, c])[0]
+        if below.size:
+            a[below] = (a[below] - a[below, c][:, None] * a[r][None, :]) % p
+        pivots.append(c)
+    return pivots
+
+
+def rank_fp(m: FpMatrix) -> int:
+    """Exact rank by Gaussian elimination mod p, first-nonzero pivoting."""
+    return len(_pivot_columns(m.data.astype(np.int64), m.p))
+
+
+def gram_rank(t: np.ndarray, p: int) -> int:
+    """rank_p(T T^T) from the r x r Gram of a row basis of T.
+
+    Lemma: the pivot columns of an echelon form of T^T index r rows T_I that
+    are a basis of the row space of T, so T = L T_I, where L holds the r x r
+    identity in the rows I and has full column rank. Then
+    T T^T = L (T_I T_I^T) L^T, and as L has a left inverse and L^T a right
+    inverse, rank_p(T T^T) = rank_p(T_I T_I^T).
+    """
+    work = np.array(t.T, dtype=np.int64, order="C")
+    work %= p
+    t_i = t[_pivot_columns(work, p)].astype(np.int64) % p
+    return rank_fp(FpMatrix(p, t_i @ t_i.T % p))
 
 
 def inner_product_identity_check(x: int, y: int, n: int, p: int) -> int:

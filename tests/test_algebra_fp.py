@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.algebra_fp import (FpMatrix, gram_rank, haemers_matrix, instance_prime,
-                               monomial_basis, rank_fp)
+from capsep.algebra_fp import _fits_check, haemers_matrix, instance_prime
 from capsep.bitgraph import BitGraph, weight_w_bits
-from capsep.errors import (InternalCheckError, InvalidParameterError,
-                           ResourceLimitError)
-from conftest import (assert_fits, build_ST, fitting_matrix, fitting_matrix_by_polynomials,
-                      frankl_wilson_Q, inner_product_identity_check,
-                      monomial_basis_by_filter, multilinearize, rank_by_row_reduction,
-                      sign_vector)
+from capsep.errors import InternalCheckError, InvalidParameterError
+from conftest import (FpMatrix, assert_fits, build_ST, dense_adjacency, fitting_matrix,
+                      fitting_matrix_by_polynomials, frankl_wilson_Q, gram_rank,
+                      inner_product_identity_check, monomial_basis,
+                      monomial_basis_by_filter, monomial_values, multilinearize,
+                      rank_by_row_reduction, rank_fp, sign_vector)
 
 
 def random_sign_point(n, rng):
@@ -153,12 +153,14 @@ class TestHaemers:
         rank = rank_fp(a)
         assert rank <= 67
         assert result.rank == rank == 55
+        assert result.source == "slice"
 
     def test_h11_fits(self, h11):
         result = haemers_matrix(h11)
         a = fitting_matrix(h11, 3)
         assert_fits(h11, a)
         assert result.rank == rank_fp(a) == 67
+        assert result.source == "identity"
 
     def test_diagonal_value(self, g11):
         # Q_u(u) = (-1)^p = -1 survives multilinearization onto the diagonal
@@ -186,11 +188,11 @@ class TestHaemers:
         assert rank_fp(FpMatrix(3, oracle)) == haemers_matrix(g).rank == rank
 
     def test_wrong_edge_distance_fails_by_distance_class(self):
-        # weight-6 strings of length 11 are 4p-1 = 11 at p = 3, but edges at
-        # distance 4 leave distance class 6, where f(6) = 2, non-adjacent
-        g = BitGraph(11, weight_w_bits(11, 6), ("distance", 4))
+        # n = 4p-1 = 11 at p = 3, but edges at distance 4 leave distance
+        # class 6, where f(6) = 2, non-adjacent
+        _fits_check(11, 3, 6)
         with pytest.raises(InternalCheckError, match="distance class 6"):
-            haemers_matrix(g)
+            _fits_check(11, 3, 4)
 
     def test_rejects_wrong_n(self):
         with pytest.raises(InvalidParameterError):
@@ -208,23 +210,65 @@ class TestHaemers:
         for n in range(-8, 240):
             assert instance_prime(n) == next((p for p in odd_primes if 4 * p - 1 == n), None)
 
-    def test_rejects_mixed_parity(self):
-        g = BitGraph(11, range(8), ("distance", 6))
-        with pytest.raises(InvalidParameterError, match="parity"):
-            haemers_matrix(g)
+    @pytest.mark.parametrize("graph, ref", [
+        pytest.param(BitGraph(11, range(8), ("distance", 6)), "X11", id="mixed-parity"),
+        pytest.param(BitGraph(11, weight_w_bits(11, 6), ("distance", 4)), "X11",
+                     id="wrong-edge"),
+        pytest.param(BitGraph(11, [0, 3], ("explicit", [(0, 1)])), "X11", id="explicit"),
+        pytest.param(capsep.bitgraph.graph_from_ref("O12"), "O12", id="O12"),
+        pytest.param(capsep.bitgraph.graph_from_ref("C5xC5"), "C5xC5", id="C5xC5"),
+    ])
+    def test_rejects_graphs_other_than_g_and_h(self, graph, ref):
+        with pytest.raises(InvalidParameterError, match=f"G and H only, not {ref}$"):
+            haemers_matrix(graph)
 
-    def test_rejects_explicit_graph(self):
-        g = BitGraph(11, [0, 3], ("explicit", [(0, 1)]))
-        with pytest.raises(InvalidParameterError, match="distance graph"):
-            haemers_matrix(g)
+    @pytest.mark.parametrize("n, p", [(11, 3), (19, 5), (43, 11)])
+    def test_ranks_by_family(self, n, p):
+        # one vertex each: the rank is read from the family, no T is formed
+        g, h = (BitGraph(n, [0], ("distance", (n + 1) // 2), family=f) for f in "GH")
+        assert haemers_matrix(g).rank == math.comb(n, p - 1)
+        assert haemers_matrix(h).rank == haemers_matrix(h).bound == \
+            sum(math.comb(n, k) for k in range(p))
 
-    def test_cap_counts_T_and_its_copy(self, monkeypatch, g11):
-        # T and its working copy: 16 bytes per cell of 462 x 67
-        monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67)
-        assert haemers_matrix(g11).rank == 55
-        monkeypatch.setattr(capsep.algebra_fp, "MEMORY_CAP_BYTES", 16 * 462 * 67 - 1)
-        with pytest.raises(ResourceLimitError, match="462 x 67"):
-            haemers_matrix(g11)
+
+class TestRankIdentities:
+    """The elimination oracle against the identities ``haemers_matrix`` uses."""
+
+    def test_h11_gram_is_scalar_over_the_integers(self, h11):
+        t = monomial_values(h11, 3)
+        signs = np.where(t == 1, 1, -1)  # back from F_3 to the integer +-1 values
+        assert np.array_equal(signs.T @ signs, 2**10 * np.eye(67, dtype=np.int64))
+        assert gram_rank(t, 3) == 67 == haemers_matrix(h11).rank
+
+    @pytest.mark.parametrize("n, w, p", [(11, 6, 3), (15, 8, 3)])
+    def test_slice_bound(self, n, w, p):
+        g = BitGraph(n, weight_w_bits(n, w), ("distance", w))
+        assert gram_rank(monomial_values(g, p), p) == math.comb(n, p - 1)
+
+
+def theta(g) -> Fraction:
+    """Lovasz theta in closed form: 2^(n-1)/(n+1) for H, |V|/n for G."""
+    n = g.n
+    return Fraction(2 ** (n - 1), n + 1) if g.family == "H" else Fraction(g.vertex_count, n)
+
+
+class TestThetaCeiling:
+    """theta bounds alpha* from above (Beigi 2010), so no packing may exceed it."""
+
+    @pytest.mark.parametrize("name", ["g11", "h11"])
+    def test_closed_form_matches_eigenvalues(self, request, name):
+        # an edge-transitive graph has theta = -|V| l_min / (l_max - l_min) (Lovasz 1979)
+        g = request.getfixturevalue(name)
+        eig = np.linalg.eigvalsh(dense_adjacency(g).astype(np.float64))
+        oracle = -g.vertex_count * eig[0] / (eig[-1] - eig[0])
+        assert abs(oracle - float(theta(g))) < 1e-9
+
+    @pytest.mark.parametrize("graph", ["G11", "H11", "G15"])
+    def test_packing_below_theta(self, graph):
+        g = capsep.bitgraph.graph_from_ref(graph)
+        clique = capsep.hadamard_clique(capsep.find_hadamard(g.n + 1), g.family)
+        packing = capsep.pack_cliques(g, clique)
+        assert 0 < packing.count <= theta(g)
 
 
 class TestRank:

@@ -399,16 +399,20 @@ class TestHaemersCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["p"] == 3 and payload["fits"] is True
-        assert payload["rank"] == 55
+        assert payload["rank"] == 55 and payload["source"] == "slice"
         assert payload["rank"] <= payload["bound"] == 67
 
-    def test_g19_over_memory_cap_exits_quickly(self, capsys):
-        # T would be 92378 x 5036 int64 plus a working copy: refused up front
+    @pytest.mark.parametrize("family, rank, source",
+                             [("G", 3876, "slice"), ("H", 5036, "identity")])
+    def test_n19_ranks_by_identity(self, capsys, family, rank, source):
+        # no T is formed: 92378 x 5036 (G) and 262144 x 5036 (H) cells
         start = time.perf_counter()
-        code, out, err = run(capsys, "haemers", "--family", "G", "--n", "19")
-        assert time.perf_counter() - start < 2.0
-        assert code == 1 and out == ""
-        assert "92378 x 5036" in err and "cap" in err
+        code, out, _ = run(capsys, "haemers", "--family", family, "--n", "19")
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["p"], payload["rank"], payload["source"]) == (5, rank, source)
+        assert payload["bound"] == 5036 and payload["fits"] is True
 
 
 class TestChannelSimCommand:
@@ -523,21 +527,26 @@ class TestPipelineCommand:
         assert payload["report"]["separation"] is False
         assert payload["separation_certified_here"] is False  # M = 8 <= rank 67
 
-    def test_g19_skips_rank_section_over_memory_cap(self, capsys):
-        code, out, _ = run(capsys, "pipeline", "--family", "G", "--n", "19")
+    @pytest.mark.parametrize("family, M, upper, source",
+                             [("G", 256, 3876, "slice"), ("H", 656, 5036, "identity")])
+    def test_n19_reports_the_upper_bound(self, capsys, family, M, upper, source):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "pipeline", "--family", family, "--n", "19")
+        assert time.perf_counter() - start < 5.0
         assert code == 0
         payload = json.loads(out)
-        assert "cap" in payload["haemers"]["skipped"]
-        assert payload["alpha"] == {"lower": 1001, "upper": None}
-        assert payload["cert"]["M"] == 256 and payload["cert"]["verified"] is True
+        assert payload["haemers"] == {"p": 5, "rank": upper, "source": source,
+                                      "bound": 5036, "fits": True}
+        assert payload["alpha"] == {"lower": 1001, "upper": upper}
+        assert payload["cert"]["M"] == M and payload["cert"]["verified"] is True
         assert payload["restricted_set"]["verified"] is True
-        assert payload["separation_certified_here"] is False  # no rank, no claim
+        assert payload["separation_certified_here"] is False  # M <= upper
 
     @pytest.mark.parametrize("rank, separated", [(7, True), (8, False)])
     def test_separation_needs_m_above_the_rank(self, capsys, monkeypatch, rank,
                                                separated):
         monkeypatch.setattr(capsep.cli.algebra_fp, "haemers_matrix",
-                            lambda g: HaemersResult(3, g.n, 67, rank))
+                            lambda g: HaemersResult(3, g.n, rank, "identity"))
         code, out, _ = run(capsys, "pipeline", "--family", "H", "--n", "11")
         assert code == 0
         payload = json.loads(out)

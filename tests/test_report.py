@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 import capsep
-from capsep.algebra_fp import monomial_basis
 from capsep.errors import InvalidParameterError
 from capsep.report import MAX_P, CapacityReport, capacity_report, fraction_log2
+from conftest import monomial_basis
 
 
 class TestCapacityReport:
