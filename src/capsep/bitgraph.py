@@ -23,6 +23,7 @@ MAX_VERTICES = 10**7
 # All-pairs adjacency work (alpha search, blocked edge count or listing) up to this |V|.
 DENSE_ADJACENCY_CAP = 16384
 BLOCK_ENTRIES = 1 << 22  # cells per ``row_blocks`` slice
+DIMACS_BLOCK = 1 << 16  # edges per formatted block of ``to_dimacs``
 
 
 def hamming_distance(x: int, y: int) -> int:
@@ -227,12 +228,15 @@ class BitGraph(_Graph):
     # -- export ------------------------------------------------------------
 
     def to_dimacs(self) -> str:
-        edges = self.edge_array().tolist()
-        lines = [f"p edge {self.vertex_count} {len(edges)}"]
-        for i in range(self.vertex_count):
-            lines.append(f"c v {i + 1} {self.vertex_label(i)}")
-        lines += [f"e {i + 1} {j + 1}" for i, j in edges]
-        return "\n".join(lines) + "\n"
+        """DIMACS text: the counts, one "c v" line per vertex label, one "e" line
+        per edge; the edge lines are formatted in blocks of ``DIMACS_BLOCK`` edges."""
+        edges = self.edge_array()
+        lines = [f"p edge {self.vertex_count} {len(edges)}\n"]
+        lines += [f"c v {i + 1} {self.vertex_label(i)}\n" for i in range(self.vertex_count)]
+        for lo in range(0, len(edges), DIMACS_BLOCK):
+            block = edges[lo:lo + DIMACS_BLOCK] + 1
+            lines.append(("e %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(lines)
 
     def graph_ref(self) -> str:
         if self.family in ("C", "K"):

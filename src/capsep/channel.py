@@ -20,11 +20,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .bitgraph import MAX_VERTICES, row_blocks
+from .bitgraph import MAX_VERTICES
 from .entcert import EntCert, rank_one_row
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
@@ -33,20 +33,18 @@ ZERO_ERROR_TOL = 1e-9
 CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
 
 
-class _OutputLabels(Sequence):
-    """Canonical-channel output labels, formed when read: vertices, then "a|b" per edge."""
+class _Labels(Sequence):
+    """Read-only labels, each formed when read: entry t is ``label(t)``; negative
+    indices work as on a list and an index past the end raises ``IndexError``."""
 
-    def __init__(self, chan: Channel, count: int):
-        self._chan, self._count = chan, count
+    def __init__(self, count: int, label):
+        self._count, self._label = count, label
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, t) -> str:
-        t, c = range(len(self))[operator.index(t)], self._chan
-        if t < c.input_count:
-            return c.inputs[t]
-        return c.edge_label(*c.edges[t - c.input_count].tolist())
+        return self._label(range(self._count)[operator.index(t)])
 
 
 class Channel:
@@ -59,9 +57,11 @@ class Channel:
     them ascending: u, then its edges by neighbour ascending.
 
     Building it counts the outputs, |V| + |E| (refusing more than
-    ``MAX_VERTICES`` before any work), and labels the inputs; nothing more.
-    The global edge numbering ``edges`` is listed on first use, by ``row``
-    and by an edge output's label; a ``Protocol`` never uses it.
+    ``MAX_VERTICES`` before any work); nothing more. ``inputs`` and
+    ``outputs`` are label views, formed entry by entry when read; an input
+    label is formed once (``input_label``), as a simulation reads the same
+    few again and again. The global edge numbering ``edges`` is listed on
+    first use, by an edge output's label; a ``Protocol`` never uses it.
     """
 
     def __init__(self, graph):
@@ -70,8 +70,9 @@ class Channel:
             raise ResourceLimitError(f"canonical channel of {graph.graph_ref()} would have "
                                      f"{count} outputs, over the cap {MAX_VERTICES}")
         self.graph = graph
-        self.inputs = [graph.vertex_label(i) for i in range(graph.vertex_count)]
-        self.outputs = _OutputLabels(self, count)
+        self.input_label = cache(graph.vertex_label)
+        self.inputs = _Labels(graph.vertex_count, self.input_label)
+        self.outputs = _Labels(count, self._output_label)
 
     @property
     def input_count(self) -> int:
@@ -82,22 +83,15 @@ class Channel:
         """The (E, 2) edges i < j, row-major: output |V| + e is edge ``edges[e]``."""
         return self.graph.edge_array()
 
-    @cached_property
-    def _edge_keys(self) -> np.ndarray:
-        return self.edges[:, 0] * self.input_count + self.edges[:, 1]  # ascending
+    def _output_label(self, t: int) -> str:
+        if t < self.input_count:
+            return self.input_label(t)
+        return self.edge_label(*self.edges[t - self.input_count].tolist())
 
     def edge_label(self, a: int, b: int) -> str:
         """Label of the output shared by adjacent inputs a and b: "a|b", lower index first."""
         a, b = sorted((a, b))
-        return f"{self.inputs[a]}|{self.inputs[b]}"
-
-    def row(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """The outputs input x reaches, ascending, and their probabilities."""
-        nv = self.input_count
-        y = np.flatnonzero(self.graph.adjacency_among([x], np.arange(nv))[0])
-        edge = np.searchsorted(self._edge_keys, np.minimum(x, y) * nv + np.maximum(x, y))
-        idx = np.concatenate(([x], nv + edge))
-        return idx, np.full(idx.size, 1.0 / idx.size)
+        return f"{self.input_label(a)}|{self.input_label(b)}"
 
 
 def canonical_channel(g) -> Channel:
@@ -106,34 +100,6 @@ def canonical_channel(g) -> Channel:
     More than ``MAX_VERTICES`` outputs are refused before any of them is built.
     """
     return Channel(g)
-
-
-def check_zero_error_code(c: Channel, words: list[tuple[int, ...]]):
-    """True iff every pair of words has a coordinate with disjoint supports.
-
-    Two words are confusable when each coordinate is equal or adjacent in
-    ``c.graph``: one ``adjacency_among`` per coordinate.
-    Returns (ok, witness); the witness is the first confusable pair in list
-    order, with the least shared output of each coordinate.
-    """
-    k = len(words[0]) if words else 0
-    if any(len(w) != k for w in words):
-        raise InvalidParameterError("words must share one length")
-    arr = np.array(words, dtype=np.int64).reshape(len(words), k)
-    bad = (arr < 0) | (arr >= c.input_count)
-    if bad.any():
-        raise InvalidParameterError(f"input index {arr[bad][0]} out of range")
-    g, count = c.graph, len(words)
-    for lo, hi in row_blocks(count, count):
-        confusable = np.arange(lo, hi)[:, None] < np.arange(count)
-        for a, b in zip(arr[lo:hi].T, arr.T):
-            confusable &= g.adjacency_among(a, b) | (a[:, None] == b)
-        if confusable.any():
-            a, b = np.argwhere(confusable)[0].tolist()
-            pair = [list(words[lo + a]), list(words[b])]
-            shared = [np.intersect1d(c.row(x)[0], c.row(y)[0]).min() for x, y in zip(*pair)]
-            return False, {"words": pair, "shared_outputs": [c.outputs[t] for t in shared]}
-    return True, None
 
 
 # -- protocols -----------------------------------------------------------------
@@ -311,7 +277,8 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     preserves all inner products.
     """
     g = cert.graph
-    if chan.graph is not g and chan.inputs != [g.vertex_label(i) for i in range(g.vertex_count)]:
+    labels = map(g.vertex_label, range(g.vertex_count))
+    if chan.graph is not g and list(chan.inputs) != list(labels):
         raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
     inputs, messages, stack = cert.verts, cert.msgs, cert.ops
@@ -380,10 +347,11 @@ def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Trans
     k = int(rows[cdf.searchsorted(u[0], side="right")])
     s, lo, hi = int(proto.inputs[k]), *proto._indptr[k:k + 2].tolist()
     pos = int(proto._row_cdf[hi - lo + 1].searchsorted(u[1], side="right"))
-    cls, output = k, chan.inputs[s]
+    cls, sender = k, chan.input_label(s)
+    output = sender
     if pos:  # the edge output to the pos-th neighbour
         cls = int(proto._edge_class[lo + pos - 1])
         output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1]))
     dist, decoded = proto._decoding
-    return Transcript(message, chan.inputs[s], output, tuple(dist[cls].tolist()),
+    return Transcript(message, sender, output, tuple(dist[cls].tolist()),
                       int(decoded[cls]))

@@ -8,19 +8,67 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
 from .errors import CapsepError, CertificateError, InvalidParameterError, ProtocolError
 from .hadamard import find_hadamard
 
 
+# The C encoders json itself uses for plain str, int and (finite) float values
+_PLAIN = {str: encode_basestring_ascii, int: int.__repr__, float: float.__repr__}
+
+
+def _key(k) -> str:
+    """A dict key as json writes it: a str by json's encoder, any other by json's key rule."""
+    return encode_basestring_ascii(k) if type(k) is str else json.dumps({k: 0})[1:-4]
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python indent
+    encoder. Containers are written here and plain scalars by json's C
+    encoders; a list of one plain scalar type (a distribution, a clique's
+    labels) is one join, and a matrix of plain ints (a certificate operator,
+    rho) one ``%`` format. Everything else (NaN, infinities, subclasses,
+    values JSON cannot encode) goes to ``json.dumps``, so it keeps json's
+    output and errors."""
+    t = type(obj)
+    if t in _PLAIN and (t is not float or math.isfinite(obj)):
+        return _PLAIN[t](obj)
+    if obj is None or t is bool:
+        return "null" if obj is None else "true" if obj else "false"
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return json.dumps(obj)
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict):
+        items = (f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in obj.items())
+        return f"{{{pad}{(',' + pad).join(items)}{pad[:-2]}}}"
+    kinds = set(map(type, obj))
+    if kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
+        flat = tuple(chain.from_iterable(obj))
+        if set(map(type, flat)) == {int}:  # %d writes a plain int as int.__repr__ does
+            inner = pad + "  "
+            row = f"[{inner}{('%d,' + inner) * (len(obj[0]) - 1)}%d{pad}]"
+            return f"[{pad}{(',' + pad).join([row] * len(obj))}{pad[:-2]}]" % flat
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind in _PLAIN and (kind is not float or all(map(math.isfinite, obj))):
+        items = map(_PLAIN[kind], obj)
+    else:
+        items = (_dumps(x, level + 1) for x in obj)
+    return f"[{pad}{(',' + pad).join(items)}{pad[:-2]}]"
+
+
 def _emit(payload, args) -> None:
-    text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
+    text = payload if isinstance(payload, str) else _dumps(payload)
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
+            if not text.endswith("\n"):
+                fh.write("\n")
     else:
         try:
             print(text, flush=True)

@@ -5,7 +5,9 @@ memoized subset enumeration over Python-int bitsets and by branch and bound
 with vertex-by-vertex coloring, rank by plain-list row reduction. They exist
 so the fast implementations have something honest to be measured against.
 The F_p elimination (``rank_fp``, ``gram_rank``) lives only here: the library
-takes its fitting-matrix ranks from identities, which it checks.
+takes its fitting-matrix ranks from identities, which it checks. So do a
+channel's rows (``channel_row``) and the zero-error code check
+(``check_zero_error_code``), which no library code needs.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import capsep
 from capsep.channel import Transcript
 from capsep.entcert import EntCert
 from capsep.errors import InternalCheckError, InvalidParameterError
-from capsep.bitgraph import weight_w_bits
+from capsep.bitgraph import row_blocks, weight_w_bits
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
@@ -289,6 +291,50 @@ def canonical_output_labels(g) -> list[str]:
     return labels + [f"{labels[i]}|{labels[j]}" for i, j in g.edge_array().tolist()]
 
 
+@lru_cache(maxsize=4)
+def _edge_keys(chan) -> np.ndarray:
+    """i * |V| + j of each edge (i, j) of ``chan.edges``, ascending: the edges are row-major."""
+    return chan.edges[:, 0] * chan.input_count + chan.edges[:, 1]
+
+
+def channel_row(chan, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs input x reaches, ascending, and their probabilities."""
+    nv = chan.input_count
+    y = np.flatnonzero(chan.graph.adjacency_among([x], np.arange(nv))[0])
+    edge = np.searchsorted(_edge_keys(chan), np.minimum(x, y) * nv + np.maximum(x, y))
+    idx = np.concatenate(([x], nv + edge))
+    return idx, np.full(idx.size, 1.0 / idx.size)
+
+
+def check_zero_error_code(c, words: list[tuple[int, ...]]):
+    """True iff every pair of words has a coordinate with disjoint supports.
+
+    Two words are confusable when each coordinate is equal or adjacent in
+    ``c.graph``: one ``adjacency_among`` per coordinate.
+    Returns (ok, witness); the witness is the first confusable pair in list
+    order, with the least shared output of each coordinate.
+    """
+    k = len(words[0]) if words else 0
+    if any(len(w) != k for w in words):
+        raise InvalidParameterError("words must share one length")
+    arr = np.array(words, dtype=np.int64).reshape(len(words), k)
+    bad = (arr < 0) | (arr >= c.input_count)
+    if bad.any():
+        raise InvalidParameterError(f"input index {arr[bad][0]} out of range")
+    g, count = c.graph, len(words)
+    for lo, hi in row_blocks(count, count):
+        confusable = np.arange(lo, hi)[:, None] < np.arange(count)
+        for a, b in zip(arr[lo:hi].T, arr.T):
+            confusable &= g.adjacency_among(a, b) | (a[:, None] == b)
+        if confusable.any():
+            a, b = np.argwhere(confusable)[0].tolist()
+            pair = [list(words[lo + a]), list(words[b])]
+            shared = [np.intersect1d(channel_row(c, x)[0], channel_row(c, y)[0]).min()
+                      for x, y in zip(*pair)]
+            return False, {"words": pair, "shared_outputs": [c.outputs[t] for t in shared]}
+    return True, None
+
+
 def channel_rows(chan) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, targets) of the rows: row x is ``targets[indptr[x]:indptr[x + 1]]``.
 
@@ -347,7 +393,7 @@ def receiver_excess_by_outputs(proto) -> float:
 
 def sample_output(chan, x: int, rng: np.random.Generator) -> int:
     """Output of input x drawn with ``Generator.choice`` over row x."""
-    idx, probs = chan.row(x)
+    idx, probs = channel_row(chan, x)
     return int(rng.choice(idx, p=probs / probs.sum()))
 
 
@@ -370,7 +416,7 @@ def simulate_transmission_by_choice(proto, message: int, seed: int = 0) -> Trans
 
 def support(chan, x: int) -> frozenset:
     """Outputs input x reaches."""
-    return frozenset(chan.row(x)[0].tolist())
+    return frozenset(channel_row(chan, x)[0].tolist())
 
 
 def sender_measurement(proto, i: int) -> dict[int, np.ndarray]:
@@ -438,7 +484,7 @@ def output_members_by_dict(chan) -> dict[int, list[int]]:
     """Map output index -> inputs that can produce it."""
     members: dict[int, list[int]] = {}
     for x in range(chan.input_count):
-        for t in chan.row(x)[0].tolist():
+        for t in channel_row(chan, x)[0].tolist():
             members.setdefault(t, []).append(x)
     return members
 
@@ -471,7 +517,7 @@ def zero_error_by_loop(proto):
         for k in rows:
             f_s = proto.vectors[k]
             s = int(proto.inputs[k])
-            for t in chan.row(s)[0].tolist():
+            for t in channel_row(chan, s)[0].tolist():
                 by_msg: dict[int, float] = {}
                 total = 0.0
                 for u in members.get(t, []):

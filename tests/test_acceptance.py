@@ -14,10 +14,9 @@ import numpy as np
 
 import capsep
 from capsep.algebra_fp import haemers_matrix
-from capsep.channel import (canonical_channel, check_zero_error_code,
-                            protocol_from_cert, simulate_transmission)
+from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
-                      fitting_matrix, frankl_wilson_Q,
+                      check_zero_error_code, fitting_matrix, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
                       normalize_by_loop, normalized, random_explicit_graph,
                       rank_by_row_reduction, rank_fp, sign_vector)

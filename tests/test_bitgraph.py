@@ -265,6 +265,16 @@ class TestExport:
         assert len(edge_lines) == 5
         assert all(1 <= int(t) <= 5 for l in edge_lines for t in l.split()[1:])
 
+    @pytest.mark.parametrize("name", ["C5", "G7", "H7", "G11"])
+    @pytest.mark.parametrize("block", [1, 7, bitgraph.DIMACS_BLOCK])
+    def test_dimacs_blocks_match_line_by_line(self, name, block, g11, monkeypatch):
+        g = g11 if name == "G11" else bitgraph.graph_from_ref(name)
+        lines = [f"p edge {g.vertex_count} {g.edge_count}"]
+        lines += [f"c v {i + 1} {g.vertex_label(i)}" for i in range(g.vertex_count)]
+        lines += [f"e {i + 1} {j + 1}" for i, j in g.edge_array().tolist()]
+        monkeypatch.setattr(bitgraph, "DIMACS_BLOCK", block)
+        assert g.to_dimacs() == "\n".join(lines) + "\n"
+
     def test_descriptor(self, g11):
         d = g11.descriptor()
         assert d == {"family": "G", "n": 11, "vertex_count": 462,

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.channel import (Protocol, canonical_channel, check_zero_error_code,
-                            protocol_from_cert, simulate_transmission)
-from conftest import (canonical_output_labels, cert_with, channel_rows,
-                      confusable_pairs_by_loop, explicit_state_transmission,
+from capsep.channel import Protocol, canonical_channel, protocol_from_cert, simulate_transmission
+from conftest import (canonical_output_labels, cert_with, channel_row, channel_rows,
+                      check_zero_error_code, confusable_pairs_by_loop, explicit_state_transmission,
                       maximally_entangled_state, me_pair_trace, members_by_output,
                       ops_by_pair, output_members_by_dict, partial_trace,
                       random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
@@ -36,7 +35,7 @@ def c5_channel():
 def assert_realizes(chan, g):
     """The oracle for the channel: rows are distributions and share outputs on edges."""
     for x in range(g.vertex_count):
-        idx, probs = chan.row(x)
+        idx, probs = channel_row(chan, x)
         assert idx[0] == x and (np.diff(idx) > 0).all()
         assert (probs == 1.0 / idx.size).all() and abs(probs.sum() - 1.0) <= 1e-12
     assert confusable_pairs_by_loop(chan) == [tuple(e) for e in g.edge_array().tolist()]
@@ -57,7 +56,7 @@ class TestPentagonChannel:
         assert not support(c, 0) & support(c, 2)
 
     def test_rows_are_uniform(self):
-        idx, probs = c5_channel().row(3)
+        idx, probs = channel_row(c5_channel(), 3)
         assert idx.tolist() == [3, 8, 9]
         assert probs.tolist() == [1 / 3] * 3
 
@@ -65,7 +64,7 @@ class TestPentagonChannel:
 class TestConfusabilityGraph:
     def test_noiseless_channel_is_edgeless(self):
         chan = canonical_channel(random_explicit_graph(4, 0.0, 0))
-        assert [chan.row(x)[1].tolist() for x in range(4)] == [[1.0]] * 4
+        assert [channel_row(chan, x)[1].tolist() for x in range(4)] == [[1.0]] * 4
         assert confusable_pairs_by_loop(chan) == []
 
     def test_complete_graph_channel_is_complete(self):
@@ -113,9 +112,9 @@ class TestCsrRows:
     def test_rows_read_back(self):
         c = c5_channel()
         indptr, targets = channel_rows(c)
-        assert [c.row(x)[0].tolist() for x in (0, 4)] == [[0, 5, 6], [4, 6, 9]]
+        assert [channel_row(c, x)[0].tolist() for x in (0, 4)] == [[0, 5, 6], [4, 6, 9]]
         assert [targets[indptr[x]:indptr[x + 1]].tolist() for x in range(5)] == \
-            [c.row(x)[0].tolist() for x in range(5)]
+            [channel_row(c, x)[0].tolist() for x in range(5)]
 
 
 class TestOutputLabels:
@@ -133,6 +132,39 @@ class TestOutputLabels:
         for t in (len(eager), -len(eager) - 1):
             with pytest.raises(IndexError):
                 outputs[t]
+
+
+class TestInputLabels:
+    @pytest.mark.parametrize("name", ["C5", "H7", "G11", "C5xC5"])
+    def test_matches_vertex_labels(self, name, g11):
+        g = g11 if name == "G11" else capsep.bitgraph.graph_from_ref(name)
+        inputs = canonical_channel(g).inputs
+        eager = [g.vertex_label(i) for i in range(g.vertex_count)]
+        assert len(inputs) == len(eager) and list(inputs) == eager
+        for t in (0, len(eager) - 1):
+            assert inputs[np.int64(t)] == eager[t]
+        for t in (-1, -len(eager)):
+            assert inputs[t] == eager[t]
+        for t in (len(eager), -len(eager) - 1):
+            with pytest.raises(IndexError):
+                inputs[t]
+
+    def test_no_label_formed_by_the_constructor(self, g11, monkeypatch):
+        monkeypatch.setattr(g11, "vertex_label", lambda i: pytest.fail("a label was formed"))
+        assert len(canonical_channel(g11).inputs) == g11.vertex_count
+
+    def test_simulation_forms_each_label_once(self, h11_cert, monkeypatch):
+        g, formed = h11_cert.graph, []
+        label = g.vertex_label
+        monkeypatch.setattr(g, "vertex_label", lambda i: formed.append(i) or label(i))
+        proto = protocol_from_cert(h11_cert, canonical_channel(g))
+        for trial in range(200):
+            simulate_transmission(proto, trial % proto.M + 1, seed=trial)
+        assert formed and len(formed) == len(set(formed)) < g.vertex_count
+
+    def test_channel_of_an_equal_graph_accepted(self, h11_cert):
+        proto = protocol_from_cert(h11_cert, canonical_channel(capsep.build_H(11)))
+        assert proto.M == h11_cert.M
 
 
 class TestCanonicalChannel:
