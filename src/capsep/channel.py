@@ -8,6 +8,13 @@ receiver measures with projectors grouped by which clique could have produced
 the channel output. Orthogonality across cliques through every shared output
 makes the decoding exact.
 
+The protocol is proved by its certificate, in exact integers: the
+certificate's verification, plus two frame conditions that
+``protocol_from_cert`` checks (equal operator traces, and each message's
+operators annihilating pairwise), make every sender measurement complete and
+every receiver measurement orthogonal, so every zero-error instance is
+exactly 0. No float re-check is made; the float forms are test oracles.
+
 For the maximally entangled state, Tr((A (x) B) rho) = Tr(A B^T)/d. Every
 measurement operator is a sum of rank-one projectors f f^T onto real unit
 vectors, so every probability the protocol needs is a sum of squared entries
@@ -28,8 +35,6 @@ from .bitgraph import MAX_VERTICES
 from .entcert import EntCert, rank_one_row
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
-COMPLETENESS_TOL = 1e-10
-ZERO_ERROR_TOL = 1e-9
 CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
 
 
@@ -72,11 +77,17 @@ class Channel:
         self.graph = graph
         self.input_label = cache(graph.vertex_label)
         self.inputs = _Labels(graph.vertex_count, self.input_label)
-        self.outputs = _Labels(count, self._output_label)
+        self._output_count = count
 
     @property
     def input_count(self) -> int:
         return len(self.inputs)
+
+    @property
+    def outputs(self) -> _Labels:
+        """The output labels; formed when read, so the channel holds no view
+        of itself and is freed as soon as its last reference goes."""
+        return _Labels(self._output_count, self._output_label)
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -103,19 +114,6 @@ def canonical_channel(g) -> Channel:
 
 
 # -- protocols -----------------------------------------------------------------
-
-
-@dataclass
-class ZeroErrorReport:
-    passed: bool
-    max_violation: float
-    instances: int
-    witness: tuple | None = None
-
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "max_violation": self.max_violation,
-                "instances": self.instances,
-                "witness": list(self.witness) if self.witness else None}
 
 
 @dataclass
@@ -180,101 +178,57 @@ class Protocol:
             cdf = p.cumsum()
             self._senders[i] = (k, cdf / cdf[-1])
 
-    def _received(self, k: np.ndarray, l: np.ndarray, scale) -> np.ndarray:
-        """Per class (k, l): column j is the sum of G[k,u]^2 / scale over the
-        class members u carrying message j, plus 1 - their total on j = 1."""
-        paired, rows = l >= 0, np.arange(len(k))
-        own = self.gram[k, k] ** 2 / scale
-        other = np.where(paired, self.gram[k, l] ** 2 / scale, 0.0)
+    @cached_property
+    def _decoding(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per receiver class (k, l), the receiver's distribution over messages
+        1..M: column j is the sum of G[k,u]^2 / G[k,k] over the class members
+        u carrying message j, plus 1 - their total on j = 1 (the completion
+        operator); and the message decoded from it."""
+        k, l = self._classes.T
+        paired, rows, diag = l >= 0, np.arange(len(k)), self.gram[k, k]
+        own = diag ** 2 / diag
+        other = np.where(paired, self.gram[k, l] ** 2 / diag, 0.0)
         out = np.zeros((len(k), self.M + 1))
         out[rows, self.messages[k]] = own
         out[rows[paired], self.messages[l[paired]]] += other[paired]
-        out[:, 1] += 1.0 - (own + other)  # completion operator
-        return out
-
-    @cached_property
-    def _decoding(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per receiver class of row k, the receiver's distribution over
-        messages 1..M (sum G[k,u]^2 / G[k,k] by message, with completion)
-        and the message decoded from it."""
-        k, l = self._classes.T
-        dist = np.maximum(self._received(k, l, self.gram[k, k])[:, 1:], 0.0)
+        out[:, 1] += 1.0 - (own + other)
+        dist = np.maximum(out[:, 1:], 0.0)
         return dist, np.argmax(dist, axis=1) + 1
 
-    def completeness_report(self) -> dict:
-        """Exhaustive check of both measurements.
-
-        Each sender POVM must sum to the identity. Receiver completion is
-        exact by construction; the real constraint is that the projectors of
-        each output never overlap: the spectrum of sum_u f_u f_u^T over the
-        members u of t, which is that of G[members, members], is at most 1.
-        The member sets among the inputs are the K singletons and the
-        adjacent input pairs, so every output is checked by checking these.
-        """
-        worst_sender = 0.0
-        for k, _ in self._senders.values():
-            f = self.vectors[k]
-            worst_sender = max(worst_sender,
-                               float(np.abs(f.T @ f - np.eye(self.dim)).max()))
-        worst_receiver = 0.0
-        pairs = self._classes[self._classes[:, 0] < self._classes[:, 1]]
-        for groups in (np.arange(len(self.inputs))[:, None], pairs):
-            if len(groups):
-                top = np.linalg.eigvalsh(self.gram[groups[:, :, None], groups[:, None, :]])
-                worst_receiver = max(worst_receiver, float(top[:, -1].max()) - 1.0)
-        passed = worst_sender <= COMPLETENESS_TOL and worst_receiver <= COMPLETENESS_TOL
-        return {"passed": passed, "sender_deviation": worst_sender,
-                "receiver_excess": worst_receiver}
-
-    def zero_error_report(self) -> ZeroErrorReport:
-        """Exhaustive check of Tr((A_i^s (x) B_t^j) rho) = 0 for i != j, P(t|s) > 0.
-
-        With unit f_s that value is sum G[s,u]^2 / d over the members u of t
-        carrying message j, plus (1 - sum G[s,u]^2 over all members) / d for
-        j = 1 from the completion operator. One instance per (s, t) and per
-        message j != i among t's messages and message 1. Instances run in the
-        order messages first appear among the inputs, then s, then t in row
-        order, then j ascending; the witness is the first worst one. Each
-        receiver class is evaluated once and counted as often as row s has
-        such outputs; a row's solo outputs all give the value of its first
-        output, its vertex output, so the first worst instance is unchanged.
-        """
+    @property
+    def zero_error_instances(self) -> int:
+        """The number of instances Tr((A_i^s (x) B_t^j) rho) = 0 that the
+        certificate proves: per sender row k with message i and output t of
+        its row, one per message j != i among t's members and message 1 (the
+        completion). A solo output of row k counts [i != 1]; a paired class
+        (k, l) counts [m_l != i] + [i != 1 and m_l != 1]."""
         count = len(self.inputs)
-        _, first, inverse = np.unique(self.messages, return_index=True,
-                                      return_inverse=True)
-        rank = np.empty(count, dtype=np.int64)
-        rank[np.argsort(first[inverse], kind="stable")] = np.arange(count)
-        # classes in instance order: per sender, solo first, then by neighbour
-        k, l = self._classes[np.lexsort((self._classes[:, 1], rank[self._classes[:, 0]]))].T
-        paired, rows = l >= 0, np.arange(len(k))
-        solo = np.diff(self._indptr) + 1 - np.bincount(k[paired], minlength=count)
-        by_msg = self._received(k, l, 1.0)
-        counted = np.zeros(by_msg.shape, dtype=bool)
-        counted[rows[paired], self.messages[l[paired]]] = True
-        counted[:, 1] = True
-        counted[rows, self.messages[k]] = False
-        value = np.abs(by_msg[counted]) / self.dim
-        worst = float(value.max()) if value.size else 0.0
-        passed = worst <= ZERO_ERROR_TOL
-        witness = None
-        if not passed:
-            st, j = (a[int(np.argmax(value))] for a in np.nonzero(counted))
-            c, s = self.channel, int(self.inputs[k[st]])
-            witness = (int(self.messages[k[st]]), int(j), c.inputs[s],
-                       c.edge_label(s, int(self.inputs[l[st]])) if paired[st]
-                       else c.inputs[s])
-        times = np.where(paired, 1, solo[k])
-        return ZeroErrorReport(passed, worst, int(counted.sum(axis=1) @ times), witness)
+        k, l = self._classes[count:].T
+        i, j = self.messages[k], self.messages[l]
+        solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=count)
+        return int(solo @ (self.messages != 1) + np.count_nonzero(j != i)
+                   + np.count_nonzero((i != 1) & (j != 1)))
 
 
 def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
-    """Build and fully verify the protocol realizing a packing certificate.
+    """The protocol realizing a verified certificate, proved in exact integers.
 
-    Accepts certificates whose rho is a scaled identity (even-weight or
-    complete-graph cliques, and the one-dimensional classical embedding) or a
-    scaled projector (weight-(n+1)/2 cliques); in the projector case vectors
-    are re-expressed in an orthonormal basis of the projector's range, which
-    preserves all inner products.
+    Refused with ``ProtocolError``: a vertex with two messages; a certificate
+    whose attached ``verification`` is missing or failed; operators of
+    unequal traces; and a message whose operators do not annihilate pairwise.
+    The last is read off one d x d identity: with every N = c w w^T of trace
+    tau and each message summing to rho (condition 1), rho^2 = tau rho plus
+    the sum of N_a N_b over the pairs a != b of one message, whose trace is
+    the sum of c_a c_b <w_a, w_b>^2 >= 0. So rho^2 = tau rho holds iff every
+    such pair annihilates. Then each message's unit vectors are an
+    orthonormal basis of range(rho) and rho / tau is a projector, so every
+    sender measurement is complete, every receiver class (a singleton or an
+    adjacent pair, orthogonal by conditions 2 and 3) is orthogonal, and
+    every zero-error instance is exactly 0.
+
+    When rho is not a scaled identity (weight-(n+1)/2 cliques) the vectors
+    are re-expressed in an orthonormal basis of its range, which preserves
+    all inner products.
     """
     g = cert.graph
     labels = map(g.vertex_label, range(g.vertex_count))
@@ -287,26 +241,25 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
         k = int(twice[0])
         raise ProtocolError(f"vertex {inputs[k]} carries two messages "
                             f"({messages[k]} and {messages[k + 1]})")
+    if cert.verification is None or not cert.verification.passed:
+        raise ProtocolError("the certificate has no passing verification")
+    traces = np.einsum("kii->k", stack)
+    unequal = np.flatnonzero(traces != traces[0])
+    if unequal.size:
+        k = int(unequal[0])
+        raise ProtocolError(f"operators have unequal traces ({traces[0]} at vertex "
+                            f"{inputs[0]}, {traces[k]} at vertex {inputs[k]})")
+    rho = cert.rho_num  # verified entries keep d * max^2 below 2^53: exact in int64
+    if not np.array_equal(rho @ rho, traces[0] * rho):
+        raise ProtocolError("the operators of a message do not annihilate pairwise "
+                            "(rho^2 != tr(N) rho)")
     # unit vectors f with num proportional to f f^T (sign immaterial)
     vectors = rank_one_row(stack).astype(np.float64)
-    norms = np.linalg.norm(vectors, axis=1)
-    if not norms.all():
-        raise ProtocolError("operator numerator is not a rank-one outer product")
-    vectors /= norms[:, None]
-    rho = cert.rho_num
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
     if not np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype)):
         evals, evecs = np.linalg.eigh(rho.astype(np.float64))
         vectors = vectors @ evecs[:, evals > evals[-1] / 2.0]
-    proto = Protocol(chan, cert.M, inputs, messages, vectors)
-
-    comp = proto.completeness_report()
-    if not comp["passed"]:
-        raise ProtocolError(f"measurement completeness violated: {comp}")
-    report = proto.zero_error_report()
-    if not report.passed:
-        raise ProtocolError(f"zero-error condition violated by "
-                            f"{report.max_violation:.3e} at {report.witness}")
-    return proto
+    return Protocol(chan, cert.M, inputs, messages, vectors)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,10 @@ class CertificateError(CapsepError):
 
 
 class ProtocolError(CapsepError):
-    """A communication protocol violated a completeness or zero-error condition."""
+    """A protocol is not proved: its certificate is unverified, a vertex
+    carries two messages, a frame condition fails (equal operator traces,
+    each message's operators annihilating pairwise), or the sender
+    probabilities are no distribution."""
 
 
 class InternalCheckError(CapsepError):

@@ -19,7 +19,7 @@ from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fit
                       check_zero_error_code, fitting_matrix, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
                       normalize_by_loop, normalized, random_explicit_graph,
-                      rank_by_row_reduction, rank_fp, sign_vector)
+                      rank_by_row_reduction, rank_fp, sign_vector, zero_error_by_loop)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -187,8 +187,8 @@ def test_criterion_7_protocol_simulation():
         assert cert.M == 8
         chan = canonical_channel(cert.graph)
         proto = protocol_from_cert(cert, chan)
-        report = proto.zero_error_report()  # tolerance 1e-9
-        assert report.passed, f"zero-error violation {report.max_violation}"
+        _, worst, witness = zero_error_by_loop(proto)
+        assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
         failures = 0
         for trial in range(10**3):
             message = trial % proto.M + 1

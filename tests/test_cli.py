@@ -465,11 +465,9 @@ class TestChannelSimCommand:
         assert code == 0 and payload["failures"] == 0
         _, g, packing = capsep.cli._packing(family, 11, seed)
         proto = protocol_from_cert(capsep.cert_from_packing(packing), canonical_channel(g))
-        zero_error = payload["zero_error"]
         instances, worst, _ = zero_error_by_loop(proto)
-        assert zero_error["passed"] and zero_error["witness"] is None
-        assert zero_error["instances"] == instances
-        assert abs(zero_error["max_violation"] - worst) <= 1e-15
+        assert payload["zero_error"] == {"passed": True, "instances": instances}
+        assert worst <= 1e-9
         assert len(payload["transcripts"]) == 20
         for trial, transcript in enumerate(payload["transcripts"]):
             assert transcript == simulate_transmission_by_choice(
