@@ -2,24 +2,21 @@
 
 The protocol construction follows the one-shot scheme: sender and receiver
 share a maximally entangled state of local dimension d; to send message i the
-sender measures with the rank-one projectors onto the i-th clique's
-representation vectors, transmits her outcome through the channel, and the
-receiver measures with projectors grouped by which clique could have produced
-the channel output. Orthogonality across cliques through every shared output
+sender measures with the rank-one projectors of the i-th clique's
+representation, transmits her outcome through the channel, and the receiver
+measures with projectors grouped by which clique could have produced the
+channel output. Orthogonality across cliques through every shared output
 makes the decoding exact.
 
 The protocol is proved by its certificate, in exact integers: the
 certificate's verification, plus two frame conditions that
 ``protocol_from_cert`` checks (equal operator traces, and each message's
 operators annihilating pairwise), make every sender measurement complete and
-every receiver measurement orthogonal, so every zero-error instance is
-exactly 0. No float re-check is made; the float forms are test oracles.
-
-For the maximally entangled state, Tr((A (x) B) rho) = Tr(A B^T)/d. Every
-measurement operator is a sum of rank-one projectors f f^T onto real unit
-vectors, so every probability the protocol needs is a sum of squared entries
-of the Gram matrix G = F F^T of the stacked vectors F; the d^2-dimensional
-state is never formed.
+uniform, and every receiver measurement orthogonal, so every zero-error
+instance is exactly 0 and the receiver decodes the sent message with
+probability 1. So a simulation draws the sender's outcome and the channel
+output uniformly and reports the decoding the proof gives; no float form of
+the measurements is built, and the float forms are test oracles.
 """
 
 from __future__ import annotations
@@ -32,10 +29,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .bitgraph import MAX_VERTICES
-from .entcert import EntCert, rank_one_row
+from .entcert import EntCert
 from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
-
-CHOICE_SUM_TOL = np.sqrt(np.finfo(np.float64).eps)  # Generator.choice's own
 
 
 class _Labels(Sequence):
@@ -116,38 +111,45 @@ def canonical_channel(g) -> Channel:
 # -- protocols -----------------------------------------------------------------
 
 
+@cache
+def _uniform_cdf(n: int) -> np.ndarray:
+    """The CDF that ``Generator.choice(a, p=p)`` builds for n equal weights."""
+    p = np.full(n, 1.0 / n)
+    cdf = (p / p.sum()).cumsum()
+    cdf = cdf / cdf[-1]
+    cdf.flags.writeable = False  # one array, shared by every caller
+    return cdf
+
+
 @dataclass
 class Protocol:
-    """One-shot entanglement-assisted protocol bound to a channel.
+    """One-shot entanglement-assisted protocol bound to a channel, as proved
+    by ``protocol_from_cert``.
 
-    Row k of ``vectors`` is the reduced unit vector f_u of channel input
-    u = ``inputs[k]`` (ascending), which carries message ``messages[k]``;
-    other inputs are used by no sender measurement. The sender POVM for
-    message i consists of the rank-one projectors of that message's vectors
-    (zero elsewhere), and the receiver measurement for output t projects onto
-    the vectors of the inputs that can produce t, grouped by message. The
-    completion operator I - sum_j B_t^j is folded into outcome 1. ``gram`` is
-    F F^T over the rows of ``vectors``, and ``dim`` is their length d.
+    Channel input u = ``inputs[k]`` (ascending) carries message
+    ``messages[k]``; other inputs are used by no sender measurement. Each
+    message's operators, scaled by 1/tau, are the rank-one projectors of an
+    orthonormal basis of one ``dim``-dimensional space, so the sender draws
+    each of a message's inputs with probability 1/dim, and the receiver,
+    whose measurement for an output groups the projectors of the inputs
+    that can produce it by message, decodes the message with certainty.
 
     The channel rows of the inputs come from one ``adjacency_among(inputs,
     all vertices)``, never from the channel's edge numbering: row k is its
     vertex output, then its edge outputs by neighbour ascending, the
-    channel's own order. An output of row k is received by the vector rows
+    channel's own order. An output of row k is received by the rows
     {k, l} when it is the edge to the input of row l, and by {k} alone
-    otherwise: those outputs are solo, and all solo outputs of a row act
-    alike. So the receiver classes are the K solo classes (k, -1), then one
-    pair (k, l) per edge output between inputs, in row order.
+    otherwise: those outputs are solo. The receiver pairs (k, l) are listed
+    in row order.
     """
 
     channel: Channel
     M: int
     inputs: np.ndarray
     messages: np.ndarray
-    vectors: np.ndarray
+    dim: int
 
     def __post_init__(self):
-        self.dim = self.vectors.shape[1]
-        self.gram = self.vectors @ self.vectors.T
         g, count = self.channel.graph, len(self.inputs)
         row_k, self._neighbours = np.nonzero(
             g.adjacency_among(self.inputs, np.arange(g.vertex_count)))
@@ -155,55 +157,19 @@ class Protocol:
         row_of = np.full(g.vertex_count, -1, dtype=np.int64)
         row_of[self.inputs] = np.arange(count)
         peer = row_of[self._neighbours]
-        paired = peer >= 0
-        # receiver classes, and the class of each neighbour's edge output
-        self._classes = np.concatenate([
-            np.stack([np.arange(count), np.full(count, -1)], axis=1),
-            np.stack([row_k[paired], peer[paired]], axis=1)])
-        self._edge_class = np.where(paired, count + np.cumsum(paired) - 1, row_k)
-        # The CDF that Generator.choice builds over a channel row of each size
-        self._row_cdf = {}
-        for n in np.flatnonzero(np.bincount(np.diff(self._indptr) + 1)).tolist():
-            p = np.full(n, 1.0 / n)
-            cdf = (p / p.sum()).cumsum()
-            self._row_cdf[n] = cdf / cdf[-1]
-        # Senders: per message, its vector rows and the CDF of Tr(A_i^s)/d.
-        self._senders = {}
-        for i in np.flatnonzero(np.bincount(self.messages)).tolist():
-            k = np.flatnonzero(self.messages == i)
-            p = np.diagonal(self.gram)[k] / self.dim
-            p = p / p.sum()
-            if not (np.isfinite(p) & (p >= 0)).all() or abs(p.sum() - 1.0) > CHOICE_SUM_TOL:
-                raise ProtocolError(f"message {i}: sender probabilities are no distribution")
-            cdf = p.cumsum()
-            self._senders[i] = (k, cdf / cdf[-1])
-
-    @cached_property
-    def _decoding(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per receiver class (k, l), the receiver's distribution over messages
-        1..M: column j is the sum of G[k,u]^2 / G[k,k] over the class members
-        u carrying message j, plus 1 - their total on j = 1 (the completion
-        operator); and the message decoded from it."""
-        k, l = self._classes.T
-        paired, rows, diag = l >= 0, np.arange(len(k)), self.gram[k, k]
-        own = diag ** 2 / diag
-        other = np.where(paired, self.gram[k, l] ** 2 / diag, 0.0)
-        out = np.zeros((len(k), self.M + 1))
-        out[rows, self.messages[k]] = own
-        out[rows[paired], self.messages[l[paired]]] += other[paired]
-        out[:, 1] += 1.0 - (own + other)
-        dist = np.maximum(out[:, 1:], 0.0)
-        return dist, np.argmax(dist, axis=1) + 1
+        self._pairs = np.stack([row_k, peer], axis=1)[peer >= 0]
+        self._senders = {i: np.flatnonzero(self.messages == i)
+                         for i in np.flatnonzero(np.bincount(self.messages)).tolist()}
 
     @property
     def zero_error_instances(self) -> int:
         """The number of instances Tr((A_i^s (x) B_t^j) rho) = 0 that the
         certificate proves: per sender row k with message i and output t of
         its row, one per message j != i among t's members and message 1 (the
-        completion). A solo output of row k counts [i != 1]; a paired class
+        completion). A solo output of row k counts [i != 1]; a receiver pair
         (k, l) counts [m_l != i] + [i != 1 and m_l != 1]."""
         count = len(self.inputs)
-        k, l = self._classes[count:].T
+        k, l = self._pairs.T
         i, j = self.messages[k], self.messages[l]
         solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=count)
         return int(solo @ (self.messages != 1) + np.count_nonzero(j != i)
@@ -220,15 +186,12 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     tau and each message summing to rho (condition 1), rho^2 = tau rho plus
     the sum of N_a N_b over the pairs a != b of one message, whose trace is
     the sum of c_a c_b <w_a, w_b>^2 >= 0. So rho^2 = tau rho holds iff every
-    such pair annihilates. Then each message's unit vectors are an
-    orthonormal basis of range(rho) and rho / tau is a projector, so every
-    sender measurement is complete, every receiver class (a singleton or an
-    adjacent pair, orthogonal by conditions 2 and 3) is orthogonal, and
-    every zero-error instance is exactly 0.
-
-    When rho is not a scaled identity (weight-(n+1)/2 cliques) the vectors
-    are re-expressed in an orthonormal basis of its range, which preserves
-    all inner products.
+    such pair annihilates. Then each message's operators are tau times the
+    projectors of an orthonormal basis of range(rho), and rho / tau is a
+    projector of rank ``dim`` = tr(rho) / tau. So every sender measurement
+    is complete, every receiver class (a singleton or an adjacent pair,
+    orthogonal by conditions 2 and 3) is orthogonal, and every zero-error
+    instance is exactly 0.
     """
     g = cert.graph
     labels = map(g.vertex_label, range(g.vertex_count))
@@ -253,13 +216,7 @@ def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
     if not np.array_equal(rho @ rho, traces[0] * rho):
         raise ProtocolError("the operators of a message do not annihilate pairwise "
                             "(rho^2 != tr(N) rho)")
-    # unit vectors f with num proportional to f f^T (sign immaterial)
-    vectors = rank_one_row(stack).astype(np.float64)
-    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
-    if not np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype)):
-        evals, evecs = np.linalg.eigh(rho.astype(np.float64))
-        vectors = vectors @ evecs[:, evals > evals[-1] / 2.0]
-    return Protocol(chan, cert.M, inputs, messages, vectors)
+    return Protocol(chan, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
 
 
 @dataclass(frozen=True)
@@ -284,27 +241,22 @@ class Transcript:
 def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Transcript:
     """Run the protocol once over ``proto.channel`` for one message, with an RNG seed.
 
-    The sender's outcome s is drawn with probability Tr(A_i^s)/d over the
-    message's inputs, then the channel output t from row s, from the two
-    uniforms of ``default_rng(seed).random(2)``: the draws two calls of
-    ``Generator.choice(a, p=p)`` make. By the maximally-entangled trace
-    identity, the receiver's outcome j then has probability
-    sum G[s,u]^2 / G[s,s] over the members u of t carrying j, plus the
-    completion term for j = 1: one row of the Gram matrix, tabulated per
-    receiver class of row s.
+    The sender's outcome s is drawn uniformly over the message's inputs
+    (each operator has trace tau, so Tr(A_i^s)/d = 1/dim), then the channel
+    output t uniformly from row s, from the two uniforms of
+    ``default_rng(seed).random(2)``: the draws two calls of
+    ``Generator.choice(a, p=p)`` make. The receiver's outcome is the message
+    with probability 1, as ``protocol_from_cert`` proves, so the transcript's
+    distribution is one-hot at it.
     """
     if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
     chan, u = proto.channel, np.random.default_rng(seed).random(2)
-    rows, cdf = proto._senders[message]
-    k = int(rows[cdf.searchsorted(u[0], side="right")])
+    rows = proto._senders[message]
+    k = int(rows[_uniform_cdf(len(rows)).searchsorted(u[0], side="right")])
     s, lo, hi = int(proto.inputs[k]), *proto._indptr[k:k + 2].tolist()
-    pos = int(proto._row_cdf[hi - lo + 1].searchsorted(u[1], side="right"))
-    cls, sender = k, chan.input_label(s)
-    output = sender
-    if pos:  # the edge output to the pos-th neighbour
-        cls = int(proto._edge_class[lo + pos - 1])
-        output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1]))
-    dist, decoded = proto._decoding
-    return Transcript(message, sender, output, tuple(dist[cls].tolist()),
-                      int(decoded[cls]))
+    pos = int(_uniform_cdf(hi - lo + 1).searchsorted(u[1], side="right"))
+    sender = chan.input_label(s)
+    output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1])) if pos else sender
+    distribution = (0.0,) * (message - 1) + (1.0,) + (0.0,) * (proto.M - message)
+    return Transcript(message, sender, output, distribution, message)

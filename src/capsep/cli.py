@@ -209,7 +209,8 @@ def _cmd_pipeline(args) -> int:
     lower = len(restricted) if restricted.verified else 0
     out["alpha"] = {"lower": lower, "upper": upper}
     p = algebra_fp.instance_prime(n)
-    out["report"] = None if p is None else report.capacity_report(family, p).to_json()
+    # n + 1 = 4p: the report reads the Hadamard matrix this run already checked
+    out["report"] = None if p is None else report.CapacityReport(family, p, h).to_json()
     # alpha* >= M > rank >= Theta, with both ends computed in this run
     out["separation_certified_here"] = (cert.verification.passed and upper is not None
                                         and cert.M > upper)

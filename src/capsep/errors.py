@@ -23,9 +23,8 @@ class CertificateError(CapsepError):
 
 class ProtocolError(CapsepError):
     """A protocol is not proved: its certificate is unverified, a vertex
-    carries two messages, a frame condition fails (equal operator traces,
-    each message's operators annihilating pairwise), or the sender
-    probabilities are no distribution."""
+    carries two messages, or a frame condition fails (equal operator traces,
+    each message's operators annihilating pairwise)."""
 
 
 class InternalCheckError(CapsepError):

@@ -7,7 +7,9 @@ so the fast implementations have something honest to be measured against.
 The F_p elimination (``rank_fp``, ``gram_rank``) lives only here: the library
 takes its fitting-matrix ranks from identities, which it checks. So do a
 channel's rows (``channel_row``) and the zero-error code check
-(``check_zero_error_code``), which no library code needs.
+(``check_zero_error_code``), which no library code needs, and the float form
+of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
+the library replaces by the certificate's exact proof.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -23,7 +25,7 @@ import pytest
 
 import capsep
 from capsep.channel import Transcript
-from capsep.entcert import EntCert
+from capsep.entcert import EntCert, rank_one_row
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.bitgraph import row_blocks, weight_w_bits
 from capsep.geometry import _hadamard_signs
@@ -359,6 +361,46 @@ def members_by_output(chan) -> tuple[np.ndarray, np.ndarray]:
     nv, ne = chan.input_count, len(chan.edges)
     indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
     return indptr, np.concatenate([np.arange(nv), chan.edges.ravel()])
+
+
+@dataclasses.dataclass
+class FloatProtocol:
+    """A protocol in floats: row k of ``vectors`` is the unit vector f_u of
+    channel input u = ``inputs[k]``, which carries message ``messages[k]``.
+    Message i's sender POVM is the projectors f f^T of its rows, and the
+    receiver's for output t groups the projectors of t's members by message,
+    with the completion I - sum on message 1. ``gram`` is F F^T over the
+    rows, and ``dim`` their length d."""
+
+    channel: object
+    M: int
+    inputs: np.ndarray
+    messages: np.ndarray
+    vectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        return self.vectors @ self.vectors.T
+
+
+def float_protocol(cert, chan, vectors=None) -> FloatProtocol:
+    """The float form of ``protocol_from_cert(cert, chan)``, or of the same
+    inputs and messages with other ``vectors``. By default each operator's
+    nonzero row, normalized; when rho is not a scaled identity (weight-(n+1)/2
+    cliques) re-expressed by ``eigh`` in an orthonormal basis of its range,
+    which preserves all inner products."""
+    if vectors is None:
+        vectors = rank_one_row(cert.ops).astype(np.float64)
+        vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+        rho = cert.rho_num
+        if not np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype)):
+            evals, evecs = np.linalg.eigh(rho.astype(np.float64))
+            vectors = vectors @ evecs[:, evals > evals[-1] / 2.0]
+    return FloatProtocol(chan, cert.M, cert.verts, cert.msgs, vectors)
 
 
 def receivers(proto, t: int) -> np.ndarray:

@@ -16,7 +16,7 @@ import capsep
 from capsep.algebra_fp import haemers_matrix
 from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
-                      check_zero_error_code, fitting_matrix, frankl_wilson_Q,
+                      check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
                       normalize_by_loop, normalized, random_explicit_graph,
                       rank_by_row_reduction, rank_fp, sign_vector, zero_error_by_loop)
@@ -187,7 +187,7 @@ def test_criterion_7_protocol_simulation():
         assert cert.M == 8
         chan = canonical_channel(cert.graph)
         proto = protocol_from_cert(cert, chan)
-        _, worst, witness = zero_error_by_loop(proto)
+        _, worst, witness = zero_error_by_loop(float_protocol(cert, chan))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
         failures = 0
         for trial in range(10**3):

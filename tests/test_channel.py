@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.channel import Protocol, canonical_channel, protocol_from_cert, simulate_transmission
+from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
 from conftest import (canonical_output_labels, cert_with, channel_row, channel_rows,
                       check_zero_error_code, confusable_pairs_by_loop, explicit_state_transmission,
-                      maximally_entangled_state, me_pair_trace, members_by_output,
+                      float_protocol, maximally_entangled_state, me_pair_trace, members_by_output,
                       ops_by_pair, output_members_by_dict, partial_trace,
                       random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
                       sender_measurement, simulate_transmission_by_choice,
@@ -24,10 +24,18 @@ def h3_cert():
         capsep.build_H(3), capsep.hadamard_clique(capsep.sylvester(2), "H")))
 
 
-def h3_protocol():
-    cert = h3_cert()
+def protocol_and_floats(cert):
+    """The protocol of a certificate over its graph's canonical channel, and its float form."""
     chan = canonical_channel(cert.graph)
-    return protocol_from_cert(cert, chan), chan
+    return protocol_from_cert(cert, chan), float_protocol(cert, chan)
+
+
+def h3_protocol():
+    return protocol_and_floats(h3_cert())
+
+
+def one_hot(message: int, M: int) -> tuple[float, ...]:
+    return tuple(float(j == message) for j in range(1, M + 1))
 
 
 def c5_channel():
@@ -308,31 +316,32 @@ class TestQuantumHelpers:
 
 class TestProtocol:
     def test_h3_trivial_message(self):
-        proto, _ = h3_protocol()
+        proto, fp = h3_protocol()
         assert proto.M == 1
         # the condition is vacuous
-        assert proto.zero_error_instances == 0 and zero_error_by_loop(proto) == (0, 0.0, None)
+        assert proto.zero_error_instances == 0 and zero_error_by_loop(fp) == (0, 0.0, None)
         tr = simulate_transmission(proto, 1, seed=0)
         assert tr.decoded == 1
 
     def test_h3_sender_distribution_sums_to_one(self):
-        proto, chan = h3_protocol()
+        proto, fp = h3_protocol()
+        assert proto.dim == fp.dim == 4
         total = 0.0
-        rho = maximally_entangled_state(proto.dim)
-        for s, a in sender_measurement(proto, 1).items():
-            total += float(np.trace(np.kron(a, np.eye(proto.dim)) @ rho))
+        rho = maximally_entangled_state(fp.dim)
+        for s, a in sender_measurement(fp, 1).items():
+            total += float(np.trace(np.kron(a, np.eye(fp.dim)) @ rho))
         assert abs(total - 1.0) < 1e-10
 
     def test_h3_completeness(self):
-        proto, _ = h3_protocol()
-        assert sender_deviation(proto) <= 1e-10
-        assert receiver_excess_by_outputs(proto) <= 1e-10
+        _, fp = h3_protocol()
+        assert sender_deviation(fp) <= 1e-10
+        assert receiver_excess_by_outputs(fp) <= 1e-10
 
     def test_receiver_measurement_sums_to_identity(self):
-        proto, chan = h3_protocol()
-        for t in range(len(chan.outputs)):
-            total = sum(receiver_measurement(proto, t))
-            assert np.abs(total - np.eye(proto.dim)).max() < 1e-12
+        _, fp = h3_protocol()
+        for t in range(len(fp.channel.outputs)):
+            total = sum(receiver_measurement(fp, t))
+            assert np.abs(total - np.eye(fp.dim)).max() < 1e-12
 
     def test_merged_cliques_rejected(self, h11_cert):
         ops = {(u, 1 if i == 2 else i): num
@@ -407,11 +416,12 @@ class TestProtocol:
             g = capsep.bitgraph.graph_from_ref(name)
             cert = capsep.cert_from_packing(capsep.pack_cliques(
                 g, capsep.hadamard_clique(capsep.find_hadamard(g.n + 1), name[0])))
-        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
-        instances, worst, _ = zero_error_by_loop(proto)
+        proto, fp = protocol_and_floats(cert)
+        assert proto.dim == fp.dim
+        instances, worst, _ = zero_error_by_loop(fp)
         assert proto.zero_error_instances == instances and worst <= 1e-9
-        assert sender_deviation(proto) <= 1e-10
-        assert receiver_excess_by_outputs(proto) <= 1e-10
+        assert sender_deviation(fp) <= 1e-10
+        assert receiver_excess_by_outputs(fp) <= 1e-10
 
     @pytest.mark.parametrize("name", ["H3xH3", "C5xC5", "C5xH3"])
     def test_verified_product_certs_accepted(self, name):
@@ -453,9 +463,7 @@ class TestProtocol:
 
 def classical_g11_protocol(g11):
     rs = capsep.restricted_independent_set(11)
-    cert = classical_embedding(g11, g11.indices_of(rs.vertices))
-    chan = canonical_channel(g11)
-    return protocol_from_cert(cert, chan), chan
+    return protocol_and_floats(classical_embedding(g11, g11.indices_of(rs.vertices)))
 
 
 class TestAgainstOracles:
@@ -463,16 +471,16 @@ class TestAgainstOracles:
     def test_gram_row_distribution_matches_explicit_state(self, which, g11,
                                                           g11_cert):
         if which == "H3":
-            proto, chan = h3_protocol()
+            proto, fp = h3_protocol()
         elif which == "G11 classical":
-            proto, chan = classical_g11_protocol(g11)
+            proto, fp = classical_g11_protocol(g11)
         else:
-            chan = canonical_channel(g11_cert.graph)
-            proto = protocol_from_cert(g11_cert, chan)
+            proto, fp = protocol_and_floats(g11_cert)
+        chan = proto.channel
         for message in sorted({1, 2, proto.M // 2, proto.M} & set(range(1, proto.M + 1))):
             for seed in range(3):
                 tr = simulate_transmission(proto, message, seed=seed)
-                s, t, dist = explicit_state_transmission(proto, chan, message, seed)
+                s, t, dist = explicit_state_transmission(fp, chan, message, seed)
                 assert tr.sender_outcome == chan.inputs[s]
                 assert tr.channel_output == chan.outputs[t]
                 assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
@@ -481,54 +489,68 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "H3"])
     def test_same_stream_as_generator_choice(self, which, g11, h11_cert, g11_cert):
         if which == "H3":
-            proto, _ = h3_protocol()
+            proto, fp = h3_protocol()
         elif which == "G11 classical":
-            proto, _ = classical_g11_protocol(g11)
+            proto, fp = classical_g11_protocol(g11)
         else:
-            cert = h11_cert if which == "H11" else g11_cert
-            proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+            proto, fp = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
         for message in range(1, proto.M + 1):
             for seed in range(50):
-                assert simulate_transmission(proto, message, seed) == \
-                    simulate_transmission_by_choice(proto, message, seed)
+                tr = simulate_transmission(proto, message, seed)
+                oracle = simulate_transmission_by_choice(fp, message, seed)
+                assert (tr.message, tr.sender_outcome, tr.channel_output, tr.decoded) == \
+                    (oracle.message, oracle.sender_outcome, oracle.channel_output,
+                     oracle.decoded)
+                assert tr.distribution == one_hot(message, proto.M)
+                assert np.abs(np.subtract(oracle.distribution, tr.distribution)).max() <= 1e-12
 
-    def test_sender_probabilities_must_be_a_distribution(self):
-        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError):
-            Protocol(c5_channel(), 1, np.array([0]), np.array([1]),
-                     np.zeros((1, 1)))
+    def test_exact_without_float_linear_algebra(self, g11, h11_cert, g11_cert, monkeypatch):
+        c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
+        rs = capsep.restricted_independent_set(11)
+        certs = [h11_cert, g11_cert, classical_embedding(g11, g11.indices_of(rs.vertices)),
+                 tensor(c5, h3_cert())]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("float linear algebra was used")
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "norm", refuse)
+        for cert in certs:
+            proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+            for message in range(1, proto.M + 1):
+                for seed in range(50):
+                    tr = simulate_transmission(proto, message, seed)
+                    assert tr.distribution == one_hot(message, proto.M)
+                    assert tr.decoded == message
 
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
-        protos = [protocol_from_cert(c, canonical_channel(c.graph))
-                  for c in (h11_cert, g11_cert)]
-        protos.append(classical_g11_protocol(g11)[0])
+        pairs = [protocol_and_floats(c) for c in (h11_cert, g11_cert)]
+        pairs.append(classical_g11_protocol(g11))
         # Adjacent vertices have orthogonal vectors, so only tampered vectors
         # can break the zero-error condition: perturb all, or copy one.
-        p = protos[0]
-        noisy = p.vectors + 0.01 * np.random.default_rng(3).normal(size=p.vectors.shape)
+        p, fp = pairs[0]
+        noisy = fp.vectors + 0.01 * np.random.default_rng(3).normal(size=fp.vectors.shape)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        copied = p.vectors.copy()
-        copied[5] = copied[np.flatnonzero(p.messages != p.messages[5])[0]]
+        copied = fp.vectors.copy()
+        copied[5] = copied[np.flatnonzero(fp.messages != fp.messages[5])[0]]
         for vectors in (noisy, copied):
-            protos.append(Protocol(p.channel, p.M, p.inputs, p.messages,
-                                   vectors))
+            pairs.append((p, float_protocol(h11_cert, p.channel, vectors)))
         passed = []
-        for proto in protos:
-            instances, worst, _ = zero_error_by_loop(proto)
+        for proto, fp in pairs:
+            instances, worst, _ = zero_error_by_loop(fp)
             assert proto.zero_error_instances == instances
-            passed.append((worst <= 1e-9, sender_deviation(proto) <= 1e-10,
-                           receiver_excess_by_outputs(proto) <= 1e-10))
+            passed.append((worst <= 1e-9, sender_deviation(fp) <= 1e-10,
+                           receiver_excess_by_outputs(fp) <= 1e-10))
         assert passed == [(True,) * 3] * 3 + [(False,) * 3] * 2
 
     @pytest.mark.parametrize("which", ["H11", "G11"])
     def test_receiver_excess_matches_every_output(self, which, h11_cert, g11_cert):
         cert = h11_cert if which == "H11" else g11_cert
-        p = protocol_from_cert(cert, canonical_channel(cert.graph))
+        _, fp = protocol_and_floats(cert)
         # Adjacent inputs carry orthogonal vectors; tilted, every pair overlaps.
-        noisy = p.vectors + 0.05 * np.random.default_rng(4).normal(size=p.vectors.shape)
+        noisy = fp.vectors + 0.05 * np.random.default_rng(4).normal(size=fp.vectors.shape)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
-        proto = Protocol(p.channel, p.M, p.inputs, p.messages, noisy)
-        assert receiver_excess_by_outputs(p) <= 1e-10
-        assert receiver_excess_by_outputs(proto) > 1e-3
+        assert receiver_excess_by_outputs(fp) <= 1e-10
+        assert receiver_excess_by_outputs(float_protocol(cert, fp.channel, noisy)) > 1e-3
 
     def test_receiver_check_covers_every_output(self):
         # Two equal vectors with different messages meet at one output only,
@@ -537,18 +559,16 @@ class TestAgainstOracles:
         path = capsep.BitGraph(11, range(2000), ("explicit", [(u, u + 1) for u in range(1999)]))
         chan = canonical_channel(path)
         assert len(chan.outputs) == 3999
-        one = np.ones((1, 1))
-        proto = Protocol(chan, 2, np.array([1000, 1001]), np.array([1, 2]),
-                         np.vstack([one, one]))
-        assert abs(receiver_excess_by_outputs(proto) - 1.0) < 1e-12
+        one = np.ones((1, 1), dtype=np.int64)
+        cert = EntCert(path, 2, 1, 1, one, [1000, 1001], [1, 2], [one, one])
+        assert abs(receiver_excess_by_outputs(float_protocol(cert, chan)) - 1.0) < 1e-12
 
 
 class TestG11Protocol:
     def test_reduced_dimension_and_zero_error(self, g11_cert):
-        chan = canonical_channel(g11_cert.graph)
-        proto = protocol_from_cert(g11_cert, chan)
-        assert proto.dim == 11  # hyperplane rank, one below ambient
-        assert zero_error_by_loop(proto)[1] <= 1e-9
+        proto, fp = protocol_and_floats(g11_cert)
+        assert proto.dim == fp.dim == 11  # hyperplane rank, one below ambient
+        assert zero_error_by_loop(fp)[1] <= 1e-9
         for message in range(1, proto.M + 1):
             tr = simulate_transmission(proto, message, seed=message)
             assert tr.decoded == message

@@ -16,7 +16,7 @@ from capsep.algebra_fp import HaemersResult
 from capsep.channel import canonical_channel, protocol_from_cert
 from capsep.cli import build_parser, cli_main
 from capsep.errors import ProtocolError
-from conftest import simulate_transmission_by_choice, zero_error_by_loop
+from conftest import float_protocol, simulate_transmission_by_choice, zero_error_by_loop
 
 
 def run(capsys, *argv):
@@ -464,14 +464,18 @@ class TestChannelSimCommand:
         payload = json.loads(out)
         assert code == 0 and payload["failures"] == 0
         _, g, packing = capsep.cli._packing(family, 11, seed)
-        proto = protocol_from_cert(capsep.cert_from_packing(packing), canonical_channel(g))
-        instances, worst, _ = zero_error_by_loop(proto)
+        fp = float_protocol(capsep.cert_from_packing(packing), canonical_channel(g))
+        instances, worst, _ = zero_error_by_loop(fp)
         assert payload["zero_error"] == {"passed": True, "instances": instances}
         assert worst <= 1e-9
         assert len(payload["transcripts"]) == 20
         for trial, transcript in enumerate(payload["transcripts"]):
-            assert transcript == simulate_transmission_by_choice(
-                proto, trial % proto.M + 1, seed + trial).to_json()
+            message = trial % fp.M + 1
+            oracle = simulate_transmission_by_choice(fp, message, seed + trial).to_json()
+            dist, want = transcript.pop("distribution"), oracle.pop("distribution")
+            assert transcript == oracle
+            assert dist == [float(j == message) for j in range(1, fp.M + 1)]
+            assert np.abs(np.subtract(dist, want)).max() <= 1e-12
 
     def test_protocol_failure_is_a_verification_failure(self, capsys, monkeypatch):
         def fail(cert, chan):
@@ -502,6 +506,16 @@ class TestGraphBuiltOnce:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert built == [int(argv[4])]
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    @pytest.mark.parametrize("n", [7, 11])
+    def test_pipeline_finds_one_hadamard_matrix(self, capsys, monkeypatch, family, n):
+        found, find = [], capsep.hadamard.find_hadamard
+        for module in (capsep.cli, capsep.report):  # every binding site
+            monkeypatch.setattr(module, "find_hadamard", lambda m: found.append(m) or find(m))
+        code, _, _ = run(capsys, "pipeline", "--family", family, "--n", str(n))
+        assert code == 0
+        assert found == [n + 1]
 
     @pytest.mark.parametrize("command", ["pack", "cert", "channel-sim", "pipeline"])
     def test_bad_n_named_by_the_graph(self, capsys, command):
