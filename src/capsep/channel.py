@@ -111,16 +111,6 @@ def canonical_channel(g) -> Channel:
 # -- protocols -----------------------------------------------------------------
 
 
-@cache
-def _uniform_cdf(n: int) -> np.ndarray:
-    """The CDF that ``Generator.choice(a, p=p)`` builds for n equal weights."""
-    p = np.full(n, 1.0 / n)
-    cdf = (p / p.sum()).cumsum()
-    cdf = cdf / cdf[-1]
-    cdf.flags.writeable = False  # one array, shared by every caller
-    return cdf
-
-
 @dataclass
 class Protocol:
     """One-shot entanglement-assisted protocol bound to a channel, as proved
@@ -238,24 +228,23 @@ class Transcript:
                 "correct": self.correct}
 
 
-def simulate_transmission(proto: Protocol, message: int, seed: int = 0) -> Transcript:
-    """Run the protocol once over ``proto.channel`` for one message, with an RNG seed.
+def simulate_transmission(proto: Protocol, message: int,
+                          rng: np.random.Generator) -> Transcript:
+    """Run the protocol once over ``proto.channel`` for one message, drawing from rng.
 
     The sender's outcome s is drawn uniformly over the message's inputs
     (each operator has trace tau, so Tr(A_i^s)/d = 1/dim), then the channel
-    output t uniformly from row s, from the two uniforms of
-    ``default_rng(seed).random(2)``: the draws two calls of
-    ``Generator.choice(a, p=p)`` make. The receiver's outcome is the message
-    with probability 1, as ``protocol_from_cert`` proves, so the transcript's
-    distribution is one-hot at it.
+    output t uniformly from row s, each by one ``rng.integers``. The
+    receiver's outcome is the message with probability 1, as
+    ``protocol_from_cert`` proves, so the transcript's distribution is
+    one-hot at it.
     """
     if message not in proto._senders:
         raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
-    chan, u = proto.channel, np.random.default_rng(seed).random(2)
-    rows = proto._senders[message]
-    k = int(rows[_uniform_cdf(len(rows)).searchsorted(u[0], side="right")])
+    chan, rows = proto.channel, proto._senders[message]
+    k = int(rows[rng.integers(len(rows))])
     s, lo, hi = int(proto.inputs[k]), *proto._indptr[k:k + 2].tolist()
-    pos = int(_uniform_cdf(hi - lo + 1).searchsorted(u[1], side="right"))
+    pos = int(rng.integers(hi - lo + 1))
     sender = chan.input_label(s)
     output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1])) if pos else sender
     distribution = (0.0,) * (message - 1) + (1.0,) + (0.0,) * (proto.M - message)

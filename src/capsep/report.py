@@ -21,7 +21,6 @@ from functools import cached_property
 
 from .algebra_fp import instance_prime, monomial_count
 from .errors import InvalidParameterError
-from .geometry import hadamard_clique
 from .hadamard import HadamardMatrix, find_hadamard
 
 # The largest integer a report prints, |V(H)| = 2^(4p-2), stays within
@@ -69,13 +68,14 @@ class CapacityReport:
     @property
     def evidence(self) -> dict:
         """Evidence levels: "certified" where the verified matrix and the clique
-        read from it back the lower bound, "formula" where only a theorem does."""
+        read from it back the lower bound, "formula" where only a theorem does.
+        The G clique is the normalized matrix's rows but row 0
+        (``geometry._hadamard_signs``), so its size is read, not built."""
         h = self.hadamard
         level = {"verified": True, "level": "certified"}
         return {
             "hadamard": "unavailable" if h is None else {"size": h.size, **level},
-            "clique": "unavailable" if h is None
-            else {"size": len(hadamard_clique(h, "G")), **level},
+            "clique": "unavailable" if h is None else {"size": h.size - 1, **level},
             "lower_bound": {"formula": "|V| / (n+1)^2",
                             "level": "formula-only" if h is None else "certified"},
             "upper_bound": {"formula": "sum_{i<p} C(n,i)", "level": "formula"},
@@ -104,10 +104,10 @@ def capacity_report(family: str, p: int) -> CapacityReport:
     """Both capacity bounds at n = 4p-1, compared exactly.
 
     The lower bound's hypotheses are re-established constructively where
-    possible: the size-4p Hadamard matrix is built and verified, and the
-    n-clique of G is read from its rows, whose distances follow from the
-    Hadamard identity, even at sizes where the graph itself is far beyond
-    materialization.
+    possible: the size-4p Hadamard matrix is built and verified, and with it
+    the n-clique of G, its normalized rows but the first, whose distances
+    follow from the Hadamard identity, even at sizes where the graph itself
+    is far beyond materialization.
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"family must be G or H, got {family!r}")

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.channel import Transcript
 from capsep.entcert import EntCert, rank_one_row
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.bitgraph import row_blocks, weight_w_bits
@@ -433,27 +432,43 @@ def receiver_excess_by_outputs(proto) -> float:
     return worst
 
 
-def sample_output(chan, x: int, rng: np.random.Generator) -> int:
-    """Output of input x drawn with ``Generator.choice`` over row x."""
-    idx, probs = channel_row(chan, x)
-    return int(rng.choice(idx, p=probs / probs.sum()))
+def drawn_indices(chan, sender: str, output: str) -> tuple[int, int]:
+    """(s, t): the input and output indices a transcript's sender and output labels name."""
+    ends = chan.graph.indices_of_labels([sender, *output.split("|")]).tolist()
+    if len(ends) == 2:
+        return ends[0], ends[1]
+    nv, (i, j) = chan.input_count, sorted(ends[1:])
+    e = int(np.searchsorted(_edge_keys(chan), i * nv + j))
+    assert _edge_keys(chan)[e] == i * nv + j, f"{output} is not an edge output"
+    return ends[0], nv + e
 
 
-def simulate_transmission_by_choice(proto, message: int, seed: int = 0) -> Transcript:
-    """``simulate_transmission`` drawing both outcomes with ``Generator.choice``."""
-    rng = np.random.default_rng(seed)
+def _uniform_one_hot(sender_p, row_p, dist, message: int) -> np.ndarray:
+    """Check the float claims behind the two uniform draws and the exact
+    decoding, each within 1e-12: the sender probabilities over the message's
+    inputs, and the row probabilities over row s, are uniform; the receiver
+    distribution is one-hot at the message. Returns the distribution."""
+    assert np.abs(sender_p - 1.0 / len(sender_p)).max() <= 1e-12
+    assert np.abs(row_p - 1.0 / len(row_p)).max() <= 1e-12
+    one_hot = np.arange(1, len(dist) + 1) == message
+    assert np.abs(dist - one_hot).max() <= 1e-12
+    return dist
+
+
+def transmission_by_gram(proto, message: int, s: int, t: int) -> np.ndarray:
+    """The float receiver distribution of a run that drew sender input s and
+    output t, from the Gram rows, after ``_uniform_one_hot``'s checks."""
     rows = np.flatnonzero(proto.messages == message)
-    p = np.diagonal(proto.gram)[rows] / proto.dim
-    k = int(rng.choice(rows, p=p / p.sum()))
-    s = int(proto.inputs[k])
-    t = sample_output(proto.channel, s, rng)
+    assert s in proto.inputs[rows], f"input {s} does not carry message {message}"
+    k = int(np.flatnonzero(proto.inputs == s)[0])
+    idx, row_p = channel_row(proto.channel, s)
+    assert t in idx, f"output {t} is not in row {s}"
     r = receivers(proto, t)
     overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
     dist = np.bincount(proto.messages[r] - 1, weights=overlap, minlength=proto.M)
     dist[0] += 1.0 - overlap.sum()
-    dist = np.maximum(dist, 0.0)
-    return Transcript(message, proto.channel.inputs[s], proto.channel.outputs[t],
-                      tuple(dist.tolist()), int(np.argmax(dist)) + 1)
+    return _uniform_one_hot(np.diagonal(proto.gram)[rows] / proto.dim, row_p,
+                            np.maximum(dist, 0.0), message)
 
 
 def support(chan, x: int) -> frozenset:
@@ -500,26 +515,22 @@ def me_pair_trace(a: np.ndarray, b: np.ndarray, d: int) -> float:
     return float(np.trace(a @ b.T)) / d
 
 
-def explicit_state_transmission(proto, chan, message: int, seed: int = 0):
-    """One protocol run through the explicit shared state and partial trace.
-
-    Returns (sender input, channel output, receiver distribution), drawing
-    from ``default_rng(seed)`` exactly as ``simulate_transmission`` does.
-    """
-    rng = np.random.default_rng(seed)
+def explicit_state_transmission(proto, chan, message: int, s: int, t: int) -> np.ndarray:
+    """The receiver distribution of a run that drew sender input s and
+    output t, through the explicit shared state and partial trace, after
+    ``_uniform_one_hot``'s checks."""
     d = proto.dim
     rho = maximally_entangled_state(d)
     sender = sender_measurement(proto, message)
-    members = sorted(sender)
-    p = np.array([float(np.trace(np.kron(sender[s], np.eye(d)) @ rho))
-                  for s in members])
-    s = int(rng.choice(members, p=p / p.sum()))
-    t = sample_output(chan, s, rng)
+    assert s in sender, f"input {s} does not carry message {message}"
+    p = np.array([float(np.trace(np.kron(a, np.eye(d)) @ rho)) for a in sender.values()])
+    idx, row_p = channel_row(chan, s)
+    assert t in idx, f"output {t} is not in row {s}"
     big = np.kron(sender[s], np.eye(d)) @ rho
     post = partial_trace(big, d, d, over="x") / float(np.trace(big))
     dist = np.array([float(np.trace(b @ post))
                      for b in receiver_measurement(proto, t)])
-    return s, t, np.clip(dist, 0.0, None)
+    return _uniform_one_hot(p, row_p, np.clip(dist, 0.0, None), message)
 
 
 def output_members_by_dict(chan) -> dict[int, list[int]]:

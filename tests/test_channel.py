@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 import capsep
 from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
 from conftest import (canonical_output_labels, cert_with, channel_row, channel_rows,
-                      check_zero_error_code, confusable_pairs_by_loop, explicit_state_transmission,
-                      float_protocol, maximally_entangled_state, me_pair_trace, members_by_output,
+                      check_zero_error_code, confusable_pairs_by_loop, drawn_indices,
+                      explicit_state_transmission, float_protocol, maximally_entangled_state, me_pair_trace, members_by_output,
                       ops_by_pair, output_members_by_dict, partial_trace,
                       random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
-                      sender_measurement, simulate_transmission_by_choice,
-                      support, zero_error_by_loop, zero_error_code_by_loop)
+                      sender_measurement, support, transmission_by_gram, zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding, tensor, verify
 from capsep.errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
@@ -194,8 +193,9 @@ class TestInputLabels:
         label = g.vertex_label
         monkeypatch.setattr(g, "vertex_label", lambda i: formed.append(i) or label(i))
         proto = protocol_from_cert(h11_cert, canonical_channel(g))
+        rng = np.random.default_rng(0)
         for trial in range(200):
-            simulate_transmission(proto, trial % proto.M + 1, seed=trial)
+            simulate_transmission(proto, trial % proto.M + 1, rng)
         assert formed and len(formed) == len(set(formed)) < g.vertex_count
 
     def test_channel_of_an_equal_graph_accepted(self, h11_cert):
@@ -320,7 +320,7 @@ class TestProtocol:
         assert proto.M == 1
         # the condition is vacuous
         assert proto.zero_error_instances == 0 and zero_error_by_loop(fp) == (0, 0.0, None)
-        tr = simulate_transmission(proto, 1, seed=0)
+        tr = simulate_transmission(proto, 1, np.random.default_rng(0))
         assert tr.decoded == 1
 
     def test_h3_sender_distribution_sums_to_one(self):
@@ -430,9 +430,10 @@ class TestProtocol:
         a, b = name.split("x")
         cert = tensor(factors[a], factors[b])
         proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        rng = np.random.default_rng(0)
         for message in range(1, proto.M + 1):
-            for seed in range(5):
-                tr = simulate_transmission(proto, message, seed=seed)
+            for _ in range(5):
+                tr = simulate_transmission(proto, message, rng)
                 assert tr.distribution[message - 1] >= 1.0 - 1e-9
 
     def test_wrong_channel_rejected(self, h11_cert):
@@ -448,12 +449,12 @@ class TestProtocol:
         proto = protocol_from_cert(cert, chan)
         assert proto.dim == 1
         for message in (1, 14, 28):
-            tr = simulate_transmission(proto, message, seed=message)
+            tr = simulate_transmission(proto, message, np.random.default_rng(message))
             assert tr.decoded == message
 
     def test_transcript_json(self):
         proto, _ = h3_protocol()
-        tr = simulate_transmission(proto, 1, seed=5)
+        tr = simulate_transmission(proto, 1, np.random.default_rng(5))
         payload = tr.to_json()
         assert payload["decoded"] == 1
         assert payload["correct"] is True
@@ -476,33 +477,32 @@ class TestAgainstOracles:
             proto, fp = classical_g11_protocol(g11)
         else:
             proto, fp = protocol_and_floats(g11_cert)
-        chan = proto.channel
+        chan, rng = proto.channel, np.random.default_rng(0)
         for message in sorted({1, 2, proto.M // 2, proto.M} & set(range(1, proto.M + 1))):
-            for seed in range(3):
-                tr = simulate_transmission(proto, message, seed=seed)
-                s, t, dist = explicit_state_transmission(fp, chan, message, seed)
-                assert tr.sender_outcome == chan.inputs[s]
-                assert tr.channel_output == chan.outputs[t]
+            for _ in range(3):
+                tr = simulate_transmission(proto, message, rng)
+                s, t = drawn_indices(chan, tr.sender_outcome, tr.channel_output)
+                dist = explicit_state_transmission(fp, chan, message, s, t)
                 assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
                 assert tr.decoded == int(np.argmax(dist)) + 1
 
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "H3"])
-    def test_same_stream_as_generator_choice(self, which, g11, h11_cert, g11_cert):
+    def test_draws_agree_with_the_gram_oracle(self, which, g11, h11_cert, g11_cert):
         if which == "H3":
             proto, fp = h3_protocol()
         elif which == "G11 classical":
             proto, fp = classical_g11_protocol(g11)
         else:
             proto, fp = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
+        rng = np.random.default_rng(0)
         for message in range(1, proto.M + 1):
-            for seed in range(50):
-                tr = simulate_transmission(proto, message, seed)
-                oracle = simulate_transmission_by_choice(fp, message, seed)
-                assert (tr.message, tr.sender_outcome, tr.channel_output, tr.decoded) == \
-                    (oracle.message, oracle.sender_outcome, oracle.channel_output,
-                     oracle.decoded)
+            for _ in range(50):
+                tr = simulate_transmission(proto, message, rng)
+                s, t = drawn_indices(proto.channel, tr.sender_outcome, tr.channel_output)
+                dist = transmission_by_gram(fp, message, s, t)
+                assert (tr.message, tr.decoded) == (message, message)
                 assert tr.distribution == one_hot(message, proto.M)
-                assert np.abs(np.subtract(oracle.distribution, tr.distribution)).max() <= 1e-12
+                assert np.abs(dist - tr.distribution).max() <= 1e-12
 
     def test_exact_without_float_linear_algebra(self, g11, h11_cert, g11_cert, monkeypatch):
         c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
@@ -516,9 +516,10 @@ class TestAgainstOracles:
         monkeypatch.setattr(np.linalg, "norm", refuse)
         for cert in certs:
             proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+            rng = np.random.default_rng(0)
             for message in range(1, proto.M + 1):
-                for seed in range(50):
-                    tr = simulate_transmission(proto, message, seed)
+                for _ in range(50):
+                    tr = simulate_transmission(proto, message, rng)
                     assert tr.distribution == one_hot(message, proto.M)
                     assert tr.decoded == message
 
@@ -570,6 +571,74 @@ class TestG11Protocol:
         assert proto.dim == fp.dim == 11  # hyperplane rank, one below ambient
         assert zero_error_by_loop(fp)[1] <= 1e-9
         for message in range(1, proto.M + 1):
-            tr = simulate_transmission(proto, message, seed=message)
+            tr = simulate_transmission(proto, message, np.random.default_rng(message))
             assert tr.decoded == message
             assert tr.distribution[message - 1] >= 1.0 - 1e-9
+
+
+class RecordingGenerator:
+    """A ``Generator`` whose ``integers`` logs its bound before drawing."""
+
+    def __init__(self, seed: int):
+        self._rng, self.bounds = np.random.default_rng(seed), []
+
+    def integers(self, high):
+        self.bounds.append(int(high))
+        return self._rng.integers(high)
+
+
+class ScriptedGenerator:
+    """A ``Generator`` whose ``integers`` returns the given values in turn."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def integers(self, high):
+        return next(self._values)
+
+
+class TestDrawRanges:
+    @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "C5xH3"])
+    def test_two_draws_over_inputs_then_row(self, which, g11, h11_cert, g11_cert):
+        if which == "G11 classical":
+            rs = capsep.restricted_independent_set(11)
+            cert = classical_embedding(g11, g11.indices_of(rs.vertices))
+        elif which == "C5xH3":
+            cert = tensor(classical_embedding(capsep.build_cycle(5), [0, 2]), h3_cert())
+        else:
+            cert = h11_cert if which == "H11" else g11_cert
+        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        g, everyone = cert.graph, np.arange(cert.graph.vertex_count)
+        for message in range(1, proto.M + 1):
+            inputs = np.count_nonzero(proto.messages == message)
+            assert inputs == proto.dim  # a basis of range(rho) per message
+            for seed in range(5):
+                rng = RecordingGenerator(seed)
+                tr = simulate_transmission(proto, message, rng)
+                s = int(g.indices_of_labels([tr.sender_outcome])[0])
+                degree = int(np.count_nonzero(g.adjacency_among([s], everyone)))
+                assert rng.bounds == [inputs, degree + 1]
+
+    def test_unknown_message_draws_nothing(self, h11_cert):
+        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        rng = RecordingGenerator(0)
+        for message in (0, proto.M + 1, -1):
+            with pytest.raises(InvalidParameterError):
+                simulate_transmission(proto, message, rng)
+        assert rng.bounds == []
+
+    @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical"])
+    def test_each_value_draws_its_own_outcome(self, which, g11, h11_cert, g11_cert):
+        # so uniform values give uniform senders and uniform outputs of row s
+        if which == "G11 classical":
+            proto, _ = classical_g11_protocol(g11)
+        else:
+            proto, _ = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
+        chan = proto.channel
+        for message in (1, proto.M):
+            for a, u in enumerate(proto.inputs[proto.messages == message].tolist()):
+                row = channel_row(chan, u)[0].tolist()
+                drawn = [drawn_indices(chan, tr.sender_outcome, tr.channel_output)
+                         for tr in (simulate_transmission(proto, message, ScriptedGenerator(a, b))
+                                    for b in range(len(row)))]
+                assert drawn == [(u, t) for t in row]

@@ -16,7 +16,7 @@ from capsep.algebra_fp import HaemersResult
 from capsep.channel import canonical_channel, protocol_from_cert
 from capsep.cli import build_parser, cli_main
 from capsep.errors import ProtocolError
-from conftest import float_protocol, simulate_transmission_by_choice, zero_error_by_loop
+from conftest import drawn_indices, float_protocol, transmission_by_gram, zero_error_by_loop
 
 
 def run(capsys, *argv):
@@ -115,6 +115,17 @@ class TestReportCommand:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and "exceeds the cap 3500" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    @pytest.mark.parametrize("p", [3, 17, 41])
+    def test_clique_size_by_identity(self, capsys, monkeypatch, family, p):
+        def refuse(*args):
+            raise AssertionError("a clique was built")
+        monkeypatch.setattr(capsep.geometry, "hadamard_clique", refuse)
+        monkeypatch.setattr(capsep.report, "hadamard_clique", refuse, raising=False)
+        code, out, _ = run(capsys, "report", "--family", family, "--p", str(p))
+        assert code == 0
+        assert json.loads(out)["evidence"]["clique"]["size"] == 4 * p - 1
 
 
 class TestGraphCommands:
@@ -361,6 +372,14 @@ class TestCertCommands:
             assert code == 2 and "Traceback" not in err
             assert json.loads(out)["conditions"][condition] is False
 
+    @pytest.mark.parametrize("command", ["cert", "pipeline"])
+    def test_failed_verification_exits_2(self, capsys, monkeypatch, command):
+        failing = capsep.entcert.VerificationReport(False, {}, ["planted"])
+        monkeypatch.setattr(capsep.entcert, "verify", lambda cert: failing)
+        code, out, err = run(capsys, command, "--family", "H", "--n", "7")
+        assert code == 2 and out == ""
+        assert err.startswith("verification failure:")
+
 
 class TestPackCommand:
     def test_pack_h11(self, capsys):
@@ -471,11 +490,26 @@ class TestChannelSimCommand:
         assert len(payload["transcripts"]) == 20
         for trial, transcript in enumerate(payload["transcripts"]):
             message = trial % fp.M + 1
-            oracle = simulate_transmission_by_choice(fp, message, seed + trial).to_json()
-            dist, want = transcript.pop("distribution"), oracle.pop("distribution")
-            assert transcript == oracle
+            s, t = drawn_indices(fp.channel, transcript["sender_outcome"],
+                                 transcript["channel_output"])
+            want = transmission_by_gram(fp, message, s, t)
+            dist = transcript["distribution"]
+            assert (transcript["message"], transcript["decoded"], transcript["correct"]) == \
+                (message, message, True)
             assert dist == [float(j == message) for j in range(1, fp.M + 1)]
             assert np.abs(np.subtract(dist, want)).max() <= 1e-12
+
+    def test_one_seed_one_stream(self, capsys):
+        argv = ["channel-sim", "--family", "H", "--n", "11", "--trials", "200", "--seed"]
+        outs = []
+        for seed in ("5", "5", "6"):
+            code, out, _ = run(capsys, *argv, seed)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        same, other = json.loads(outs[0]), json.loads(outs[2])
+        assert same.pop("transcripts") != other.pop("transcripts")
+        assert same == other  # the H packing does not follow the seed
 
     def test_protocol_failure_is_a_verification_failure(self, capsys, monkeypatch):
         def fail(cert, chan):
@@ -666,6 +700,7 @@ def test_closed_pipe_keeps_the_verdict():
 # -- argv fuzz -----------------------------------------------------------------
 
 _JUNK = ["", "junk", "1.5", "-", "--", "1e3", "--nope", "--budget", "0x1f", "G11"]
+_GRAPHS = ["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk", "G\u00b2", "G" + "1" * 5000]
 
 
 @pytest.fixture(scope="module")
@@ -691,8 +726,7 @@ def _option_values(paths):
             "--seed": st.integers(-3, 10**6),
             "--input": st.just(paths["--input"][0]) | st.sampled_from(paths["--input"]),
             "--output": st.just(paths["--output"][0]) | st.sampled_from(paths["--output"]),
-            "--graph": st.sampled_from(["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk",
-                                        "G\u00b2", "G" + "1" * 5000]),
+            "--graph": st.sampled_from(_GRAPHS),
             "--node-budget": st.integers(-3, 500),
             "--trials": st.integers(-3, 20),
             "--p": st.sampled_from([3, 5, 41]) | st.integers(-3, 43)}
@@ -737,3 +771,17 @@ def test_argv_fuzz(capsys, monkeypatch, fuzz_paths, data):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("graph", _GRAPHS, ids=lambda v: v if len(v) < 20 else f"{v[:2]}...")
+def test_every_graph_value(capsys, graph):
+    code, _, err = run(capsys, "alpha", "--graph", graph)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+def test_every_input_file(capsys, fuzz_paths):
+    for path in fuzz_paths["--input"]:
+        code, _, err = run(capsys, "verify-cert", "--input", path)
+        assert code in (0, 1, 2), path
+        assert "Traceback" not in err, path
