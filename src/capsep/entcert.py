@@ -13,6 +13,8 @@ denominator, so every check is exact integer arithmetic with zero tolerance.
 operators are rank-one PSD, N = c w w^T, so two of them annihilate iff one
 nonzero row of each (an integer multiple of w) is orthogonal to the other:
 the cross-operator conditions are zeros of one K x K integer Gram matrix.
+A packing certificate is proved by its packing instead (``packing_proof``),
+with no Gram; ``verify`` proves files, tensors and classical embeddings.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ class VerificationReport:
     conditions: dict
     witnesses: list
     violations: dict = field(default_factory=dict)  # per condition, all counted
+    mode: str = "full"  # "full": every instance checked; "packing": proved by it
 
     def to_json(self) -> dict:
-        """The report; ``violations`` only when it failed (all zero otherwise).
-        The mode is always "full": every condition instance is checked."""
-        out = {"mode": "full", "passed": self.passed, "conditions": self.conditions}
+        """The report; ``violations`` only when it failed (all zero otherwise)."""
+        out = {"mode": self.mode, "passed": self.passed, "conditions": self.conditions}
         if not self.passed:
             out["violations"] = self.violations
         return out | {"witnesses": self.witnesses}
@@ -248,29 +250,47 @@ def _verified(cert: EntCert, source: str) -> EntCert:
     return cert
 
 
-def cert_from_packing(packing: CliquePacking) -> EntCert:
-    """Certificate with one message per packed clique.
+def packing_proof(packing: CliquePacking) -> VerificationReport:
+    """Every condition of ``cert_from_packing``'s certificate, proved by its
+    inputs with no pair of operators compared.
 
-    Each clique's unit vectors (rows of the graph's verified ``OrthoRep``,
-    formed for the packed vertices only) are an orthonormal basis of the
-    common span: the whole space for the even-weight family, the
-    ones-hyperplane for the weight-(n+1)/2 family. So every message sums to
-    the same scaled projector rho, of trace exactly one. The operator at u
-    is w w^T; the global denominator is d * (n+1).
+    ``OrthoRep.verify`` gives unit rows, orthogonal on edges (condition 3),
+    and ``CliquePacking`` gives disjoint cliques (condition 2). A clique is
+    then an orthonormal set in the span of the rows; it is a basis of it when
+    its size is that span's dimension: n + 1, or n for family G, whose rows
+    lie in the ones-hyperplane. So every message sums to the same scaled
+    projector rho (condition 1), and the trace and psd conditions hold by
+    construction. Any other size raises ``CertificateError``.
     """
-    g = packing.graph
+    g, size = packing.graph, packing.clique_size
     if not packing.cliques:
         raise InvalidParameterError("packing has no cliques (M must be at least 1)")
     rep = OrthoRep(g)
     rep.verify()
-    size = packing.clique_size
+    span = rep.dim - (g.family == "G")
+    if size != span:
+        raise CertificateError(f"packing certificate failed verification: cliques "
+                               f"of size {size} do not span the rows' dimension {span}")
+    return VerificationReport(True, dict.fromkeys(CONDITIONS, True), [],
+                              dict.fromkeys(CONDITIONS, 0), "packing")
+
+
+def cert_from_packing(packing: CliquePacking) -> EntCert:
+    """Certificate with one message per packed clique, proved by ``packing_proof``.
+
+    The operator at u is w w^T, for the row w of the graph's ``OrthoRep``
+    (formed for the packed vertices only); rho is the first clique's sum, of
+    trace exactly one over the global denominator: clique size times n + 1.
+    """
+    proof = packing_proof(packing)
+    g, size = packing.graph, packing.clique_size
+    rep = OrthoRep(g)
     verts = g.indices_of(packing.cliques).ravel()
     w = rep.rows(verts).astype(np.int64)
     ops = w[:, :, None] * w[:, None, :]  # clique by clique, its members in turn
     msgs = np.repeat(np.arange(1, packing.count + 1), size)
-    cert = EntCert(g, packing.count, rep.dim, size * rep.normalizer,
-                   ops[:size].sum(axis=0), verts, msgs, ops)
-    return _verified(cert, "packing")
+    return EntCert(g, packing.count, rep.dim, size * rep.normalizer,
+                   ops[:size].sum(axis=0), verts, msgs, ops, proof)
 
 
 def classical_embedding(g, vertex_indices) -> EntCert:

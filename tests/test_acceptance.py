@@ -89,7 +89,8 @@ def test_criterion_3_n11_entangled_side():
         assert pack_g.count >= 4 and pack_g.target_met
         cert_g = capsep.cert_from_packing(pack_g)
         assert cert_g.M >= 4
-        assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "full"
+        assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "packing"
+        assert capsep.verify(cert_g).passed  # the generic check agrees
 
         clique_h = capsep.hadamard_clique(h12, "H")
         assert len(clique_h) == 12
@@ -100,7 +101,8 @@ def test_criterion_3_n11_entangled_side():
         assert pack_h.count >= 8 and pack_h.target_met
         cert_h = capsep.cert_from_packing(pack_h)
         assert cert_h.M >= 8
-        assert cert_h.verification.passed and cert_h.verification.to_json()["mode"] == "full"
+        assert cert_h.verification.passed and cert_h.verification.to_json()["mode"] == "packing"
+        assert capsep.verify(cert_h).passed  # the generic check agrees
     check()
 
 

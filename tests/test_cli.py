@@ -372,13 +372,30 @@ class TestCertCommands:
             assert code == 2 and "Traceback" not in err
             assert json.loads(out)["conditions"][condition] is False
 
+    @pytest.mark.parametrize("command", ["cert", "pipeline", "channel-sim"])
+    def test_packing_proved_without_the_generic_check(self, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the K x K check ran")
+        monkeypatch.setattr(capsep.entcert, "verify", refuse)
+        if command == "pipeline":  # it prints M, dim and the verdict: no operator stack
+            monkeypatch.setattr(capsep.entcert, "cert_from_packing", refuse)
+        code, out, _ = run(capsys, command, "--family", "H", "--n", "7")
+        assert code == 0
+        doc = json.loads(out)
+        if command == "cert":
+            assert doc["verification"]["mode"] == "packing"
+        if command == "pipeline":
+            assert doc["cert"] == {"M": 1, "dim": 8, "verified": True, "mode": "packing"}
+
     @pytest.mark.parametrize("command", ["cert", "pipeline"])
     def test_failed_verification_exits_2(self, capsys, monkeypatch, command):
-        failing = capsep.entcert.VerificationReport(False, {}, ["planted"])
-        monkeypatch.setattr(capsep.entcert, "verify", lambda cert: failing)
+        # cliques one short of the span: a packing the packing proof refuses
+        clique = capsep.geometry.hadamard_clique
+        monkeypatch.setattr(capsep.geometry, "hadamard_clique", lambda h, f: clique(h, f)[:-1])
         code, out, err = run(capsys, command, "--family", "H", "--n", "7")
         assert code == 2 and out == ""
-        assert err.startswith("verification failure:")
+        assert err.startswith("verification failure: packing certificate failed")
+        assert "size 7 do not span the rows' dimension 8" in err
 
 
 class TestPackCommand:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import build_complete, build_cycle
+from capsep.bitgraph import build_complete, build_cycle, sign_rows, words_from_signs
 from capsep.entcert import (WITNESS_CAP, EntCert, VerificationReport, cert_from_json,
-                            classical_embedding, rank_one_row, tensor, verify)
-from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
+                            classical_embedding, packing_proof, rank_one_row, tensor,
+                            verify)
+from capsep.errors import (CertificateError, ConstructionError, InvalidParameterError,
+                           ResourceLimitError)
 from conftest import (cert_with, dense_adjacency, flatten, ops_by_pair, tensor_by_loop,
                       verify_by_pairs)
 
@@ -40,7 +43,8 @@ class TestCertFromPacking:
         assert h11_cert.M == 8
         assert h11_cert.dim == 12
         assert h11_cert.verification.passed
-        assert h11_cert.verification.to_json()["mode"] == "full"
+        assert h11_cert.verification.to_json()["mode"] == "packing"
+        assert verify(h11_cert).passed  # the generic check agrees
         # denominator is d*(n+1) and the trace is exactly one
         assert h11_cert.denominator == 12 * 12
         assert int(np.trace(h11_cert.rho_num)) == h11_cert.denominator
@@ -82,6 +86,71 @@ class TestCertFromPacking:
                             lambda self, idx: formed.append(len(idx)) or rows(self, idx))
         capsep.cert_from_packing(packing)
         assert formed == [packing.count * packing.clique_size] == [96]
+
+
+def _short_packing(family, n):
+    """Disjoint images of a Hadamard clique less one vertex, under coordinate
+    permutations (and translations, for H): a packing its constructor
+    accepts, of cliques one short of the span of the rows."""
+    g = capsep.build_G(n) if family == "G" else capsep.build_H(n)
+    seed = capsep.hadamard_clique(capsep.find_hadamard(n + 1), family)[:-1]
+    signs = sign_rows(np.array(seed, dtype=np.uint64), n)
+    rng, cliques, used = random.Random(0), [], set()
+    for _ in range(200):
+        shift = rng.choice(g.bits_array.tolist()) if family == "H" else 0
+        image = {b ^ shift for b in words_from_signs(signs[:, rng.sample(range(n), n)])}
+        if not used & image:
+            used |= image
+            cliques.append(tuple(sorted(image)))
+    return capsep.CliquePacking(g, len(seed), tuple(cliques))
+
+
+def _dense_cert(packing):
+    """The operators w w^T of a packing as ``cert_from_packing`` forms them,
+    with no proof attached."""
+    g, size, d = packing.graph, packing.clique_size, packing.graph.n + 1
+    verts = g.indices_of(packing.cliques).ravel()
+    w = capsep.OrthoRep(g).rows(verts).astype(np.int64)
+    ops = w[:, :, None] * w[:, None, :]
+    msgs = np.repeat(np.arange(1, packing.count + 1), size)
+    return EntCert(g, packing.count, d, size * d, ops[:size].sum(axis=0), verts, msgs, ops)
+
+
+class TestPackingProof:
+    @pytest.mark.parametrize("family, n, seed",
+                             [(f, n, s) for f in "GH" for n in (3, 7, 11) for s in range(3)]
+                             + [("G", 15, 0)])
+    def test_generic_verify_agrees(self, family, n, seed):
+        cert = _packing_cert(family, n, seed)
+        proof, report = cert.verification, verify(cert)
+        assert (proof.mode, report.mode) == ("packing", "full")
+        assert proof.passed and report.passed and report.witnesses == []
+        # the same conditions, witnesses and violations; only the mode differs
+        assert dataclasses.replace(proof, mode="full") == report
+
+    @pytest.mark.parametrize("family, n", [("G", 7), ("H", 7), ("H", 11)])
+    def test_cliques_short_of_the_span_rejected(self, family, n):
+        packing = _short_packing(family, n)
+        span = n + (family == "H")
+        assert packing.count >= 2 and packing.clique_size == span - 1
+        for prove in (capsep.cert_from_packing, packing_proof):
+            with pytest.raises(CertificateError,
+                               match=f"size {span - 1} do not span the rows' dimension {span}"):
+                prove(packing)
+        # a real failure: the messages do not sum to one rho
+        report = verify(_dense_cert(packing))
+        assert not report.passed and not report.conditions["sum_to_rho"]
+
+    def test_ones_hyperplane_cliques_on_h_rejected(self):
+        # G7's Hadamard clique is a size-n clique of H7 too (weight 4 is even).
+        # Its rows do lie in the ones-hyperplane, but only family G's weight
+        # check proves that of every row, so on H size n is refused.
+        h7 = capsep.build_H(7)
+        clique = tuple(sorted(capsep.hadamard_clique(capsep.find_hadamard(8), "G")))
+        packing = capsep.CliquePacking(h7, 7, (clique,))
+        with pytest.raises(CertificateError, match="size 7 do not span the rows' dimension 8"):
+            capsep.cert_from_packing(packing)
+        assert verify(_dense_cert(packing)).passed
 
 
 class TestVerify:
@@ -328,7 +397,9 @@ class TestCertJson:
         assert again.pop("verification") is None
         assert json.dumps(again) == json.dumps({k: v for k, v in doc.items()
                                                 if k != "verification"})
-        assert verify(loaded).to_json() == cert.verification.to_json()
+        # every field but the mode: a packing certificate is proved by its packing
+        assert ({**verify(loaded).to_json(), "mode": None}
+                == {**cert.verification.to_json(), "mode": None})
 
     def test_schema_fields(self, h11_cert):
         payload = h11_cert.to_json()
@@ -338,17 +409,19 @@ class TestCertJson:
         assert len(payload["ops"]) == 8 * 12
         entry = payload["ops"][0]
         assert set(entry) == {"vertex", "i", "matrix"}
-        assert payload["verification"]["mode"] == "full"
+        assert payload["verification"]["mode"] == "packing"
+        assert verify(h11_cert).to_json()["mode"] == "full"
 
 
 # -- exhaustive verification against the pairwise oracle ------------------------
 
 
-def _packing_cert(family, n):
+def _packing_cert(family, n, seed=0):
+    """The certificate ``cert --family family --n n --seed seed`` builds."""
     rep = capsep.OrthoRep(capsep.build_G(n) if family == "G" else capsep.build_H(n))
     rep.verify()
     clique = capsep.hadamard_clique(capsep.find_hadamard(n + 1), family)
-    return capsep.cert_from_packing(capsep.pack_cliques(rep.graph, clique))
+    return capsep.cert_from_packing(capsep.pack_cliques(rep.graph, clique, rng_seed=seed))
 
 
 def _classical_squared(g, idx):
