@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -59,9 +59,9 @@ class Channel:
     Building it counts the outputs, |V| + |E| (refusing more than
     ``MAX_VERTICES`` before any work); nothing more. ``inputs`` and
     ``outputs`` are label views, formed entry by entry when read; an input
-    label is formed once (``input_label``), as a simulation reads the same
-    few again and again. The global edge numbering ``edges`` is listed on
-    first use, by an edge output's label; a ``Protocol`` never uses it.
+    label is formed once (``input_label``), as every edge output's label
+    reads two. The global edge numbering ``edges`` is listed on first use,
+    by an edge output's label; a ``Protocol`` never uses it.
     """
 
     def __init__(self, graph):
@@ -148,8 +148,6 @@ class Protocol:
         row_of[self.inputs] = np.arange(count)
         peer = row_of[self._neighbours]
         self._pairs = np.stack([row_k, peer], axis=1)[peer >= 0]
-        self._senders = {i: np.flatnonzero(self.messages == i)
-                         for i in np.flatnonzero(np.bincount(self.messages)).tolist()}
 
     @property
     def zero_error_instances(self) -> int:
@@ -164,6 +162,15 @@ class Protocol:
         solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=count)
         return int(solo @ (self.messages != 1) + np.count_nonzero(j != i)
                    + np.count_nonzero((i != 1) & (j != 1)))
+
+    def transcript(self, message: int, k: int, pos: int) -> Transcript:
+        """Message sent from row k, through output ``pos`` of the row (0: the
+        sender's own output), decoded as the row's message."""
+        s, lo, decoded = int(self.inputs[k]), int(self._indptr[k]), int(self.messages[k])
+        sender = self.channel.input_label(s)
+        output = self.channel.edge_label(s, int(self._neighbours[lo + pos - 1])) if pos else sender
+        distribution = (0.0,) * (decoded - 1) + (1.0,) + (0.0,) * (self.M - decoded)
+        return Transcript(message, sender, output, distribution, decoded)
 
 
 def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
@@ -222,30 +229,36 @@ class Transcript:
         return self.decoded == self.message
 
     def to_json(self) -> dict:
-        return {"message": self.message, "sender_outcome": self.sender_outcome,
-                "channel_output": self.channel_output,
-                "distribution": list(self.distribution), "decoded": self.decoded,
-                "correct": self.correct}
+        return {**asdict(self), "distribution": list(self.distribution), "correct": self.correct}
 
 
-def simulate_transmission(proto: Protocol, message: int,
-                          rng: np.random.Generator) -> Transcript:
-    """Run the protocol once over ``proto.channel`` for one message, drawing from rng.
+SIM_BLOCK = 1 << 14  # trials per block of draws: bounds the arrays a simulation holds
+MAX_TRIALS = 10**9  # the most trials ``channel-sim`` runs: about a minute
 
-    The sender's outcome s is drawn uniformly over the message's inputs
-    (each operator has trace tau, so Tr(A_i^s)/d = 1/dim), then the channel
-    output t uniformly from row s, each by one ``rng.integers``. The
-    receiver's outcome is the message with probability 1, as
-    ``protocol_from_cert`` proves, so the transcript's distribution is
-    one-hot at it.
+
+def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, list[Transcript]]:
+    """Run the protocol ``trials`` times over ``proto.channel``, trial t sending
+    message t % M + 1; return the failures and the first ``shown`` transcripts.
+
+    Of the generator pair rngs (``default_rng(seed).spawn(2)``), the first
+    draws the sender's row uniformly among the message's dim inputs (a basis
+    of range(rho), each with Tr(A_i^s)/d = 1/dim), the second the output
+    uniformly from that row. Trials run in blocks of ``SIM_BLOCK``; each
+    stream is read in trial order, and numpy's bounded array draws match its
+    scalar draws one for one, so the first trials come out the same whatever
+    ``trials``. The receiver decodes the row's message with certainty, as
+    ``protocol_from_cert`` proves; only the returned transcripts are formed.
     """
-    if message not in proto._senders:
-        raise InvalidParameterError(f"message {message} not in 1..{proto.M}")
-    chan, rows = proto.channel, proto._senders[message]
-    k = int(rows[rng.integers(len(rows))])
-    s, lo, hi = int(proto.inputs[k]), *proto._indptr[k:k + 2].tolist()
-    pos = int(rng.integers(hi - lo + 1))
-    sender = chan.input_label(s)
-    output = chan.edge_label(s, int(proto._neighbours[lo + pos - 1])) if pos else sender
-    distribution = (0.0,) * (message - 1) + (1.0,) + (0.0,) * (proto.M - message)
-    return Transcript(message, sender, output, distribution, message)
+    senders, outputs = rngs
+    rows = np.argsort(proto.messages, kind="stable").reshape(proto.M, proto.dim)
+    degrees = np.diff(proto._indptr)
+    failures, transcripts = 0, []
+    for start in range(0, trials, SIM_BLOCK):
+        messages = np.arange(start, min(start + SIM_BLOCK, trials)) % proto.M + 1
+        k = rows[messages - 1, senders.integers(proto.dim, size=messages.size)]
+        pos = outputs.integers(degrees[k] + 1)
+        failures += int(np.count_nonzero(proto.messages[k] != messages))
+        head = slice(max(shown - start, 0))
+        transcripts += map(proto.transcript, messages[head].tolist(), k[head].tolist(),
+                           pos[head].tolist())
+    return failures, transcripts

@@ -160,22 +160,19 @@ def _cmd_alpha(args) -> int:
 def _cmd_channel_sim(args) -> int:
     if min(args.seed, args.trials) < 0:
         raise CapsepError("--seed and --trials must be non-negative")
+    if args.trials > channel.MAX_TRIALS:
+        raise CapsepError(f"--trials {args.trials} is over the cap {channel.MAX_TRIALS}")
     _, g, packing = _packing(args.family, args.n, args.seed)
     chan = channel.canonical_channel(g)  # its size cap fires before the certificate
     cert = entcert.cert_from_packing(packing)
     proto = channel.protocol_from_cert(cert, chan)
-    rng, failures = np.random.default_rng(args.seed), 0
-    transcripts = []
-    for trial in range(args.trials):
-        tr = channel.simulate_transmission(proto, trial % proto.M + 1, rng)
-        if not tr.correct:
-            failures += 1
-        if trial < 20:
-            transcripts.append(tr.to_json())
+    failures, transcripts = channel.simulate(proto, args.trials,
+                                             np.random.default_rng(args.seed).spawn(2))
     _emit({"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
            "zero_error": {"passed": cert.verification.passed,
                           "instances": proto.zero_error_instances},
-           "trials": args.trials, "failures": failures, "transcripts": transcripts}, args)
+           "trials": args.trials, "failures": failures,
+           "transcripts": [tr.to_json() for tr in transcripts]}, args)
     return 0 if failures == 0 else 2
 
 

@@ -9,7 +9,9 @@ takes its fitting-matrix ranks from identities, which it checks. So do a
 channel's rows (``channel_row``) and the zero-error code check
 (``check_zero_error_code``), which no library code needs, and the float form
 of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
-the library replaces by the certificate's exact proof.
+the library replaces by the certificate's exact proof, and the scalar
+simulation loop (``simulate_by_loop``), which the library runs in blocks of
+array draws.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import capsep
 from capsep.entcert import EntCert, rank_one_row
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.bitgraph import row_blocks, weight_w_bits
+from capsep.channel import Transcript
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
@@ -441,6 +444,58 @@ def drawn_indices(chan, sender: str, output: str) -> tuple[int, int]:
     e = int(np.searchsorted(_edge_keys(chan), i * nv + j))
     assert _edge_keys(chan)[e] == i * nv + j, f"{output} is not an edge output"
     return ends[0], nv + e
+
+
+def simulate_by_loop(proto, trials: int, rngs, shown: int = 20):
+    """The scalar reference for ``channel.simulate``: (failures, the first
+    ``shown`` transcripts). Trial t sends message t % M + 1; one
+    ``integers(len(rows))`` from the first generator picks the sender among
+    the message's inputs ascending, then one ``integers(deg s + 1)`` from the
+    second picks the output of row s: s's own, or the edge to its pos-th
+    neighbour ascending, read from the graph's adjacency."""
+    senders, outputs = rngs
+    chan, g, M = proto.channel, proto.channel.graph, proto.M
+    rows = {i: np.flatnonzero(proto.messages == i) for i in range(1, M + 1)}
+    neighbours = {}
+    failures, transcripts = 0, []
+    for trial in range(trials):
+        message = trial % M + 1
+        k = int(rows[message][senders.integers(len(rows[message]))])
+        s, decoded = int(proto.inputs[k]), int(proto.messages[k])
+        if s not in neighbours:
+            neighbours[s] = np.flatnonzero(g.adjacency_among([s], np.arange(g.vertex_count))[0])
+        pos = int(outputs.integers(len(neighbours[s]) + 1))
+        failures += decoded != message
+        if trial < shown:
+            sender = chan.input_label(s)
+            output = chan.edge_label(s, int(neighbours[s][pos - 1])) if pos else sender
+            distribution = tuple(float(j == decoded) for j in range(1, M + 1))
+            transcripts.append(Transcript(message, sender, output, distribution, decoded))
+    return failures, transcripts
+
+
+class RecordingGenerator:
+    """A ``Generator`` whose ``integers`` logs the bound of each value it draws."""
+
+    def __init__(self, seed: int):
+        self._rng, self.bounds = np.random.default_rng(seed), []
+
+    def integers(self, high, size=None):
+        self.bounds += np.broadcast_to(high, np.shape(high) if size is None else size).tolist()
+        return self._rng.integers(high, size=size)
+
+
+class ScriptedGenerator:
+    """A ``Generator`` whose ``integers`` returns the given values in turn, one
+    per value asked for, in the shape asked for."""
+
+    def __init__(self, *values):
+        self._values = iter(values)
+
+    def integers(self, high, size=None):
+        shape = np.shape(high) if size is None else (size,)
+        return np.array([next(self._values) for _ in range(math.prod(shape))],
+                        dtype=np.int64).reshape(shape)
 
 
 def _uniform_one_hot(sender_p, row_p, dist, message: int) -> np.ndarray:

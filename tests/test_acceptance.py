@@ -14,7 +14,7 @@ import numpy as np
 
 import capsep
 from capsep.algebra_fp import haemers_matrix
-from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
+from capsep.channel import canonical_channel, protocol_from_cert, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
                       check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
@@ -191,14 +191,13 @@ def test_criterion_7_protocol_simulation():
         proto = protocol_from_cert(cert, chan)
         _, worst, witness = zero_error_by_loop(float_protocol(cert, chan))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
-        failures, rng = 0, np.random.default_rng(0)
-        for trial in range(10**3):
+        failures, transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2),
+                                         shown=10**3)
+        assert failures == 0 and len(transcripts) == 10**3
+        for trial, tr in enumerate(transcripts):
             message = trial % proto.M + 1
-            tr = simulate_transmission(proto, message, rng)
-            if tr.decoded != message:
-                failures += 1
+            assert tr.message == tr.decoded == message
             assert tr.distribution[message - 1] >= 1.0 - 1e-9
-        assert failures == 0
     check()
 
 

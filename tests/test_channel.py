@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.channel import canonical_channel, protocol_from_cert, simulate_transmission
-from conftest import (canonical_output_labels, cert_with, channel_row, channel_rows,
-                      check_zero_error_code, confusable_pairs_by_loop, drawn_indices,
-                      explicit_state_transmission, float_protocol, maximally_entangled_state, me_pair_trace, members_by_output,
-                      ops_by_pair, output_members_by_dict, partial_trace,
+from capsep import channel
+from capsep.channel import canonical_channel, protocol_from_cert, simulate
+from conftest import (RecordingGenerator, ScriptedGenerator, canonical_output_labels, cert_with,
+                      channel_row, channel_rows, check_zero_error_code,
+                      confusable_pairs_by_loop, drawn_indices, explicit_state_transmission,
+                      float_protocol, maximally_entangled_state, me_pair_trace,
+                      members_by_output, ops_by_pair, output_members_by_dict, partial_trace,
                       random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
-                      sender_measurement, support, transmission_by_gram, zero_error_by_loop, zero_error_code_by_loop)
+                      sender_measurement, simulate_by_loop, support, transmission_by_gram,
+                      zero_error_by_loop, zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding, tensor, verify
 from capsep.errors import InvalidParameterError, ProtocolError, ResourceLimitError
 
@@ -35,6 +39,14 @@ def h3_protocol():
 
 def one_hot(message: int, M: int) -> tuple[float, ...]:
     return tuple(float(j == message) for j in range(1, M + 1))
+
+
+def transcripts(proto, trials: int, seed: int = 0) -> list:
+    """Every transcript of a run of ``trials`` from ``default_rng(seed)``'s two
+    spawned generators, which decodes every trial."""
+    failures, out = simulate(proto, trials, np.random.default_rng(seed).spawn(2), shown=trials)
+    assert failures == 0 and len(out) == trials
+    return out
 
 
 def c5_channel():
@@ -193,10 +205,12 @@ class TestInputLabels:
         label = g.vertex_label
         monkeypatch.setattr(g, "vertex_label", lambda i: formed.append(i) or label(i))
         proto = protocol_from_cert(h11_cert, canonical_channel(g))
-        rng = np.random.default_rng(0)
-        for trial in range(200):
-            simulate_transmission(proto, trial % proto.M + 1, rng)
-        assert formed and len(formed) == len(set(formed)) < g.vertex_count
+        # and only the labels the printed transcripts name
+        _, printed = simulate(proto, 5000, np.random.default_rng(0).spawn(2))
+        assert len(printed) == 20 and len(formed) == len(set(formed))
+        named = {name for tr in printed for name in (tr.sender_outcome,
+                                                       *tr.channel_output.split("|"))}
+        assert set(g.indices_of_labels(sorted(named)).tolist()) == set(formed)
 
     def test_channel_of_an_equal_graph_accepted(self, h11_cert):
         proto = protocol_from_cert(h11_cert, canonical_channel(capsep.build_H(11)))
@@ -320,7 +334,7 @@ class TestProtocol:
         assert proto.M == 1
         # the condition is vacuous
         assert proto.zero_error_instances == 0 and zero_error_by_loop(fp) == (0, 0.0, None)
-        tr = simulate_transmission(proto, 1, np.random.default_rng(0))
+        [tr] = transcripts(proto, 1)
         assert tr.decoded == 1
 
     def test_h3_sender_distribution_sums_to_one(self):
@@ -430,11 +444,8 @@ class TestProtocol:
         a, b = name.split("x")
         cert = tensor(factors[a], factors[b])
         proto = protocol_from_cert(cert, canonical_channel(cert.graph))
-        rng = np.random.default_rng(0)
-        for message in range(1, proto.M + 1):
-            for _ in range(5):
-                tr = simulate_transmission(proto, message, rng)
-                assert tr.distribution[message - 1] >= 1.0 - 1e-9
+        for tr in transcripts(proto, 5 * proto.M):
+            assert tr.distribution == one_hot(tr.message, proto.M)
 
     def test_wrong_channel_rejected(self, h11_cert):
         chan = c5_channel()
@@ -448,13 +459,12 @@ class TestProtocol:
         chan = canonical_channel(g11)
         proto = protocol_from_cert(cert, chan)
         assert proto.dim == 1
-        for message in (1, 14, 28):
-            tr = simulate_transmission(proto, message, np.random.default_rng(message))
-            assert tr.decoded == message
+        for message, tr in enumerate(transcripts(proto, proto.M), 1):
+            assert tr.message == tr.decoded == message
 
     def test_transcript_json(self):
         proto, _ = h3_protocol()
-        tr = simulate_transmission(proto, 1, np.random.default_rng(5))
+        [tr] = transcripts(proto, 1, seed=5)
         payload = tr.to_json()
         assert payload["decoded"] == 1
         assert payload["correct"] is True
@@ -477,14 +487,14 @@ class TestAgainstOracles:
             proto, fp = classical_g11_protocol(g11)
         else:
             proto, fp = protocol_and_floats(g11_cert)
-        chan, rng = proto.channel, np.random.default_rng(0)
-        for message in sorted({1, 2, proto.M // 2, proto.M} & set(range(1, proto.M + 1))):
-            for _ in range(3):
-                tr = simulate_transmission(proto, message, rng)
-                s, t = drawn_indices(chan, tr.sender_outcome, tr.channel_output)
-                dist = explicit_state_transmission(fp, chan, message, s, t)
-                assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
-                assert tr.decoded == int(np.argmax(dist)) + 1
+        chan = proto.channel
+        for tr in transcripts(proto, 3 * proto.M):
+            if tr.message not in {1, 2, proto.M // 2, proto.M}:
+                continue
+            s, t = drawn_indices(chan, tr.sender_outcome, tr.channel_output)
+            dist = explicit_state_transmission(fp, chan, tr.message, s, t)
+            assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
+            assert tr.decoded == int(np.argmax(dist)) + 1
 
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "H3"])
     def test_draws_agree_with_the_gram_oracle(self, which, g11, h11_cert, g11_cert):
@@ -494,15 +504,13 @@ class TestAgainstOracles:
             proto, fp = classical_g11_protocol(g11)
         else:
             proto, fp = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
-        rng = np.random.default_rng(0)
-        for message in range(1, proto.M + 1):
-            for _ in range(50):
-                tr = simulate_transmission(proto, message, rng)
-                s, t = drawn_indices(proto.channel, tr.sender_outcome, tr.channel_output)
-                dist = transmission_by_gram(fp, message, s, t)
-                assert (tr.message, tr.decoded) == (message, message)
-                assert tr.distribution == one_hot(message, proto.M)
-                assert np.abs(dist - tr.distribution).max() <= 1e-12
+        for trial, tr in enumerate(transcripts(proto, 50 * proto.M)):
+            message = trial % proto.M + 1
+            s, t = drawn_indices(proto.channel, tr.sender_outcome, tr.channel_output)
+            dist = transmission_by_gram(fp, message, s, t)
+            assert (tr.message, tr.decoded) == (message, message)
+            assert tr.distribution == one_hot(message, proto.M)
+            assert np.abs(dist - tr.distribution).max() <= 1e-12
 
     def test_exact_without_float_linear_algebra(self, g11, h11_cert, g11_cert, monkeypatch):
         c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
@@ -516,12 +524,9 @@ class TestAgainstOracles:
         monkeypatch.setattr(np.linalg, "norm", refuse)
         for cert in certs:
             proto = protocol_from_cert(cert, canonical_channel(cert.graph))
-            rng = np.random.default_rng(0)
-            for message in range(1, proto.M + 1):
-                for _ in range(50):
-                    tr = simulate_transmission(proto, message, rng)
-                    assert tr.distribution == one_hot(message, proto.M)
-                    assert tr.decoded == message
+            for tr in transcripts(proto, 50 * proto.M):
+                assert tr.distribution == one_hot(tr.message, proto.M)
+                assert tr.decoded == tr.message
 
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
         pairs = [protocol_and_floats(c) for c in (h11_cert, g11_cert)]
@@ -570,75 +575,98 @@ class TestG11Protocol:
         proto, fp = protocol_and_floats(g11_cert)
         assert proto.dim == fp.dim == 11  # hyperplane rank, one below ambient
         assert zero_error_by_loop(fp)[1] <= 1e-9
-        for message in range(1, proto.M + 1):
-            tr = simulate_transmission(proto, message, np.random.default_rng(message))
+        for message, tr in enumerate(transcripts(proto, proto.M), 1):
             assert tr.decoded == message
-            assert tr.distribution[message - 1] >= 1.0 - 1e-9
+            assert tr.distribution == one_hot(message, proto.M)
 
 
-class RecordingGenerator:
-    """A ``Generator`` whose ``integers`` logs its bound before drawing."""
-
-    def __init__(self, seed: int):
-        self._rng, self.bounds = np.random.default_rng(seed), []
-
-    def integers(self, high):
-        self.bounds.append(int(high))
-        return self._rng.integers(high)
-
-
-class ScriptedGenerator:
-    """A ``Generator`` whose ``integers`` returns the given values in turn."""
-
-    def __init__(self, *values):
-        self._values = iter(values)
-
-    def integers(self, high):
-        return next(self._values)
+def draw_cases(which, g11, h11_cert, g11_cert):
+    if which == "G11 classical":
+        rs = capsep.restricted_independent_set(11)
+        return classical_embedding(g11, g11.indices_of(rs.vertices))
+    if which == "C5xH3":
+        return tensor(classical_embedding(capsep.build_cycle(5), [0, 2]), h3_cert())
+    return h11_cert if which == "H11" else g11_cert
 
 
 class TestDrawRanges:
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "C5xH3"])
     def test_two_draws_over_inputs_then_row(self, which, g11, h11_cert, g11_cert):
-        if which == "G11 classical":
-            rs = capsep.restricted_independent_set(11)
-            cert = classical_embedding(g11, g11.indices_of(rs.vertices))
-        elif which == "C5xH3":
-            cert = tensor(classical_embedding(capsep.build_cycle(5), [0, 2]), h3_cert())
-        else:
-            cert = h11_cert if which == "H11" else g11_cert
+        cert = draw_cases(which, g11, h11_cert, g11_cert)
         proto = protocol_from_cert(cert, canonical_channel(cert.graph))
         g, everyone = cert.graph, np.arange(cert.graph.vertex_count)
-        for message in range(1, proto.M + 1):
-            inputs = np.count_nonzero(proto.messages == message)
-            assert inputs == proto.dim  # a basis of range(rho) per message
-            for seed in range(5):
-                rng = RecordingGenerator(seed)
-                tr = simulate_transmission(proto, message, rng)
-                s = int(g.indices_of_labels([tr.sender_outcome])[0])
-                degree = int(np.count_nonzero(g.adjacency_among([s], everyone)))
-                assert rng.bounds == [inputs, degree + 1]
+        assert (np.bincount(proto.messages)[1:] == proto.dim).all()  # a basis of range(rho)
+        trials = 3 * proto.M + 1
+        for seed in range(3):
+            rngs = RecordingGenerator(seed), RecordingGenerator(seed + 10)
+            _, printed = simulate(proto, trials, rngs, shown=trials)
+            s = g.indices_of_labels([tr.sender_outcome for tr in printed])
+            degrees = np.count_nonzero(g.adjacency_among(s, everyone), axis=1)
+            assert rngs[0].bounds == [proto.dim] * trials
+            assert rngs[1].bounds == (degrees + 1).tolist()
 
-    def test_unknown_message_draws_nothing(self, h11_cert):
+    def test_no_trial_draws_nothing(self, h11_cert):
         proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
-        rng = RecordingGenerator(0)
-        for message in (0, proto.M + 1, -1):
-            with pytest.raises(InvalidParameterError):
-                simulate_transmission(proto, message, rng)
-        assert rng.bounds == []
+        rngs = RecordingGenerator(0), RecordingGenerator(1)
+        assert simulate(proto, 0, rngs) == (0, [])
+        assert rngs[0].bounds == rngs[1].bounds == []
 
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical"])
     def test_each_value_draws_its_own_outcome(self, which, g11, h11_cert, g11_cert):
         # so uniform values give uniform senders and uniform outputs of row s
-        if which == "G11 classical":
-            proto, _ = classical_g11_protocol(g11)
-        else:
-            proto, _ = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
-        chan = proto.channel
-        for message in (1, proto.M):
+        cert = draw_cases(which, g11, h11_cert, g11_cert)
+        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        chan, M = proto.channel, proto.M
+        for message in (1, M):
             for a, u in enumerate(proto.inputs[proto.messages == message].tolist()):
                 row = channel_row(chan, u)[0].tolist()
+                # trial message - 1 + b M sends the message; every trial takes row a
+                trials = len(row) * M
+                values = [(t - message + 1) // M if t % M == message - 1 else 0
+                          for t in range(trials)]
+                rngs = ScriptedGenerator(*[a] * trials), ScriptedGenerator(*values)
+                _, printed = simulate(proto, trials, rngs, shown=trials)
                 drawn = [drawn_indices(chan, tr.sender_outcome, tr.channel_output)
-                         for tr in (simulate_transmission(proto, message, ScriptedGenerator(a, b))
-                                    for b in range(len(row)))]
+                         for tr in printed[message - 1::M]]
                 assert drawn == [(u, t) for t in row]
+
+
+class TestAgainstTheLoop:
+    @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "C5xH3"])
+    def test_same_draws_transcripts_and_failures(self, which, g11, h11_cert, g11_cert):
+        # across a block boundary: the transcripts name each trial's row and output
+        cert = draw_cases(which, g11, h11_cert, g11_cert)
+        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        trials = channel.SIM_BLOCK + 37
+        for seed in (0, 1):
+            batch = simulate(proto, trials, np.random.default_rng(seed).spawn(2), shown=trials)
+            loop = simulate_by_loop(proto, trials, np.random.default_rng(seed).spawn(2),
+                                    shown=trials)
+            assert batch == loop and batch[0] == 0
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_any_block_size_prints_the_same(self, block, h11_cert, monkeypatch):
+        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        want = simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50)
+        monkeypatch.setattr(channel, "SIM_BLOCK", block)
+        assert simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50) == want
+        assert simulate_by_loop(proto, 200, np.random.default_rng(3).spawn(2), shown=50) == want
+
+    def test_printed_transcripts_do_not_depend_on_the_trial_count(self, g11_cert):
+        proto = protocol_from_cert(g11_cert, canonical_channel(g11_cert.graph))
+        runs = [simulate(proto, trials, np.random.default_rng(9).spawn(2))
+                for trials in (20, 5000, 2 * channel.SIM_BLOCK + 1)]
+        assert runs[0] == runs[1] == runs[2] and len(runs[0][1]) == 20
+        assert simulate(proto, 1, np.random.default_rng(9).spawn(2))[1] == runs[0][1][:1]
+
+    def test_memory_is_a_few_blocks(self, h11_cert):
+        # about 12 block-sized int64 arrays at the peak (1.6 MB); unblocked, 33 MB
+        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        tracemalloc.start()
+        try:
+            failures, printed = simulate(proto, 10**6, np.random.default_rng(0).spawn(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert failures == 0 and len(printed) == 20
+        assert peak <= 16 * 8 * channel.SIM_BLOCK, peak

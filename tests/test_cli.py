@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.algebra_fp import HaemersResult
-from capsep.channel import canonical_channel, protocol_from_cert
+from capsep.channel import MAX_TRIALS, canonical_channel, protocol_from_cert
 from capsep.cli import build_parser, cli_main
 from capsep.errors import ProtocolError
 from conftest import drawn_indices, float_protocol, transmission_by_gram, zero_error_by_loop
@@ -471,6 +471,43 @@ class TestChannelSimCommand:
         assert err.startswith("error: ") and "must be non-negative" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 99999999999999999999])
+    def test_trials_over_the_cap_refused_before_any_work(self, capsys, monkeypatch, trials):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph was built")
+        monkeypatch.setattr(capsep.bitgraph, "build_H", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "3",
+                             "--trials", str(trials))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err == f"error: --trials {trials} is over the cap {MAX_TRIALS}\n"
+
+    def test_trials_at_the_cap_accepted(self, capsys, monkeypatch):
+        asked = []
+        monkeypatch.setattr(capsep.cli.channel, "simulate",
+                            lambda proto, trials, rngs: asked.append(trials) or (0, []))
+        code, out, _ = run(capsys, "channel-sim", "--family", "H", "--n", "3",
+                           "--trials", str(MAX_TRIALS))
+        assert code == 0 and asked == [MAX_TRIALS]
+        assert json.loads(out)["trials"] == MAX_TRIALS
+
+    @pytest.mark.parametrize("trials", [0, 1])
+    def test_fewest_trials(self, capsys, trials):
+        code, out, _ = run(capsys, "channel-sim", "--family", "H", "--n", "7",
+                           "--trials", str(trials))
+        payload = json.loads(out)
+        assert code == 0 and (payload["trials"], payload["failures"]) == (trials, 0)
+        assert len(payload["transcripts"]) == trials
+        if not trials:
+            assert out.endswith('"transcripts": []\n}\n')
+
+    def test_printed_transcripts_do_not_depend_on_the_trial_count(self, capsys):
+        argv = ["channel-sim", "--family", "G", "--n", "11", "--seed", "4", "--trials"]
+        docs = [json.loads(run(capsys, *argv, trials)[1]) for trials in ("20", "5000")]
+        assert docs[0]["transcripts"] == docs[1]["transcripts"]
+        assert len(docs[0]["transcripts"]) == 20
+
     def test_channel_over_the_cap_refused_before_the_certificate(self, capsys, monkeypatch):
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
         def refuse(*args, **kwargs):
@@ -745,7 +782,7 @@ def _option_values(paths):
             "--output": st.just(paths["--output"][0]) | st.sampled_from(paths["--output"]),
             "--graph": st.sampled_from(_GRAPHS),
             "--node-budget": st.integers(-3, 500),
-            "--trials": st.integers(-3, 20),
+            "--trials": st.integers(-3, 20) | st.sampled_from([MAX_TRIALS + 1, 10**20]),
             "--p": st.sampled_from([3, 5, 41]) | st.integers(-3, 43)}
 
 
