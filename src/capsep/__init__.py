@@ -9,7 +9,7 @@ from .geometry import (CliquePacking, OrthoRep, hadamard_clique, pack_cliques,
 from .entcert import EntCert, cert_from_packing, classical_embedding, tensor, verify
 from .algebra_fp import haemers_matrix
 from .alpha import AlphaResult, max_independent_set, verify_independent
-from .channel import Channel, Protocol, canonical_channel, protocol_from_cert, simulate
+from .channel import Channel, Protocol, canonical_channel, protocol_from_packing, simulate
 from .report import capacity_report
 
 __version__ = "0.1.0"

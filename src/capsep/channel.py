@@ -8,15 +8,15 @@ measures with projectors grouped by which clique could have produced the
 channel output. Orthogonality across cliques through every shared output
 makes the decoding exact.
 
-The protocol is proved by its certificate, in exact integers: the
-certificate's verification, plus two frame conditions that
-``protocol_from_cert`` checks (equal operator traces, and each message's
-operators annihilating pairwise), make every sender measurement complete and
-uniform, and every receiver measurement orthogonal, so every zero-error
-instance is exactly 0 and the receiver decodes the sent message with
-probability 1. So a simulation draws the sender's outcome and the channel
-output uniformly and reports the decoding the proof gives; no float form of
-the measurements is built, and the float forms are test oracles.
+The protocol is proved by its packing (``entcert.packing_proof``), in exact
+integers and with no operator formed: each clique's rows are an orthonormal
+basis of the rows' span, the cliques are disjoint, and adjacent rows are
+orthogonal. So every sender measurement is complete and uniform, every
+receiver measurement orthogonal, every zero-error instance exactly 0, and
+the receiver decodes the sent message with probability 1. So a simulation
+draws the sender's outcome and the channel output uniformly and reports the
+decoding the proof gives; no float form of the measurements is built, and
+the float forms are test oracles.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .bitgraph import MAX_VERTICES
-from .entcert import EntCert
-from .errors import InvalidParameterError, ProtocolError, ResourceLimitError
+from .entcert import VerificationReport, packing_proof
+from .errors import ResourceLimitError
 
 
 class _Labels(Sequence):
@@ -114,15 +114,17 @@ def canonical_channel(g) -> Channel:
 @dataclass
 class Protocol:
     """One-shot entanglement-assisted protocol bound to a channel, as proved
-    by ``protocol_from_cert``.
+    by ``protocol_from_packing``.
 
     Channel input u = ``inputs[k]`` (ascending) carries message
     ``messages[k]``; other inputs are used by no sender measurement. Each
-    message's operators, scaled by 1/tau, are the rank-one projectors of an
-    orthonormal basis of one ``dim``-dimensional space, so the sender draws
-    each of a message's inputs with probability 1/dim, and the receiver,
-    whose measurement for an output groups the projectors of the inputs
-    that can produce it by message, decodes the message with certainty.
+    message's rows are an orthonormal basis of one ``dim``-dimensional
+    space, so the sender draws each of a message's inputs with probability
+    1/dim, and the receiver, whose measurement for an output groups the
+    projectors of the inputs that can produce it by message, decodes the
+    message with certainty. ``dim`` is this local dimension, the clique
+    size: n + 1 for H, n for G (its rows lie in the ones-hyperplane); a
+    certificate's ``dim`` is its matrix order, n + 1 for both.
 
     The channel rows of the inputs come from one ``adjacency_among(inputs,
     all vertices)``, never from the channel's edge numbering: row k is its
@@ -152,7 +154,7 @@ class Protocol:
     @property
     def zero_error_instances(self) -> int:
         """The number of instances Tr((A_i^s (x) B_t^j) rho) = 0 that the
-        certificate proves: per sender row k with message i and output t of
+        proof gives: per sender row k with message i and output t of
         its row, one per message j != i among t's members and message 1 (the
         completion). A solo output of row k counts [i != 1]; a receiver pair
         (k, l) counts [m_l != i] + [i != 1 and m_l != 1]."""
@@ -173,47 +175,22 @@ class Protocol:
         return Transcript(message, sender, output, distribution, decoded)
 
 
-def protocol_from_cert(cert: EntCert, chan: Channel) -> Protocol:
-    """The protocol realizing a verified certificate, proved in exact integers.
+def protocol_from_packing(packing) -> tuple[Protocol, VerificationReport]:
+    """The protocol of a clique packing over its graph's canonical channel,
+    and the packing's proof: message i is the i-th clique, whose rows are an
+    orthonormal basis of the rows' span, so ``dim`` is the clique size.
 
-    Refused with ``ProtocolError``: a vertex with two messages; a certificate
-    whose attached ``verification`` is missing or failed; operators of
-    unequal traces; and a message whose operators do not annihilate pairwise.
-    The last is read off one d x d identity: with every N = c w w^T of trace
-    tau and each message summing to rho (condition 1), rho^2 = tau rho plus
-    the sum of N_a N_b over the pairs a != b of one message, whose trace is
-    the sum of c_a c_b <w_a, w_b>^2 >= 0. So rho^2 = tau rho holds iff every
-    such pair annihilates. Then each message's operators are tau times the
-    projectors of an orthonormal basis of range(rho), and rho / tau is a
-    projector of rank ``dim`` = tr(rho) / tau. So every sender measurement
-    is complete, every receiver class (a singleton or an adjacent pair,
-    orthogonal by conditions 2 and 3) is orthogonal, and every zero-error
-    instance is exactly 0.
+    The channel is built first, so its output cap refuses before the proof
+    runs; a failed proof raises ``CertificateError``.
     """
-    g = cert.graph
-    labels = map(g.vertex_label, range(g.vertex_count))
-    if chan.graph is not g and list(chan.inputs) != list(labels):
-        raise InvalidParameterError("channel inputs do not match the certificate's graph")
-
-    inputs, messages, stack = cert.verts, cert.msgs, cert.ops
-    twice = np.flatnonzero(np.diff(inputs) == 0)
-    if twice.size:
-        k = int(twice[0])
-        raise ProtocolError(f"vertex {inputs[k]} carries two messages "
-                            f"({messages[k]} and {messages[k + 1]})")
-    if cert.verification is None or not cert.verification.passed:
-        raise ProtocolError("the certificate has no passing verification")
-    traces = np.einsum("kii->k", stack)
-    unequal = np.flatnonzero(traces != traces[0])
-    if unequal.size:
-        k = int(unequal[0])
-        raise ProtocolError(f"operators have unequal traces ({traces[0]} at vertex "
-                            f"{inputs[0]}, {traces[k]} at vertex {inputs[k]})")
-    rho = cert.rho_num  # verified entries keep d * max^2 below 2^53: exact in int64
-    if not np.array_equal(rho @ rho, traces[0] * rho):
-        raise ProtocolError("the operators of a message do not annihilate pairwise "
-                            "(rho^2 != tr(N) rho)")
-    return Protocol(chan, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
+    g = packing.graph
+    chan = canonical_channel(g)
+    proof = packing_proof(packing)
+    verts = g.indices_of(packing.cliques).ravel()
+    order = np.argsort(verts)  # the cliques are disjoint: no ties
+    messages = np.repeat(np.arange(1, packing.count + 1), packing.clique_size)
+    return Protocol(chan, packing.count, verts[order], messages[order],
+                    packing.clique_size), proof
 
 
 @dataclass(frozen=True)
@@ -241,13 +218,13 @@ def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, 
     message t % M + 1; return the failures and the first ``shown`` transcripts.
 
     Of the generator pair rngs (``default_rng(seed).spawn(2)``), the first
-    draws the sender's row uniformly among the message's dim inputs (a basis
-    of range(rho), each with Tr(A_i^s)/d = 1/dim), the second the output
+    draws the sender's row uniformly among the message's dim inputs (an
+    orthonormal basis, each with Tr(A_i^s)/d = 1/dim), the second the output
     uniformly from that row. Trials run in blocks of ``SIM_BLOCK``; each
     stream is read in trial order, and numpy's bounded array draws match its
     scalar draws one for one, so the first trials come out the same whatever
     ``trials``. The receiver decodes the row's message with certainty, as
-    ``protocol_from_cert`` proves; only the returned transcripts are formed.
+    ``protocol_from_packing`` proves; only the returned transcripts are formed.
     """
     senders, outputs = rngs
     rows = np.argsort(proto.messages, kind="stable").reshape(proto.M, proto.dim)

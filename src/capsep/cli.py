@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import algebra_fp, alpha, bitgraph, channel, entcert, geometry, report
-from .errors import CapsepError, CertificateError, InvalidParameterError, ProtocolError
+from .errors import CapsepError, CertificateError, InvalidParameterError
 from .hadamard import find_hadamard
 
 
@@ -163,13 +163,11 @@ def _cmd_channel_sim(args) -> int:
     if args.trials > channel.MAX_TRIALS:
         raise CapsepError(f"--trials {args.trials} is over the cap {channel.MAX_TRIALS}")
     _, g, packing = _packing(args.family, args.n, args.seed)
-    chan = channel.canonical_channel(g)  # its size cap fires before the certificate
-    cert = entcert.cert_from_packing(packing)
-    proto = channel.protocol_from_cert(cert, chan)
+    proto, proof = channel.protocol_from_packing(packing)
     failures, transcripts = channel.simulate(proto, args.trials,
                                              np.random.default_rng(args.seed).spawn(2))
     _emit({"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
-           "zero_error": {"passed": cert.verification.passed,
+           "zero_error": {"passed": proof.passed,
                           "instances": proto.zero_error_instances},
            "trials": args.trials, "failures": failures,
            "transcripts": [tr.to_json() for tr in transcripts]}, args)
@@ -307,7 +305,7 @@ def cli_main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CertificateError, ProtocolError) as exc:
+    except CertificateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (CapsepError, OSError) as exc:

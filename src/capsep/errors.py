@@ -21,11 +21,5 @@ class CertificateError(CapsepError):
     """An operator-system certificate violated one of its exact conditions."""
 
 
-class ProtocolError(CapsepError):
-    """A protocol is not proved: its certificate is unverified, a vertex
-    carries two messages, or a frame condition fails (equal operator traces,
-    each message's operators annihilating pairwise)."""
-
-
 class InternalCheckError(CapsepError):
     """A check that is proven to hold failed; indicates an implementation bug."""

@@ -9,9 +9,11 @@ takes its fitting-matrix ranks from identities, which it checks. So do a
 channel's rows (``channel_row``) and the zero-error code check
 (``check_zero_error_code``), which no library code needs, and the float form
 of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
-the library replaces by the certificate's exact proof, and the scalar
+the library replaces by the packing's exact proof, and the scalar
 simulation loop (``simulate_by_loop``), which the library runs in blocks of
-array draws.
+array draws. The protocol of a general verified certificate
+(``protocol_from_cert``: tensors and classical embeddings) is built here
+too; the library builds protocols only from packings.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import capsep
 from capsep.entcert import EntCert, rank_one_row
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.bitgraph import row_blocks, weight_w_bits
-from capsep.channel import Transcript
+from capsep.channel import Protocol, Transcript
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
@@ -387,6 +389,53 @@ class FloatProtocol:
     @cached_property
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.T
+
+
+class ProtocolError(Exception):
+    """``protocol_from_cert`` refused: the certificate proves no protocol."""
+
+
+def protocol_from_cert(cert: EntCert, chan) -> Protocol:
+    """The protocol realizing a verified certificate, proved in exact integers.
+
+    Refused with ``ProtocolError``: a vertex with two messages; a certificate
+    whose attached ``verification`` is missing or failed; operators of
+    unequal traces; and a message whose operators do not annihilate pairwise.
+    The last is read off one d x d identity: with every N = c w w^T of trace
+    tau and each message summing to rho (condition 1), rho^2 = tau rho plus
+    the sum of N_a N_b over the pairs a != b of one message, whose trace is
+    the sum of c_a c_b <w_a, w_b>^2 >= 0. So rho^2 = tau rho holds iff every
+    such pair annihilates. Then each message's operators are tau times the
+    projectors of an orthonormal basis of range(rho), and rho / tau is a
+    projector of rank ``dim`` = tr(rho) / tau. So every sender measurement
+    is complete, every receiver class (a singleton or an adjacent pair,
+    orthogonal by conditions 2 and 3) is orthogonal, and every zero-error
+    instance is exactly 0.
+    """
+    g = cert.graph
+    labels = map(g.vertex_label, range(g.vertex_count))
+    if chan.graph is not g and list(chan.inputs) != list(labels):
+        raise InvalidParameterError("channel inputs do not match the certificate's graph")
+
+    inputs, messages, stack = cert.verts, cert.msgs, cert.ops
+    twice = np.flatnonzero(np.diff(inputs) == 0)
+    if twice.size:
+        k = int(twice[0])
+        raise ProtocolError(f"vertex {inputs[k]} carries two messages "
+                            f"({messages[k]} and {messages[k + 1]})")
+    if cert.verification is None or not cert.verification.passed:
+        raise ProtocolError("the certificate has no passing verification")
+    traces = np.einsum("kii->k", stack)
+    unequal = np.flatnonzero(traces != traces[0])
+    if unequal.size:
+        k = int(unequal[0])
+        raise ProtocolError(f"operators have unequal traces ({traces[0]} at vertex "
+                            f"{inputs[0]}, {traces[k]} at vertex {inputs[k]})")
+    rho = cert.rho_num  # verified entries keep d * max^2 below 2^53: exact in int64
+    if not np.array_equal(rho @ rho, traces[0] * rho):
+        raise ProtocolError("the operators of a message do not annihilate pairwise "
+                            "(rho^2 != tr(N) rho)")
+    return Protocol(chan, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
 
 
 def float_protocol(cert, chan, vectors=None) -> FloatProtocol:

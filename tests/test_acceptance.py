@@ -14,7 +14,7 @@ import numpy as np
 
 import capsep
 from capsep.algebra_fp import haemers_matrix
-from capsep.channel import canonical_channel, protocol_from_cert, simulate
+from capsep.channel import canonical_channel, protocol_from_packing, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
                       check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
@@ -185,11 +185,10 @@ def test_criterion_7_protocol_simulation():
         rep.verify()
         h12 = capsep.find_hadamard(12)
         packing = capsep.pack_cliques(rep.graph, capsep.hadamard_clique(h12, "H"))
+        proto, proof = protocol_from_packing(packing)
+        assert proto.M == 8 and proof.passed
         cert = capsep.cert_from_packing(packing)
-        assert cert.M == 8
-        chan = canonical_channel(cert.graph)
-        proto = protocol_from_cert(cert, chan)
-        _, worst, witness = zero_error_by_loop(float_protocol(cert, chan))
+        _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.channel))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
         failures, transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2),
                                          shown=10**3)

@@ -9,17 +9,18 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep import channel
-from capsep.channel import canonical_channel, protocol_from_cert, simulate
-from conftest import (RecordingGenerator, ScriptedGenerator, canonical_output_labels, cert_with,
-                      channel_row, channel_rows, check_zero_error_code,
-                      confusable_pairs_by_loop, drawn_indices, explicit_state_transmission,
-                      float_protocol, maximally_entangled_state, me_pair_trace,
-                      members_by_output, ops_by_pair, output_members_by_dict, partial_trace,
-                      random_explicit_graph, receiver_excess_by_outputs, receiver_measurement,
-                      sender_measurement, simulate_by_loop, support, transmission_by_gram,
-                      zero_error_by_loop, zero_error_code_by_loop)
+from capsep.channel import canonical_channel, protocol_from_packing, simulate
+from conftest import (ProtocolError, RecordingGenerator, ScriptedGenerator,
+                      canonical_output_labels, cert_with, channel_row, channel_rows,
+                      check_zero_error_code, confusable_pairs_by_loop, drawn_indices,
+                      explicit_state_transmission, float_protocol, maximally_entangled_state,
+                      me_pair_trace, members_by_output, ops_by_pair, output_members_by_dict,
+                      partial_trace, protocol_from_cert, random_explicit_graph,
+                      receiver_excess_by_outputs, receiver_measurement, sender_measurement,
+                      simulate_by_loop, support, transmission_by_gram, zero_error_by_loop,
+                      zero_error_code_by_loop)
 from capsep.entcert import EntCert, classical_embedding, tensor, verify
-from capsep.errors import InvalidParameterError, ProtocolError, ResourceLimitError
+from capsep.errors import InvalidParameterError, ResourceLimitError
 
 
 def h3_cert():
@@ -470,6 +471,29 @@ class TestProtocol:
         assert payload["correct"] is True
         assert len(payload["distribution"]) == proto.M
         assert abs(sum(payload["distribution"]) - 1.0) < 1e-9
+
+
+def packing_of(name: str, seed: int):
+    g = capsep.bitgraph.graph_from_ref(name)
+    clique = capsep.hadamard_clique(capsep.find_hadamard(g.n + 1), name[0])
+    return capsep.pack_cliques(g, clique, rng_seed=seed)
+
+
+class TestPackingProtocol:
+    @pytest.mark.parametrize("name, seed", [(name, seed)
+                                            for name in ("H3", "H7", "G7", "H11", "G11")
+                                            for seed in range(3)] + [("G15", 0)])
+    def test_matches_the_certificate_oracle(self, name, seed):
+        packing = packing_of(name, seed)
+        proto, proof = protocol_from_packing(packing)
+        oracle = protocol_from_cert(capsep.cert_from_packing(packing),
+                                    canonical_channel(packing.graph))
+        assert proof.passed and proof.mode == "packing"
+        assert (proto.M, proto.dim) == (oracle.M, oracle.dim) == (packing.count,
+                                                                   packing.clique_size)
+        assert np.array_equal(proto.inputs, oracle.inputs)
+        assert np.array_equal(proto.messages, oracle.messages)
+        assert proto.zero_error_instances == oracle.zero_error_instances
 
 
 def classical_g11_protocol(g11):

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.algebra_fp import HaemersResult
-from capsep.channel import MAX_TRIALS, canonical_channel, protocol_from_cert
+from capsep.channel import MAX_TRIALS, canonical_channel
 from capsep.cli import build_parser, cli_main
-from capsep.errors import ProtocolError
+from capsep.errors import CertificateError
 from conftest import drawn_indices, float_protocol, transmission_by_gram, zero_error_by_loop
 
 
@@ -511,8 +511,9 @@ class TestChannelSimCommand:
     def test_channel_over_the_cap_refused_before_the_certificate(self, capsys, monkeypatch):
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
         def refuse(*args, **kwargs):
-            raise AssertionError("a certificate was started")
-        monkeypatch.setattr(capsep.cli.entcert, "cert_from_packing", refuse)
+            raise AssertionError("the packing proof was started")
+        # the binding protocol_from_packing calls, after the channel's cap
+        monkeypatch.setattr(capsep.channel, "packing_proof", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "15")
         assert time.perf_counter() - start < 2.0
@@ -566,12 +567,31 @@ class TestChannelSimCommand:
         assert same == other  # the H packing does not follow the seed
 
     def test_protocol_failure_is_a_verification_failure(self, capsys, monkeypatch):
-        def fail(cert, chan):
-            raise ProtocolError("zero-error condition violated")
-        monkeypatch.setattr(capsep.cli.channel, "protocol_from_cert", fail)
+        def fail(packing):
+            raise CertificateError("cliques of size 3 do not span the rows' dimension 4")
+        monkeypatch.setattr(capsep.channel, "packing_proof", fail)
         code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "3")
         assert code == 2 and out == ""
-        assert err.startswith("verification failure: zero-error condition violated")
+        assert err.startswith("verification failure: cliques of size 3 do not span")
+
+    @pytest.mark.parametrize("family", ["G", "H"])
+    def test_no_certificate_is_formed(self, capsys, monkeypatch, family):
+        def refuse(self):
+            raise AssertionError("a certificate was formed")
+        monkeypatch.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
+        code, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11",
+                           "--trials", "100")
+        assert code == 0 and json.loads(out)["failures"] == 0
+
+    @pytest.mark.parametrize("family, cert_dim, local_dim", [("G", 12, 11), ("H", 12, 12)])
+    def test_dim_is_the_matrix_order_or_the_clique_size(self, capsys, family, cert_dim,
+                                                        local_dim):
+        # pipeline's cert.dim is the certificate's matrix order, n + 1; channel-sim's
+        # dim is the protocol's local dimension, the clique size (n for G)
+        _, out, _ = run(capsys, "pipeline", "--family", family, "--n", "11")
+        assert json.loads(out)["cert"]["dim"] == cert_dim
+        _, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11", "--trials", "20")
+        assert json.loads(out)["dim"] == local_dim
 
 
 class TestGraphBuiltOnce:
