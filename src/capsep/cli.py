@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -34,8 +33,7 @@ def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, without its pure-Python indent
     encoder. Containers are written here and plain scalars by json's C
     encoders; a list of one plain scalar type (a distribution, a clique's
-    labels) is one join, and a matrix of plain ints (a certificate operator,
-    rho) one ``%`` format. Everything else (NaN, infinities, subclasses,
+    labels) is one join. Everything else (NaN, infinities, subclasses,
     values JSON cannot encode) goes to ``json.dumps``, so it keeps json's
     output and errors."""
     t = type(obj)
@@ -50,12 +48,6 @@ def _dumps(obj, level: int = 0) -> str:
         items = (f"{_key(k)}: {_dumps(v, level + 1)}" for k, v in obj.items())
         return f"{{{pad}{(',' + pad).join(items)}{pad[:-2]}}}"
     kinds = set(map(type, obj))
-    if kinds == {list} and len(set(map(len, obj))) == 1 and obj[0]:
-        flat = tuple(chain.from_iterable(obj))
-        if set(map(type, flat)) == {int}:  # %d writes a plain int as int.__repr__ does
-            inner = pad + "  "
-            row = f"[{inner}{('%d,' + inner) * (len(obj[0]) - 1)}%d{pad}]"
-            return f"[{pad}{(',' + pad).join([row] * len(obj))}{pad[:-2]}]" % flat
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind in _PLAIN and (kind is not float or all(map(math.isfinite, obj))):
         items = map(_PLAIN[kind], obj)
@@ -130,16 +122,16 @@ def _cmd_pack(args) -> int:
 
 
 def _cmd_cert(args) -> int:
-    _, _, packing = _packing(args.family, args.n, args.seed)
-    cert = entcert.cert_from_packing(packing)
-    _emit(cert.to_json(), args)
+    _, g, packing = _packing(args.family, args.n, args.seed)
+    proof = entcert.packing_proof(packing)  # the cliques fix every operator: none is formed
+    _emit({"graph": g.graph_ref(), "M": packing.count, "dim": geometry.OrthoRep(g).dim,
+           "cliques": packing.to_json()["cliques"], "verification": proof.to_json()}, args)
     return 0
 
 
 def _cmd_verify_cert(args) -> int:
     with open(args.input, "rb") as fh:
-        cert = entcert.cert_from_json(fh.read())
-    rep = entcert.verify(cert)
+        rep = entcert.verify_json(fh.read())
     _emit(rep.to_json(), args)
     return 0 if rep.passed else 2
 

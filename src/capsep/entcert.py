@@ -7,27 +7,25 @@ different messages annihilate; and operators of adjacent vertices with
 different messages annihilate. A verified certificate with M messages shows
 the one-shot entangled independence number is at least M.
 
-All matrices are stored as integer numerators over a single global
-denominator, so every check is exact integer arithmetic with zero tolerance.
-``verify`` checks every instance of every condition; there is no sampling. The
-operators are rank-one PSD, N = c w w^T, so two of them annihilate iff one
-nonzero row of each (an integer multiple of w) is orthogonal to the other:
-the cross-operator conditions are zeros of one K x K integer Gram matrix.
-A packing certificate is proved by its packing instead (``packing_proof``),
-with no Gram; ``verify`` proves files, tensors and classical embeddings.
-"""
+A packing certificate is fixed by its cliques and proved by its packing
+(``packing_proof``), with no operator formed. A general one (tensors,
+classical embeddings) holds integer numerators over one denominator, and
+``verify`` checks every instance of every condition exactly, with no
+sampling: its rank-one operators N = c w w^T annihilate iff one nonzero row
+of each is orthogonal to the other, so the cross-operator conditions are
+zeros of one K x K integer Gram matrix."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .alpha import verify_independent
 from .bitgraph import graph_from_ref, row_blocks, strong_product
-from .errors import (CertificateError, InvalidParameterError,
+from .errors import (CertificateError, ConstructionError, InvalidParameterError,
                      ResourceLimitError)
 from .geometry import CliquePacking, OrthoRep
 
@@ -63,8 +61,7 @@ class EntCert:
     denominator, in one (K, dim, dim) int64 stack sorted by (vertex, message);
     a missing pair is the zero operator. The constructor is the one place that
     checks shapes, vertex indices and repeated pairs (``InvalidParameterError``),
-    and leaves the arrays read-only.
-    """
+    and leaves the arrays read-only."""
 
     graph: object
     M: int
@@ -151,20 +148,17 @@ def verify(cert: EntCert) -> VerificationReport:
     """Re-check every instance of every condition, exactly and without sampling.
 
     Each operator must be rank-one PSD, N = c w w^T with c > 0: symmetric,
-    tr N > 0 and N^2 = tr(N) N, checked over the stacked operators in one
-    batched pass. Its row r at the largest diagonal entry is a nonzero
-    multiple of w, so N_a N_b = c_a c_b <w_a, w_b> w_a w_b^T is zero iff
-    r_a . r_b = 0. Conditions 2 and 3 are therefore read off one K x K
-    integer Gram matrix of the rows of the operators that pass ``psd`` (in
-    row blocks), masked by "same vertex" or by "adjacent", each with
-    "different message". rho is PSD because, with M >= 1, condition 1 makes
-    it the sum of message 1's PSD operators.
+    tr N > 0 and N^2 = tr(N) N, in one batched pass. Its row r at the largest
+    diagonal entry is a nonzero multiple of w, so N_a N_b vanishes iff
+    r_a . r_b = 0: conditions 2 and 3 are read off one K x K integer Gram
+    matrix of the rows of the operators that pass ``psd`` (in row blocks),
+    masked by "same vertex" or "adjacent" and "different message". rho is PSD
+    as, with M >= 1, condition 1 makes it the sum of message 1's operators.
 
     Each condition lists at most ``WITNESS_CAP`` witnesses and counts all its
     violations. Entries so large that a product or sum could reach 2^53 fail
     ``psd``, and the other conditions are then reported unchecked (False).
-    The result is a value; nothing is raised.
-    """
+    The result is a value; nothing is raised."""
     g = cert.graph
     d, M, rho = cert.dim, cert.M, cert.rho_num
     verts, msgs, stack = cert.verts, cert.msgs, cert.ops
@@ -251,8 +245,8 @@ def _verified(cert: EntCert, source: str) -> EntCert:
 
 
 def packing_proof(packing: CliquePacking) -> VerificationReport:
-    """Every condition of ``cert_from_packing``'s certificate, proved by its
-    inputs with no pair of operators compared.
+    """Every condition of the packing's certificate (message i the i-th clique,
+    w w^T at each vertex, for its ``OrthoRep`` row w), with no operator formed.
 
     ``OrthoRep.verify`` gives unit rows, orthogonal on edges (condition 3),
     and ``CliquePacking`` gives disjoint cliques (condition 2). A clique is
@@ -260,8 +254,7 @@ def packing_proof(packing: CliquePacking) -> VerificationReport:
     its size is that span's dimension: n + 1, or n for family G, whose rows
     lie in the ones-hyperplane. So every message sums to the same scaled
     projector rho (condition 1), and the trace and psd conditions hold by
-    construction. Any other size raises ``CertificateError``.
-    """
+    construction. Any other size raises ``CertificateError``."""
     g, size = packing.graph, packing.clique_size
     if not packing.cliques:
         raise InvalidParameterError("packing has no cliques (M must be at least 1)")
@@ -273,24 +266,6 @@ def packing_proof(packing: CliquePacking) -> VerificationReport:
                                f"of size {size} do not span the rows' dimension {span}")
     return VerificationReport(True, dict.fromkeys(CONDITIONS, True), [],
                               dict.fromkeys(CONDITIONS, 0), "packing")
-
-
-def cert_from_packing(packing: CliquePacking) -> EntCert:
-    """Certificate with one message per packed clique, proved by ``packing_proof``.
-
-    The operator at u is w w^T, for the row w of the graph's ``OrthoRep``
-    (formed for the packed vertices only); rho is the first clique's sum, of
-    trace exactly one over the global denominator: clique size times n + 1.
-    """
-    proof = packing_proof(packing)
-    g, size = packing.graph, packing.clique_size
-    rep = OrthoRep(g)
-    verts = g.indices_of(packing.cliques).ravel()
-    w = rep.rows(verts).astype(np.int64)
-    ops = w[:, :, None] * w[:, None, :]  # clique by clique, its members in turn
-    msgs = np.repeat(np.arange(1, packing.count + 1), size)
-    return EntCert(g, packing.count, rep.dim, size * rep.normalizer,
-                   ops[:size].sum(axis=0), verts, msgs, ops, proof)
 
 
 def classical_embedding(g, vertex_indices) -> EntCert:
@@ -311,8 +286,7 @@ def tensor(a: EntCert, b: EntCert) -> EntCert:
 
     Messages multiply (M = M_a * M_b), which is the supermultiplicativity
     step behind the capacity lower bound. Fully verified at every size the
-    entry cap allows.
-    """
+    entry cap allows."""
     g = strong_product(a.graph, b.graph)
     entries = len(a.ops) * len(b.ops) * (a.dim * b.dim) ** 2
     if entries > TENSOR_ENTRY_CAP:
@@ -345,20 +319,17 @@ def _json_label(value) -> int:
     return value
 
 
-def cert_from_json(payload: dict | str | bytes) -> EntCert:
-    """Rebuild a certificate from its JSON form.
+def cert_from_json(payload: dict) -> EntCert:
+    """Rebuild a general certificate from its parsed JSON form (``EntCert.to_json``).
 
     The graph is rebuilt from the stored reference, which works for the
     named families (G/H/O/C/K) and their strong products, and the vertex
     labels are looked up in one ``indices_of_labels`` batch. Malformed input
     (a missing field, a wrong type, a number that is not a JSON integer, an
-    unknown vertex label, a label i outside int64, too deep a nesting, and
-    what the ``EntCert`` constructor rejects: a repeated (vertex, i) entry or
-    a matrix not dim x dim) raises ``InvalidParameterError``.
-    """
+    unknown vertex label, a label i outside int64, and what the ``EntCert``
+    constructor rejects: a repeated (vertex, i) entry or a matrix not dim x
+    dim) raises ``InvalidParameterError``."""
     try:
-        if isinstance(payload, (str, bytes)):
-            payload = json.loads(payload)
         graph = graph_from_ref(str(payload["graph"]))
         M, dim, denominator = (_json_int(payload[k]) for k in ("M", "dim", "denominator"))
         entries = [(e["vertex"], _json_label(e["i"]), e["matrix"]) for e in payload["ops"]]
@@ -374,3 +345,40 @@ def cert_from_json(payload: dict | str | bytes) -> EntCert:
         raise InvalidParameterError(f"certificate is missing field {exc}") from None
     except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise InvalidParameterError(f"malformed certificate: {exc}") from None
+
+
+def verify_json(text: str | bytes) -> VerificationReport:
+    """The verdict on a certificate file, by its form. A file with ``cliques``
+    (``cert``'s form) is proved from scratch with no operator formed: its G or
+    H graph from the reference, its labels in one ``indices_of_labels`` batch,
+    the ``CliquePacking`` constructor (sizes, reuse, adjacency), ``packing_proof``
+    and its M and dim against the proven ones; a failed proof raises
+    ``CertificateError``. Any other (``EntCert.to_json``) is checked by
+    ``verify``. Malformed input, or both ``cliques`` and ``ops``, raises
+    ``InvalidParameterError``."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InvalidParameterError(f"malformed certificate: {exc}") from None
+    if not (isinstance(payload, dict) and "cliques" in payload):
+        return verify(cert_from_json(payload))
+    try:
+        graph, cliques = graph_from_ref(str(payload["graph"])), payload["cliques"]
+        claimed = tuple(_json_int(payload[k]) for k in ("M", "dim"))
+        if "ops" in payload or graph.family not in ("G", "H"):
+            raise ValueError("a packing certificate has a G or H graph and no ops")
+        words = iter(graph.bits_array[graph.indices_of_labels(
+            list(chain.from_iterable(cliques)))].tolist())
+        packing = CliquePacking(graph, len(cliques[0]) if cliques else 0,
+                                tuple(tuple(islice(words, len(c))) for c in cliques))
+    except KeyError as exc:
+        raise InvalidParameterError(f"certificate is missing field {exc}") from None
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise InvalidParameterError(f"malformed certificate: {exc}") from None
+    except ConstructionError as exc:
+        raise CertificateError(f"packing certificate failed verification: {exc}") from None
+    proof, proven = packing_proof(packing), (packing.count, OrthoRep(graph).dim)
+    if claimed != proven:
+        raise CertificateError(f"packing certificate failed verification: the file claims "
+                               f"(M, dim) = {claimed}, its packing proves {proven}")
+    return proof

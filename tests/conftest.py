@@ -13,7 +13,9 @@ the library replaces by the packing's exact proof, and the scalar
 simulation loop (``simulate_by_loop``), which the library runs in blocks of
 array draws. The protocol of a general verified certificate
 (``protocol_from_cert``: tensors and classical embeddings) is built here
-too; the library builds protocols only from packings.
+too; the library builds protocols only from packings. So is a packing's
+dense certificate (``cert_from_packing``: its operator stack), which the
+library never forms: it writes and proves a packing by its cliques.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.entcert import EntCert, rank_one_row
+from capsep.entcert import EntCert, packing_proof, rank_one_row
 from capsep.errors import InternalCheckError, InvalidParameterError
 from capsep.bitgraph import row_blocks, weight_w_bits
 from capsep.channel import Protocol, Transcript
@@ -218,15 +220,41 @@ def paley12():
     return capsep.paley_one(11)
 
 
+def cert_from_packing(packing) -> EntCert:
+    """The packing's dense certificate, with ``packing_proof``'s report attached:
+    message i is the i-th clique, the operator at its vertex u is w w^T for
+    the ``OrthoRep`` row w, and rho is the first clique's sum, of trace one
+    over the denominator clique size times n + 1. The dense oracle that the
+    generic ``verify`` checks against the packing proof."""
+    proof = packing_proof(packing)
+    g, size = packing.graph, packing.clique_size
+    rep = capsep.OrthoRep(g)
+    verts = g.indices_of(packing.cliques).ravel()
+    w = rep.rows(verts).astype(np.int64)
+    ops = w[:, :, None] * w[:, None, :]  # clique by clique, its members in turn
+    msgs = np.repeat(np.arange(1, packing.count + 1), size)
+    return EntCert(g, packing.count, rep.dim, size * rep.dim,
+                   ops[:size].sum(axis=0), verts, msgs, ops, proof)
+
+
+def dense_h3_json() -> dict:
+    """``EntCert.to_json`` of the H3 packing's dense certificate (one clique,
+    all four vertices): the general file form that ``verify-cert`` checks with
+    the generic ``verify``."""
+    h = capsep.build_H(3)
+    return cert_from_packing(capsep.pack_cliques(h, capsep.hadamard_clique(
+        capsep.sylvester(2), "H"))).to_json()
+
+
 @pytest.fixture(scope="session")
 def h11_cert(h11, paley12):
-    return capsep.cert_from_packing(
+    return cert_from_packing(
         capsep.pack_cliques(h11, capsep.hadamard_clique(paley12, "H")))
 
 
 @pytest.fixture(scope="session")
 def g11_cert(g11, paley12):
-    return capsep.cert_from_packing(
+    return cert_from_packing(
         capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G")))
 
 

@@ -16,7 +16,7 @@ import capsep
 from capsep.algebra_fp import haemers_matrix
 from capsep.channel import canonical_channel, protocol_from_packing, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
-                      check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
+                      cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
                       normalize_by_loop, normalized, random_explicit_graph,
                       rank_by_row_reduction, rank_fp, sign_vector, zero_error_by_loop)
@@ -87,7 +87,7 @@ def test_criterion_3_n11_entangled_side():
         pack_g = capsep.pack_cliques(rep_g.graph, clique_g)
         assert pack_g.target == math.ceil(462 / 121) == 4
         assert pack_g.count >= 4 and pack_g.target_met
-        cert_g = capsep.cert_from_packing(pack_g)
+        cert_g = cert_from_packing(pack_g)
         assert cert_g.M >= 4
         assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "packing"
         assert capsep.verify(cert_g).passed  # the generic check agrees
@@ -99,7 +99,7 @@ def test_criterion_3_n11_entangled_side():
         pack_h = capsep.pack_cliques(rep_h.graph, clique_h)
         assert pack_h.target == math.ceil(1024 / 144) == 8
         assert pack_h.count >= 8 and pack_h.target_met
-        cert_h = capsep.cert_from_packing(pack_h)
+        cert_h = cert_from_packing(pack_h)
         assert cert_h.M >= 8
         assert cert_h.verification.passed and cert_h.verification.to_json()["mode"] == "packing"
         assert capsep.verify(cert_h).passed  # the generic check agrees
@@ -187,7 +187,7 @@ def test_criterion_7_protocol_simulation():
         packing = capsep.pack_cliques(rep.graph, capsep.hadamard_clique(h12, "H"))
         proto, proof = protocol_from_packing(packing)
         assert proto.M == 8 and proof.passed
-        cert = capsep.cert_from_packing(packing)
+        cert = cert_from_packing(packing)
         _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.channel))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
         failures, transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2),
@@ -223,7 +223,7 @@ def test_criterion_8_oracle_equivalence():
         rep3.verify()
         pack3 = capsep.pack_cliques(
             rep3.graph, capsep.hadamard_clique(capsep.sylvester(2), "H"))
-        cert3 = capsep.cert_from_packing(pack3)
+        cert3 = cert_from_packing(pack3)
         squared = capsep.tensor(cert3, cert3)  # 16 vertices
         assert squared.verification.to_json()["mode"] == "full"
         assert squared.verification.passed
@@ -232,7 +232,7 @@ def test_criterion_8_oracle_equivalence():
         rep11.verify()
         pack11 = capsep.pack_cliques(
             rep11.graph, capsep.hadamard_clique(capsep.find_hadamard(12), "H"))
-        cert11 = capsep.cert_from_packing(pack11)
+        cert11 = cert_from_packing(pack11)
         mixed = capsep.tensor(cert3, cert11)  # 4096 vertices
         assert mixed.graph.vertex_count == 4096 <= 10**4
         assert mixed.M == 8

@@ -11,7 +11,7 @@ import capsep
 from capsep import channel
 from capsep.channel import canonical_channel, protocol_from_packing, simulate
 from conftest import (ProtocolError, RecordingGenerator, ScriptedGenerator,
-                      canonical_output_labels, cert_with, channel_row, channel_rows,
+                      canonical_output_labels, cert_from_packing, cert_with, channel_row, channel_rows,
                       check_zero_error_code, confusable_pairs_by_loop, drawn_indices,
                       explicit_state_transmission, float_protocol, maximally_entangled_state,
                       me_pair_trace, members_by_output, ops_by_pair, output_members_by_dict,
@@ -24,7 +24,7 @@ from capsep.errors import InvalidParameterError, ResourceLimitError
 
 
 def h3_cert():
-    return capsep.cert_from_packing(capsep.pack_cliques(
+    return cert_from_packing(capsep.pack_cliques(
         capsep.build_H(3), capsep.hadamard_clique(capsep.sylvester(2), "H")))
 
 
@@ -429,7 +429,7 @@ class TestProtocol:
             cert = classical_embedding(capsep.build_cycle(5), [0, 2])
         else:
             g = capsep.bitgraph.graph_from_ref(name)
-            cert = capsep.cert_from_packing(capsep.pack_cliques(
+            cert = cert_from_packing(capsep.pack_cliques(
                 g, capsep.hadamard_clique(capsep.find_hadamard(g.n + 1), name[0])))
         proto, fp = protocol_and_floats(cert)
         assert proto.dim == fp.dim
@@ -486,7 +486,7 @@ class TestPackingProtocol:
     def test_matches_the_certificate_oracle(self, name, seed):
         packing = packing_of(name, seed)
         proto, proof = protocol_from_packing(packing)
-        oracle = protocol_from_cert(capsep.cert_from_packing(packing),
+        oracle = protocol_from_cert(cert_from_packing(packing),
                                     canonical_channel(packing.graph))
         assert proof.passed and proof.mode == "packing"
         assert (proto.M, proto.dim) == (oracle.M, oracle.dim) == (packing.count,

@@ -16,7 +16,8 @@ from capsep.algebra_fp import HaemersResult
 from capsep.channel import MAX_TRIALS, canonical_channel
 from capsep.cli import build_parser, cli_main
 from capsep.errors import CertificateError
-from conftest import drawn_indices, float_protocol, transmission_by_gram, zero_error_by_loop
+from conftest import (cert_from_packing, dense_h3_json, drawn_indices, float_protocol,
+                      transmission_by_gram, zero_error_by_loop)
 
 
 def run(capsys, *argv):
@@ -35,8 +36,8 @@ def _flip(row):
     row[1] = -row[1]
 
 
-# Edits of the H3 certificate file, with the exit code and first stderr line
-# of ``verify-cert`` on the result.
+# Edits of the dense H3 certificate file (``dense_h3_json``), with the exit
+# code and first stderr line of ``verify-cert`` on the result.
 HOSTILE = {
     "repeated entry": (lambda doc: doc["ops"].append(doc["ops"][0]),
                        1, "error: repeated operator at vertex '000', i = 1"),
@@ -57,15 +58,73 @@ HOSTILE = {
 }
 
 
-def write_hostile(cert_path: Path) -> dict[str, Path]:
-    """Each ``HOSTILE`` edit of the certificate at cert_path, in a file beside it."""
+def _unused_non_neighbour(doc):
+    """The first vertex of the file's G11 that no clique uses and that is not
+    adjacent to clique 0's second member (distance 6 is G11's adjacency)."""
+    used = {int(u, 2) for c in doc["cliques"] for u in c}
+    other = int(doc["cliques"][0][1], 2)
+    return next(capsep.bitgraph.word_label(w, 11) for w in capsep.build_G(11).bits_array.tolist()
+                if w not in used and (w ^ other).bit_count() != 6)
+
+
+# Edits of the packing certificate ``cert --family G --n 11`` writes (M = 4,
+# cliques of 11), with the exit code of ``verify-cert`` and a phrase of its
+# first stderr line; exit 2 prints nothing to stdout.
+PACKING_HOSTILE = {
+    "unknown label": (lambda doc: doc["cliques"][0].__setitem__(0, "+" + doc["cliques"][0][0]),
+                      1, "error: unknown vertex '+"),
+    "label of H": (lambda doc: doc["cliques"][0].__setitem__(0, "0" * 11),
+                   1, "error: unknown vertex '00000000000' in G11"),
+    "integer label": (lambda doc: doc["cliques"][0].__setitem__(0, 5),
+                      1, "error: unknown vertex 5 in G11"),
+    "no cliques field": (lambda doc: doc.pop("cliques"), 1, "error: certificate is missing"),
+    "no graph field": (lambda doc: doc.pop("graph"),
+                       1, "error: certificate is missing field 'graph'"),
+    "cliques and ops": (lambda doc: doc.update(ops=[]),
+                        1, "error: malformed certificate: a packing certificate has a G or H "
+                           "graph and no ops"),
+    "cliques not lists": (lambda doc: doc.update(cliques=[5]),
+                          1, "error: malformed certificate: 'int' object is not iterable"),
+    "labels not in lists": (lambda doc: doc.update(cliques=["0" * 11]),
+                            1, "error: unknown vertex '0' in G11"),
+    "product graph": (lambda doc: doc.update(graph="C5xC5"),
+                      1, "error: malformed certificate: a packing certificate has a G or H"),
+    "complete graph": (lambda doc: doc.update(graph="K3"),
+                       1, "error: malformed certificate: a packing certificate has a G or H"),
+    "no clique": (lambda doc: doc.update(cliques=[]), 1, "error: packing has no cliques"),
+    "reused vertex": (lambda doc: doc["cliques"][1].__setitem__(0, doc["cliques"][0][0]),
+                      2, "verification failure: packing certificate failed verification: "
+                         "clique 1 reuses vertex"),
+    "non-adjacent pair": (lambda doc: doc["cliques"][0].__setitem__(0, _unused_non_neighbour(doc)),
+                          2, "are not adjacent"),
+    "unequal cliques": (lambda doc: doc["cliques"][1].pop(),
+                        2, "clique 1 has size 10, want 11"),
+    "one short of the span": (lambda doc: [c.pop() for c in doc["cliques"]],
+                              2, "cliques of size 10 do not span the rows' dimension 11"),
+    "M above": (lambda doc: doc.update(M=5),
+                2, "the file claims (M, dim) = (5, 12), its packing proves (4, 12)"),
+    "dim above": (lambda doc: doc.update(dim=13),
+                  2, "the file claims (M, dim) = (4, 13), its packing proves (4, 12)"),
+    "float M": (lambda doc: doc.update(M=4.0),
+                1, "error: malformed certificate: 4.0 is not an integer"),
+}
+
+
+def write_hostile(cert_path: Path, edits=HOSTILE) -> dict[str, Path]:
+    """Each edit of the certificate at cert_path, in a file beside it."""
     paths = {}
-    for name, (edit, _, _) in HOSTILE.items():
+    for name, (edit, _, _) in edits.items():
         doc = json.loads(cert_path.read_text())
         edit(doc)
         paths[name] = cert_path.with_name(name.replace(" ", "-") + ".json")
         paths[name].write_text(json.dumps(doc, indent=2) + "\n")
     return paths
+
+
+def write_dense_h3(target: Path) -> Path:
+    """The dense H3 certificate file, as ``EntCert.to_json`` and the CLI's encoder write it."""
+    target.write_text(json.dumps(dense_h3_json(), indent=2) + "\n")
+    return target
 
 
 class TestAlphaCommand:
@@ -198,14 +257,15 @@ class TestCertCommands:
         payload = json.loads(target.read_text())
         assert payload["M"] == 8
         assert payload["verification"]["passed"] is True
+        assert set(payload) == {"graph", "M", "dim", "cliques", "verification"}
 
         code, out, _ = run(capsys, "verify-cert", "--input", str(target))
         assert code == 0
         assert json.loads(out)["passed"] is True
+        assert json.loads(out)["mode"] == "packing"
 
     def test_verify_cert_detects_corruption(self, capsys, tmp_path):
-        target = tmp_path / "cert.json"
-        run(capsys, "cert", "--family", "H", "--n", "3", "--output", str(target))
+        target = write_dense_h3(tmp_path / "cert.json")
         payload = json.loads(target.read_text())
         payload["ops"][0]["matrix"] = (
             np.zeros_like(np.array(payload["ops"][0]["matrix"]))).tolist()
@@ -217,8 +277,7 @@ class TestCertCommands:
 
     @staticmethod
     def _h3_cert(capsys, tmp_path):
-        target = tmp_path / "cert.json"
-        run(capsys, "cert", "--family", "H", "--n", "3", "--output", str(target))
+        target = write_dense_h3(tmp_path / "cert.json")
         return target, json.loads(target.read_text())
 
     def _assert_rejected(self, capsys, target, phrase):
@@ -240,7 +299,7 @@ class TestCertCommands:
             rep = capsep.OrthoRep(capsep.build_H(3))
             rep.verify()
             seed = capsep.hadamard_clique(capsep.sylvester(2), "H")
-            base = capsep.cert_from_packing(capsep.pack_cliques(rep.graph, seed))
+            base = cert_from_packing(capsep.pack_cliques(rep.graph, seed))
         else:
             base = capsep.classical_embedding(capsep.build_cycle(5), [0, 2])
         payload = capsep.tensor(base, base).to_json()
@@ -375,10 +434,10 @@ class TestCertCommands:
     @pytest.mark.parametrize("command", ["cert", "pipeline", "channel-sim"])
     def test_packing_proved_without_the_generic_check(self, capsys, monkeypatch, command):
         def refuse(*args, **kwargs):
-            raise AssertionError("the K x K check ran")
+            raise AssertionError("the K x K check ran or an operator stack was formed")
         monkeypatch.setattr(capsep.entcert, "verify", refuse)
-        if command == "pipeline":  # it prints M, dim and the verdict: no operator stack
-            monkeypatch.setattr(capsep.entcert, "cert_from_packing", refuse)
+        # each prints M, dim and the verdict from the packing: no operator stack
+        monkeypatch.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
         code, out, _ = run(capsys, command, "--family", "H", "--n", "7")
         assert code == 0
         doc = json.loads(out)
@@ -396,6 +455,53 @@ class TestCertCommands:
         assert code == 2 and out == ""
         assert err.startswith("verification failure: packing certificate failed")
         assert "size 7 do not span the rows' dimension 8" in err
+
+
+class TestPackingFile:
+    """``cert`` writes a packing by its cliques; ``verify-cert`` proves it again."""
+
+    @pytest.mark.parametrize("family, n, seed",
+                             [(f, n, s) for f in "GH" for n in (3, 7, 11) for s in range(3)]
+                             + [("G", 15, 0)])
+    def test_agrees_with_the_dense_oracle(self, capsys, monkeypatch, tmp_path, family, n, seed):
+        target = tmp_path / "cert.json"
+        argv = ["cert", "--family", family, "--n", str(n), "--seed", str(seed)]
+        with monkeypatch.context() as m:  # no operator is formed and no K x K check runs
+            def refuse(*args, **kwargs):
+                raise AssertionError("an operator stack was formed or checked")
+            m.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
+            m.setattr(capsep.entcert, "verify", refuse)
+            assert run(capsys, *argv, "--output", str(target))[0] == 0
+            code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == json.loads(target.read_text())["verification"]
+        assert json.loads(out)["mode"] == "packing" and json.loads(out)["passed"] is True
+        # the same cliques, expanded to the operator stack, pass the generic check
+        doc = json.loads(target.read_text())
+        g = capsep.bitgraph.graph_from_ref(doc["graph"])
+        cliques = tuple(tuple(g.bits_array[g.indices_of_labels(c)].tolist())
+                        for c in doc["cliques"])
+        dense = cert_from_packing(capsep.CliquePacking(g, len(cliques[0]), cliques))
+        assert (dense.M, dense.dim) == (doc["M"], doc["dim"])
+        assert capsep.verify(dense).passed
+
+    def test_small_file(self, capsys, tmp_path):
+        target = tmp_path / "g15.json"
+        assert run(capsys, "cert", "--family", "G", "--n", "15", "--output", str(target))[0] == 0
+        assert target.stat().st_size < 100_000
+        assert json.loads(target.read_text())["M"] == 29
+
+    @pytest.mark.parametrize("name", list(PACKING_HOSTILE))
+    def test_hostile_file(self, capsys, tmp_path, name):
+        target = tmp_path / "cert.json"
+        assert run(capsys, "cert", "--family", "G", "--n", "11", "--output", str(target))[0] == 0
+        path = write_hostile(target, PACKING_HOSTILE)[name]
+        code, out, err = run(capsys, "verify-cert", "--input", str(path))
+        _, want_code, phrase = PACKING_HOSTILE[name]
+        first = (err.splitlines() or [""])[0]
+        assert code == want_code and out == "" and "Traceback" not in err
+        assert first.startswith("error: " if code == 1 else "verification failure: ")
+        assert phrase in first
 
 
 class TestPackCommand:
@@ -538,7 +644,7 @@ class TestChannelSimCommand:
         payload = json.loads(out)
         assert code == 0 and payload["failures"] == 0
         _, g, packing = capsep.cli._packing(family, 11, seed)
-        fp = float_protocol(capsep.cert_from_packing(packing), canonical_channel(g))
+        fp = float_protocol(cert_from_packing(packing), canonical_channel(g))
         instances, worst, _ = zero_error_by_loop(fp)
         assert payload["zero_error"] == {"passed": True, "instances": instances}
         assert worst <= 1e-9
@@ -780,13 +886,18 @@ _GRAPHS = ["C5", "K3", "H3", "G7", "C5xC5", "g7xk3", "junk", "G\u00b2", "G" + "1
 @pytest.fixture(scope="module")
 def fuzz_paths(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("fuzz")
-    assert cli_main(["cert", "--family", "H", "--n", "3", "--output", str(tmp / "cert.json")]) == 0
+    assert cli_main(["cert", "--family", "G", "--n", "11", "--output", str(tmp / "cert.json")]) == 0
+    write_dense_h3(tmp / "dense.json")
     (tmp / "junk.json").write_text("{")
-    # the first of each list works; the others are a malformed file, a
-    # missing file or directory, a directory and the hostile certificates
+    # the first of each list works; the others are the dense H3 file, a
+    # malformed file, a missing file or directory, a directory and the
+    # hostile certificates of both forms
+    hostile = {**write_hostile(tmp / "dense.json"),
+               **write_hostile(tmp / "cert.json", PACKING_HOSTILE)}
     return {"cwd": tmp,
-            "--input": [str(tmp / name) for name in ("cert.json", "junk.json", "none.json")]
-            + [str(tmp)] + [str(p) for p in write_hostile(tmp / "cert.json").values()],
+            "--input": [str(tmp / name) for name in ("cert.json", "dense.json", "junk.json",
+                                                     "none.json")]
+            + [str(tmp)] + [str(p) for p in hostile.values()],
             "--output": [str(tmp / "out.json"), str(tmp / "none" / "out.json"), str(tmp)]}
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.cli import _dumps, _emit, cli_main
+from conftest import cert_from_packing
 
 
 def oracle(obj) -> str:
@@ -113,7 +114,7 @@ def test_g15_certificate_file_is_the_indent_encoding(tmp_path):
 
 
 def test_product_certificate_file_is_the_indent_encoding(tmp_path):
-    h3 = capsep.cert_from_packing(capsep.pack_cliques(
+    h3 = cert_from_packing(capsep.pack_cliques(
         capsep.build_H(3), capsep.hadamard_clique(capsep.find_hadamard(4), "H")))
     target = tmp_path / "h3xh3.json"
     _emit(capsep.tensor(h3, h3).to_json(), argparse.Namespace(output=str(target)))
@@ -123,10 +124,12 @@ def test_product_certificate_file_is_the_indent_encoding(tmp_path):
     assert cli_main(["verify-cert", "--input", str(target)]) == 0
 
 
-def test_faster_than_the_indent_encoder(tmp_path):
+def test_faster_than_the_indent_encoder():
     # Both encoders run on the same document in this process, alternately,
-    # so the ratio does not depend on the machine's speed.
-    doc = json.loads(_g15_cert_doc(tmp_path))
+    # so the ratio does not depend on the machine's speed. The document is
+    # G15's dense certificate (1.7 MB as text): a large nested document.
+    doc = cert_from_packing(capsep.pack_cliques(
+        capsep.build_G(15), capsep.hadamard_clique(capsep.find_hadamard(16), "G"))).to_json()
     assert _dumps(doc) == oracle(doc)
     ours, theirs = [], []
     for _ in range(5):

@@ -15,8 +15,8 @@ from capsep.entcert import (WITNESS_CAP, EntCert, VerificationReport, cert_from_
                             verify)
 from capsep.errors import (CertificateError, ConstructionError, InvalidParameterError,
                            ResourceLimitError)
-from conftest import (cert_with, dense_adjacency, flatten, ops_by_pair, tensor_by_loop,
-                      verify_by_pairs)
+from conftest import (cert_from_packing, cert_with, dense_adjacency, flatten, ops_by_pair,
+                      tensor_by_loop, verify_by_pairs)
 
 
 def h3_cert():
@@ -24,7 +24,7 @@ def h3_cert():
     rep.verify()
     seed = capsep.hadamard_clique(capsep.sylvester(2), "H")
     packing = capsep.pack_cliques(rep.graph, seed)
-    return capsep.cert_from_packing(packing)
+    return cert_from_packing(packing)
 
 
 class TestCertFromPacking:
@@ -62,7 +62,7 @@ class TestCertFromPacking:
     def test_empty_packing_rejected(self, g11):
         empty = capsep.CliquePacking(g11, 11, ())
         with pytest.raises(InvalidParameterError, match="no cliques"):
-            capsep.cert_from_packing(empty)
+            cert_from_packing(empty)
 
     def test_ops_are_outer_products_of_the_rows(self, g11_cert):
         rep = capsep.OrthoRep(g11_cert.graph)
@@ -76,7 +76,7 @@ class TestCertFromPacking:
         # a valid packing (its constructor checks it), but no sign-vector representation
         packing = capsep.CliquePacking(g, len(cliques[0]), cliques)
         with pytest.raises(ConstructionError, match="not the distance-\\(n\\+1\\)/2 graph"):
-            capsep.cert_from_packing(packing)
+            cert_from_packing(packing)
 
     def test_forms_rows_of_the_packed_vertices_only(self, h11, paley12, monkeypatch):
         packing = capsep.pack_cliques(h11, capsep.hadamard_clique(paley12, "H"))
@@ -84,7 +84,7 @@ class TestCertFromPacking:
         rows = capsep.OrthoRep.rows
         monkeypatch.setattr(capsep.OrthoRep, "rows",
                             lambda self, idx: formed.append(len(idx)) or rows(self, idx))
-        capsep.cert_from_packing(packing)
+        cert_from_packing(packing)
         assert formed == [packing.count * packing.clique_size] == [96]
 
 
@@ -133,7 +133,7 @@ class TestPackingProof:
         packing = _short_packing(family, n)
         span = n + (family == "H")
         assert packing.count >= 2 and packing.clique_size == span - 1
-        for prove in (capsep.cert_from_packing, packing_proof):
+        for prove in (cert_from_packing, packing_proof):
             with pytest.raises(CertificateError,
                                match=f"size {span - 1} do not span the rows' dimension {span}"):
                 prove(packing)
@@ -149,7 +149,7 @@ class TestPackingProof:
         clique = tuple(sorted(capsep.hadamard_clique(capsep.find_hadamard(8), "G")))
         packing = capsep.CliquePacking(h7, 7, (clique,))
         with pytest.raises(CertificateError, match="size 7 do not span the rows' dimension 8"):
-            capsep.cert_from_packing(packing)
+            cert_from_packing(packing)
         assert verify(_dense_cert(packing)).passed
 
 
@@ -352,7 +352,7 @@ class TestConstructor:
 class TestCertJson:
     def test_round_trip(self, g11_cert):
         text = json.dumps(g11_cert.to_json(), indent=2)
-        loaded = cert_from_json(text)
+        loaded = cert_from_json(json.loads(text))
         assert loaded.M == g11_cert.M
         assert loaded.denominator == g11_cert.denominator
         assert np.array_equal(loaded.rho_num, g11_cert.rho_num)
@@ -391,7 +391,7 @@ class TestCertJson:
                 "C5xC5": lambda: tensor(c5, c5),
                 "H3xH3": lambda: tensor(h3_cert(), h3_cert())}[name]()
         doc = cert.to_json()
-        loaded = cert_from_json(json.dumps(doc))
+        loaded = cert_from_json(json.loads(json.dumps(doc)))
         assert loaded.verification is None
         again = loaded.to_json()
         assert again.pop("verification") is None
@@ -421,7 +421,7 @@ def _packing_cert(family, n, seed=0):
     rep = capsep.OrthoRep(capsep.build_G(n) if family == "G" else capsep.build_H(n))
     rep.verify()
     clique = capsep.hadamard_clique(capsep.find_hadamard(n + 1), family)
-    return capsep.cert_from_packing(capsep.pack_cliques(rep.graph, clique, rng_seed=seed))
+    return cert_from_packing(capsep.pack_cliques(rep.graph, clique, rng_seed=seed))
 
 
 def _classical_squared(g, idx):
