@@ -4,7 +4,8 @@ Branch and bound on the complement-clique formulation: an independent set in
 G is a clique in the complement, and a greedy coloring of the complement's
 candidate subgraph bounds how much a branch can still gain. Within budget the
 result is exact; at budget exhaustion the incumbent and the root coloring
-bound are returned as certified lower/upper bounds.
+bound are returned as certified lower/upper bounds. Rank r of the static
+order is bit n-1-r: the search forms no negative operand (``x & -x``, ``~row``).
 """
 
 from __future__ import annotations
@@ -51,16 +52,17 @@ def verify_independent(g, vertex_indices) -> tuple[bool, tuple[int, int] | None]
     return True, None
 
 
-def _color_classes(cand: int, adj: list[int], k_min: int = 0) -> list[tuple[int, int]]:
+def _color_classes(cand: int, adj: list[int], bit: list[int],
+                   k_min: int = 0) -> list[tuple[int, int]]:
     """Color the complement subgraph on cand greedily, one class at a time.
 
-    Bit r of cand is the vertex of static-order rank r, so each class takes
-    the lowest uncolored vertex, keeps in the class's pool only its neighbours
-    in g (its non-neighbours in the complement), and repeats: the classes of
-    first-fit coloring along the static order. The number of classes bounds
-    the largest complement-clique inside cand. Returns (rank, color) pairs,
-    colors nondecreasing, for color > k_min only: below Tomita's k_min a
-    branch cannot beat the incumbent.
+    Bit n-1-r of cand is the vertex of static-order rank r, so each class
+    takes the lowest uncolored rank, the highest set bit, keeps in its pool
+    only its neighbours in g (its non-neighbours in the complement), and
+    repeats: the classes of first-fit coloring along the static order. The
+    number of classes bounds the largest complement-clique inside cand.
+    Returns (position, color) pairs, colors nondecreasing, for color > k_min
+    only: below Tomita's k_min a branch cannot beat the incumbent.
     """
     out = []
     color = 0
@@ -68,41 +70,44 @@ def _color_classes(cand: int, adj: list[int], k_min: int = 0) -> list[tuple[int,
         color += 1
         pool = cand
         while pool:
-            low = pool & -pool
-            v = low.bit_length() - 1
+            v = pool.bit_length() - 1
             if color > k_min:
                 out.append((v, color))
-            cand ^= low
+            cand ^= bit[v]
             pool &= adj[v]
     return out
 
 
 def _rank_rows(g, order: np.ndarray) -> list[int]:
-    """Adjacency as one bitset int per rank, bit r the vertex of rank r."""
+    """One adjacency bitset per position b (rank n-1-b), rank r at bit n-1-r."""
+    pad = -order.size % 8
     rows: list[int] = []
     for lo, hi in row_blocks(order.size, order.size):
-        packed = np.packbits(g.adjacency_among(order[lo:hi], order), axis=1, bitorder="little")
-        rows += [int.from_bytes(row.tobytes(), "little") for row in packed]
-    return rows
+        packed = np.packbits(g.adjacency_among(order[lo:hi], order), axis=1, bitorder="big")
+        rows += [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+    return rows[::-1]
 
 
 def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     """Budgeted exact/anytime alpha with a re-verified witness."""
     n = g.vertex_count
     # Static order: complement degree descending, then vertex index. The
-    # search runs on ranks in this order; the witness is mapped back.
+    # search holds rank r at position n-1-r; the witness is mapped back.
     degrees = [np.zeros(0, dtype=np.int64)]  # a graph with no vertices has no block
     degrees += [block.sum(axis=1) for _, block in g.adjacency_blocks()]
     order = np.argsort(np.concatenate(degrees), kind="stable")
     adj = _rank_rows(g, order)
+    full = (1 << n) - 1
+    bit = [1 << b for b in range(n)]
+    nonadj = [full & ~row for row in adj]
 
     # Greedy incumbent: grow a complement clique along the static order.
     best_set: list[int] = []
     clique = 0
-    for v in range(n):
+    for v in range(n - 1, -1, -1):
         if not clique & adj[v]:
             best_set.append(v)
-            clique |= 1 << v
+            clique |= bit[v]
     best_size = len(best_set)
 
     start = time.monotonic()
@@ -110,8 +115,7 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     truncated = False
     current: list[int] = []
 
-    full = (1 << n) - 1
-    root_colored = _color_classes(full, adj)
+    root_colored = _color_classes(full, adj, bit)
     root_bound = root_colored[-1][1] if root_colored else 0
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 100))
@@ -125,15 +129,15 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
         for v, color in reversed(colored):
             if len(current) + color <= best_size:
                 return
-            cand ^= 1 << v
+            cand ^= bit[v]
             current.append(v)
-            new_cand = cand & ~adj[v]
+            new_cand = cand & nonadj[v]
             if new_cand == 0:
                 if len(current) > best_size:
                     best_size = len(current)
                     best_set = list(current)
             else:
-                expand(new_cand, _color_classes(new_cand, adj, best_size - len(current)))
+                expand(new_cand, _color_classes(new_cand, adj, bit, best_size - len(current)))
             current.pop()
             if truncated:
                 return
@@ -143,7 +147,7 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
 
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)
-    witness = tuple(sorted(order[best_set].tolist()))
+    witness = tuple(sorted(order[::-1][best_set].tolist()))
     ok, witness_edge = verify_independent(g, witness)
     if not ok:
         raise InternalCheckError(f"internal witness failed: edge {witness_edge}")

@@ -353,17 +353,17 @@ def verify_json(text: str | bytes) -> VerificationReport:
     H graph from the reference, its labels in one ``indices_of_labels`` batch,
     the ``CliquePacking`` constructor (sizes, reuse, adjacency), ``packing_proof``
     and its M and dim against the proven ones; a failed proof raises
-    ``CertificateError``. Any other (``EntCert.to_json``) is checked by
-    ``verify``. Malformed input, or both ``cliques`` and ``ops``, raises
-    ``InvalidParameterError``."""
+    ``CertificateError``. A file with ``ops`` and no ``cliques``
+    (``EntCert.to_json``) is checked by ``verify``. Malformed input, or neither
+    field or both, raises ``InvalidParameterError``."""
     try:
         payload = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise InvalidParameterError(f"malformed certificate: {exc}") from None
-    if not (isinstance(payload, dict) and "cliques" in payload):
+    if not isinstance(payload, dict) or ("ops" in payload and "cliques" not in payload):
         return verify(cert_from_json(payload))
     try:
-        graph, cliques = graph_from_ref(str(payload["graph"])), payload["cliques"]
+        cliques, graph = payload["cliques"], graph_from_ref(str(payload["graph"]))
         claimed = tuple(_json_int(payload[k]) for k in ("M", "dim"))
         if "ops" in payload or graph.family not in ("G", "H"):
             raise ValueError("a packing certificate has a G or H graph and no ops")

@@ -173,14 +173,14 @@ def _check_cliques(g: BitGraph, cliques, size: int) -> None:
     reused[first] = False
     if reused.any():
         c, j = divmod(int(np.argmax(reused)), size)
-        raise ConstructionError(f"clique {c} reuses vertex {cliques[c][j]:#b}")
+        raise ConstructionError(f"clique {c} reuses vertex {g.vertex_label(idx[c, j])}")
     off_diagonal = ~np.eye(size, dtype=bool)
     for c, row in enumerate(idx):
         missing = off_diagonal & ~g.adjacency_among(row)
         if missing.any():
             a, b = np.argwhere(missing)[0].tolist()
-            raise ConstructionError(f"clique {c}: vertices {cliques[c][a]:#b} and "
-                                    f"{cliques[c][b]:#b} are not adjacent")
+            raise ConstructionError(f"clique {c}: vertices {g.vertex_label(row[a])} and "
+                                    f"{g.vertex_label(row[b])} are not adjacent")
 
 
 def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacking:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import capsep
@@ -71,7 +71,12 @@ class TestMatchesVertexColoringOracle:
         return res.lower, res.upper, res.exact, res.witness, res.nodes_explored
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 40), density=st.sampled_from([0.05, 0.2, 0.4, 0.6, 0.8, 0.95]),
+    # n = 8, 63, 64, 65: the byte pad and the 64-bit boundary of the top-bit layout
+    @example(n=8, density=0.4, seed=0, budget=1_000_000)
+    @example(n=63, density=0.6, seed=1, budget=1_000_000)
+    @example(n=64, density=0.6, seed=2, budget=1_000_000)
+    @example(n=65, density=0.8, seed=3, budget=1_000_000)
+    @given(n=st.integers(1, 70), density=st.sampled_from([0.05, 0.2, 0.4, 0.6, 0.8, 0.95]),
            seed=st.integers(0, 2**32 - 1),
            budget=st.one_of(st.integers(1, 60), st.just(1_000_000)))
     def test_random_explicit_graphs(self, n, density, seed, budget):
@@ -84,6 +89,7 @@ class TestMatchesVertexColoringOracle:
         ("G11", 2000, (37, 73, False, 2001)),
         ("H11", 2000, (67, 256, False, 2001)),
         ("C5xC5", 1_000_000, (5, 5, True, 20)),
+        ("G11", 20000, (37, 37, True, 18332)),
     ])
     def test_fixed_cases(self, ref, budget, expect):
         g = graph_from_ref(ref)

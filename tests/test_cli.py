@@ -55,6 +55,8 @@ HOSTILE = {
     "H3xH3 product": (_h3_squared, 0, ""),
     "label +011": (lambda doc: doc["ops"][0].update(vertex="+011"),
                    1, "error: unknown vertex '+011' in H3"),
+    "no ops field": (lambda doc: doc.pop("ops"),  # neither form: named by cert's form
+                     1, "error: certificate is missing field 'cliques'"),
 }
 
 
@@ -77,7 +79,8 @@ PACKING_HOSTILE = {
                    1, "error: unknown vertex '00000000000' in G11"),
     "integer label": (lambda doc: doc["cliques"][0].__setitem__(0, 5),
                       1, "error: unknown vertex 5 in G11"),
-    "no cliques field": (lambda doc: doc.pop("cliques"), 1, "error: certificate is missing"),
+    "no cliques field": (lambda doc: doc.pop("cliques"),
+                         1, "error: certificate is missing field 'cliques'"),
     "no graph field": (lambda doc: doc.pop("graph"),
                        1, "error: certificate is missing field 'graph'"),
     "cliques and ops": (lambda doc: doc.update(ops=[]),
@@ -94,7 +97,7 @@ PACKING_HOSTILE = {
     "no clique": (lambda doc: doc.update(cliques=[]), 1, "error: packing has no cliques"),
     "reused vertex": (lambda doc: doc["cliques"][1].__setitem__(0, doc["cliques"][0][0]),
                       2, "verification failure: packing certificate failed verification: "
-                         "clique 1 reuses vertex"),
+                         "clique 1 reuses vertex 00010110111"),
     "non-adjacent pair": (lambda doc: doc["cliques"][0].__setitem__(0, _unused_non_neighbour(doc)),
                           2, "are not adjacent"),
     "unequal cliques": (lambda doc: doc["cliques"][1].pop(),

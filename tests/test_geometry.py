@@ -313,7 +313,7 @@ class TestVertexSetChecks:
                         and (b ^ c1[1]).bit_count() != 6)
         cases = {"wrong size": (c1[:-1], "has size 10"),
                  "foreign vertex": ((0b1,) + c1[1:], "0b1 not in graph"),
-                 "reused vertex": ((c0[3],) + c1[1:], f"reuses vertex {c0[3]:#b}"),
+                 "reused vertex": ((c0[3],) + c1[1:], f"reuses vertex {c0[3]:011b}"),
                  "non-clique": ((stranger,) + c1[1:], "not adjacent")}
         for bad, phrase in cases.values():
             with pytest.raises(ConstructionError, match=f"clique 1.*{phrase}"):
