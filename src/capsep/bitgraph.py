@@ -74,15 +74,6 @@ class _Graph:
         for lo, hi in row_blocks(nv, nv):
             yield lo, self.adjacency_among(every[lo:hi], every)
 
-    def indices_of_labels(self, labels: Sequence) -> np.ndarray:
-        """Index of the vertex whose ``vertex_label`` is exactly each label, in one
-        batch; a label that merely parses to a vertex, like "+011" or "(0,2", raises."""
-        idx = self._label_candidates(labels)
-        for i, label in zip(idx.tolist(), labels):
-            if self.vertex_label(i) != label:
-                raise InvalidParameterError(f"unknown vertex {label!r} in {self.graph_ref()}")
-        return idx
-
     def descriptor(self) -> dict:
         n = self.vertex_count if self.family in ("C", "K") else self.n
         d = {"family": self.family, "n": n, "vertex_count": self.vertex_count}
@@ -174,13 +165,18 @@ class BitGraph(_Graph):
         word = int(self._bits[i])
         return str(word) if self.family == "C" else word_label(word, self.n)
 
-    def _label_candidates(self, labels) -> np.ndarray:
-        """The vertex each label would name if it is in the label form (else any)."""
+    def indices_of_labels(self, labels: Sequence) -> np.ndarray:
+        """Index of the vertex whose ``vertex_label`` is exactly each label, in one
+        batch; a label that merely parses to a vertex, like "+011", raises."""
         base, form = (10, "0|[1-9][0-9]{0,18}") if self.family == "C" else (2, f"[01]{{{self.n}}}")
         words = [int(s, base) if isinstance(s, str) and re.fullmatch(form, s) else 0
                  for s in labels]
-        pos = np.searchsorted(self._bits, np.array(words, dtype=np.uint64))
-        return pos.clip(max=self.vertex_count - 1)
+        idx = np.searchsorted(self._bits, np.array(words, dtype=np.uint64))
+        idx = idx.clip(max=self.vertex_count - 1)
+        for i, label in zip(idx.tolist(), labels):
+            if self.vertex_label(i) != label:
+                raise InvalidParameterError(f"unknown vertex {label!r} in {self.graph_ref()}")
+        return idx
 
     # -- adjacency ---------------------------------------------------------
 
@@ -385,30 +381,8 @@ class ProductGraph(_Graph):
         parts = self.parts(i)
         return "(" + ",".join(f.vertex_label(p) for f, p in zip(self.factors, parts)) + ")"
 
-    def _label_candidates(self, labels) -> np.ndarray:
-        """Factor by factor, the candidates of the comma-separated parts."""
-        parts = [s[1:-1].split(",") if isinstance(s, str) else [] for s in labels]
-        idx = np.zeros(len(parts), dtype=np.int64)
-        for k, f in enumerate(self.factors):
-            idx = idx * f.vertex_count + f._label_candidates(
-                [p[k] if k < len(p) else "" for p in parts])
-        return idx
-
     def graph_ref(self) -> str:
         return "x".join(f.graph_ref() for f in self.factors)
 
     def __repr__(self):
         return f"ProductGraph({self.graph_ref()}, |V|={self._count})"
-
-
-def strong_product(g, h) -> ProductGraph:
-    """Strong product: coordinates pairwise equal-or-adjacent, not all equal."""
-    factors = (g.factors if isinstance(g, ProductGraph) else [g]) + \
-              (h.factors if isinstance(h, ProductGraph) else [h])
-    return ProductGraph(factors)
-
-
-def strong_power(g, k: int) -> ProductGraph:
-    if k < 1:
-        raise InvalidParameterError(f"power must be >= 1, got {k}")
-    return ProductGraph([g] * k)

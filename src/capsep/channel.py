@@ -29,7 +29,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .bitgraph import MAX_VERTICES
-from .entcert import VerificationReport, packing_proof
+from .entcert import packing_proof
 from .errors import ResourceLimitError
 
 
@@ -175,9 +175,9 @@ class Protocol:
         return Transcript(message, sender, output, distribution, decoded)
 
 
-def protocol_from_packing(packing) -> tuple[Protocol, VerificationReport]:
+def protocol_from_packing(packing) -> Protocol:
     """The protocol of a clique packing over its graph's canonical channel,
-    and the packing's proof: message i is the i-th clique, whose rows are an
+    proved by its packing: message i is the i-th clique, whose rows are an
     orthonormal basis of the rows' span, so ``dim`` is the clique size.
 
     The channel is built first, so its output cap refuses before the proof
@@ -185,12 +185,12 @@ def protocol_from_packing(packing) -> tuple[Protocol, VerificationReport]:
     """
     g = packing.graph
     chan = canonical_channel(g)
-    proof = packing_proof(packing)
+    packing_proof(packing)
     verts = g.indices_of(packing.cliques).ravel()
     order = np.argsort(verts)  # the cliques are disjoint: no ties
     messages = np.repeat(np.arange(1, packing.count + 1), packing.clique_size)
     return Protocol(chan, packing.count, verts[order], messages[order],
-                    packing.clique_size), proof
+                    packing.clique_size)
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,12 @@ channel's rows (``channel_row``) and the zero-error code check
 of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
 the library replaces by the packing's exact proof, and the scalar
 simulation loop (``simulate_by_loop``), which the library runs in blocks of
-array draws. The protocol of a general verified certificate
-(``protocol_from_cert``: tensors and classical embeddings) is built here
-too; the library builds protocols only from packings. So is a packing's
-dense certificate (``cert_from_packing``: its operator stack), which the
-library never forms: it writes and proves a packing by its cliques.
+array draws. The dense operator certificate lives only here: ``EntCert``,
+its generic K x K check ``verify``, the tensor and classical-embedding
+certificates, a packing's dense certificate (``cert_from_packing``: its
+operator stack) and the protocol of a general verified certificate
+(``protocol_from_cert``). The library never forms one: it writes and proves
+a packing by its cliques, and builds protocols only from packings.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import sys
 from functools import cached_property, lru_cache
 from itertools import combinations
 
@@ -30,9 +32,11 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.entcert import EntCert, packing_proof, rank_one_row
-from capsep.errors import InternalCheckError, InvalidParameterError
-from capsep.bitgraph import row_blocks, weight_w_bits
+from capsep.alpha import verify_independent
+from capsep.entcert import CONDITIONS, packing_proof
+from capsep.errors import (CertificateError, InternalCheckError, InvalidParameterError,
+                           ResourceLimitError)
+from capsep.bitgraph import ProductGraph, row_blocks, weight_w_bits
 from capsep.channel import Protocol, Transcript
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
@@ -220,13 +224,265 @@ def paley12():
     return capsep.paley_one(11)
 
 
+# -- dense certificate oracles --------------------------------------------------
+#
+# The operator stack of a certificate, checked instance by instance: the
+# reference that the packing proof, the tensor supermultiplicativity step and
+# the classical embedding are measured against.
+
+
+# total int64 entries across all stored numerators
+TENSOR_ENTRY_CAP = 125_000_000
+# witnesses listed per condition; every violation is still counted
+WITNESS_CAP = 10
+# products and sums of entries must stay below this, exact in int64 and float64
+_EXACT_BOUND = 1 << 53
+
+
+@dataclasses.dataclass
+class VerificationReport:
+    passed: bool
+    conditions: dict
+    witnesses: list
+    violations: dict = dataclasses.field(default_factory=dict)  # per condition, all counted
+    mode: str = "full"  # "full": every instance checked; "packing": proved by it
+
+    def to_json(self) -> dict:
+        """The report; ``violations`` only when it failed (all zero otherwise)."""
+        out = {"mode": self.mode, "passed": self.passed, "conditions": self.conditions}
+        if not self.passed:
+            out["violations"] = self.violations
+        return out | {"witnesses": self.witnesses}
+
+
+@dataclasses.dataclass
+class EntCert:
+    """Operator system (rho, ops) over a graph, exact-rational: the operator at
+    vertex ``verts[k]`` for message ``msgs[k]`` (1-based) is ``ops[k]`` /
+    denominator, in one (K, dim, dim) int64 stack sorted by (vertex, message);
+    a missing pair is the zero operator. The constructor is the one place that
+    checks shapes, vertex indices and repeated pairs (``InvalidParameterError``),
+    and leaves the arrays read-only."""
+
+    graph: object
+    M: int
+    dim: int
+    denominator: int
+    rho_num: np.ndarray
+    verts: np.ndarray
+    msgs: np.ndarray
+    ops: np.ndarray
+    verification: VerificationReport | None = None
+
+    def __post_init__(self):
+        d, g = self.dim, self.graph
+        try:
+            rho, verts, msgs = (np.asarray(a, dtype=np.int64)
+                                for a in (self.rho_num, self.verts, self.msgs))
+            stack = _operator_stack(self.ops, d, verts, msgs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidParameterError(f"malformed certificate: {exc}") from None
+        if rho.shape != (d, d):
+            raise InvalidParameterError(f"rho has shape {rho.shape}, not ({d}, {d})")
+        if not verts.shape == msgs.shape == stack.shape[:1]:
+            raise InvalidParameterError("verts, msgs and ops differ in length")
+        if verts.size and not 0 <= verts.min() <= verts.max() < g.vertex_count:
+            raise InvalidParameterError(f"a vertex index is outside {g.graph_ref()}")
+        order = np.lexsort((msgs, verts))
+        if (order != np.arange(order.size)).any():
+            verts, msgs, stack = verts[order], msgs[order], stack[order]
+        twice = np.flatnonzero((verts[1:] == verts[:-1]) & (msgs[1:] == msgs[:-1]))
+        if twice.size:
+            u, i = g.vertex_label(verts[twice[0]]), msgs[twice[0]]
+            raise InvalidParameterError(f"repeated operator at vertex {u!r}, i = {i}")
+        for a in (rho, verts, msgs, stack):
+            a.flags.writeable = False
+        self.rho_num, self.verts, self.msgs, self.ops = rho, verts, msgs, stack
+
+
+def rank_one_row(num: np.ndarray) -> np.ndarray:
+    """Row of N at its largest diagonal entry, for N or a stack of N.
+
+    For a rank-one PSD N = c w w^T (c > 0) this row is c w_j w with w_j != 0:
+    a nonzero integer multiple of w.
+    """
+    j = np.argmax(np.diagonal(num, axis1=-2, axis2=-1), axis=-1)
+    return np.take_along_axis(num, j[..., None, None], axis=-2)[..., 0, :]
+
+
+def _pair_witness(cond: int, verts, msgs, a: int, b: int) -> dict:
+    where = ({"vertex": int(verts[a])} if cond == 2
+             else {"edge": [int(verts[a]), int(verts[b])]})
+    return {"condition": cond, **where, "i": int(msgs[a]), "j": int(msgs[b])}
+
+
+def _operator_stack(ops, d: int, verts: np.ndarray, msgs: np.ndarray) -> np.ndarray:
+    """ops as one (K, d, d) int64 array; the first operator of another shape is
+    named by its (vertex, message), and a ragged one raises numpy's ValueError."""
+    try:
+        stack = np.asarray(ops, dtype=np.int64)
+        if stack.shape[1:] == (d, d) or not len(ops):
+            return stack.reshape(-1, d, d)
+    except ValueError:  # operators of unequal shapes
+        pass
+    for u, i, shape in zip(verts.tolist(), msgs.tolist(), map(np.shape, ops)):
+        if shape != (d, d):
+            raise InvalidParameterError(f"operator {(u, i)} has shape {shape}, not ({d}, {d})")
+    return np.asarray(ops, dtype=np.int64)  # every shape is right: raise its own error
+
+
+def verify(cert: EntCert) -> VerificationReport:
+    """Re-check every instance of every condition, exactly and without sampling.
+
+    Each operator must be rank-one PSD, N = c w w^T with c > 0: symmetric,
+    tr N > 0 and N^2 = tr(N) N, in one batched pass. Its row r at the largest
+    diagonal entry is a nonzero multiple of w, so N_a N_b vanishes iff
+    r_a . r_b = 0: conditions 2 and 3 are read off one K x K integer Gram
+    matrix of the rows of the operators that pass ``psd`` (in row blocks),
+    masked by "same vertex" or "adjacent" and "different message". rho is PSD
+    as, with M >= 1, condition 1 makes it the sum of message 1's operators.
+
+    Each condition lists at most ``WITNESS_CAP`` witnesses and counts all its
+    violations. Entries so large that a product or sum could reach 2^53 fail
+    ``psd``, and the other conditions are then reported unchecked (False).
+    The result is a value; nothing is raised."""
+    g = cert.graph
+    d, M, rho = cert.dim, cert.M, cert.rho_num
+    verts, msgs, stack = cert.verts, cert.msgs, cert.ops
+    k_ops = len(stack)
+    big = max(max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (stack, rho))
+    if d * big * big >= _EXACT_BOUND or (k_ops + d) * big >= _EXACT_BOUND:
+        return VerificationReport(
+            False, dict.fromkeys(CONDITIONS, False),
+            [{"condition": "psd", "max_abs": big,
+              "error": "entries too large for exact arithmetic"}], {"psd": 1})
+
+    violations = dict.fromkeys(CONDITIONS, 0)
+    found: dict[str, list] = {name: [] for name in CONDITIONS}
+
+    def note(name: str, count: int, witnesses: list) -> None:
+        violations[name] += count
+        found[name].extend(witnesses[:WITNESS_CAP - len(found[name])])
+
+    trace = int(np.trace(rho))
+    if trace != cert.denominator:
+        note("trace", 1, [{"condition": "trace", "got": trace,
+                           "want": cert.denominator}])
+
+    rank_one = np.zeros(k_ops, dtype=bool)
+    for lo, hi in row_blocks(k_ops, d * d):
+        b = stack[lo:hi]
+        tr = np.einsum("kii->k", b)
+        rank_one[lo:hi] = ((b == b.transpose(0, 2, 1)).all(axis=(1, 2)) & (tr > 0)
+                           & (b @ b == tr[:, None, None] * b).all(axis=(1, 2)))
+    bad = np.flatnonzero(~rank_one)
+    note("psd", bad.size, [{"condition": "psd", "vertex": int(verts[k]),
+                            "i": int(msgs[k])} for k in bad[:WITNESS_CAP]])
+
+    # Condition 1: the operators of each message 1..M sum to rho.
+    if M < 1:
+        note("sum_to_rho", 1, [{"condition": 1, "error": "M must be at least 1", "M": M}])
+    in_range = (msgs >= 1) & (msgs <= M)
+    bad = np.flatnonzero(~in_range)
+    note("sum_to_rho", bad.size, [{"condition": 1, "i": int(msgs[k]),
+                                   "error": "message label out of range"}
+                                  for k in bad[:WITNESS_CAP]])
+    labels, which = np.unique(msgs[in_range], return_inverse=True)
+    sums = np.zeros((labels.size, d, d), dtype=np.int64)
+    np.add.at(sums, which, stack[in_range])
+    bad = labels[(sums != rho).any(axis=(1, 2))]
+    note("sum_to_rho", bad.size, [{"condition": 1, "i": int(i)}
+                                  for i in bad[:WITNESS_CAP]])
+    missing = max(M, 0) - labels.size
+    if missing:
+        first = np.setdiff1d(np.arange(1, min(M, labels.size + WITNESS_CAP) + 1),
+                             labels)[:WITNESS_CAP]
+        note("sum_to_rho", missing, [{"condition": 1, "count": missing,
+                                      "error": "messages without operators",
+                                      "first": first.tolist()}])
+
+    # Conditions 2 and 3, among the rank-one operators. The Gram is a BLAS
+    # product, exact because every partial sum is an integer below 2^53.
+    rows = rank_one_row(stack).astype(np.float64)
+    rows[~rank_one] = 0
+    for lo, hi in row_blocks(k_ops, k_ops):
+        nonzero = ((rows[lo:hi] @ rows.T != 0) & (msgs[lo:hi, None] != msgs)
+                   & (np.arange(lo, hi)[:, None] < np.arange(k_ops)))
+        for name, cond, mask in (("same_vertex", 2, verts[lo:hi, None] == verts),
+                                 ("adjacent", 3, g.adjacency_among(verts[lo:hi], verts))):
+            hits = nonzero & mask
+            count = int(np.count_nonzero(hits))
+            if count:
+                note(name, count, [_pair_witness(cond, verts, msgs, lo + a, b)
+                                   for a, b in np.argwhere(hits)[:WITNESS_CAP].tolist()])
+
+    conditions = {name: violations[name] == 0 for name in CONDITIONS}
+    return VerificationReport(all(conditions.values()), conditions,
+                              [w for name in CONDITIONS for w in found[name]],
+                              violations)
+
+
+def _verified(cert: EntCert, source: str) -> EntCert:
+    """Attach a fresh verification report; raise CertificateError if it fails."""
+    cert.verification = verify(cert)
+    if not cert.verification.passed:
+        raise CertificateError(f"{source} certificate failed verification: "
+                               f"{cert.verification.witnesses[:3]}")
+    return cert
+
+
+def classical_embedding(g, vertex_indices) -> EntCert:
+    """One-dimensional certificate from an independent set (so M >= alpha)."""
+    idx = sorted(set(int(i) for i in vertex_indices))
+    if not idx:
+        raise InvalidParameterError("independent set must be nonempty (M >= 1)")
+    independent, edge = verify_independent(g, idx)
+    if not independent:
+        raise InvalidParameterError(f"set is not independent: edge {edge}")
+    cert = EntCert(g, len(idx), 1, 1, [[1]], idx, np.arange(1, len(idx) + 1),
+                   np.ones((len(idx), 1, 1), dtype=np.int64))
+    return _verified(cert, "classical embedding")
+
+
+def factors(g) -> list:
+    """The factors of a strong product, or [g] for any other graph."""
+    return list(getattr(g, "factors", [g]))
+
+
+def tensor(a: EntCert, b: EntCert) -> EntCert:
+    """Kronecker-product certificate on the strong product graph.
+
+    Messages multiply (M = M_a * M_b), which is the supermultiplicativity
+    step behind the capacity lower bound. Fully verified at every size the
+    entry cap allows."""
+    g = ProductGraph(factors(a.graph) + factors(b.graph))
+    entries = len(a.ops) * len(b.ops) * (a.dim * b.dim) ** 2
+    if entries > TENSOR_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"tensor certificate would store {entries} matrix entries")
+    d = a.dim * b.dim
+    verts = a.verts[:, None] * b.graph.vertex_count + b.verts
+    msgs = (a.msgs[:, None] - 1) * b.M + b.msgs
+    # kron(A, B)[i db + k, j db + l] = A[i, j] B[k, l], for every pair at once
+    ops = np.einsum("aij,bkl->abikjl", a.ops, b.ops).reshape(-1, d, d)
+    cert = EntCert(g, a.M * b.M, d, a.denominator * b.denominator,
+                   np.kron(a.rho_num, b.rho_num), verts.ravel(), msgs.ravel(), ops)
+    return _verified(cert, "tensor")
+
+
+def packing_report() -> VerificationReport:
+    """``entcert.PACKING_REPORT`` as a report, every violation count zero."""
+    return VerificationReport(True, dict.fromkeys(CONDITIONS, True), [],
+                              dict.fromkeys(CONDITIONS, 0), "packing")
+
+
 def cert_from_packing(packing) -> EntCert:
     """The packing's dense certificate, with ``packing_proof``'s report attached:
     message i is the i-th clique, the operator at its vertex u is w w^T for
     the ``OrthoRep`` row w, and rho is the first clique's sum, of trace one
     over the denominator clique size times n + 1. The dense oracle that the
     generic ``verify`` checks against the packing proof."""
-    proof = packing_proof(packing)
+    packing_proof(packing)
     g, size = packing.graph, packing.clique_size
     rep = capsep.OrthoRep(g)
     verts = g.indices_of(packing.cliques).ravel()
@@ -234,16 +490,31 @@ def cert_from_packing(packing) -> EntCert:
     ops = w[:, :, None] * w[:, None, :]  # clique by clique, its members in turn
     msgs = np.repeat(np.arange(1, packing.count + 1), size)
     return EntCert(g, packing.count, rep.dim, size * rep.dim,
-                   ops[:size].sum(axis=0), verts, msgs, ops, proof)
+                   ops[:size].sum(axis=0), verts, msgs, ops, packing_report())
+
+
+# What the library no longer defines: the dense certificate and its product graphs
+DENSE_NAMES = frozenset({"EntCert", "verify", "tensor", "classical_embedding",
+                         "cert_from_json", "strong_product", "strong_power"})
+
+
+def dense_names_in_library() -> set:
+    """The names of ``DENSE_NAMES`` that a loaded capsep module defines."""
+    return {name for mod_name, mod in list(sys.modules.items())
+            if mod_name == "capsep" or mod_name.startswith("capsep.")
+            for name in DENSE_NAMES & vars(mod).keys()}
 
 
 def dense_h3_json() -> dict:
-    """``EntCert.to_json`` of the H3 packing's dense certificate (one clique,
-    all four vertices): the general file form that ``verify-cert`` checks with
-    the generic ``verify``."""
-    h = capsep.build_H(3)
-    return cert_from_packing(capsep.pack_cliques(h, capsep.hadamard_clique(
-        capsep.sylvester(2), "H"))).to_json()
+    """A certificate file in the dense operator form, which ``verify-cert``
+    refuses: the H3 packing's one clique, rho and each operator w w^T by
+    vertex label, message and matrix, written without capsep's help."""
+    g = capsep.build_H(3)
+    w = capsep.OrthoRep(g).rows().astype(np.int64)
+    ops = w[:, :, None] * w[:, None, :]
+    return {"graph": "H3", "M": 1, "dim": 4, "denominator": 16, "rho": ops.sum(axis=0).tolist(),
+            "ops": [{"vertex": g.vertex_label(u), "i": 1, "matrix": num.tolist()}
+                    for u, num in enumerate(ops)]}
 
 
 @pytest.fixture(scope="session")
@@ -872,7 +1143,7 @@ def tensor_by_loop(a, b) -> EntCert:
     ops = {(ua * nb + ub, (ia - 1) * b.M + ib): np.kron(na, nbm)
            for (ua, ia), na in ops_by_pair(a).items()
            for (ub, ib), nbm in ops_by_pair(b).items()}
-    return cert_with(a, ops, graph=capsep.strong_product(a.graph, b.graph), M=a.M * b.M,
+    return cert_with(a, ops, graph=ProductGraph(factors(a.graph) + factors(b.graph)), M=a.M * b.M,
                      dim=a.dim * b.dim, denominator=a.denominator * b.denominator,
                      rho_num=np.kron(a.rho_num, b.rho_num))
 

@@ -19,7 +19,8 @@ from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fit
                       cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
                       normalize_by_loop, normalized, random_explicit_graph,
-                      rank_by_row_reduction, rank_fp, sign_vector, zero_error_by_loop)
+                      rank_by_row_reduction, rank_fp, sign_vector, tensor, verify,
+                      zero_error_by_loop)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -66,7 +67,7 @@ def test_criterion_2_pentagon_reproduction():
         c5 = capsep.build_cycle(5)
         res = capsep.max_independent_set(c5)
         assert res.exact and res.lower == 2
-        power = capsep.max_independent_set(capsep.strong_power(c5, 2))
+        power = capsep.max_independent_set(capsep.ProductGraph([c5] * 2))
         assert power.exact and power.lower == 5
         ok, _ = check_zero_error_code(
             canonical_channel(c5), [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
@@ -90,7 +91,7 @@ def test_criterion_3_n11_entangled_side():
         cert_g = cert_from_packing(pack_g)
         assert cert_g.M >= 4
         assert cert_g.verification.passed and cert_g.verification.to_json()["mode"] == "packing"
-        assert capsep.verify(cert_g).passed  # the generic check agrees
+        assert verify(cert_g).passed  # the generic check agrees
 
         clique_h = capsep.hadamard_clique(h12, "H")
         assert len(clique_h) == 12
@@ -102,7 +103,7 @@ def test_criterion_3_n11_entangled_side():
         cert_h = cert_from_packing(pack_h)
         assert cert_h.M >= 8
         assert cert_h.verification.passed and cert_h.verification.to_json()["mode"] == "packing"
-        assert capsep.verify(cert_h).passed  # the generic check agrees
+        assert verify(cert_h).passed  # the generic check agrees
     check()
 
 
@@ -185,8 +186,8 @@ def test_criterion_7_protocol_simulation():
         rep.verify()
         h12 = capsep.find_hadamard(12)
         packing = capsep.pack_cliques(rep.graph, capsep.hadamard_clique(h12, "H"))
-        proto, proof = protocol_from_packing(packing)
-        assert proto.M == 8 and proof.passed
+        proto = protocol_from_packing(packing)  # a failed proof raises
+        assert proto.M == 8
         cert = cert_from_packing(packing)
         _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.channel))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
@@ -224,7 +225,7 @@ def test_criterion_8_oracle_equivalence():
         pack3 = capsep.pack_cliques(
             rep3.graph, capsep.hadamard_clique(capsep.sylvester(2), "H"))
         cert3 = cert_from_packing(pack3)
-        squared = capsep.tensor(cert3, cert3)  # 16 vertices
+        squared = tensor(cert3, cert3)  # 16 vertices
         assert squared.verification.to_json()["mode"] == "full"
         assert squared.verification.passed
 
@@ -233,7 +234,7 @@ def test_criterion_8_oracle_equivalence():
         pack11 = capsep.pack_cliques(
             rep11.graph, capsep.hadamard_clique(capsep.find_hadamard(12), "H"))
         cert11 = cert_from_packing(pack11)
-        mixed = capsep.tensor(cert3, cert11)  # 4096 vertices
+        mixed = tensor(cert3, cert11)  # 4096 vertices
         assert mixed.graph.vertex_count == 4096 <= 10**4
         assert mixed.M == 8
         assert mixed.verification.to_json()["mode"] == "full"

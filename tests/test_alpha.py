@@ -22,7 +22,7 @@ class TestMaxIndependentSet:
 
     def test_pentagon_squared_is_five(self):
         c5 = capsep.build_cycle(5)
-        p = capsep.strong_product(c5, c5)
+        p = capsep.ProductGraph([c5, c5])
         res = max_independent_set(p)
         assert res.exact and res.lower == 5
         ok, _ = verify_independent(p, res.witness)
@@ -109,17 +109,17 @@ class TestAlphaViaPower:
     """alpha of a strong power, searched as ``capsep alpha --graph C5xC5`` does."""
 
     def test_power_one_is_alpha(self):
-        res = max_independent_set(capsep.strong_power(capsep.build_cycle(5), 1))
+        res = max_independent_set(capsep.ProductGraph([capsep.build_cycle(5)]))
         assert res.exact and res.lower == 2
 
     def test_complete_graph_powers_stay_one(self):
         # K_3 boxtimes K_3 = K_9
-        res = max_independent_set(capsep.strong_power(capsep.build_G(3), 2))
+        res = max_independent_set(capsep.ProductGraph([capsep.build_G(3)] * 2))
         assert res.lower == 1 and res.exact
 
     def test_respects_product_cap(self, h11):
         with pytest.raises(ResourceLimitError):
-            capsep.strong_power(h11, 3)
+            capsep.ProductGraph([h11] * 3)
 
     def test_failed_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(capsep.alpha, "verify_independent",
@@ -151,7 +151,7 @@ class TestSupermultiplicativity:
                   random_explicit_graph(9, 0.4, seed=5)):
             base = max_independent_set(g)
             assert base.exact
-            square = capsep.strong_product(g, g)
+            square = capsep.ProductGraph([g, g])
             tile = [flatten(square, (u, v)) for u in base.witness
                     for v in base.witness]
             ok, _ = verify_independent(square, tile)

@@ -119,7 +119,7 @@ class TestCycle:
 class TestStrongProduct:
     def test_c5_squared_degree(self):
         c5 = capsep.build_cycle(5)
-        p = capsep.strong_product(c5, c5)
+        p = capsep.ProductGraph([c5, c5])
         assert p.vertex_count == 25
         origin = flatten(p, (0, 0))
         brute = 0
@@ -134,7 +134,7 @@ class TestStrongProduct:
     def test_k1_identity(self):
         k1 = build_complete(1)
         c5 = capsep.build_cycle(5)
-        p = capsep.strong_product(k1, c5)
+        p = capsep.ProductGraph([k1, c5])
         assert p.vertex_count == 5
         for i in range(5):
             for j in range(5):
@@ -142,7 +142,7 @@ class TestStrongProduct:
 
     def test_cross_edges_form_4_clique(self):
         c5 = capsep.build_cycle(5)
-        p = capsep.strong_product(c5, c5)
+        p = capsep.ProductGraph([c5, c5])
         # edge {0,1} in each factor
         corners = [flatten(p, (u, v)) for u in (0, 1) for v in (0, 1)]
         for a in corners:
@@ -151,7 +151,7 @@ class TestStrongProduct:
 
     def test_matches_brute_force_rule_on_random_pairs(self, h11):
         g3 = capsep.build_G(3)
-        p = capsep.strong_product(g3, capsep.build_H(5))
+        p = capsep.ProductGraph([g3, capsep.build_H(5)])
         rng = random.Random(1)
         for _ in range(10**4):
             i, j = rng.randrange(p.vertex_count), rng.randrange(p.vertex_count)
@@ -163,7 +163,7 @@ class TestStrongProduct:
 
     def test_product_size_cap(self, h11):
         with pytest.raises(ResourceLimitError):
-            capsep.strong_power(h11, 3)  # 1024^3 > 10^7
+            capsep.ProductGraph([h11] * 3)  # 1024^3 > 10^7
 
 
 class TestHamming:
@@ -240,8 +240,8 @@ class TestAdjacencyAmong:
     @pytest.mark.parametrize("g", [
         capsep.build_cycle(7), build_complete(5), capsep.build_G(7), capsep.build_H(5),
         capsep.BitGraph(2, range(3), ("explicit", [])),
-        capsep.strong_product(capsep.build_cycle(5), capsep.build_H(3)),
-        capsep.strong_power(capsep.build_cycle(4), 3),
+        capsep.ProductGraph([capsep.build_cycle(5), capsep.build_H(3)]),
+        capsep.ProductGraph([capsep.build_cycle(4)] * 3),
     ])
     def test_matches_rule_and_dense_matrix(self, g):
         rng = random.Random(g.vertex_count)
@@ -346,8 +346,7 @@ class TestEdgeArray:
 
 
 CODEC_GRAPHS = [capsep.build_G(7), capsep.build_H(7), capsep.build_orthogonality_graph(6),
-                capsep.build_cycle(7), build_complete(5),
-                capsep.strong_product(capsep.build_cycle(7), build_complete(5))]
+                capsep.build_cycle(7), build_complete(5)]
 
 
 class TestLabelCodec:
@@ -375,8 +374,9 @@ class TestLabelCodec:
 
 
 class TestGraphFromRef:
-    @pytest.mark.parametrize("g", CODEC_GRAPHS + [capsep.strong_power(capsep.build_H(3), 3)],
-                             ids=lambda g: g.graph_ref())
+    @pytest.mark.parametrize("g", CODEC_GRAPHS + [
+        capsep.ProductGraph([capsep.build_cycle(7), build_complete(5)]),
+        capsep.ProductGraph([capsep.build_H(3)] * 3)], ids=lambda g: g.graph_ref())
     def test_rebuilds_every_reference(self, g):
         again = bitgraph.graph_from_ref(g.graph_ref())
         assert type(again) is type(g) and again.graph_ref() == g.graph_ref()

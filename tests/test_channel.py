@@ -10,16 +10,16 @@ from hypothesis import strategies as st
 import capsep
 from capsep import channel
 from capsep.channel import canonical_channel, protocol_from_packing, simulate
-from conftest import (ProtocolError, RecordingGenerator, ScriptedGenerator,
-                      canonical_output_labels, cert_from_packing, cert_with, channel_row, channel_rows,
-                      check_zero_error_code, confusable_pairs_by_loop, drawn_indices,
+from conftest import (EntCert, ProtocolError, RecordingGenerator, ScriptedGenerator,
+                      canonical_output_labels, cert_from_packing, cert_with, channel_row,
+                      channel_rows, check_zero_error_code, classical_embedding,
+                      confusable_pairs_by_loop, drawn_indices,
                       explicit_state_transmission, float_protocol, maximally_entangled_state,
                       me_pair_trace, members_by_output, ops_by_pair, output_members_by_dict,
                       partial_trace, protocol_from_cert, random_explicit_graph,
                       receiver_excess_by_outputs, receiver_measurement, sender_measurement,
-                      simulate_by_loop, support, transmission_by_gram, zero_error_by_loop,
-                      zero_error_code_by_loop)
-from capsep.entcert import EntCert, classical_embedding, tensor, verify
+                      simulate_by_loop, support, tensor, transmission_by_gram, verify,
+                      zero_error_by_loop, zero_error_code_by_loop)
 from capsep.errors import InvalidParameterError, ResourceLimitError
 
 
@@ -485,10 +485,9 @@ class TestPackingProtocol:
                                             for seed in range(3)] + [("G15", 0)])
     def test_matches_the_certificate_oracle(self, name, seed):
         packing = packing_of(name, seed)
-        proto, proof = protocol_from_packing(packing)
+        proto = protocol_from_packing(packing)
         oracle = protocol_from_cert(cert_from_packing(packing),
                                     canonical_channel(packing.graph))
-        assert proof.passed and proof.mode == "packing"
         assert (proto.M, proto.dim) == (oracle.M, oracle.dim) == (packing.count,
                                                                    packing.clique_size)
         assert np.array_equal(proto.inputs, oracle.inputs)
@@ -619,12 +618,13 @@ class TestDrawRanges:
         cert = draw_cases(which, g11, h11_cert, g11_cert)
         proto = protocol_from_cert(cert, canonical_channel(cert.graph))
         g, everyone = cert.graph, np.arange(cert.graph.vertex_count)
+        index = {g.vertex_label(u): u for u in everyone.tolist()}  # a product's labels too
         assert (np.bincount(proto.messages)[1:] == proto.dim).all()  # a basis of range(rho)
         trials = 3 * proto.M + 1
         for seed in range(3):
             rngs = RecordingGenerator(seed), RecordingGenerator(seed + 10)
             _, printed = simulate(proto, trials, rngs, shown=trials)
-            s = g.indices_of_labels([tr.sender_outcome for tr in printed])
+            s = [index[tr.sender_outcome] for tr in printed]
             degrees = np.count_nonzero(g.adjacency_among(s, everyone), axis=1)
             assert rngs[0].bounds == [proto.dim] * trials
             assert rngs[1].bounds == (degrees + 1).tolist()

@@ -15,9 +15,10 @@ import capsep
 from capsep.algebra_fp import HaemersResult
 from capsep.channel import MAX_TRIALS, canonical_channel
 from capsep.cli import build_parser, cli_main
+from capsep.entcert import PACKING_REPORT
 from capsep.errors import CertificateError
-from conftest import (cert_from_packing, dense_h3_json, drawn_indices, float_protocol,
-                      transmission_by_gram, zero_error_by_loop)
+from conftest import (cert_from_packing, dense_h3_json, dense_names_in_library, drawn_indices,
+                      float_protocol, transmission_by_gram, verify, zero_error_by_loop)
 
 
 def run(capsys, *argv):
@@ -26,35 +27,27 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _h3_squared(doc):
-    h3 = capsep.entcert.cert_from_json(doc)
-    doc.clear()
-    doc.update(capsep.tensor(h3, h3).to_json())
-
-
 def _flip(row):
     row[1] = -row[1]
 
 
+# What ``verify-cert`` prints for a file with ``ops``: the dense form it no longer reads
+FORM_REFUSED = ("error: malformed certificate: a packing certificate has a G or H graph "
+                "and no ops; its fields are graph, M, dim and cliques")
+
 # Edits of the dense H3 certificate file (``dense_h3_json``), with the exit
-# code and first stderr line of ``verify-cert`` on the result.
+# code and first stderr line of ``verify-cert`` on the result: whatever its
+# content, a file with ``ops`` is refused by its form.
 HOSTILE = {
-    "repeated entry": (lambda doc: doc["ops"].append(doc["ops"][0]),
-                       1, "error: repeated operator at vertex '000', i = 1"),
-    "ragged matrix": (lambda doc: doc["ops"][0]["matrix"][1].pop(), 1,
-                      "error: malformed certificate: setting an array element with a "
-                      "sequence. The requested array has an inhomogeneous shape after 1 "
-                      "dimensions. The detected shape was (4,) + inhomogeneous part."),
+    "repeated entry": (lambda doc: doc["ops"].append(doc["ops"][0]), 1, FORM_REFUSED),
+    "ragged matrix": (lambda doc: doc["ops"][0]["matrix"][1].pop(), 1, FORM_REFUSED),
     "wrong-size rho": (lambda doc: doc.update(rho=[r[:-1] for r in doc["rho"][:-1]]),
-                       1, "error: rho has shape (3, 3), not (4, 4)"),
-    "float entry": (lambda doc: doc["ops"][0]["matrix"][0].__setitem__(0, 1.0), 1,
-                    "error: malformed certificate: a matrix entry of type float is not "
-                    "an integer"),
-    "empty ops": (lambda doc: doc.update(ops=[]), 2, ""),
-    "flipped entry": (lambda doc: _flip(doc["ops"][0]["matrix"][0]), 2, ""),
-    "H3xH3 product": (_h3_squared, 0, ""),
-    "label +011": (lambda doc: doc["ops"][0].update(vertex="+011"),
-                   1, "error: unknown vertex '+011' in H3"),
+                       1, FORM_REFUSED),
+    "float entry": (lambda doc: doc["ops"][0]["matrix"][0].__setitem__(0, 1.0), 1, FORM_REFUSED),
+    "empty ops": (lambda doc: doc.update(ops=[]), 1, FORM_REFUSED),
+    "flipped entry": (lambda doc: _flip(doc["ops"][0]["matrix"][0]), 1, FORM_REFUSED),
+    "H3xH3 product": (lambda doc: doc.update(graph="H3xH3"), 1, FORM_REFUSED),
+    "label +011": (lambda doc: doc["ops"][0].update(vertex="+011"), 1, FORM_REFUSED),
     "no ops field": (lambda doc: doc.pop("ops"),  # neither form: named by cert's form
                      1, "error: certificate is missing field 'cliques'"),
 }
@@ -125,7 +118,7 @@ def write_hostile(cert_path: Path, edits=HOSTILE) -> dict[str, Path]:
 
 
 def write_dense_h3(target: Path) -> Path:
-    """The dense H3 certificate file, as ``EntCert.to_json`` and the CLI's encoder write it."""
+    """The dense H3 certificate file, indented as the CLI's encoder writes."""
     target.write_text(json.dumps(dense_h3_json(), indent=2) + "\n")
     return target
 
@@ -268,19 +261,30 @@ class TestCertCommands:
         assert json.loads(out)["mode"] == "packing"
 
     def test_verify_cert_detects_corruption(self, capsys, tmp_path):
-        target = write_dense_h3(tmp_path / "cert.json")
-        payload = json.loads(target.read_text())
-        payload["ops"][0]["matrix"] = (
-            np.zeros_like(np.array(payload["ops"][0]["matrix"]))).tolist()
+        # two coordinates of one label swapped: still a vertex, no longer in the clique
+        target, payload = self._packing_cert(capsys, tmp_path, "G", 11)
+        label = list(payload["cliques"][0][0])
+        a, b = label.index("0"), label.index("1")
+        label[a], label[b] = label[b], label[a]
+        payload["cliques"][0][0] = "".join(label)
         target.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
-        assert code == 2
-        assert json.loads(out)["passed"] is False
-
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("verification failure: packing certificate failed verification")
 
     @staticmethod
     def _h3_cert(capsys, tmp_path):
+        """The dense H3 certificate file and its parsed document."""
         target = write_dense_h3(tmp_path / "cert.json")
+        return target, json.loads(target.read_text())
+
+    @staticmethod
+    def _packing_cert(capsys, tmp_path, family="H", n=3):
+        """The file ``cert`` writes and its parsed document."""
+        target = tmp_path / "cert.json"
+        code, _, _ = run(capsys, "cert", "--family", family, "--n", str(n),
+                         "--output", str(target))
+        assert code == 0
         return target, json.loads(target.read_text())
 
     def _assert_rejected(self, capsys, target, phrase):
@@ -290,54 +294,55 @@ class TestCertCommands:
         assert err.startswith("error: ") and phrase in err
         assert "Traceback" not in err
 
+    def _assert_failed(self, capsys, target, phrase):
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("verification failure: ") and phrase in err
+        assert "Traceback" not in err
+
     def test_verify_cert_unknown_vertex(self, capsys, tmp_path):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        payload["ops"][0]["vertex"] = "999"
+        target, payload = self._packing_cert(capsys, tmp_path)
+        payload["cliques"][0][0] = "999"
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "'999'")
 
-    @staticmethod
-    def _squared_cert(name):
-        if name == "H3xH3":
-            rep = capsep.OrthoRep(capsep.build_H(3))
-            rep.verify()
-            seed = capsep.hadamard_clique(capsep.sylvester(2), "H")
-            base = cert_from_packing(capsep.pack_cliques(rep.graph, seed))
+    @pytest.mark.parametrize("form", ["dense", "packing"])
+    def test_other_forms_refused(self, capsys, tmp_path, form):
+        # the dense H3 file, and G11's packing file with an ops field added
+        if form == "dense":
+            target, _ = self._h3_cert(capsys, tmp_path)
         else:
-            base = capsep.classical_embedding(capsep.build_cycle(5), [0, 2])
-        payload = capsep.tensor(base, base).to_json()
-        assert payload["graph"] == name
-        return payload
+            target, payload = self._packing_cert(capsys, tmp_path, "G", 11)
+            target.write_text(json.dumps({**payload, "ops": []}))
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert (code, out, err) == (1, "", FORM_REFUSED + "\n")
 
     @pytest.mark.parametrize("name", ["H3xH3", "C5xC5"])
     def test_verify_cert_product_from_file(self, capsys, tmp_path, name):
-        target = tmp_path / "cert.json"
-        payload = self._squared_cert(name)
-        target.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
-        assert code == 0 and json.loads(out)["passed"] is True
-        payload["ops"][0]["matrix"][0][0] *= -1
-        target.write_text(json.dumps(payload))
-        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
-        assert code == 2 and json.loads(out)["passed"] is False
+        # a product graph has no packing certificate, in either form
+        target, payload = self._packing_cert(capsys, tmp_path)
+        target.write_text(json.dumps({**payload, "graph": name}))
+        self._assert_rejected(capsys, target, "a packing certificate has a G or H graph")
+        target.write_text(json.dumps({**dense_h3_json(), "graph": name}))
+        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     @pytest.mark.parametrize("label", ["(0,2", "(0,2,1)", "(00,2)"])
     def test_verify_cert_product_unknown_vertex(self, capsys, tmp_path, label):
-        target = tmp_path / "cert.json"
-        payload = self._squared_cert("C5xC5")
-        assert [op["vertex"] for op in payload["ops"]] == ["(0,0)", "(0,2)", "(2,0)", "(2,2)"]
-        payload["ops"][1]["vertex"] = label
+        # a label in a product's form names no vertex of a G or H graph
+        target, payload = self._packing_cert(capsys, tmp_path)
+        payload["cliques"][0][1] = label
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "unknown vertex")
 
     def test_verify_cert_missing_rho(self, capsys, tmp_path):
+        # no field of a dense file is read: with rho or without, it is refused
         target, payload = self._h3_cert(capsys, tmp_path)
         del payload["rho"]
         target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, "'rho'")
+        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     def test_verify_cert_truncated_file(self, capsys, tmp_path):
-        target, _ = self._h3_cert(capsys, tmp_path)
+        target, _ = self._packing_cert(capsys, tmp_path)
         target.write_text(target.read_text()[:100])
         self._assert_rejected(capsys, target, "malformed certificate")
 
@@ -350,32 +355,27 @@ class TestCertCommands:
         target, payload = self._h3_cert(capsys, tmp_path)
         payload["ops"][0]["matrix"] = [[1, 0], [0, 1]]
         target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, "shape")
-
+        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
     def test_verify_cert_label_outside_int64(self, capsys, tmp_path, label):
         target, payload = self._h3_cert(capsys, tmp_path)
         payload["ops"][0]["i"] = label
         target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, f"message label {label} is outside int64")
+        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     @pytest.mark.parametrize("label", [2**63 - 1, -(2**63), 0, 2])
     def test_verify_cert_label_outside_messages(self, capsys, tmp_path, label):
         target, payload = self._h3_cert(capsys, tmp_path)
         payload["ops"][0]["i"] = label
         target.write_text(json.dumps(payload))
-        code, out, err = run(capsys, "verify-cert", "--input", str(target))
-        assert code == 2 and "Traceback" not in err
-        assert json.loads(out)["conditions"]["sum_to_rho"] is False
+        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     def test_verify_cert_repeated_entry(self, capsys, tmp_path):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        first = payload["ops"][0]
-        payload["ops"].insert(0, {**first, "matrix": [[7] * 4] * 4})  # not PSD
+        target, payload = self._packing_cert(capsys, tmp_path)
+        payload["cliques"][0][1] = payload["cliques"][0][0]
         target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target,
-                              f"vertex '{first['vertex']}', i = {first['i']}")
+        self._assert_failed(capsys, target, f"clique 0 reuses vertex {payload['cliques'][0][0]}")
 
     @pytest.mark.parametrize("name", list(HOSTILE))
     def test_verify_cert_hostile_file(self, capsys, tmp_path, name):
@@ -385,67 +385,39 @@ class TestCertCommands:
         assert (code, (err.splitlines() or [""])[0]) == (want_code, want_line)
         assert "Traceback" not in err and (out == "") == (code == 1)
 
-    @staticmethod
-    def _integer_paths(payload):
-        """Where the certificate format holds an integer, as key paths."""
-        square = [(r, c) for r in range(payload["dim"]) for c in range(payload["dim"])]
-        return ([("M",), ("dim",), ("denominator",)]
-                + [("rho", r, c) for r, c in square]
-                + [("ops", k, "i") for k in range(len(payload["ops"]))]
-                + [("ops", k, "matrix", r, c)
-                   for k in range(len(payload["ops"])) for r, c in square])
-
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), value=st.one_of(st.booleans(), st.floats()))
     def test_verify_cert_non_integer_value(self, capsys, tmp_path, data, value):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        *path, last = data.draw(st.sampled_from(self._integer_paths(payload)))
-        node = payload
-        for key in path:
-            node = node[key]
-        node[last] = value
+        # M and dim are the integers of a packing file
+        target, payload = self._packing_cert(capsys, tmp_path)
+        payload[data.draw(st.sampled_from(["M", "dim"]))] = value
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "malformed certificate")
 
     def test_verify_cert_untrusted_message_count(self, capsys, tmp_path):
-        target, payload = self._h3_cert(capsys, tmp_path)
+        target, payload = self._packing_cert(capsys, tmp_path)
         payload["M"] = 100000
         target.write_text(json.dumps(payload))
         start = time.perf_counter()
-        code, out, _ = run(capsys, "verify-cert", "--input", str(target))
+        self._assert_failed(capsys, target, "the file claims (M, dim) = (100000, 4)")
         assert time.perf_counter() - start < 0.1
-        assert code == 2 and len(out) < 10_000
-        doc = json.loads(out)
-        assert doc["violations"]["sum_to_rho"] == 99999
-        assert doc["witnesses"][0]["first"] == list(range(2, 12))
 
     def test_verify_cert_huge_values(self, capsys, tmp_path):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        for field, value, condition in [("M", 10**30, "sum_to_rho"),
-                                        ("entry", 2**62, "psd")]:
-            edited = json.loads(json.dumps(payload))
-            if field == "M":
-                edited["M"] = value
-            else:
-                edited["ops"][0]["matrix"][0][0] = value
-            target.write_text(json.dumps(edited))
-            code, out, err = run(capsys, "verify-cert", "--input", str(target))
-            assert code == 2 and "Traceback" not in err
-            assert json.loads(out)["conditions"][condition] is False
+        target, payload = self._packing_cert(capsys, tmp_path)
+        for field, value in [("M", 10**30), ("dim", 2**62)]:
+            target.write_text(json.dumps({**payload, field: value}))
+            self._assert_failed(capsys, target, f"{value}")
 
     @pytest.mark.parametrize("command", ["cert", "pipeline", "channel-sim"])
-    def test_packing_proved_without_the_generic_check(self, capsys, monkeypatch, command):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the K x K check ran or an operator stack was formed")
-        monkeypatch.setattr(capsep.entcert, "verify", refuse)
-        # each prints M, dim and the verdict from the packing: no operator stack
-        monkeypatch.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
+    def test_packing_proved_without_the_generic_check(self, capsys, command):
+        # each prints M, dim and the verdict from the packing: the library has no
+        # operator stack or K x K check to run
         code, out, _ = run(capsys, command, "--family", "H", "--n", "7")
-        assert code == 0
+        assert code == 0 and not dense_names_in_library()
         doc = json.loads(out)
         if command == "cert":
-            assert doc["verification"]["mode"] == "packing"
+            assert doc["verification"] == PACKING_REPORT
         if command == "pipeline":
             assert doc["cert"] == {"M": 1, "dim": 8, "verified": True, "mode": "packing"}
 
@@ -466,16 +438,11 @@ class TestPackingFile:
     @pytest.mark.parametrize("family, n, seed",
                              [(f, n, s) for f in "GH" for n in (3, 7, 11) for s in range(3)]
                              + [("G", 15, 0)])
-    def test_agrees_with_the_dense_oracle(self, capsys, monkeypatch, tmp_path, family, n, seed):
+    def test_agrees_with_the_dense_oracle(self, capsys, tmp_path, family, n, seed):
         target = tmp_path / "cert.json"
         argv = ["cert", "--family", family, "--n", str(n), "--seed", str(seed)]
-        with monkeypatch.context() as m:  # no operator is formed and no K x K check runs
-            def refuse(*args, **kwargs):
-                raise AssertionError("an operator stack was formed or checked")
-            m.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
-            m.setattr(capsep.entcert, "verify", refuse)
-            assert run(capsys, *argv, "--output", str(target))[0] == 0
-            code, out, err = run(capsys, "verify-cert", "--input", str(target))
+        assert run(capsys, *argv, "--output", str(target))[0] == 0
+        code, out, err = run(capsys, "verify-cert", "--input", str(target))
         assert (code, err) == (0, "")
         assert json.loads(out) == json.loads(target.read_text())["verification"]
         assert json.loads(out)["mode"] == "packing" and json.loads(out)["passed"] is True
@@ -486,7 +453,7 @@ class TestPackingFile:
                         for c in doc["cliques"])
         dense = cert_from_packing(capsep.CliquePacking(g, len(cliques[0]), cliques))
         assert (dense.M, dense.dim) == (doc["M"], doc["dim"])
-        assert capsep.verify(dense).passed
+        assert verify(dense).passed
 
     def test_small_file(self, capsys, tmp_path):
         target = tmp_path / "g15.json"
@@ -684,13 +651,12 @@ class TestChannelSimCommand:
         assert err.startswith("verification failure: cliques of size 3 do not span")
 
     @pytest.mark.parametrize("family", ["G", "H"])
-    def test_no_certificate_is_formed(self, capsys, monkeypatch, family):
-        def refuse(self):
-            raise AssertionError("a certificate was formed")
-        monkeypatch.setattr(capsep.entcert.EntCert, "__post_init__", refuse)
+    def test_no_certificate_is_formed(self, capsys, family):
+        # the protocol is proved by its packing: the library has no dense certificate
         code, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11",
                            "--trials", "100")
         assert code == 0 and json.loads(out)["failures"] == 0
+        assert not dense_names_in_library()
 
     @pytest.mark.parametrize("family, cert_dim, local_dim", [("G", 12, 11), ("H", 12, 12)])
     def test_dim_is_the_matrix_order_or_the_clique_size(self, capsys, family, cert_dim,

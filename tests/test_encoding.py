@@ -1,6 +1,5 @@
 """The CLI's JSON encoder: ``cli._dumps`` against ``json.dumps(indent=2)`` as the oracle."""
 
-import argparse
 import enum
 import json
 import math
@@ -12,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.cli import _dumps, _emit, cli_main
-from conftest import cert_from_packing
+from capsep.cli import _dumps, cli_main
 
 
 def oracle(obj) -> str:
@@ -113,23 +111,12 @@ def test_g15_certificate_file_is_the_indent_encoding(tmp_path):
     assert text == oracle(json.loads(text)) + "\n"
 
 
-def test_product_certificate_file_is_the_indent_encoding(tmp_path):
-    h3 = cert_from_packing(capsep.pack_cliques(
-        capsep.build_H(3), capsep.hadamard_clique(capsep.find_hadamard(4), "H")))
-    target = tmp_path / "h3xh3.json"
-    _emit(capsep.tensor(h3, h3).to_json(), argparse.Namespace(output=str(target)))
-    text = target.read_text()
-    assert '"graph": "H3xH3"' in text and '"vertex": "(000,000)"' in text
-    assert text == oracle(json.loads(text)) + "\n"
-    assert cli_main(["verify-cert", "--input", str(target)]) == 0
-
-
 def test_faster_than_the_indent_encoder():
     # Both encoders run on the same document in this process, alternately,
     # so the ratio does not depend on the machine's speed. The document is
-    # G15's dense certificate (1.7 MB as text): a large nested document.
-    doc = cert_from_packing(capsep.pack_cliques(
-        capsep.build_G(15), capsep.hadamard_clique(capsep.find_hadamard(16), "G"))).to_json()
+    # what ``orthorep --family G --n 15`` prints (1.2 MB as text): a large
+    # nested document.
+    doc = capsep.OrthoRep(capsep.build_G(15)).to_json()
     assert _dumps(doc) == oracle(doc)
     ours, theirs = [], []
     for _ in range(5):

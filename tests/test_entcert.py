@@ -9,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import build_complete, build_cycle, sign_rows, words_from_signs
-from capsep.entcert import (WITNESS_CAP, EntCert, VerificationReport, cert_from_json,
-                            classical_embedding, packing_proof, rank_one_row, tensor,
-                            verify)
+from capsep.bitgraph import (build_complete, build_cycle, graph_from_ref, sign_rows,
+                             words_from_signs)
+from capsep.cli import _packing, cli_main
+from capsep.entcert import PACKING_REPORT, packing_proof, verify_json
 from capsep.errors import (CertificateError, ConstructionError, InvalidParameterError,
                            ResourceLimitError)
-from conftest import (cert_from_packing, cert_with, dense_adjacency, flatten, ops_by_pair,
-                      tensor_by_loop, verify_by_pairs)
+from conftest import (WITNESS_CAP, EntCert, VerificationReport, cert_from_packing, cert_with,
+                      classical_embedding, dense_adjacency, flatten, ops_by_pair, rank_one_row,
+                      tensor, tensor_by_loop, verify, verify_by_pairs)
 
 
 def h3_cert():
@@ -127,6 +128,7 @@ class TestPackingProof:
         assert proof.passed and report.passed and report.witnesses == []
         # the same conditions, witnesses and violations; only the mode differs
         assert dataclasses.replace(proof, mode="full") == report
+        assert proof.to_json() == PACKING_REPORT  # what cert and verify-cert print
 
     @pytest.mark.parametrize("family, n", [("G", 7), ("H", 7), ("H", 11)])
     def test_cliques_short_of_the_span_rejected(self, family, n):
@@ -300,7 +302,6 @@ class TestTensor:
             assert getattr(got, field) == getattr(want, field)
         for field in ("rho_num", "verts", "msgs", "ops"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
-        assert json.dumps({**got.to_json(), "verification": None}) == json.dumps(want.to_json())
 
 
 class TestConstructor:
@@ -349,68 +350,69 @@ class TestConstructor:
         assert not verify(cert).conditions["sum_to_rho"]
 
 
+def _cert_file(tmp_path, family, n, seed=0) -> str:
+    """The file ``cert --family family --n n --seed seed`` writes."""
+    target = tmp_path / f"{family}{n}-{seed}.json"
+    argv = ["cert", "--family", family, "--n", str(n), "--seed", str(seed), "--output", str(target)]
+    assert cli_main(argv) == 0
+    return target.read_text()
+
+
+def _read_cliques(doc) -> tuple:
+    """The cliques of a packing file as vertex words, looked up by label."""
+    g = graph_from_ref(doc["graph"])
+    return tuple(tuple(g.bits_array[g.indices_of_labels(c)].tolist()) for c in doc["cliques"])
+
+
 class TestCertJson:
-    def test_round_trip(self, g11_cert):
-        text = json.dumps(g11_cert.to_json(), indent=2)
-        loaded = cert_from_json(json.loads(text))
-        assert loaded.M == g11_cert.M
-        assert loaded.denominator == g11_cert.denominator
-        assert np.array_equal(loaded.rho_num, g11_cert.rho_num)
-        for name in ("verts", "msgs", "ops"):
-            assert np.array_equal(getattr(loaded, name), getattr(g11_cert, name))
-        assert verify(loaded).passed
+    """A certificate file holds its packing's cliques; ``verify_json`` proves it again."""
+
+    def test_round_trip(self, tmp_path, g11_cert):
+        text = _cert_file(tmp_path, "G", 11)
+        doc = json.loads(text)
+        assert _read_cliques(doc) == _packing("G", 11, 0)[2].cliques
+        assert (doc["M"], doc["dim"]) == (g11_cert.M, g11_cert.dim)
+        assert verify_json(text) is None  # a failed proof raises
 
     @pytest.mark.parametrize("family,label", [
         ("H3", "+011"), ("H3", " 011"), ("H3", "0_11"), ("H3", "11"), ("H3", "0011"),
         ("H3", "001"), ("H3", "-0"), ("H3", 3), ("H3", None), ("H3", ["011"]),
         ("C5", "02"), ("C5", "5"), ("C5", "1" * 5000)])
-    def test_only_exact_vertex_labels_load(self, family, label):
-        cert = h3_cert() if family == "H3" else \
-            classical_embedding(capsep.build_cycle(5), [0, 2])
-        payload = cert.to_json()
-        payload["ops"][0]["vertex"] = label
+    def test_only_exact_vertex_labels_load(self, tmp_path, family, label):
+        # each label is near a label of its family's graph but names no vertex of
+        # it, nor of the H3 file it is written into
+        if family == "C5":
+            with pytest.raises(InvalidParameterError, match="unknown vertex"):
+                build_cycle(5).indices_of_labels([label])
+        doc = json.loads(_cert_file(tmp_path, "H", 3))
+        original, doc["cliques"][0][0] = doc["cliques"][0][0], label
         with pytest.raises(InvalidParameterError, match="unknown vertex"):
-            cert_from_json(payload)
-        payload["ops"][0]["vertex"] = cert.to_json()["ops"][0]["vertex"]
-        assert verify(cert_from_json(payload)).passed
+            verify_json(json.dumps(doc))
+        doc["cliques"][0][0] = original
+        verify_json(json.dumps(doc))
 
-    def test_repeated_entry_rejected(self):
-        payload = h3_cert().to_json()
-        first = payload["ops"][0]
-        payload["ops"].insert(0, {**first, "matrix": [[7] * 4] * 4})
-        with pytest.raises(InvalidParameterError,
-                           match=f"repeated operator at vertex '{first['vertex']}', "
-                                 f"i = {first['i']}"):
-            cert_from_json(payload)
+    def test_repeated_entry_rejected(self, tmp_path):
+        doc = json.loads(_cert_file(tmp_path, "H", 3))
+        doc["cliques"][0][1] = doc["cliques"][0][0]
+        with pytest.raises(CertificateError,
+                           match=f"clique 0 reuses vertex {doc['cliques'][0][0]}"):
+            verify_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("name", ["H3", "G7", "H11", "C5", "C5xC5", "H3xH3"])
-    def test_load_is_the_inverse_of_to_json(self, name, h11_cert):
-        c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
-        cert = {"H3": h3_cert, "G7": lambda: _packing_cert("G", 7),
-                "H11": lambda: h11_cert, "C5": lambda: c5,
-                "C5xC5": lambda: tensor(c5, c5),
-                "H3xH3": lambda: tensor(h3_cert(), h3_cert())}[name]()
-        doc = cert.to_json()
-        loaded = cert_from_json(json.loads(json.dumps(doc)))
-        assert loaded.verification is None
-        again = loaded.to_json()
-        assert again.pop("verification") is None
-        assert json.dumps(again) == json.dumps({k: v for k, v in doc.items()
-                                                if k != "verification"})
-        # every field but the mode: a packing certificate is proved by its packing
-        assert ({**verify(loaded).to_json(), "mode": None}
-                == {**cert.verification.to_json(), "mode": None})
+    @pytest.mark.parametrize("name", ["H3", "G7", "H11"])
+    def test_load_is_the_inverse_of_to_json(self, tmp_path, name):
+        # the file's cliques are ``CliquePacking.to_json``'s, and read back to the packing
+        family, n = name[0], int(name[1:])
+        packing = _packing(family, n, 0)[2]
+        doc = json.loads(_cert_file(tmp_path, family, n))
+        assert doc["cliques"] == packing.to_json()["cliques"]
+        assert _read_cliques(doc) == packing.cliques
 
-    def test_schema_fields(self, h11_cert):
-        payload = h11_cert.to_json()
-        assert payload["graph"] == "H11"
-        assert payload["M"] == 8
-        assert payload["denominator"] == 144
-        assert len(payload["ops"]) == 8 * 12
-        entry = payload["ops"][0]
-        assert set(entry) == {"vertex", "i", "matrix"}
-        assert payload["verification"]["mode"] == "packing"
-        assert verify(h11_cert).to_json()["mode"] == "full"
+    def test_schema_fields(self, tmp_path):
+        doc = json.loads(_cert_file(tmp_path, "H", 11))
+        assert set(doc) == {"graph", "M", "dim", "cliques", "verification"}
+        assert (doc["graph"], doc["M"], doc["dim"]) == ("H11", 8, 12)
+        assert [len(c) for c in doc["cliques"]] == [12] * 8
+        assert doc["verification"] == PACKING_REPORT
 
 
 # -- exhaustive verification against the pairwise oracle ------------------------
@@ -504,7 +506,7 @@ class TestAgainstPairwiseOracle:
 
     def test_wrong_graph(self, oracle_certs):
         cert = oracle_certs["C5xC5"]
-        k5_squared = capsep.strong_product(build_complete(5), build_complete(5))
+        k5_squared = capsep.ProductGraph([build_complete(5), build_complete(5)])
         report = verify(dataclasses.replace(cert, graph=k5_squared))
         assert not report.passed and not report.conditions["adjacent"]
         passed, conditions, _ = verify_by_pairs(cert, k5_squared)
