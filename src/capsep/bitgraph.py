@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -252,8 +251,17 @@ def _require_odd_n(n: int):
 
 
 def weight_w_bits(n: int, w: int) -> list[int]:
-    """Every length-n word of weight w, ascending."""
-    return sorted(map(sum, combinations([1 << i for i in range(n)], w)))
+    """Every length-n word of weight w, ascending. The weight-j words on k+1
+    bits are the weight-j words on k bits, then the weight-(j-1) ones with bit
+    k set: both runs ascend, so bit by bit no sort is needed."""
+    if not 0 <= w <= n:
+        return []
+    words = [np.zeros(1, np.uint64)] + [np.zeros(0, np.uint64)] * w  # by weight, on 0 bits
+    for k in range(n):
+        # weights below w - (n-1-k) cannot reach w in the bits that are left
+        for j in range(min(k + 1, w), max(0, w - n + k), -1):
+            words[j] = np.concatenate((words[j], words[j - 1] | np.uint64(1 << k)))
+    return words[w].tolist()
 
 
 def build_G(n: int) -> BitGraph:

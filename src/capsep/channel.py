@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -206,7 +206,9 @@ class Transcript:
         return self.decoded == self.message
 
     def to_json(self) -> dict:
-        return {**asdict(self), "distribution": list(self.distribution), "correct": self.correct}
+        return {"message": self.message, "sender_outcome": self.sender_outcome,
+                "channel_output": self.channel_output, "distribution": list(self.distribution),
+                "decoded": self.decoded, "correct": self.correct}
 
 
 SIM_BLOCK = 1 << 14  # trials per block of draws: bounds the arrays a simulation holds

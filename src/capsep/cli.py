@@ -215,82 +215,57 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="capsep",
-                     description="Graph-capacity separation toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
+_GH = ("G", "H")
+_INT = {"type": int, "required": True}
+_SEED = {"--seed": {"type": int, "default": 0}}
 
-    def common(p, family=None, n=False):
+# name: (help, handler, --family choices or None, takes --n, other options)
+COMMANDS = {
+    "gen-graph": ("materialize a graph family member", _cmd_gen_graph, ("G", "H", "O", "C"),
+                  True, {"--format": {"choices": ("json", "dimacs"), "default": "json"}}),
+    "hadamard": ("construct a Hadamard matrix", _cmd_hadamard, None, False, {"--size": _INT}),
+    "orthorep": ("orthonormal representation", _cmd_orthorep, _GH, True, {}),
+    "clique": ("Hadamard-seeded clique", _cmd_clique, _GH, True, {}),
+    "pack": ("disjoint clique packing", _cmd_pack, _GH, True, _SEED),
+    "cert": ("build + verify a packing certificate", _cmd_cert, _GH, True, _SEED),
+    "verify-cert": ("re-verify a stored certificate", _cmd_verify_cert, None, False,
+                    {"--input": {"required": True}}),
+    "haemers": ("fitting matrix: fits check and rank bound mod p", _cmd_haemers, _GH, True, {}),
+    "alpha": ("maximum independent set with bounds", _cmd_alpha, None, False,
+              {"--graph": {"required": True, "help": "e.g. C5, G11, H11, O12, C5xC5"},
+               "--node-budget": {"type": int, "default": 10**6}}),
+    "channel-sim": ("simulate the one-shot protocol", _cmd_channel_sim, _GH, True,
+                    {"--trials": {"type": int, "default": 100}, **_SEED}),
+    "report": ("exact capacity-bound arithmetic", _cmd_report, _GH, False, {"--p": _INT}),
+    "pipeline": ("full chain for one family member", _cmd_pipeline, _GH, True, _SEED),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS, or of ``command`` alone."""
+    parser = _Parser(prog="capsep", description="Graph-capacity separation toolkit")
+    # one command's parser names them all, so its top-level usage is the full one's
+    metavar = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_, func, family, n, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
         p.add_argument("--output", help="write JSON here instead of stdout")
         if family:
             p.add_argument("--family", required=True, choices=family)
         if n:
             p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("gen-graph", help="materialize a graph family member")
-    common(p, family=("G", "H", "O", "C"), n=True)
-    p.add_argument("--format", choices=("json", "dimacs"), default="json")
-    p.set_defaults(func=_cmd_gen_graph)
-
-    p = sub.add_parser("hadamard", help="construct a Hadamard matrix")
-    common(p)
-    p.add_argument("--size", type=int, required=True)
-    p.set_defaults(func=_cmd_hadamard)
-
-    p = sub.add_parser("orthorep", help="orthonormal representation")
-    common(p, family=("G", "H"), n=True)
-    p.set_defaults(func=_cmd_orthorep)
-
-    p = sub.add_parser("clique", help="Hadamard-seeded clique")
-    common(p, family=("G", "H"), n=True)
-    p.set_defaults(func=_cmd_clique)
-
-    p = sub.add_parser("pack", help="disjoint clique packing")
-    common(p, family=("G", "H"), n=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_pack)
-
-    p = sub.add_parser("cert", help="build + verify a packing certificate")
-    common(p, family=("G", "H"), n=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_cert)
-
-    p = sub.add_parser("verify-cert", help="re-verify a stored certificate")
-    common(p)
-    p.add_argument("--input", required=True)
-    p.set_defaults(func=_cmd_verify_cert)
-
-    p = sub.add_parser("haemers", help="fitting matrix: fits check and rank bound mod p")
-    common(p, family=("G", "H"), n=True)
-    p.set_defaults(func=_cmd_haemers)
-
-    p = sub.add_parser("alpha", help="maximum independent set with bounds")
-    common(p)
-    p.add_argument("--graph", required=True, help="e.g. C5, G11, H11, O12, C5xC5")
-    p.add_argument("--node-budget", type=int, default=10**6)
-    p.set_defaults(func=_cmd_alpha)
-
-    p = sub.add_parser("channel-sim", help="simulate the one-shot protocol")
-    common(p, family=("G", "H"), n=True)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_channel_sim)
-
-    p = sub.add_parser("report", help="exact capacity-bound arithmetic")
-    common(p, family=("G", "H"))
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("pipeline", help="full chain for one family member")
-    common(p, family=("G", "H"), n=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_pipeline)
-
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # a call runs one subcommand: build only its parser. Help, no argument and
+    # unknown commands go to the full parser, which lists every command
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

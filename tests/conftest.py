@@ -1050,6 +1050,11 @@ def word_of_signs(row) -> int:
     return out
 
 
+def weight_w_bits_by_combinations(n: int, w: int) -> list[int]:
+    """Every length-n word of weight w, ascending: each w-subset of the bits, summed."""
+    return sorted(map(sum, combinations([1 << i for i in range(n)], w)))
+
+
 def restricted_set_by_pairs(n: int, k: int):
     """(words, first edge as a word pair or None) of the restricted set."""
     w = (n + 1) // 2

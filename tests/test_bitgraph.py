@@ -12,7 +12,8 @@ from capsep import bitgraph
 from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, sign_rows,
                              weight_w_bits, words_from_signs)
 from capsep.errors import InvalidParameterError, ResourceLimitError
-from conftest import adjacency_by_rule, degree, dense_adjacency, flatten, word_of_signs
+from conftest import (adjacency_by_rule, degree, dense_adjacency, flatten,
+                      weight_w_bits_by_combinations, word_of_signs)
 
 
 def brute_weight_strings(n, w):
@@ -23,6 +24,14 @@ def brute_weight_strings(n, w):
 def test_weight_w_bits_is_every_weight_w_word_ascending(n):
     for w in range(n + 1):
         assert weight_w_bits(n, w) == brute_weight_strings(n, w)
+
+
+@pytest.mark.parametrize("n", [*range(20), 63])
+def test_weight_w_bits_agrees_with_the_combinations(n):
+    # every weight up to n = 19; at n = 63 weights up to 2, which set the top
+    # bit of the uint64 words: no overflow into a negative int
+    for w in range(n + 1 if n < 20 else 3):
+        assert weight_w_bits(n, w) == weight_w_bits_by_combinations(n, w)
 
 
 class TestBuildG:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import capsep
 from capsep.algebra_fp import HaemersResult
 from capsep.channel import MAX_TRIALS, canonical_channel
-from capsep.cli import build_parser, cli_main
+from capsep.cli import COMMANDS, build_parser, cli_main
 from capsep.entcert import PACKING_REPORT
 from capsep.errors import CertificateError
 from conftest import (cert_from_packing, dense_h3_json, dense_names_in_library, drawn_indices,
@@ -48,6 +48,11 @@ HOSTILE = {
     "flipped entry": (lambda doc: _flip(doc["ops"][0]["matrix"][0]), 1, FORM_REFUSED),
     "H3xH3 product": (lambda doc: doc.update(graph="H3xH3"), 1, FORM_REFUSED),
     "label +011": (lambda doc: doc["ops"][0].update(vertex="+011"), 1, FORM_REFUSED),
+    "no rho": (lambda doc: doc.pop("rho"), 1, FORM_REFUSED),
+    "2x2 matrix": (lambda doc: doc["ops"][0].update(matrix=[[1, 0], [0, 1]]), 1, FORM_REFUSED),
+    # message labels outside int64 and outside 1..M
+    **{f"message {i}": (lambda doc, i=i: doc["ops"][0].update(i=i), 1, FORM_REFUSED)
+       for i in (2**63, -(2**63) - 1, 2**63 - 1, -(2**63), 0, 2)},
     "no ops field": (lambda doc: doc.pop("ops"),  # neither form: named by cert's form
                      1, "error: certificate is missing field 'cliques'"),
 }
@@ -334,13 +339,6 @@ class TestCertCommands:
         target.write_text(json.dumps(payload))
         self._assert_rejected(capsys, target, "unknown vertex")
 
-    def test_verify_cert_missing_rho(self, capsys, tmp_path):
-        # no field of a dense file is read: with rho or without, it is refused
-        target, payload = self._h3_cert(capsys, tmp_path)
-        del payload["rho"]
-        target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, FORM_REFUSED)
-
     def test_verify_cert_truncated_file(self, capsys, tmp_path):
         target, _ = self._packing_cert(capsys, tmp_path)
         target.write_text(target.read_text()[:100])
@@ -350,26 +348,6 @@ class TestCertCommands:
         target = tmp_path / "cert.json"
         target.write_text("[" * 100_000 + "]" * 100_000)
         self._assert_rejected(capsys, target, "malformed certificate")
-
-    def test_verify_cert_wrong_matrix_shape(self, capsys, tmp_path):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        payload["ops"][0]["matrix"] = [[1, 0], [0, 1]]
-        target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, FORM_REFUSED)
-
-    @pytest.mark.parametrize("label", [2**63, -(2**63) - 1])
-    def test_verify_cert_label_outside_int64(self, capsys, tmp_path, label):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        payload["ops"][0]["i"] = label
-        target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, FORM_REFUSED)
-
-    @pytest.mark.parametrize("label", [2**63 - 1, -(2**63), 0, 2])
-    def test_verify_cert_label_outside_messages(self, capsys, tmp_path, label):
-        target, payload = self._h3_cert(capsys, tmp_path)
-        payload["ops"][0]["i"] = label
-        target.write_text(json.dumps(payload))
-        self._assert_rejected(capsys, target, FORM_REFUSED)
 
     def test_verify_cert_repeated_entry(self, capsys, tmp_path):
         target, payload = self._packing_cert(capsys, tmp_path)
@@ -786,9 +764,56 @@ class TestPackingShortfall:
         assert payload["M"] == 1 and payload["verification"]["passed"] is True
 
 
+def _subcommand_actions() -> dict[str, list[argparse.Action]]:
+    """{subcommand: its options but --help}, read from the full parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+def _usage_argvs() -> list[list[str]]:
+    """No argument, --help and an unknown command; per subcommand its --help,
+    no option, an unrecognized option and, where it has one, a bad choice and
+    a non-integer value."""
+    argvs = [[], ["--help"], ["nonsense"]]
+    for name, actions in _subcommand_actions().items():
+        valid = [name] + [x for a in actions if a.required
+                          for x in (a.option_strings[-1], a.choices[0] if a.choices else "3")]
+        argvs += [[name, "--help"], [name], valid + ["--nope"]]
+        argvs += [valid + [a.option_strings[-1], bad] for bad, a in
+                  [("Z", next((a for a in actions if a.choices), None)),
+                   ("1.5", next((a for a in actions if a.type is int), None))] if a]
+    return argvs
+
+
+class TestLazyParser:
+    """A call builds only its own subcommand's parser and prints what the full one does."""
+
+    @pytest.mark.parametrize("argv", _usage_argvs(), ids=lambda argv: " ".join(argv) or "none")
+    def test_prints_what_the_full_parser_prints(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        want = (int(exc.value.code or 0), *capsys.readouterr())
+        assert run(capsys, *argv) == want
+
+    @pytest.mark.parametrize("argv, parsers", [(["alpha", "--graph", "C5"], 2),
+                                               (["--help"], 1 + len(COMMANDS))],
+                             ids=["alpha", "help"])
+    def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+        assert run(capsys, *argv)[0] == 0
+        assert len(built) == parsers
+
+
 class TestUsageErrors:
     def test_unknown_command(self, capsys):
-        assert run(capsys, "nonsense")[0] == 1
+        code, out, err = run(capsys, "nonsense")
+        assert code == 1 and out == ""
+        assert "\nerror: argument command: invalid choice: 'nonsense' (choose from" in err
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "gen-graph", "--family", "G")[0] == 1
@@ -887,11 +912,9 @@ def _option_values(paths):
 
 
 def _subcommand_options() -> dict[str, dict[str, bool]]:
-    """{subcommand: {flag: required}}, read from the parser."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: {a.option_strings[-1]: a.required for a in p._actions
-                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
-            for name, p in sub.choices.items()}
+    """{subcommand: {flag: required}}, read from the full parser."""
+    return {name: {a.option_strings[-1]: a.required for a in actions}
+            for name, actions in _subcommand_actions().items()}
 
 
 @st.composite
