@@ -2,12 +2,12 @@
 
 from .bitgraph import (BitGraph, ProductGraph, build_cycle, build_G, build_H,
                        build_orthogonality_graph, hamming_distance)
-from .hadamard import HadamardMatrix, find_hadamard, paley_one, sylvester
+from .hadamard import HadamardMatrix, find_hadamard, sylvester
 from .geometry import (CliquePacking, OrthoRep, hadamard_clique, pack_cliques,
                        restricted_independent_set)
 from .algebra_fp import haemers_matrix
 from .alpha import AlphaResult, max_independent_set, verify_independent
-from .channel import Channel, Protocol, canonical_channel, protocol_from_packing, simulate
+from .channel import Protocol, protocol_from_packing, simulate
 from .report import capacity_report
 
 __version__ = "0.1.0"

@@ -1,4 +1,13 @@
-"""The canonical channel of a graph, and entanglement-assisted protocols over it.
+"""Entanglement-assisted protocols over the canonical channel of a graph.
+
+The canonical channel of a graph g, whose confusability graph is exactly g,
+is fixed by g's vertices and edges, so the protocol reads it from g. Its
+inputs are the vertices; its outputs are the vertices, then the edges of
+``g.edge_array()``, |V| + |E| in all. Input u reaches its private output u
+and the shared output of each edge at u, each with probability
+1/(deg u + 1), so two inputs share an output exactly when they are adjacent.
+Output u is labelled ``g.vertex_label(u)``; the edge output of a and b is
+"a|b", lower index first.
 
 The protocol construction follows the one-shot scheme: sender and receiver
 share a maximally entangled state of local dimension d; to send message i the
@@ -21,10 +30,7 @@ the float forms are test oracles.
 
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
 
 import numpy as np
 
@@ -33,88 +39,10 @@ from .entcert import packing_proof
 from .errors import ResourceLimitError
 
 
-class _Labels(Sequence):
-    """Read-only labels, each formed when read: entry t is ``label(t)``; negative
-    indices work as on a list and an index past the end raises ``IndexError``."""
-
-    def __init__(self, count: int, label):
-        self._count, self._label = count, label
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, t) -> str:
-        return self._label(range(self._count)[operator.index(t)])
-
-
-class Channel:
-    """The canonical channel of a graph g, whose confusability graph is g.
-
-    Inputs are the vertices; outputs are the vertices, then the edges of
-    ``g.edge_array()``. Input u reaches its private output u and the shared
-    output |V| + e of each edge e at u, each with probability 1/(deg u + 1),
-    so two inputs share an output exactly when they are adjacent; row u lists
-    them ascending: u, then its edges by neighbour ascending.
-
-    Building it counts the outputs, |V| + |E| (refusing more than
-    ``MAX_VERTICES`` before any work); nothing more. ``inputs`` and
-    ``outputs`` are label views, formed entry by entry when read; an input
-    label is formed once (``input_label``), as every edge output's label
-    reads two. The global edge numbering ``edges`` is listed on first use,
-    by an edge output's label; a ``Protocol`` never uses it.
-    """
-
-    def __init__(self, graph):
-        count = graph.vertex_count + graph.edge_count
-        if count > MAX_VERTICES:
-            raise ResourceLimitError(f"canonical channel of {graph.graph_ref()} would have "
-                                     f"{count} outputs, over the cap {MAX_VERTICES}")
-        self.graph = graph
-        self.input_label = cache(graph.vertex_label)
-        self.inputs = _Labels(graph.vertex_count, self.input_label)
-        self._output_count = count
-
-    @property
-    def input_count(self) -> int:
-        return len(self.inputs)
-
-    @property
-    def outputs(self) -> _Labels:
-        """The output labels; formed when read, so the channel holds no view
-        of itself and is freed as soon as its last reference goes."""
-        return _Labels(self._output_count, self._output_label)
-
-    @cached_property
-    def edges(self) -> np.ndarray:
-        """The (E, 2) edges i < j, row-major: output |V| + e is edge ``edges[e]``."""
-        return self.graph.edge_array()
-
-    def _output_label(self, t: int) -> str:
-        if t < self.input_count:
-            return self.input_label(t)
-        return self.edge_label(*self.edges[t - self.input_count].tolist())
-
-    def edge_label(self, a: int, b: int) -> str:
-        """Label of the output shared by adjacent inputs a and b: "a|b", lower index first."""
-        a, b = sorted((a, b))
-        return f"{self.input_label(a)}|{self.input_label(b)}"
-
-
-def canonical_channel(g) -> Channel:
-    """Channel whose confusability graph is exactly g (see ``Channel``).
-
-    More than ``MAX_VERTICES`` outputs are refused before any of them is built.
-    """
-    return Channel(g)
-
-
-# -- protocols -----------------------------------------------------------------
-
-
 @dataclass
 class Protocol:
-    """One-shot entanglement-assisted protocol bound to a channel, as proved
-    by ``protocol_from_packing``.
+    """One-shot entanglement-assisted protocol over the canonical channel of
+    ``graph``, as proved by ``protocol_from_packing``.
 
     Channel input u = ``inputs[k]`` (ascending) carries message
     ``messages[k]``; other inputs are used by no sender measurement. Each
@@ -127,22 +55,21 @@ class Protocol:
     certificate's ``dim`` is its matrix order, n + 1 for both.
 
     The channel rows of the inputs come from one ``adjacency_among(inputs,
-    all vertices)``, never from the channel's edge numbering: row k is its
-    vertex output, then its edge outputs by neighbour ascending, the
-    channel's own order. An output of row k is received by the rows
-    {k, l} when it is the edge to the input of row l, and by {k} alone
-    otherwise: those outputs are solo. The receiver pairs (k, l) are listed
-    in row order.
+    all vertices)``, never from an edge numbering: row k is its vertex
+    output, then its edge outputs by neighbour ascending, the channel's own
+    order. An output of row k is received by the rows {k, l} when it is the
+    edge to the input of row l, and by {k} alone otherwise: those outputs
+    are solo. The receiver pairs (k, l) are listed in row order.
     """
 
-    channel: Channel
+    graph: object
     M: int
     inputs: np.ndarray
     messages: np.ndarray
     dim: int
 
     def __post_init__(self):
-        g, count = self.channel.graph, len(self.inputs)
+        g, count = self.graph, len(self.inputs)
         row_k, self._neighbours = np.nonzero(
             g.adjacency_among(self.inputs, np.arange(g.vertex_count)))
         self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row_k, minlength=count))))
@@ -169,8 +96,11 @@ class Protocol:
         """Message sent from row k, through output ``pos`` of the row (0: the
         sender's own output), decoded as the row's message."""
         s, lo, decoded = int(self.inputs[k]), int(self._indptr[k]), int(self.messages[k])
-        sender = self.channel.input_label(s)
-        output = self.channel.edge_label(s, int(self._neighbours[lo + pos - 1])) if pos else sender
+        label = self.graph.vertex_label
+        sender = output = label(s)
+        if pos:  # the edge output: lower index first
+            t = int(self._neighbours[lo + pos - 1])
+            output = f"{sender}|{label(t)}" if s < t else f"{label(t)}|{sender}"
         distribution = (0.0,) * (decoded - 1) + (1.0,) + (0.0,) * (self.M - decoded)
         return Transcript(message, sender, output, distribution, decoded)
 
@@ -180,17 +110,19 @@ def protocol_from_packing(packing) -> Protocol:
     proved by its packing: message i is the i-th clique, whose rows are an
     orthonormal basis of the rows' span, so ``dim`` is the clique size.
 
-    The channel is built first, so its output cap refuses before the proof
+    More than ``MAX_VERTICES`` channel outputs are refused before the proof
     runs; a failed proof raises ``CertificateError``.
     """
     g = packing.graph
-    chan = canonical_channel(g)
+    outputs = g.vertex_count + g.edge_count
+    if outputs > MAX_VERTICES:
+        raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
+                                 f"{outputs} outputs, over the cap {MAX_VERTICES}")
     packing_proof(packing)
     verts = g.indices_of(packing.cliques).ravel()
     order = np.argsort(verts)  # the cliques are disjoint: no ties
     messages = np.repeat(np.arange(1, packing.count + 1), packing.clique_size)
-    return Protocol(chan, packing.count, verts[order], messages[order],
-                    packing.clique_size)
+    return Protocol(g, packing.count, verts[order], messages[order], packing.clique_size)
 
 
 @dataclass(frozen=True)
@@ -216,8 +148,9 @@ MAX_TRIALS = 10**9  # the most trials ``channel-sim`` runs: about a minute
 
 
 def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, list[Transcript]]:
-    """Run the protocol ``trials`` times over ``proto.channel``, trial t sending
-    message t % M + 1; return the failures and the first ``shown`` transcripts.
+    """Run the protocol ``trials`` times over its graph's channel, trial t
+    sending message t % M + 1; return the failures and the first ``shown``
+    transcripts.
 
     Of the generator pair rngs (``default_rng(seed).spawn(2)``), the first
     draws the sender's row uniformly among the message's dim inputs (an

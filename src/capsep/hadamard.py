@@ -95,17 +95,6 @@ def _paley_entries(q: int) -> np.ndarray:
     return h
 
 
-def paley_one(q: int) -> HadamardMatrix:
-    """Size-(q+1) Hadamard matrix from the Jacobsthal matrix of a prime q = 3 mod 4."""
-    if not is_prime(q):
-        raise ConstructionError(f"q = {q} is not prime")
-    if q % 4 != 3:
-        raise ConstructionError(f"q = {q} is not 3 mod 4")
-    if q > MAX_PALEY_Q:
-        raise ConstructionError(f"q = {q} exceeds cap {MAX_PALEY_Q}")
-    return HadamardMatrix(_paley_entries(q), construction=f"paley({q})")
-
-
 def find_hadamard(m: int) -> HadamardMatrix | None:
     """Dispatch to a covered construction of size m, or None.
 

@@ -221,7 +221,9 @@ def h11():
 
 @pytest.fixture(scope="session")
 def paley12():
-    return capsep.paley_one(11)
+    h = capsep.find_hadamard(12)
+    assert h.construction == "paley(11)"
+    return h
 
 
 # -- dense certificate oracles --------------------------------------------------
@@ -591,31 +593,34 @@ def hadamard_by_doubling(m: int):
 
 
 def canonical_output_labels(g) -> list[str]:
-    """Every output label of ``canonical_channel(g)``, built up front."""
+    """Every output label of g's canonical channel, built up front: the
+    vertices, then the edges of ``g.edge_array()`` as "a|b"."""
     labels = [g.vertex_label(i) for i in range(g.vertex_count)]
     return labels + [f"{labels[i]}|{labels[j]}" for i, j in g.edge_array().tolist()]
 
 
 @lru_cache(maxsize=4)
-def _edge_keys(chan) -> np.ndarray:
-    """i * |V| + j of each edge (i, j) of ``chan.edges``, ascending: the edges are row-major."""
-    return chan.edges[:, 0] * chan.input_count + chan.edges[:, 1]
+def _edge_keys(g) -> np.ndarray:
+    """i * |V| + j of each edge (i, j) of ``g.edge_array()``, ascending: the
+    edges are row-major, and output |V| + e is edge e."""
+    edges = g.edge_array()
+    return edges[:, 0] * g.vertex_count + edges[:, 1]
 
 
-def channel_row(chan, x: int) -> tuple[np.ndarray, np.ndarray]:
+def channel_row(g, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The outputs input x reaches, ascending, and their probabilities."""
-    nv = chan.input_count
-    y = np.flatnonzero(chan.graph.adjacency_among([x], np.arange(nv))[0])
-    edge = np.searchsorted(_edge_keys(chan), np.minimum(x, y) * nv + np.maximum(x, y))
+    nv = g.vertex_count
+    y = np.flatnonzero(g.adjacency_among([x], np.arange(nv))[0])
+    edge = np.searchsorted(_edge_keys(g), np.minimum(x, y) * nv + np.maximum(x, y))
     idx = np.concatenate(([x], nv + edge))
     return idx, np.full(idx.size, 1.0 / idx.size)
 
 
-def check_zero_error_code(c, words: list[tuple[int, ...]]):
+def check_zero_error_code(g, words: list[tuple[int, ...]]):
     """True iff every pair of words has a coordinate with disjoint supports.
 
     Two words are confusable when each coordinate is equal or adjacent in
-    ``c.graph``: one ``adjacency_among`` per coordinate.
+    g: one ``adjacency_among`` per coordinate.
     Returns (ok, witness); the witness is the first confusable pair in list
     order, with the least shared output of each coordinate.
     """
@@ -623,10 +628,10 @@ def check_zero_error_code(c, words: list[tuple[int, ...]]):
     if any(len(w) != k for w in words):
         raise InvalidParameterError("words must share one length")
     arr = np.array(words, dtype=np.int64).reshape(len(words), k)
-    bad = (arr < 0) | (arr >= c.input_count)
+    bad = (arr < 0) | (arr >= g.vertex_count)
     if bad.any():
         raise InvalidParameterError(f"input index {arr[bad][0]} out of range")
-    g, count = c.graph, len(words)
+    count = len(words)
     for lo, hi in row_blocks(count, count):
         confusable = np.arange(lo, hi)[:, None] < np.arange(count)
         for a, b in zip(arr[lo:hi].T, arr.T):
@@ -634,36 +639,37 @@ def check_zero_error_code(c, words: list[tuple[int, ...]]):
         if confusable.any():
             a, b = np.argwhere(confusable)[0].tolist()
             pair = [list(words[lo + a]), list(words[b])]
-            shared = [np.intersect1d(channel_row(c, x)[0], channel_row(c, y)[0]).min()
+            shared = [np.intersect1d(channel_row(g, x)[0], channel_row(g, y)[0]).min()
                       for x, y in zip(*pair)]
-            return False, {"words": pair, "shared_outputs": [c.outputs[t] for t in shared]}
+            labels = canonical_output_labels(g)
+            return False, {"words": pair, "shared_outputs": [labels[t] for t in shared]}
     return True, None
 
 
-def channel_rows(chan) -> tuple[np.ndarray, np.ndarray]:
+def channel_rows(g) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, targets) of the rows: row x is ``targets[indptr[x]:indptr[x + 1]]``.
 
     Built from the whole edge list: edges are row-major, so edges (i, u)
     precede edges (u, j), and a stable sort by input lists each row's
     outputs in ascending order.
     """
-    nv, edges = chan.input_count, chan.edges
+    nv, edges = g.vertex_count, g.edge_array()
     src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
     dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
     return indptr, dst[np.argsort(src, kind="stable")]
 
 
-def members_by_output(chan) -> tuple[np.ndarray, np.ndarray]:
+def members_by_output(g) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, inputs) of the inputs that can produce each output.
 
     The members of output t, in ascending input order, are
     ``inputs[indptr[t]:indptr[t + 1]]``: t itself for a vertex output,
     the two ends of edge t - |V| for an edge output.
     """
-    nv, ne = chan.input_count, len(chan.edges)
-    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(ne + 1)])
-    return indptr, np.concatenate([np.arange(nv), chan.edges.ravel()])
+    nv, edges = g.vertex_count, g.edge_array()
+    indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(len(edges) + 1)])
+    return indptr, np.concatenate([np.arange(nv), edges.ravel()])
 
 
 @dataclasses.dataclass
@@ -675,7 +681,7 @@ class FloatProtocol:
     with the completion I - sum on message 1. ``gram`` is F F^T over the
     rows, and ``dim`` their length d."""
 
-    channel: object
+    graph: object
     M: int
     inputs: np.ndarray
     messages: np.ndarray
@@ -694,7 +700,7 @@ class ProtocolError(Exception):
     """``protocol_from_cert`` refused: the certificate proves no protocol."""
 
 
-def protocol_from_cert(cert: EntCert, chan) -> Protocol:
+def protocol_from_cert(cert: EntCert, graph) -> Protocol:
     """The protocol realizing a verified certificate, proved in exact integers.
 
     Refused with ``ProtocolError``: a vertex with two messages; a certificate
@@ -711,9 +717,11 @@ def protocol_from_cert(cert: EntCert, chan) -> Protocol:
     orthogonal by conditions 2 and 3) is orthogonal, and every zero-error
     instance is exactly 0.
     """
+    def labels(h):
+        return [h.vertex_label(i) for i in range(h.vertex_count)]
+
     g = cert.graph
-    labels = map(g.vertex_label, range(g.vertex_count))
-    if chan.graph is not g and list(chan.inputs) != list(labels):
+    if graph is not g and labels(graph) != labels(g):
         raise InvalidParameterError("channel inputs do not match the certificate's graph")
 
     inputs, messages, stack = cert.verts, cert.msgs, cert.ops
@@ -734,11 +742,11 @@ def protocol_from_cert(cert: EntCert, chan) -> Protocol:
     if not np.array_equal(rho @ rho, traces[0] * rho):
         raise ProtocolError("the operators of a message do not annihilate pairwise "
                             "(rho^2 != tr(N) rho)")
-    return Protocol(chan, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
+    return Protocol(graph, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
 
 
-def float_protocol(cert, chan, vectors=None) -> FloatProtocol:
-    """The float form of ``protocol_from_cert(cert, chan)``, or of the same
+def float_protocol(cert, graph, vectors=None) -> FloatProtocol:
+    """The float form of ``protocol_from_cert(cert, graph)``, or of the same
     inputs and messages with other ``vectors``. By default each operator's
     nonzero row, normalized; when rho is not a scaled identity (weight-(n+1)/2
     cliques) re-expressed by ``eigh`` in an orthonormal basis of its range,
@@ -750,13 +758,13 @@ def float_protocol(cert, chan, vectors=None) -> FloatProtocol:
         if not np.array_equal(rho, rho[0, 0] * np.eye(cert.dim, dtype=rho.dtype)):
             evals, evecs = np.linalg.eigh(rho.astype(np.float64))
             vectors = vectors @ evecs[:, evals > evals[-1] / 2.0]
-    return FloatProtocol(chan, cert.M, cert.verts, cert.msgs, vectors)
+    return FloatProtocol(graph, cert.M, cert.verts, cert.msgs, vectors)
 
 
 def receivers(proto, t: int) -> np.ndarray:
     """Vector rows of the inputs that can produce output t, ascending."""
-    nv = proto.channel.input_count
-    members = [t] if t < nv else proto.channel.edges[t - nv]
+    nv = proto.graph.vertex_count
+    members = [t] if t < nv else np.divmod(_edge_keys(proto.graph)[t - nv], nv)
     return np.flatnonzero(np.isin(proto.inputs, members))
 
 
@@ -771,9 +779,9 @@ def _groups_by_size(indptr: np.ndarray, values: np.ndarray):
 def receiver_excess_by_outputs(proto) -> float:
     """Worst lambda_max(G[members, members]) - 1 (at least 0) over every
     output of the channel, batched by member count."""
-    row_of = np.full(proto.channel.input_count, -1, dtype=np.int64)
+    row_of = np.full(proto.graph.vertex_count, -1, dtype=np.int64)
     row_of[proto.inputs] = np.arange(len(proto.inputs))
-    indptr, members = members_by_output(proto.channel)
+    indptr, members = members_by_output(proto.graph)
     rows = row_of[members]
     recv_indptr = np.concatenate(([0], np.cumsum(rows >= 0)))[indptr]
     worst = 0.0
@@ -783,14 +791,14 @@ def receiver_excess_by_outputs(proto) -> float:
     return worst
 
 
-def drawn_indices(chan, sender: str, output: str) -> tuple[int, int]:
+def drawn_indices(g, sender: str, output: str) -> tuple[int, int]:
     """(s, t): the input and output indices a transcript's sender and output labels name."""
-    ends = chan.graph.indices_of_labels([sender, *output.split("|")]).tolist()
+    ends = g.indices_of_labels([sender, *output.split("|")]).tolist()
     if len(ends) == 2:
         return ends[0], ends[1]
-    nv, (i, j) = chan.input_count, sorted(ends[1:])
-    e = int(np.searchsorted(_edge_keys(chan), i * nv + j))
-    assert _edge_keys(chan)[e] == i * nv + j, f"{output} is not an edge output"
+    nv, (i, j) = g.vertex_count, sorted(ends[1:])
+    e = int(np.searchsorted(_edge_keys(g), i * nv + j))
+    assert _edge_keys(g)[e] == i * nv + j, f"{output} is not an edge output"
     return ends[0], nv + e
 
 
@@ -802,7 +810,7 @@ def simulate_by_loop(proto, trials: int, rngs, shown: int = 20):
     second picks the output of row s: s's own, or the edge to its pos-th
     neighbour ascending, read from the graph's adjacency."""
     senders, outputs = rngs
-    chan, g, M = proto.channel, proto.channel.graph, proto.M
+    g, M = proto.graph, proto.M
     rows = {i: np.flatnonzero(proto.messages == i) for i in range(1, M + 1)}
     neighbours = {}
     failures, transcripts = 0, []
@@ -815,8 +823,10 @@ def simulate_by_loop(proto, trials: int, rngs, shown: int = 20):
         pos = int(outputs.integers(len(neighbours[s]) + 1))
         failures += decoded != message
         if trial < shown:
-            sender = chan.input_label(s)
-            output = chan.edge_label(s, int(neighbours[s][pos - 1])) if pos else sender
+            sender = output = g.vertex_label(s)
+            if pos:
+                a, b = sorted((s, int(neighbours[s][pos - 1])))
+                output = f"{g.vertex_label(a)}|{g.vertex_label(b)}"
             distribution = tuple(float(j == decoded) for j in range(1, M + 1))
             transcripts.append(Transcript(message, sender, output, distribution, decoded))
     return failures, transcripts
@@ -864,7 +874,7 @@ def transmission_by_gram(proto, message: int, s: int, t: int) -> np.ndarray:
     rows = np.flatnonzero(proto.messages == message)
     assert s in proto.inputs[rows], f"input {s} does not carry message {message}"
     k = int(np.flatnonzero(proto.inputs == s)[0])
-    idx, row_p = channel_row(proto.channel, s)
+    idx, row_p = channel_row(proto.graph, s)
     assert t in idx, f"output {t} is not in row {s}"
     r = receivers(proto, t)
     overlap = proto.gram[k, r] ** 2 / proto.gram[k, k]
@@ -874,9 +884,9 @@ def transmission_by_gram(proto, message: int, s: int, t: int) -> np.ndarray:
                             np.maximum(dist, 0.0), message)
 
 
-def support(chan, x: int) -> frozenset:
+def support(g, x: int) -> frozenset:
     """Outputs input x reaches."""
-    return frozenset(channel_row(chan, x)[0].tolist())
+    return frozenset(channel_row(g, x)[0].tolist())
 
 
 def sender_measurement(proto, i: int) -> dict[int, np.ndarray]:
@@ -918,7 +928,7 @@ def me_pair_trace(a: np.ndarray, b: np.ndarray, d: int) -> float:
     return float(np.trace(a @ b.T)) / d
 
 
-def explicit_state_transmission(proto, chan, message: int, s: int, t: int) -> np.ndarray:
+def explicit_state_transmission(proto, message: int, s: int, t: int) -> np.ndarray:
     """The receiver distribution of a run that drew sender input s and
     output t, through the explicit shared state and partial trace, after
     ``_uniform_one_hot``'s checks."""
@@ -927,7 +937,7 @@ def explicit_state_transmission(proto, chan, message: int, s: int, t: int) -> np
     sender = sender_measurement(proto, message)
     assert s in sender, f"input {s} does not carry message {message}"
     p = np.array([float(np.trace(np.kron(a, np.eye(d)) @ rho)) for a in sender.values()])
-    idx, row_p = channel_row(chan, s)
+    idx, row_p = channel_row(proto.graph, s)
     assert t in idx, f"output {t} is not in row {s}"
     big = np.kron(sender[s], np.eye(d)) @ rho
     post = partial_trace(big, d, d, over="x") / float(np.trace(big))
@@ -936,19 +946,19 @@ def explicit_state_transmission(proto, chan, message: int, s: int, t: int) -> np
     return _uniform_one_hot(p, row_p, np.clip(dist, 0.0, None), message)
 
 
-def output_members_by_dict(chan) -> dict[int, list[int]]:
+def output_members_by_dict(g) -> dict[int, list[int]]:
     """Map output index -> inputs that can produce it."""
     members: dict[int, list[int]] = {}
-    for x in range(chan.input_count):
-        for t in channel_row(chan, x)[0].tolist():
+    for x in range(g.vertex_count):
+        for t in channel_row(g, x)[0].tolist():
             members.setdefault(t, []).append(x)
     return members
 
 
-def confusable_pairs_by_loop(chan) -> list[tuple[int, int]]:
+def confusable_pairs_by_loop(g) -> list[tuple[int, int]]:
     """Sorted input pairs a < b sharing an output, pair by pair."""
     edges = set()
-    for members in output_members_by_dict(chan).values():
+    for members in output_members_by_dict(g).values():
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 edges.add((members[a], members[b]))
@@ -962,8 +972,8 @@ def zero_error_by_loop(proto):
     sender, then output in row order, then receiver message ascending; the
     witness is the first worst instance, or None when every value is zero.
     """
-    chan, d = proto.channel, proto.dim
-    members = output_members_by_dict(chan)
+    g, d = proto.graph, proto.dim
+    members = output_members_by_dict(g)
     row = {int(u): k for k, u in enumerate(proto.inputs)}
     by_message: dict[int, list[int]] = {}
     for k, i in enumerate(proto.messages.tolist()):
@@ -973,7 +983,7 @@ def zero_error_by_loop(proto):
         for k in rows:
             f_s = proto.vectors[k]
             s = int(proto.inputs[k])
-            for t in channel_row(chan, s)[0].tolist():
+            for t in channel_row(g, s)[0].tolist():
                 by_msg: dict[int, float] = {}
                 total = 0.0
                 for u in members.get(t, []):
@@ -992,13 +1002,16 @@ def zero_error_by_loop(proto):
                     value = abs(value) / d
                     if value > worst:
                         worst = value
-                        witness = (i, j, chan.inputs[s], chan.outputs[t])
-    return instances, worst, witness
+                        witness = (i, j, s, t)
+    if witness is None:
+        return instances, worst, None
+    i, j, s, t = witness
+    return instances, worst, (i, j, g.vertex_label(s), canonical_output_labels(g)[t])
 
 
-def zero_error_code_by_loop(c, words):
+def zero_error_code_by_loop(g, words):
     """(ok, witness) of the zero-error code check, pair by pair over supports."""
-    supports = [support(c, x) for x in range(c.input_count)]
+    supports = [support(g, x) for x in range(g.vertex_count)]
     for a in range(len(words)):
         for b in range(a + 1, len(words)):
             shared = []
@@ -1009,8 +1022,9 @@ def zero_error_code_by_loop(c, words):
                     break
                 shared.append(min(common))
             if shared is not None:
+                labels = canonical_output_labels(g)
                 return False, {"words": [list(words[a]), list(words[b])],
-                               "shared_outputs": [c.outputs[t] for t in shared]}
+                               "shared_outputs": [labels[t] for t in shared]}
     return True, None
 
 

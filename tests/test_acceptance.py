@@ -14,7 +14,7 @@ import numpy as np
 
 import capsep
 from capsep.algebra_fp import haemers_matrix
-from capsep.channel import canonical_channel, protocol_from_packing, simulate
+from capsep.channel import protocol_from_packing, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
                       cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
                       inner_product_identity_check, monomial_basis, multilinearize,
@@ -45,7 +45,9 @@ def test_criterion_1_hadamard_suite():
     @criterion(1, "Hadamard constructions, normalization, sign counts", 1.0)
     def check():
         matrices = [capsep.sylvester(k) for k in range(9)]
-        matrices += [capsep.paley_one(q) for q in (3, 7, 11, 19, 43, 163)]
+        matrices += [capsep.find_hadamard(q + 1) for q in (11, 19, 43, 163)]
+        assert [h.construction for h in matrices[9:]] == \
+            [f"paley({q})" for q in (11, 19, 43, 163)]
         for h in matrices:
             m = h.size
             assert (h.entries @ h.entries.T == m * np.eye(m, dtype=np.int64)).all()
@@ -70,7 +72,7 @@ def test_criterion_2_pentagon_reproduction():
         power = capsep.max_independent_set(capsep.ProductGraph([c5] * 2))
         assert power.exact and power.lower == 5
         ok, _ = check_zero_error_code(
-            canonical_channel(c5), [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
+            c5, [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)])
         assert ok
     check()
 
@@ -189,7 +191,7 @@ def test_criterion_7_protocol_simulation():
         proto = protocol_from_packing(packing)  # a failed proof raises
         assert proto.M == 8
         cert = cert_from_packing(packing)
-        _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.channel))
+        _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.graph))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
         failures, transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2),
                                          shown=10**3)

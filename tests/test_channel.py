@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep import channel
-from capsep.channel import canonical_channel, protocol_from_packing, simulate
+from capsep.channel import Protocol, protocol_from_packing, simulate
+from capsep.geometry import CliquePacking
 from conftest import (EntCert, ProtocolError, RecordingGenerator, ScriptedGenerator,
                       canonical_output_labels, cert_from_packing, cert_with, channel_row,
                       channel_rows, check_zero_error_code, classical_embedding,
@@ -30,8 +31,7 @@ def h3_cert():
 
 def protocol_and_floats(cert):
     """The protocol of a certificate over its graph's canonical channel, and its float form."""
-    chan = canonical_channel(cert.graph)
-    return protocol_from_cert(cert, chan), float_protocol(cert, chan)
+    return protocol_from_cert(cert, cert.graph), float_protocol(cert, cert.graph)
 
 
 def h3_protocol():
@@ -50,9 +50,20 @@ def transcripts(proto, trials: int, seed: int = 0) -> list:
     return out
 
 
-def c5_channel():
-    """Outputs 0..4 private; 5..9 the edges (0,1), (0,4), (1,2), (2,3), (3,4)."""
-    return canonical_channel(capsep.build_cycle(5))
+def c5():
+    """Its channel's outputs: 0..4 private; 5..9 the edges (0,1), (0,4), (1,2), (2,3), (3,4)."""
+    return capsep.build_cycle(5)
+
+
+def every_input_protocol(g) -> Protocol:
+    """A protocol whose rows are every vertex of g, all carrying message 1."""
+    return Protocol(g, 1, np.arange(g.vertex_count), np.ones(g.vertex_count, dtype=np.int64),
+                    g.vertex_count)
+
+
+def singleton_packing(g) -> CliquePacking:
+    """One clique, g's first vertex: a packing of any graph."""
+    return CliquePacking(g, 1, ((int(g.bits_array[0]),),))
 
 
 def sender_deviation(proto) -> float:
@@ -69,55 +80,54 @@ def verified(cert: EntCert) -> EntCert:
     return cert
 
 
-def assert_realizes(chan, g):
-    """The oracle for the channel: rows are distributions and share outputs on edges."""
+def assert_realizes(g):
+    """The oracle for g's channel: rows are distributions and share outputs on edges."""
     for x in range(g.vertex_count):
-        idx, probs = channel_row(chan, x)
+        idx, probs = channel_row(g, x)
         assert idx[0] == x and (np.diff(idx) > 0).all()
         assert (probs == 1.0 / idx.size).all() and abs(probs.sum() - 1.0) <= 1e-12
-    assert confusable_pairs_by_loop(chan) == [tuple(e) for e in g.edge_array().tolist()]
+    assert confusable_pairs_by_loop(g) == [tuple(e) for e in g.edge_array().tolist()]
 
 
 class TestPentagonChannel:
     def test_confusability_is_c5(self):
-        assert confusable_pairs_by_loop(c5_channel()) == \
+        assert confusable_pairs_by_loop(c5()) == \
             sorted(map(tuple, capsep.build_cycle(5).edge_array().tolist()))
 
     def test_freed_without_the_cycle_collector(self):
-        chan = c5_channel()
-        assert len(chan.outputs) == 10 and chan.outputs[5] == "0|1"
-        ref = weakref.ref(chan)
+        proto = every_input_protocol(c5())
+        assert proto.transcript(1, 0, 1).channel_output == "0|1"
+        ref = weakref.ref(proto)
         gc.disable()
         try:
-            del chan
+            del proto
             assert ref() is None
         finally:
             gc.enable()
 
     def test_neighbors_share_an_output(self):
-        c = c5_channel()
-        assert support(c, 0) & support(c, 1) == {5}
-        assert c.outputs[5] == "0|1"
+        g = c5()
+        assert support(g, 0) & support(g, 1) == {5}
+        assert canonical_output_labels(g)[5] == "0|1"
 
     def test_non_neighbors_disjoint(self):
-        c = c5_channel()
-        assert not support(c, 0) & support(c, 2)
+        g = c5()
+        assert not support(g, 0) & support(g, 2)
 
     def test_rows_are_uniform(self):
-        idx, probs = channel_row(c5_channel(), 3)
+        idx, probs = channel_row(c5(), 3)
         assert idx.tolist() == [3, 8, 9]
         assert probs.tolist() == [1 / 3] * 3
 
 
 class TestConfusabilityGraph:
     def test_noiseless_channel_is_edgeless(self):
-        chan = canonical_channel(random_explicit_graph(4, 0.0, 0))
-        assert [channel_row(chan, x)[1].tolist() for x in range(4)] == [[1.0]] * 4
-        assert confusable_pairs_by_loop(chan) == []
+        g = random_explicit_graph(4, 0.0, 0)
+        assert [channel_row(g, x)[1].tolist() for x in range(4)] == [[1.0]] * 4
+        assert confusable_pairs_by_loop(g) == []
 
     def test_complete_graph_channel_is_complete(self):
-        chan = canonical_channel(capsep.bitgraph.build_complete(4))
-        assert len(confusable_pairs_by_loop(chan)) == 6
+        assert len(confusable_pairs_by_loop(capsep.bitgraph.build_complete(4))) == 6
 
 
 @st.composite
@@ -132,33 +142,32 @@ class TestArrayRoutines:
     @settings(max_examples=200, deadline=None)
     @given(explicit_graphs())
     def test_members_and_pairs_match_loop(self, g):
-        chan = canonical_channel(g)
-        indptr, members = members_by_output(chan)
-        oracle = output_members_by_dict(chan)
-        assert len(indptr) == len(chan.outputs) + 1
-        for t in range(len(chan.outputs)):
+        indptr, members = members_by_output(g)
+        oracle = output_members_by_dict(g)
+        outputs = g.vertex_count + g.edge_count
+        assert len(indptr) == outputs + 1
+        for t in range(outputs):
             assert members[indptr[t]:indptr[t + 1]].tolist() == oracle.get(t, [])
-        assert_realizes(chan, g)
+        assert_realizes(g)
 
     @pytest.mark.parametrize("name", ["C5", "K4", "H3", "G7", "H7", "G11", "H11"])
     def test_canonical_channel_confusability_is_g(self, name, g11, h11):
         g = {"G11": g11, "H11": h11}.get(name) or capsep.bitgraph.graph_from_ref(name)
-        chan = canonical_channel(g)
-        assert len(chan.outputs) == g.vertex_count + g.edge_count
-        assert_realizes(chan, g)
+        assert len(canonical_output_labels(g)) == g.vertex_count + g.edge_count
+        assert_realizes(g)
 
 
 class TestCsrRows:
     def test_row_bounds_checked(self):
         for name in ("C5", "H3", "G7"):
             g = capsep.bitgraph.graph_from_ref(name)
-            indptr, targets = channel_rows(canonical_channel(g))
+            indptr, targets = channel_rows(g)
             assert len(indptr) == g.vertex_count + 1 and indptr[0] == 0, name
             assert indptr[-1] == len(targets) == g.vertex_count + 2 * g.edge_count, name
             assert (np.diff(indptr) >= 1).all(), name
 
     def test_rows_read_back(self):
-        c = c5_channel()
+        c = c5()
         indptr, targets = channel_rows(c)
         assert [channel_row(c, x)[0].tolist() for x in (0, 4)] == [[0, 5, 6], [4, 6, 9]]
         assert [targets[indptr[x]:indptr[x + 1]].tolist() for x in range(5)] == \
@@ -168,84 +177,89 @@ class TestCsrRows:
 class TestOutputLabels:
     @pytest.mark.parametrize("name", ["C5", "H7", "G11"])
     def test_matches_eager_labels(self, name, g11):
+        # every output of every row, as a transcript names it
         g = {"C5": capsep.build_cycle(5), "H7": capsep.build_H(7), "G11": g11}[name]
-        outputs = canonical_channel(g).outputs
-        eager = canonical_output_labels(g)
-        assert len(outputs) == len(eager) == g.vertex_count + g.edge_count
-        assert list(outputs) == eager
-        for t in (0, g.vertex_count - 1, g.vertex_count, len(eager) - 1):
-            assert outputs[np.int64(t)] == eager[t]
-        for t in (-1, -g.edge_count, -len(eager)):
-            assert outputs[t] == eager[t]
-        for t in (len(eager), -len(eager) - 1):
-            with pytest.raises(IndexError):
-                outputs[t]
+        proto, eager = every_input_protocol(g), canonical_output_labels(g)
+        indptr, targets = channel_rows(g)
+        for k in range(g.vertex_count):
+            row = targets[indptr[k]:indptr[k + 1]].tolist()
+            assert [proto.transcript(1, k, pos).channel_output for pos in range(len(row))] \
+                == [eager[t] for t in row]
 
 
 class TestInputLabels:
     @pytest.mark.parametrize("name", ["C5", "H7", "G11", "C5xC5"])
     def test_matches_vertex_labels(self, name, g11):
         g = g11 if name == "G11" else capsep.bitgraph.graph_from_ref(name)
-        inputs = canonical_channel(g).inputs
+        proto = every_input_protocol(g)
         eager = [g.vertex_label(i) for i in range(g.vertex_count)]
-        assert len(inputs) == len(eager) and list(inputs) == eager
-        for t in (0, len(eager) - 1):
-            assert inputs[np.int64(t)] == eager[t]
-        for t in (-1, -len(eager)):
-            assert inputs[t] == eager[t]
-        for t in (len(eager), -len(eager) - 1):
-            with pytest.raises(IndexError):
-                inputs[t]
+        printed = [proto.transcript(1, k, 0) for k in range(g.vertex_count)]
+        assert [tr.sender_outcome for tr in printed] == eager
+        assert [tr.channel_output for tr in printed] == eager
 
-    def test_no_label_formed_by_the_constructor(self, g11, monkeypatch):
-        monkeypatch.setattr(g11, "vertex_label", lambda i: pytest.fail("a label was formed"))
-        assert len(canonical_channel(g11).inputs) == g11.vertex_count
+    def test_no_label_formed_by_the_constructor(self, monkeypatch):
+        packing = packing_of("G11", 0)
+        monkeypatch.setattr(packing.graph, "vertex_label",
+                            lambda i: pytest.fail("a label was formed"))
+        assert len(protocol_from_packing(packing).inputs) == packing.count * packing.clique_size
 
-    def test_simulation_forms_each_label_once(self, h11_cert, monkeypatch):
+    def test_simulation_forms_only_the_printed_labels(self, h11_cert, monkeypatch):
         g, formed = h11_cert.graph, []
         label = g.vertex_label
         monkeypatch.setattr(g, "vertex_label", lambda i: formed.append(i) or label(i))
-        proto = protocol_from_cert(h11_cert, canonical_channel(g))
-        # and only the labels the printed transcripts name
+        proto = protocol_from_cert(h11_cert, g)
         _, printed = simulate(proto, 5000, np.random.default_rng(0).spawn(2))
-        assert len(printed) == 20 and len(formed) == len(set(formed))
+        assert len(printed) == 20
+        # the sender's label, and the other end's for an edge output
+        assert len(formed) == sum(1 + ("|" in tr.channel_output) for tr in printed)
         named = {name for tr in printed for name in (tr.sender_outcome,
                                                        *tr.channel_output.split("|"))}
         assert set(g.indices_of_labels(sorted(named)).tolist()) == set(formed)
 
     def test_channel_of_an_equal_graph_accepted(self, h11_cert):
-        proto = protocol_from_cert(h11_cert, canonical_channel(capsep.build_H(11)))
+        proto = protocol_from_cert(h11_cert, capsep.build_H(11))
         assert proto.M == h11_cert.M
 
 
 class TestCanonicalChannel:
     @pytest.mark.parametrize("name", ["C5", "K4", "O4", "H3", "G7", "H7", "G11"])
     def test_cap_counts_exactly_the_outputs(self, name, g11, monkeypatch):
+        # protocol_from_packing refuses |V| + |E| outputs over the cap before any work
         g = g11 if name == "G11" else capsep.bitgraph.graph_from_ref(name)
-        outputs = len(canonical_channel(g).outputs)
+        packing, outputs = singleton_packing(g), g.vertex_count + g.edge_count
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began")
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "edge_count", g.edge_count)
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "adjacency_among", refuse)
+        monkeypatch.setattr(capsep.channel, "packing_proof", refuse)
         monkeypatch.setattr(capsep.channel, "MAX_VERTICES", outputs - 1)
-        with pytest.raises(ResourceLimitError, match=f"{outputs} outputs, over the cap"):
-            canonical_channel(g)
+        with pytest.raises(ResourceLimitError,
+                           match=f"{outputs} outputs, over the cap {outputs - 1}$"):
+            protocol_from_packing(packing)
+        monkeypatch.setattr(capsep.channel, "MAX_VERTICES", outputs)
+        with pytest.raises(AssertionError, match="work began"):
+            protocol_from_packing(packing)
 
     def test_over_the_cap_refused_before_any_edge_is_listed(self, monkeypatch):
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
         h15 = capsep.build_H(15)
         monkeypatch.setattr(h15, "edge_array", lambda: pytest.fail("edges were listed"))
-        with pytest.raises(ResourceLimitError, match="52731904 outputs"):
-            canonical_channel(h15)
+        monkeypatch.setattr(capsep.channel, "packing_proof",
+                            lambda packing: pytest.fail("the proof ran"))
+        with pytest.raises(ResourceLimitError, match="H15 would have 52731904 outputs"):
+            protocol_from_packing(singleton_packing(h15))
 
     def test_c5_round_trip(self):
-        c5 = capsep.build_cycle(5)
-        chan = canonical_channel(c5)
-        assert len(chan.outputs) == 5 + 5
-        assert set(confusable_pairs_by_loop(chan)) == set(map(tuple, c5.edge_array().tolist()))
+        g = c5()
+        assert len(canonical_output_labels(g)) == 5 + 5
+        assert set(confusable_pairs_by_loop(g)) == set(map(tuple, g.edge_array().tolist()))
 
     def test_h3_round_trip_complete(self):
-        chan = canonical_channel(capsep.build_H(3))
-        assert len(confusable_pairs_by_loop(chan)) == 6
+        assert len(confusable_pairs_by_loop(capsep.build_H(3))) == 6
 
     def test_g11_round_trip(self, g11):
-        got = confusable_pairs_by_loop(canonical_channel(g11))
+        got = confusable_pairs_by_loop(g11)
         assert len(got) == g11.edge_count
         assert all(g11.is_adjacent(i, j) for i, j in got)
 
@@ -253,25 +267,25 @@ class TestCanonicalChannel:
 class TestZeroErrorCode:
     def test_caption_code_passes(self):
         words = [(0, 2), (1, 4), (2, 1), (3, 3), (4, 0)]
-        ok, witness = check_zero_error_code(c5_channel(), words)
+        ok, witness = check_zero_error_code(c5(), words)
         assert ok and witness is None
 
     def test_confusable_pair_fails_with_witness(self):
-        ok, witness = check_zero_error_code(c5_channel(), [(0,), (1,)])
+        ok, witness = check_zero_error_code(c5(), [(0,), (1,)])
         assert not ok
         assert witness["shared_outputs"] == ["0|1"]
 
     def test_single_word(self):
-        assert check_zero_error_code(c5_channel(), [(0, 0)]) == (True, None)
+        assert check_zero_error_code(c5(), [(0, 0)]) == (True, None)
 
     def test_length_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            check_zero_error_code(c5_channel(), [(0, 1), (2,)])
+            check_zero_error_code(c5(), [(0, 1), (2,)])
 
 
 @st.composite
 def channels_and_codes(draw):
-    """The channel of a random graph and up to 8 words of length <= 3, duplicates likely."""
+    """A random graph and up to 8 words of length <= 3, duplicates likely."""
     g = draw(explicit_graphs(max_vertices=7))
     n_in = g.vertex_count
     k = draw(st.integers(0, 3))
@@ -279,24 +293,24 @@ def channels_and_codes(draw):
     words = draw(st.lists(word, max_size=8))
     if words and draw(st.booleans()):
         words.insert(draw(st.integers(0, len(words))), draw(st.sampled_from(words)))
-    return canonical_channel(g), words
+    return g, words
 
 
 class TestZeroErrorCodeAgainstLoop:
     @settings(max_examples=300, deadline=None)
     @given(channels_and_codes())
     def test_matches_pair_loop_with_witness(self, case):
-        chan, words = case
-        assert check_zero_error_code(chan, words) == zero_error_code_by_loop(chan, words)
+        g, words = case
+        assert check_zero_error_code(g, words) == zero_error_code_by_loop(g, words)
 
     def test_long_words_beyond_the_product_cap(self):
         # C5 has 5^11 > 10^7 words of length 11, more than a product graph holds
         words = [tuple(range(5)) * 2 + (0,), tuple(range(5)) * 2 + (2,)]
-        assert check_zero_error_code(c5_channel(), words) == (True, None)
+        assert check_zero_error_code(c5(), words) == (True, None)
 
     def test_index_out_of_range(self):
         with pytest.raises(InvalidParameterError, match="input index 5"):
-            check_zero_error_code(c5_channel(), [(0, 1), (2, 5)])
+            check_zero_error_code(c5(), [(0, 1), (2, 5)])
 
 
 class TestQuantumHelpers:
@@ -354,7 +368,7 @@ class TestProtocol:
 
     def test_receiver_measurement_sums_to_identity(self):
         _, fp = h3_protocol()
-        for t in range(len(fp.channel.outputs)):
+        for t in range(fp.graph.vertex_count + fp.graph.edge_count):
             total = sum(receiver_measurement(fp, t))
             assert np.abs(total - np.eye(fp.dim)).max() < 1e-12
 
@@ -362,17 +376,15 @@ class TestProtocol:
         ops = {(u, 1 if i == 2 else i): num
                for (u, i), num in ops_by_pair(h11_cert).items()}
         merged = cert_with(h11_cert, ops)
-        chan = canonical_channel(h11_cert.graph)
         with pytest.raises(ProtocolError):
-            protocol_from_cert(merged, chan)
+            protocol_from_cert(merged, h11_cert.graph)
 
     def test_dependent_dim1_cert_rejected(self):
         c5 = capsep.build_cycle(5)
         one = np.array([[1]], dtype=np.int64)
         bad = EntCert(c5, 2, 1, 1, one, [0, 1], [1, 2], [one, one])
-        chan = canonical_channel(c5)
         with pytest.raises(ProtocolError):
-            protocol_from_cert(bad, chan)
+            protocol_from_cert(bad, c5)
 
     def test_operator_not_dim_by_dim_rejected(self):
         cert = h3_cert()
@@ -391,7 +403,7 @@ class TestProtocol:
         cert = cert_with(cert, ops)
         with pytest.raises(ProtocolError, match=f"vertex {u} carries two messages "
                                                 f"\\({i} and {i + 1}\\)"):
-            protocol_from_cert(cert, canonical_channel(cert.graph))
+            protocol_from_cert(cert, cert.graph)
 
     def test_tight_frame_rejected(self):
         # Four plane vectors 45 degrees apart, two on each axis and two
@@ -402,7 +414,7 @@ class TestProtocol:
         cert = verified(EntCert(c5, 1, 2, 8, 4 * np.eye(2, dtype=np.int64),
                                 [0, 1, 2, 3], [1] * 4, ops))
         with pytest.raises(ProtocolError, match="do not annihilate pairwise"):
-            protocol_from_cert(cert, canonical_channel(c5))
+            protocol_from_cert(cert, c5)
 
     def test_unequal_traces_rejected(self):
         # An orthogonal basis of unequal lengths: rho = diag(2, 1) / 3 is no
@@ -411,7 +423,7 @@ class TestProtocol:
         cert = verified(EntCert(c5, 1, 2, 3, np.diag([2, 1]), [0, 1], [1, 1],
                                 [[[2, 0], [0, 0]], [[0, 0], [0, 1]]]))
         with pytest.raises(ProtocolError, match=r"unequal traces \(2 at vertex 0, 1 at vertex 1\)"):
-            protocol_from_cert(cert, canonical_channel(c5))
+            protocol_from_cert(cert, c5)
 
     @pytest.mark.parametrize("failed", [False, True])
     def test_unverified_cert_rejected(self, failed):
@@ -421,7 +433,7 @@ class TestProtocol:
             cert.verification = verify(cert)
             assert not cert.verification.passed
         with pytest.raises(ProtocolError, match="no passing verification"):
-            protocol_from_cert(cert, canonical_channel(cert.graph))
+            protocol_from_cert(cert, cert.graph)
 
     @pytest.mark.parametrize("name", ["H3", "H7", "G7", "C5"])
     def test_verified_certs_accepted(self, name):
@@ -444,21 +456,19 @@ class TestProtocol:
         factors = {"H3": h3_cert(), "C5": classical_embedding(capsep.build_cycle(5), [0, 2])}
         a, b = name.split("x")
         cert = tensor(factors[a], factors[b])
-        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        proto = protocol_from_cert(cert, cert.graph)
         for tr in transcripts(proto, 5 * proto.M):
             assert tr.distribution == one_hot(tr.message, proto.M)
 
     def test_wrong_channel_rejected(self, h11_cert):
-        chan = c5_channel()
-        with pytest.raises(InvalidParameterError):
-            protocol_from_cert(h11_cert, chan)
+        with pytest.raises(InvalidParameterError, match="inputs do not match"):
+            protocol_from_cert(h11_cert, c5())
 
     def test_classical_protocol_decodes_by_lookup(self, g11):
         rs = capsep.restricted_independent_set(11)
         idx = g11.indices_of(rs.vertices)
         cert = classical_embedding(g11, idx)
-        chan = canonical_channel(g11)
-        proto = protocol_from_cert(cert, chan)
+        proto = protocol_from_cert(cert, g11)
         assert proto.dim == 1
         for message, tr in enumerate(transcripts(proto, proto.M), 1):
             assert tr.message == tr.decoded == message
@@ -487,7 +497,7 @@ class TestPackingProtocol:
         packing = packing_of(name, seed)
         proto = protocol_from_packing(packing)
         oracle = protocol_from_cert(cert_from_packing(packing),
-                                    canonical_channel(packing.graph))
+                                    packing.graph)
         assert (proto.M, proto.dim) == (oracle.M, oracle.dim) == (packing.count,
                                                                    packing.clique_size)
         assert np.array_equal(proto.inputs, oracle.inputs)
@@ -510,12 +520,11 @@ class TestAgainstOracles:
             proto, fp = classical_g11_protocol(g11)
         else:
             proto, fp = protocol_and_floats(g11_cert)
-        chan = proto.channel
         for tr in transcripts(proto, 3 * proto.M):
             if tr.message not in {1, 2, proto.M // 2, proto.M}:
                 continue
-            s, t = drawn_indices(chan, tr.sender_outcome, tr.channel_output)
-            dist = explicit_state_transmission(fp, chan, tr.message, s, t)
+            s, t = drawn_indices(proto.graph, tr.sender_outcome, tr.channel_output)
+            dist = explicit_state_transmission(fp, tr.message, s, t)
             assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
             assert tr.decoded == int(np.argmax(dist)) + 1
 
@@ -529,7 +538,7 @@ class TestAgainstOracles:
             proto, fp = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
         for trial, tr in enumerate(transcripts(proto, 50 * proto.M)):
             message = trial % proto.M + 1
-            s, t = drawn_indices(proto.channel, tr.sender_outcome, tr.channel_output)
+            s, t = drawn_indices(proto.graph, tr.sender_outcome, tr.channel_output)
             dist = transmission_by_gram(fp, message, s, t)
             assert (tr.message, tr.decoded) == (message, message)
             assert tr.distribution == one_hot(message, proto.M)
@@ -546,7 +555,7 @@ class TestAgainstOracles:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "norm", refuse)
         for cert in certs:
-            proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+            proto = protocol_from_cert(cert, cert.graph)
             for tr in transcripts(proto, 50 * proto.M):
                 assert tr.distribution == one_hot(tr.message, proto.M)
                 assert tr.decoded == tr.message
@@ -562,7 +571,7 @@ class TestAgainstOracles:
         copied = fp.vectors.copy()
         copied[5] = copied[np.flatnonzero(fp.messages != fp.messages[5])[0]]
         for vectors in (noisy, copied):
-            pairs.append((p, float_protocol(h11_cert, p.channel, vectors)))
+            pairs.append((p, float_protocol(h11_cert, p.graph, vectors)))
         passed = []
         for proto, fp in pairs:
             instances, worst, _ = zero_error_by_loop(fp)
@@ -579,18 +588,17 @@ class TestAgainstOracles:
         noisy = fp.vectors + 0.05 * np.random.default_rng(4).normal(size=fp.vectors.shape)
         noisy /= np.linalg.norm(noisy, axis=1, keepdims=True)
         assert receiver_excess_by_outputs(fp) <= 1e-10
-        assert receiver_excess_by_outputs(float_protocol(cert, fp.channel, noisy)) > 1e-3
+        assert receiver_excess_by_outputs(float_protocol(cert, fp.graph, noisy)) > 1e-3
 
     def test_receiver_check_covers_every_output(self):
         # Two equal vectors with different messages meet at one output only,
         # the edge between them on a path, among more outputs than any sample
         # of a few hundred would cover.
         path = capsep.BitGraph(11, range(2000), ("explicit", [(u, u + 1) for u in range(1999)]))
-        chan = canonical_channel(path)
-        assert len(chan.outputs) == 3999
+        assert path.vertex_count + path.edge_count == 3999
         one = np.ones((1, 1), dtype=np.int64)
         cert = EntCert(path, 2, 1, 1, one, [1000, 1001], [1, 2], [one, one])
-        assert abs(receiver_excess_by_outputs(float_protocol(cert, chan)) - 1.0) < 1e-12
+        assert abs(receiver_excess_by_outputs(float_protocol(cert, path)) - 1.0) < 1e-12
 
 
 class TestG11Protocol:
@@ -616,7 +624,7 @@ class TestDrawRanges:
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "C5xH3"])
     def test_two_draws_over_inputs_then_row(self, which, g11, h11_cert, g11_cert):
         cert = draw_cases(which, g11, h11_cert, g11_cert)
-        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        proto = protocol_from_cert(cert, cert.graph)
         g, everyone = cert.graph, np.arange(cert.graph.vertex_count)
         index = {g.vertex_label(u): u for u in everyone.tolist()}  # a product's labels too
         assert (np.bincount(proto.messages)[1:] == proto.dim).all()  # a basis of range(rho)
@@ -630,7 +638,7 @@ class TestDrawRanges:
             assert rngs[1].bounds == (degrees + 1).tolist()
 
     def test_no_trial_draws_nothing(self, h11_cert):
-        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        proto = protocol_from_cert(h11_cert, h11_cert.graph)
         rngs = RecordingGenerator(0), RecordingGenerator(1)
         assert simulate(proto, 0, rngs) == (0, [])
         assert rngs[0].bounds == rngs[1].bounds == []
@@ -639,18 +647,18 @@ class TestDrawRanges:
     def test_each_value_draws_its_own_outcome(self, which, g11, h11_cert, g11_cert):
         # so uniform values give uniform senders and uniform outputs of row s
         cert = draw_cases(which, g11, h11_cert, g11_cert)
-        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
-        chan, M = proto.channel, proto.M
+        proto = protocol_from_cert(cert, cert.graph)
+        g, M = proto.graph, proto.M
         for message in (1, M):
             for a, u in enumerate(proto.inputs[proto.messages == message].tolist()):
-                row = channel_row(chan, u)[0].tolist()
+                row = channel_row(g, u)[0].tolist()
                 # trial message - 1 + b M sends the message; every trial takes row a
                 trials = len(row) * M
                 values = [(t - message + 1) // M if t % M == message - 1 else 0
                           for t in range(trials)]
                 rngs = ScriptedGenerator(*[a] * trials), ScriptedGenerator(*values)
                 _, printed = simulate(proto, trials, rngs, shown=trials)
-                drawn = [drawn_indices(chan, tr.sender_outcome, tr.channel_output)
+                drawn = [drawn_indices(g, tr.sender_outcome, tr.channel_output)
                          for tr in printed[message - 1::M]]
                 assert drawn == [(u, t) for t in row]
 
@@ -660,7 +668,7 @@ class TestAgainstTheLoop:
     def test_same_draws_transcripts_and_failures(self, which, g11, h11_cert, g11_cert):
         # across a block boundary: the transcripts name each trial's row and output
         cert = draw_cases(which, g11, h11_cert, g11_cert)
-        proto = protocol_from_cert(cert, canonical_channel(cert.graph))
+        proto = protocol_from_cert(cert, cert.graph)
         trials = channel.SIM_BLOCK + 37
         for seed in (0, 1):
             batch = simulate(proto, trials, np.random.default_rng(seed).spawn(2), shown=trials)
@@ -670,14 +678,14 @@ class TestAgainstTheLoop:
 
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_any_block_size_prints_the_same(self, block, h11_cert, monkeypatch):
-        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        proto = protocol_from_cert(h11_cert, h11_cert.graph)
         want = simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50)
         monkeypatch.setattr(channel, "SIM_BLOCK", block)
         assert simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50) == want
         assert simulate_by_loop(proto, 200, np.random.default_rng(3).spawn(2), shown=50) == want
 
     def test_printed_transcripts_do_not_depend_on_the_trial_count(self, g11_cert):
-        proto = protocol_from_cert(g11_cert, canonical_channel(g11_cert.graph))
+        proto = protocol_from_cert(g11_cert, g11_cert.graph)
         runs = [simulate(proto, trials, np.random.default_rng(9).spawn(2))
                 for trials in (20, 5000, 2 * channel.SIM_BLOCK + 1)]
         assert runs[0] == runs[1] == runs[2] and len(runs[0][1]) == 20
@@ -685,7 +693,7 @@ class TestAgainstTheLoop:
 
     def test_memory_is_a_few_blocks(self, h11_cert):
         # about 12 block-sized int64 arrays at the peak (1.6 MB); unblocked, 33 MB
-        proto = protocol_from_cert(h11_cert, canonical_channel(h11_cert.graph))
+        proto = protocol_from_cert(h11_cert, h11_cert.graph)
         tracemalloc.start()
         try:
             failures, printed = simulate(proto, 10**6, np.random.default_rng(0).spawn(2))

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.algebra_fp import HaemersResult
-from capsep.channel import MAX_TRIALS, canonical_channel
+from capsep.channel import MAX_TRIALS
 from capsep.cli import COMMANDS, build_parser, cli_main
 from capsep.entcert import PACKING_REPORT
 from capsep.errors import CertificateError
@@ -566,7 +567,7 @@ class TestChannelSimCommand:
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
         def refuse(*args, **kwargs):
             raise AssertionError("the packing proof was started")
-        # the binding protocol_from_packing calls, after the channel's cap
+        # the binding protocol_from_packing calls, after the output cap
         monkeypatch.setattr(capsep.channel, "packing_proof", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, "channel-sim", "--family", "H", "--n", "15")
@@ -592,14 +593,14 @@ class TestChannelSimCommand:
         payload = json.loads(out)
         assert code == 0 and payload["failures"] == 0
         _, g, packing = capsep.cli._packing(family, 11, seed)
-        fp = float_protocol(cert_from_packing(packing), canonical_channel(g))
+        fp = float_protocol(cert_from_packing(packing), g)
         instances, worst, _ = zero_error_by_loop(fp)
         assert payload["zero_error"] == {"passed": True, "instances": instances}
         assert worst <= 1e-9
         assert len(payload["transcripts"]) == 20
         for trial, transcript in enumerate(payload["transcripts"]):
             message = trial % fp.M + 1
-            s, t = drawn_indices(fp.channel, transcript["sender_outcome"],
+            s, t = drawn_indices(g, transcript["sender_outcome"],
                                  transcript["channel_output"])
             want = transmission_by_gram(fp, message, s, t)
             dist = transcript["distribution"]
@@ -607,6 +608,16 @@ class TestChannelSimCommand:
                 (message, message, True)
             assert dist == [float(j == message) for j in range(1, fp.M + 1)]
             assert np.abs(np.subtract(dist, want)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "70547b001110c5dc080fd2f46823422f1092376cfa014292295c67bf67f7db50"),
+        (5, "41f80e8ef16eccc83bfea9139f4938a4c345fa9d01fdb4a28f1b85332805be8a"),
+    ])
+    def test_g11_documents_are_pinned(self, capsys, seed, digest):
+        # the whole document, pinned by its sha256: a check that reads no test oracle
+        code, out, _ = run(capsys, "channel-sim", "--family", "G", "--n", "11",
+                           "--trials", "1000", "--seed", str(seed))
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_one_seed_one_stream(self, capsys):
         argv = ["channel-sim", "--family", "H", "--n", "11", "--trials", "200", "--seed"]

@@ -123,8 +123,8 @@ class TestCliqueFromHadamard:
         clique = capsep.hadamard_clique(capsep.sylvester(2), "G")
         assert sorted(clique) == [0b011, 0b101, 0b110]
 
-    def test_paley12_gives_11_clique(self):
-        clique = capsep.hadamard_clique(capsep.paley_one(11), "G")
+    def test_paley12_gives_11_clique(self, paley12):
+        clique = capsep.hadamard_clique(paley12, "G")
         assert len(clique) == 11
         for i in range(11):
             assert clique[i].bit_count() == 6
@@ -132,7 +132,9 @@ class TestCliqueFromHadamard:
                 assert capsep.hamming_distance(clique[i], clique[j]) == 6
 
     def test_paley164_gives_163_clique_without_graph(self):
-        clique = capsep.hadamard_clique(capsep.paley_one(163), "G")
+        h = capsep.find_hadamard(164)
+        assert h.construction == "paley(163)"
+        clique = capsep.hadamard_clique(h, "G")
         assert len(clique) == 163
         for i in range(163):
             assert bin(clique[i]).count("1") == 82
@@ -143,8 +145,8 @@ class TestCliqueFromHadamard:
         clique = capsep.hadamard_clique(capsep.sylvester(2), "H")
         assert sorted(clique) == [0b000, 0b011, 0b101, 0b110]
 
-    def test_h_clique_zero_vertex_distances(self):
-        clique = capsep.hadamard_clique(capsep.paley_one(11), "H")
+    def test_h_clique_zero_vertex_distances(self, paley12):
+        clique = capsep.hadamard_clique(paley12, "H")
         assert len(clique) == 12
         zero = clique[0]
         assert zero == 0

@@ -6,13 +6,20 @@ from hypothesis import strategies as st
 import capsep
 from capsep.errors import ConstructionError, InvalidParameterError, ResourceLimitError
 from capsep.geometry import _hadamard_signs, hadamard_clique
-from capsep.hadamard import HadamardMatrix, find_hadamard, paley_one, sylvester
+from capsep.hadamard import HadamardMatrix, _paley_entries, find_hadamard, sylvester
 from conftest import hadamard_by_doubling, normalize_by_loop, normalized, paley_by_loop
 
 
 def assert_hadamard(h):
     m = h.size
     assert (h.entries @ h.entries.T == m * np.eye(m, dtype=np.int64)).all()
+
+
+def paley(q: int) -> HadamardMatrix:
+    """The Paley matrix of q, as ``find_hadamard(q + 1)`` builds it."""
+    h = find_hadamard(q + 1)
+    assert h.construction == f"paley({q})"
+    return h
 
 
 def is_normalized(e) -> bool:
@@ -43,20 +50,22 @@ class TestSylvester:
 class TestPaley:
     @pytest.mark.parametrize("q", [3, 7, 11, 19, 43, 163])
     def test_valid_primes(self, q):
-        h = paley_one(q)
+        # at q = 3 and 7 find_hadamard picks Sylvester: the core is checked on its own
+        h = paley(q) if q > 7 else HadamardMatrix(_paley_entries(q))
         assert h.size == q + 1
         assert_hadamard(h)
         assert np.array_equal(h.entries, paley_by_loop(q))
 
     @pytest.mark.parametrize("q", [5, 13, 9, 15, 2, 1])
     def test_rejects_bad_q(self, q):
-        with pytest.raises(ConstructionError):
-            paley_one(q)
+        # not a prime 3 mod 4: find_hadamard never builds paley(q)
+        h = find_hadamard(q + 1)
+        assert h is None or h.construction.startswith("sylvester")
 
 
 class TestNormalize:
     def test_idempotent(self):
-        h = HadamardMatrix(normalized(paley_one(11)))
+        h = HadamardMatrix(normalized(paley(11)))
         again = normalized(h)
         assert np.array_equal(h.entries, again)
         assert is_normalized(h.entries)
@@ -79,8 +88,8 @@ class TestNormalize:
         sizes = []
         for k in range(2, 9):
             sizes.append(sylvester(k))
-        for q in (3, 7, 11, 19, 43):
-            sizes.append(paley_one(q))
+        for q in (11, 19, 43):
+            sizes.append(paley(q))
         for h in sizes:
             m = h.size
             e = normalized(h)
@@ -150,7 +159,6 @@ class TestFindHadamard:
         def refuse(q):
             raise AssertionError(f"built a Paley matrix for q = {q}")
 
-        monkeypatch.setattr(capsep.hadamard, "paley_one", refuse)
         monkeypatch.setattr(capsep.hadamard, "_paley_entries", refuse)
         for m in (12288, 16384, 1048576):  # paley(6143) doubled once, paley(8191) 1 and 7 times
             with pytest.raises(ResourceLimitError, match="exceeds the cap 10001"):
@@ -190,7 +198,7 @@ class TestExportAndChecks:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(),
            h=st.sampled_from([sylvester(k) for k in range(1, 6)]
-                             + [paley_one(q) for q in (3, 7, 11, 19, 23, 43)]))
+                             + [paley(q) for q in (11, 19, 23, 43)]))
     def test_rejects_one_flipped_sign(self, data, h):
         i = data.draw(st.integers(0, h.size - 1), label="row")
         j = data.draw(st.integers(0, h.size - 1), label="column")
@@ -201,7 +209,7 @@ class TestExportAndChecks:
 
     def test_checked_in_row_blocks(self, monkeypatch):
         monkeypatch.setattr(capsep.bitgraph, "BLOCK_ENTRIES", 5 * 44)  # 5-row blocks
-        e = paley_one(43).entries
+        e = paley(43).entries
         HadamardMatrix(e)  # each block subtracts m on its own diagonal cells
         for i, j in [(0, 0), (7, 30), (43, 43), (22, 5)]:
             flipped = e.copy()
