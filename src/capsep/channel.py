@@ -22,10 +22,9 @@ integers and with no operator formed: each clique's rows are an orthonormal
 basis of the rows' span, the cliques are disjoint, and adjacent rows are
 orthogonal. So every sender measurement is complete and uniform, every
 receiver measurement orthogonal, every zero-error instance exactly 0, and
-the receiver decodes the sent message with probability 1. So a simulation
-draws the sender's outcome and the channel output uniformly and reports the
-decoding the proof gives; no float form of the measurements is built, and
-the float forms are test oracles.
+the receiver decodes the sent message with probability 1. A simulation
+draws the sender's outcome and the channel output uniformly and reports
+that decoding; the float forms of the measurements are test oracles.
 """
 
 from __future__ import annotations
@@ -42,17 +41,17 @@ from .errors import ResourceLimitError
 @dataclass
 class Protocol:
     """One-shot entanglement-assisted protocol over the canonical channel of
-    ``graph``, as proved by ``protocol_from_packing``.
+    ``graph``, as proved by ``protocol_from_packing``: message i's channel
+    inputs are row i - 1 of ``rows``, (M, dim) vertex indices. Sender row k
+    is input ``inputs[k]`` of ``rows.ravel()``, with message ``messages[k]``.
 
-    Channel input u = ``inputs[k]`` (ascending) carries message
-    ``messages[k]``; other inputs are used by no sender measurement. Each
-    message's rows are an orthonormal basis of one ``dim``-dimensional
-    space, so the sender draws each of a message's inputs with probability
-    1/dim, and the receiver, whose measurement for an output groups the
-    projectors of the inputs that can produce it by message, decodes the
-    message with certainty. ``dim`` is this local dimension, the clique
-    size: n + 1 for H, n for G (its rows lie in the ones-hyperplane); a
-    certificate's ``dim`` is its matrix order, n + 1 for both.
+    Each message's rows are an orthonormal basis of one ``dim``-dimensional
+    space, so the sender draws each of its inputs with probability 1/dim,
+    and the receiver, whose measurement for an output groups the projectors
+    of the inputs that can produce it by message, decodes the message with
+    certainty. ``dim`` is the clique size: n + 1 for H, n for G (its rows
+    lie in the ones-hyperplane); a certificate's ``dim`` is its matrix
+    order, n + 1 for both.
 
     The channel rows of the inputs come from one ``adjacency_among(inputs,
     all vertices)``, never from an edge numbering: row k is its vertex
@@ -63,13 +62,12 @@ class Protocol:
     """
 
     graph: object
-    M: int
-    inputs: np.ndarray
-    messages: np.ndarray
-    dim: int
+    rows: np.ndarray
 
     def __post_init__(self):
-        g, count = self.graph, len(self.inputs)
+        g, (self.M, self.dim), count = self.graph, self.rows.shape, self.rows.size
+        self.inputs = self.rows.ravel()
+        self.messages = np.repeat(np.arange(1, self.M + 1), self.dim)
         row_k, self._neighbours = np.nonzero(
             g.adjacency_among(self.inputs, np.arange(g.vertex_count)))
         self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row_k, minlength=count))))
@@ -85,24 +83,24 @@ class Protocol:
         its row, one per message j != i among t's members and message 1 (the
         completion). A solo output of row k counts [i != 1]; a receiver pair
         (k, l) counts [m_l != i] + [i != 1 and m_l != 1]."""
-        count = len(self.inputs)
         k, l = self._pairs.T
         i, j = self.messages[k], self.messages[l]
-        solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=count)
+        solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=self.rows.size)
         return int(solo @ (self.messages != 1) + np.count_nonzero(j != i)
                    + np.count_nonzero((i != 1) & (j != 1)))
 
-    def transcript(self, message: int, k: int, pos: int) -> Transcript:
-        """Message sent from row k, through output ``pos`` of the row (0: the
-        sender's own output), decoded as the row's message."""
+    def transcript(self, message: int, k: int, pos: int) -> dict:
+        """The printed record of ``message`` sent from row k through output
+        ``pos`` of the row (0: the sender's own), decoded as the row's message."""
         s, lo, decoded = int(self.inputs[k]), int(self._indptr[k]), int(self.messages[k])
         label = self.graph.vertex_label
         sender = output = label(s)
         if pos:  # the edge output: lower index first
             t = int(self._neighbours[lo + pos - 1])
             output = f"{sender}|{label(t)}" if s < t else f"{label(t)}|{sender}"
-        distribution = (0.0,) * (decoded - 1) + (1.0,) + (0.0,) * (self.M - decoded)
-        return Transcript(message, sender, output, distribution, decoded)
+        return {"message": message, "sender_outcome": sender, "channel_output": output,
+                "distribution": [0.0] * (decoded - 1) + [1.0] + [0.0] * (self.M - decoded),
+                "decoded": decoded, "correct": decoded == message}
 
 
 def protocol_from_packing(packing) -> Protocol:
@@ -119,35 +117,14 @@ def protocol_from_packing(packing) -> Protocol:
         raise ResourceLimitError(f"canonical channel of {g.graph_ref()} would have "
                                  f"{outputs} outputs, over the cap {MAX_VERTICES}")
     packing_proof(packing)
-    verts = g.indices_of(packing.cliques).ravel()
-    order = np.argsort(verts)  # the cliques are disjoint: no ties
-    messages = np.repeat(np.arange(1, packing.count + 1), packing.clique_size)
-    return Protocol(g, packing.count, verts[order], messages[order], packing.clique_size)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    message: int
-    sender_outcome: str
-    channel_output: str
-    distribution: tuple[float, ...]
-    decoded: int
-
-    @property
-    def correct(self) -> bool:
-        return self.decoded == self.message
-
-    def to_json(self) -> dict:
-        return {"message": self.message, "sender_outcome": self.sender_outcome,
-                "channel_output": self.channel_output, "distribution": list(self.distribution),
-                "decoded": self.decoded, "correct": self.correct}
+    return Protocol(g, g.indices_of(packing.cliques))
 
 
 SIM_BLOCK = 1 << 14  # trials per block of draws: bounds the arrays a simulation holds
 MAX_TRIALS = 10**9  # the most trials ``channel-sim`` runs: about a minute
 
 
-def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, list[Transcript]]:
+def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, list[dict]]:
     """Run the protocol ``trials`` times over its graph's channel, trial t
     sending message t % M + 1; return the failures and the first ``shown``
     transcripts.
@@ -162,12 +139,11 @@ def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> tuple[int, 
     ``protocol_from_packing`` proves; only the returned transcripts are formed.
     """
     senders, outputs = rngs
-    rows = np.argsort(proto.messages, kind="stable").reshape(proto.M, proto.dim)
     degrees = np.diff(proto._indptr)
     failures, transcripts = 0, []
     for start in range(0, trials, SIM_BLOCK):
         messages = np.arange(start, min(start + SIM_BLOCK, trials)) % proto.M + 1
-        k = rows[messages - 1, senders.integers(proto.dim, size=messages.size)]
+        k = (messages - 1) * proto.dim + senders.integers(proto.dim, size=messages.size)
         pos = outputs.integers(degrees[k] + 1)
         failures += int(np.count_nonzero(proto.messages[k] != messages))
         head = slice(max(shown - start, 0))

@@ -162,7 +162,7 @@ def _cmd_channel_sim(args) -> int:
     _emit({"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
            "zero_error": {"passed": True, "instances": proto.zero_error_instances},
            "trials": args.trials, "failures": failures,
-           "transcripts": [tr.to_json() for tr in transcripts]}, args)
+           "transcripts": transcripts}, args)
     return 0 if failures == 0 else 2
 
 

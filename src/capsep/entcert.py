@@ -64,8 +64,9 @@ def verify_json(text: str | bytes) -> None:
     formed: its G or H graph from the reference, its labels in one
     ``indices_of_labels`` batch, the ``CliquePacking`` constructor (sizes,
     reuse, adjacency), ``packing_proof`` and its M and dim against the proven
-    ones. A failed proof raises ``CertificateError``. Malformed input, and a
-    file in any other form (one with ``ops``), raises ``InvalidParameterError``."""
+    ones. A failed proof raises ``CertificateError``. Malformed input, such as
+    cliques other than lists of labels, and a file in any other form (one with
+    ``ops``), raises ``InvalidParameterError``."""
     try:
         payload = json.loads(text)
         if not isinstance(payload, dict) or "ops" in payload:
@@ -74,6 +75,8 @@ def verify_json(text: str | bytes) -> None:
         claimed = tuple(_json_int(payload[k]) for k in ("M", "dim"))
         if graph.family not in ("G", "H"):
             raise ValueError(_PACKING_FORM)
+        if type(cliques) is not list or not all(type(c) is list for c in cliques):
+            raise ValueError("cliques must be a list of lists of vertex labels")
         words = iter(graph.bits_array[graph.indices_of_labels(
             list(chain.from_iterable(cliques)))].tolist())
         packing = CliquePacking(graph, len(cliques[0]) if cliques else 0,

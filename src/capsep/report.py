@@ -69,13 +69,14 @@ class CapacityReport:
     def evidence(self) -> dict:
         """Evidence levels: "certified" where the verified matrix and the clique
         read from it back the lower bound, "formula" where only a theorem does.
-        The G clique is the normalized matrix's rows but row 0
-        (``geometry._hadamard_signs``), so its size is read, not built."""
+        The clique is the normalized matrix's m rows for H and all but row 0
+        for G (``geometry.hadamard_clique``), so its size is read, not built."""
         h = self.hadamard
         level = {"verified": True, "level": "certified"}
         return {
             "hadamard": "unavailable" if h is None else {"size": h.size, **level},
-            "clique": "unavailable" if h is None else {"size": h.size - 1, **level},
+            "clique": "unavailable" if h is None
+            else {"size": h.size - (self.family == "G"), **level},
             "lower_bound": {"formula": "|V| / (n+1)^2",
                             "level": "formula-only" if h is None else "certified"},
             "upper_bound": {"formula": "sum_{i<p} C(n,i)", "level": "formula"},
@@ -105,9 +106,9 @@ def capacity_report(family: str, p: int) -> CapacityReport:
 
     The lower bound's hypotheses are re-established constructively where
     possible: the size-4p Hadamard matrix is built and verified, and with it
-    the n-clique of G, its normalized rows but the first, whose distances
-    follow from the Hadamard identity, even at sizes where the graph itself
-    is far beyond materialization.
+    the family's clique, its normalized rows (for G, all but the first), whose
+    distances follow from the Hadamard identity, even at sizes where the graph
+    itself is far beyond materialization.
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"family must be G or H, got {family!r}")

@@ -37,7 +37,7 @@ from capsep.entcert import CONDITIONS, packing_proof
 from capsep.errors import (CertificateError, InternalCheckError, InvalidParameterError,
                            ResourceLimitError)
 from capsep.bitgraph import ProductGraph, row_blocks, weight_w_bits
-from capsep.channel import Protocol, Transcript
+from capsep.channel import Protocol
 from capsep.geometry import _hadamard_signs
 from capsep.hadamard import is_prime
 
@@ -742,7 +742,9 @@ def protocol_from_cert(cert: EntCert, graph) -> Protocol:
     if not np.array_equal(rho @ rho, traces[0] * rho):
         raise ProtocolError("the operators of a message do not annihilate pairwise "
                             "(rho^2 != tr(N) rho)")
-    return Protocol(graph, cert.M, inputs, messages, int(np.trace(rho)) // int(traces[0]))
+    # grouped by message, inputs ascending within each: a packing's row order
+    dim = int(np.trace(rho)) // int(traces[0])
+    return Protocol(graph, inputs[np.argsort(messages, kind="stable")].reshape(cert.M, dim))
 
 
 def float_protocol(cert, graph, vectors=None) -> FloatProtocol:
@@ -806,7 +808,7 @@ def simulate_by_loop(proto, trials: int, rngs, shown: int = 20):
     """The scalar reference for ``channel.simulate``: (failures, the first
     ``shown`` transcripts). Trial t sends message t % M + 1; one
     ``integers(len(rows))`` from the first generator picks the sender among
-    the message's inputs ascending, then one ``integers(deg s + 1)`` from the
+    the message's inputs in row order, then one ``integers(deg s + 1)`` from the
     second picks the output of row s: s's own, or the edge to its pos-th
     neighbour ascending, read from the graph's adjacency."""
     senders, outputs = rngs
@@ -827,8 +829,10 @@ def simulate_by_loop(proto, trials: int, rngs, shown: int = 20):
             if pos:
                 a, b = sorted((s, int(neighbours[s][pos - 1])))
                 output = f"{g.vertex_label(a)}|{g.vertex_label(b)}"
-            distribution = tuple(float(j == decoded) for j in range(1, M + 1))
-            transcripts.append(Transcript(message, sender, output, distribution, decoded))
+            transcripts.append({"message": message, "sender_outcome": sender,
+                                "channel_output": output,
+                                "distribution": [float(j == decoded) for j in range(1, M + 1)],
+                                "decoded": decoded, "correct": decoded == message})
     return failures, transcripts
 
 

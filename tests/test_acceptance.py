@@ -147,7 +147,7 @@ def test_criterion_5_theorem_arithmetic():
             assert rep.evidence["hadamard"]["verified"] is True
             assert rep.evidence["hadamard"]["size"] == 164
             assert rep.evidence["clique"]["verified"] is True
-            assert rep.evidence["clique"]["size"] == 163
+            assert rep.evidence["clique"]["size"] == {"G": 163, "H": 164}[family]
     check()
 
 
@@ -198,8 +198,8 @@ def test_criterion_7_protocol_simulation():
         assert failures == 0 and len(transcripts) == 10**3
         for trial, tr in enumerate(transcripts):
             message = trial % proto.M + 1
-            assert tr.message == tr.decoded == message
-            assert tr.distribution[message - 1] >= 1.0 - 1e-9
+            assert tr["message"] == tr["decoded"] == message
+            assert tr["distribution"][message - 1] >= 1.0 - 1e-9
     check()
 
 

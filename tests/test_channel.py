@@ -38,8 +38,8 @@ def h3_protocol():
     return protocol_and_floats(h3_cert())
 
 
-def one_hot(message: int, M: int) -> tuple[float, ...]:
-    return tuple(float(j == message) for j in range(1, M + 1))
+def one_hot(message: int, M: int) -> list[float]:
+    return [float(j == message) for j in range(1, M + 1)]
 
 
 def transcripts(proto, trials: int, seed: int = 0) -> list:
@@ -56,9 +56,8 @@ def c5():
 
 
 def every_input_protocol(g) -> Protocol:
-    """A protocol whose rows are every vertex of g, all carrying message 1."""
-    return Protocol(g, 1, np.arange(g.vertex_count), np.ones(g.vertex_count, dtype=np.int64),
-                    g.vertex_count)
+    """A protocol of one message, whose one row is every vertex of g."""
+    return Protocol(g, np.arange(g.vertex_count)[None])
 
 
 def singleton_packing(g) -> CliquePacking:
@@ -96,7 +95,7 @@ class TestPentagonChannel:
 
     def test_freed_without_the_cycle_collector(self):
         proto = every_input_protocol(c5())
-        assert proto.transcript(1, 0, 1).channel_output == "0|1"
+        assert proto.transcript(1, 0, 1)["channel_output"] == "0|1"
         ref = weakref.ref(proto)
         gc.disable()
         try:
@@ -183,7 +182,7 @@ class TestOutputLabels:
         indptr, targets = channel_rows(g)
         for k in range(g.vertex_count):
             row = targets[indptr[k]:indptr[k + 1]].tolist()
-            assert [proto.transcript(1, k, pos).channel_output for pos in range(len(row))] \
+            assert [proto.transcript(1, k, pos)["channel_output"] for pos in range(len(row))] \
                 == [eager[t] for t in row]
 
 
@@ -194,8 +193,8 @@ class TestInputLabels:
         proto = every_input_protocol(g)
         eager = [g.vertex_label(i) for i in range(g.vertex_count)]
         printed = [proto.transcript(1, k, 0) for k in range(g.vertex_count)]
-        assert [tr.sender_outcome for tr in printed] == eager
-        assert [tr.channel_output for tr in printed] == eager
+        assert [tr["sender_outcome"] for tr in printed] == eager
+        assert [tr["channel_output"] for tr in printed] == eager
 
     def test_no_label_formed_by_the_constructor(self, monkeypatch):
         packing = packing_of("G11", 0)
@@ -211,9 +210,9 @@ class TestInputLabels:
         _, printed = simulate(proto, 5000, np.random.default_rng(0).spawn(2))
         assert len(printed) == 20
         # the sender's label, and the other end's for an edge output
-        assert len(formed) == sum(1 + ("|" in tr.channel_output) for tr in printed)
-        named = {name for tr in printed for name in (tr.sender_outcome,
-                                                       *tr.channel_output.split("|"))}
+        assert len(formed) == sum(1 + ("|" in tr["channel_output"]) for tr in printed)
+        named = {name for tr in printed for name in (tr["sender_outcome"],
+                                                       *tr["channel_output"].split("|"))}
         assert set(g.indices_of_labels(sorted(named)).tolist()) == set(formed)
 
     def test_channel_of_an_equal_graph_accepted(self, h11_cert):
@@ -350,7 +349,7 @@ class TestProtocol:
         # the condition is vacuous
         assert proto.zero_error_instances == 0 and zero_error_by_loop(fp) == (0, 0.0, None)
         [tr] = transcripts(proto, 1)
-        assert tr.decoded == 1
+        assert tr["decoded"] == 1
 
     def test_h3_sender_distribution_sums_to_one(self):
         proto, fp = h3_protocol()
@@ -458,7 +457,7 @@ class TestProtocol:
         cert = tensor(factors[a], factors[b])
         proto = protocol_from_cert(cert, cert.graph)
         for tr in transcripts(proto, 5 * proto.M):
-            assert tr.distribution == one_hot(tr.message, proto.M)
+            assert tr["distribution"] == one_hot(tr["message"], proto.M)
 
     def test_wrong_channel_rejected(self, h11_cert):
         with pytest.raises(InvalidParameterError, match="inputs do not match"):
@@ -471,16 +470,16 @@ class TestProtocol:
         proto = protocol_from_cert(cert, g11)
         assert proto.dim == 1
         for message, tr in enumerate(transcripts(proto, proto.M), 1):
-            assert tr.message == tr.decoded == message
+            assert tr["message"] == tr["decoded"] == message
 
     def test_transcript_json(self):
         proto, _ = h3_protocol()
         [tr] = transcripts(proto, 1, seed=5)
-        payload = tr.to_json()
-        assert payload["decoded"] == 1
-        assert payload["correct"] is True
-        assert len(payload["distribution"]) == proto.M
-        assert abs(sum(payload["distribution"]) - 1.0) < 1e-9
+        # the keys in the order channel-sim prints them
+        assert list(tr) == ["message", "sender_outcome", "channel_output", "distribution",
+                            "decoded", "correct"]
+        assert (tr["message"], tr["decoded"], tr["correct"]) == (1, 1, True)
+        assert tr["distribution"] == [1.0] * proto.M
 
 
 def packing_of(name: str, seed: int):
@@ -500,9 +499,22 @@ class TestPackingProtocol:
                                     packing.graph)
         assert (proto.M, proto.dim) == (oracle.M, oracle.dim) == (packing.count,
                                                                    packing.clique_size)
-        assert np.array_equal(proto.inputs, oracle.inputs)
-        assert np.array_equal(proto.messages, oracle.messages)
+        assert np.array_equal(proto.rows, oracle.rows)  # so inputs and messages too
         assert proto.zero_error_instances == oracle.zero_error_instances
+
+    @pytest.mark.parametrize("name", ["G11", "H11"])
+    def test_rows_are_the_cliques(self, name):
+        # message i's inputs are row i - 1: clique i - 1's vertices, in its order
+        packing = packing_of(name, 0)
+        proto, g = protocol_from_packing(packing), packing.graph
+        assert proto.rows.shape == (packing.count, packing.clique_size)
+        assert np.array_equal(proto.rows, g.indices_of(packing.cliques))
+        for row, clique in zip(proto.rows.tolist(), packing.cliques):
+            assert g.bits_array[row].tolist() == list(clique)
+        # trial i - 1 sends message i, from an input of row i - 1
+        _, printed = simulate(proto, proto.M, np.random.default_rng(0).spawn(2), shown=proto.M)
+        for row, tr in zip(proto.rows.tolist(), printed):
+            assert tr["sender_outcome"] in [g.vertex_label(u) for u in row]
 
 
 def classical_g11_protocol(g11):
@@ -521,12 +533,12 @@ class TestAgainstOracles:
         else:
             proto, fp = protocol_and_floats(g11_cert)
         for tr in transcripts(proto, 3 * proto.M):
-            if tr.message not in {1, 2, proto.M // 2, proto.M}:
+            if tr["message"] not in {1, 2, proto.M // 2, proto.M}:
                 continue
-            s, t = drawn_indices(proto.graph, tr.sender_outcome, tr.channel_output)
-            dist = explicit_state_transmission(fp, tr.message, s, t)
-            assert np.abs(np.array(tr.distribution) - dist).max() <= 1e-12
-            assert tr.decoded == int(np.argmax(dist)) + 1
+            s, t = drawn_indices(proto.graph, tr["sender_outcome"], tr["channel_output"])
+            dist = explicit_state_transmission(fp, tr["message"], s, t)
+            assert np.abs(np.array(tr["distribution"]) - dist).max() <= 1e-12
+            assert tr["decoded"] == int(np.argmax(dist)) + 1
 
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "H3"])
     def test_draws_agree_with_the_gram_oracle(self, which, g11, h11_cert, g11_cert):
@@ -538,11 +550,11 @@ class TestAgainstOracles:
             proto, fp = protocol_and_floats(h11_cert if which == "H11" else g11_cert)
         for trial, tr in enumerate(transcripts(proto, 50 * proto.M)):
             message = trial % proto.M + 1
-            s, t = drawn_indices(proto.graph, tr.sender_outcome, tr.channel_output)
+            s, t = drawn_indices(proto.graph, tr["sender_outcome"], tr["channel_output"])
             dist = transmission_by_gram(fp, message, s, t)
-            assert (tr.message, tr.decoded) == (message, message)
-            assert tr.distribution == one_hot(message, proto.M)
-            assert np.abs(dist - tr.distribution).max() <= 1e-12
+            assert (tr["message"], tr["decoded"]) == (message, message)
+            assert tr["distribution"] == one_hot(message, proto.M)
+            assert np.abs(dist - tr["distribution"]).max() <= 1e-12
 
     def test_exact_without_float_linear_algebra(self, g11, h11_cert, g11_cert, monkeypatch):
         c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
@@ -557,8 +569,8 @@ class TestAgainstOracles:
         for cert in certs:
             proto = protocol_from_cert(cert, cert.graph)
             for tr in transcripts(proto, 50 * proto.M):
-                assert tr.distribution == one_hot(tr.message, proto.M)
-                assert tr.decoded == tr.message
+                assert tr["distribution"] == one_hot(tr["message"], proto.M)
+                assert tr["decoded"] == tr["message"]
 
     def test_zero_error_matches_loop(self, g11, h11_cert, g11_cert):
         pairs = [protocol_and_floats(c) for c in (h11_cert, g11_cert)]
@@ -607,8 +619,8 @@ class TestG11Protocol:
         assert proto.dim == fp.dim == 11  # hyperplane rank, one below ambient
         assert zero_error_by_loop(fp)[1] <= 1e-9
         for message, tr in enumerate(transcripts(proto, proto.M), 1):
-            assert tr.decoded == message
-            assert tr.distribution == one_hot(message, proto.M)
+            assert tr["decoded"] == message
+            assert tr["distribution"] == one_hot(message, proto.M)
 
 
 def draw_cases(which, g11, h11_cert, g11_cert):
@@ -632,7 +644,7 @@ class TestDrawRanges:
         for seed in range(3):
             rngs = RecordingGenerator(seed), RecordingGenerator(seed + 10)
             _, printed = simulate(proto, trials, rngs, shown=trials)
-            s = [index[tr.sender_outcome] for tr in printed]
+            s = [index[tr["sender_outcome"]] for tr in printed]
             degrees = np.count_nonzero(g.adjacency_among(s, everyone), axis=1)
             assert rngs[0].bounds == [proto.dim] * trials
             assert rngs[1].bounds == (degrees + 1).tolist()
@@ -650,7 +662,7 @@ class TestDrawRanges:
         proto = protocol_from_cert(cert, cert.graph)
         g, M = proto.graph, proto.M
         for message in (1, M):
-            for a, u in enumerate(proto.inputs[proto.messages == message].tolist()):
+            for a, u in enumerate(proto.rows[message - 1].tolist()):
                 row = channel_row(g, u)[0].tolist()
                 # trial message - 1 + b M sends the message; every trial takes row a
                 trials = len(row) * M
@@ -658,7 +670,7 @@ class TestDrawRanges:
                           for t in range(trials)]
                 rngs = ScriptedGenerator(*[a] * trials), ScriptedGenerator(*values)
                 _, printed = simulate(proto, trials, rngs, shown=trials)
-                drawn = [drawn_indices(g, tr.sender_outcome, tr.channel_output)
+                drawn = [drawn_indices(g, tr["sender_outcome"], tr["channel_output"])
                          for tr in printed[message - 1::M]]
                 assert drawn == [(u, t) for t in row]
 

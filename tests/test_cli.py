@@ -86,9 +86,14 @@ PACKING_HOSTILE = {
                         1, "error: malformed certificate: a packing certificate has a G or H "
                            "graph and no ops"),
     "cliques not lists": (lambda doc: doc.update(cliques=[5]),
-                          1, "error: malformed certificate: 'int' object is not iterable"),
+                          1, "error: malformed certificate: cliques must be a list of lists"),
     "labels not in lists": (lambda doc: doc.update(cliques=["0" * 11]),
-                            1, "error: unknown vertex '0' in G11"),
+                            1, "error: malformed certificate: cliques must be a list of lists"),
+    "cliques as objects": (lambda doc: doc.update(cliques=[dict.fromkeys(c, 0)
+                                                           for c in doc["cliques"]]),
+                           1, "error: malformed certificate: cliques must be a list of lists"),
+    "cliques an object": (lambda doc: doc.update(cliques=dict(enumerate(doc["cliques"]))),
+                          1, "error: malformed certificate: cliques must be a list of lists"),
     "product graph": (lambda doc: doc.update(graph="C5xC5"),
                       1, "error: malformed certificate: a packing certificate has a G or H"),
     "complete graph": (lambda doc: doc.update(graph="K3"),
@@ -180,13 +185,16 @@ class TestReportCommand:
     @pytest.mark.parametrize("family", ["G", "H"])
     @pytest.mark.parametrize("p", [3, 17, 41])
     def test_clique_size_by_identity(self, capsys, monkeypatch, family, p):
+        want = len(capsep.hadamard_clique(capsep.find_hadamard(4 * p), family))
+        assert want == 4 * p - (family == "G")
+
         def refuse(*args):
             raise AssertionError("a clique was built")
         monkeypatch.setattr(capsep.geometry, "hadamard_clique", refuse)
         monkeypatch.setattr(capsep.report, "hadamard_clique", refuse, raising=False)
         code, out, _ = run(capsys, "report", "--family", family, "--p", str(p))
         assert code == 0
-        assert json.loads(out)["evidence"]["clique"]["size"] == 4 * p - 1
+        assert json.loads(out)["evidence"]["clique"]["size"] == want
 
 
 class TestGraphCommands:

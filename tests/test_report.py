@@ -39,8 +39,9 @@ class TestCapacityReport:
         assert rep.to_json()["ratio_log2"] > 0
         assert rep.hadamard.size == 164
         assert rep.evidence["hadamard"]["verified"] is True
-        assert rep.evidence["clique"] == {"size": 163, "verified": True,
-                                          "level": "certified"}
+        # the H clique is every normalized row, the G clique all but row 0
+        assert rep.evidence["clique"] == {"size": {"G": 163, "H": 164}[family],
+                                          "verified": True, "level": "certified"}
 
     def test_exact_comparison_matches_fraction_comparison(self):
         for p in (3, 5, 11, 41):
