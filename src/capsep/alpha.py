@@ -6,6 +6,10 @@ candidate subgraph bounds how much a branch can still gain. Within budget the
 result is exact; at budget exhaustion the incumbent and the root coloring
 bound are returned as certified lower/upper bounds. Rank r of the static
 order is bit n-1-r: the search forms no negative operand (``x & -x``, ``~row``).
+
+On a vertex-transitive graph every vertex is in some maximum independent set,
+so alpha(G) = 1 + alpha(G - N[v]): the root expands only its first branch,
+which searches G - N[v]. Any other graph gets the full search.
 """
 
 from __future__ import annotations
@@ -142,8 +146,8 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
             if truncated:
                 return
 
-    if n > 0:
-        expand(full, root_colored)
+    if n > 0:  # transitive: some maximum set holds the first branch's vertex
+        expand(full, root_colored[-1:] if g.vertex_transitive else root_colored)
 
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)

@@ -88,11 +88,14 @@ class BitGraph(_Graph):
 
     Adjacency is either ``("distance", k)`` (u ~ v iff d(u, v) = k, with k in
     ``distance``) or an explicit edge set over vertex indices (``distance`` is
-    None), stored as sorted keys min * |V| + max. Instances are immutable after
-    construction.
+    None), stored as sorted keys min * |V| + max. Only the builders claim
+    ``vertex_transitive``, each from a transitive group: S_n on the words (G),
+    translations (H, O), rotations (C), all permutations (K). Instances are
+    immutable after construction.
     """
 
-    def __init__(self, n: int, bits: Sequence[int], rule, family: str | None = None):
+    def __init__(self, n: int, bits: Sequence[int], rule, family: str | None = None,
+                 vertex_transitive: bool = False):
         if len(bits) > MAX_VERTICES:
             raise ResourceLimitError(
                 f"{len(bits)} vertices exceeds the materialization cap {MAX_VERTICES}")
@@ -106,6 +109,7 @@ class BitGraph(_Graph):
             raise InvalidParameterError(f"vertex {int(self._bits[-1]):#b} does not fit {n} bits")
         self.n = n
         self.family = family
+        self.vertex_transitive = vertex_transitive
         kind = rule[0]
         if kind == "distance":
             self.distance = int(rule[1])
@@ -195,12 +199,12 @@ class BitGraph(_Graph):
 
     @property
     def edge_count(self) -> int:
-        """|E|: the explicit keys; for G, H and O, vertex-transitive, |V| deg(0) / 2
+        """|E|: the explicit keys; for a vertex-transitive graph |V| deg(0) / 2
         from one row; for any other distance graph a blocked count."""
         if self._edge_keys is not None:
             return int(self._edge_keys.size)
         nv = self.vertex_count
-        if self.family in ("G", "H", "O"):
+        if self.vertex_transitive:
             return nv * int(self.adjacency_among([0], np.arange(nv)).sum()) // 2
         return sum(int(block.sum()) for _, block in self.adjacency_blocks()) // 2
 
@@ -270,7 +274,7 @@ def build_G(n: int) -> BitGraph:
     w = (n + 1) // 2
     if math.comb(n, w) > MAX_VERTICES:
         raise ResourceLimitError(f"C({n},{w}) vertices exceed cap {MAX_VERTICES}")
-    return BitGraph(n, weight_w_bits(n, w), ("distance", w), family="G")
+    return BitGraph(n, weight_w_bits(n, w), ("distance", w), family="G", vertex_transitive=True)
 
 
 def build_H(n: int) -> BitGraph:
@@ -281,7 +285,7 @@ def build_H(n: int) -> BitGraph:
     # An even-weight string is its first n-1 coordinates plus a parity bit.
     ys = np.arange(2 ** (n - 1), dtype=np.uint64)
     bits = (ys << np.uint64(1)) | (np.bitwise_count(ys) & np.uint64(1))
-    return BitGraph(n, bits, ("distance", (n + 1) // 2), family="H")
+    return BitGraph(n, bits, ("distance", (n + 1) // 2), family="H", vertex_transitive=True)
 
 
 def build_orthogonality_graph(n: int) -> BitGraph:
@@ -290,7 +294,7 @@ def build_orthogonality_graph(n: int) -> BitGraph:
         raise InvalidParameterError(f"n must be even with 2 <= n <= 24, got {n}")
     if 2**n > MAX_VERTICES:
         raise ResourceLimitError(f"2^{n} vertices exceed cap {MAX_VERTICES}")
-    return BitGraph(n, range(2**n), ("distance", n // 2), family="O")
+    return BitGraph(n, range(2**n), ("distance", n // 2), family="O", vertex_transitive=True)
 
 
 def build_cycle(n: int) -> BitGraph:
@@ -301,7 +305,8 @@ def build_cycle(n: int) -> BitGraph:
         raise ResourceLimitError(f"{n} vertices exceed cap {MAX_VERTICES}")
     ring = np.arange(n)
     return BitGraph(max(1, (n - 1).bit_length()), ring,
-                    ("explicit", np.stack([ring, (ring + 1) % n], axis=1)), family="C")
+                    ("explicit", np.stack([ring, (ring + 1) % n], axis=1)), family="C",
+                    vertex_transitive=True)
 
 
 def build_complete(n: int) -> BitGraph:
@@ -311,7 +316,8 @@ def build_complete(n: int) -> BitGraph:
     if n * (n - 1) // 2 > MAX_VERTICES:
         raise ResourceLimitError(f"K{n} edges exceed cap {MAX_VERTICES}")
     return BitGraph(max(1, (n - 1).bit_length()), np.arange(n),
-                    ("explicit", np.stack(np.triu_indices(n, 1), axis=1)), family="K")
+                    ("explicit", np.stack(np.triu_indices(n, 1), axis=1)), family="K",
+                    vertex_transitive=True)
 
 
 def graph_from_ref(ref: str) -> BitGraph | ProductGraph:
@@ -352,6 +358,7 @@ class ProductGraph(_Graph):
         self._count = count
         self.family = "product"
         self.n = sum(f.n for f in self.factors)
+        self.vertex_transitive = all(f.vertex_transitive for f in self.factors)
 
     @property
     def vertex_count(self) -> int:

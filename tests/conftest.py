@@ -117,7 +117,8 @@ def _greedy_color_bound(cand: int, order: list[int], comp: list[int]) -> list[tu
 
 def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
     """(lower, upper, exact, witness, nodes) of the budgeted branch and bound on
-    vertex indices, its bound from the vertex-by-vertex first-fit coloring."""
+    vertex indices, its bound from the vertex-by-vertex first-fit coloring;
+    a vertex-transitive graph expands only the root's first branch."""
     n = g.vertex_count
     rows = adjacency_rows(g)
     full = (1 << n) - 1
@@ -160,7 +161,7 @@ def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
             cand &= ~(1 << v)
 
     if n > 0:
-        expand(full, root_colored)
+        expand(full, root_colored[-1:] if g.vertex_transitive else root_colored)
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)
     return best_size, upper, exact, tuple(sorted(best_set)), nodes

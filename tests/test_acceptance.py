@@ -14,6 +14,7 @@ import numpy as np
 
 import capsep
 from capsep.algebra_fp import haemers_matrix
+from capsep.bitgraph import graph_from_ref
 from capsep.channel import protocol_from_packing, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
                       cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
@@ -242,3 +243,17 @@ def test_criterion_8_oracle_equivalence():
         assert mixed.verification.to_json()["mode"] == "full"
         assert mixed.verification.passed
     check()
+
+
+def test_criterion_9_exact_alpha_at_n11():
+    # vertex-transitive, so the search expands only its first root branch
+    for ref, alpha in (("G11", 37), ("H11", 67)):
+        @criterion(9, f"alpha({ref}) = {alpha} exact, witness re-verified", 2.0)
+        def check():
+            g = graph_from_ref(ref)
+            res = capsep.max_independent_set(g)
+            assert (res.lower, res.upper, res.exact) == (alpha, alpha, True)
+            assert capsep.verify_independent(g, res.witness) == (True, None)
+        check()
+    # H_11 meets its Haemers rank bound: the sandwich alpha <= Theta <= rank is tight
+    assert haemers_matrix(capsep.build_H(11)).rank == 67

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.alpha import max_independent_set, verify_independent
-from capsep.bitgraph import graph_from_ref
+from capsep.bitgraph import graph_from_ref, weight_w_bits
 from capsep.errors import InternalCheckError, ResourceLimitError
 from conftest import (adjacency_rows, alpha_by_enumeration, alpha_by_vertex_coloring,
                       flatten, random_explicit_graph)
@@ -86,10 +86,11 @@ class TestMatchesVertexColoringOracle:
         assert verify_independent(g, res.witness) == (True, None)
 
     @pytest.mark.parametrize("ref, budget, expect", [
-        ("G11", 2000, (37, 73, False, 2001)),
+        ("G11", 2000, (37, 37, True, 1119)),
         ("H11", 2000, (67, 256, False, 2001)),
-        ("C5xC5", 1_000_000, (5, 5, True, 20)),
-        ("G11", 20000, (37, 37, True, 18332)),
+        ("C5xC5", 1_000_000, (5, 5, True, 11)),
+        ("G11", 20000, (37, 37, True, 1119)),
+        ("H11", 1_000_000, (67, 67, True, 5322)),
     ])
     def test_fixed_cases(self, ref, budget, expect):
         g = graph_from_ref(ref)
@@ -97,12 +98,58 @@ class TestMatchesVertexColoringOracle:
         assert (res.lower, res.upper, res.exact, res.nodes_explored) == expect
         assert self.fields(res) == alpha_by_vertex_coloring(g, budget)
 
-
     @pytest.mark.parametrize("ref", ["C5xH3", "C4xC4xC4", "C7xK5", "H3xH3", "G3xC5xC4"])
     def test_products(self, ref):
         g = graph_from_ref(ref)
         res = max_independent_set(g, node_budget=3000)
         assert self.fields(res) == alpha_by_vertex_coloring(g, 3000)
+
+
+# A pentagon 0-4-2-3-1 with vertex 5 joined to both ends of its edge 0-1: alpha = 3
+# ({3, 4, 5}), but the greedy incumbent is {2, 5} and the root's first branch,
+# on vertex 2, finds no third vertex.
+ROOFED_PENTAGON = [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+
+
+class TestVertexTransitiveRestart:
+    """On a vertex-transitive graph alpha(G) = 1 + alpha(G - N[v]), so the search
+    expands only the root's first branch; every other graph keeps the full search."""
+
+    @pytest.mark.parametrize("ref", ["G11", "H11", "O4", "C5", "K3", "C5xH3", "G3xC5xC4"])
+    def test_builders_claim_transitivity(self, ref):
+        assert graph_from_ref(ref).vertex_transitive is True
+
+    def test_other_graphs_do_not(self):
+        g7_part = capsep.BitGraph(7, weight_w_bits(7, 4)[:20], ("distance", 4), family="G")
+        for g in (random_explicit_graph(10, 0.4, seed=0), g7_part,
+                  capsep.ProductGraph([capsep.build_cycle(5), g7_part]),
+                  capsep.ProductGraph([random_explicit_graph(4, 0.5, seed=1), capsep.build_G(3)])):
+            assert g.vertex_transitive is False
+
+    @pytest.mark.parametrize("ref", [f"{f}{n}" for f in "GH" for n in (3, 5, 7, 9)]
+                             + [f"O{n}" for n in (2, 4, 6)] + [f"C{n}" for n in range(3, 13)]
+                             + [f"K{n}" for n in range(1, 7)]
+                             + ["C5xC5", "C7xC7", "H3xH3", "C5xH3", "C4xC4xC4", "C7xK5",
+                                "G3xC5xC4"])
+    def test_restart_matches_enumeration(self, ref):
+        g = graph_from_ref(ref)
+        res = max_independent_set(g)
+        assert res.exact and res.lower == res.upper
+        assert res.lower == alpha_by_enumeration(adjacency_rows(g))
+
+    def test_restart_matches_the_full_search_on_o8(self):
+        # 256 vertices: past the enumeration oracle; the same graph unflagged is searched whole
+        res = max_independent_set(graph_from_ref("O8"))
+        full = max_independent_set(capsep.BitGraph(8, range(256), ("distance", 4)))
+        assert res.exact and full.exact and res.lower == full.lower == 32
+
+    def test_full_search_off_transitive_graphs(self):
+        g = capsep.BitGraph(3, range(6), ("explicit", ROOFED_PENTAGON))
+        assert alpha_by_enumeration(adjacency_rows(g)) == 3
+        assert max_independent_set(g).lower == 3
+        # the same graph falsely flagged: the first root branch alone misses alpha
+        wrong = capsep.BitGraph(3, range(6), ("explicit", ROOFED_PENTAGON), vertex_transitive=True)
+        assert max_independent_set(wrong).lower == 2
 
 
 class TestAlphaViaPower:

@@ -329,6 +329,8 @@ class TestEdgeArray:
         capsep.build_G(11), capsep.build_H(11), capsep.build_orthogonality_graph(10),
         BitGraph(12, range(4096), ("distance", 1)),  # unnamed: four row blocks
         BitGraph(10, random.Random(3).sample(range(1024), 300), ("distance", 4)),
+        # family G on part of its words: not vertex-transitive, so no |V| deg(0) / 2
+        BitGraph(7, weight_w_bits(7, 4)[:20], ("distance", 4), family="G"),
     ], ids=lambda g: f"{g.graph_ref()}-{g.vertex_count}")
     def test_matches_the_dense_oracle_in_order(self, g):
         want = np.argwhere(np.triu(dense_adjacency(g), 1))

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep.algebra_fp import HaemersResult
+from capsep.alpha import verify_independent
+from capsep.bitgraph import graph_from_ref
 from capsep.channel import MAX_TRIALS
 from capsep.cli import COMMANDS, build_parser, cli_main
 from capsep.entcert import PACKING_REPORT
@@ -142,6 +144,19 @@ class TestAlphaCommand:
         assert payload["lower"] == 5
         assert payload["upper"] == 5
         assert payload["exact"] is True
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["--graph", "G11", "--node-budget", "2000"], (37, 37, True, 1119)),
+        (["--graph", "H11"], (67, 67, True, 5322)),
+    ])
+    def test_n11_is_exact(self, capsys, argv, expect):
+        code, out, _ = run(capsys, "alpha", *argv)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["lower"], payload["upper"], payload["exact"], payload["nodes"]) == expect
+        g = graph_from_ref(payload["graph"])
+        witness = g.indices_of_labels(payload["witness"])
+        assert len(witness) == expect[0] and verify_independent(g, witness) == (True, None)
 
     def test_product_reference_is_case_blind(self, capsys):
         code, out, _ = run(capsys, "alpha", "--graph", "c5xc5")
