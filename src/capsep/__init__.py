@@ -1,7 +1,7 @@
 """capsep: desk-scale certification of Shannon-vs-entangled capacity separations."""
 
 from .bitgraph import (BitGraph, ProductGraph, build_cycle, build_G, build_H,
-                       build_orthogonality_graph, hamming_distance)
+                       build_orthogonality_graph)
 from .hadamard import HadamardMatrix, find_hadamard, sylvester
 from .geometry import (CliquePacking, OrthoRep, hadamard_clique, pack_cliques,
                        restricted_independent_set)

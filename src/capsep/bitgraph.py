@@ -19,15 +19,9 @@ from .errors import InvalidParameterError, ResourceLimitError
 
 MAX_BITLEN = 63
 MAX_VERTICES = 10**7
-# All-pairs adjacency work (alpha search, blocked edge count or listing) up to this |V|.
+# All-pairs adjacency work (alpha search, blocked edge count) up to this |V|.
 DENSE_ADJACENCY_CAP = 16384
 BLOCK_ENTRIES = 1 << 22  # cells per ``row_blocks`` slice
-DIMACS_BLOCK = 1 << 16  # edges per formatted block of ``to_dimacs``
-
-
-def hamming_distance(x: int, y: int) -> int:
-    """Number of coordinates where the words x and y differ."""
-    return (x ^ y).bit_count()
 
 
 def word_label(word: int, n: int) -> str:
@@ -58,9 +52,6 @@ def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
 
 class _Graph:
     """What every graph derives from its one pair rule, ``adjacency_among``."""
-
-    def is_adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adjacency_among([i], [j])[0, 0])
 
     def adjacency_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """(lo, adjacency of rows lo, lo+1, ... against every vertex) over ``row_blocks``;
@@ -207,35 +198,6 @@ class BitGraph(_Graph):
         if self.vertex_transitive:
             return nv * int(self.adjacency_among([0], np.arange(nv)).sum()) // 2
         return sum(int(block.sum()) for _, block in self.adjacency_blocks()) // 2
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (E, 2) int64 array of pairs i < j, in row-major order.
-        More than ``MAX_VERTICES`` edges are refused before any is listed."""
-        count = self.edge_count
-        if count > MAX_VERTICES:
-            raise ResourceLimitError(f"{count} edges exceed the listing cap {MAX_VERTICES}")
-        if self._edge_keys is not None:
-            return np.stack(np.divmod(self._edge_keys, self.vertex_count), axis=1)
-        out, k = np.empty((count, 2), dtype=np.int64), 0
-        for lo, block in self.adjacency_blocks():
-            hits = np.argwhere(np.triu(block, lo + 1))
-            hits[:, 0] += lo
-            out[k:k + len(hits)] = hits
-            k += len(hits)
-        return out
-
-    # -- export ------------------------------------------------------------
-
-    def to_dimacs(self) -> str:
-        """DIMACS text: the counts, one "c v" line per vertex label, one "e" line
-        per edge; the edge lines are formatted in blocks of ``DIMACS_BLOCK`` edges."""
-        edges = self.edge_array()
-        lines = [f"p edge {self.vertex_count} {len(edges)}\n"]
-        lines += [f"c v {i + 1} {self.vertex_label(i)}\n" for i in range(self.vertex_count)]
-        for lo in range(0, len(edges), DIMACS_BLOCK):
-            block = edges[lo:lo + DIMACS_BLOCK] + 1
-            lines.append(("e %d %d\n" * len(block)) % tuple(block.ravel().tolist()))
-        return "".join(lines)
 
     def graph_ref(self) -> str:
         if self.family in ("C", "K"):

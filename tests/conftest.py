@@ -11,7 +11,8 @@ channel's rows (``channel_row``) and the zero-error code check
 of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
 the library replaces by the packing's exact proof, and the scalar
 simulation loop (``simulate_by_loop``), which the library runs in blocks of
-array draws. The dense operator certificate lives only here: ``EntCert``,
+array draws. So do a graph's edge list (``edge_array``), its pair predicate
+(``is_adjacent``) and ``hamming_distance``, which no library code calls. The dense operator certificate lives only here: ``EntCert``,
 its generic K x K check ``verify``, the tensor and classical-embedding
 certificates, a packing's dense certificate (``cert_from_packing``: its
 operator stack) and the protocol of a general verified certificate
@@ -60,6 +61,26 @@ def alpha_by_enumeration(adj_rows: list[int]) -> int:
     return result
 
 
+def hamming_distance(x: int, y: int) -> int:
+    """Number of coordinates where the words x and y differ."""
+    return (x ^ y).bit_count()
+
+
+def is_adjacent(g, i: int, j: int) -> bool:
+    """Whether vertices i and j of g are adjacent, by its pair rule."""
+    return bool(g.adjacency_among([i], [j])[0, 0])
+
+
+def edge_array(g) -> np.ndarray:
+    """Edges of a ``BitGraph`` as an (E, 2) int64 array of pairs i < j, in
+    row-major order: an explicit graph's keys, else the upper triangle of
+    each block of ``adjacency_blocks``."""
+    if g._edge_keys is not None:
+        return np.stack(np.divmod(g._edge_keys, g.vertex_count), axis=1)
+    hits = [np.argwhere(np.triu(block, lo + 1)) + [lo, 0] for lo, block in g.adjacency_blocks()]
+    return np.concatenate(hits or [np.empty((0, 2), dtype=np.int64)])
+
+
 def dense_adjacency(g) -> np.ndarray:
     """|V| x |V| boolean adjacency formed whole: for a strong product the
     Kronecker product of the factors' closed neighbourhoods, for a distance
@@ -74,7 +95,7 @@ def dense_adjacency(g) -> np.ndarray:
         mat = np.bitwise_count(bits[:, None] ^ bits[None, :]) == g.distance
     else:
         mat = np.zeros((g.vertex_count, g.vertex_count), dtype=bool)
-        u, v = g.edge_array().T
+        u, v = edge_array(g).T
         mat[u, v] = mat[v, u] = True
     np.fill_diagonal(mat, False)
     return mat
@@ -595,16 +616,16 @@ def hadamard_by_doubling(m: int):
 
 def canonical_output_labels(g) -> list[str]:
     """Every output label of g's canonical channel, built up front: the
-    vertices, then the edges of ``g.edge_array()`` as "a|b"."""
+    vertices, then the edges of ``edge_array(g)`` as "a|b"."""
     labels = [g.vertex_label(i) for i in range(g.vertex_count)]
-    return labels + [f"{labels[i]}|{labels[j]}" for i, j in g.edge_array().tolist()]
+    return labels + [f"{labels[i]}|{labels[j]}" for i, j in edge_array(g).tolist()]
 
 
 @lru_cache(maxsize=4)
 def _edge_keys(g) -> np.ndarray:
-    """i * |V| + j of each edge (i, j) of ``g.edge_array()``, ascending: the
+    """i * |V| + j of each edge (i, j) of ``edge_array(g)``, ascending: the
     edges are row-major, and output |V| + e is edge e."""
-    edges = g.edge_array()
+    edges = edge_array(g)
     return edges[:, 0] * g.vertex_count + edges[:, 1]
 
 
@@ -654,7 +675,7 @@ def channel_rows(g) -> tuple[np.ndarray, np.ndarray]:
     precede edges (u, j), and a stable sort by input lists each row's
     outputs in ascending order.
     """
-    nv, edges = g.vertex_count, g.edge_array()
+    nv, edges = g.vertex_count, edge_array(g)
     src = np.concatenate([np.arange(nv), edges[:, 1], edges[:, 0]])
     dst = np.concatenate([np.arange(nv), nv + np.tile(np.arange(len(edges)), 2)])
     indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=nv))))
@@ -668,7 +689,7 @@ def members_by_output(g) -> tuple[np.ndarray, np.ndarray]:
     ``inputs[indptr[t]:indptr[t + 1]]``: t itself for a vertex output,
     the two ends of edge t - |V| for an edge output.
     """
-    nv, edges = g.vertex_count, g.edge_array()
+    nv, edges = g.vertex_count, edge_array(g)
     indptr = np.concatenate([np.arange(nv), nv + 2 * np.arange(len(edges) + 1)])
     return indptr, np.concatenate([np.arange(nv), edges.ravel()])
 
@@ -1101,7 +1122,7 @@ def adjacency_by_rule(g):
     if g.distance is not None:
         bits = g.bits_array.tolist()
         return lambda i, j: (bits[i] ^ bits[j]).bit_count() == g.distance
-    edges = set(map(tuple, g.edge_array().tolist()))
+    edges = set(map(tuple, edge_array(g).tolist()))
     return lambda i, j: (min(i, j), max(i, j)) in edges
 
 
@@ -1205,13 +1226,13 @@ def verify_by_pairs(cert, g=None):
     conditions["sum_to_rho"] = cond1_ok
 
     keys = sorted(ops)
-    is_adjacent = adjacency_by_rule(g)
+    adjacent = adjacency_by_rule(g)
     same_ok = adjacent_ok = True
     for a in range(len(keys)):
         ua, ia = keys[a]
         for b in range(a + 1, len(keys)):
             ub, ib = keys[b]
-            if ia == ib or not (ua == ub or is_adjacent(ua, ub)):
+            if ia == ib or not (ua == ub or adjacent(ua, ub)):
                 continue
             if (ops[keys[a]] @ ops[keys[b]]).any():
                 if ua == ub:

@@ -17,11 +17,11 @@ from capsep.algebra_fp import haemers_matrix
 from capsep.bitgraph import graph_from_ref
 from capsep.channel import protocol_from_packing, simulate
 from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fits,
-                      cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol, frankl_wilson_Q,
-                      inner_product_identity_check, monomial_basis, multilinearize,
-                      normalize_by_loop, normalized, random_explicit_graph,
-                      rank_by_row_reduction, rank_fp, sign_vector, tensor, verify,
-                      zero_error_by_loop)
+                      cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol,
+                      frankl_wilson_Q, hamming_distance, inner_product_identity_check,
+                      monomial_basis, multilinearize, normalize_by_loop, normalized,
+                      random_explicit_graph, rank_by_row_reduction, rank_fp, sign_vector, tensor,
+                      verify, zero_error_by_loop)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -177,7 +177,7 @@ def test_criterion_6_frankl_wilson_properties():
         for _ in range(10**4):
             x = words[rng.randrange(462)]
             y = words[rng.randrange(462)]
-            d = capsep.hamming_distance(x, y)
+            d = hamming_distance(x, y)
             assert inner_product_identity_check(x, y, 11, p) == (-2 * d - 1) % p
     check()
 
@@ -194,9 +194,8 @@ def test_criterion_7_protocol_simulation():
         cert = cert_from_packing(packing)
         _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.graph))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
-        failures, transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2),
-                                         shown=10**3)
-        assert failures == 0 and len(transcripts) == 10**3
+        transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2), shown=10**3)
+        assert len(transcripts) == 10**3
         for trial, tr in enumerate(transcripts):
             message = trial % proto.M + 1
             assert tr["message"] == tr["decoded"] == message

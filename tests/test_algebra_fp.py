@@ -12,10 +12,9 @@ from capsep.algebra_fp import _fits_check, haemers_matrix, instance_prime
 from capsep.bitgraph import BitGraph, weight_w_bits
 from capsep.errors import InternalCheckError, InvalidParameterError
 from conftest import (FpMatrix, assert_fits, build_ST, dense_adjacency, fitting_matrix,
-                      fitting_matrix_by_polynomials, frankl_wilson_Q, gram_rank,
-                      inner_product_identity_check, monomial_basis,
-                      monomial_basis_by_filter, monomial_values, multilinearize,
-                      rank_by_row_reduction, rank_fp, sign_vector)
+                      fitting_matrix_by_polynomials, frankl_wilson_Q, gram_rank, hamming_distance,
+                      inner_product_identity_check, monomial_basis, monomial_basis_by_filter,
+                      monomial_values, multilinearize, rank_by_row_reduction, rank_fp, sign_vector)
 
 
 def random_sign_point(n, rng):
@@ -31,15 +30,15 @@ class TestInnerProductIdentity:
     def test_distance_six(self):
         x = 0b11111100000
         y = 0b00000011111 | (1 << 10)
-        assert capsep.hamming_distance(x, y) == 10
+        assert hamming_distance(x, y) == 10
         y6 = 0b11100000111
-        assert capsep.hamming_distance(x, y6) == 6
+        assert hamming_distance(x, y6) == 6
         assert inner_product_identity_check(x, y6, 11, 3) == (-13) % 3 == 2
 
     def test_distance_four(self):
         x = 0b11111100000
         y = 0b11110011000
-        assert capsep.hamming_distance(x, y) == 4
+        assert hamming_distance(x, y) == 4
         assert inner_product_identity_check(x, y, 11, 3) == (-9) % 3 == 0
 
     def test_rejects_wrong_length(self):
@@ -53,7 +52,7 @@ class TestInnerProductIdentity:
             for _ in range(300):
                 x = rng.randrange(2**n)
                 y = rng.randrange(2**n)
-                d = capsep.hamming_distance(x, y)
+                d = hamming_distance(x, y)
                 assert inner_product_identity_check(x, y, n, p) == (-2 * d - 1) % p
 
 

@@ -12,8 +12,8 @@ from capsep import bitgraph
 from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, sign_rows,
                              weight_w_bits, words_from_signs)
 from capsep.errors import InvalidParameterError, ResourceLimitError
-from conftest import (adjacency_by_rule, degree, dense_adjacency, flatten,
-                      weight_w_bits_by_combinations, word_of_signs)
+from conftest import (adjacency_by_rule, degree, dense_adjacency, edge_array, flatten,
+                      hamming_distance, is_adjacent, weight_w_bits_by_combinations, word_of_signs)
 
 
 def brute_weight_strings(n, w):
@@ -43,7 +43,7 @@ class TestBuildG:
         assert g.edge_count == 3
         for i in range(3):
             for j in range(3):
-                assert g.is_adjacent(i, j) == (i != j)
+                assert is_adjacent(g, i, j) == (i != j)
 
     def test_g11_vertex_count_by_direct_count(self):
         g = capsep.build_G(11)
@@ -85,7 +85,7 @@ class TestOrthogonalityGraph:
         assert g.vertex_count == 4
         expected = {(i, j) for i in range(4) for j in range(i + 1, 4)
                     if bin(i ^ j).count("1") == 1}
-        assert set(map(tuple, g.edge_array().tolist())) == expected
+        assert set(map(tuple, edge_array(g).tolist())) == expected
         assert all(degree(g, i) == 2 for i in range(4))  # a 4-cycle
 
     def test_n4_degrees(self):
@@ -109,7 +109,7 @@ class TestCycle:
     def test_c5(self):
         c5 = capsep.build_cycle(5)
         assert c5.vertex_count == 5
-        assert set(map(tuple, c5.edge_array().tolist())) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+        assert set(map(tuple, edge_array(c5).tolist())) == {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
 
     def test_c3_is_triangle(self):
         assert capsep.build_cycle(3).edge_count == 3
@@ -117,7 +117,7 @@ class TestCycle:
     def test_c4_bipartite(self):
         c4 = capsep.build_cycle(4)
         evens, odds = {0, 2}, {1, 3}
-        for i, j in c4.edge_array().tolist():
+        for i, j in edge_array(c4).tolist():
             assert (i in evens) != (j in evens)
 
     def test_rejects_small(self):
@@ -136,7 +136,7 @@ class TestStrongProduct:
             if i == origin:
                 continue
             a, b = p.parts(i)
-            if (a == 0 or c5.is_adjacent(0, a)) and (b == 0 or c5.is_adjacent(0, b)):
+            if (a == 0 or is_adjacent(c5, 0, a)) and (b == 0 or is_adjacent(c5, 0, b)):
                 brute += 1
         assert degree(p, origin) == brute == 8
 
@@ -147,7 +147,7 @@ class TestStrongProduct:
         assert p.vertex_count == 5
         for i in range(5):
             for j in range(5):
-                assert p.is_adjacent(i, j) == c5.is_adjacent(i, j)
+                assert is_adjacent(p, i, j) == is_adjacent(c5, i, j)
 
     def test_cross_edges_form_4_clique(self):
         c5 = capsep.build_cycle(5)
@@ -156,7 +156,7 @@ class TestStrongProduct:
         corners = [flatten(p, (u, v)) for u in (0, 1) for v in (0, 1)]
         for a in corners:
             for b in corners:
-                assert p.is_adjacent(a, b) == (a != b)
+                assert is_adjacent(p, a, b) == (a != b)
 
     def test_matches_brute_force_rule_on_random_pairs(self, h11):
         g3 = capsep.build_G(3)
@@ -166,9 +166,9 @@ class TestStrongProduct:
             i, j = rng.randrange(p.vertex_count), rng.randrange(p.vertex_count)
             parts_i, parts_j = p.parts(i), p.parts(j)
             want = i != j and all(
-                a == b or f.is_adjacent(a, b)
+                a == b or is_adjacent(f, a, b)
                 for f, a, b in zip(p.factors, parts_i, parts_j))
-            assert p.is_adjacent(i, j) == want
+            assert is_adjacent(p, i, j) == want
 
     def test_product_size_cap(self, h11):
         with pytest.raises(ResourceLimitError):
@@ -177,15 +177,15 @@ class TestStrongProduct:
 
 class TestHamming:
     def test_examples(self):
-        assert capsep.hamming_distance(0b011, 0b101) == 2
-        assert capsep.hamming_distance(0b1010, 0b1010) == 0
-        assert capsep.hamming_distance(0, 0b11111111111) == 11
+        assert hamming_distance(0b011, 0b101) == 2
+        assert hamming_distance(0b1010, 0b1010) == 0
+        assert hamming_distance(0, 0b11111111111) == 11
 
     def test_matches_xor_popcount_oracle(self):
         rng = random.Random(2)
         for _ in range(500):
             a, b = rng.randrange(2**13), rng.randrange(2**13)
-            assert capsep.hamming_distance(a, b) == bin(a ^ b).count("1")
+            assert hamming_distance(a, b) == bin(a ^ b).count("1")
 
 
 class TestInvariants:
@@ -217,9 +217,9 @@ class TestInvariants:
         rule = adjacency_by_rule(g)
         pairs = [(i, j) for i in range(g.vertex_count)
                  for j in range(i + 1, g.vertex_count) if rule(i, j)]
-        assert all(g.is_adjacent(i, j) == rule(i, j) for i in range(g.vertex_count)
+        assert all(is_adjacent(g, i, j) == rule(i, j) for i in range(g.vertex_count)
                    for j in range(g.vertex_count))
-        arr = g.edge_array()
+        arr = edge_array(g)
         assert arr.dtype == np.int64 and arr.shape == (len(pairs), 2)
         assert [tuple(e) for e in arr.tolist()] == pairs
 
@@ -228,8 +228,8 @@ class TestExplicitEdges:
     def test_duplicates_and_orientation_collapse(self):
         g = capsep.BitGraph(2, range(4), ("explicit", [(1, 0), (0, 1), (3, 2), (2, 3)]))
         assert g.edge_count == 2
-        assert g.edge_array().tolist() == [[0, 1], [2, 3]]
-        assert g.is_adjacent(1, 0) and not g.is_adjacent(1, 2)
+        assert edge_array(g).tolist() == [[0, 1], [2, 3]]
+        assert is_adjacent(g, 1, 0) and not is_adjacent(g, 1, 2)
 
     @pytest.mark.parametrize("edges, phrase", [([(0, 1), (2, 2)], "self-loop"),
                                                ([(0, 4)], "out of range"),
@@ -242,7 +242,7 @@ class TestExplicitEdges:
         pairs = [(0, 2), (1, 3)]
         a = capsep.BitGraph(2, range(4), ("explicit", np.array(pairs)))
         b = capsep.BitGraph(2, range(4), ("explicit", iter(pairs)))
-        assert a.edge_array().tolist() == b.edge_array().tolist() == [[0, 2], [1, 3]]
+        assert edge_array(a).tolist() == edge_array(b).tolist() == [[0, 2], [1, 3]]
 
 
 class TestAdjacencyAmong:
@@ -265,25 +265,6 @@ class TestAdjacencyAmong:
 
 
 class TestExport:
-    def test_dimacs_format(self):
-        text = capsep.build_cycle(5).to_dimacs()
-        lines = text.strip().split("\n")
-        assert lines[0] == "p edge 5 5"
-        assert sum(1 for l in lines if l.startswith("c v ")) == 5
-        edge_lines = [l for l in lines if l.startswith("e ")]
-        assert len(edge_lines) == 5
-        assert all(1 <= int(t) <= 5 for l in edge_lines for t in l.split()[1:])
-
-    @pytest.mark.parametrize("name", ["C5", "G7", "H7", "G11"])
-    @pytest.mark.parametrize("block", [1, 7, bitgraph.DIMACS_BLOCK])
-    def test_dimacs_blocks_match_line_by_line(self, name, block, g11, monkeypatch):
-        g = g11 if name == "G11" else bitgraph.graph_from_ref(name)
-        lines = [f"p edge {g.vertex_count} {g.edge_count}"]
-        lines += [f"c v {i + 1} {g.vertex_label(i)}" for i in range(g.vertex_count)]
-        lines += [f"e {i + 1} {j + 1}" for i, j in g.edge_array().tolist()]
-        monkeypatch.setattr(bitgraph, "DIMACS_BLOCK", block)
-        assert g.to_dimacs() == "\n".join(lines) + "\n"
-
     def test_descriptor(self, g11):
         d = g11.descriptor()
         assert d == {"family": "G", "n": 11, "vertex_count": 462,
@@ -334,25 +315,16 @@ class TestEdgeArray:
     ], ids=lambda g: f"{g.graph_ref()}-{g.vertex_count}")
     def test_matches_the_dense_oracle_in_order(self, g):
         want = np.argwhere(np.triu(dense_adjacency(g), 1))
-        got = g.edge_array()
+        got = edge_array(g)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert g.edge_count == len(want)
-
-    def test_listing_cap_is_checked_before_any_pair(self, monkeypatch):
-        h15 = capsep.build_H(15)  # 16384 vertices: at the all-pairs cap, not over it
-        assert h15.vertex_count == bitgraph.DENSE_ADJACENCY_CAP
-        monkeypatch.setattr(h15, "adjacency_blocks", lambda: pytest.fail("edges were listed"))
-        start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match="52715520 edges exceed the listing cap"):
-            h15.edge_array()
-        assert time.perf_counter() - start < 1.0
 
     def test_unnamed_graph_over_the_all_pairs_cap_is_refused(self):
         g = BitGraph(15, range(2**15), ("distance", 1))
         with pytest.raises(ResourceLimitError, match="all-pairs adjacency for 32768"):
             g.edge_count
         with pytest.raises(ResourceLimitError, match="all-pairs adjacency for 32768"):
-            g.edge_array()
+            edge_array(g)
         assert g.descriptor()["edge_count"] is None
 
 

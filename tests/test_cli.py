@@ -219,11 +219,13 @@ class TestGraphCommands:
         payload = json.loads(out)
         assert payload["vertex_count"] == 462
 
-    def test_gen_graph_dimacs(self, capsys):
-        code, out, _ = run(capsys, "gen-graph", "--family", "C", "--n", "5",
-                           "--format", "dimacs")
-        assert code == 0
-        assert out.startswith("p edge 5 5")
+    def test_gen_graph_format_refused(self, capsys):
+        # every document is JSON: there is no DIMACS export to choose
+        code, out, err = run(capsys, "gen-graph", "--family", "C", "--n", "5",
+                             "--format", "dimacs")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: --format dimacs" in err
+        assert "Traceback" not in err
 
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "g.json"
@@ -240,13 +242,12 @@ class TestGraphCommands:
         assert err.startswith("error: ") and "cap" in err
         assert time.perf_counter() - start < 1.0
 
-    def test_edge_listing_cap_exits_at_once(self, capsys):
-        # H15 has 16384 vertices, within the all-pairs cap, but 52.7M edges
+    def test_vertex_cap_exits_at_once(self, capsys):
+        # H27 would have 2^26 vertices: refused before any word is formed
         start = time.perf_counter()
-        code, out, err = run(capsys, "gen-graph", "--family", "H", "--n", "15",
-                             "--format", "dimacs")
+        code, out, err = run(capsys, "gen-graph", "--family", "H", "--n", "27")
         assert code == 1 and out == ""
-        assert err.startswith("error: 52715520 edges exceed the listing cap")
+        assert err.startswith("error: 2^26 vertices exceed cap 10000000")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("ref", ["G\u00b2", "G\u0663", "G" + "1" * 5000, "C" + "0" * 21 + "5"],
@@ -603,7 +604,8 @@ class TestChannelSimCommand:
     def test_no_edge_is_listed(self, capsys, monkeypatch, family):
         def refuse(self):
             raise AssertionError("the edges were listed")
-        monkeypatch.setattr(capsep.bitgraph.BitGraph, "edge_array", refuse)
+        # edges are listed only from the all-pairs blocks
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "adjacency_blocks", refuse)
         code, out, _ = run(capsys, "channel-sim", "--family", family, "--n", "11",
                            "--trials", "100")
         assert code == 0 and json.loads(out)["failures"] == 0
@@ -934,7 +936,6 @@ def _option_values(paths):
     enough that any mix of them runs in well under a second."""
     return {"--family": st.sampled_from("GH") | st.sampled_from("GHOCKZ"),
             "--n": st.sampled_from([3, 7, 11]) | st.integers(-3, 11),
-            "--format": st.sampled_from(["json", "dimacs", "text"]),
             "--size": st.integers(-4, 64),
             "--seed": st.integers(-3, 10**6),
             "--input": st.just(paths["--input"][0]) | st.sampled_from(paths["--input"]),

@@ -1,17 +1,21 @@
-"""The CLI's JSON encoder: ``cli._dumps`` against ``json.dumps(indent=2)`` as the oracle."""
+"""The CLI's documents: stdout and ``--output`` files are ``json.dumps(indent=2)``
+plus a newline."""
 
+import argparse
+import contextlib
 import enum
+import io
 import json
 import math
-import timeit
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import capsep
-from capsep.cli import _dumps, cli_main
+from capsep.cli import _emit, cli_main
 
 
 def oracle(obj) -> str:
@@ -27,9 +31,6 @@ scalars = (st.none() | st.booleans() | st.integers()
            | st.text() | st.sampled_from(_EDGE_STRINGS))
 keys = (st.text() | st.sampled_from(_EDGE_STRINGS) | st.integers() | st.floats()
         | st.sampled_from(_EDGE_FLOATS) | st.booleans() | st.none())
-# Lists of one scalar type take the one-join path, and equal-length int
-# rows the one-format matrix path; a bool, NaN or infinity among them, or a
-# ragged row, must send the list back to the per-item path.
 rows = (st.lists(st.integers() | st.booleans(), max_size=8)
         | st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), max_size=8)
         | st.lists(st.text(max_size=4), max_size=8))
@@ -47,11 +48,27 @@ json_values = st.recursive(
     max_leaves=40)
 
 
+def emitted(doc: dict) -> tuple[str, str]:
+    """What ``_emit`` prints for doc, and what it writes to an ``--output`` file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(doc, argparse.Namespace(output=None))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        _emit(doc, argparse.Namespace(output=path))
+        with open(path) as fh:
+            return out.getvalue(), fh.read()
+
+
 class TestAgainstIndentEncoder:
+    """stdout and an ``--output`` file hold the same text: the indent
+    encoding of the document and one newline."""
+
     @settings(max_examples=300, deadline=None)
     @given(json_values)
     def test_same_text(self, value):
-        assert _dumps(value) == oracle(value)
+        doc = {"value": value}
+        assert emitted(doc) == (oracle(doc) + "\n",) * 2
 
     @pytest.mark.parametrize("value", [
         [], {}, (), [[]], [{}], {"a": []}, {"a": {}}, [[], [[], {}], ({},)],
@@ -61,7 +78,8 @@ class TestAgainstIndentEncoder:
         {1: 2, 1.5: 3, None: 4, False: 5, "": 6, math.inf: 7},
     ])
     def test_edge_cases(self, value):
-        assert _dumps(value) == oracle(value)
+        doc = {"value": value}
+        assert emitted(doc) == (oracle(doc) + "\n",) * 2
 
     def test_subclasses_keep_json_rules(self):
         class Text(str):
@@ -73,18 +91,22 @@ class TestAgainstIndentEncoder:
         class Doc(dict):
             pass
 
-        value = Doc(a=[Text("x"), Level.LOW, np.float64(0.25), (Level.LOW, 2)], b=Doc())
-        assert _dumps(value) == oracle(value)
+        doc = Doc(a=[Text("x"), Level.LOW, np.float64(0.25), (Level.LOW, 2)], b=Doc())
+        assert emitted(doc) == (oracle(doc) + "\n",) * 2
 
     @pytest.mark.parametrize("value", [np.int64(3), [1, np.int64(2)], {"m": [[np.int64(1)]]},
                                        {(1, 2): 0}, {1, 2}, object()],
                              ids=["int64", "int64-in-row", "int64-nested", "tuple-key", "set",
                                   "object"])
-    def test_unencodable_value_raises_type_error(self, value):
+    def test_unencodable_value_raises_type_error(self, value, tmp_path, capsys):
+        # the document is encoded before the file is opened: nothing is written
+        doc, path = {"value": value}, tmp_path / "doc.json"
         with pytest.raises(TypeError):
-            oracle(value)
-        with pytest.raises(TypeError):
-            _dumps(value)
+            oracle(doc)
+        for output in (None, str(path)):
+            with pytest.raises(TypeError):
+                _emit(doc, argparse.Namespace(output=output))
+        assert capsys.readouterr().out == "" and not path.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -100,26 +122,8 @@ def test_stdout_is_the_indent_encoding(capsys, argv):
     assert out == oracle(json.loads(out)) + "\n"
 
 
-def _g15_cert_doc(tmp_path) -> str:
+def test_g15_certificate_file_is_the_indent_encoding(tmp_path):
     target = tmp_path / "g15.json"
     assert cli_main(["cert", "--family", "G", "--n", "15", "--output", str(target)]) == 0
-    return target.read_text()
-
-
-def test_g15_certificate_file_is_the_indent_encoding(tmp_path):
-    text = _g15_cert_doc(tmp_path)
+    text = target.read_text()
     assert text == oracle(json.loads(text)) + "\n"
-
-
-def test_faster_than_the_indent_encoder():
-    # Both encoders run on the same document in this process, alternately,
-    # so the ratio does not depend on the machine's speed. The document is
-    # what ``orthorep --family G --n 15`` prints (1.2 MB as text): a large
-    # nested document.
-    doc = capsep.OrthoRep(capsep.build_G(15)).to_json()
-    assert _dumps(doc) == oracle(doc)
-    ours, theirs = [], []
-    for _ in range(5):
-        theirs.append(timeit.timeit(lambda: oracle(doc), number=1))
-        ours.append(timeit.timeit(lambda: _dumps(doc), number=1))
-    assert min(theirs) >= 1.5 * min(ours), (min(theirs), min(ours))

@@ -16,8 +16,8 @@ from capsep.entcert import PACKING_REPORT, packing_proof, verify_json
 from capsep.errors import (CertificateError, ConstructionError, InvalidParameterError,
                            ResourceLimitError)
 from conftest import (WITNESS_CAP, EntCert, VerificationReport, cert_from_packing, cert_with,
-                      classical_embedding, dense_adjacency, flatten, ops_by_pair, rank_one_row,
-                      tensor, tensor_by_loop, verify, verify_by_pairs)
+                      classical_embedding, dense_adjacency, flatten, is_adjacent, ops_by_pair,
+                      rank_one_row, tensor, tensor_by_loop, verify, verify_by_pairs)
 
 
 def h3_cert():
@@ -275,13 +275,13 @@ class TestTensor:
         za, zb = squared.graph.parts(z)
         ya = int(np.argmax(dense_adjacency(g11)[za]))
         y = flatten(squared.graph, (ya, zb))
-        assert (y, i) not in ops and squared.graph.is_adjacent(y, z)
+        assert (y, i) not in ops and is_adjacent(squared.graph, y, z)
         ops[(y, i)] = ops.pop((u, i))
         moved = cert_with(squared, ops)
         report = verify(moved)
         assert not report.passed
         assert report.conditions["sum_to_rho"] and not report.conditions["adjacent"]
-        touching = [v for v, j in ops if j != i and squared.graph.is_adjacent(v, y)]
+        touching = [v for v, j in ops if j != i and is_adjacent(squared.graph, v, y)]
         assert z in touching
         assert report.violations["adjacent"] == len(touching)
         edges = [w["edge"] for w in report.witnesses if w["condition"] == 3]

@@ -10,7 +10,7 @@ from capsep.errors import ConstructionError, InvalidParameterError
 from capsep.bitgraph import BitGraph, build_complete
 from capsep.cli import cli_main
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
-from conftest import (_check_clique_bits, dense_adjacency, normalize_by_loop,
+from conftest import (_check_clique_bits, dense_adjacency, hamming_distance, normalize_by_loop,
                       ortho_rep_verify_by_pairs, restricted_set_by_pairs, word_of_signs)
 
 
@@ -129,7 +129,7 @@ class TestCliqueFromHadamard:
         for i in range(11):
             assert clique[i].bit_count() == 6
             for j in range(i + 1, 11):
-                assert capsep.hamming_distance(clique[i], clique[j]) == 6
+                assert hamming_distance(clique[i], clique[j]) == 6
 
     def test_paley164_gives_163_clique_without_graph(self):
         h = capsep.find_hadamard(164)
@@ -152,7 +152,7 @@ class TestCliqueFromHadamard:
         assert zero == 0
         # each Hadamard row has weight (n+1)/2, hence that distance from zero
         for v in clique[1:]:
-            assert capsep.hamming_distance(zero, v) == 6
+            assert hamming_distance(zero, v) == 6
 
     def test_rejects_tiny_matrix(self):
         with pytest.raises(InvalidParameterError):
@@ -190,7 +190,7 @@ class TestPackCliques:
     def test_rejects_non_clique_seed(self, g11):
         words = g11.bits_array.tolist()
         verts = [words[0], words[1], words[2]]
-        if capsep.hamming_distance(verts[0], verts[1]) == 6:
+        if hamming_distance(verts[0], verts[1]) == 6:
             verts = [words[0], words[3], words[5]]
         with pytest.raises((ConstructionError, InvalidParameterError)):
             capsep.pack_cliques(g11, verts)
@@ -270,7 +270,7 @@ class TestRestrictedIndependentSet:
         assert len(rs) == 462
         assert not rs.verified
         a, b = rs.witness
-        assert capsep.hamming_distance(a, b) == 6
+        assert hamming_distance(a, b) == 6
 
     def test_n3_default_is_provably_safe(self):
         rs = restricted_independent_set(3)
