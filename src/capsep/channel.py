@@ -53,28 +53,22 @@ class Protocol:
     lie in the ones-hyperplane); a certificate's ``dim`` is its matrix
     order, n + 1 for both.
 
-    The channel rows of the inputs come from one ``adjacency_among(inputs,
-    all vertices)``, never from an edge numbering: row k is its vertex
-    output, then its edge outputs by neighbour ascending, the channel's own
-    order. An output of row k is received by the rows {k, l} when it is the
-    edge to the input of row l, and by {k} alone otherwise: those outputs
-    are solo. The receiver pairs (k, l) are listed in row order.
+    The channel rows of the inputs are read from one matrix, ``adjacency =
+    adjacency_among(inputs, all vertices)``, (M dim, |V|) bool, never from
+    an edge numbering: row k is its vertex output, then its edge outputs by
+    neighbour ascending, the channel's own order. An output of row k is
+    received by the rows {k, l} when it is the edge to the input of row l,
+    and by {k} alone otherwise: those outputs are solo.
     """
 
     graph: object
     rows: np.ndarray
 
     def __post_init__(self):
-        g, (self.M, self.dim), count = self.graph, self.rows.shape, self.rows.size
+        g, (self.M, self.dim) = self.graph, self.rows.shape
         self.inputs = self.rows.ravel()
         self.messages = np.repeat(np.arange(1, self.M + 1), self.dim)
-        row_k, self._neighbours = np.nonzero(
-            g.adjacency_among(self.inputs, np.arange(g.vertex_count)))
-        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(row_k, minlength=count))))
-        row_of = np.full(g.vertex_count, -1, dtype=np.int64)
-        row_of[self.inputs] = np.arange(count)
-        peer = row_of[self._neighbours]
-        self._pairs = np.stack([row_k, peer], axis=1)[peer >= 0]
+        self.adjacency = g.adjacency_among(self.inputs, np.arange(g.vertex_count))
 
     @property
     def zero_error_instances(self) -> int:
@@ -83,20 +77,20 @@ class Protocol:
         its row, one per message j != i among t's members and message 1 (the
         completion). A solo output of row k counts [i != 1]; a receiver pair
         (k, l) counts [m_l != i] + [i != 1 and m_l != 1]."""
-        k, l = self._pairs.T
+        k, l = np.nonzero(self.adjacency[:, self.inputs])
         i, j = self.messages[k], self.messages[l]
-        solo = np.diff(self._indptr) + 1 - np.bincount(k, minlength=self.rows.size)
+        solo = self.adjacency.sum(1) + 1 - np.bincount(k, minlength=self.rows.size)
         return int(solo @ (self.messages != 1) + np.count_nonzero(j != i)
                    + np.count_nonzero((i != 1) & (j != 1)))
 
     def transcript(self, message: int, k: int, pos: int) -> dict:
         """The printed record of ``message`` sent from row k through output
         ``pos`` of the row (0: the sender's own), decoded as the row's message."""
-        s, lo, decoded = int(self.inputs[k]), int(self._indptr[k]), int(self.messages[k])
+        s, decoded = int(self.inputs[k]), int(self.messages[k])
         label = self.graph.vertex_label
         sender = output = label(s)
         if pos:  # the edge output: lower index first
-            t = int(self._neighbours[lo + pos - 1])
+            t = int(np.flatnonzero(self.adjacency[k])[pos - 1])
             output = f"{sender}|{label(t)}" if s < t else f"{label(t)}|{sender}"
         return {"message": message, "sender_outcome": sender, "channel_output": output,
                 "distribution": [0.0] * (decoded - 1) + [1.0] + [0.0] * (self.M - decoded),
@@ -120,32 +114,25 @@ def protocol_from_packing(packing) -> Protocol:
     return Protocol(g, g.indices_of(packing.cliques))
 
 
-SIM_BLOCK = 1 << 14  # trials per block of draws: bounds the arrays a simulation holds
-MAX_TRIALS = 10**9  # the most trials ``channel-sim`` runs: about a minute
+MAX_TRIALS = 10**9  # the most trials ``channel-sim`` counts; it draws only those it prints
 
 
-def simulate(proto: Protocol, trials: int, rngs, shown: int = 20) -> list[dict]:
-    """Run the protocol ``trials`` times over its graph's channel, trial t
-    sending message t % M + 1; return the first ``shown`` transcripts.
+def simulate(proto: Protocol, trials: int, rngs) -> list[dict]:
+    """The transcripts of ``trials`` runs of the protocol over its graph's
+    channel, trial t sending message t % M + 1.
 
     Of the generator pair rngs (``default_rng(seed).spawn(2)``), the first
     draws the sender's row uniformly among the message's dim inputs (an
     orthonormal basis, each with Tr(A_i^s)/d = 1/dim), the second the output
-    uniformly from that row. Trials run in blocks of ``SIM_BLOCK``; each
-    stream is read in trial order, and numpy's bounded array draws match its
-    scalar draws one for one, so the first trials come out the same whatever
-    ``trials``. The receiver decodes the row's message with certainty, as
-    ``protocol_from_packing`` proves, and the row lies in the sent message's
-    block, so no trial fails; only the returned transcripts are formed.
+    uniformly from that row, one array draw each. Each stream is read in
+    trial order, and numpy's bounded array draws match its scalar draws one
+    for one, so the first trials come out the same whatever ``trials``: a
+    caller that prints a prefix draws only that prefix. The receiver decodes
+    the row's message with certainty, as ``protocol_from_packing`` proves,
+    and the row lies in the sent message's block, so no trial fails.
     """
     senders, outputs = rngs
-    degrees = np.diff(proto._indptr)
-    transcripts = []
-    for start in range(0, trials, SIM_BLOCK):
-        messages = np.arange(start, min(start + SIM_BLOCK, trials)) % proto.M + 1
-        k = (messages - 1) * proto.dim + senders.integers(proto.dim, size=messages.size)
-        pos = outputs.integers(degrees[k] + 1)
-        head = slice(max(shown - start, 0))
-        transcripts += map(proto.transcript, messages[head].tolist(), k[head].tolist(),
-                           pos[head].tolist())
-    return transcripts
+    messages = np.arange(trials) % proto.M + 1
+    k = (messages - 1) * proto.dim + senders.integers(proto.dim, size=trials)
+    pos = outputs.integers(proto.adjacency.sum(1)[k] + 1)
+    return list(map(proto.transcript, messages.tolist(), k.tolist(), pos.tolist()))

@@ -10,8 +10,8 @@ channel's rows (``channel_row``) and the zero-error code check
 (``check_zero_error_code``), which no library code needs, and the float form
 of a protocol (``float_protocol``: unit vectors and their Gram matrix), which
 the library replaces by the packing's exact proof, and the scalar
-simulation loop (``simulate_by_loop``), which the library runs in blocks of
-array draws. So do a graph's edge list (``edge_array``), its pair predicate
+simulation loop (``simulate_by_loop``), which the library runs as one array
+draw per stream. So do a graph's edge list (``edge_array``), its pair predicate
 (``is_adjacent``) and ``hamming_distance``, which no library code calls. The dense operator certificate lives only here: ``EntCert``,
 its generic K x K check ``verify``, the tensor and classical-embedding
 certificates, a packing's dense certificate (``cert_from_packing``: its

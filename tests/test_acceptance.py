@@ -194,7 +194,7 @@ def test_criterion_7_protocol_simulation():
         cert = cert_from_packing(packing)
         _, worst, witness = zero_error_by_loop(float_protocol(cert, proto.graph))
         assert worst <= 1e-9, f"zero-error violation {worst} at {witness}"
-        transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2), shown=10**3)
+        transcripts = simulate(proto, 10**3, np.random.default_rng(0).spawn(2))
         assert len(transcripts) == 10**3
         for trial, tr in enumerate(transcripts):
             message = trial % proto.M + 1

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep import channel
 from capsep.channel import Protocol, protocol_from_packing, simulate
 from capsep.geometry import CliquePacking
 from conftest import (EntCert, ProtocolError, RecordingGenerator, ScriptedGenerator,
@@ -45,7 +44,7 @@ def one_hot(message: int, M: int) -> list[float]:
 def transcripts(proto, trials: int, seed: int = 0) -> list:
     """Every transcript of a run of ``trials`` from ``default_rng(seed)``'s two
     spawned generators, which decodes every trial."""
-    out = simulate(proto, trials, np.random.default_rng(seed).spawn(2), shown=trials)
+    out = simulate(proto, trials, np.random.default_rng(seed).spawn(2))
     assert len(out) == trials and all(tr["correct"] for tr in out)
     return out
 
@@ -207,7 +206,7 @@ class TestInputLabels:
         label = g.vertex_label
         monkeypatch.setattr(g, "vertex_label", lambda i: formed.append(i) or label(i))
         proto = protocol_from_cert(h11_cert, g)
-        printed = simulate(proto, 5000, np.random.default_rng(0).spawn(2))
+        printed = simulate(proto, 20, np.random.default_rng(0).spawn(2))
         assert len(printed) == 20
         # the sender's label, and the other end's for an edge output
         assert len(formed) == sum(1 + ("|" in tr["channel_output"]) for tr in printed)
@@ -512,9 +511,22 @@ class TestPackingProtocol:
         for row, clique in zip(proto.rows.tolist(), packing.cliques):
             assert g.bits_array[row].tolist() == list(clique)
         # trial i - 1 sends message i, from an input of row i - 1
-        printed = simulate(proto, proto.M, np.random.default_rng(0).spawn(2), shown=proto.M)
+        printed = simulate(proto, proto.M, np.random.default_rng(0).spawn(2))
         for row, tr in zip(proto.rows.tolist(), printed):
             assert tr["sender_outcome"] in [g.vertex_label(u) for u in row]
+
+    def test_g15_protocol_memory(self):
+        # one (M dim, |V|) bool matrix, 2.8 MB at G15, and the 22 MB int64 XOR
+        # that adjacency_among forms it from
+        packing = packing_of("G15", 0)
+        tracemalloc.start()
+        try:
+            instances = protocol_from_packing(packing).zero_error_instances
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert instances == 1096402
+        assert peak < 32 * 2**20, peak
 
 
 def classical_g11_protocol(g11):
@@ -643,7 +655,7 @@ class TestDrawRanges:
         trials = 3 * proto.M + 1
         for seed in range(3):
             rngs = RecordingGenerator(seed), RecordingGenerator(seed + 10)
-            printed = simulate(proto, trials, rngs, shown=trials)
+            printed = simulate(proto, trials, rngs)
             s = [index[tr["sender_outcome"]] for tr in printed]
             degrees = np.count_nonzero(g.adjacency_among(s, everyone), axis=1)
             assert rngs[0].bounds == [proto.dim] * trials
@@ -669,7 +681,7 @@ class TestDrawRanges:
                 values = [(t - message + 1) // M if t % M == message - 1 else 0
                           for t in range(trials)]
                 rngs = ScriptedGenerator(*[a] * trials), ScriptedGenerator(*values)
-                printed = simulate(proto, trials, rngs, shown=trials)
+                printed = simulate(proto, trials, rngs)
                 drawn = [drawn_indices(g, tr["sender_outcome"], tr["channel_output"])
                          for tr in printed[message - 1::M]]
                 assert drawn == [(u, t) for t in row]
@@ -678,40 +690,20 @@ class TestDrawRanges:
 class TestAgainstTheLoop:
     @pytest.mark.parametrize("which", ["H11", "G11", "G11 classical", "C5xH3"])
     def test_same_draws_transcripts_and_failures(self, which, g11, h11_cert, g11_cert):
-        # across a block boundary: the transcripts name each trial's row and output
+        # the transcripts name each trial's row and output
         cert = draw_cases(which, g11, h11_cert, g11_cert)
         proto = protocol_from_cert(cert, cert.graph)
-        trials = channel.SIM_BLOCK + 37
         for seed in (0, 1):
-            batch = simulate(proto, trials, np.random.default_rng(seed).spawn(2), shown=trials)
-            failures, loop = simulate_by_loop(proto, trials, np.random.default_rng(seed).spawn(2),
-                                              shown=trials)
+            batch = simulate(proto, 5000, np.random.default_rng(seed).spawn(2))
+            failures, loop = simulate_by_loop(proto, 5000, np.random.default_rng(seed).spawn(2),
+                                              shown=5000)
             assert batch == loop and failures == 0
-
-    @pytest.mark.parametrize("block", [1, 7, 64])
-    def test_any_block_size_prints_the_same(self, block, h11_cert, monkeypatch):
-        proto = protocol_from_cert(h11_cert, h11_cert.graph)
-        want = simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50)
-        monkeypatch.setattr(channel, "SIM_BLOCK", block)
-        assert simulate(proto, 200, np.random.default_rng(3).spawn(2), shown=50) == want
-        loop = simulate_by_loop(proto, 200, np.random.default_rng(3).spawn(2), shown=50)
-        assert loop == (0, want)
+            # a short run is the long run's prefix: channel-sim draws only what it prints
+            assert simulate(proto, 20, np.random.default_rng(seed).spawn(2)) == loop[:20]
 
     def test_printed_transcripts_do_not_depend_on_the_trial_count(self, g11_cert):
         proto = protocol_from_cert(g11_cert, g11_cert.graph)
         runs = [simulate(proto, trials, np.random.default_rng(9).spawn(2))
-                for trials in (20, 5000, 2 * channel.SIM_BLOCK + 1)]
-        assert runs[0] == runs[1] == runs[2] and len(runs[0]) == 20
+                for trials in (20, 5000)]
+        assert runs[0] == runs[1][:20] and len(runs[0]) == 20
         assert simulate(proto, 1, np.random.default_rng(9).spawn(2)) == runs[0][:1]
-
-    def test_memory_is_a_few_blocks(self, h11_cert):
-        # about 12 block-sized int64 arrays at the peak (1.6 MB); unblocked, 33 MB
-        proto = protocol_from_cert(h11_cert, h11_cert.graph)
-        tracemalloc.start()
-        try:
-            printed = simulate(proto, 10**6, np.random.default_rng(0).spawn(2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(printed) == 20 and all(tr["correct"] for tr in printed)
-        assert peak <= 16 * 8 * channel.SIM_BLOCK, peak

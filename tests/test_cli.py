@@ -565,10 +565,10 @@ class TestChannelSimCommand:
     def test_trials_at_the_cap_accepted(self, capsys, monkeypatch):
         asked = []
         monkeypatch.setattr(capsep.cli.channel, "simulate",
-                            lambda proto, trials, rngs: asked.append(trials) or (0, []))
+                            lambda proto, trials, rngs: asked.append(trials) or [])
         code, out, _ = run(capsys, "channel-sim", "--family", "H", "--n", "3",
                            "--trials", str(MAX_TRIALS))
-        assert code == 0 and asked == [MAX_TRIALS]
+        assert code == 0 and asked == [20]  # only the printed trials are drawn
         assert json.loads(out)["trials"] == MAX_TRIALS
 
     @pytest.mark.parametrize("trials", [0, 1])
@@ -586,6 +586,16 @@ class TestChannelSimCommand:
         docs = [json.loads(run(capsys, *argv, trials)[1]) for trials in ("20", "5000")]
         assert docs[0]["transcripts"] == docs[1]["transcripts"]
         assert len(docs[0]["transcripts"]) == 20
+
+    def test_trials_at_the_cap_print_a_short_run_quickly(self, capsys):
+        argv = ["channel-sim", "--family", "H", "--n", "11", "--trials"]
+        docs = [json.loads(run(capsys, *argv, trials)[1]) for trials in ("20", "5000")]
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv, str(MAX_TRIALS))
+        assert time.perf_counter() - start < 2.0
+        capped = json.loads(out)
+        assert code == 0 and (capped["trials"], capped["failures"]) == (MAX_TRIALS, 0)
+        assert capped["transcripts"] == docs[0]["transcripts"] == docs[1]["transcripts"]
 
     def test_channel_over_the_cap_refused_before_the_certificate(self, capsys, monkeypatch):
         # H15: 2^14 vertices and 2^14 * C(15, 8) / 2 = 52.7M edges
