@@ -8,8 +8,8 @@ bound are returned as certified lower/upper bounds. Rank r of the static
 order is bit n-1-r: the search forms no negative operand (``x & -x``, ``~row``).
 
 On a vertex-transitive graph every vertex is in some maximum independent set,
-so alpha(G) = 1 + alpha(G - N[v]): the root expands only its first branch,
-which searches G - N[v]. Any other graph gets the full search.
+so alpha(G) = 1 + alpha(G - N[0]): vertex 0 is fixed and the search explores
+G - N[0] alone, ordered by degree within it. Any other graph is searched whole.
 """
 
 from __future__ import annotations
@@ -85,21 +85,27 @@ def _color_classes(cand: int, adj: list[int], bit: list[int],
 def _rank_rows(g, order: np.ndarray) -> list[int]:
     """One adjacency bitset per position b (rank n-1-b), rank r at bit n-1-r."""
     pad = -order.size % 8
-    rows: list[int] = []
-    for lo, hi in row_blocks(order.size, order.size):
-        packed = np.packbits(g.adjacency_among(order[lo:hi], order), axis=1, bitorder="big")
-        rows += [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
-    return rows[::-1]
+    return [int.from_bytes(row.tobytes(), "big") >> pad
+            for _, block in g.adjacency_blocks(order)
+            for row in np.packbits(block, axis=1, bitorder="big")][::-1]
 
 
 def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     """Budgeted exact/anytime alpha with a re-verified witness."""
-    n = g.vertex_count
-    # Static order: complement degree descending, then vertex index. The
-    # search holds rank r at position n-1-r; the witness is mapped back.
-    degrees = [np.zeros(0, dtype=np.int64)]  # a graph with no vertices has no block
-    degrees += [block.sum(axis=1) for _, block in g.adjacency_blocks()]
-    order = np.argsort(np.concatenate(degrees), kind="stable")
+    g.require_dense()  # before the first adjacency row
+    searched = np.arange(g.vertex_count)
+    fixed = [0] if g.vertex_transitive and searched.size else []
+    if fixed:  # alpha(G) = 1 + alpha(G - N[0]): search the non-neighbours of 0
+        far = ~g.adjacency_among([0], searched)[0]
+        far[0] = False
+        searched = searched[far]
+    # Static order: degree within the searched set ascending (complement degree
+    # descending), then vertex index. The search holds rank r at position
+    # n-1-r; the witness is mapped back.
+    degrees = [np.zeros(0, dtype=np.int64)]  # an empty set has no block
+    degrees += [block.sum(axis=1) for _, block in g.adjacency_blocks(searched)]
+    order = searched[np.argsort(np.concatenate(degrees), kind="stable")]
+    n = order.size
     adj = _rank_rows(g, order)
     full = (1 << n) - 1
     bit = [1 << b for b in range(n)]
@@ -146,14 +152,14 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
             if truncated:
                 return
 
-    if n > 0:  # transitive: some maximum set holds the first branch's vertex
-        expand(full, root_colored[-1:] if g.vertex_transitive else root_colored)
+    if n > 0:
+        expand(full, root_colored)
 
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)
-    witness = tuple(sorted(order[::-1][best_set].tolist()))
+    witness = tuple(sorted(fixed + order[::-1][best_set].tolist()))
     ok, witness_edge = verify_independent(g, witness)
     if not ok:
         raise InternalCheckError(f"internal witness failed: edge {witness_edge}")
-    return AlphaResult(best_size, upper, exact, witness,
+    return AlphaResult(len(fixed) + best_size, len(fixed) + upper, exact, witness,
                        nodes, time.monotonic() - start)

@@ -53,16 +53,19 @@ def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
 class _Graph:
     """What every graph derives from its one pair rule, ``adjacency_among``."""
 
-    def adjacency_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, adjacency of rows lo, lo+1, ... against every vertex) over ``row_blocks``;
-        more than ``DENSE_ADJACENCY_CAP`` vertices are refused before the first block."""
-        nv = self.vertex_count
-        if nv > DENSE_ADJACENCY_CAP:
-            raise ResourceLimitError(
-                f"all-pairs adjacency for {nv} vertices exceeds cap {DENSE_ADJACENCY_CAP}")
-        every = np.arange(nv)
-        for lo, hi in row_blocks(nv, nv):
-            yield lo, self.adjacency_among(every[lo:hi], every)
+    def require_dense(self) -> None:
+        """Refuse all-pairs adjacency work on more than ``DENSE_ADJACENCY_CAP`` vertices."""
+        if self.vertex_count > DENSE_ADJACENCY_CAP:
+            raise ResourceLimitError(f"all-pairs adjacency for {self.vertex_count} vertices "
+                                     f"exceeds cap {DENSE_ADJACENCY_CAP}")
+
+    def adjacency_blocks(self, among=None) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, adjacency of among[lo:hi] against among) over ``row_blocks``, among
+        every vertex by default; ``require_dense`` is checked before the first block."""
+        self.require_dense()
+        among = np.arange(self.vertex_count) if among is None else among
+        for lo, hi in row_blocks(among.size, among.size):
+            yield lo, self.adjacency_among(among[lo:hi], among)
 
     def descriptor(self) -> dict:
         n = self.vertex_count if self.family in ("C", "K") else self.n

@@ -138,13 +138,18 @@ def _greedy_color_bound(cand: int, order: list[int], comp: list[int]) -> list[tu
 
 def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
     """(lower, upper, exact, witness, nodes) of the budgeted branch and bound on
-    vertex indices, its bound from the vertex-by-vertex first-fit coloring;
-    a vertex-transitive graph expands only the root's first branch."""
+    vertex indices, its bound from the vertex-by-vertex first-fit coloring.
+    A vertex-transitive graph puts vertex 0 in the witness and searches only
+    its non-neighbours; any other graph is searched whole. The static order
+    is by complement degree within the searched set."""
     n = g.vertex_count
     rows = adjacency_rows(g)
     full = (1 << n) - 1
     comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
-    order = sorted(range(n), key=lambda v: (-comp[v].bit_count(), v))
+    fixed = [0] if g.vertex_transitive and n > 0 else []
+    root = comp[0] if fixed else full
+    order = sorted((v for v in range(n) if (root >> v) & 1),
+                   key=lambda v: (-(comp[v] & root).bit_count(), v))
 
     best: list[int] = []
     for v in order:
@@ -155,7 +160,7 @@ def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
     truncated = False
     current: list[int] = []
     best_set = list(best)
-    root_colored = _greedy_color_bound(full, order, comp)
+    root_colored = _greedy_color_bound(root, order, comp)
     root_bound = root_colored[-1][1] if root_colored else 0
 
     def expand(cand: int, colored: list[tuple[int, int]]):
@@ -181,11 +186,12 @@ def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
             current.pop()
             cand &= ~(1 << v)
 
-    if n > 0:
-        expand(full, root_colored[-1:] if g.vertex_transitive else root_colored)
+    if root:
+        expand(root, root_colored)
     exact = not truncated
     upper = best_size if exact else max(root_bound, best_size)
-    return best_size, upper, exact, tuple(sorted(best_set)), nodes
+    return (len(fixed) + best_size, len(fixed) + upper, exact,
+            tuple(sorted(fixed + best_set)), nodes)
 
 
 def rank_by_row_reduction(matrix, p: int) -> int:

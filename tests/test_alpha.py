@@ -86,11 +86,11 @@ class TestMatchesVertexColoringOracle:
         assert verify_independent(g, res.witness) == (True, None)
 
     @pytest.mark.parametrize("ref, budget, expect", [
-        ("G11", 2000, (37, 37, True, 1119)),
-        ("H11", 2000, (67, 256, False, 2001)),
-        ("C5xC5", 1_000_000, (5, 5, True, 11)),
-        ("G11", 20000, (37, 37, True, 1119)),
-        ("H11", 1_000_000, (67, 67, True, 5322)),
+        ("G11", 2000, (37, 37, True, 161)),
+        ("H11", 2000, (67, 67, True, 1472)),
+        ("C5xC5", 1_000_000, (5, 5, True, 6)),
+        ("G11", 20000, (37, 37, True, 161)),
+        ("H11", 1_000_000, (67, 67, True, 1472)),
     ])
     def test_fixed_cases(self, ref, budget, expect):
         g = graph_from_ref(ref)
@@ -106,14 +106,31 @@ class TestMatchesVertexColoringOracle:
 
 
 # A pentagon 0-4-2-3-1 with vertex 5 joined to both ends of its edge 0-1: alpha = 3
-# ({3, 4, 5}), but the greedy incumbent is {2, 5} and the root's first branch,
-# on vertex 2, finds no third vertex.
+# ({3, 4, 5}), but no maximum independent set holds vertex 0, so fixing it, as a
+# vertex-transitive graph may, leaves G - N[0] = {2, 3}, an edge, and finds only 2.
 ROOFED_PENTAGON = [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
 
 
+@st.composite
+def transitive_graphs(draw):
+    """A circulant C(m, S) on Z_m (m <= 40) or a Cayley graph on Z_2^k (k <= 5),
+    flagged vertex-transitive: rotations, or translations, act transitively."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 40))
+        jumps = draw(st.sets(st.integers(1, max(1, m // 2))))
+        edges = [(u, (u + j) % m) for u in range(m) for j in jumps if j % m]
+        return capsep.BitGraph(max(1, (m - 1).bit_length()), range(m), ("explicit", edges),
+                               vertex_transitive=True)
+    k = draw(st.integers(1, 5))
+    connection = draw(st.sets(st.integers(1, 2**k - 1)))
+    edges = [(u, u ^ s) for u in range(2**k) for s in connection]
+    return capsep.BitGraph(k, range(2**k), ("explicit", edges), vertex_transitive=True)
+
+
 class TestVertexTransitiveRestart:
-    """On a vertex-transitive graph alpha(G) = 1 + alpha(G - N[v]), so the search
-    expands only the root's first branch; every other graph keeps the full search."""
+    """On a vertex-transitive graph alpha(G) = 1 + alpha(G - N[0]), so the search
+    fixes vertex 0 and explores only its non-neighbours; every other graph keeps
+    the full search."""
 
     @pytest.mark.parametrize("ref", ["G11", "H11", "O4", "C5", "K3", "C5xH3", "G3xC5xC4"])
     def test_builders_claim_transitivity(self, ref):
@@ -137,6 +154,18 @@ class TestVertexTransitiveRestart:
         assert res.exact and res.lower == res.upper
         assert res.lower == alpha_by_enumeration(adjacency_rows(g))
 
+    @settings(max_examples=150, deadline=None)
+    @given(g=transitive_graphs(), budget=st.integers(1, 60))
+    def test_restart_on_circulants_and_cayley_graphs(self, g, budget):
+        alpha = alpha_by_enumeration(adjacency_rows(g))
+        full = max_independent_set(g)
+        assert full.exact and full.lower == full.upper == alpha
+        res = max_independent_set(g, node_budget=budget)
+        assert res.lower <= alpha <= res.upper
+        assert len(res.witness) == res.lower
+        assert verify_independent(g, res.witness) == (True, None)
+        assert TestMatchesVertexColoringOracle.fields(res) == alpha_by_vertex_coloring(g, budget)
+
     def test_restart_matches_the_full_search_on_o8(self):
         # 256 vertices: past the enumeration oracle; the same graph unflagged is searched whole
         res = max_independent_set(graph_from_ref("O8"))
@@ -147,7 +176,7 @@ class TestVertexTransitiveRestart:
         g = capsep.BitGraph(3, range(6), ("explicit", ROOFED_PENTAGON))
         assert alpha_by_enumeration(adjacency_rows(g)) == 3
         assert max_independent_set(g).lower == 3
-        # the same graph falsely flagged: the first root branch alone misses alpha
+        # the same graph falsely flagged: fixing vertex 0 misses alpha
         wrong = capsep.BitGraph(3, range(6), ("explicit", ROOFED_PENTAGON), vertex_transitive=True)
         assert max_independent_set(wrong).lower == 2
 

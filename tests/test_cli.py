@@ -146,8 +146,8 @@ class TestAlphaCommand:
         assert payload["exact"] is True
 
     @pytest.mark.parametrize("argv, expect", [
-        (["--graph", "G11", "--node-budget", "2000"], (37, 37, True, 1119)),
-        (["--graph", "H11"], (67, 67, True, 5322)),
+        (["--graph", "G11", "--node-budget", "2000"], (37, 37, True, 161)),
+        (["--graph", "H11"], (67, 67, True, 1472)),
     ])
     def test_n11_is_exact(self, capsys, argv, expect):
         code, out, _ = run(capsys, "alpha", *argv)
@@ -164,6 +164,15 @@ class TestAlphaCommand:
         payload = json.loads(out)
         assert payload["graph"] == "C5xC5"
         assert payload["lower"] == 5
+
+    def test_over_the_cap_refused_before_any_adjacency_row(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an adjacency row was formed")
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "adjacency_among", refuse)
+        code, out, err = run(capsys, "alpha", "--graph", "H17")
+        assert code == 1 and out == ""
+        assert "all-pairs adjacency for 65536 vertices exceeds cap 16384" in err
+        assert "Traceback" not in err
 
 
 class TestReportCommand:
