@@ -1,4 +1,6 @@
-"""Command-line front end: every subcommand prints one JSON document.
+"""Command-line front end: every subcommand's handler returns one JSON
+document, built from one graph, and ``cli_main`` prints it (or writes it to
+``--output``).
 
 Exit codes: 0 on success, 2 when a verification fails, 1 on usage errors.
 Results go to stdout, diagnostics to stderr.
@@ -20,7 +22,7 @@ from .hadamard import find_hadamard
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             print(text, file=fh)
     else:
@@ -45,72 +47,59 @@ def _packing(family: str, n: int, seed: int):
     return h, g, geometry.pack_cliques(g, geometry.hadamard_clique(h, family), rng_seed=seed)
 
 
-# -- subcommand handlers -------------------------------------------------------
+# -- subcommand handlers: each returns the one document cli_main prints ------
 
 
-def _cmd_gen_graph(args) -> int:
-    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    _emit(g.descriptor(), args)
-    return 0
+def _cmd_gen_graph(args) -> dict:
+    return bitgraph.graph_from_ref(f"{args.family}{args.n}").descriptor()
 
 
-def _cmd_hadamard(args) -> int:
+def _cmd_hadamard(args) -> dict:
     h = find_hadamard(args.size)
-    _emit({"size": args.size, "found": False} if h is None
-          else {**h.to_json(), "construction": h.construction}, args)
-    return 0
+    return ({"size": args.size, "found": False} if h is None
+            else {**h.to_json(), "construction": h.construction})
 
 
-def _cmd_orthorep(args) -> int:
+def _cmd_orthorep(args) -> dict:
     rep = geometry.OrthoRep(bitgraph.graph_from_ref(f"{args.family}{args.n}"))
     rep.verify()
-    _emit(rep.to_json(), args)
-    return 0
+    return rep.to_json()
 
 
-def _cmd_clique(args) -> int:
+def _cmd_clique(args) -> dict:
     clique = geometry.hadamard_clique(_hadamard(args.n), args.family)
-    _emit({"graph": f"{args.family}{args.n}", "size": len(clique),
-           "vertices": [bitgraph.word_label(b, args.n) for b in clique]}, args)
-    return 0
+    return {"graph": f"{args.family}{args.n}", "size": len(clique),
+            "vertices": [bitgraph.word_label(b, args.n) for b in clique]}
 
 
-def _cmd_pack(args) -> int:
+def _cmd_pack(args) -> dict:
     _, _, packing = _packing(args.family, args.n, args.seed)
-    _emit(packing.to_json(), args)
-    return 0
+    return packing.to_json()
 
 
-def _cmd_cert(args) -> int:
+def _cmd_cert(args) -> dict:
     _, g, packing = _packing(args.family, args.n, args.seed)
-    entcert.packing_proof(packing)  # the cliques fix every operator: none is formed
-    _emit({"graph": g.graph_ref(), "M": packing.count, "dim": geometry.OrthoRep(g).dim,
-           "cliques": packing.to_json()["cliques"], "verification": entcert.PACKING_REPORT},
-          args)
-    return 0
+    m, dim = entcert.packing_proof(packing)  # the cliques fix every operator: none is formed
+    return {"graph": g.graph_ref(), "M": m, "dim": dim,
+            "cliques": packing.to_json()["cliques"], "verification": entcert.PACKING_REPORT}
 
 
-def _cmd_verify_cert(args) -> int:
+def _cmd_verify_cert(args) -> dict:
     with open(args.input, "rb") as fh:
         entcert.verify_json(fh.read())
-    _emit(entcert.PACKING_REPORT, args)
-    return 0
+    return entcert.PACKING_REPORT
 
 
-def _cmd_haemers(args) -> int:
-    g = bitgraph.graph_from_ref(f"{args.family}{args.n}")
-    _emit(algebra_fp.haemers_matrix(g).to_json(), args)
-    return 0
+def _cmd_haemers(args) -> dict:
+    return algebra_fp.haemers_matrix(bitgraph.graph_from_ref(f"{args.family}{args.n}")).to_json()
 
 
-def _cmd_alpha(args) -> int:
+def _cmd_alpha(args) -> dict:
     g = bitgraph.graph_from_ref("x".join(f[:1].upper() + f[1:] for f in args.graph.split("x")))
-    res = alpha.max_independent_set(g, node_budget=args.node_budget)
-    _emit(res.to_json(g), args)
-    return 0
+    return alpha.max_independent_set(g, node_budget=args.node_budget).to_json(g)
 
 
-def _cmd_channel_sim(args) -> int:
+def _cmd_channel_sim(args) -> dict:
     if min(args.seed, args.trials) < 0:
         raise CapsepError("--seed and --trials must be non-negative")
     if args.trials > channel.MAX_TRIALS:
@@ -121,28 +110,24 @@ def _cmd_channel_sim(args) -> int:
     transcripts = channel.simulate(proto, min(args.trials, 20),
                                    np.random.default_rng(args.seed).spawn(2))
     # the proof decodes every trial: no failure, like no zero-error violation
-    _emit({"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
-           "zero_error": {"passed": True, "instances": proto.zero_error_instances},
-           "trials": args.trials, "failures": 0, "transcripts": transcripts}, args)
-    return 0
+    return {"graph": g.graph_ref(), "M": proto.M, "dim": proto.dim,
+            "zero_error": {"passed": True, "instances": proto.zero_error_instances},
+            "trials": args.trials, "failures": 0, "transcripts": transcripts}
 
 
-def _cmd_report(args) -> int:
-    _emit(report.capacity_report(args.family, args.p).to_json(), args)
-    return 0
+def _cmd_report(args) -> dict:
+    return report.capacity_report(args.family, args.p).to_json()
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args) -> dict:
     family, n = args.family, args.n
     out: dict = {}
     h, g, packing = _packing(family, n, args.seed)
     out["graph"] = g.descriptor()
     out["hadamard"] = {"size": h.size, "construction": h.construction}
-    entcert.packing_proof(packing)  # M and dim need no operator stack; a failure raises
-    out["packing"] = {"count": packing.count, "target": packing.target,
-                      "target_met": packing.target_met}
-    out["cert"] = {"M": packing.count, "dim": geometry.OrthoRep(g).dim,
-                   "verified": True, "mode": "packing"}
+    m, dim = entcert.packing_proof(packing)  # no operator stack; a failure raises
+    out["packing"] = {"count": m, "target": packing.target, "target_met": packing.target_met}
+    out["cert"] = {"M": m, "dim": dim, "verified": True, "mode": "packing"}
     upper = None
     try:
         hm = algebra_fp.haemers_matrix(g)
@@ -152,18 +137,15 @@ def _cmd_pipeline(args) -> int:
         out["haemers"] = {"p": hm.p, "rank": hm.rank, "source": hm.source,
                           "bound": hm.bound, "fits": True}
         upper = hm.rank
-    restricted = geometry.restricted_independent_set(n)
-    out["restricted_set"] = {"k": restricted.k, "size": len(restricted),
-                             "verified": restricted.verified}
-    lower = len(restricted) if restricted.verified else 0
-    out["alpha"] = {"lower": lower, "upper": upper}
+    k, restricted = geometry.restricted_independent_set(g)  # proved on g, or it raises
+    out["restricted_set"] = {"k": k, "size": len(restricted), "verified": True}
+    out["alpha"] = {"lower": len(restricted), "upper": upper}
     p = algebra_fp.instance_prime(n)
     # n + 1 = 4p: the report reads the Hadamard matrix this run already checked
     out["report"] = None if p is None else report.CapacityReport(family, p, h).to_json()
     # alpha* >= M > rank >= Theta, with both ends computed in this run
-    out["separation_certified_here"] = upper is not None and packing.count > upper
-    _emit(out, args)
-    return 0
+    out["separation_certified_here"] = upper is not None and m > upper
+    return out
 
 
 # -- parser --------------------------------------------------------------------
@@ -232,13 +214,14 @@ def cli_main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        _emit(args.func(args), args)
     except CertificateError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
     except (CapsepError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

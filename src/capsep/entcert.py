@@ -29,10 +29,10 @@ PACKING_REPORT = {"mode": "packing", "passed": True,
 _PACKING_FORM = "a packing certificate has a G or H graph and no ops"
 
 
-def packing_proof(packing: CliquePacking) -> None:
+def packing_proof(packing: CliquePacking) -> tuple[int, int]:
     """Prove every condition of the packing's certificate (message i the i-th
     clique, w w^T at each vertex, for its ``OrthoRep`` row w), with no operator
-    formed; its report is ``PACKING_REPORT``.
+    formed, and return the (M, dim) it proves; its report is ``PACKING_REPORT``.
 
     ``OrthoRep.verify`` gives unit rows, orthogonal on edges (condition 3),
     and ``CliquePacking`` gives disjoint cliques (condition 2). A clique is
@@ -50,6 +50,7 @@ def packing_proof(packing: CliquePacking) -> None:
     if size != span:
         raise CertificateError(f"packing certificate failed verification: cliques "
                                f"of size {size} do not span the rows' dimension {span}")
+    return packing.count, rep.dim
 
 
 def _json_int(value) -> int:
@@ -87,8 +88,7 @@ def verify_json(text: str | bytes) -> None:
         raise InvalidParameterError(f"malformed certificate: {exc}") from None
     except ConstructionError as exc:
         raise CertificateError(f"packing certificate failed verification: {exc}") from None
-    packing_proof(packing)
-    proven = (packing.count, OrthoRep(graph).dim)
+    proven = packing_proof(packing)
     if claimed != proven:
         raise CertificateError(f"packing certificate failed verification: the file claims "
                                f"(M, dim) = {claimed}, its packing proves {proven}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .alpha import verify_independent
 from .bitgraph import BitGraph, sign_rows, weight_w_bits, word_label, words_from_signs
-from .errors import ConstructionError, InvalidParameterError
+from .errors import ConstructionError, InternalCheckError, InvalidParameterError
 from .hadamard import HadamardMatrix
 
 PACK_BUDGET = 10**6  # coordinate permutations a family-G packing tries at most
@@ -231,38 +231,20 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
 # -- explicit independent sets ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictedSet:
-    """Weight-(n+1)/2 strings supported on the first n-k coordinates."""
-
-    n: int
-    k: int
-    vertices: tuple[int, ...]  # words, ascending
-    verified: bool
-    witness: tuple[int, int] | None  # words of the first edge found
-
-    def __len__(self):
-        return len(self.vertices)
-
-
-def restricted_independent_set(n: int, k: int | None = None) -> RestrictedSet:
-    """Candidate independent set with zeros on the last k coordinates.
-
-    Defaults to k = ceil((n+1)/4): with k trailing zeros two members meet in
-    at least k+1 coordinates, while an edge needs the intersection to be
-    exactly (n+1)/4, so k+1 > (n+1)/4 rules edges out. Independence is
-    verified regardless by ``alpha.verify_independent``, whose first edge is
-    returned as a witness instead of a verdict when the set fails.
-    """
-    if n % 2 == 0 or n < 3:
-        raise InvalidParameterError(f"n must be odd and >= 3, got {n}")
-    if k is None:
-        k = -(-(n + 1) // 4)
-    if not 0 <= k < n:
-        raise InvalidParameterError(f"k must be in [0, {n}), got {k}")
-    w = (n + 1) // 2
-    g = BitGraph(n, [b << k for b in weight_w_bits(n - k, w)], ("distance", w))
-    independent, edge = verify_independent(g, range(g.vertex_count))
-    words = g.bits_array.tolist()
-    return RestrictedSet(n, k, tuple(words), independent,
-                         None if independent else (words[edge[0]], words[edge[1]]))
+def restricted_independent_set(g: BitGraph) -> tuple[int, np.ndarray]:
+    """(k, the indices in g of its weight-(n+1)/2 words with zeros on the last
+    k = ceil((n+1)/4) coordinates). Two share at least k+1 > (n+1)/4 ones,
+    while adjacent words share exactly (n+1)/4, so none is an edge. The
+    words have even weight, so lie in H as well as G, when 4 divides n + 1, as
+    it does wherever a Hadamard matrix of order n + 1 exists; elsewhere
+    ``InvalidParameterError`` names one not in g. Independence is still proved
+    by the exhaustive ``verify_independent`` pass on g: an edge raises
+    ``InternalCheckError``."""
+    if g.family not in ("G", "H"):
+        raise InvalidParameterError(f"the restricted set is defined for G/H, got {g.graph_ref()}")
+    n, k = g.n, -(-(g.n + 1) // 4)
+    idx = g.indices_of([b << k for b in weight_w_bits(n - k, (n + 1) // 2)])
+    independent, edge = verify_independent(g, idx)
+    if not independent:
+        raise InternalCheckError(f"restricted set of {g.graph_ref()} has the edge {edge}")
+    return k, idx

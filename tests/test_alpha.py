@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +198,13 @@ class TestAlphaViaPower:
         with pytest.raises(ResourceLimitError):
             capsep.ProductGraph([h11] * 3)
 
+    def test_seconds_count_the_whole_call(self, monkeypatch):
+        # the clock starts before the set-up: the order, rows and incumbent
+        rank_rows = capsep.alpha._rank_rows
+        monkeypatch.setattr(capsep.alpha, "_rank_rows",
+                            lambda g, order: time.sleep(0.05) or rank_rows(g, order))
+        assert max_independent_set(capsep.build_cycle(5)).elapsed_s >= 0.05
+
     def test_failed_witness_is_an_internal_error(self, monkeypatch):
         monkeypatch.setattr(capsep.alpha, "verify_independent",
                             lambda g, idx: (False, (0, 1)))
@@ -206,8 +214,7 @@ class TestAlphaViaPower:
 
 class TestVerifyIndependent:
     def test_restricted_set_verifies(self, g11):
-        rs = capsep.restricted_independent_set(11)
-        idx = g11.indices_of(rs.vertices)
+        _, idx = capsep.restricted_independent_set(g11)
         ok, witness = verify_independent(g11, idx)
         assert ok and witness is None
 

@@ -463,8 +463,7 @@ class TestProtocol:
             protocol_from_cert(h11_cert, c5())
 
     def test_classical_protocol_decodes_by_lookup(self, g11):
-        rs = capsep.restricted_independent_set(11)
-        idx = g11.indices_of(rs.vertices)
+        _, idx = capsep.restricted_independent_set(g11)
         cert = classical_embedding(g11, idx)
         proto = protocol_from_cert(cert, g11)
         assert proto.dim == 1
@@ -530,8 +529,8 @@ class TestPackingProtocol:
 
 
 def classical_g11_protocol(g11):
-    rs = capsep.restricted_independent_set(11)
-    return protocol_and_floats(classical_embedding(g11, g11.indices_of(rs.vertices)))
+    _, idx = capsep.restricted_independent_set(g11)
+    return protocol_and_floats(classical_embedding(g11, idx))
 
 
 class TestAgainstOracles:
@@ -570,8 +569,8 @@ class TestAgainstOracles:
 
     def test_exact_without_float_linear_algebra(self, g11, h11_cert, g11_cert, monkeypatch):
         c5 = classical_embedding(capsep.build_cycle(5), [0, 2])
-        rs = capsep.restricted_independent_set(11)
-        certs = [h11_cert, g11_cert, classical_embedding(g11, g11.indices_of(rs.vertices)),
+        _, idx = capsep.restricted_independent_set(g11)
+        certs = [h11_cert, g11_cert, classical_embedding(g11, idx),
                  tensor(c5, h3_cert())]
 
         def refuse(*args, **kwargs):
@@ -637,8 +636,8 @@ class TestG11Protocol:
 
 def draw_cases(which, g11, h11_cert, g11_cert):
     if which == "G11 classical":
-        rs = capsep.restricted_independent_set(11)
-        return classical_embedding(g11, g11.indices_of(rs.vertices))
+        _, idx = capsep.restricted_independent_set(g11)
+        return classical_embedding(g11, idx)
     if which == "C5xH3":
         return tensor(classical_embedding(capsep.build_cycle(5), [0, 2]), h3_cert())
     return h11_cert if which == "H11" else g11_cert

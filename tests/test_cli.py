@@ -724,6 +724,16 @@ class TestGraphBuiltOnce:
         assert built == [int(argv[4])]
 
     @pytest.mark.parametrize("family", ["G", "H"])
+    def test_pipeline_forms_one_bitgraph(self, capsys, monkeypatch, family):
+        # the restricted set is indexed in the command's graph, not built apart
+        formed, init = [], capsep.bitgraph.BitGraph.__init__
+        monkeypatch.setattr(capsep.bitgraph.BitGraph, "__init__",
+                            lambda self, *a, **kw: formed.append(a[0]) or init(self, *a, **kw))
+        code, _, _ = run(capsys, "pipeline", "--family", family, "--n", "11")
+        assert code == 0
+        assert formed == [11]
+
+    @pytest.mark.parametrize("family", ["G", "H"])
     @pytest.mark.parametrize("n", [7, 11])
     def test_pipeline_finds_one_hadamard_matrix(self, capsys, monkeypatch, family, n):
         found, find = [], capsep.hadamard.find_hadamard
@@ -767,7 +777,7 @@ class TestPipelineCommand:
                                       "bound": 5036, "fits": True}
         assert payload["alpha"] == {"lower": 1001, "upper": upper}
         assert payload["cert"]["M"] == M and payload["cert"]["verified"] is True
-        assert payload["restricted_set"]["verified"] is True
+        assert payload["restricted_set"] == {"k": 5, "size": 1001, "verified": True}
         assert payload["separation_certified_here"] is False  # M <= upper
 
     @pytest.mark.parametrize("rank, separated", [(7, True), (8, False)])

@@ -130,6 +130,11 @@ class TestPackingProof:
         assert dataclasses.replace(proof, mode="full") == report
         assert proof.to_json() == PACKING_REPORT  # what cert and verify-cert print
 
+    @pytest.mark.parametrize("family, n", [("G", 7), ("H", 7), ("G", 11), ("H", 11)])
+    def test_returns_the_m_and_dim_it_proves(self, family, n):
+        _, _, packing = _packing(family, n, 0)
+        assert packing_proof(packing) == (packing.count, n + 1)
+
     @pytest.mark.parametrize("family, n", [("G", 7), ("H", 7), ("H", 11)])
     def test_cliques_short_of_the_span_rejected(self, family, n):
         packing = _short_packing(family, n)
@@ -205,8 +210,7 @@ class TestClassicalEmbedding:
         assert cert.verification.passed
 
     def test_restricted_set_gives_m28(self, g11):
-        rs = capsep.restricted_independent_set(11)
-        idx = g11.indices_of(rs.vertices)
+        _, idx = capsep.restricted_independent_set(g11)
         cert = classical_embedding(g11, idx)
         assert cert.M == 28
         assert cert.verification.passed
@@ -260,8 +264,7 @@ class TestTensor:
         assert squared.verification.passed
 
     def test_large_product_fully_verified(self, g11):
-        rs = capsep.restricted_independent_set(11)
-        idx = g11.indices_of(rs.vertices)
+        _, idx = capsep.restricted_independent_set(g11)
         base = classical_embedding(g11, idx)
         squared = tensor(base, base)
         assert squared.graph.vertex_count == 462 * 462
@@ -434,14 +437,14 @@ def _classical_squared(g, idx):
 @pytest.fixture(scope="module")
 def oracle_certs(g11, g11_cert, h11_cert):
     h3 = h3_cert()
-    rs = capsep.restricted_independent_set(11)
+    _, idx = capsep.restricted_independent_set(g11)
     return {
         "G11": g11_cert,
         "H11": h11_cert,
         "G15": _packing_cert("G", 15),
         "H3xH3": tensor(h3, h3),
         "C5xC5": _classical_squared(capsep.build_cycle(5), [0, 2]),
-        "G11xG11": _classical_squared(g11, g11.indices_of(rs.vertices)),
+        "G11xG11": _classical_squared(g11, idx),
     }
 
 

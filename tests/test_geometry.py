@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import capsep
-from capsep.errors import ConstructionError, InvalidParameterError
+from capsep.alpha import verify_independent
+from capsep.errors import ConstructionError, InternalCheckError, InvalidParameterError
 from capsep.bitgraph import BitGraph, build_complete
 from capsep.cli import cli_main
 from capsep.geometry import CliquePacking, OrthoRep, restricted_independent_set
@@ -253,34 +254,37 @@ class TestPackCliques:
 
 
 class TestRestrictedIndependentSet:
-    def test_n11_default_k3_size_28(self):
-        rs = restricted_independent_set(11)
-        assert rs.k == 3
-        assert len(rs) == math.comb(8, 6) == 28
-        assert rs.verified and rs.witness is None
+    def test_n11_default_k3_size_28(self, g11, h11):
+        k, idx = restricted_independent_set(g11)
+        assert k == 3
+        assert len(idx) == math.comb(8, 6) == 28
         # independent means no pair at distance 6; re-check exhaustively
-        bits = rs.vertices
+        bits = g11.bits_array[idx].tolist()
         for i in range(len(bits)):
             assert bits[i] % 8 == 0  # zeros on the last three coordinates
             for j in range(i + 1, len(bits)):
                 assert bin(bits[i] ^ bits[j]).count("1") != 6
-
-    def test_k0_full_set_not_independent(self):
-        rs = restricted_independent_set(11, k=0)
-        assert len(rs) == 462
-        assert not rs.verified
-        a, b = rs.witness
-        assert hamming_distance(a, b) == 6
+        # weight 6 is even: the same words are vertices of H11
+        k_h, idx_h = restricted_independent_set(h11)
+        assert k_h == k and h11.bits_array[idx_h].tolist() == bits
 
     def test_n3_default_is_provably_safe(self):
-        rs = restricted_independent_set(3)
-        assert rs.k == 1
-        assert list(rs.vertices) == [0b110]
-        assert rs.verified
+        g3 = capsep.build_G(3)
+        k, idx = restricted_independent_set(g3)
+        assert k == 1
+        assert g3.bits_array[idx].tolist() == [0b110]
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(InvalidParameterError):
-            restricted_independent_set(11, k=11)
+    def test_words_must_be_vertices(self):
+        # weight (5+1)/2 = 3 is odd, so no word is in H5; a cycle is no G or H
+        with pytest.raises(InvalidParameterError, match="not in graph"):
+            restricted_independent_set(capsep.build_H(5))
+        with pytest.raises(InvalidParameterError, match="defined for G/H"):
+            restricted_independent_set(capsep.build_cycle(5))
+
+    def test_an_edge_is_an_internal_error(self, g11, monkeypatch):
+        monkeypatch.setattr(capsep.geometry, "verify_independent", lambda g, idx: (False, (0, 1)))
+        with pytest.raises(InternalCheckError, match=r"edge \(0, 1\)"):
+            restricted_independent_set(g11)
 
 
 class TestVertexSetChecks:
@@ -300,12 +304,18 @@ class TestVertexSetChecks:
     @pytest.mark.parametrize("n", [7, 11])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_restricted_set_matches_pair_oracle(self, n, k):
-        rs = restricted_independent_set(n, k)
+        # the words with k trailing zeros, checked on G_n by verify_independent:
+        # its verdict and first edge are the oracle's, and the set is independent
+        # from the library's k = ceil((n+1)/4) on
+        g = capsep.build_G(n)
         words, edge = restricted_set_by_pairs(n, k)
-        assert list(rs.vertices) == words
-        assert all(b >> n == 0 for b in rs.vertices)
-        assert rs.verified == (edge is None)
-        assert rs.witness == edge
+        ok, found = verify_independent(g, g.indices_of(words))
+        assert ok == (edge is None)
+        assert (found and tuple(g.bits_array[list(found)].tolist())) == edge
+        default_k, idx = restricted_independent_set(g)
+        assert ok == (k >= default_k)
+        if k == default_k:
+            assert g.bits_array[idx].tolist() == words
 
     def test_bad_packings_name_their_clique(self, g11, paley12):
         packing = capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G"))
