@@ -38,10 +38,9 @@ so no T is formed:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .bitgraph import BitGraph
-from .errors import InternalCheckError, InvalidParameterError
+from .errors import InternalCheckError, InvalidParameterError, ReadOnly
 from .hadamard import is_prime
 
 
@@ -81,12 +80,10 @@ def _fits_check(n: int, p: int, edge: int) -> None:
                 f"fits-check: f({d}) = {f} at non-adjacent distance class {d}")
 
 
-@dataclass(frozen=True)
-class HaemersResult:
-    p: int
-    n: int
-    rank: int  # certified upper bound on rank_p(A), exact where source is "identity"
-    source: str  # "identity" (H) or "slice" (G)
+class HaemersResult(ReadOnly):
+    def __init__(self, p: int, n: int, rank: int, source: str):
+        # source: "identity" (H), where rank is rank_p(A) exactly, or "slice" (G), a bound
+        self.__dict__.update(p=p, n=n, rank=rank, source=source)
 
     @property
     def bound(self) -> int:

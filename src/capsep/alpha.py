@@ -16,22 +16,19 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bitgraph import row_blocks
-from .errors import InternalCheckError
+from .errors import InternalCheckError, ReadOnly
 
 
-@dataclass(frozen=True)
-class AlphaResult:
-    lower: int
-    upper: int
-    exact: bool
-    witness: tuple[int, ...]  # vertex indices, independent, |witness| = lower
-    nodes_explored: int
-    elapsed_s: float
+class AlphaResult(ReadOnly):
+    def __init__(self, lower: int, upper: int, exact: bool, witness: tuple[int, ...],
+                 nodes_explored: int, elapsed_s: float):
+        # witness: vertex indices, independent, |witness| = lower
+        self.__dict__.update(lower=lower, upper=upper, exact=exact, witness=witness,
+                             nodes_explored=nodes_explored, elapsed_s=elapsed_s)
 
     def to_json(self, g) -> dict:
         return {

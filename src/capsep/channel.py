@@ -29,8 +29,6 @@ that decoding; the float forms of the measurements are test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitgraph import MAX_VERTICES
@@ -38,7 +36,6 @@ from .entcert import packing_proof
 from .errors import ResourceLimitError
 
 
-@dataclass
 class Protocol:
     """One-shot entanglement-assisted protocol over the canonical channel of
     ``graph``, as proved by ``protocol_from_packing``: message i's channel
@@ -61,14 +58,11 @@ class Protocol:
     and by {k} alone otherwise: those outputs are solo.
     """
 
-    graph: object
-    rows: np.ndarray
-
-    def __post_init__(self):
-        g, (self.M, self.dim) = self.graph, self.rows.shape
-        self.inputs = self.rows.ravel()
+    def __init__(self, graph, rows: np.ndarray):
+        self.graph, self.rows, (self.M, self.dim) = graph, rows, rows.shape
+        self.inputs = rows.ravel()
         self.messages = np.repeat(np.arange(1, self.M + 1), self.dim)
-        self.adjacency = g.adjacency_among(self.inputs, np.arange(g.vertex_count))
+        self.adjacency = graph.adjacency_among(self.inputs, np.arange(graph.vertex_count))
 
     @property
     def zero_error_instances(self) -> int:

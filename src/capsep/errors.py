@@ -1,4 +1,14 @@
-"""Exception hierarchy shared by all capsep modules."""
+"""Exception hierarchy and the read-only result base shared by all capsep modules."""
+
+
+class ReadOnly:
+    """A result whose ``__init__`` sets its checked fields through
+    ``self.__dict__``; assigning or deleting an attribute raises AttributeError."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 class CapsepError(Exception):

@@ -10,20 +10,18 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
 from .alpha import verify_independent
 from .bitgraph import BitGraph, sign_rows, weight_w_bits, word_label, words_from_signs
-from .errors import ConstructionError, InternalCheckError, InvalidParameterError
+from .errors import ConstructionError, InternalCheckError, InvalidParameterError, ReadOnly
 from .hadamard import HadamardMatrix
 
 PACK_BUDGET = 10**6  # coordinate permutations a family-G packing tries at most
 
 
-@dataclass(frozen=True)
-class OrthoRep:
+class OrthoRep(ReadOnly):
     """Orthonormal representation w_x = ((-1)^{x_1}, ..., (-1)^{x_n}, 1) / sqrt(n+1).
 
     A view of its graph: the integer rows are formed from the vertex words
@@ -31,7 +29,8 @@ class OrthoRep:
     ``rows([i])[0] / sqrt(normalizer)``. No matrix is stored.
     """
 
-    graph: BitGraph
+    def __init__(self, graph: BitGraph):
+        self.__dict__["graph"] = graph
 
     @property
     def dim(self) -> int:
@@ -117,17 +116,15 @@ def hadamard_clique(h: HadamardMatrix, family: str) -> list[int]:
 # -- packings ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliquePacking:
+class CliquePacking(ReadOnly):
     """Pairwise-disjoint cliques of one fixed size in a packed graph, each
     proved a clique of g by the constructor (``_check_cliques``)."""
 
-    graph: BitGraph
-    clique_size: int
-    cliques: tuple[tuple[int, ...], ...]  # vertex words, each clique sorted
-
-    def __post_init__(self):
-        _check_cliques(self.graph, self.cliques, self.clique_size)
+    def __init__(self, graph: BitGraph, clique_size: int,
+                 cliques: tuple[tuple[int, ...], ...]):
+        # cliques: vertex words, each clique sorted
+        _check_cliques(graph, cliques, clique_size)
+        self.__dict__.update(graph=graph, clique_size=clique_size, cliques=cliques)
 
     @property
     def count(self) -> int:

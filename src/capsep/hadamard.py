@@ -6,12 +6,10 @@ returning, once per matrix; a matrix that fails the check never escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bitgraph import row_blocks
-from .errors import ConstructionError, InvalidParameterError, ResourceLimitError
+from .errors import ConstructionError, InvalidParameterError, ReadOnly, ResourceLimitError
 
 MAX_SYLVESTER_K = 12
 MAX_PALEY_Q = 10**4
@@ -28,17 +26,12 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HadamardMatrix:
+class HadamardMatrix(ReadOnly):
     """A +-1 square matrix with mutually orthogonal rows."""
 
-    entries: np.ndarray
-    construction: str = "unknown"
-
-    def __post_init__(self):
-        h = np.asarray(self.entries, dtype=np.int64)
+    def __init__(self, entries: np.ndarray, construction: str = "unknown"):
+        h = np.asarray(entries, dtype=np.int64)
         h.setflags(write=False)
-        object.__setattr__(self, "entries", h)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise ConstructionError("entries must be square")
         if h.min(initial=1) < -1 or h.max(initial=1) > 1 or np.count_nonzero(h) != h.size:
@@ -55,6 +48,7 @@ class HadamardMatrix:
             gram[np.arange(hi - lo), np.arange(lo, hi)] -= m
             if gram.any():
                 raise ConstructionError(f"rows not orthogonal: H.H^T != {m}I")
+        self.__dict__.update(entries=h, construction=construction)
 
     @property
     def size(self) -> int:

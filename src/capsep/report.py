@@ -15,12 +15,11 @@ arithmetic, not an input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .algebra_fp import instance_prime, monomial_count
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ReadOnly
 from .hadamard import HadamardMatrix, find_hadamard
 
 # The largest integer a report prints, |V(H)| = 2^(4p-2), stays within
@@ -34,15 +33,13 @@ def fraction_log2(f: Fraction) -> float:
     return math.log2(f.numerator) - math.log2(f.denominator)
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(ReadOnly):
     """Both bounds for one family at n = 4p-1. Holds only its inputs: the
     family, p and the order-4p Hadamard matrix (None where no construction is
     covered); every number it prints is derived from them."""
 
-    family: str
-    p: int
-    hadamard: HadamardMatrix | None
+    def __init__(self, family: str, p: int, hadamard: HadamardMatrix | None):
+        self.__dict__.update(family=family, p=p, hadamard=hadamard)
 
     @property
     def n(self) -> int:

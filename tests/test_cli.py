@@ -922,6 +922,34 @@ def test_cli_run_does_not_import_numpy_ma(argv):
     assert out.stdout.split() == ["0", "False"], out.stderr
 
 
+def test_import_generates_no_code():
+    # a dataclass compiles its generated methods at every import of the CLI
+    script = "import sys; sys.modules['dataclasses'] = None; import capsep.cli"
+    src = str(Path(capsep.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: HaemersResult(3, 11, 232, "identity"), "rank"),
+    (lambda: capsep.AlphaResult(1, 1, True, (0,), 1, 0.0), "lower"),
+    (lambda: capsep.OrthoRep(capsep.build_H(3)), "graph"),
+    (lambda: capsep.pack_cliques(capsep.build_H(3), [0, 3, 5, 6]), "cliques"),
+    (lambda: capsep.sylvester(2), "entries"),
+    (lambda: capsep.capacity_report("G", 3), "hadamard"),
+])
+def test_results_are_read_only(make, field):
+    # a proved packing or Hadamard matrix cannot be swapped after its check
+    obj = make()
+    value = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    assert getattr(obj, field) is value
+
+
 def test_closed_pipe_keeps_the_verdict():
     # orthorep H11 prints ~140 kB, more than a pipe holds, so the write
     # after the reader closes the pipe fails with EPIPE

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -100,8 +99,7 @@ class TestCapacityReport:
             sum(math.comb(n, i) for i in range(p))
 
     def test_stores_only_its_inputs(self):
-        assert [f.name for f in dataclasses.fields(CapacityReport)] == [
-            "family", "p", "hadamard"]
+        assert list(vars(CapacityReport("G", 3, None))) == ["family", "p", "hadamard"]
 
     def test_json_schema(self):
         payload = capacity_report("G", 41).to_json()
