@@ -8,8 +8,12 @@ bound are returned as certified lower/upper bounds. Rank r of the static
 order is bit n-1-r: the search forms no negative operand (``x & -x``, ``~row``).
 
 On a vertex-transitive graph every vertex is in some maximum independent set,
-so alpha(G) = 1 + alpha(G - N[0]): vertex 0 is fixed and the search explores
-G - N[0] alone, ordered by degree within it. Any other graph is searched whole.
+so alpha(G) = 1 + alpha(X), X = G - N[0]: vertex 0 is fixed. On G, H and O
+(``sphere_transitive``) the automorphisms fixing vertex 0 are also transitive on
+each Hamming sphere S_d around its word, so X is split by orbital branching:
+alpha(X) = max_d 1 + alpha(X_d - N[v_d]), v_d the first vertex of S_d and X_d the
+spheres not taken before, largest first. Each piece is searched in its own degree
+order, the incumbent carried over. Any other graph is searched whole.
 """
 
 from __future__ import annotations
@@ -87,19 +91,11 @@ def _rank_rows(g, order: np.ndarray) -> list[int]:
             for row in np.packbits(block, axis=1, bitorder="big")][::-1]
 
 
-def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
-    """Budgeted exact/anytime alpha with a re-verified witness, timed whole."""
-    start = time.monotonic()
-    g.require_dense()  # before the first adjacency row
-    searched = np.arange(g.vertex_count)
-    fixed = [0] if g.vertex_transitive and searched.size else []
-    if fixed:  # alpha(G) = 1 + alpha(G - N[0]): search the non-neighbours of 0
-        far = ~g.adjacency_among([0], searched)[0]
-        far[0] = False
-        searched = searched[far]
-    # Static order: degree within the searched set ascending (complement degree
-    # descending), then vertex index. The search holds rank r at position
-    # n-1-r; the witness is mapped back.
+def _search(g, searched: np.ndarray, floor: int, node_budget: int):
+    """Branch and bound over the vertices ``searched`` for an independent set larger
+    than ``floor``: (the greedy set or a larger one found, as vertex indices; the root
+    coloring bound; nodes; exact). Static order: degree within ``searched`` ascending
+    (complement degree descending), then index; rank r is held at position n-1-r."""
     degrees = [np.zeros(0, dtype=np.int64)]  # an empty set has no block
     degrees += [block.sum(axis=1) for _, block in g.adjacency_blocks(searched)]
     order = searched[np.argsort(np.concatenate(degrees), kind="stable")]
@@ -108,23 +104,15 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
     full = (1 << n) - 1
     bit = [1 << b for b in range(n)]
     nonadj = [full & ~row for row in adj]
-
     # Greedy incumbent: grow a complement clique along the static order.
-    best_set: list[int] = []
-    clique = 0
+    best_set, clique = [], 0
     for v in range(n - 1, -1, -1):
         if not clique & adj[v]:
             best_set.append(v)
             clique |= bit[v]
-    best_size = len(best_set)
-
-    nodes = 0
-    truncated = False
-    current: list[int] = []
-
+    best_size = max(floor, len(best_set))
+    nodes, truncated, current = 0, False, []
     root_colored = _color_classes(full, adj, bit)
-    root_bound = root_colored[-1][1] if root_colored else 0
-
     sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 100))
 
     def expand(cand: int, colored: list[tuple[int, int]]):
@@ -151,12 +139,45 @@ def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
 
     if n > 0:
         expand(full, root_colored)
+    return (order[::-1][best_set].tolist(), root_colored[-1][1] if root_colored else 0,
+            nodes, not truncated)
 
-    exact = not truncated
-    upper = best_size if exact else max(root_bound, best_size)
-    witness = tuple(sorted(fixed + order[::-1][best_set].tolist()))
+
+def _sphere_pieces(g, searched: np.ndarray):
+    """([0, v], X_d - N[v]) for each Hamming sphere S_d of word 0 in X = searched, largest
+    first, ties by smaller d: v is S_d's first vertex, X_d is X less the spheres before."""
+    radius = np.bitwise_count(g.bits_array[searched] ^ g.bits_array[0])
+    rest = np.ones(searched.size, dtype=bool)
+    for d in sorted(set(radius.tolist()), key=lambda d: (-np.count_nonzero(radius == d), d)):
+        v = searched[radius == d][0]
+        yield [0, int(v)], searched[rest & (searched != v) & ~g.adjacency_among([v], searched)[0]]
+        rest &= radius != d
+
+
+def max_independent_set(g, node_budget: int = 1_000_000) -> AlphaResult:
+    """Budgeted exact/anytime alpha with a re-verified witness, timed whole."""
+    start = time.monotonic()
+    g.require_dense()  # before the first adjacency row
+    searched = np.arange(g.vertex_count)
+    fixed = [0] if g.vertex_transitive and searched.size else []
+    if fixed:  # alpha(G) = 1 + alpha(G - N[0]): search the non-neighbours of 0
+        searched = searched[(searched != 0) & ~g.adjacency_among([0], searched)[0]]
+    best, nodes, exact = fixed, 0, bool(fixed) and g.sphere_transitive
+    # G, H and O: X sphere by sphere while the budget lasts (exact stays True); the
+    # incumbent carries over, and a piece too small to beat it is skipped
+    for head, piece in _sphere_pieces(g, searched) if exact else ():
+        if exact and len(head) + piece.size > len(best):
+            found, _, used, exact = _search(g, piece, len(best) - len(head), node_budget - nodes)
+            nodes += used
+            best = max(best, head + found, key=len)
+    upper = len(best)
+    if not exact:  # the search of X: alone, or under the same budget once the split is cut short
+        found, bound, used, exact = _search(g, searched, 0, node_budget)
+        nodes += used
+        best = max(best, fixed + found, key=len)
+        upper = len(best) if exact else max(len(best), len(fixed) + bound)
+    witness = tuple(sorted(best))
     ok, witness_edge = verify_independent(g, witness)
     if not ok:
         raise InternalCheckError(f"internal witness failed: edge {witness_edge}")
-    return AlphaResult(len(fixed) + best_size, len(fixed) + upper, exact, witness,
-                       nodes, time.monotonic() - start)
+    return AlphaResult(len(best), upper, exact, witness, nodes, time.monotonic() - start)

@@ -22,6 +22,7 @@ MAX_VERTICES = 10**7
 # All-pairs adjacency work (alpha search, blocked edge count) up to this |V|.
 DENSE_ADJACENCY_CAP = 16384
 BLOCK_ENTRIES = 1 << 22  # cells per ``row_blocks`` slice
+_SPHERES = {"vertex_transitive": True, "sphere_transitive": True}  # G, H and O
 
 
 def word_label(word: int, n: int) -> str:
@@ -52,6 +53,7 @@ def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
 
 class _Graph:
     """What every graph derives from its one pair rule, ``adjacency_among``."""
+    sphere_transitive = False
 
     def require_dense(self) -> None:
         """Refuse all-pairs adjacency work on more than ``DENSE_ADJACENCY_CAP`` vertices."""
@@ -84,12 +86,13 @@ class BitGraph(_Graph):
     ``distance``) or an explicit edge set over vertex indices (``distance`` is
     None), stored as sorted keys min * |V| + max. Only the builders claim
     ``vertex_transitive``, each from a transitive group: S_n on the words (G),
-    translations (H, O), rotations (C), all permutations (K). Instances are
-    immutable after construction.
+    translations (H, O), rotations (C), all permutations (K). G, H and O also claim
+    ``sphere_transitive``: the coordinate permutations fixing the word of vertex 0
+    act transitively on each Hamming sphere around it. Instances are immutable.
     """
 
     def __init__(self, n: int, bits: Sequence[int], rule, family: str | None = None,
-                 vertex_transitive: bool = False):
+                 vertex_transitive: bool = False, sphere_transitive: bool = False):
         if len(bits) > MAX_VERTICES:
             raise ResourceLimitError(
                 f"{len(bits)} vertices exceeds the materialization cap {MAX_VERTICES}")
@@ -103,7 +106,7 @@ class BitGraph(_Graph):
             raise InvalidParameterError(f"vertex {int(self._bits[-1]):#b} does not fit {n} bits")
         self.n = n
         self.family = family
-        self.vertex_transitive = vertex_transitive
+        self.vertex_transitive, self.sphere_transitive = vertex_transitive, sphere_transitive
         kind = rule[0]
         if kind == "distance":
             self.distance = int(rule[1])
@@ -239,7 +242,7 @@ def build_G(n: int) -> BitGraph:
     w = (n + 1) // 2
     if math.comb(n, w) > MAX_VERTICES:
         raise ResourceLimitError(f"C({n},{w}) vertices exceed cap {MAX_VERTICES}")
-    return BitGraph(n, weight_w_bits(n, w), ("distance", w), family="G", vertex_transitive=True)
+    return BitGraph(n, weight_w_bits(n, w), ("distance", w), family="G", **_SPHERES)
 
 
 def build_H(n: int) -> BitGraph:
@@ -250,7 +253,7 @@ def build_H(n: int) -> BitGraph:
     # An even-weight string is its first n-1 coordinates plus a parity bit.
     ys = np.arange(2 ** (n - 1), dtype=np.uint64)
     bits = (ys << np.uint64(1)) | (np.bitwise_count(ys) & np.uint64(1))
-    return BitGraph(n, bits, ("distance", (n + 1) // 2), family="H", vertex_transitive=True)
+    return BitGraph(n, bits, ("distance", (n + 1) // 2), family="H", **_SPHERES)
 
 
 def build_orthogonality_graph(n: int) -> BitGraph:
@@ -259,7 +262,7 @@ def build_orthogonality_graph(n: int) -> BitGraph:
         raise InvalidParameterError(f"n must be even with 2 <= n <= 24, got {n}")
     if 2**n > MAX_VERTICES:
         raise ResourceLimitError(f"2^{n} vertices exceed cap {MAX_VERTICES}")
-    return BitGraph(n, range(2**n), ("distance", n // 2), family="O", vertex_transitive=True)
+    return BitGraph(n, range(2**n), ("distance", n // 2), family="O", **_SPHERES)
 
 
 def build_cycle(n: int) -> BitGraph:

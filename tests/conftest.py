@@ -136,26 +136,19 @@ def _greedy_color_bound(cand: int, order: list[int], comp: list[int]) -> list[tu
     return out
 
 
-def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
-    """(lower, upper, exact, witness, nodes) of the budgeted branch and bound on
-    vertex indices, its bound from the vertex-by-vertex first-fit coloring.
-    A vertex-transitive graph puts vertex 0 in the witness and searches only
-    its non-neighbours; any other graph is searched whole. The static order
-    is by complement degree within the searched set."""
-    n = g.vertex_count
-    rows = adjacency_rows(g)
-    full = (1 << n) - 1
-    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
-    fixed = [0] if g.vertex_transitive and n > 0 else []
-    root = comp[0] if fixed else full
-    order = sorted((v for v in range(n) if (root >> v) & 1),
+def _vertex_coloring_search(comp: list[int], root: int, floor: int, node_budget: int):
+    """Budgeted branch and bound over the vertex bitset root for an independent
+    set larger than floor, its bound from the vertex-by-vertex first-fit
+    coloring: (the greedy set or a larger one found, the root bound, nodes,
+    exact). The static order is by complement degree within root."""
+    order = sorted((v for v in range(root.bit_length()) if (root >> v) & 1),
                    key=lambda v: (-(comp[v] & root).bit_count(), v))
 
     best: list[int] = []
     for v in order:
         if all((comp[v] >> u) & 1 for u in best):
             best.append(v)
-    best_size = len(best)
+    best_size = max(floor, len(best))
     nodes = 0
     truncated = False
     current: list[int] = []
@@ -188,10 +181,59 @@ def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
 
     if root:
         expand(root, root_colored)
-    exact = not truncated
-    upper = best_size if exact else max(root_bound, best_size)
-    return (len(fixed) + best_size, len(fixed) + upper, exact,
-            tuple(sorted(fixed + best_set)), nodes)
+    return best_set, root_bound, nodes, not truncated
+
+
+def alpha_by_vertex_coloring(g, node_budget: int = 1_000_000):
+    """(lower, upper, exact, witness, nodes) of the budgeted branch and bound on
+    vertex indices. A vertex-transitive graph puts vertex 0 in the witness and
+    searches only X, its non-neighbours; any other graph is searched whole. A
+    sphere-transitive graph searches X in pieces, one per Hamming sphere S_d of
+    word 0 in X, largest first and ties by smaller d: S_d's first vertex v is
+    put in the witness too, and the piece is X, less N[v] and the spheres
+    taken before. The node budget and the incumbent carry from piece to piece;
+    a piece too small to beat the incumbent is skipped. If the budget runs out
+    there, X is searched whole under the same budget, as on a graph that is
+    only vertex-transitive, and the better bounds are kept."""
+    n = g.vertex_count
+    rows = adjacency_rows(g)
+    full = (1 << n) - 1
+    comp = [full & ~rows[i] & ~(1 << i) for i in range(n)]
+    fixed = [0] if g.vertex_transitive and n > 0 else []
+    root = comp[0] if fixed else full
+    pieces = []
+    if fixed and g.sphere_transitive:
+        words = [int(w) for w in g.bits_array]
+        spheres: dict[int, list[int]] = {}
+        for v in range(n):
+            if (root >> v) & 1:
+                spheres.setdefault((words[v] ^ words[0]).bit_count(), []).append(v)
+        pieces, rest = [], root
+        for d in sorted(spheres, key=lambda d: (-len(spheres[d]), d)):
+            v = spheres[d][0]
+            pieces.append(([0, v], rest & comp[v]))
+            for u in spheres[d]:
+                rest &= ~(1 << u)
+
+    best, nodes, exact = fixed, 0, bool(fixed and g.sphere_transitive)
+    for head, piece in pieces:
+        if not exact:
+            break
+        if len(head) + piece.bit_count() <= len(best):
+            continue
+        found, _, used, exact = _vertex_coloring_search(comp, piece, len(best) - len(head),
+                                                        node_budget - nodes)
+        nodes += used
+        if len(head) + len(found) > len(best):
+            best = head + found
+    upper = len(best)
+    if not exact:
+        found, bound, used, exact = _vertex_coloring_search(comp, root, 0, node_budget)
+        nodes += used
+        if len(fixed) + len(found) > len(best):
+            best = fixed + found
+        upper = len(best) if exact else max(len(best), len(fixed) + bound)
+    return len(best), upper, exact, tuple(sorted(best)), nodes
 
 
 def rank_by_row_reduction(matrix, p: int) -> int:

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -87,11 +88,11 @@ class TestMatchesVertexColoringOracle:
         assert verify_independent(g, res.witness) == (True, None)
 
     @pytest.mark.parametrize("ref, budget, expect", [
-        ("G11", 2000, (37, 37, True, 161)),
-        ("H11", 2000, (67, 67, True, 1472)),
+        ("G11", 2000, (37, 37, True, 63)),
+        ("H11", 2000, (67, 67, True, 107)),
         ("C5xC5", 1_000_000, (5, 5, True, 6)),
-        ("G11", 20000, (37, 37, True, 161)),
-        ("H11", 1_000_000, (67, 67, True, 1472)),
+        ("G11", 20000, (37, 37, True, 63)),
+        ("H11", 1_000_000, (67, 67, True, 107)),
     ])
     def test_fixed_cases(self, ref, budget, expect):
         g = graph_from_ref(ref)
@@ -110,6 +111,10 @@ class TestMatchesVertexColoringOracle:
 # ({3, 4, 5}), but no maximum independent set holds vertex 0, so fixing it, as a
 # vertex-transitive graph may, leaves G - N[0] = {2, 3}, an edge, and finds only 2.
 ROOFED_PENTAGON = [(0, 1), (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4)]
+# The 8-cycle on the words 0..7 of length 3: vertex-transitive (rotations), but the
+# Hamming spheres of word 0, {1, 2, 4}, {3, 5, 6} and {7}, are not the orbits
+# {i, 8 - i} of the reflection fixing 0, so it is not sphere-transitive.
+C8 = [(i, (i + 1) % 8) for i in range(8)]
 
 
 @st.composite
@@ -180,6 +185,76 @@ class TestVertexTransitiveRestart:
         # the same graph falsely flagged: fixing vertex 0 misses alpha
         wrong = capsep.BitGraph(3, range(6), ("explicit", ROOFED_PENTAGON), vertex_transitive=True)
         assert max_independent_set(wrong).lower == 2
+
+
+def _coordinate_permutations_fixing(word: int, n: int):
+    """Every permutation of the n coordinates, as a map of words, that fixes word."""
+    for perm in itertools.permutations(range(n)):
+        def image(x, perm=perm):
+            return sum(1 << perm[i] for i in range(n) if (x >> i) & 1)
+        if image(word) == word:
+            yield image
+
+
+class TestSphereBranching:
+    """On G, H and O the automorphisms fixing vertex 0 are transitive on each
+    Hamming sphere around its word, so the search below the vertex-0 restart
+    fixes one more vertex per sphere; every other graph keeps the search of
+    ``TestVertexTransitiveRestart``."""
+
+    @pytest.mark.parametrize("ref", ["G3", "G7", "H3", "H7", "O4", "O6"])
+    def test_builders_claim_is_true(self, ref):
+        # coordinate permutations fixing word 0 carry each sphere's first word onto it
+        g = graph_from_ref(ref)
+        assert g.sphere_transitive is True and g.vertex_transitive is True
+        words = [int(w) for w in g.bits_array]
+        spheres: dict[int, set[int]] = {}
+        for w in words:
+            spheres.setdefault((w ^ words[0]).bit_count(), set()).add(w)
+        images = {d: set() for d in spheres}
+        for image in _coordinate_permutations_fixing(words[0], g.n):
+            for d, sphere in spheres.items():
+                images[d].add(image(min(sphere)))
+        assert images == spheres
+
+    @pytest.mark.parametrize("ref", ["C5", "C8", "K4", "C5xC5", "H3xH3", "G3xC5xC4"])
+    def test_other_graphs_do_not_claim_it(self, ref):
+        assert graph_from_ref(ref).sphere_transitive is False
+
+    def test_explicit_graphs_do_not_claim_it(self):
+        assert random_explicit_graph(10, 0.4, seed=0).sphere_transitive is False
+        assert capsep.BitGraph(3, range(8), ("explicit", C8),
+                               vertex_transitive=True).sphere_transitive is False
+
+    def test_the_flag_is_a_claim(self):
+        # the 8-cycle falsely flagged: one vertex per sphere misses alpha(C8) = 4
+        right = capsep.BitGraph(3, range(8), ("explicit", C8), vertex_transitive=True)
+        wrong = capsep.BitGraph(3, range(8), ("explicit", C8), vertex_transitive=True,
+                                sphere_transitive=True)
+        assert alpha_by_enumeration(adjacency_rows(right)) == 4
+        assert max_independent_set(right).lower == 4
+        assert max_independent_set(wrong).lower == 3
+
+    @pytest.mark.parametrize("ref", ["G11", "H11", "O8"])
+    def test_matches_the_restart_alone(self, ref):
+        # the same graph flagged vertex-transitive only is searched below vertex 0 whole
+        g = graph_from_ref(ref)
+        plain = capsep.BitGraph(g.n, g.bits_array, ("distance", g.distance), family=g.family,
+                                vertex_transitive=True)
+        res, ref_res = max_independent_set(g), max_independent_set(plain)
+        assert res.exact and ref_res.exact and res.lower == ref_res.lower
+        for budget in range(1, 61):
+            res, ref_res = max_independent_set(g, budget), max_independent_set(plain, budget)
+            assert ref_res.lower <= res.lower <= res.upper <= ref_res.upper
+            assert verify_independent(g, res.witness) == (True, None)
+            assert TestMatchesVertexColoringOracle.fields(res) == alpha_by_vertex_coloring(g, budget)
+
+    def test_a_split_cut_short_keeps_the_restart_bounds(self):
+        # G15 at budget 2000: the largest sphere's piece takes the whole budget and finds
+        # 2 + 163; X is then searched whole under the same budget and finds 1 + 260, as
+        # the restart alone does (261, 625 in 2001 nodes), so no bound is worse than its
+        res = max_independent_set(graph_from_ref("G15"), node_budget=2000)
+        assert (res.lower, res.upper, res.exact, res.nodes_explored) == (261, 625, False, 4002)
 
 
 class TestAlphaViaPower:

@@ -146,8 +146,8 @@ class TestAlphaCommand:
         assert payload["exact"] is True
 
     @pytest.mark.parametrize("argv, expect", [
-        (["--graph", "G11", "--node-budget", "2000"], (37, 37, True, 161)),
-        (["--graph", "H11"], (67, 67, True, 1472)),
+        (["--graph", "G11", "--node-budget", "2000"], (37, 37, True, 63)),
+        (["--graph", "H11"], (67, 67, True, 107)),
     ])
     def test_n11_is_exact(self, capsys, argv, expect):
         code, out, _ = run(capsys, "alpha", *argv)
