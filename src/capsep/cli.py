@@ -1,6 +1,8 @@
 """Command-line front end: every subcommand's handler returns one JSON
 document, built from one graph, and ``cli_main`` prints it (or writes it to
-``--output``).
+``--output``). ``COMMANDS`` is the one flag table: a command followed by
+``--flag value`` pairs of its own flags is read from it, and argparse, built
+from the same table, reads any other line and prints help and usage errors.
 
 Exit codes: 0 on success, 2 when a verification fails, 1 on usage errors.
 Results go to stdout, diagnostics to stderr.
@@ -158,59 +160,77 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_GH = ("G", "H")
 _INT = {"type": int, "required": True}
+_GH = {"--family": {"required": True, "choices": ("G", "H")}}
+_GHN = {**_GH, "--n": _INT}
 _SEED = {"--seed": {"type": int, "default": 0}}
 
-# name: (help, handler, --family choices or None, takes --n, other options)
+# name: (help, handler, {flag: add_argument keywords} but --output): the one flag table
 COMMANDS = {
-    "gen-graph": ("materialize a graph family member", _cmd_gen_graph, ("G", "H", "O", "C"),
-                  True, {}),
-    "hadamard": ("construct a Hadamard matrix", _cmd_hadamard, None, False, {"--size": _INT}),
-    "orthorep": ("orthonormal representation", _cmd_orthorep, _GH, True, {}),
-    "clique": ("Hadamard-seeded clique", _cmd_clique, _GH, True, {}),
-    "pack": ("disjoint clique packing", _cmd_pack, _GH, True, _SEED),
-    "cert": ("build + verify a packing certificate", _cmd_cert, _GH, True, _SEED),
-    "verify-cert": ("re-verify a stored certificate", _cmd_verify_cert, None, False,
+    "gen-graph": ("materialize a graph family member", _cmd_gen_graph,
+                  {"--family": {"required": True, "choices": ("G", "H", "O", "C")}, "--n": _INT}),
+    "hadamard": ("construct a Hadamard matrix", _cmd_hadamard, {"--size": _INT}),
+    "orthorep": ("orthonormal representation", _cmd_orthorep, _GHN),
+    "clique": ("Hadamard-seeded clique", _cmd_clique, _GHN),
+    "pack": ("disjoint clique packing", _cmd_pack, {**_GHN, **_SEED}),
+    "cert": ("build + verify a packing certificate", _cmd_cert, {**_GHN, **_SEED}),
+    "verify-cert": ("re-verify a stored certificate", _cmd_verify_cert,
                     {"--input": {"required": True}}),
-    "haemers": ("fitting matrix: fits check and rank bound mod p", _cmd_haemers, _GH, True, {}),
-    "alpha": ("maximum independent set with bounds", _cmd_alpha, None, False,
+    "haemers": ("fitting matrix: fits check and rank bound mod p", _cmd_haemers, _GHN),
+    "alpha": ("maximum independent set with bounds", _cmd_alpha,
               {"--graph": {"required": True, "help": "e.g. C5, G11, H11, O12, C5xC5"},
                "--node-budget": {"type": int, "default": 10**6}}),
-    "channel-sim": ("simulate the one-shot protocol", _cmd_channel_sim, _GH, True,
-                    {"--trials": {"type": int, "default": 100}, **_SEED}),
-    "report": ("exact capacity-bound arithmetic", _cmd_report, _GH, False, {"--p": _INT}),
-    "pipeline": ("full chain for one family member", _cmd_pipeline, _GH, True, _SEED),
+    "channel-sim": ("simulate the one-shot protocol", _cmd_channel_sim,
+                    {**_GHN, "--trials": {"type": int, "default": 100}, **_SEED}),
+    "report": ("exact capacity-bound arithmetic", _cmd_report, {**_GH, "--p": _INT}),
+    "pipeline": ("full chain for one family member", _cmd_pipeline, {**_GHN, **_SEED}),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand in COMMANDS, or of ``command`` alone."""
+def _flags(name: str) -> dict:
+    """{flag: add_argument keywords} of one command, --output first."""
+    return {"--output": {"help": "write JSON here instead of stdout"}, **COMMANDS[name][2]}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand in COMMANDS: it prints help and usage errors."""
     parser = _Parser(prog="capsep", description="Graph-capacity separation toolkit")
-    # one command's parser names them all, so its top-level usage is the full one's
-    metavar = {} if command is None else {"metavar": "{" + ",".join(COMMANDS) + "}"}
-    sub = parser.add_subparsers(dest="command", required=True, **metavar)
-    for name in COMMANDS if command is None else [command]:
-        help_, func, family, n, options = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, func, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--output", help="write JSON here instead of stdout")
-        if family:
-            p.add_argument("--family", required=True, choices=family)
-        if n:
-            p.add_argument("--n", type=int, required=True)
-        for flag, kwargs in options.items():
+        for flag, kwargs in _flags(name).items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace | None:
+    """What argparse makes of a command and --flag value pairs of its own flags,
+    by their type, choices, required and default; None for any other line."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags, given = _flags(argv[0]), {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        try:  # each value is checked, as argparse does, though the last one wins
+            value = given[flag] = flags[flag].get("type", str)(text)
+        except (KeyError, ValueError):
+            return None
+        if text.startswith("-") or value not in flags[flag].get("choices", [value]):
+            return None
+    args = argparse.Namespace(command=argv[0], func=COMMANDS[argv[0]][1])
+    for flag, kw in flags.items():
+        if kw.get("required") and flag not in given:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, kw.get("default")))
+    return args
+
+
 def cli_main(argv: list[str] | None = None) -> int:
-    # a call runs one subcommand: build only its parser. Help, no argument and
-    # unknown commands go to the full parser, which lists every command
+    # a plain line is read from the command table; help and any other line go
+    # to the full parser, so every help text and usage error is argparse's own
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv) or build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -60,9 +60,8 @@ class HadamardMatrix(ReadOnly):
                          for row in self.entries]}
 
 
-def _sylvester_entries(k: int) -> np.ndarray:
-    """k doublings [[h, h], [h, -h]] of [[+1]], unchecked."""
-    h = np.array([[1]], dtype=np.int64)
+def _doubled(h: np.ndarray, k: int) -> np.ndarray:
+    """k doublings [[h, h], [h, -h]] of h, unchecked."""
     for _ in range(k):
         h = np.block([[h, h], [h, -h]])
     return h
@@ -72,7 +71,7 @@ def sylvester(k: int) -> HadamardMatrix:
     """Size-2^k Hadamard matrix by the doubling rule, starting from [[+1]]."""
     if not 0 <= k <= MAX_SYLVESTER_K:
         raise InvalidParameterError(f"k must be in [0, {MAX_SYLVESTER_K}], got {k}")
-    return HadamardMatrix(_sylvester_entries(k), construction=f"sylvester({k})")
+    return HadamardMatrix(_doubled(np.ones((1, 1), np.int64), k), construction=f"sylvester({k})")
 
 
 def _paley_entries(q: int) -> np.ndarray:
@@ -110,6 +109,5 @@ def find_hadamard(m: int) -> HadamardMatrix | None:
     if m > MAX_PALEY_Q + 1:
         raise ResourceLimitError(f"Hadamard order {m} = 2^{j} * {q + 1} exceeds "
                                  f"the cap {MAX_PALEY_Q + 1} on one construction")
-    # j doublings are one Kronecker product with sylvester(j): kron is associative
-    return HadamardMatrix(np.kron(_sylvester_entries(j), _paley_entries(q)),
+    return HadamardMatrix(_doubled(_paley_entries(q), j),
                           construction="double(" * j + f"paley({q})" + ")" * j)

@@ -17,7 +17,7 @@ from capsep.algebra_fp import HaemersResult
 from capsep.alpha import verify_independent
 from capsep.bitgraph import graph_from_ref
 from capsep.channel import MAX_TRIALS
-from capsep.cli import COMMANDS, build_parser, cli_main
+from capsep.cli import COMMANDS, _parse, build_parser, cli_main
 from capsep.entcert import PACKING_REPORT
 from capsep.errors import CertificateError
 from conftest import (cert_from_packing, dense_h3_json, dense_names_in_library, drawn_indices,
@@ -853,7 +853,7 @@ def _usage_argvs() -> list[list[str]]:
 
 
 class TestLazyParser:
-    """A call builds only its own subcommand's parser and prints what the full one does."""
+    """A plain line builds no parser; help and usage errors print what the full one does."""
 
     @pytest.mark.parametrize("argv", _usage_argvs(), ids=lambda argv: " ".join(argv) or "none")
     def test_prints_what_the_full_parser_prints(self, capsys, argv):
@@ -862,7 +862,7 @@ class TestLazyParser:
         want = (int(exc.value.code or 0), *capsys.readouterr())
         assert run(capsys, *argv) == want
 
-    @pytest.mark.parametrize("argv, parsers", [(["alpha", "--graph", "C5"], 2),
+    @pytest.mark.parametrize("argv, parsers", [(["alpha", "--graph", "C5"], 0),
                                                (["--help"], 1 + len(COMMANDS))],
                              ids=["alpha", "help"])
     def test_parsers_built(self, capsys, monkeypatch, argv, parsers):
@@ -1040,6 +1040,64 @@ def test_argv_fuzz(capsys, monkeypatch, fuzz_paths, data):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+class TestPlainLine:
+    """``_parse`` against argparse as its oracle: the same namespace, or None."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_none_or_what_argparse_makes(self, fuzz_paths, data):
+        values = _option_values(fuzz_paths)
+        argv = data.draw(_argvs(values), label="argv")
+        flags = sorted(_subcommand_options()[argv[0]])
+        for flag in data.draw(st.lists(st.sampled_from(flags), max_size=3), label="repeats"):
+            argv += [flag, data.draw(values[flag].map(str))]  # the last value wins
+        got = _parse(argv)
+        if got is not None:
+            assert vars(got) == vars(build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [
+        "pipeline --family G --n 11 --seed 0",
+        "pipeline --family H --n 11 --seed 7",
+        "report --family G --p 41",
+        "report --family H --p 41",
+        "alpha --graph G11 --node-budget 2000",
+        "cert --family G --n 15 --seed 3 --output g15.json",
+        "verify-cert --input g15.json",
+        "channel-sim --family H --n 11 --trials 1000 --seed 2",
+        "channel-sim --family G --n 11 --trials 1000 --seed 2",
+        "gen-graph --family C --n 5",
+        "hadamard --size 12",
+        "alpha --graph C5 --graph G7",
+        "pack --family H --n 7 --seed 1 --seed 2",
+        "haemers --n 11 --family G --output out.json",
+    ])
+    def test_plain_lines_are_read_from_the_table(self, argv):
+        got = _parse(argv.split())
+        assert got is not None and vars(got) == vars(build_parser().parse_args(argv.split()))
+
+    @pytest.mark.parametrize("argv", [
+        "alpha --graph=G11",
+        "alpha --graph G11 --node 5",
+        "pipeline --family H --n 11 --seed -1",
+        "alpha -h",
+        "alpha --graph G11 -h",
+        "alpha --graph G11 --node-budget",
+        "gen-graph --family Z --n 5",
+        "gen-graph --family G --n 1.5",
+        "gen-graph --family G",
+        "gen-graph --family G --n x --n 5",
+        "pipeline --fam H --n 11",
+        "pipeline --family H --n 11 --graph G11",
+        "pipeline --family H --n 11 -- 5",
+        "nonsense --n 5",
+        "--help",
+        "",
+    ])
+    def test_other_lines_go_to_argparse(self, argv):
+        assert _parse(argv.split()) is None
 
 
 @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda v: v if len(v) < 20 else f"{v[:2]}...")
