@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .bitgraph import row_blocks
+from .bitgraph import pack_words, row_blocks
 from .errors import InternalCheckError, ReadOnly
 
 
@@ -85,10 +85,7 @@ def _color_classes(cand: int, adj: list[int], bit: list[int],
 
 def _rank_rows(g, order: np.ndarray) -> list[int]:
     """One adjacency bitset per position b (rank n-1-b), rank r at bit n-1-r."""
-    pad = -order.size % 8
-    return [int.from_bytes(row.tobytes(), "big") >> pad
-            for _, block in g.adjacency_blocks(order)
-            for row in np.packbits(block, axis=1, bitorder="big")][::-1]
+    return [w for _, block in g.adjacency_blocks(order) for w in pack_words(block)][::-1]
 
 
 def _search(g, searched: np.ndarray, floor: int, node_budget: int):

@@ -37,11 +37,11 @@ def sign_rows(bits: np.ndarray, n: int) -> np.ndarray:
     return (1 - 2 * b).astype(np.int8)
 
 
-def words_from_signs(signs: np.ndarray) -> list[int]:
-    """Word of each +-1 row, at any length: the inverse of ``sign_rows``."""
-    pad = -signs.shape[1] % 8  # packbits fills the last byte with low zeros
-    return [int.from_bytes(row.tobytes(), "big") >> pad
-            for row in np.packbits(signs < 0, axis=1)]
+def pack_words(rows: np.ndarray) -> list[int]:
+    """Word of each bool row, at any length, column 0 the top bit: the words of
+    ``sign_rows(...) < 0``."""
+    pad = -rows.shape[1] % 8  # packbits fills the last byte with low zeros
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in np.packbits(rows, axis=1)]
 
 
 def row_blocks(rows: int, width: int) -> Iterator[tuple[int, int]]:
@@ -296,8 +296,8 @@ def graph_from_ref(ref: str) -> BitGraph | ProductGraph:
 
     @functools.cache
     def factor(part: str) -> BitGraph:
-        family, num = part[:1], part[1:]  # ASCII digits; a size cap refuses any n this long
-        if family not in builders or not re.fullmatch(r"[0-9]{1,20}", num):
+        family, num = part[:1], part[1:]  # no leading zero; a size cap refuses any n this long
+        if family not in builders or not re.fullmatch(r"0|[1-9][0-9]{0,19}", num):
             raise InvalidParameterError(
                 f"cannot build a graph from {ref!r} (want e.g. C5, G11, H3xH3)")
         return builders[family](int(num))

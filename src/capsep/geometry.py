@@ -14,7 +14,7 @@ import random
 import numpy as np
 
 from .alpha import verify_independent
-from .bitgraph import BitGraph, sign_rows, weight_w_bits, word_label, words_from_signs
+from .bitgraph import BitGraph, pack_words, sign_rows, weight_w_bits, word_label
 from .errors import ConstructionError, InternalCheckError, InvalidParameterError, ReadOnly
 from .hadamard import HadamardMatrix
 
@@ -79,38 +79,26 @@ class OrthoRep(ReadOnly):
 # -- Hadamard-seeded cliques --------------------------------------------------
 
 
-def _hadamard_signs(h: HadamardMatrix) -> np.ndarray:
-    """S, the normalized matrix without its first column: m rows of length m - 1.
-
-    Entry (i, j) times e[0, j] e[i, 0] e[0, 0] is a square, 1, in row 0 and
-    in column 0. Sign flips keep H.H^T = m I (checked once, by h's
-    constructor), so the normalized matrix is [1 | S] with S.S^T = m I - J.
-    Sign rows of length-n strings x and y have dot product n - 2 d(x, y),
-    with n = m - 1; so any two rows of S are strings at distance (n+1)/2.
-    Row 0 is all ones, the all-zeros string, so every other row has weight
-    m/2, even as 4 divides every Hadamard order >= 4. No pair is compared.
-    """
-    e = h.entries
-    signs = e * e[:, :1]  # the one m x m copy; the row flips go in place
-    signs *= e[0, :] * e[0, 0]
-    return signs[:, 1:]
-
-
 def hadamard_clique(h: HadamardMatrix, family: str) -> list[int]:
     """Mutually adjacent words from a size-(n+1) Hadamard matrix: n of weight
     (n+1)/2 for family G, and for H those n with the all-zeros word, row 0.
 
-    Normalizes, strips the all-ones border, and maps -1 entries to 1-bits.
-    Distances follow from the Hadamard identity with no graph built, so
-    this works at sizes like 164 where the graph itself does not.
+    XOR with row 0 makes row 0 all +1; complementing each row whose top bit,
+    column 0, is then set makes column 0 all +1 and leaves n-bit words. Sign
+    flips keep H.H^T = m I (checked once, by h's constructor), so the words
+    are pairwise at distance m/2 = (n+1)/2, and all but row 0, the zero word,
+    have weight m/2, even as 4 divides every Hadamard order >= 4. No pair is
+    compared and no graph built, so this works at sizes like 164.
     """
     if family not in ("G", "H"):
         raise InvalidParameterError(f"Hadamard cliques are defined for G/H, got {family}")
     if h.size < 4:
         raise InvalidParameterError(
             f"need an even Hadamard size >= 4 to seed a clique, got {h.size}")
-    signs = _hadamard_signs(h)
-    return words_from_signs(signs[1:] if family == "G" else signs)
+    top = 1 << h.size - 1
+    ones = 2 * top - 1
+    words = [w ^ ones if w & top else w for w in (r ^ h.rows[0] for r in h.rows)]
+    return words[1:] if family == "G" else words
 
 
 # -- packings ----------------------------------------------------------------
@@ -212,12 +200,12 @@ def pack_cliques(g: BitGraph, seed: list[int], rng_seed: int = 0) -> CliquePacki
             if len(cliques) >= target:
                 break
     else:
-        seed_signs = sign_rows(np.asarray(seed, dtype=np.uint64), n)
+        seed_bits = sign_rows(np.asarray(seed, dtype=np.uint64), n) < 0
         rng = random.Random(rng_seed)
         perm = list(range(n))
         for _ in range(PACK_BUDGET):
             # destination coordinate j takes source coordinate perm[j]
-            try_add(words_from_signs(seed_signs[:, perm]))
+            try_add(pack_words(seed_bits[:, perm]))
             if len(cliques) >= target:
                 break
             rng.shuffle(perm)

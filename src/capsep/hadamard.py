@@ -1,18 +1,22 @@
 """Hadamard matrix constructions: Sylvester doubling and Paley type I.
 
-Every constructor verifies H.H^T = m.I in exact integer arithmetic before
-returning, once per matrix; a matrix that fails the check never escapes.
+A matrix is held as its m row words, the form of a vertex word: bit m-1-j of
+row i is set where entry (i, j) is -1. Rows i != j are orthogonal exactly
+when 2 popcount(r_i xor r_j) = m, so every constructor proves H.H^T = m.I by
+integer popcounts before returning, once per matrix; a matrix that fails the
+check never escapes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitgraph import row_blocks
+from .bitgraph import row_blocks, word_label
 from .errors import ConstructionError, InvalidParameterError, ReadOnly, ResourceLimitError
 
 MAX_SYLVESTER_K = 12
 MAX_PALEY_Q = 10**4
+_SIGNS = str.maketrans("01", "+-")
 
 
 def is_prime(m: int) -> bool:
@@ -27,65 +31,62 @@ def is_prime(m: int) -> bool:
 
 
 class HadamardMatrix(ReadOnly):
-    """A +-1 square matrix with mutually orthogonal rows."""
+    """m row words of m bits, pairwise at Hamming distance m/2."""
 
-    def __init__(self, entries: np.ndarray, construction: str = "unknown"):
-        h = np.asarray(entries, dtype=np.int64)
-        h.setflags(write=False)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ConstructionError("entries must be square")
-        if h.min(initial=1) < -1 or h.max(initial=1) > 1 or np.count_nonzero(h) != h.size:
-            raise ConstructionError("entries must be +1/-1")
-        m = h.shape[0]
-        # float32 matmul is exact here: every partial sum of +-1 products is an
-        # integer bounded by m <= MAX_PALEY_Q + 1 < 2^24, so each one is a
-        # float32. This keeps the check exact while letting BLAS carry the m^3
-        # work at large sizes. One float32 copy, half the bytes of the int64
-        # entries; the Gram is formed a block of rows at a time, less m I.
-        f = h.astype(np.float32)
-        for lo, hi in row_blocks(m, m):
-            gram = f[lo:hi] @ f.T
-            gram[np.arange(hi - lo), np.arange(lo, hi)] -= m
-            if gram.any():
+    def __init__(self, rows, construction: str = "unknown"):
+        rows = tuple(rows)
+        m = len(rows)
+        for i, r in enumerate(rows):
+            if type(r) is not int or r < 0 or r >> m:
+                raise ConstructionError(f"row {i} is not a {m}-bit word: {r!r}")
+        # One 64-bit limb at a time, widened from bitwise_count's uint8 before
+        # the sum; a block of rows against itself and the rows after it, the
+        # diagonal masked (m/2 is no integer at odd m).
+        limbs = -(-m // 64)
+        w = np.frombuffer(b"".join(r.to_bytes(8 * limbs, "little") for r in rows),
+                          dtype="<u8").reshape(m, limbs)
+        for lo, hi in row_blocks(m, m * limbs):
+            dist = np.zeros((hi - lo, m - lo), dtype=np.int32)
+            for k in range(limbs):
+                dist += np.bitwise_count(w[lo:hi, None, k] ^ w[lo:, k])
+            bad = 2 * dist != m
+            bad[np.arange(hi - lo), np.arange(hi - lo)] = False
+            if bad.any():
                 raise ConstructionError(f"rows not orthogonal: H.H^T != {m}I")
-        self.__dict__.update(entries=h, construction=construction)
+        self.__dict__.update(rows=rows, construction=construction)
 
     @property
     def size(self) -> int:
-        return self.entries.shape[0]
+        return len(self.rows)
 
     def to_json(self) -> dict:
-        return {"size": self.size,
-                "rows": ["".join("+" if e == 1 else "-" for e in row)
-                         for row in self.entries]}
+        m = self.size
+        return {"size": m, "rows": [word_label(r, m).translate(_SIGNS) for r in self.rows]}
 
 
-def _doubled(h: np.ndarray, k: int) -> np.ndarray:
-    """k doublings [[h, h], [h, -h]] of h, unchecked."""
+def _doubled(rows: list[int], k: int) -> list[int]:
+    """k doublings [[h, h], [h, -h]] of the rows, unchecked."""
     for _ in range(k):
-        h = np.block([[h, h], [h, -h]])
-    return h
+        m, ones = len(rows), (1 << len(rows)) - 1
+        rows = [r << m | r for r in rows] + [r << m | r ^ ones for r in rows]
+    return rows
 
 
 def sylvester(k: int) -> HadamardMatrix:
     """Size-2^k Hadamard matrix by the doubling rule, starting from [[+1]]."""
     if not 0 <= k <= MAX_SYLVESTER_K:
         raise InvalidParameterError(f"k must be in [0, {MAX_SYLVESTER_K}], got {k}")
-    return HadamardMatrix(_doubled(np.ones((1, 1), np.int64), k), construction=f"sylvester({k})")
+    return HadamardMatrix(_doubled([0], k), construction=f"sylvester({k})")
 
 
-def _paley_entries(q: int) -> np.ndarray:
-    """The bordered I + Jacobsthal matrix of q, unchecked: chi(j - i) at (1+i, 1+j)
-    off the diagonal. ``chi`` is +1 on the squares, 0 included: 1 + chi(0) = 1."""
-    chi = np.full(q, -1, dtype=np.int64)
-    idx = np.arange(q)
-    chi[idx * idx % q] = 1
-    h = np.empty((q + 1, q + 1), dtype=np.int64)
-    h[0] = 1
-    h[1:, 0] = -1
-    for lo, hi in row_blocks(q, q):  # bound the (j - i) % q scratch matrix
-        h[1 + lo:1 + hi, 1:] = chi[(idx[None, :] - idx[lo:hi, None]) % q]
-    return h
+def _paley_rows(q: int) -> list[int]:
+    """The bordered I + Jacobsthal matrix of q, unchecked: row 0 all +1; row
+    1+i is -1 in column 0 (bit q), then chi(j - i) in column 1+j, which is row
+    1's q-bit word rotated right by i. ``chi`` is +1 on the squares, 0 included."""
+    squares = {j * j % q for j in range(q)}
+    word = sum(1 << q - 1 - j for j in range(q) if j not in squares)
+    ones = (1 << q) - 1
+    return [0] + [1 << q | ((word >> i | word << q - i) & ones) for i in range(q)]
 
 
 def find_hadamard(m: int) -> HadamardMatrix | None:
@@ -93,7 +94,7 @@ def find_hadamard(m: int) -> HadamardMatrix | None:
 
     Tries Sylvester (m a power of two), Paley (m = q+1, q prime = 3 mod 4),
     then Sylvester doublings of a Paley matrix. Sylvester wins when both apply.
-    Doubling past MAX_PALEY_Q + 1 is refused before any entry is formed.
+    Doubling past MAX_PALEY_Q + 1 is refused before any row is formed.
     """
     if m < 1:
         raise InvalidParameterError(f"size must be >= 1, got {m}")
@@ -109,5 +110,5 @@ def find_hadamard(m: int) -> HadamardMatrix | None:
     if m > MAX_PALEY_Q + 1:
         raise ResourceLimitError(f"Hadamard order {m} = 2^{j} * {q + 1} exceeds "
                                  f"the cap {MAX_PALEY_Q + 1} on one construction")
-    return HadamardMatrix(_doubled(_paley_entries(q), j),
+    return HadamardMatrix(_doubled(_paley_rows(q), j),
                           construction="double(" * j + f"paley({q})" + ")" * j)

@@ -39,7 +39,7 @@ from capsep.errors import (CertificateError, InternalCheckError, InvalidParamete
                            ResourceLimitError)
 from capsep.bitgraph import ProductGraph, row_blocks, weight_w_bits
 from capsep.channel import Protocol
-from capsep.geometry import _hadamard_signs
+from capsep.geometry import hadamard_clique
 from capsep.hadamard import is_prime
 
 
@@ -601,9 +601,17 @@ def g11_cert(g11, paley12):
         capsep.pack_cliques(g11, capsep.hadamard_clique(paley12, "G")))
 
 
+def sign_matrix(rows) -> np.ndarray:
+    """The +-1 matrix of m row words: -1 where bit m-1-j of row i is set. Its
+    inverse, row by row, is ``word_of_signs``."""
+    m = len(rows)
+    text = "".join(format(r, f"0{m}b") for r in rows).encode()
+    return 1 - 2 * (np.frombuffer(text, dtype=np.uint8).reshape(m, m) - ord("0")).astype(np.int64)
+
+
 def normalize_by_loop(h) -> np.ndarray:
     """Negate row 0, then each column, then each row, until the border is all +1."""
-    e = h.entries.copy()
+    e = sign_matrix(h.rows)
     if e[0, 0] == -1:
         e[0] = -e[0]
     for j in range(e.shape[1]):
@@ -616,8 +624,9 @@ def normalize_by_loop(h) -> np.ndarray:
 
 
 def normalized(h) -> np.ndarray:
-    """The normalized matrix [1 | S]: ``_hadamard_signs(h)`` with its ones column back."""
-    return np.hstack([np.ones((h.size, 1), dtype=np.int64), _hadamard_signs(h)])
+    """The normalized matrix [1 | S]: the words of ``hadamard_clique(h, "H")`` as
+    rows, the top bit 0. Orders 1 and 2 seed no clique: the loop normalizes them."""
+    return normalize_by_loop(h) if h.size < 4 else sign_matrix(hadamard_clique(h, "H"))
 
 
 def paley_by_loop(q: int) -> np.ndarray:

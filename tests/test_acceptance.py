@@ -20,8 +20,8 @@ from conftest import (FpMatrix, adjacency_rows, alpha_by_enumeration, assert_fit
                       cert_from_packing, check_zero_error_code, fitting_matrix, float_protocol,
                       frankl_wilson_Q, hamming_distance, inner_product_identity_check,
                       monomial_basis, multilinearize, normalize_by_loop, normalized,
-                      random_explicit_graph, rank_by_row_reduction, rank_fp, sign_vector, tensor,
-                      verify, zero_error_by_loop)
+                      random_explicit_graph, rank_by_row_reduction, rank_fp, sign_matrix,
+                      sign_vector, tensor, verify, word_of_signs, zero_error_by_loop)
 
 
 def criterion(number: int, description: str, limit_s: float):
@@ -51,12 +51,13 @@ def test_criterion_1_hadamard_suite():
             [f"paley({q})" for q in (11, 19, 43, 163)]
         for h in matrices:
             m = h.size
-            assert (h.entries @ h.entries.T == m * np.eye(m, dtype=np.int64)).all()
-            norm = capsep.HadamardMatrix(normalized(h))
-            assert np.array_equal(norm.entries, normalize_by_loop(h))
-            assert np.array_equal(norm.entries, normalized(norm))
+            e = sign_matrix(h.rows)
+            assert (e @ e.T == m * np.eye(m, dtype=np.int64)).all()
+            norm = capsep.HadamardMatrix([word_of_signs(row) for row in normalized(h).tolist()])
+            e = sign_matrix(norm.rows)
+            assert np.array_equal(e, normalize_by_loop(h))
+            assert np.array_equal(e, normalized(norm))
             if m >= 4:
-                e = norm.entries
                 assert ((e[1:] == -1).sum(axis=1) == m // 2).all()
                 for i in range(1, m):
                     diffs = (e[i + 1:] != e[i]).sum(axis=1)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 import capsep
 from capsep import bitgraph
-from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, sign_rows,
-                             weight_w_bits, words_from_signs)
+from capsep.bitgraph import (MAX_VERTICES, BitGraph, build_complete, pack_words, sign_rows,
+                             weight_w_bits)
 from capsep.errors import InvalidParameterError, ResourceLimitError
 from conftest import (adjacency_by_rule, degree, dense_adjacency, edge_array, flatten,
                       hamming_distance, is_adjacent, weight_w_bits_by_combinations, word_of_signs)
@@ -376,7 +376,8 @@ class TestGraphFromRef:
             bitgraph.graph_from_ref("H13xH15xH13xH17")  # 4096 * 16384 > 10^7
         assert built == [13, 15]
 
-    @pytest.mark.parametrize("ref", ["", "x", "C5x", "xC5", "C5xQ3", "C5xxC5", "C5X5", "G"])
+    @pytest.mark.parametrize("ref", ["", "x", "C5x", "xC5", "C5xQ3", "C5xxC5", "C5X5", "G",
+                                     "H03", "G011", "C05xC5"])
     def test_rejects_malformed_references(self, ref):
         with pytest.raises(InvalidParameterError, match="cannot build"):
             bitgraph.graph_from_ref(ref)
@@ -445,12 +446,12 @@ class TestWordsFromSigns:
         lambda n: st.tuples(st.just(n), st.lists(st.integers(0, 2**n - 1), max_size=20))))
     def test_inverse_of_sign_rows(self, case):
         n, words = case
-        assert words_from_signs(sign_rows(np.array(words, dtype=np.uint64), n)) == words
+        assert pack_words(sign_rows(np.array(words, dtype=np.uint64), n) < 0) == words
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 2**163 - 1), min_size=1, max_size=6))
     def test_round_trip_at_163_bits(self, words):
         signs = np.array([[1 - 2 * ((w >> (162 - j)) & 1) for j in range(163)]
                           for w in words], dtype=np.int64)
-        assert words_from_signs(signs) == words
+        assert pack_words(signs < 0) == words
         assert [word_of_signs(row) for row in signs.tolist()] == words

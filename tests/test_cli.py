@@ -936,7 +936,7 @@ def test_import_generates_no_code():
     (lambda: capsep.AlphaResult(1, 1, True, (0,), 1, 0.0), "lower"),
     (lambda: capsep.OrthoRep(capsep.build_H(3)), "graph"),
     (lambda: capsep.pack_cliques(capsep.build_H(3), [0, 3, 5, 6]), "cliques"),
-    (lambda: capsep.sylvester(2), "entries"),
+    (lambda: capsep.sylvester(2), "rows"),
     (lambda: capsep.capacity_report("G", 3), "hadamard"),
 ])
 def test_results_are_read_only(make, field):

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import capsep
-from capsep.bitgraph import (build_complete, build_cycle, graph_from_ref, sign_rows,
-                             words_from_signs)
+from capsep.bitgraph import build_complete, build_cycle, graph_from_ref, pack_words, sign_rows
 from capsep.cli import _packing, cli_main
 from capsep.entcert import PACKING_REPORT, packing_proof, verify_json
 from capsep.errors import (CertificateError, ConstructionError, InvalidParameterError,
@@ -95,11 +94,11 @@ def _short_packing(family, n):
     accepts, of cliques one short of the span of the rows."""
     g = capsep.build_G(n) if family == "G" else capsep.build_H(n)
     seed = capsep.hadamard_clique(capsep.find_hadamard(n + 1), family)[:-1]
-    signs = sign_rows(np.array(seed, dtype=np.uint64), n)
+    bits = sign_rows(np.array(seed, dtype=np.uint64), n) < 0
     rng, cliques, used = random.Random(0), [], set()
     for _ in range(200):
         shift = rng.choice(g.bits_array.tolist()) if family == "H" else 0
-        image = {b ^ shift for b in words_from_signs(signs[:, rng.sample(range(n), n)])}
+        image = {b ^ shift for b in pack_words(bits[:, rng.sample(range(n), n)])}
         if not used & image:
             used |= image
             cliques.append(tuple(sorted(image)))
@@ -393,6 +392,12 @@ class TestCertJson:
             verify_json(json.dumps(doc))
         doc["cliques"][0][0] = original
         verify_json(json.dumps(doc))
+
+    def test_only_the_canonical_graph_reference_loads(self, tmp_path):
+        doc = json.loads(_cert_file(tmp_path, "H", 3))
+        doc["graph"] = "H03"  # builds H3, but is not the name H3's file carries
+        with pytest.raises(InvalidParameterError, match="cannot build"):
+            verify_json(json.dumps(doc))
 
     def test_repeated_entry_rejected(self, tmp_path):
         doc = json.loads(_cert_file(tmp_path, "H", 3))
